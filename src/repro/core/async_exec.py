@@ -237,12 +237,9 @@ class AsyncExecutor:
         runner = self.runner
         if runner._lossy:
             return
-        plane = runner.engine.flat
         runner._lossy = True
         runner._dedupe_dups = False
-        runner._cum_flat = np.zeros_like(plane.vals_flat)
-        runner._applied_flat = np.zeros_like(plane.vals_flat)
-        runner._cum_slab = runner._rank_slabs(runner._cum_flat)
+        runner._alloc_lossy_flat()
 
     # ------------------------------------------------------------------
     def prepare(self, x0: np.ndarray, b: np.ndarray) -> None:

@@ -95,8 +95,14 @@ class BlockMethodBase:
         #: any loss-hardening re-sends)
         self.repairs_sent = 0
         P = system.n_parts
-        self.x_blocks: list[np.ndarray] = [np.zeros(0)] * P
-        self.r_blocks: list[np.ndarray] = [np.zeros(0)] * P
+        # one contiguous backing store each for x and r, in permuted row
+        # order; the per-process blocks are views into them, so a re-run
+        # rewrites the whole state with two vector operations
+        self._rstart = np.asarray(system.part.offsets, dtype=np.int64)
+        self._block_sizes = np.diff(self._rstart)
+        self._x_flat = np.zeros(system.n)
+        self._r_flat = np.zeros(system.n)
+        self._bind_blocks()
         self.norms = np.zeros(P)
         self.total_relaxations = 0
         self.steps_taken = 0
@@ -138,6 +144,10 @@ class BlockMethodBase:
         self._slab_owner = np.repeat(np.arange(P, dtype=np.int64), counts)
         self._nbr_nonempty = counts > 0
         self._use_flat = False
+        #: what the run-independent structure (flat plane, index plans,
+        #: kernel bindings, estimate slabs) was last built under; ``None``
+        #: = not built.  :meth:`setup` rebuilds on any mismatch.
+        self._structure_key = None
         #: shared-memory execution plane (DESIGN.md §5.12): built lazily
         #: at the first step of a run when the runtime mode is ``shm``
         self._shm = None
@@ -155,7 +165,18 @@ class BlockMethodBase:
         """Initialise state from an initial guess and right-hand side.
 
         ``x0``/``b`` are in original row numbering unless ``permuted``.
-        Subclasses extend this with their estimate structures.
+
+        Two halves (DESIGN.md §5.8).  The *structure* — flat plane, index
+        plans, kernel bindings, estimate slabs: everything that depends
+        only on ``system`` and the method's options — is built by
+        :meth:`_build_structure` on the first call and kept; a later call
+        rebuilds it only when the plane, the kernel backend or the
+        lossy-ness of the fault plan changed (``_structure_key``).
+        The *state* — ``x``, ``r``, norms, estimates, mail, counters,
+        the compiled fault plan — is rewritten in place on every call by
+        :meth:`_reset_state`.  A re-run on one runner is bit-identical to
+        a fresh runner's run; the engine's cumulative ``stats`` are the
+        one thing that deliberately carries over.
         """
         sysm = self.system
         n = sysm.n
@@ -166,17 +187,6 @@ class BlockMethodBase:
         if not permuted:
             x0 = x0[sysm.perm]
             b = b[sysm.perm]
-        self._b_perm = b.copy()
-        P = sysm.n_parts
-        self.x_blocks = [x0[sysm.rows_slice(p)].copy() for p in range(P)]
-        self.r_blocks = sysm.initial_residual(x0, b)
-        self.norms = np.array([np.linalg.norm(r) for r in self.r_blocks])
-        self.total_relaxations = 0
-        self.steps_taken = 0
-        self.history = ConvergenceHistory()
-        self.history.append(norm=self.global_norm(), relaxations=0,
-                            parallel_steps=0, comm_cost=0.0, time=0.0,
-                            active_fraction=0.0)
         # compile the fault plan (a null plan compiles to nothing at all —
         # the bit-identity contract) and attach it to the window system
         # before either plane is configured
@@ -184,12 +194,9 @@ class BlockMethodBase:
         if plan is not None and plan.is_null:
             plan = None
         self._active_plan = plan
-        self._faults = (FaultRuntime(plan, P, tracer=self.tracer)
+        self._faults = (FaultRuntime(plan, sysm.n_parts, tracer=self.tracer)
                         if plan is not None else None)
         self._lossy = plan is not None and plan.lossy
-        self.degraded = False
-        self.degraded_reason = None
-        self.repairs_sent = 0
         self.engine.windows.faults = self._faults
         # fault-plan delays, like legacy delay injection, let a message
         # outlive its epoch: per-message storage, no buffer reuse
@@ -202,14 +209,61 @@ class BlockMethodBase:
                           and mode != "object"
                           and self._flat_supported())
         self._want_shm = self._use_flat and mode == "shm"
+        # everything the kept structure depends on besides ``system``;
+        # the backend compares by identity (its kernels are bound into
+        # the matvec plans)
+        key = (self._use_flat, self._want_shm, get_backend(),
+               self._reuse_delta_buffers, self._lossy)
+        if key != self._structure_key:
+            self._structure_key = None      # a raising build leaves none
+            self._build_structure()
+            self._structure_key = key
+        self._reset_state(x0, b)
+        self._initialized = True
+
+    def _build_structure(self) -> None:
+        """The run-independent half of :meth:`setup`; subclasses extend
+        it with their estimate slabs and iteration plans."""
         if self._use_flat:
             self._configure_flat_plane()
+            if self._lossy:
+                self._alloc_lossy_flat()
         else:
             self._ws_delta = self._ws_delta_own
             self.engine.windows.flat = None
+
+    def _reset_state(self, x0: np.ndarray, b: np.ndarray) -> None:
+        """The per-run half of :meth:`setup`: write ``(x0, b)`` (permuted
+        numbering) into the existing stores.  Whole-array except the
+        block norms, whose per-block dot is what keeps them bit-equal to
+        ``np.linalg.norm`` of each block.  Subclasses extend it."""
+        self._x_flat[:] = x0
+        r = self._r_flat
+        self.system.A.matvec(x0, out=r)
+        np.subtract(b, r, out=r)
+        norms = self.norms
+        for p, r_p in enumerate(self.r_blocks):
+            norms[p] = math.sqrt(np.dot(r_p, r_p))
+        self.total_relaxations = 0
+        self.steps_taken = 0
+        self.history = ConvergenceHistory()
+        self.history.append(norm=self.global_norm(), relaxations=0,
+                            parallel_steps=0, comm_cost=0.0, time=0.0,
+                            active_fraction=0.0)
+        self.degraded = False
+        self.degraded_reason = None
+        self.repairs_sent = 0
+        if self._use_flat:
+            self.engine.windows.reset_flat()
         if self._lossy:
-            self._init_lossy_state()
-        self._initialized = True
+            self._reset_lossy_state()
+
+    def _bind_blocks(self) -> None:
+        """Per-process views of the ``x`` / ``r`` backing stores."""
+        rs = self._rstart
+        P = self.system.n_parts
+        self.x_blocks = [self._x_flat[rs[p]:rs[p + 1]] for p in range(P)]
+        self.r_blocks = [self._r_flat[rs[p]:rs[p + 1]] for p in range(P)]
 
     # ------------------------------------------------------------------
     # flat-buffer message plane (DESIGN.md §5.8)
@@ -275,24 +329,16 @@ class BlockMethodBase:
         self._ws_delta = {key: plane.vals[eid]
                           for key, eid in eid_map.items()}
         P = sysm.n_parts
-        # receive plan: one contiguous residual backing store (r_blocks
-        # become views into it) plus, parallel to the mailbox backing
-        # store, each delta entry's *global* destination row — a whole
-        # epoch's solve updates then apply as one in-place scatter-add
-        # (:meth:`_apply_flat_epoch`).  Also the sender's position in each
-        # receiver's neighbor list (the Γ slab scatter index).
-        sizes = np.array([sysm.size_of(p) for p in range(P)],
-                         dtype=np.int64)
-        rstart = np.zeros(P + 1, dtype=np.int64)
-        np.cumsum(sizes, out=rstart[1:])
-        self._block_sizes = sizes
-        self._rstart = rstart
+        # receive plan: parallel to the mailbox backing store, each delta
+        # entry's *global* destination row in the residual backing store
+        # — a whole epoch's solve updates then apply as one in-place
+        # scatter-add (:meth:`_apply_flat_epoch`).  Also the sender's
+        # position in each receiver's neighbor list (the Γ slab scatter
+        # index).
+        rstart = self._rstart
         row_idt = (np.int32 if (idt is np.int32
                                 and int(rstart[-1]) <= _INT32_LIMIT)
                    else np.int64)
-        self._r_flat = np.concatenate(self.r_blocks)
-        self.r_blocks = [self._r_flat[rstart[p]:rstart[p + 1]]
-                         for p in range(P)]
         self._grows_flat = np.empty(int(plane.vals_off[-1]),
                                     dtype=row_idt)
         self._edge_recv_flops = (
@@ -424,8 +470,16 @@ class BlockMethodBase:
     # ------------------------------------------------------------------
     # fault plane (DESIGN.md §5.11)
     # ------------------------------------------------------------------
-    def _init_lossy_state(self) -> None:
-        """Allocate the cumulative self-healing solve-payload state.
+    def _alloc_lossy_flat(self) -> None:
+        """Flat-plane stores of the cumulative solve-payload state
+        (structure; :meth:`_reset_lossy_state` zeroes them per run)."""
+        plane = self.engine.flat
+        self._cum_flat = np.zeros_like(plane.vals_flat)
+        self._applied_flat = np.zeros_like(plane.vals_flat)
+        self._cum_slab = self._rank_slabs(self._cum_flat)
+
+    def _reset_lossy_state(self) -> None:
+        """Zero the cumulative self-healing solve-payload state.
 
         Under a lossy plan (drops or duplicates possible) a plain delta
         message is unsafe: a lost delta corrupts the receiver's residual
@@ -441,10 +495,8 @@ class BlockMethodBase:
         self._dedupe_dups = (plan.solve.duplicate > 0.0
                              or plan.residual.duplicate > 0.0)
         if self._use_flat:
-            plane = self.engine.flat
-            self._cum_flat = np.zeros_like(plane.vals_flat)
-            self._applied_flat = np.zeros_like(plane.vals_flat)
-            self._cum_slab = self._rank_slabs(self._cum_flat)
+            self._cum_flat.fill(0.0)
+            self._applied_flat.fill(0.0)
         else:
             self._cum_sent = {pq: np.zeros(block.n_rows)
                               for pq, block in sysm.couplings.items()}
@@ -818,7 +870,6 @@ class BlockMethodBase:
         try:
             movables = self._shm_movables()
             extra = (sum(int(a.nbytes) for a in movables)
-                     + int(self._r_flat.nbytes)     # the x store
                      + 64 * (len(movables) + 3))
             # demand-driven sid capacity: a fault-free epoch delivers at
             # most one payload per directed edge (2E slots); lossy plans
@@ -847,7 +898,8 @@ class BlockMethodBase:
 
     def _shm_movables(self) -> list[np.ndarray]:
         """Mutable arrays both sides touch — re-homed into the arena."""
-        arrs = [self._r_flat, self.norms, self.engine.flat.vals_flat]
+        arrs = [self._r_flat, self._x_flat, self.norms,
+                self.engine.flat.vals_flat]
         if self._lossy:
             arrs += [self._cum_flat, self._applied_flat]
         arrs += self._shm_movables_extra()
@@ -862,15 +914,9 @@ class BlockMethodBase:
         every view over it (the fork happens after this, so both sides
         address the same pages)."""
         plane = self.engine.flat
-        P = self.system.n_parts
-        rs = self._rstart
         self._r_flat = arena.move(self._r_flat)
-        self.r_blocks = [self._r_flat[rs[p]:rs[p + 1]] for p in range(P)]
-        x_flat = arena.take(int(rs[-1]), np.float64)
-        for p in range(P):
-            x_flat[rs[p]:rs[p + 1]] = self.x_blocks[p]
-        self._x_flat = x_flat
-        self.x_blocks = [x_flat[rs[p]:rs[p + 1]] for p in range(P)]
+        self._x_flat = arena.move(self._x_flat)
+        self._bind_blocks()
         self.norms = arena.move(self.norms)
         plane.vals_flat = arena.move(plane.vals_flat)
         voff = plane.vals_off
@@ -913,6 +959,9 @@ class BlockMethodBase:
             shm.close()
             if self._use_flat:
                 self._flops = self.engine.stats._step_flops
+            # the two re-homes replaced every mutable array the kept
+            # structure was bound to; the next setup() builds it afresh
+            self._structure_key = None
 
     # ------------------------------------------------------------------
     # primitives
@@ -1180,20 +1229,12 @@ class BlockMethodBase:
     # ------------------------------------------------------------------
     def solution(self) -> np.ndarray:
         """Assembled solution vector in *original* row numbering."""
-        n = self.system.n
-        x_perm = np.empty(n)
-        for p in range(self.system.n_parts):
-            x_perm[self.system.rows_slice(p)] = self.x_blocks[p]
-        x = np.empty(n)
-        x[self.system.perm] = x_perm
+        x = np.empty(self.system.n)
+        x[self.system.perm] = self._x_flat
         return x
 
     def residual_vector(self) -> np.ndarray:
         """Assembled residual vector in original numbering (diagnostic)."""
-        n = self.system.n
-        r_perm = np.empty(n)
-        for p in range(self.system.n_parts):
-            r_perm[self.system.rows_slice(p)] = self.r_blocks[p]
-        r = np.empty(n)
-        r[self.system.perm] = r_perm
+        r = np.empty(self.system.n)
+        r[self.system.perm] = self._r_flat
         return r

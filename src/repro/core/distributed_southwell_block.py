@@ -74,92 +74,108 @@ class DistributedSouthwell(BlockMethodBase):
         self.deadlock_avoidance = deadlock_avoidance
         self.ghost_estimation = ghost_estimation
 
-    def setup(self, x0, b, permuted: bool = False) -> None:
-        super().setup(x0, b, permuted=permuted)
+    def _build_structure(self) -> None:
+        super()._build_structure()
         sysm = self.system
         P = sysm.n_parts
         self._nbr_pos: list[dict[int, int]] = [
             {int(q): i for i, q in enumerate(sysm.neighbors_of(p))}
             for p in range(P)]
-        # Γ (line 5), Γ̃ (line 6) — exact at startup.  One shared squared-
-        # norm array so both sides of the Γ̃ mirror start bit-identical
-        # (scalar and array ``**`` can differ in the last ulp).  Both live
-        # as one flat slab along the neighbor offsets (the per-rank lists
-        # are views into it), so the decision phase and the deadlock scan
-        # are single vector operations.
-        norms_sq = self.norms * self.norms
+        # Γ (line 5), Γ̃ (line 6) live as one flat slab each along the
+        # neighbor offsets (the per-rank lists are views into it), so the
+        # decision phase and the deadlock scan are single vector
+        # operations.
         off = self._nbr_off
-        self._gamma_flat = norms_sq[self._nbr_flat]
-        self._tilde_flat = norms_sq[self._slab_owner]
+        self._gamma_flat = np.empty(self._nbr_flat.size)
+        self._tilde_flat = np.empty(self._nbr_flat.size)
         self.gamma_sq: list[np.ndarray] = [
             self._gamma_flat[off[p]:off[p + 1]] for p in range(P)]
         self.tilde_sq: list[np.ndarray] = [
             self._tilde_flat[off[p]:off[p + 1]] for p in range(P)]
+        # loss-hardening heartbeats, one per (owner, neighbor) slab
+        # position (used under a lossy plan only)
+        self._hb_last_sent = np.zeros(self._slab_owner.size, dtype=np.int64)
+        self._hb_retry_used = np.zeros(self._slab_owner.size,
+                                       dtype=np.int64)
+        if not self._use_flat:
+            return
+        # flat-plane iteration plans.  The ghost layers live in one
+        # global flat array laid out exactly parallel to the mailbox
+        # delta store: edge (p, q)'s region holds ghost[p][q] (same
+        # length as the edge's vals buffer by construction).  Rank p's
+        # layers are then one contiguous slab mirroring its delta slab,
+        # so the phase-1 ghost update is a single vector add; per-layer
+        # views keep ``self.ghost`` usable and give the per-neighbor
+        # contribution dots.  ghost[p][q] is q's residual at β_qp, which
+        # is what edge (p, q)'s deltas scatter onto — ``_grows_flat`` is
+        # therefore also the plan that fills the whole store from the
+        # residual store in one gather.
+        plane = self.engine.flat
+        zoff = plane.z_off
+        voff = plane.vals_off
+        self.ghost: list[dict[int, np.ndarray]] = [{} for _ in range(P)]
+        self._bind_ghost_views(np.empty(int(voff[-1])))
+        self._ghost_flops = np.array(
+            [4.0 * slab.size for slab in self._ghost_slab])
+        # z-payload → ghost permutation: edge (s, d)'s z region lands
+        # in ghost[d][s], which lives at the *reverse* edge's region
+        # of the ghost store.  With it, a whole epoch's ghost
+        # overwrites (line 24 for every receiver) are one fancy copy.
+        rev = np.array(
+            [plane.edge_index[(int(plane.edge_dst[e]),
+                               int(plane.edge_src[e]))]
+             for e in range(plane.n_edges)], dtype=plane.idx_dtype)
+        self._z2g = np.empty(int(zoff[-1]), dtype=plane.idx_dtype)
+        for e in range(plane.n_edges):
+            r = int(rev[e])
+            self._z2g[zoff[e]:zoff[e + 1]] = np.arange(
+                voff[r], voff[r] + int(zoff[e + 1] - zoff[e]))
+        # wire size of the residual message at every (owner,
+        # neighbor) slab position — the deadlock scan sums its
+        # per-sender byte charges by slab index
+        self._slab_res_nbytes = self._flat_res_nbytes[self._slab_eids]
+        # slab-shaped flag: positions we sent an explicit residual
+        # update to this step (the phase-3 crossing settlement)
+        self._res_mask = np.zeros(self._slab_owner.size, dtype=bool)
+
+    def _bind_ghost_views(self, ghost: np.ndarray) -> None:
+        """Point ``self.ghost`` and the per-rank slabs / per-layer views
+        at ``ghost`` (a store laid out like the mailbox delta store)."""
+        sysm = self.system
+        voff = self.engine.flat.vals_off
+        self._ghost_flat = ghost
+        self._ghost_slab = []
+        self._ghost_views = []
+        for p in range(sysm.n_parts):
+            eids = self._out_eids[p]
+            views = []
+            for i, q in enumerate(sysm.neighbors_of(p).tolist()):
+                eid = int(eids[i])
+                view = ghost[int(voff[eid]):int(voff[eid + 1])]
+                self.ghost[p][q] = view
+                views.append(view)
+            vlo = int(voff[eids[0]]) if eids.size else 0
+            vhi = int(voff[eids[-1] + 1]) if eids.size else 0
+            self._ghost_slab.append(ghost[vlo:vhi])
+            self._ghost_views.append(views)
+
+    def _reset_state(self, x0, b) -> None:
+        super()._reset_state(x0, b)
+        # Γ, Γ̃ exact at startup.  One shared squared-norm array so both
+        # sides of the Γ̃ mirror start bit-identical (scalar and array
+        # ``**`` can differ in the last ulp).
+        norms_sq = self.norms * self.norms
+        np.take(norms_sq, self._nbr_flat, out=self._gamma_flat)
+        np.take(norms_sq, self._slab_owner, out=self._tilde_flat)
         # ghost layers z_q (lines 7-9): p's copy of q's residual at β_qp
-        self.ghost: list[dict[int, np.ndarray]] = []
-        for p in range(P):
-            layers: dict[int, np.ndarray] = {}
-            for q in sysm.neighbors_of(p):
-                q = int(q)
-                rows = sysm.beta[(q, p)]
-                layers[q] = self.r_blocks[q][rows].copy()
-            self.ghost.append(layers)
         if self._use_flat:
-            # flat-plane iteration plans.  The ghost layers move into one
-            # contiguous per-rank slab in neighbor order — the layout
-            # mirrors the sender's mailbox delta slab (same per-edge
-            # lengths, same order), so the phase-1 ghost update is a
-            # single vector add; per-layer views keep ``self.ghost``
-            # usable and give the per-neighbor contribution dots.
-            plane = self.engine.flat
-            zoff = plane.z_off
-            voff = plane.vals_off
-            # the ghost storage moves into one global flat array laid out
-            # exactly parallel to the mailbox delta store: edge (p, q)'s
-            # region holds ghost[p][q] (same length as the edge's vals
-            # buffer by construction).  Rank p's layers are then one
-            # contiguous slab mirroring its delta slab, so the phase-1
-            # ghost update is a single vector add.
-            self._ghost_flat = np.empty(int(voff[-1]))
-            self._ghost_slab = []
-            self._ghost_views = []
-            self._ghost_flops = np.zeros(P)
-            for p in range(P):
-                eids = self._out_eids[p]
-                nbrs = [int(q) for q in sysm.neighbors_of(p)]
-                views = []
-                for i, q in enumerate(nbrs):
-                    eid = int(eids[i])
-                    view = self._ghost_flat[voff[eid]:voff[eid + 1]]
-                    view[:] = self.ghost[p][q]
-                    self.ghost[p][q] = view
-                    views.append(view)
-                vlo = int(voff[eids[0]]) if eids.size else 0
-                vhi = int(voff[eids[-1] + 1]) if eids.size else 0
-                slab = self._ghost_flat[vlo:vhi]
-                self._ghost_slab.append(slab)
-                self._ghost_views.append(views)
-                self._ghost_flops[p] = 4.0 * slab.size
-            # z-payload → ghost permutation: edge (s, d)'s z region lands
-            # in ghost[d][s], which lives at the *reverse* edge's region
-            # of the ghost store.  With it, a whole epoch's ghost
-            # overwrites (line 24 for every receiver) are one fancy copy.
-            rev = np.array(
-                [plane.edge_index[(int(plane.edge_dst[e]),
-                                   int(plane.edge_src[e]))]
-                 for e in range(plane.n_edges)], dtype=plane.idx_dtype)
-            self._z2g = np.empty(int(zoff[-1]), dtype=plane.idx_dtype)
-            for e in range(plane.n_edges):
-                r = int(rev[e])
-                self._z2g[zoff[e]:zoff[e + 1]] = np.arange(
-                    voff[r], voff[r] + int(zoff[e + 1] - zoff[e]))
-            # wire size of the residual message at every (owner,
-            # neighbor) slab position — the deadlock scan sums its
-            # per-sender byte charges by slab index
-            self._slab_res_nbytes = self._flat_res_nbytes[self._slab_eids]
-            # slab-shaped flag: positions we sent an explicit residual
-            # update to this step (the phase-3 crossing settlement)
-            self._res_mask = np.zeros(self._slab_owner.size, dtype=bool)
+            np.take(self._r_flat, self._grows_flat, out=self._ghost_flat)
+        else:
+            sysm = self.system
+            self.ghost = [
+                {int(q): self.r_blocks[q][sysm.beta[(int(q), p)]]
+                 for q in sysm.neighbors_of(p)}
+                for p in range(sysm.n_parts)]
         # loss hardening (DESIGN.md §5.11): under a lossy plan the Γ̃
         # mirror breaks — a dropped message leaves the neighbor believing
         # an old norm, and the line-27 repair itself can be lost.  Every
@@ -177,10 +193,8 @@ class DistributedSouthwell(BlockMethodBase):
         if self._hardened:
             self._resend_after = plan.resend_after
             self._retry_budget = plan.retry_budget
-            self._hb_last_sent = np.zeros(self._slab_owner.size,
-                                          dtype=np.int64)
-            self._hb_retry_used = np.zeros(self._slab_owner.size,
-                                           dtype=np.int64)
+            self._hb_last_sent.fill(0)
+            self._hb_retry_used.fill(0)
 
     # ------------------------------------------------------------------
     # flat-buffer plane hooks (DESIGN.md §5.8)
@@ -432,30 +446,11 @@ class DistributedSouthwell(BlockMethodBase):
         return [self._gamma_flat, self._ghost_flat]
 
     def _shm_rehome_extra(self, arena) -> None:
-        sysm = self.system
-        P = sysm.n_parts
         off = self._nbr_off
-        plane = self.engine.flat
-        voff = plane.vals_off
         self._gamma_flat = arena.move(self._gamma_flat)
         self.gamma_sq = [self._gamma_flat[off[p]:off[p + 1]]
-                         for p in range(P)]
-        ghost = arena.move(self._ghost_flat)
-        self._ghost_flat = ghost
-        self._ghost_slab = []
-        self._ghost_views = []
-        for p in range(P):
-            eids = self._out_eids[p]
-            views = []
-            for i, q in enumerate(int(q) for q in sysm.neighbors_of(p)):
-                eid = int(eids[i])
-                view = ghost[int(voff[eid]):int(voff[eid + 1])]
-                self.ghost[p][q] = view
-                views.append(view)
-            vlo = int(voff[eids[0]]) if eids.size else 0
-            vhi = int(voff[eids[-1] + 1]) if eids.size else 0
-            self._ghost_slab.append(ghost[vlo:vhi])
-            self._ghost_views.append(views)
+                         for p in range(self.system.n_parts)]
+        self._bind_ghost_views(arena.move(self._ghost_flat))
 
     # ------------------------------------------------------------------
     def _step_flat(self) -> int:

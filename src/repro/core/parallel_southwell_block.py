@@ -47,27 +47,31 @@ class ParallelSouthwell(BlockMethodBase):
         super().__init__(*args, **kwargs)
         self.piggyback = piggyback
 
-    def setup(self, x0, b, permuted: bool = False) -> None:
-        super().setup(x0, b, permuted=permuted)
+    def _build_structure(self) -> None:
+        super()._build_structure()
         sysm = self.system
         P = sysm.n_parts
         # Γ_p: exact neighbor norms (squared — the criterion compares
-        # squares so no square roots are needed in the hot loop).  One
-        # shared squared array so Γ entries and broadcast records start
-        # bit-identical.  Γ lives as one flat slab along the neighbor
-        # offsets (per-rank lists are views into it) so the decision phase
-        # is a single segment-max.
-        norms_sq = self.norms * self.norms
+        # squares so no square roots are needed in the hot loop).  Γ lives
+        # as one flat slab along the neighbor offsets (per-rank lists are
+        # views into it) so the decision phase is a single segment-max.
         off = self._nbr_off
-        self._gamma_flat = norms_sq[self._nbr_flat]
+        self._gamma_flat = np.empty(self._nbr_flat.size)
         self.gamma_sq: list[np.ndarray] = [
             self._gamma_flat[off[p]:off[p + 1]] for p in range(P)]
         self._nbr_pos: list[dict[int, int]] = [
             {int(q): i for i, q in enumerate(sysm.neighbors_of(p))}
             for p in range(P)]
+
+    def _reset_state(self, x0, b) -> None:
+        super()._reset_state(x0, b)
+        # one shared squared array so Γ entries and broadcast records
+        # start bit-identical
+        norms_sq = self.norms * self.norms
+        np.take(norms_sq, self._nbr_flat, out=self._gamma_flat)
         # the norm each process last told its neighbors (squared); explicit
         # updates fire whenever the actual norm departs from this
-        self._broadcast_sq = norms_sq.copy()
+        self._broadcast_sq = norms_sq
 
     # ------------------------------------------------------------------
     # flat-buffer plane hooks (DESIGN.md §5.8)

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.distributed_southwell_block import DistributedSouthwell
 from repro.core.parallel_southwell_block import ParallelSouthwell
-from repro.multigrid.smoothers import Smoother
+from repro.multigrid.smoothers import Smoother, per_operator
 from repro.runtime import CORI_LIKE, CostModel, runtime_mode, use_runtime
 from repro.setupcache import get_setup
 from repro.solvers.block_jacobi import BlockJacobi
@@ -123,7 +123,8 @@ class BlockSmoother(Smoother):
         self.tracer = tracer if tracer is not None else tracer_from_config()
         self.faults = faults
         self.cache_dir = cache_dir
-        self._levels: dict[int, LevelRunner] = {}
+        #: ``id(A) -> (A, LevelRunner)`` (see :func:`per_operator`)
+        self._levels: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Smoother protocol
@@ -138,23 +139,21 @@ class BlockSmoother(Smoother):
         Partitioning and block building go through the persistent setup
         cache, so a warm multigrid run re-partitions no level.
         """
-        key = id(A)
-        lr = self._levels.get(key)
-        if lr is None:
-            n_parts = min(self.n_parts, A.n_rows)
-            _, system = get_setup(
-                A, n_parts, method=self.partition_method, seed=self.seed,
-                local_solver=self.local_solver, tracer=self.tracer,
-                cache_dir=self.cache_dir)
-            cls = BLOCK_SMOOTHER_METHODS[self.method]
-            runner = cls(system, cost_model=self.cost_model, seed=self.seed,
-                         tracer=self.tracer, faults=self.faults)
-            sizes = np.array([system.size_of(p) for p in range(n_parts)],
-                             dtype=np.int64)
-            lr = LevelRunner(runner=runner, n_parts=n_parts, sizes=sizes,
-                             min_block=int(sizes.min()))
-            self._levels[key] = lr
-        return lr
+        return per_operator(self._levels, A, self._build_level)
+
+    def _build_level(self, A: CSRMatrix) -> LevelRunner:
+        n_parts = min(self.n_parts, A.n_rows)
+        _, system = get_setup(
+            A, n_parts, method=self.partition_method, seed=self.seed,
+            local_solver=self.local_solver, tracer=self.tracer,
+            cache_dir=self.cache_dir)
+        cls = BLOCK_SMOOTHER_METHODS[self.method]
+        runner = cls(system, cost_model=self.cost_model, seed=self.seed,
+                     tracer=self.tracer, faults=self.faults)
+        sizes = np.array([system.size_of(p) for p in range(n_parts)],
+                         dtype=np.int64)
+        return LevelRunner(runner=runner, n_parts=n_parts, sizes=sizes,
+                           min_block=int(sizes.min()))
 
     def smooth(self, A: CSRMatrix, x: np.ndarray,
                b: np.ndarray) -> np.ndarray:
@@ -221,4 +220,5 @@ class BlockSmoother(Smoother):
     # ------------------------------------------------------------------
     def record_for(self, A: CSRMatrix) -> LevelRunner | None:
         """The accounting record for operator ``A`` (None if never seen)."""
-        return self._levels.get(id(A))
+        hit = self._levels.get(id(A))
+        return hit[1] if hit is not None and hit[0] is A else None

@@ -24,6 +24,19 @@ __all__ = ["ChebyshevSmoother", "DistributedSouthwellSmoother",
            "WeightedJacobiSmoother"]
 
 
+def per_operator(cache: dict, A: CSRMatrix, build):
+    """``build(A)``, computed once per operator *object*.
+
+    The smoothers key their per-level plans on ``id(A)``; the entry keeps
+    ``A`` itself so the id cannot be recycled by a later operator while
+    the entry lives, and a hit is verified by identity.
+    """
+    hit = cache.get(id(A))
+    if hit is None or hit[0] is not A:
+        hit = cache[id(A)] = (A, build(A))
+    return hit[1]
+
+
 class Smoother:
     """Interface: ``smooth(A, x, b) -> x_new`` (one smoothing application)."""
 
@@ -71,13 +84,10 @@ class _SouthwellSmoother(Smoother):
             raise ValueError("fraction must be positive")
         self.fraction = fraction
         self.seed = seed
-        self._cache: dict[int, object] = {}
+        self._cache: dict[int, tuple] = {}
 
     def _solver_for(self, A: CSRMatrix):
-        key = id(A)
-        if key not in self._cache:
-            self._cache[key] = self.method_cls(A)
-        return self._cache[key]
+        return per_operator(self._cache, A, self.method_cls)
 
     def relaxations(self, n: int) -> int:
         return max(1, int(round(self.fraction * n)))
@@ -162,28 +172,28 @@ class ChebyshevSmoother(Smoother):
         self.eig_ratio = eig_ratio
         self.power_iterations = power_iterations
         self.seed = seed
-        self._lmax_cache: dict[int, float] = {}
+        self._lmax_cache: dict[int, tuple] = {}
 
     def relaxations(self, n: int) -> int:
         """Budget analog: one matvec-wide update per polynomial degree."""
         return self.degree * n
 
     def _lambda_max(self, A: CSRMatrix) -> float:
-        key = id(A)
-        if key not in self._lmax_cache:
-            rng = np.random.default_rng(self.seed)
-            diag = A.diagonal()
-            v = rng.standard_normal(A.n_rows)
-            lam = 1.0
-            for _ in range(self.power_iterations):
-                w = A.matvec(v) / diag
-                lam = float(np.linalg.norm(w))
-                if lam == 0.0:
-                    break
-                v = w / lam
-            # small safety margin so the polynomial covers lambda_max
-            self._lmax_cache[key] = 1.1 * lam
-        return self._lmax_cache[key]
+        return per_operator(self._lmax_cache, A, self._estimate_lambda_max)
+
+    def _estimate_lambda_max(self, A: CSRMatrix) -> float:
+        rng = np.random.default_rng(self.seed)
+        diag = A.diagonal()
+        v = rng.standard_normal(A.n_rows)
+        lam = 1.0
+        for _ in range(self.power_iterations):
+            w = A.matvec(v) / diag
+            lam = float(np.linalg.norm(w))
+            if lam == 0.0:
+                break
+            v = w / lam
+        # small safety margin so the polynomial covers lambda_max
+        return 1.1 * lam
 
     def smooth(self, A: CSRMatrix, x: np.ndarray,
                b: np.ndarray) -> np.ndarray:
@@ -225,22 +235,17 @@ class RedBlackGaussSeidelSmoother(Smoother):
         if n_sweeps < 1:
             raise ValueError("n_sweeps must be at least 1")
         self.n_sweeps = n_sweeps
-        self._classes_cache: dict[int, list[np.ndarray]] = {}
+        self._classes_cache: dict[int, tuple] = {}
 
     def relaxations(self, n: int) -> int:
         """Relaxation budget on an ``n``-row level."""
         return self.n_sweeps * n
 
     def _classes(self, A: CSRMatrix) -> list[np.ndarray]:
-        key = id(A)
-        if key not in self._classes_cache:
-            from repro.partition.coloring import (
-                color_classes,
-                greedy_coloring,
-            )
+        from repro.partition.coloring import color_classes, greedy_coloring
 
-            self._classes_cache[key] = color_classes(greedy_coloring(A))
-        return self._classes_cache[key]
+        return per_operator(self._classes_cache, A,
+                            lambda M: color_classes(greedy_coloring(M)))
 
     def smooth(self, A: CSRMatrix, x: np.ndarray,
                b: np.ndarray) -> np.ndarray:

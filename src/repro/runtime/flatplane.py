@@ -247,6 +247,26 @@ class FlatEdgePlane:
         #: while a fault plan with message faults is attached)
         self.last_fates: np.ndarray = _EMPTY_SIDS
 
+    def reset(self) -> None:
+        """Forget all mail, keeping the topology and every buffer: the
+        plane then behaves as freshly constructed (a method re-arming it
+        for a new run on the same couplings, DESIGN.md §5.8).
+
+        Clears the pending / visible queues and their bookkeeping and
+        the last epoch's delivery record.  Data regions and headers are
+        left as they are — a receiver only reads a slot after a put has
+        written it — and the shared ``stats`` keep accumulating.
+        """
+        self._pending = []
+        self._pending_fates = []
+        self._in_pending[:] = False
+        for p in self._mail:
+            self._visible[p] = []
+        self._mail.clear()
+        self.mail_ranks = []
+        self.last_delivered = _EMPTY_SIDS
+        self.last_fates = _EMPTY_SIDS
+
     # ------------------------------------------------------------------
     # origin side
     # ------------------------------------------------------------------

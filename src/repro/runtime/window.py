@@ -116,10 +116,17 @@ class WindowSystem:
                                "object message plane")
         self.flat = FlatEdgePlane(self.n_procs, self.stats, edges,
                                   tracer=self.tracer)
+        self.reset_flat()
+        return self.flat.edge_index
+
+    def reset_flat(self) -> None:
+        """Re-arm the attached flat plane for a new run on the same
+        topology: clear its mail state and bind the current compiled
+        fault plan (:attr:`faults`, possibly ``None``) to it."""
+        self.flat.reset()
+        self.flat.faults = self.faults
         if self.faults is not None:
             self.faults.attach_flat(self.flat)
-            self.flat.faults = self.faults
-        return self.flat.edge_index
 
     # ------------------------------------------------------------------
     # origin side

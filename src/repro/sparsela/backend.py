@@ -263,11 +263,23 @@ class SciPyBackend(KernelBackend):
     def matvec_plan(self, A):
         if self._csr_matvec is None:  # pragma: no cover - scipy too old
             return super().matvec_plan(A)
-        S = A.to_scipy()
         m, n = A.shape
+        S = A._derived_cache().get("scipy")
+        if S is None:
+            # no handle yet (the block methods' diagonal and throw-away
+            # stacked fan-out blocks): the kernel needs only the three
+            # arrays, so bind them under scipy's own index-dtype rule
+            # instead of constructing a csr_matrix per block
+            idt = (np.int32 if max(m, n, A.nnz) <= np.iinfo(np.int32).max
+                   else np.int64)
+            indptr = A.indptr.astype(idt, copy=False)
+            indices = A.indices.astype(idt, copy=False)
+            data = A.data
+        else:
+            indptr, indices, data = S.indptr, S.indices, S.data
 
         def plan(x, out, _kernel=self._csr_matvec, _m=m, _n=n,
-                 _indptr=S.indptr, _indices=S.indices, _data=S.data):
+                 _indptr=indptr, _indices=indices, _data=data):
             out[:] = 0.0
             _kernel(_m, _n, _indptr, _indices, _data, x, out)
         return plan

@@ -28,6 +28,7 @@ from repro.matrices.fem import fem_poisson_2d
 from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
 from repro.sparsela import symmetric_unit_diagonal_scale
+from repro.trace import NULL_TRACER
 from tests.test_async_plane import PINNED_DS_DIGEST
 
 _A = poisson_2d(20)
@@ -137,7 +138,9 @@ def test_batched_engine_actually_engages():
     part = partition(A, 8, seed=0)
     system = build_block_system(A, part)
     rng = np.random.default_rng(0)
-    runner = DistributedSouthwell(system, seed=0)
+    # an active tracer is a documented fallback-to-scalar condition, so
+    # the guard must not inherit one from REPRO_TRACE
+    runner = DistributedSouthwell(system, seed=0, tracer=NULL_TRACER)
     ex = AsyncExecutor(runner, scheduler="batched", record_every=16)
     ex.prepare(rng.uniform(-1, 1, A.n_rows), np.zeros(A.n_rows))
     ex.run(max_steps=20)

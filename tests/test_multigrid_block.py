@@ -10,9 +10,11 @@ import pytest
 from repro.api import MultigridConfig, RunConfig, solve
 from repro.matrices.poisson import poisson_2d
 from repro.multigrid import (
+    ChebyshevSmoother,
     GaussSeidelSmoother,
     MultigridExecutor,
     MultigridSolver,
+    RedBlackGaussSeidelSmoother,
     make_smoother,
     sparsify,
     vcycle_experiment_run,
@@ -270,3 +272,106 @@ def test_solve_mg_trace_reconciles_end_to_end(tmp_path):
     text = format_trace_summary(summary)
     assert "levels (finest first):" in text
     assert "level sums match footer: yes" in text
+
+
+# ------------------------------------------- cross-commit pins (block smoothers)
+# Recorded on the commit before the runners started keeping their flat
+# plane across smoothing visits; ``solve(poisson_2d(31), method="mg")``
+# at P=8, 3 cycles.  Rows are (n_parts, msgs, bytes, recvs, relaxations)
+# per level, finest first.
+def _sha(x):
+    import hashlib
+
+    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+
+
+def _solve_pinned(smoother, **cfg):
+    return solve(poisson_2d(31), method="mg",
+                 config=RunConfig(n_parts=8, mg=MultigridConfig(
+                     smoother=smoother, cycles=3), **cfg))
+
+
+def _level_rows(res):
+    return [(r.n_parts, r.msgs, r.bytes, r.recvs, r.relaxations)
+            for r in res.levels]
+
+
+_DS_X = "a96e463fa99b7893f5473a849783bd32ecd6c2e6c2a6f8da707675ed08e57c1b"
+
+_BLOCK_PINS = {
+    "ds": (_DS_X, 83.125, 0.0007361898000000001,
+           [(8, 168, 31976, 168, 5659), (8, 226, 22816, 226, 1348),
+            (8, 271, 16344, 271, 290), (0, 0, 0, 0, 0)]),
+    "ps": ("4fb0c0d2fed0583e582ecfce37f520586705a0fa2655d0afa27a62cd726db3d5",
+           215.125, 0.0013889735399999997,
+           [(8, 532, 25376, 532, 5651), (8, 639, 21808, 639, 1346),
+            (8, 550, 16040, 550, 289), (0, 0, 0, 0, 0)]),
+    "bj": ("ac4f5711d3e78f0bc9c1edfea004430ebba60f548ddafd484cdde9fe4f0c442f",
+           57.0, 0.00031882158,
+           [(8, 144, 14688, 144, 5766), (8, 156, 8880, 156, 1350),
+            (8, 156, 5376, 156, 294), (0, 0, 0, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("smoother", sorted(_BLOCK_PINS))
+def test_block_smoother_solve_matches_pinned_digest(smoother):
+    x_sha, comm, time, rows = _BLOCK_PINS[smoother]
+    res = _solve_pinned(smoother)
+    assert _sha(res.x) == x_sha
+    assert res.comm_cost == comm
+    assert res.simulated_time == time
+    assert _level_rows(res) == rows
+
+
+def test_block_ds_lossy_solve_matches_pinned_digest():
+    from repro.faults import FaultPlan
+
+    res = _solve_pinned("ds", faults=FaultPlan.uniform(seed=7, drop=0.05))
+    assert _sha(res.x) == ("8498be792766dc1771e9bf346206cc22"
+                           "3589f517171c049bb5e1a3f10b5f586d")
+    assert res.comm_cost == 92.75
+    assert res.simulated_time == 0.0008228898799999998
+    assert _level_rows(res) == [
+        (8, 172, 32656, 171, 5659), (8, 250, 24568, 249, 1350),
+        (8, 320, 18888, 303, 289), (0, 0, 0, 0, 0)]
+    assert res.faults_injected == {"drop:solve": 16, "drop:residual": 3,
+                                   "retry": 86}
+
+
+def test_block_ds_traced_solve_matches_pinned_digest(tmp_path):
+    from repro.analysis.traceagg import summarize_trace
+
+    tr = RunTracer()
+    res = _solve_pinned("ds", trace=tr)
+    assert _sha(res.x) == _DS_X                  # tracing changes nothing
+    assert sum(1 for _ in tr.iter_events()) == 2398
+    path = tmp_path / "pinned.jsonl"
+    tr.save_jsonl(path)
+    summary = summarize_trace(path)
+    assert summary.reconciles() and summary.levels_reconcile()
+
+
+# ------------------------------------------------ per-operator records
+@pytest.mark.parametrize("make", [
+    lambda: make_smoother("ds", n_parts=4),
+    lambda: make_smoother("scalar-ds"),
+    lambda: ChebyshevSmoother(degree=2),
+    lambda: RedBlackGaussSeidelSmoother(1),
+], ids=["block-ds", "scalar-ds", "chebyshev", "red-black"])
+def test_smoothers_do_not_confuse_short_lived_operators(make):
+    """Per-operator records are keyed on ``id(A)``; the id of a dead
+    temporary is handed to the next operator of equal shape, so a record
+    must pin (and verify) the operator it was built for."""
+    b = np.random.default_rng(0).uniform(-1.0, 1.0, 49)
+    x0 = np.zeros(49)
+    shared = make()
+    for k in range(12):
+        # alternate a grid Laplacian and a denser operator of one shape
+        A = (poisson_2d(7) if k % 2 else
+             poisson_2d(7).matmat(poisson_2d(7))).scale(1.0 + k)
+        assert np.array_equal(shared.smooth(A, x0, b),
+                              make().smooth(A, x0, b)), k
+        if hasattr(shared, "record_for"):
+            assert shared.record_for(A).runner.system.A.nnz == A.nnz
+            assert shared.record_for(poisson_2d(7)) is None
+        del A

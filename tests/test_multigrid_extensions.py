@@ -189,9 +189,10 @@ def test_chebyshev_caches_eigenvalue_estimate(poisson_100, rng):
     sm = ChebyshevSmoother(degree=2)
     b = rng.standard_normal(100)
     sm.smooth(poisson_100, np.zeros(100), b)
-    lmax1 = sm._lmax_cache[id(poisson_100)]
+    pinned, lmax1 = sm._lmax_cache[id(poisson_100)]
+    assert pinned is poisson_100                 # the entry keeps its key alive
     sm.smooth(poisson_100, np.zeros(100), b)
-    assert sm._lmax_cache[id(poisson_100)] == lmax1
+    assert sm._lmax_cache[id(poisson_100)][1] == lmax1
     # the estimate brackets the true value (D=I after scaling)
     true_lmax = np.linalg.eigvalsh(poisson_100.to_dense()).max()
     assert true_lmax <= lmax1 <= 1.35 * true_lmax
