@@ -44,7 +44,6 @@ from repro.runtime import (CATEGORY_SOLVE, CORI_LIKE, CostModel,
 from repro.runtime.flatplane import _INT32_LIMIT, multi_arange
 from repro.runtime.pool import CMD_APPLY, CMD_RELAX
 from repro.sparsela.backend import get_backend
-from repro.sparsela.csr import CSRMatrix
 from repro.trace import NULL_TRACER, tracer_from_config
 
 __all__ = ["BlockMethodBase"]
@@ -133,16 +132,12 @@ class BlockMethodBase:
                            for qp, rows in system.beta.items()}
         # concatenated neighbor slab: neighbors_of(p) for every p laid out
         # back to back, with offsets — the decision phase and the deadlock
-        # scan become single segment operations over it
-        counts = np.array([system.neighbors_of(p).size for p in range(P)],
-                          dtype=np.int64)
-        self._nbr_off = np.zeros(P + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._nbr_off[1:])
-        self._nbr_flat = (np.concatenate(
-            [system.neighbors_of(p) for p in range(P)]).astype(np.int64)
-            if int(counts.sum()) else np.zeros(0, dtype=np.int64))
-        self._slab_owner = np.repeat(np.arange(P, dtype=np.int64), counts)
-        self._nbr_nonempty = counts > 0
+        # scan become single segment operations over it.  It is the block
+        # system's coupling directory (pairs ascend owner-major).
+        self._slab_owner = system.edge_src
+        self._nbr_flat = system.edge_dst
+        self._nbr_off = np.searchsorted(system.edge_src, np.arange(P + 1))
+        self._nbr_nonempty = np.diff(self._nbr_off) > 0
         self._use_flat = False
         #: what the run-independent structure (flat plane, index plans,
         #: kernel bindings, estimate slabs) was last built under; ``None``
@@ -278,29 +273,41 @@ class BlockMethodBase:
         """
         return False
 
-    def _flat_ghost_rows(self, p: int, q: int) -> int:
-        """Ghost (``z``) payload length on edge ``(p, q)``; 0 = no ghosts."""
-        return 0
+    def _flat_ghost_rows(self, n_vals: np.ndarray,
+                         rev: np.ndarray) -> np.ndarray:
+        """Ghost (``z``) payload length of every edge (0 = no ghosts),
+        from the edges' delta lengths and reverse-edge ids."""
+        return np.zeros_like(n_vals)
 
-    def _flat_message_nbytes(self, n_vals: int, n_z: int
-                             ) -> tuple[int, int]:
-        """Wire sizes ``(solve, residual)`` of this method's messages on an
-        edge with the given buffer lengths — must equal ``payload_nbytes``
-        on the equivalent dict payloads so both planes charge identical
-        bytes."""
+    def _flat_message_nbytes(self, n_vals, n_z):
+        """Wire sizes ``(solve, residual)`` of this method's messages on
+        edges with the given buffer lengths (scalars or per-edge arrays)
+        — must equal ``payload_nbytes`` on the equivalent dict payloads so
+        both planes charge identical bytes."""
         raise NotImplementedError  # pragma: no cover
 
     def _configure_flat_plane(self) -> None:
         """Attach preallocated per-edge mailboxes and point the outgoing
         delta workspaces at them (a relax then writes the wire payload in
-        place — no copy, no allocation)."""
+        place — no copy, no allocation).
+
+        Every index plan is a whole-array gather over the block system's
+        coupling directory: its pairs ascend by ``(src, dst)``, so pair
+        ``e`` is edge ``e`` *and* position ``e`` of the neighbor slab."""
         sysm = self.system
-        keys = sorted(sysm.couplings)
-        edges = [(p, q, sysm.couplings[(p, q)].n_rows,
-                  self._flat_ghost_rows(p, q)) for p, q in keys]
-        eid_map = self.engine.configure_flat(edges)
+        P = sysm.n_parts
+        src, dst = sysm.edge_src, sysm.edge_dst
+        n_vals = np.diff(sysm.edge_rows)
+        # the topology is symmetric, so the k-th edge by (dst, src) is
+        # edge k reversed
+        rev = np.lexsort((src, dst))
+        if not np.array_equal((src[rev], dst[rev]), (dst, src)):
+            raise RuntimeError("flat plane expects a symmetric topology")
+        n_z = self._flat_ghost_rows(n_vals, rev)
+        self._flat_eid = self.engine.configure_flat(
+            zip(src.tolist(), dst.tolist(), n_vals.tolist(), n_z.tolist()))
         plane = self.engine.flat
-        self._flat_eid = eid_map
+        E = plane.n_edges
         # index plans follow the plane's dtype (the int32 fast path of
         # the million-row campaign); row indices get it only when the
         # global row count also fits
@@ -308,27 +315,35 @@ class BlockMethodBase:
         # header-row slab indices (Γ/Γ̃ scatter plans) ride the same
         # dtype: every value is bounded by the slab length, which fits
         # whenever the plane's offsets do
-        self._nbr_off = self._nbr_off.astype(idt, copy=False)
+        self._nbr_off = off = self._nbr_off.astype(idt, copy=False)
         self._nbr_flat = self._nbr_flat.astype(idt, copy=False)
         self._slab_owner = self._slab_owner.astype(idt, copy=False)
-        self._out_eids = [
-            np.array([eid_map[(p, int(q))] for q in sysm.neighbors_of(p)],
-                     dtype=idt)
-            for p in range(sysm.n_parts)]
-        E = plane.n_edges
+        # slab-aligned send plans: each (owner, neighbor) position's edge
+        # and slot-ids, plus per-rank fan-out shapes — the phase loops
+        # batch a whole epoch's sends into one put_epoch call (the slab
+        # is owner-major with neighbors ascending, which is exactly the
+        # per-put order of the object path)
+        self._slab_eids = np.arange(E, dtype=idt)
+        self._out_eids = [self._slab_eids[off[p]:off[p + 1]]
+                          for p in range(P)]
+        self._slab_solve_sids = 2 * self._slab_eids
+        self._slab_res_sids = 2 * self._slab_eids + 1
+        self._nbr_counts = np.diff(off)
+        self._all_ranks = np.arange(P, dtype=np.int64)
         self._flat_solve_nbytes = np.zeros(E, dtype=np.int64)
         self._flat_res_nbytes = np.zeros(E, dtype=np.int64)
-        for key, eid in eid_map.items():
-            s, r = self._flat_message_nbytes(plane.vals[eid].size,
-                                             plane.zbuf[2 * eid].size)
-            self._flat_solve_nbytes[eid] = s
-            self._flat_res_nbytes[eid] = r
+        (self._flat_solve_nbytes[:],
+         self._flat_res_nbytes[:]) = self._flat_message_nbytes(n_vals, n_z)
         # per-slot wire sizes, so batched puts can trace exact bytes
         plane.sid_nbytes[0::2] = self._flat_solve_nbytes
         plane.sid_nbytes[1::2] = self._flat_res_nbytes
+
+        def per_rank(per_edge):     # exact: integer sums over out-edges
+            return np.diff(np.r_[0, np.cumsum(per_edge)][off])
+        self._solve_nbytes_arr = per_rank(self._flat_solve_nbytes)
+        self._res_nbytes_arr = per_rank(self._flat_res_nbytes)
         self._ws_delta = {key: plane.vals[eid]
-                          for key, eid in eid_map.items()}
-        P = sysm.n_parts
+                          for key, eid in self._flat_eid.items()}
         # receive plan: parallel to the mailbox backing store, each delta
         # entry's *global* destination row in the residual backing store
         # — a whole epoch's solve updates then apply as one in-place
@@ -339,133 +354,61 @@ class BlockMethodBase:
         row_idt = (np.int32 if (idt is np.int32
                                 and int(rstart[-1]) <= _INT32_LIMIT)
                    else np.int64)
-        self._grows_flat = np.empty(int(plane.vals_off[-1]),
-                                    dtype=row_idt)
-        self._edge_recv_flops = (
-            plane.vals_off[1:] - plane.vals_off[:-1]).astype(np.float64)
-        pos_of = [{int(q): i for i, q in enumerate(sysm.neighbors_of(p))}
-                  for p in range(P)]
-        self._eid_pos = np.zeros(E, dtype=idt)
-        for eid in range(E):
-            s = int(plane.edge_src[eid])
-            d = int(plane.edge_dst[eid])
-            self._grows_flat[plane.vals_off[eid]:plane.vals_off[eid + 1]] \
-                = rstart[d] + sysm.beta[(d, s)]
-            self._eid_pos[eid] = pos_of[d][s]
+        self._grows_flat = (np.repeat(rstart[dst], n_vals)
+                            + sysm.beta_rows).astype(row_idt)
+        self._edge_recv_flops = n_vals.astype(np.float64)
+        self._eid_pos = (rev - off[dst]).astype(idt)
         # per slot-id, the receiver's Γ-slab position of the sender — one
         # fancy scatter updates every receiver's records for a whole epoch
-        self._sid_slabpos = np.repeat(
-            self._nbr_off[plane.edge_dst] + self._eid_pos,
-            2).astype(idt, copy=False)
+        self._sid_slabpos = np.repeat(rev, 2).astype(idt)
         # python mirror for the async per-slot header scatter, where
         # scalar list reads beat ndarray indexing
         self._sid_slabpos_list = self._sid_slabpos.tolist()
-        # slab-aligned send plans: each (owner, neighbor) position's edge
-        # and slot-ids, plus per-rank fan-out shapes — the phase loops
-        # batch a whole epoch's sends into one put_epoch call (the slab
-        # is owner-major with neighbors ascending, which is exactly the
-        # per-put order of the object path)
-        self._slab_eids = (np.concatenate(self._out_eids)
-                           if self._slab_owner.size
-                           else np.zeros(0, dtype=idt))
-        self._slab_solve_sids = 2 * self._slab_eids
-        self._slab_res_sids = 2 * self._slab_eids + 1
-        self._nbr_counts = np.diff(self._nbr_off)
-        self._all_ranks = np.arange(P, dtype=np.int64)
-        self._solve_nbytes_arr = np.array(
-            [int(self._flat_solve_nbytes[self._out_eids[p]].sum())
-             for p in range(P)], dtype=np.int64)
-        self._res_nbytes_arr = np.array(
-            [int(self._flat_res_nbytes[self._out_eids[p]].sum())
-             for p in range(P)], dtype=np.int64)
-        # z-payload gather plan: each z entry's source row as a global
-        # residual-store index, plus per-rank z spans (out-edges are
-        # contiguous) — any set of outgoing z payloads fills with one
-        # fancy copy out of the residual store
-        zoff = plane.z_off
-        self._zsrc_grows = np.empty(int(zoff[-1]), dtype=row_idt)
-        # ghost-scatter span bounds index the z store, so they fit in
-        # the plane dtype by construction
-        self._zspan_lo = np.zeros(P, dtype=idt)
-        self._zspan_hi = np.zeros(P, dtype=idt)
-        if self._zsrc_grows.size:       # methods that ship z payloads
-            for eid in range(E):
-                s = int(plane.edge_src[eid])
-                d = int(plane.edge_dst[eid])
-                self._zsrc_grows[zoff[eid]:zoff[eid + 1]] = (
-                    rstart[s] + sysm.beta[(s, d)])
-        for p in range(P):
-            eids = self._out_eids[p]
-            if eids.size:
-                self._zspan_lo[p] = zoff[eids[0]]
-                self._zspan_hi[p] = zoff[eids[-1] + 1]
+        # z-payload plans.  Edge (s, d)'s z entries are s's residual at
+        # its rows coupled to d — the rows the *reverse* edge's deltas
+        # land on — so the reverse edges' regions of the delta store index
+        # both the ghost store (``_z2g``: a whole epoch's ghost overwrites
+        # are one fancy copy) and, through ``_grows_flat``, each z entry's
+        # source row in the residual store (any set of outgoing z payloads
+        # fills with one gather).  A rank's z span is its out-edges'.
+        zoff, voff = plane.z_off, plane.vals_off
+        self._z2g = multi_arange(voff[rev], voff[rev] + np.diff(zoff))
+        self._zsrc_grows = self._grows_flat[self._z2g]
+        self._zspan_lo, self._zspan_hi = zoff[off[:-1]], zoff[off[1:]]
         # relaxation plans: the open step's per-process flop counters
-        # (+= on the view is exactly engine.charge_flops) and per-block
-        # matvec plans with the kernel dispatch hoisted out of the loop.
-        # Flat-path only: the object plane stays the seed implementation.
-        self._flops = self.engine.stats._step_flops
-        bk = get_backend()
-        self._mv_diag = [bk.matvec_plan(sysm.diag_blocks[p])
-                         for p in range(P)]
-        self._diag_flops = [2.0 * sysm.diag_blocks[p].nnz for p in range(P)]
-        # fan-out plan: each rank's coupling blocks stacked vertically
+        # (+= on the view is exactly engine.charge_flops), per-block
+        # matvec plans with the kernel dispatch hoisted out of the loop,
+        # and the fan-out plan — each rank's coupling blocks stacked
         # (neighbor order) into one CSR whose matvec writes the whole
-        # fan-out of deltas straight into the rank's mailbox slab — one
+        # fan-out of deltas straight into the rank's mailbox slab: one
         # kernel call per relax instead of one per neighbor.  Each CSR row
         # is an independent dot, so stacking is bit-identical to the
         # per-block products it replaces.
-        self._mv_fanout = []
-        for p in range(P):
-            nbrs = sysm.neighbors_of(p)
-            if nbrs.size == 0:
-                self._mv_fanout.append(None)
-                continue
-            blocks = [sysm.couplings[(p, int(q))] for q in nbrs]
-            rows = sum(b.n_rows for b in blocks)
-            indptr = np.empty(rows + 1, dtype=np.int64)
-            indptr[0] = 0
-            r0 = nnz0 = 0
-            for blk in blocks:
-                indptr[r0 + 1:r0 + 1 + blk.n_rows] = blk.indptr[1:] + nnz0
-                r0 += blk.n_rows
-                nnz0 += blk.nnz
-            stacked = CSRMatrix(indptr,
-                                np.concatenate([b.indices for b in blocks]),
-                                np.concatenate([b.data for b in blocks]),
-                                (rows, sysm.size_of(p)))
-            self._mv_fanout.append(bk.matvec_plan(stacked))
+        # Flat-path only: the object plane stays the seed implementation.
+        self._flops = self.engine.stats._step_flops
+        bk = get_backend()
+        self._mv_diag = [bk.matvec_plan(B) for B in sysm.diag_blocks]
+        self._mv_fanout = [None if F is None else bk.matvec_plan(F)
+                           for F in sysm.fanout]
         # fused hot-path bindings: the local solve with any python wrapper
         # peeled off, and every relax flop charge folded into one per-rank
         # constant — each term is an integer-valued float, so the batched
         # add is exactly the object path's per-charge sum
-        self._solver_call = [
-            getattr(sysm.local_solvers[p], "apply_fast", None)
-            or sysm.local_solvers[p].apply for p in range(P)]
+        self._solver_call = [getattr(s, "apply_fast", None) or s.apply
+                             for s in sysm.local_solvers]
         self._relax_flops = [
-            sysm.local_solvers[p].flops + self._diag_flops[p]
-            + 2.0 * sysm.size_of(p)
-            + sum(2.0 * sysm.couplings[(p, int(q))].nnz
-                  for q in sysm.neighbors_of(p))
-            for p in range(P)]
+            s.flops + 2.0 * B.nnz + 2.0 * B.n_rows
+            + (0.0 if F is None else 2.0 * F.nnz)
+            for s, B, F in zip(sysm.local_solvers, sysm.diag_blocks,
+                               sysm.fanout)]
         # per-sender contiguous delta slab over the mailbox backing store
-        # (edges sorted by (src, dst) make a rank's fan-out one region)
-        for p in range(P):
-            eids = self._out_eids[p]
-            if eids.size and int(eids[-1] - eids[0]) != eids.size - 1:
-                raise RuntimeError(
-                    "flat plane expects each rank's out-edges contiguous")
         self._vals_slab = self._rank_slabs(plane.vals_flat)
 
     def _rank_slabs(self, store: np.ndarray) -> list[np.ndarray]:
-        """Per-rank contiguous views of a vals-shaped backing store."""
-        voff = self.engine.flat.vals_off
-        slabs = []
-        for p in range(self.system.n_parts):
-            eids = self._out_eids[p]
-            lo = int(voff[eids[0]]) if eids.size else 0
-            hi = int(voff[eids[-1] + 1]) if eids.size else 0
-            slabs.append(store[lo:hi])
-        return slabs
+        """Per-rank contiguous views of a vals-shaped backing store (a
+        rank's out-edges, hence its regions, are consecutive)."""
+        cut = self.engine.flat.vals_off[self._nbr_off].tolist()
+        return [store[lo:hi] for lo, hi in zip(cut, cut[1:])]
 
     # ------------------------------------------------------------------
     # fault plane (DESIGN.md §5.11)

@@ -20,13 +20,15 @@ identical data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.partition import Partition
-from repro.sparsela import COOMatrix, CSRMatrix
-from repro.core.local_solvers import LocalSolver, make_local_solver
+from repro.sparsela import CSRMatrix
+from repro.sparsela.csr import _segment_pointers
+from repro.core.local_solvers import (LocalSolver, _ld_operands,
+                                      make_local_solver)
 
 __all__ = ["BlockSystem", "build_block_system"]
 
@@ -51,6 +53,18 @@ class BlockSystem:
     beta:
         ``beta[(q, p)]`` = local row indices of ``q`` coupled to ``p``
         (sorted).  ``couplings[(p, q)]`` rows align with ``beta[(q, p)]``.
+    edge_src, edge_dst, edge_rows, beta_rows:
+        The coupling store's directory: pair ``e`` is
+        ``(edge_src[e], edge_dst[e])``, pairs ascending — i.e. the
+        concatenated neighbor lists, so ``e`` is also a neighbor-slab
+        position — with ``beta_rows[edge_rows[e]:edge_rows[e+1]]`` its
+        ``beta`` list.
+    fanout:
+        ``fanout[p]`` = ``p``'s coupling blocks stacked in neighbor order
+        (``None`` without neighbors): the same store entries, not a copy.
+
+    Blocks, ``beta`` lists and directory are read-only views of the
+    stores :func:`build_block_system` assembles (DESIGN.md §5.1).
     """
 
     A: CSRMatrix
@@ -59,7 +73,17 @@ class BlockSystem:
     local_solvers: list[LocalSolver]
     couplings: dict[tuple[int, int], CSRMatrix]
     beta: dict[tuple[int, int], np.ndarray]
-    perm: np.ndarray = field(default=None)  # original-row permutation used
+    perm: np.ndarray = None     # original-row permutation used
+    edge_src: np.ndarray = None
+    edge_dst: np.ndarray = None
+    edge_rows: np.ndarray = None
+    beta_rows: np.ndarray = None
+    fanout: list[CSRMatrix | None] = None
+    _pickle_args: tuple = None
+
+    def __reduce__(self):
+        # the views would pickle as thousands of separate arrays
+        return (_from_stores, self._pickle_args)
 
     @property
     def n(self) -> int:
@@ -88,73 +112,144 @@ class BlockSystem:
         return [r[self.rows_slice(p)].copy() for p in range(self.n_parts)]
 
 
+def _check_store(ptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 width: np.ndarray, name) -> None:
+    """Prove, in one pass, what ``CSRMatrix._validate`` would check on
+    every block cut from a store: pointer endpoints and monotonicity,
+    ``indices``/``data`` lengths, and ``0 <= index < width`` (``width`` =
+    per-entry column count of the owning block).  ``name(k)`` names the
+    block holding entry ``k`` for the error message."""
+    if (ptr[0] != 0 or ptr[-1] != indices.size
+            or indices.size != data.size or np.any(np.diff(ptr) < 0)):
+        raise ValueError("block store pointers inconsistent with its entries")
+    bad = np.flatnonzero((indices < 0) | (indices >= width))
+    if bad.size:
+        raise ValueError(f"column index out of range in {name(bad[0])}")
+
+
+def _cut_blocks(ptr: np.ndarray, bounds: np.ndarray, indices: np.ndarray,
+                data: np.ndarray, n_cols: list[int]) -> list[CSRMatrix]:
+    """The row segments ``bounds`` of one checked CSR store as matrices:
+    three views each, no copy, no per-block validation."""
+    loc = _segment_pointers(ptr, bounds)
+    loc.setflags(write=False)
+    rb, nb = bounds.tolist(), ptr[bounds].tolist()
+    return [CSRMatrix._from_validated(
+                loc[rb[s] + s:rb[s + 1] + s + 1], indices[nb[s]:nb[s + 1]],
+                data[nb[s]:nb[s + 1]], (rb[s + 1] - rb[s], n_cols[s]))
+            for s in range(len(rb) - 1)]
+
+
 def build_block_system(A: CSRMatrix, part: Partition,
                        local_solver: str = "gs",
                        n_sweeps: int = 1) -> BlockSystem:
-    """Build the per-process data (one pass over the matrix).
+    """Build the per-process data in whole-array passes over the matrix.
 
     ``A`` is in *original* numbering; it is permuted here by ``part.perm``.
     The returned system's vectors (``x``, ``b``, residuals) live in the
     permuted numbering; use ``perm`` to map back.
+
+    Every block is a read-only view of one of three stores (diagonal
+    blocks, their ``L+D`` operands, couplings), wrapped without per-block
+    validation: :func:`_check_store` proves each store once.
     """
     Aperm = A.permute(part.perm)
-    offsets = part.offsets
+    offsets = np.asarray(part.offsets, dtype=np.int64)
     P = part.n_parts
-    owner = np.repeat(np.arange(P), np.diff(offsets))
-
-    # ---- diagonal blocks & local solvers
-    diag_blocks: list[CSRMatrix] = []
-    local_solvers: list[LocalSolver] = []
-    for p in range(P):
-        rows = np.arange(offsets[p], offsets[p + 1])
-        App = Aperm.extract_block(rows, rows)
-        diag_blocks.append(App)
-        local_solvers.append(make_local_solver(local_solver, App,
-                                               n_sweeps=n_sweeps))
-
-    # ---- off-block couplings, grouped by (row owner, col owner)
+    n = Aperm.n_rows
+    sizes = np.diff(offsets)
+    owner = np.repeat(np.arange(P), sizes)
     rows_g = Aperm._expanded_row_ids()
-    cols_g = Aperm.indices
-    vals_g = Aperm.data
+    cols_g, vals_g = Aperm.indices, Aperm.data
     po = owner[rows_g]
-    qo = owner[cols_g]
-    off = po != qo
-    rows_o, cols_o, vals_o = rows_g[off], cols_g[off], vals_g[off]
-    pr, pc = po[off], qo[off]
+    # clipped, so a corrupt column reaches _check_store instead of
+    # raising (or wrapping around) here
+    qo = owner.take(cols_g, mode="clip")
+    same = po == qo
+    if local_solver == "gs":
+        zero = np.flatnonzero(Aperm.diagonal() == 0.0)
+        if zero.size:
+            i = int(zero[0])
+            raise ValueError(
+                f"zero diagonal entry at row {int(part.perm[i])} (permuted "
+                f"row {i}), owned by block {int(owner[i])}")
 
-    order = np.lexsort((cols_o, rows_o, pc, pr))
-    rows_o, cols_o, vals_o = rows_o[order], cols_o[order], vals_o[order]
-    pr, pc = pr[order], pc[order]
+    # ---- diagonal blocks: row-major order is already block-row
+    # contiguous, so the masked entries *are* the store
+    d_own = po[same]
+    d_idx = cols_g[same] - offsets[d_own]
+    d_data = vals_g[same]
+    d_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows_g[same], minlength=n), out=d_ptr[1:])
+    _check_store(d_ptr, d_idx, d_data, sizes[d_own],
+                 lambda k: f"diagonal block {d_own[k]}")
 
-    couplings: dict[tuple[int, int], CSRMatrix] = {}
-    beta: dict[tuple[int, int], np.ndarray] = {}
-    if rows_o.size:
-        pair_key = pr * P + pc
-        starts = np.flatnonzero(np.r_[True, pair_key[1:] != pair_key[:-1]])
-        bounds = np.r_[starts, pair_key.size]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            q = int(pr[s])          # row owner (receiver of the delta)
-            p = int(pc[s])          # column owner (the relaxing process)
-            loc_rows = rows_o[s:e] - offsets[q]
-            loc_cols = cols_o[s:e] - offsets[p]
-            bq = np.unique(loc_rows)
-            beta[(q, p)] = bq
-            row_pos = np.searchsorted(bq, loc_rows)
-            # the lexsort above ordered the group by (row, col) and CSR
-            # coordinates are unique, so the sort/reduce pass is skipped
-            block = COOMatrix(row_pos, loc_cols, vals_o[s:e],
-                              (bq.size, int(offsets[p + 1] - offsets[p]))
-                              ).to_csr(dedup=False)
-            couplings[(p, q)] = block
+    # ---- couplings: the row-major entries, stably sorted by column
+    # owner, are keyed (col owner p, row owner q, row, col) — every
+    # B[(p, q)] is consecutive, rank p's blocks follow one another in
+    # neighbor order (its stacked fan-out), and each run of one (p, row)
+    # is one block row
+    off = np.flatnonzero(~same)
+    off = off[np.argsort(qo[off], kind="stable")]
+    c_rows, pc, pr = rows_g[off], qo[off], po[off]
+    c_idx = cols_g[off] - offsets[pc]
+    c_data = vals_g[off]
+    # (the [:size] slices drop the leading True when nothing is stored)
+    head = np.flatnonzero(np.r_[True, (pc[1:] != pc[:-1])
+                                | (c_rows[1:] != c_rows[:-1])][:off.size])
+    c_ptr = np.r_[head, off.size]
+    src, dst = pc[head], pr[head]                    # per block row
+    beta_rows = c_rows[head] - offsets[dst]
+    pair = src * P + dst
+    first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]][:head.size])
+    edge_src, edge_dst = src[first], dst[first]
+    edge_rows = np.r_[first, head.size]
+    _check_store(c_ptr, c_idx, c_data, sizes[pc],
+                 lambda k: f"coupling block ({pc[k]}, {pr[k]})")
+    # the neighbor lists come from the same matrix, so the stored pairs
+    # must be exactly the topology, in slab (owner-major) order
+    if not (np.array_equal(edge_src, np.repeat(
+                np.arange(P), [len(q) for q in part.neighbors]))
+            and np.array_equal(edge_dst, np.concatenate(part.neighbors))):
+        raise AssertionError("neighbor topology inconsistent with the "
+                             "matrix's coupling blocks")
+    stores = (d_ptr, d_idx, d_data, c_ptr, c_idx, c_data,
+              edge_src, edge_dst, edge_rows, beta_rows)
+    for arr in stores:
+        arr.setflags(write=False)
+    return _from_stores(Aperm, part, local_solver, n_sweeps, stores)
 
-    # every neighbor pair must have appeared (neighbor lists come from the
-    # same matrix), so cross-check the topology
-    for p in range(P):
-        for q in part.neighbors[p]:
-            if (p, int(q)) not in couplings:
-                raise AssertionError(
-                    f"neighbor topology inconsistent: ({p},{q}) missing")
 
+def _from_stores(Aperm: CSRMatrix, part: Partition, local_solver: str,
+                 n_sweeps: int, stores: tuple) -> BlockSystem:
+    """Cut the (checked, read-only) stores into a :class:`BlockSystem`
+    and factor the local solvers.  Also the unpickling constructor: a
+    system pickles as its stores, so a set-up cache hit maps a dozen
+    arrays and then runs exactly this."""
+    (d_ptr, d_idx, d_data, c_ptr, c_idx, c_data,
+     edge_src, edge_dst, edge_rows, beta_rows) = stores
+    offsets = np.asarray(part.offsets, dtype=np.int64)
+    sizes = np.diff(offsets)
+    diag_blocks = _cut_blocks(d_ptr, offsets, d_idx, d_data, sizes.tolist())
+    ld = (_ld_operands(d_ptr, d_idx, d_data, offsets)
+          if local_solver == "gs" else [None] * part.n_parts)
+    local_solvers = [make_local_solver(local_solver, App, n_sweeps=n_sweeps,
+                                       _ld=LD)
+                     for App, LD in zip(diag_blocks, ld)]
+    pq = list(zip(edge_src.tolist(), edge_dst.tolist()))
+    couplings = dict(zip(pq, _cut_blocks(c_ptr, edge_rows, c_idx, c_data,
+                                         sizes[edge_src].tolist())))
+    beta = dict(zip(((q, p) for p, q in pq),
+                    np.split(beta_rows, edge_rows[1:-1])))
+    # rank p's stacked fan-out: the row span of all its pairs
+    fan_rows = edge_rows[np.searchsorted(edge_src,
+                                         np.arange(part.n_parts + 1))]
+    fanout = [F if F.n_rows else None for F in _cut_blocks(
+        c_ptr, fan_rows, c_idx, c_data, sizes.tolist())]
     return BlockSystem(A=Aperm, part=part, diag_blocks=diag_blocks,
                        local_solvers=local_solvers, couplings=couplings,
-                       beta=beta, perm=part.perm)
+                       beta=beta, perm=part.perm, edge_src=edge_src,
+                       edge_dst=edge_dst, edge_rows=edge_rows,
+                       beta_rows=beta_rows, fanout=fanout,
+                       _pickle_args=(Aperm, part, local_solver, n_sweeps,
+                                     stores))

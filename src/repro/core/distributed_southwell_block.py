@@ -110,26 +110,9 @@ class DistributedSouthwell(BlockMethodBase):
         # is what edge (p, q)'s deltas scatter onto — ``_grows_flat`` is
         # therefore also the plan that fills the whole store from the
         # residual store in one gather.
-        plane = self.engine.flat
-        zoff = plane.z_off
-        voff = plane.vals_off
-        self.ghost: list[dict[int, np.ndarray]] = [{} for _ in range(P)]
+        voff = self.engine.flat.vals_off
         self._bind_ghost_views(np.empty(int(voff[-1])))
-        self._ghost_flops = np.array(
-            [4.0 * slab.size for slab in self._ghost_slab])
-        # z-payload → ghost permutation: edge (s, d)'s z region lands
-        # in ghost[d][s], which lives at the *reverse* edge's region
-        # of the ghost store.  With it, a whole epoch's ghost
-        # overwrites (line 24 for every receiver) are one fancy copy.
-        rev = np.array(
-            [plane.edge_index[(int(plane.edge_dst[e]),
-                               int(plane.edge_src[e]))]
-             for e in range(plane.n_edges)], dtype=plane.idx_dtype)
-        self._z2g = np.empty(int(zoff[-1]), dtype=plane.idx_dtype)
-        for e in range(plane.n_edges):
-            r = int(rev[e])
-            self._z2g[zoff[e]:zoff[e + 1]] = np.arange(
-                voff[r], voff[r] + int(zoff[e + 1] - zoff[e]))
+        self._ghost_flops = 4.0 * np.diff(voff[self._nbr_off])
         # wire size of the residual message at every (owner,
         # neighbor) slab position — the deadlock scan sums its
         # per-sender byte charges by slab index
@@ -141,23 +124,16 @@ class DistributedSouthwell(BlockMethodBase):
     def _bind_ghost_views(self, ghost: np.ndarray) -> None:
         """Point ``self.ghost`` and the per-rank slabs / per-layer views
         at ``ghost`` (a store laid out like the mailbox delta store)."""
-        sysm = self.system
-        voff = self.engine.flat.vals_off
+        voff = self.engine.flat.vals_off.tolist()
+        off = self._nbr_off.tolist()
+        nbrs = self._nbr_flat.tolist()
         self._ghost_flat = ghost
-        self._ghost_slab = []
-        self._ghost_views = []
-        for p in range(sysm.n_parts):
-            eids = self._out_eids[p]
-            views = []
-            for i, q in enumerate(sysm.neighbors_of(p).tolist()):
-                eid = int(eids[i])
-                view = ghost[int(voff[eid]):int(voff[eid + 1])]
-                self.ghost[p][q] = view
-                views.append(view)
-            vlo = int(voff[eids[0]]) if eids.size else 0
-            vhi = int(voff[eids[-1] + 1]) if eids.size else 0
-            self._ghost_slab.append(ghost[vlo:vhi])
-            self._ghost_views.append(views)
+        self._ghost_slab = self._rank_slabs(ghost)
+        views = [ghost[lo:hi] for lo, hi in zip(voff, voff[1:])]
+        self._ghost_views = [views[lo:hi] for lo, hi in zip(off, off[1:])]
+        self.ghost: list[dict[int, np.ndarray]] = [
+            dict(zip(nbrs[lo:hi], views[lo:hi]))
+            for lo, hi in zip(off, off[1:])]
 
     def _reset_state(self, x0, b) -> None:
         super()._reset_state(x0, b)
@@ -202,11 +178,12 @@ class DistributedSouthwell(BlockMethodBase):
     def _flat_supported(self) -> bool:
         return True
 
-    def _flat_ghost_rows(self, p: int, q: int) -> int:
-        return self.system.beta[(p, q)].size
+    def _flat_ghost_rows(self, n_vals, rev):
+        # z on edge (p, q) is p's residual at its rows coupled to q: as
+        # long as the delta buffer of the reverse edge
+        return n_vals[rev]
 
-    def _flat_message_nbytes(self, n_vals: int, n_z: int
-                             ) -> tuple[int, int]:
+    def _flat_message_nbytes(self, n_vals, n_z):
         # solve = {vals, z, own_norm_sq, your_est_sq};
         # residual = {z, own_norm_sq, your_est_sq}
         return 32 + 8 * (n_vals + n_z), 32 + 8 * n_z

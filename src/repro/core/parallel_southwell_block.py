@@ -81,8 +81,7 @@ class ParallelSouthwell(BlockMethodBase):
         # which breaks the one-message-per-(edge, slot) mailbox contract
         return self.piggyback
 
-    def _flat_message_nbytes(self, n_vals: int, n_z: int
-                             ) -> tuple[int, int]:
+    def _flat_message_nbytes(self, n_vals, n_z):
         # solve = {vals, own_norm_sq}; residual = {own_norm_sq}
         return 24 + 8 * n_vals, 24
 

@@ -26,11 +26,14 @@ Correctness notes:
   ``tests/test_partition.py``), so the backend knob is deliberately *not*
   part of the key — a partition computed under numba is valid for a
   scipy-backend run.
-- SuperLU factors cannot be pickled; the local solvers serialize their
-  diagonal block and re-factorize on load (``__reduce__``), so a cache
-  hit still pays factorization — but skips partitioning and block
-  assembly, the two phases the bench (``scripts/bench_setup.py``) shows
-  dominating.
+- SuperLU factors cannot be pickled.  A ``BlockSystem`` pickles as the
+  handful of stores its blocks are views of and is re-cut — and its
+  local solvers re-factorized — on load by the constructor the build
+  itself ends in, so a cache hit still pays factorization but skips
+  partitioning and assembly.  The repo's benchmark times all of it:
+  workload ``setup_p1024`` (``partition.partition_s``,
+  ``core.blockdata.build_s``) and the ``setupcache.store_s`` /
+  ``setupcache.warm_load_s`` probes of ``bench/run.py --trace 1``.
 - Stores are atomic (tmp + rename) and failures are silent: the cache is
   an optimisation, never a correctness dependency.
 - Large numeric arrays are *externalized*: the pickle stream keeps only

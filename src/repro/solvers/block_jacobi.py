@@ -45,8 +45,7 @@ class BlockJacobi(BlockMethodBase):
     def _flat_supported(self) -> bool:
         return True
 
-    def _flat_message_nbytes(self, n_vals: int, n_z: int
-                             ) -> tuple[int, int]:
+    def _flat_message_nbytes(self, n_vals, n_z):
         # solve = {vals}; Block Jacobi sends no residual messages
         return 16 + 8 * n_vals, 0
 

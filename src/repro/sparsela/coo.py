@@ -99,25 +99,17 @@ class COOMatrix:
         np.add.at(out, (self.rows, self.cols), self.vals)
         return out
 
-    def to_csr(self, dedup: bool = True):
+    def to_csr(self):
         """Convert to :class:`~repro.sparsela.csr.CSRMatrix`.
 
         Duplicates are summed and explicit zeros retained (callers that want
         them dropped use :meth:`CSRMatrix.prune`).
-
-        ``dedup=False`` is the fast path for callers that *guarantee* the
-        triplets are already unique and sorted in row-major order (e.g.
-        slices of an existing CSR): the sort/reduce pass is skipped and
-        the triplet arrays are adopted without copying.  The result is
-        bit-identical to ``dedup=True`` on such input — a stable sort of
-        already-sorted keys is the identity and reduction over singleton
-        groups is a copy — so this is purely a work-avoidance knob.
         """
         from repro.sparsela.csr import CSRMatrix
 
         # sum_duplicates returns triplets sorted by row-major key, so no
-        # further ordering pass is needed on either path
-        coo = self.sum_duplicates() if dedup else self
+        # further ordering pass is needed
+        coo = self.sum_duplicates()
         m, _ = self.shape
         counts = np.bincount(coo.rows, minlength=m)
         indptr = np.zeros(m + 1, dtype=np.int64)

@@ -77,6 +77,20 @@ class CSRMatrix:
                 raise ValueError("column index out of range")
 
     @classmethod
+    def _from_validated(cls, indptr: np.ndarray, indices: np.ndarray,
+                        data: np.ndarray,
+                        shape: tuple[int, int]) -> "CSRMatrix":
+        """Adopt arrays as they are: no copy, no cast, no checks.  **The
+        caller has validated them** (contiguous int64 / int64 / float64
+        meeting :meth:`_validate`).  Private to the block build
+        (:mod:`repro.core.blockdata`), which cuts thousands of views from
+        one store and proves the conditions for all of them in one pass.
+        """
+        self = cls.__new__(cls)
+        self.__setstate__((indptr, indices, data, shape))
+        return self
+
+    @classmethod
     def from_coo(cls, rows: Iterable[int], cols: Iterable[int],
                  vals: Iterable[float], shape: tuple[int, int]) -> "CSRMatrix":
         """Build from triplets (duplicates summed)."""
@@ -502,3 +516,16 @@ def _slices_to_gather_index(indptr: np.ndarray, rows: np.ndarray,
     prev_rows = np.flatnonzero(nonempty)[:-1]
     out[run_starts] -= starts[prev_rows] + counts[prev_rows] - 1
     return np.cumsum(out)
+
+
+def _segment_pointers(ptr: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Zero-based pointer arrays of consecutive row segments, back to back.
+
+    ``ptr`` is a CSR-style pointer over ``R`` rows and ``bounds`` (from 0
+    to ``R``) cuts the rows into ``S`` segments.  Segment ``s``'s own
+    pointer array ``ptr[bounds[s]:bounds[s+1] + 1] - ptr[bounds[s]]`` is
+    ``out[bounds[s] + s:bounds[s+1] + s + 1]`` — every sub-matrix's
+    ``indptr`` becomes a view, built without a python loop.
+    """
+    seg = np.repeat(np.arange(bounds.size - 1), np.diff(bounds) + 1)
+    return ptr[np.arange(seg.size) - seg] - ptr[bounds[seg]]
