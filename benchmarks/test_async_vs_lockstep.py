@@ -17,7 +17,8 @@ dominate the cost model) and measures the time-to-target penalty:
 
 import numpy as np
 
-from repro.core import AsyncDistributedSouthwell, DistributedSouthwell
+from repro.core import DistributedSouthwell
+from repro.core.async_exec import AsyncExecutor
 from repro.core.blockdata import build_block_system
 from repro.matrices.suite import load_problem
 from repro.partition import partition
@@ -57,12 +58,12 @@ def test_straggler_penalty_by_execution_model(benchmark, scale,
         out["DS lockstep+straggler"] = lockstep(DistributedSouthwell, slow)
 
         def async_run(factors):
-            a = AsyncDistributedSouthwell(system,
-                                          cost_model=COMPUTE_BOUND,
-                                          speed_factors=factors)
-            a.run(x0, b, max_turns=2_000_000, target_norm=target,
-                  record_every=4 * n_procs)
-            return a.engine.elapsed, a.global_norm()
+            runner = DistributedSouthwell(system, cost_model=COMPUTE_BOUND)
+            ex = AsyncExecutor(runner, speed_factors=factors,
+                               record_every=4 * n_procs)
+            ex.run(x0, b, max_turns=2_000_000, target_norm=target,
+                   stop_at_target=True)
+            return ex.aplane.elapsed, runner.global_norm()
 
         out["DS async"] = async_run(None)
         out["DS async+straggler"] = async_run(slow)

@@ -563,66 +563,18 @@ def test_shm_plane_beats_flat_plane_ds_p256():
 
 
 # ----------------------------------------------------------------------
-# 10. the event-driven async engine beats the seed object-plane engine
+# 10. the batched async scheduler beats the scalar heap oracle
 # ----------------------------------------------------------------------
-def test_async_engine_beats_object_async_engine_ds_p256():
-    """The §5.14 acceptance bar: Distributed Southwell at P=256 run to a
-    residual target in simulated time must be faster on the event-driven
-    flat plane (``AsyncExecutor``) than on the seed object-plane engine
-    (``AsyncDistributedSouthwell``).  Both are timed steady-state — the
-    executor front-loads setup via ``prepare()``; the seed engine's
-    setup is a negligible slice of its run.  The full measurement (≈2×
-    at the full-depth target-0.01 horizon) lives in
-    ``scripts/bench_async.py`` → ``BENCH_async.json``; this smoke
-    asserts a noise-robust 1.35× at a shorter horizon so a pessimisation
-    of the event engine fails CI without flaking on a loaded box."""
-    from repro.core.async_exec import AsyncExecutor
-    from repro.core.async_southwell import AsyncDistributedSouthwell
-
-    side, n_parts, target = 96, 256, 0.02
-    A = symmetric_unit_diagonal_scale(poisson_2d(side)).matrix
-    part = partition(A, n_parts, method="grid", grid_shape=(side, side))
-    system = build_block_system(A, part)
-    rng = np.random.default_rng(0)
-    x0 = rng.standard_normal(A.n_rows)
-    x0 /= np.linalg.norm(A.matvec(x0))
-    b = np.zeros(A.n_rows)
-
-    t_obj = np.inf
-    t_flat = np.inf
-    for _ in range(3):
-        seed_engine = AsyncDistributedSouthwell(system)
-        t0 = time.perf_counter()
-        seed_engine.run(x0.copy(), b, max_turns=10 ** 9,
-                        target_norm=target)
-        t_obj = min(t_obj, time.perf_counter() - t0)
-
-        runner = DistributedSouthwell(system, seed=0)
-        ex = AsyncExecutor(runner)
-        ex.prepare(x0.copy(), b)    # setup outside the timed region
-        t0 = time.perf_counter()
-        hist = ex.run(max_steps=10 ** 9, target_norm=target,
-                      stop_at_target=True)
-        t_flat = min(t_flat, time.perf_counter() - t0)
-    # both engines actually reached the target (same problem, same bar)
-    assert seed_engine.global_norm() <= target
-    assert hist.cost_to_reach(target, axis="times") is not None
-    ratio = t_obj / t_flat
-    assert ratio >= 1.35, (
-        f"async flat engine only {ratio:.2f}x the object engine "
-        f"({t_flat * 1e3:.1f} ms vs {t_obj * 1e3:.1f} ms to target)")
-
-
 def test_batched_scheduler_beats_scalar_ds_p256():
     """The §5.15 acceptance bar: at P=256 under a latency-dominated
     config (400 µs links, 0.25 µs polls) the batched event-horizon
     scheduler must beat the scalar heap oracle on the *same* turn
     budget — with a bit-identical solution, turn count and history,
-    verified alongside the timing.  The full measurement (≥3× at
-    P=1024) lives in ``scripts/bench_async.py`` → ``BENCH_async.json``
-    schema v2; this smoke asserts a noise-robust 2× (measured ~4×) so a
-    pessimisation of either engine fails CI without flaking on a loaded
-    box."""
+    verified alongside the timing.  The tracked measurement is the
+    ``core.async_exec.batched_over_scalar`` side probe of ``bench/``
+    (``bench/probes.py``); this smoke asserts a noise-robust 2×
+    (measured ~4×) so a pessimisation of either engine fails CI without
+    flaking on a loaded box."""
     import hashlib
 
     from repro.api import AsyncConfig, solve
@@ -658,42 +610,8 @@ def test_batched_scheduler_beats_scalar_ds_p256():
         f"({t_b * 1e3:.1f} ms vs {t_s * 1e3:.1f} ms)")
 
 
-def test_bench_async_smoke_writes_schema(tmp_path):
-    out = tmp_path / "bench.json"
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "bench_async.py"),
-         "--smoke", "--quiet", "--output", str(out)],
-        capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro.bench_async/v2"
-    assert doc["smoke"] is True
-    assert doc["summary"]["deterministic"] is True
-    assert doc["summary"]["ds_beats_ps_at_max_drop"] is True
-    assert doc["summary"]["async_engine_speedup"] > 0.0
-    assert doc["engine"]["flat_best_s"] > 0.0
-    assert doc["engine"]["turns"] > 0
-    methods = {r["method"] for r in doc["fig8_async"]}
-    assert methods == {"BJ", "PS", "DS"}
-    # schema v2: the scalar-vs-batched scheduler sweep with hard-gated
-    # digest identity
-    assert doc["summary"]["scheduler_identical"] is True
-    assert doc["summary"]["batched_speedup_max_p"] > 0.0
-    sweep = doc["scheduler_sweep"]
-    pairs = {(r["n_parts"], r["scheduler"]) for r in sweep}
-    for case in doc["config"]["scheduler_sweep"]:
-        assert (case["n_parts"], "scalar") in pairs
-        assert (case["n_parts"], "batched") in pairs
-    by = {(r["n_parts"], r["scheduler"]): r for r in sweep}
-    for (P, sched), r in by.items():
-        assert r["best_s"] > 0.0 and r["turns"] > 0
-        assert r["digest"] == by[(P, "scalar")]["digest"]
-        if sched == "batched":
-            assert r["sched_stats"]["turns"] == r["turns"]
-
-
 # ----------------------------------------------------------------------
-# 10. communication-aware multigrid: messages per digit (§5.16)
+# 11. communication-aware multigrid: messages per digit (§5.16)
 # ----------------------------------------------------------------------
 def test_bench_mg_smoke_writes_schema(tmp_path):
     out = tmp_path / "bench.json"

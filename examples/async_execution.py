@@ -2,7 +2,7 @@
 
 Runs Distributed Southwell over both execution models — the lockstep
 engine (epoch-synchronised parallel steps, as in the paper's Algorithms)
-and the discrete-event asynchronous engine (per-process clocks, the
+and the event-driven async executor (per-process clocks, the
 Casper-progressed regime) — then slows one process to quarter speed and
 shows who pays: the lockstep all-active Block Jacobi pays nearly the full
 4x, Distributed Southwell's greedy criterion routes work around the
@@ -13,7 +13,8 @@ Run:  python examples/async_execution.py
 
 import numpy as np
 
-from repro.core import AsyncDistributedSouthwell, DistributedSouthwell
+from repro.core import DistributedSouthwell
+from repro.core.async_exec import AsyncExecutor
 from repro.core.blockdata import build_block_system
 from repro.matrices import load_problem
 from repro.partition import partition
@@ -42,11 +43,11 @@ def main() -> None:
         return m.engine.stats.elapsed_time()
 
     def asynchronous(factors):
-        a = AsyncDistributedSouthwell(system, cost_model=MACHINE,
-                                      speed_factors=factors)
-        a.run(x0, b, max_turns=2_000_000, target_norm=0.1,
-              record_every=4 * n_procs)
-        return a.engine.elapsed
+        ex = AsyncExecutor(DistributedSouthwell(system, cost_model=MACHINE),
+                           speed_factors=factors, record_every=4 * n_procs)
+        ex.run(x0, b, max_turns=2_000_000, target_norm=0.1,
+               stop_at_target=True)
+        return ex.aplane.elapsed
 
     rows = [
         ("Block Jacobi, lockstep", lockstep(BlockJacobi, None),

@@ -75,10 +75,9 @@ class AsyncConfig:
     """Event-driven-runtime knobs (``RunConfig.async_config``).
 
     Only consulted when the run executes under ``runtime="async"``.
-    ``None`` fields defer down the usual precedence chain: ``latency``
-    to ``REPRO_ASYNC_LATENCY`` then the built-in default,
-    ``speed_factors`` to ``REPRO_ASYNC_SPEED_FACTORS`` then "no
-    stragglers", ``max_turns`` to ``max_steps × P × 8``.
+    ``None`` fields mean the built-in default: ``latency``
+    :data:`repro.config.DEFAULT_ASYNC_LATENCY`, ``speed_factors`` no
+    stragglers, ``max_turns`` ``max_steps × P × 8``.
 
     ``speed_factors`` is a tuple of ``(rank, factor)`` pairs — factor
     0.5 makes that rank compute at half speed (a 2× straggler).
@@ -126,12 +125,9 @@ class AsyncConfig:
 class MultigridConfig:
     """Multigrid knobs (``RunConfig.mg``), consulted by ``method="mg"``.
 
-    ``None`` fields defer down the usual precedence chain (explicit >
-    ``REPRO_MG_*`` environment > default): ``smoother`` to
-    ``REPRO_MG_SMOOTHER`` then ``"ds"``, ``budget`` to
-    ``REPRO_MG_BUDGET`` then 1.0 sweeps, ``drop_tol`` to
-    ``REPRO_MG_DROP_TOL`` then 0.0, ``cycles`` to ``REPRO_MG_CYCLES``
-    then 9, ``levels`` to ``REPRO_MG_LEVELS`` then the full hierarchy.
+    ``None`` fields mean the built-in default: ``smoother`` ``"ds"``,
+    ``budget`` 1.0 sweeps, ``drop_tol`` 0.0, ``cycles`` 9, ``levels``
+    the full hierarchy.
 
     ``smoother`` names the per-level smoother
     (:data:`repro.config.VALID_MG_SMOOTHERS`): ``"ds"`` / ``"ps"`` /
@@ -154,17 +150,22 @@ class MultigridConfig:
     coarsest_dim: int = 3
 
     def __post_init__(self) -> None:
-        # the config getters validate explicit values (and raise on junk)
         if self.smoother is not None:
-            _config.mg_smoother(self.smoother)
-        if self.budget is not None:
-            _config.mg_budget(self.budget)
-        if self.drop_tol is not None:
-            _config.mg_drop_tol(self.drop_tol)
-        if self.cycles is not None:
-            _config.mg_cycles(self.cycles)
-        if self.levels is not None:
-            _config.mg_levels(self.levels)
+            name = str(self.smoother).strip().lower()
+            if name not in _config.VALID_MG_SMOOTHERS:
+                raise ValueError(
+                    f"unknown multigrid smoother {self.smoother!r}; "
+                    f"expected one of "
+                    f"{', '.join(_config.VALID_MG_SMOOTHERS)}")
+            object.__setattr__(self, "smoother", name)
+        if self.budget is not None and self.budget <= 0.0:
+            raise ValueError("multigrid smoothing budget must be positive")
+        if self.drop_tol is not None and self.drop_tol < 0.0:
+            raise ValueError("multigrid drop_tol must be non-negative")
+        if self.cycles is not None and self.cycles < 1:
+            raise ValueError("multigrid needs at least one V-cycle")
+        if self.levels is not None and self.levels < 2:
+            raise ValueError("a multigrid hierarchy needs at least 2 levels")
         if self.hierarchy not in ("geometric", "galerkin"):
             raise ValueError(
                 f"unknown hierarchy {self.hierarchy!r}; expected "
@@ -397,6 +398,9 @@ def solve(A: CSRMatrix, b: np.ndarray | None = None,
               config=RunConfig(n_parts=64, trace="run.jsonl"))
         solve(A, n_parts=64, max_steps=100)      # config built for you
 
+    ``A``, ``b`` and ``x0`` must be finite: a NaN or Inf raises
+    :class:`ValueError` naming the argument before any set-up runs.
+
     ``method="mg"`` runs communication-aware multigrid V-cycles
     (DESIGN.md §5.16) tuned by ``RunConfig.mg``
     (:class:`MultigridConfig`); the defaults follow Figure 6 — 9
@@ -437,6 +441,14 @@ def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
                        x0: np.ndarray | None, b: np.ndarray | None,
                        cfg: RunConfig) -> SolveResult:
     """The one real driver behind :func:`solve` and the legacy wrappers."""
+    # min/max propagate NaN and expose ±Inf without the n-sized boolean
+    # temporary np.isfinite(values) would add to the run's peak RSS
+    for arg, values in (("A", A.data), ("b", b), ("x0", x0)):
+        if values is None:
+            continue
+        v = np.asarray(values)
+        if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
+            raise ValueError(f"{arg} contains non-finite values (NaN or Inf)")
     if method == "mg":
         return _solve_multigrid(A, x0, b, cfg)
     trace_path: str | None = None
@@ -578,11 +590,14 @@ def _solve_multigrid(A: CSRMatrix, x0: np.ndarray | None,
         if spec is not None:
             plan = FaultPlan.from_file(spec)
     mcfg = cfg.mg if cfg.mg is not None else MultigridConfig()
-    smoother_name = _config.mg_smoother(mcfg.smoother)
-    budget = _config.mg_budget(mcfg.budget)
-    drop_tol = _config.mg_drop_tol(mcfg.drop_tol)
-    cycles = _config.mg_cycles(mcfg.cycles)
-    n_levels = _config.mg_levels(mcfg.levels)
+    smoother_name = mcfg.smoother or _config.DEFAULT_MG_SMOOTHER
+    budget = (_config.DEFAULT_MG_BUDGET if mcfg.budget is None
+              else float(mcfg.budget))
+    drop_tol = (_config.DEFAULT_MG_DROP_TOL if mcfg.drop_tol is None
+                else float(mcfg.drop_tol))
+    cycles = (_config.DEFAULT_MG_CYCLES if mcfg.cycles is None
+              else int(mcfg.cycles))
+    n_levels = mcfg.levels
     hierarchy = "galerkin" if drop_tol > 0.0 else mcfg.hierarchy
     if smoother_name in ("ds", "ps", "bj") and cfg.n_parts is None:
         raise ValueError(

@@ -111,25 +111,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--async-latency", type=float, default=None,
                         dest="async_latency", metavar="SECONDS",
                         help="simulated network latency under --runtime "
-                             "async (overrides REPRO_ASYNC_LATENCY)")
+                             "async")
     parser.add_argument("--async-speed-factors", default=None,
                         dest="async_speed_factors", metavar="SPEC",
                         help="per-rank straggler spec 'rank:factor,...' "
-                             "under --runtime async (overrides "
-                             "REPRO_ASYNC_SPEED_FACTORS)")
+                             "under --runtime async")
     parser.add_argument("--mg-smoother", default=None, dest="mg_smoother",
                         choices=repro_config.VALID_MG_SMOOTHERS,
                         help="V-cycle smoother under -solver mg: block "
                              "'ds'/'ps'/'bj' (real runners at the equal-"
                              "relaxation budget), 'gs', or the paper's "
-                             "'scalar-ds'/'scalar-ps' (overrides "
-                             "REPRO_MG_SMOOTHER)")
+                             "'scalar-ds'/'scalar-ps'")
     parser.add_argument("--mg-drop-tol", type=float, default=None,
                         dest="mg_drop_tol", metavar="TOL",
                         help="AMG sparsification threshold for Galerkin "
                              "coarse operators under -solver mg; implies "
-                             "the Galerkin hierarchy (overrides "
-                             "REPRO_MG_DROP_TOL)")
+                             "the Galerkin hierarchy")
     parser.add_argument("--async-scheduler", default=None,
                         dest="async_scheduler",
                         choices=repro_config.VALID_ASYNC_SCHEDULERS,

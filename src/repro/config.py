@@ -15,6 +15,9 @@ override* is :func:`repro.sparsela.backend.set_backend` /
 :func:`repro.runtime.flatplane.set_runtime_mode` state, which the
 subsystem modules keep (this module never mutates them); unset or junk
 environment values fall back to the default rather than breaking a run.
+Run parameters that have a config field (``MultigridConfig`` /
+``AsyncConfig`` in :mod:`repro.api`) have no environment knob: the
+field, or its CLI flag, is the only way to set them.
 
 ``repro config`` on the command line prints :func:`describe` — every
 knob with its environment variable, effective value, and where that
@@ -32,16 +35,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
-    "ENV_ASYNC_LATENCY",
     "ENV_ASYNC_SCHEDULER",
-    "ENV_ASYNC_SPEED",
     "ENV_BACKEND",
     "ENV_FAULTS",
-    "ENV_MG_BUDGET",
-    "ENV_MG_CYCLES",
-    "ENV_MG_DROP_TOL",
-    "ENV_MG_LEVELS",
-    "ENV_MG_SMOOTHER",
     "ENV_RUNTIME",
     "ENV_SETUP_CACHE",
     "ENV_SHM_MB",
@@ -53,18 +49,11 @@ __all__ = [
     "VALID_ASYNC_SCHEDULERS",
     "VALID_MG_SMOOTHERS",
     "VALID_RUNTIME_MODES",
-    "async_latency",
     "async_scheduler",
-    "async_speed_factors",
     "backend",
     "parse_speed_factors",
     "describe",
     "faults_spec",
-    "mg_budget",
-    "mg_cycles",
-    "mg_drop_tol",
-    "mg_levels",
-    "mg_smoother",
     "runtime",
     "setup_cache_dir",
     "setup_cache_spec",
@@ -85,14 +74,7 @@ ENV_TRACE = "REPRO_TRACE"
 ENV_SETUP_CACHE = "REPRO_SETUP_CACHE"
 ENV_FAULTS = "REPRO_FAULTS"
 ENV_SHM_MB = "REPRO_SHM_MB"
-ENV_ASYNC_LATENCY = "REPRO_ASYNC_LATENCY"
-ENV_ASYNC_SPEED = "REPRO_ASYNC_SPEED_FACTORS"
 ENV_ASYNC_SCHEDULER = "REPRO_ASYNC_SCHEDULER"
-ENV_MG_SMOOTHER = "REPRO_MG_SMOOTHER"
-ENV_MG_BUDGET = "REPRO_MG_BUDGET"
-ENV_MG_DROP_TOL = "REPRO_MG_DROP_TOL"
-ENV_MG_CYCLES = "REPRO_MG_CYCLES"
-ENV_MG_LEVELS = "REPRO_MG_LEVELS"
 
 #: message-plane modes accepted by ``REPRO_RUNTIME`` / ``set_runtime_mode``;
 #: ``shm`` is the flat plane plus a shared-memory worker pool that runs the
@@ -111,8 +93,8 @@ DEFAULT_ASYNC_LATENCY = 5e-6
 VALID_ASYNC_SCHEDULERS = ("scalar", "batched")
 DEFAULT_ASYNC_SCHEDULER = "scalar"
 
-#: multigrid smoother names accepted by ``REPRO_MG_SMOOTHER`` /
-#: ``MultigridConfig.smoother``: the block methods run the real
+#: multigrid smoother names accepted by ``MultigridConfig.smoother`` /
+#: ``--mg-smoother``: the block methods run the real
 #: distributed runtime inside the V-cycle; the ``scalar-*`` forms are
 #: the paper's published Figure 6 smoothers; ``gs`` is the baseline
 VALID_MG_SMOOTHERS = ("ds", "ps", "bj", "gs", "scalar-ds", "scalar-ps")
@@ -163,28 +145,9 @@ KNOBS: tuple[Knob, ...] = (
     Knob(ENV_SHM_MB, "0",
          "shared-memory segment floor in MB for the shm runtime "
          "(0 = size from demand; raise it when ShmArena reports overflow)"),
-    Knob(ENV_ASYNC_LATENCY, "5e-06",
-         "async runtime one-way network latency in simulated seconds"),
-    Knob(ENV_ASYNC_SPEED, "none",
-         "async runtime straggler spec: 'rank:factor,rank:factor' "
-         "(factor < 1 slows that rank's compute)"),
     Knob(ENV_ASYNC_SCHEDULER, "scalar",
          "async event-loop scheduler: scalar (per-turn heap oracle) | "
          "batched (vectorized event-horizon macro-turns, bit-identical)"),
-    Knob(ENV_MG_SMOOTHER, "ds",
-         "multigrid smoother: ds | ps | bj (block methods) | gs | "
-         "scalar-ds | scalar-ps"),
-    Knob(ENV_MG_BUDGET, "1.0",
-         "multigrid smoothing budget in sweeps (relaxations per "
-         "application = budget * level rows)"),
-    Knob(ENV_MG_DROP_TOL, "0.0",
-         "Galerkin coarse-operator sparsification threshold "
-         "(|a_ij| < tol*sqrt(|a_ii*a_jj|) entries are dropped)"),
-    Knob(ENV_MG_CYCLES, "9",
-         "multigrid V-cycles per solve (the paper's Figure 6 runs 9)"),
-    Knob(ENV_MG_LEVELS, "all",
-         "multigrid hierarchy depth: all | an integer >= 2 "
-         "(truncated hierarchies solve a bigger coarsest system)"),
 )
 
 
@@ -329,25 +292,6 @@ def setup_cache_dir(explicit: str | Path | None = None) -> Path | None:
     return Path(spec)
 
 
-def async_latency(explicit: float | None = None) -> float:
-    """One-way simulated network latency (seconds) for the async runtime.
-
-    Junk or negative environment values degrade to the default rather
-    than breaking a run; an explicit negative argument is a programming
-    error and raises.
-    """
-    if explicit is not None:
-        lat = float(explicit)
-        if lat < 0.0:
-            raise ValueError("async latency must be non-negative")
-        return lat
-    try:
-        lat = float(_env(ENV_ASYNC_LATENCY) or DEFAULT_ASYNC_LATENCY)
-    except ValueError:
-        return DEFAULT_ASYNC_LATENCY
-    return lat if lat >= 0.0 else DEFAULT_ASYNC_LATENCY
-
-
 def async_scheduler(explicit: str | None = None) -> str:
     """Async event-loop scheduler: ``scalar`` or ``batched``.
 
@@ -369,7 +313,9 @@ def parse_speed_factors(spec: str) -> tuple[tuple[int, float], ...]:
     """Parse a ``"rank:factor,rank:factor"`` straggler spec.
 
     Raises :class:`ValueError` on malformed entries or non-positive
-    factors — the CLI and :func:`async_speed_factors` share this.
+    factors — the CLI's ``--async-speed-factors`` and
+    :class:`~repro.core.async_exec.AsyncExecutor`'s string specs share
+    this.
     """
     out: list[tuple[int, float]] = []
     for part in spec.split(","):
@@ -388,116 +334,6 @@ def parse_speed_factors(spec: str) -> tuple[tuple[int, float], ...]:
             raise ValueError(f"speed factor {factor} must be positive")
         out.append((rank, factor))
     return tuple(out)
-
-
-def async_speed_factors(
-    explicit: tuple[tuple[int, float], ...] | str | None = None,
-) -> tuple[tuple[int, float], ...] | None:
-    """Per-rank straggler factors for the async runtime, or ``None``.
-
-    Accepts an already-parsed ``((rank, factor), ...)`` tuple or a
-    ``"rank:factor,..."`` string.  A junk environment value degrades to
-    ``None``; an explicit junk argument raises.
-    """
-    if explicit is not None:
-        if isinstance(explicit, str):
-            return parse_speed_factors(explicit) or None
-        return tuple((int(r), float(f)) for r, f in explicit) or None
-    env = _env(ENV_ASYNC_SPEED)
-    if env is None or env.strip().lower() in ("none", "off"):
-        return None
-    try:
-        return parse_speed_factors(env) or None
-    except ValueError:
-        return None
-
-
-def mg_smoother(explicit: str | None = None) -> str:
-    """Multigrid smoother name (:data:`VALID_MG_SMOOTHERS`).
-
-    A junk environment value degrades to the default (``ds``); an
-    explicit junk argument is a programming error and raises.
-    """
-    if explicit is not None:
-        val = str(explicit).strip().lower()
-        if val not in VALID_MG_SMOOTHERS:
-            raise ValueError(
-                f"unknown multigrid smoother {explicit!r}; expected one "
-                f"of {', '.join(VALID_MG_SMOOTHERS)}")
-        return val
-    env = (_env(ENV_MG_SMOOTHER) or "").strip().lower()
-    return env if env in VALID_MG_SMOOTHERS else DEFAULT_MG_SMOOTHER
-
-
-def mg_budget(explicit: float | None = None) -> float:
-    """Smoothing budget in sweeps (relaxations = budget × level rows).
-
-    Junk or non-positive environment values degrade to 1.0; an explicit
-    non-positive argument raises.
-    """
-    if explicit is not None:
-        budget = float(explicit)
-        if budget <= 0.0:
-            raise ValueError("multigrid smoothing budget must be positive")
-        return budget
-    try:
-        budget = float(_env(ENV_MG_BUDGET) or DEFAULT_MG_BUDGET)
-    except ValueError:
-        return DEFAULT_MG_BUDGET
-    return budget if budget > 0.0 else DEFAULT_MG_BUDGET
-
-
-def mg_drop_tol(explicit: float | None = None) -> float:
-    """Galerkin sparsification threshold (0 = keep the exact operator).
-
-    Junk or negative environment values degrade to 0.0; an explicit
-    negative argument raises.
-    """
-    if explicit is not None:
-        tol = float(explicit)
-        if tol < 0.0:
-            raise ValueError("multigrid drop_tol must be non-negative")
-        return tol
-    try:
-        tol = float(_env(ENV_MG_DROP_TOL) or DEFAULT_MG_DROP_TOL)
-    except ValueError:
-        return DEFAULT_MG_DROP_TOL
-    return tol if tol >= 0.0 else DEFAULT_MG_DROP_TOL
-
-
-def mg_cycles(explicit: int | None = None) -> int:
-    """V-cycles per solve; junk environment values degrade to 9."""
-    if explicit is not None:
-        cycles = int(explicit)
-        if cycles < 1:
-            raise ValueError("multigrid needs at least one V-cycle")
-        return cycles
-    try:
-        cycles = int(_env(ENV_MG_CYCLES) or DEFAULT_MG_CYCLES)
-    except ValueError:
-        return DEFAULT_MG_CYCLES
-    return cycles if cycles >= 1 else DEFAULT_MG_CYCLES
-
-
-def mg_levels(explicit: int | None = None) -> int | None:
-    """Hierarchy depth, or ``None`` for "coarsen all the way to 3×3".
-
-    Junk environment values (including anything below 2) degrade to the
-    full hierarchy; an explicit value below 2 raises.
-    """
-    if explicit is not None:
-        levels = int(explicit)
-        if levels < 2:
-            raise ValueError("a multigrid hierarchy needs at least 2 levels")
-        return levels
-    env = _env(ENV_MG_LEVELS)
-    if env is None or env.strip().lower() in ("all", "full", "none"):
-        return None
-    try:
-        levels = int(env)
-    except ValueError:
-        return None
-    return levels if levels >= 2 else None
 
 
 # ----------------------------------------------------------------------
@@ -545,34 +381,9 @@ def _effective(knob: Knob) -> tuple[str, str]:
     if knob.env == ENV_SHM_MB:
         return (str(shm_mb()),
                 "environment" if _env(ENV_SHM_MB) else "default")
-    if knob.env == ENV_ASYNC_LATENCY:
-        return (repr(async_latency()),
-                "environment" if _env(ENV_ASYNC_LATENCY) else "default")
-    if knob.env == ENV_ASYNC_SPEED:
-        factors = async_speed_factors()
-        if factors is None:
-            return ("none",
-                    "environment" if _env(ENV_ASYNC_SPEED) else "default")
-        return (",".join(f"{r}:{f:g}" for r, f in factors), "environment")
     if knob.env == ENV_ASYNC_SCHEDULER:
         return (async_scheduler(),
                 "environment" if _env(ENV_ASYNC_SCHEDULER) else "default")
-    if knob.env == ENV_MG_SMOOTHER:
-        return (mg_smoother(),
-                "environment" if _env(ENV_MG_SMOOTHER) else "default")
-    if knob.env == ENV_MG_BUDGET:
-        return (repr(mg_budget()),
-                "environment" if _env(ENV_MG_BUDGET) else "default")
-    if knob.env == ENV_MG_DROP_TOL:
-        return (repr(mg_drop_tol()),
-                "environment" if _env(ENV_MG_DROP_TOL) else "default")
-    if knob.env == ENV_MG_CYCLES:
-        return (str(mg_cycles()),
-                "environment" if _env(ENV_MG_CYCLES) else "default")
-    if knob.env == ENV_MG_LEVELS:
-        levels = mg_levels()
-        return ("all" if levels is None else str(levels),
-                "environment" if _env(ENV_MG_LEVELS) else "default")
     raise ValueError(f"unknown knob {knob.env}")  # pragma: no cover
 
 

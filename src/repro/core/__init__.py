@@ -13,8 +13,6 @@
   :mod:`repro.solvers`).
 """
 
-from repro.core.async_jacobi import AsyncBlockJacobi
-from repro.core.async_southwell import AsyncDistributedSouthwell
 from repro.core.adaptive import (
     SimultaneousAdaptiveRelaxation,
     greedy_multiplicative_schwarz,
@@ -33,8 +31,6 @@ from repro.core.scalar import (
 from repro.core.threshold_ds import ThresholdedDistributedSouthwell
 
 __all__ = [
-    "AsyncBlockJacobi",
-    "AsyncDistributedSouthwell",
     "BlockMethodBase",
     "BlockSystem",
     "DistributedSouthwell",

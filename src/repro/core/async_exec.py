@@ -61,15 +61,14 @@ class AsyncExecutor:
         A block method instance (DS / PS / BJ).  ``setup`` must not have
         been bypassed — the executor calls it itself.
     latency:
-        One-way network latency (simulated seconds); ``None`` resolves
-        through :func:`repro.config.async_latency` (env, then default).
+        One-way network latency (simulated seconds); ``None`` means
+        :data:`repro.config.DEFAULT_ASYNC_LATENCY`.
     poll_interval:
         How long an idle rank sleeps before re-checking its mailbox.
     speed_factors:
         Per-rank compute-speed multipliers: an ``(P,)`` array, a
         ``"rank:factor,..."`` spec string, or an iterable of
-        ``(rank, factor)`` pairs; ``None`` resolves through
-        :func:`repro.config.async_speed_factors`.
+        ``(rank, factor)`` pairs; ``None`` means no stragglers.
     record_every:
         History/stats sampling cadence in turns.
     scheduler:
@@ -89,8 +88,11 @@ class AsyncExecutor:
             raise ValueError("poll_interval must be positive")
         if record_every < 1:
             raise ValueError("record_every must be at least 1")
+        if latency is not None and latency < 0.0:
+            raise ValueError("async latency must be non-negative")
         self.runner = runner
-        self.latency = _config.async_latency(latency)
+        self.latency = (_config.DEFAULT_ASYNC_LATENCY if latency is None
+                        else float(latency))
         self.poll_interval = float(poll_interval)
         self.speed_factors = speed_factors
         self.record_every = int(record_every)
@@ -102,8 +104,6 @@ class AsyncExecutor:
     def _base_speed(self, P: int) -> np.ndarray | None:
         """Resolve ``speed_factors`` into a per-rank array (or None)."""
         spec = self.speed_factors
-        if spec is None:
-            spec = _config.async_speed_factors()
         if spec is None:
             return None
         if isinstance(spec, np.ndarray):
@@ -533,8 +533,8 @@ class AsyncExecutor:
         clean = np.zeros(P, dtype=np.uint8)
         skippable = fr is None
         turns = 0
-        # scheduler introspection (reported by scripts/bench_async.py):
-        # macro-turn count per kind and turns committed by each
+        # scheduler introspection (``sched_stats``): macro-turn count per
+        # kind and turns committed by each
         n_macro = 0
         n_lad = 0
         lad_turns = 0

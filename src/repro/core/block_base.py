@@ -622,13 +622,15 @@ class BlockMethodBase:
             return np.zeros(ranks.size, dtype=bool)
         return np.ones(ranks.size, dtype=bool)
 
-    def _async_send(self, p: int, aplane, turn: int) -> None:
-        """Publish ``p``'s post-relax updates onto the async plane."""
+    def _async_send(self, p: int, aplane, turn: int) -> np.ndarray:
+        """Publish ``p``'s post-relax updates onto the async plane;
+        returns the slot-ids that entered the network (drops excluded)."""
         off = self._nbr_off
         sids = self._slab_solve_sids[off[p]:off[p + 1]]
         kept = aplane.send(p, sids, 0.0, 0.0,
                            int(self._solve_nbytes_arr[p]), CATEGORY_SOLVE)
         self._async_capture_vals(aplane, kept)
+        return kept
 
     def _async_capture_vals(self, aplane, sids: np.ndarray) -> None:
         """Snapshot the ``vals`` regions of freshly stamped solve slots

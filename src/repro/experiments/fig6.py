@@ -8,8 +8,7 @@ grid-size-independent convergence in all three cases, with DS (1 sweep)
 beating GS per relaxation.
 
 Runs on :class:`~repro.multigrid.mg_exec.MultigridExecutor` (the
-``solve(method="mg")`` engine), whose V-cycle is bit-identical to the
-deprecated ``vcycle_experiment_run`` it replaced here.
+``solve(method="mg")`` engine).
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ event model: DS's local Γ̃ estimates tolerate both staleness sources
 and it reaches the target in bounded simulated time; PS, whose
 criterion needs *exact* neighbor norms, loses explicit residual
 updates to the drops and trails DS or never reaches the target
-(``time_to_target = None``); BJ relaxes unconditionally and burns far
-more communication for its time.
+(``time_to_target = None``); BJ relaxes on every delivery (and re-sends
+after a drop), so it sends more than DS and — each re-send pushing its
+in-flight messages one latency later (DESIGN.md §5.14) — ends above
+DS's residual when nothing is dropped.
 """
 
 from __future__ import annotations

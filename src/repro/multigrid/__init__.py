@@ -9,9 +9,7 @@ Gauss-Seidel per relaxation.
 The front door is ``solve(A, method="mg", ...)`` (DESIGN.md §5.16),
 which drives :class:`MultigridExecutor` — V-cycles with block-DS/PS/BJ
 smoothing through the real distributed runtime, per-level message
-accounting, and optional Galerkin-coarse-operator sparsification.  The
-seed-era :class:`MultigridSolver` / :func:`vcycle_experiment_run` pair
-is deprecated in its favour.
+accounting, and optional Galerkin-coarse-operator sparsification.
 """
 
 from repro.multigrid.block_smoothers import (
@@ -21,7 +19,6 @@ from repro.multigrid.block_smoothers import (
 )
 from repro.multigrid.grid import (
     GridLevel,
-    build_hierarchy,
     build_operator_hierarchy,
     fine_dim_of,
     valid_grid_dims,
@@ -47,7 +44,6 @@ from repro.multigrid.transfer import (
     restriction_matrix,
     sparsify,
 )
-from repro.multigrid.vcycle import MultigridSolver, vcycle_experiment_run
 
 __all__ = [
     "BLOCK_SMOOTHER_METHODS",
@@ -59,13 +55,11 @@ __all__ = [
     "LevelRunner",
     "LevelStats",
     "MultigridExecutor",
-    "MultigridSolver",
     "ParallelSouthwellSmoother",
     "RedBlackGaussSeidelSmoother",
     "Smoother",
     "WeightedJacobiSmoother",
     "bilinear_prolongation",
-    "build_hierarchy",
     "build_operator_hierarchy",
     "fine_dim_of",
     "full_weighting",
@@ -74,5 +68,4 @@ __all__ = [
     "restriction_matrix",
     "sparsify",
     "valid_grid_dims",
-    "vcycle_experiment_run",
 ]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from repro.matrices.poisson import poisson_2d
 from repro.sparsela import CSRMatrix
 
-__all__ = ["GridLevel", "build_hierarchy", "build_operator_hierarchy",
-           "fine_dim_of", "valid_grid_dims"]
+__all__ = ["GridLevel", "build_operator_hierarchy", "fine_dim_of",
+           "valid_grid_dims"]
 
 
 @dataclass(frozen=True)
@@ -68,29 +68,6 @@ def fine_dim_of(n_unknowns: int) -> int:
     return d
 
 
-def build_hierarchy(fine_dim: int, coarsest_dim: int = 3) -> list[GridLevel]:
-    """All levels from ``fine_dim`` down to ``coarsest_dim`` (finest first).
-
-    Each level rediscretizes the Laplacian (geometric multigrid), scaled
-    by ``1/h²`` so the hierarchy is dimensionally consistent with
-    full-weighting restriction and bilinear prolongation.
-    """
-    if coarsest_dim < 3:
-        raise ValueError("coarsest grid must be at least 3x3")
-    levels = []
-    d = fine_dim
-    while True:
-        h = 1.0 / (d + 1)
-        levels.append(GridLevel(n=d, matrix=poisson_2d(d).scale(1.0 / h**2)))
-        if d <= coarsest_dim:
-            break
-        d = coarse_dim(d)
-    if levels[-1].n != coarsest_dim:
-        raise ValueError(
-            f"fine dim {fine_dim} does not coarsen to {coarsest_dim}")
-    return levels
-
-
 def build_operator_hierarchy(A: CSRMatrix, coarsest_dim: int = 3,
                              n_levels: int | None = None,
                              hierarchy: str = "geometric",
@@ -99,13 +76,15 @@ def build_operator_hierarchy(A: CSRMatrix, coarsest_dim: int = 3,
     """Level structure for an arbitrary fine operator ``A`` (finest first).
 
     ``hierarchy="geometric"`` keeps ``A`` at the fine level and
-    rediscretizes the Laplacian below it — exactly the hierarchy
-    :func:`build_hierarchy` builds (``A`` must then *be* the scaled
-    5-point Laplacian for the correction to be consistent, which is the
-    Figure 6 setting).  ``hierarchy="galerkin"`` forms each coarse
-    operator variationally, ``A_c = R A_f P``, and — with ``drop_tol``
-    positive — passes it through :func:`~repro.multigrid.transfer.sparsify`
-    to drop weak couplings (arXiv 1512.04629).
+    rediscretizes the Laplacian below it, each coarse level scaled by
+    ``1/h²`` so the hierarchy is dimensionally consistent with
+    full-weighting restriction and bilinear prolongation (``A`` must
+    then *be* the scaled 5-point Laplacian for the correction to be
+    consistent, which is the Figure 6 setting).  ``hierarchy="galerkin"``
+    forms each coarse operator variationally, ``A_c = R A_f P``, and —
+    with ``drop_tol`` positive — passes it through
+    :func:`~repro.multigrid.transfer.sparsify` to drop weak couplings
+    (arXiv 1512.04629).
 
     ``n_levels`` truncates the hierarchy (``None`` = coarsen all the way
     to ``coarsest_dim``); the last level is always solved exactly, so a
@@ -116,6 +95,8 @@ def build_operator_hierarchy(A: CSRMatrix, coarsest_dim: int = 3,
     """
     if hierarchy not in ("geometric", "galerkin"):
         raise ValueError(f"unknown hierarchy {hierarchy!r}")
+    if coarsest_dim < 3:
+        raise ValueError("coarsest grid must be at least 3x3")
     if drop_tol > 0.0 and hierarchy != "galerkin":
         raise ValueError(
             "drop_tol sparsification applies to Galerkin coarse "

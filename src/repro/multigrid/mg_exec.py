@@ -15,10 +15,10 @@ message the smoothing steps send:
 - merged injected-fault totals when the smoother runs under a
   :class:`~repro.faults.FaultPlan`.
 
-The cycle arithmetic is exactly
-:meth:`repro.multigrid.vcycle.MultigridSolver._cycle` with ``gamma=1``,
-so a scalar-smoothed executor run is bit-identical to the deprecated
-solver's V-cycles.
+The V-cycle is the textbook recursion — pre-smooth, restrict the
+residual, recurse (exact dense solve at the coarsest level), prolongate
+and correct, post-smooth; a scalar Gauss-Seidel-smoothed run is pinned
+by digest in ``tests/test_multigrid_block.py``.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class MultigridExecutor:
         self.x: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # cycle arithmetic (bit-identical to MultigridSolver._cycle, gamma=1)
+    # cycle arithmetic (one pre- and one post-smoothing per level visit)
     # ------------------------------------------------------------------
     def _cycle(self, lvl: int, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         trc = self.tracer

@@ -18,7 +18,6 @@ package substitutes a deterministic simulation with the same semantics and
 - :class:`ParallelEngine` — the bundle the solvers drive.
 """
 
-from repro.runtime.async_engine import AsyncEngine
 from repro.runtime.asyncplane import AsyncFlatPlane
 from repro.runtime.costmodel import CORI_LIKE, ZERO_COST, CostModel
 from repro.runtime.engine import ParallelEngine
@@ -30,7 +29,6 @@ from repro.runtime.flatplane import (
     set_runtime_mode,
     use_runtime,
 )
-from repro.runtime.mpiplane import MpiEdgePlane, mpi_available
 from repro.runtime.pool import (
     ForkTaskPool,
     ForkWorkers,
@@ -53,7 +51,6 @@ from repro.runtime.stats import MessageStats, StepSnapshot
 from repro.runtime.window import Window, WindowSystem
 
 __all__ = [
-    "AsyncEngine",
     "AsyncFlatPlane",
     "CATEGORY_RESIDUAL",
     "CATEGORY_SOLVE",
@@ -64,7 +61,6 @@ __all__ = [
     "ForkWorkers",
     "Message",
     "MessageStats",
-    "MpiEdgePlane",
     "ParallelEngine",
     "SLOT_RESIDUAL",
     "SLOT_SOLVE",
@@ -76,7 +72,6 @@ __all__ = [
     "Window",
     "WindowSystem",
     "ZERO_COST",
-    "mpi_available",
     "payload_nbytes",
     "rank_bounds",
     "runtime_mode",

@@ -1,13 +1,10 @@
 """Event-driven async message plane over the flat-buffer geometry.
 
-The seed async engine (:mod:`repro.runtime.async_engine`) models the
-paper's Casper-progressed one-sided MPI with per-message ``Message``
-objects in per-destination heaps — correct, but pure interpreter churn:
-every put allocates a dict payload, every read pops a heap.  This module
-is the flat-plane rewrite (DESIGN.md §5.14): the mailbox storage is the
-same preallocated per-edge slot layout as
-:class:`~repro.runtime.flatplane.FlatEdgePlane`, extended with one
-*timestamp per slot*.
+Models the paper's Casper-progressed one-sided MPI without epochs
+(DESIGN.md §5.14): the mailbox storage is the same preallocated
+per-edge slot layout as :class:`~repro.runtime.flatplane.FlatEdgePlane`,
+extended with one *timestamp per slot* — no per-message objects, no
+dict payloads.
 
 Event model
 -----------
@@ -24,10 +21,10 @@ A slot holds at most one in-flight message (RMA overwrite semantics: a
 newer put to the same window region supersedes the older one — which is
 why the methods ship *cumulative* payloads on this plane, making
 overwrites and drops self-healing).  The scheduler always runs the rank
-with the smallest clock (ties to the lower rank), exactly like the seed
-engine, so a straggling rank naturally falls behind while its neighbors
-race ahead on stale estimates — staleness *emerges from simulated time*
-instead of being injected.
+with the smallest clock (ties to the lower rank), so a straggling rank
+naturally falls behind while its neighbors race ahead on stale
+estimates — staleness *emerges from simulated time* instead of being
+injected.
 
 State layout
 ------------

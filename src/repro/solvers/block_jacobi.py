@@ -39,6 +39,43 @@ class BlockJacobi(BlockMethodBase):
             raise ValueError("omega must be in (0, 1]")
         self.omega = omega
 
+    def _reset_state(self, x0, b) -> None:
+        super()._reset_state(x0, b)
+        # async only: has p something to send that its neighbours have
+        # not been handed yet (fresh boundary data, or a dropped send)?
+        self._async_fresh = np.ones(self.system.n_parts, dtype=bool)
+
+    # ------------------------------------------------------------------
+    # event-driven async plane hooks (DESIGN.md §5.14)
+    #
+    # Chaotic relaxation relaxes once per piece of new boundary data.  A
+    # rank that relaxed every turn would re-send every turn, and each
+    # send restamps its in-flight slots (RMA overwrite) one latency into
+    # the future — so with the smallest-clock scheduler its neighbours
+    # would never catch up to a stamp and never hear from it again.  A
+    # rank with no neighbours has no one to starve and stays fresh; a
+    # rank whose send lost a message to a drop stays fresh so the
+    # cumulative payload is re-sent on its next turn.
+    # ------------------------------------------------------------------
+    def _async_decide(self, p: int) -> bool:
+        return bool(self._async_fresh[p]) and float(self.norms[p]) > 0.0
+
+    def _async_decide_batch(self, ranks: np.ndarray) -> np.ndarray:
+        return self._async_fresh[ranks] & (self.norms[ranks] > 0.0)
+
+    def _async_send(self, p: int, aplane, turn: int) -> np.ndarray:
+        kept = super()._async_send(p, aplane, turn)
+        n = int(self._nbr_counts[p])
+        self._async_fresh[p] = n == 0 or kept.size < n
+        return kept
+
+    def _async_on_deliver(self, p: int, sids, fates, aplane) -> None:
+        self._async_fresh[p] = True
+
+    def _async_on_deliver_batch(self, ranks, sids, counts,
+                                aplane) -> None:
+        self._async_fresh[ranks] = True
+
     # ------------------------------------------------------------------
     # flat-buffer plane hooks (DESIGN.md §5.8)
     # ------------------------------------------------------------------

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import solve
+from repro.api import MultigridConfig, solve
 from repro.cli import main
 from repro.core import DistributedSouthwell
 from repro.core.blockdata import build_block_system
+from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
 from repro.sparsela import write_matrix_market
 
@@ -45,6 +46,27 @@ def test_solve_validation(fem_300):
         solve(fem_300, method="nope", n_parts=4)
     with pytest.raises(ValueError):
         solve(fem_300, method="block-jacobi")
+
+
+_RUN_KINDS = {
+    "lockstep": dict(method="distributed-southwell", n_parts=2,
+                     runtime="flat"),
+    "async": dict(method="distributed-southwell", n_parts=2,
+                  runtime="async"),
+    "mg": dict(method="mg", mg=MultigridConfig(smoother="gs", cycles=1)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", sorted(_RUN_KINDS))
+@pytest.mark.parametrize("arg", ["A", "b", "x0"])
+def test_solve_rejects_non_finite_input(arg, kind, bad):
+    """NaN/Inf in any input is a ValueError naming it, before set-up."""
+    A = poisson_2d(7).scale(64.0)        # a 7x7 grid: every run kind works
+    b, x0 = np.ones(A.n_rows), np.zeros(A.n_rows)
+    {"A": A.data, "b": b, "x0": x0}[arg][3] = bad
+    with pytest.raises(ValueError, match=f"^{arg} contains non-finite"):
+        solve(A, b, x0=x0, **_RUN_KINDS[kind])
 
 
 def test_reached_helper(fem_300):
@@ -85,9 +107,9 @@ def test_cli_x_zeros_and_aliases(capsys):
 
 
 def test_cli_async_flags_beat_env(monkeypatch, capsys):
-    """--runtime / --async-* flags override the REPRO_* knobs."""
+    """--runtime overrides REPRO_RUNTIME; the --async-* flags set the
+    async run's config."""
     monkeypatch.setenv("REPRO_RUNTIME", "flat")
-    monkeypatch.setenv("REPRO_ASYNC_LATENCY", "9e-3")
     rc = main(["-n", "4", "-sweep_max", "10", "-grid_dim", "10",
                "-solver", "sos_sds", "-format_out",
                "--runtime", "async", "--async-latency", "1e-5",
@@ -95,8 +117,7 @@ def test_cli_async_flags_beat_env(monkeypatch, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     fields = dict(line.split(None, 1) for line in out.strip().splitlines())
-    # async ran (env said flat) with the flag latency (env said 9 ms —
-    # a run priced at that would report virtual_time in the 10ms range)
+    # async ran (env said flat), priced at the flag's 10 µs latency
     assert "virtual_time" in fields
     assert 0.0 < float(fields["virtual_time"]) < 1e-3
 

@@ -1,91 +1,115 @@
-"""Tests for the discrete-event asynchronous engine and async DS."""
+"""Tests for the event-driven async plane and async DS on the executor."""
 
 import numpy as np
 import pytest
 
-from repro.core import AsyncDistributedSouthwell, DistributedSouthwell
+from repro.core import DistributedSouthwell
+from repro.core.async_exec import AsyncExecutor
 from repro.core.blockdata import build_block_system
 from repro.partition import partition
-from repro.runtime import CATEGORY_SOLVE, CostModel
-from repro.runtime.async_engine import AsyncEngine
+from repro.runtime import (
+    CATEGORY_SOLVE,
+    AsyncFlatPlane,
+    CostModel,
+    FlatEdgePlane,
+    MessageStats,
+)
 
 
-# ------------------------------------------------------------- engine
+def make_plane(n_procs, cost_model, latency=0.0, speed_factors=None):
+    """An async plane over the complete digraph on ``n_procs`` ranks,
+    one value per solve payload."""
+    stats = MessageStats(n_procs)
+    edges = [(s, d, 1, 0) for s in range(n_procs)
+             for d in range(n_procs) if s != d]
+    flat = FlatEdgePlane(n_procs, stats, edges)
+    return AsyncFlatPlane(flat, stats, cost_model=cost_model,
+                          latency=latency, speed_factors=speed_factors)
+
+
+def sid(aplane, src, dst, kind=0):
+    """Slot-id of the ``(src, dst)`` edge's solve (0) / residual (1) slot."""
+    return np.array([2 * aplane.plane.edge_index[(src, dst)] + kind])
+
+
+def send(aplane, src, dst, kind=0, nbytes=0):
+    return aplane.send(src, sid(aplane, src, dst, kind), 0.0, 0.0, nbytes,
+                       CATEGORY_SOLVE)
+
+
+# -------------------------------------------------------------- plane
 def test_clocks_advance_with_compute_and_sends():
     cm = CostModel(alpha=1.0, alpha_recv=0.5, beta=0.0, gamma=2.0)
-    eng = AsyncEngine(2, cost_model=cm, network_latency=10.0)
-    eng.charge_compute(0, 3.0)
-    assert eng.clocks[0] == 6.0
-    eng.put(0, 1, CATEGORY_SOLVE, {"x": 1.0})
-    assert eng.clocks[0] == 7.0
+    ap = make_plane(2, cm, latency=10.0)
+    ap.advance_compute(0, 3.0)
+    assert ap.clocks[0] == 6.0
+    send(ap, 0, 1)
+    assert ap.clocks[0] == 7.0
     # not delivered yet: receiver clock is 0 < 7 + 10
-    assert eng.read(1) == []
-    eng.charge_idle(1, 17.0)
-    msgs = eng.read(1)
-    assert len(msgs) == 1
-    assert eng.clocks[1] == 17.5          # + alpha_recv
+    assert ap.deliver(1) == []
+    ap.advance_idle(1, 17.0)
+    assert len(ap.deliver(1)) == 1
+    assert ap.clocks[1] == 17.5          # + alpha_recv
 
 
 def test_message_visibility_respects_latency():
-    eng = AsyncEngine(2, network_latency=100.0,
-                      cost_model=CostModel(alpha=0.0, alpha_recv=0.0,
-                                           beta=0.0, gamma=0.0))
-    eng.put(0, 1, CATEGORY_SOLVE, {})
-    eng.charge_idle(1, 99.9)
-    assert eng.read(1) == []
-    eng.charge_idle(1, 0.2)
-    assert len(eng.read(1)) == 1
+    ap = make_plane(2, CostModel(alpha=0.0, alpha_recv=0.0, beta=0.0,
+                                 gamma=0.0), latency=100.0)
+    send(ap, 0, 1)
+    ap.advance_idle(1, 99.9)
+    assert ap.deliver(1) == []
+    ap.advance_idle(1, 0.2)
+    assert len(ap.deliver(1)) == 1
 
 
 def test_scheduler_picks_smallest_clock():
-    eng = AsyncEngine(3)
-    p0 = eng.next_process()
-    eng.charge_idle(p0, 1.0)
-    eng.reschedule(p0)
-    p1 = eng.next_process()
+    ap = make_plane(3, CostModel())
+    p0 = ap.next_process()
+    ap.advance_idle(p0, 1.0)
+    ap.reschedule(p0)
+    p1 = ap.next_process()
     assert p1 != p0
-    eng.charge_idle(p1, 2.0)
-    eng.reschedule(p1)
-    p2 = eng.next_process()
+    ap.advance_idle(p1, 2.0)
+    ap.reschedule(p1)
+    p2 = ap.next_process()
     assert p2 not in (p0, p1)
-    eng.charge_idle(p2, 3.0)
-    eng.reschedule(p2)
-    assert eng.next_process() == p0       # smallest clock again
+    ap.advance_idle(p2, 3.0)
+    ap.reschedule(p2)
+    assert ap.next_process() == p0       # smallest clock again
 
 
 def test_speed_factors_scale_compute_only():
     cm = CostModel(alpha=1.0, alpha_recv=0.0, beta=0.0, gamma=1.0)
-    eng = AsyncEngine(2, cost_model=cm, speed_factors=np.array([1.0, 0.5]))
-    eng.charge_compute(0, 4.0)
-    eng.charge_compute(1, 4.0)
-    assert eng.clocks[0] == 4.0
-    assert eng.clocks[1] == 8.0           # half speed
-    eng.put(1, 0, CATEGORY_SOLVE, {})
-    assert eng.clocks[1] == 9.0           # wire time not scaled
+    ap = make_plane(2, cm, speed_factors=np.array([1.0, 0.5]))
+    ap.advance_compute(0, 4.0)
+    ap.advance_compute(1, 4.0)
+    assert ap.clocks[0] == 4.0
+    assert ap.clocks[1] == 8.0           # half speed
+    send(ap, 1, 0)
+    assert ap.clocks[1] == 9.0           # wire time not scaled
 
 
 def test_engine_validation():
     with pytest.raises(ValueError):
-        AsyncEngine(0)
+        make_plane(2, CostModel(), latency=-1.0)
     with pytest.raises(ValueError):
-        AsyncEngine(2, network_latency=-1.0)
+        make_plane(2, CostModel(), speed_factors=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        AsyncEngine(2, speed_factors=np.array([1.0, 0.0]))
-    eng = AsyncEngine(2)
-    with pytest.raises(ValueError):
-        eng.put(0, 0, CATEGORY_SOLVE, {})
-    with pytest.raises(ValueError):
-        eng.charge_idle(0, -1.0)
+        make_plane(2, CostModel(), speed_factors=np.ones(3))
+    with pytest.raises(ValueError):      # a rank does not message itself
+        FlatEdgePlane(2, MessageStats(2), [(0, 0, 1, 0)])
 
 
 def test_fifo_per_sender_preserved():
-    eng = AsyncEngine(2, cost_model=CostModel(alpha=1.0, alpha_recv=0.0,
-                                              beta=0.0, gamma=0.0))
-    for k in range(4):
-        eng.put(0, 1, CATEGORY_SOLVE, {"k": float(k)})
-    eng.charge_idle(1, 100.0)
-    ks = [m.payload["k"] for m in eng.read(1)]
-    assert ks == [0.0, 1.0, 2.0, 3.0]
+    """One sender's messages to one receiver land in send order, whichever
+    slot each travelled in."""
+    cm = CostModel(alpha=1.0, alpha_recv=0.0, beta=0.0, gamma=0.0)
+    for kinds in ((0, 1), (1, 0)):
+        ap = make_plane(2, cm)
+        for kind in kinds:
+            send(ap, 0, 1, kind)
+        ap.advance_idle(1, 100.0)
+        assert [s & 1 for s in ap.deliver(1)] == list(kinds)
 
 
 # ------------------------------------------------------------ async DS
@@ -100,63 +124,62 @@ def async_setup(fem_300):
     return system, x0, b
 
 
+def run_async(system, x0, b, max_turns, speed_factors=None):
+    """Async DS for a fixed turn budget; returns (executor, history)."""
+    ex = AsyncExecutor(DistributedSouthwell(system),
+                       speed_factors=speed_factors)
+    return ex, ex.run(x0, b, max_turns=max_turns)
+
+
 def test_async_ds_converges(async_setup):
     system, x0, b = async_setup
-    ads = AsyncDistributedSouthwell(system)
-    hist = ads.run(x0, b, max_turns=10_000, target_norm=0.02,
-                   record_every=64)
+    _, hist = run_async(system, x0, b, max_turns=10_000)
     assert hist.final_norm <= 0.02
 
 
 def test_async_ds_residual_exact_after_drain(async_setup, fem_300):
     system, x0, b = async_setup
-    ads = AsyncDistributedSouthwell(system)
-    ads.run(x0, b, max_turns=3_000)
-    ads.drain()
-    r_true = b - fem_300.matvec(ads.solution())
-    assert np.allclose(ads.residual_vector(), r_true, atol=1e-11)
+    ex, _ = run_async(system, x0, b, max_turns=3_000)
+    assert ex.aplane.in_flight == 0
+    r_true = b - fem_300.matvec(ex.runner.solution())
+    assert np.allclose(ex.runner.residual_vector(), r_true, atol=1e-11)
 
 
 def test_async_ds_time_comparable_to_lockstep(async_setup):
     """Same algorithm, two execution models: time-to-target should land
     in the same ballpark (within 3x either way)."""
     system, x0, b = async_setup
-    ads = AsyncDistributedSouthwell(system)
-    ha = ads.run(x0, b, max_turns=50_000, target_norm=0.05,
-                 record_every=64)
-    t_async = ads.engine.elapsed
+    _, ha = run_async(system, x0, b, max_turns=5_000)
+    t_async = ha.cost_to_reach(0.05, axis="times")
     ds = DistributedSouthwell(system)
     ds.run(x0, b, max_steps=200, target_norm=0.05, stop_at_target=True)
     t_sync = ds.engine.stats.elapsed_time()
-    assert ha.final_norm <= 0.05
+    assert ha.final_norm <= 0.05 and ds.global_norm() <= 0.05
     assert t_async < 3.0 * t_sync
     assert t_sync < 3.0 * t_async
 
 
 def test_async_absorbs_straggler(async_setup):
-    """A 4x-slower process barely affects async time-to-target, while it
-    stretches every lockstep step."""
+    """A 4x-slower process barely affects async time-to-target."""
     system, x0, b = async_setup
-    P = system.n_parts
-    slow = np.ones(P)
+    slow = np.ones(system.n_parts)
     slow[2] = 0.25
-
-    uniform = AsyncDistributedSouthwell(system)
-    uniform.run(x0, b, max_turns=50_000, target_norm=0.05, record_every=64)
-    straggled = AsyncDistributedSouthwell(system, speed_factors=slow)
-    h = straggled.run(x0, b, max_turns=50_000, target_norm=0.05,
-                      record_every=64)
-    assert h.final_norm <= 0.05
-    assert straggled.engine.elapsed < 2.0 * uniform.engine.elapsed
+    _, uniform = run_async(system, x0, b, max_turns=5_000)
+    _, straggled = run_async(system, x0, b, max_turns=5_000,
+                             speed_factors=slow)
+    assert straggled.final_norm <= 0.05
+    assert (straggled.cost_to_reach(0.05, axis="times")
+            < 2.0 * uniform.cost_to_reach(0.05, axis="times"))
 
 
 def test_async_ds_validation(async_setup):
     system, x0, b = async_setup
     with pytest.raises(ValueError):
-        AsyncDistributedSouthwell(system, poll_interval=0.0)
-    ads = AsyncDistributedSouthwell(system)
+        AsyncExecutor(DistributedSouthwell(system), poll_interval=0.0)
     with pytest.raises(ValueError):
-        ads.run(x0, b)
+        AsyncExecutor(DistributedSouthwell(system), poll_interval=-1e-6)
+    with pytest.raises(ValueError):
+        AsyncExecutor(DistributedSouthwell(system)).run()
 
 
 def test_lockstep_straggler_support(async_setup):

@@ -3,13 +3,16 @@
 Contract: one read-through point for every ``REPRO_*`` environment
 variable, with precedence ``explicit arg > programmatic override > env >
 default`` and graceful degradation on junk values (a bad knob must never
-break a run).
+break a run).  Run parameters that have a config field
+(``MultigridConfig`` / ``AsyncConfig``) have no environment knob: a
+stray ``REPRO_MG_*`` / ``REPRO_ASYNC_LATENCY`` variable changes nothing.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import config
@@ -46,34 +49,51 @@ def test_runtime_junk_degrades_to_auto(monkeypatch):
     assert config.runtime("bogus") == "auto"
 
 
+# ----------------------------------------------------------------------
+# run parameters with a config field have no environment knob
+# ----------------------------------------------------------------------
+def _executor(**kwargs):
+    from repro.core.async_exec import AsyncExecutor
+
+    return AsyncExecutor(None, **kwargs)
+
+
 def test_async_latency_precedence(monkeypatch):
-    assert config.async_latency() == pytest.approx(5.0e-6)   # default
-    monkeypatch.setenv(config.ENV_ASYNC_LATENCY, "1e-4")
-    assert config.async_latency() == pytest.approx(1.0e-4)   # env
-    assert config.async_latency(2.5e-6) == pytest.approx(2.5e-6)  # explicit
+    monkeypatch.setenv("REPRO_ASYNC_LATENCY", "1e-4")         # ignored
+    assert _executor().latency == config.DEFAULT_ASYNC_LATENCY
+    assert _executor(latency=2.5e-6).latency == 2.5e-6        # explicit
 
 
 def test_async_latency_junk_degrades_to_default(monkeypatch):
-    monkeypatch.setenv(config.ENV_ASYNC_LATENCY, "not-a-number")
-    assert config.async_latency() == pytest.approx(5.0e-6)
-    monkeypatch.setenv(config.ENV_ASYNC_LATENCY, "-3.0")
-    assert config.async_latency() == pytest.approx(5.0e-6)
+    from repro.api import AsyncConfig
+
+    monkeypatch.setenv("REPRO_ASYNC_LATENCY", "not-a-number")
+    assert _executor().latency == config.DEFAULT_ASYNC_LATENCY
+    with pytest.raises(ValueError):
+        _executor(latency=-3.0)                               # explicit junk
+    with pytest.raises(ValueError):
+        AsyncConfig(latency=-3.0)
 
 
 def test_async_speed_factors_precedence(monkeypatch):
-    assert config.async_speed_factors() is None              # default
-    monkeypatch.setenv(config.ENV_ASYNC_SPEED, "0:0.5,3:2")
-    assert config.async_speed_factors() == ((0, 0.5), (3, 2.0))
-    # explicit wins over env, both as a spec string and pre-parsed
-    assert config.async_speed_factors("1:4") == ((1, 4.0),)
-    assert config.async_speed_factors(((2, 0.25),)) == ((2, 0.25),)
+    monkeypatch.setenv("REPRO_ASYNC_SPEED_FACTORS", "0:0.5,3:2")  # ignored
+    assert _executor()._base_speed(4) is None                 # default
+    # explicit: a spec string, pre-parsed pairs, or a per-rank array
+    assert _executor(speed_factors="1:4")._base_speed(2).tolist() == \
+        [1.0, 4.0]
+    assert _executor(speed_factors=((0, 0.25),))._base_speed(2).tolist() \
+        == [0.25, 1.0]
+    assert _executor(speed_factors=np.array([0.5, 1.0]))._base_speed(
+        2).tolist() == [0.5, 1.0]
 
 
 def test_async_speed_factors_junk_degrades_to_none(monkeypatch):
-    monkeypatch.setenv(config.ENV_ASYNC_SPEED, "garbage")
-    assert config.async_speed_factors() is None
-    monkeypatch.setenv(config.ENV_ASYNC_SPEED, "none")
-    assert config.async_speed_factors() is None
+    monkeypatch.setenv("REPRO_ASYNC_SPEED_FACTORS", "garbage")
+    assert _executor()._base_speed(4) is None
+    with pytest.raises(ValueError):
+        _executor(speed_factors="garbage")._base_speed(4)     # explicit junk
+    with pytest.raises(ValueError):
+        _executor(speed_factors=((9, 2.0),))._base_speed(4)   # rank range
 
 
 def test_parse_speed_factors_validation():
@@ -224,59 +244,74 @@ def test_knobs_are_frozen_and_documented():
 
 
 # ----------------------------------------------------------------------
-# multigrid knobs (REPRO_MG_*)
+# multigrid parameters: MultigridConfig fields only, no REPRO_MG_* knobs
 # ----------------------------------------------------------------------
+def _mg(dim=7, n_parts=None, **fields):
+    """``solve(method="mg")`` on the scaled ``dim``² Laplacian."""
+    from repro.api import MultigridConfig, RunConfig, solve
+    from repro.matrices.poisson import poisson_2d
+
+    A = poisson_2d(dim).scale(float(dim + 1) ** 2)
+    return solve(A, method="mg", config=RunConfig(
+        n_parts=n_parts, mg=MultigridConfig(**fields)))
+
+
 def test_mg_smoother_precedence(monkeypatch):
-    assert config.mg_smoother() == "ds"              # default
-    monkeypatch.setenv(config.ENV_MG_SMOOTHER, "scalar-ds")
-    assert config.mg_smoother() == "scalar-ds"       # env
-    assert config.mg_smoother("gs") == "gs"          # explicit wins
+    monkeypatch.setenv("REPRO_MG_SMOOTHER", "gs")        # ignored:
+    with pytest.raises(ValueError, match="n_parts"):     # default "ds"
+        _mg()                                            # needs n_parts
+    assert _mg(smoother="gs", cycles=1).method == "mg-gauss-seidel"
 
 
 def test_mg_smoother_junk_env_degrades_but_explicit_raises(monkeypatch):
-    monkeypatch.setenv(config.ENV_MG_SMOOTHER, "sor")
-    assert config.mg_smoother() == "ds"
+    from repro.api import MultigridConfig
+
+    monkeypatch.setenv("REPRO_MG_SMOOTHER", "sor")
+    assert _mg(n_parts=2, cycles=1).method == "mg-block-ds"
     with pytest.raises(ValueError):
-        config.mg_smoother("sor")
+        MultigridConfig(smoother="sor")
+    assert MultigridConfig(smoother=" GS ").smoother == "gs"   # normalised
 
 
 def test_mg_budget_precedence(monkeypatch):
-    assert config.mg_budget() == pytest.approx(1.0)
-    monkeypatch.setenv(config.ENV_MG_BUDGET, "0.5")
-    assert config.mg_budget() == pytest.approx(0.5)
-    assert config.mg_budget(2.0) == pytest.approx(2.0)
-    monkeypatch.setenv(config.ENV_MG_BUDGET, "-1")   # junk env degrades
-    assert config.mg_budget() == pytest.approx(1.0)
+    from repro.api import MultigridConfig
+
+    monkeypatch.setenv("REPRO_MG_BUDGET", "0.5")         # ignored
+    # 7x7 grid, one cycle: the 49-row level is smoothed twice
+    assert _mg(smoother="scalar-ds", cycles=1).relaxations == 2 * 49
+    assert _mg(smoother="scalar-ds", cycles=1,
+               budget=0.5).relaxations == 2 * 24
     with pytest.raises(ValueError):
-        config.mg_budget(0.0)                        # explicit junk raises
+        MultigridConfig(budget=0.0)                      # explicit junk
 
 
 def test_mg_drop_tol_precedence(monkeypatch):
-    assert config.mg_drop_tol() == 0.0
-    monkeypatch.setenv(config.ENV_MG_DROP_TOL, "0.1")
-    assert config.mg_drop_tol() == pytest.approx(0.1)
-    assert config.mg_drop_tol(0.12) == pytest.approx(0.12)
-    monkeypatch.setenv(config.ENV_MG_DROP_TOL, "nope")
-    assert config.mg_drop_tol() == 0.0
+    from repro.api import MultigridConfig
+
+    monkeypatch.setenv("REPRO_MG_DROP_TOL", "0.1")       # ignored
+    res = _mg(15, smoother="gs", cycles=1)
+    assert sum(r.nnz_dropped for r in res.levels) == 0
+    res = _mg(15, smoother="gs", cycles=1, drop_tol=0.1)
+    assert sum(r.nnz_dropped for r in res.levels) > 0
+    with pytest.raises(ValueError):
+        MultigridConfig(drop_tol=-1.0)
 
 
 def test_mg_cycles_precedence(monkeypatch):
-    assert config.mg_cycles() == 9
-    monkeypatch.setenv(config.ENV_MG_CYCLES, "4")
-    assert config.mg_cycles() == 4
-    assert config.mg_cycles(2) == 2
-    monkeypatch.setenv(config.ENV_MG_CYCLES, "0")
-    assert config.mg_cycles() == 9
+    from repro.api import MultigridConfig
+
+    monkeypatch.setenv("REPRO_MG_CYCLES", "4")           # ignored
+    assert _mg(smoother="gs").cycles == 9
+    assert _mg(smoother="gs", cycles=2).cycles == 2
+    with pytest.raises(ValueError):
+        MultigridConfig(cycles=0)
 
 
 def test_mg_levels_precedence(monkeypatch):
-    assert config.mg_levels() is None                # full hierarchy
-    monkeypatch.setenv(config.ENV_MG_LEVELS, "3")
-    assert config.mg_levels() == 3
-    assert config.mg_levels(2) == 2
-    monkeypatch.setenv(config.ENV_MG_LEVELS, "all")
-    assert config.mg_levels() is None
-    monkeypatch.setenv(config.ENV_MG_LEVELS, "1")    # junk env degrades
-    assert config.mg_levels() is None
+    from repro.api import MultigridConfig
+
+    monkeypatch.setenv("REPRO_MG_LEVELS", "2")           # ignored
+    assert len(_mg(15, smoother="gs", cycles=1).levels) == 3   # 15, 7, 3
+    assert len(_mg(15, smoother="gs", cycles=1, levels=2).levels) == 2
     with pytest.raises(ValueError):
-        config.mg_levels(1)
+        MultigridConfig(levels=1)

@@ -3,23 +3,32 @@
 import numpy as np
 import pytest
 
+from repro.matrices.poisson import poisson_2d
 from repro.multigrid import (
     DistributedSouthwellSmoother,
     GaussSeidelSmoother,
-    MultigridSolver,
+    MultigridExecutor,
     ParallelSouthwellSmoother,
     bilinear_prolongation,
-    build_hierarchy,
+    build_operator_hierarchy,
     full_weighting,
     valid_grid_dims,
-    vcycle_experiment_run,
 )
 from repro.multigrid.grid import coarse_dim
 
-# MultigridSolver / vcycle_experiment_run are deprecated (one cycle) in
-# favour of solve(method="mg"); these tests pin the legacy behaviour
-# until removal
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+def scaled_laplacian(dim):
+    h = 1.0 / (dim + 1)
+    return poisson_2d(dim).scale(1.0 / h ** 2)
+
+
+def rel_resid(dim, smoother, seed=0, n_cycles=9):
+    """Figure 6 protocol for one grid: ``n_cycles`` V-cycles from zero
+    with a seeded RHS in [-1, 1]; returns ``‖r_N‖ / ‖r_0‖``."""
+    b = np.random.default_rng(seed).uniform(-1.0, 1.0, dim * dim)
+    hist = MultigridExecutor(scaled_laplacian(dim), smoother).run(
+        b, n_cycles=n_cycles)
+    return hist.final_norm / hist.initial_norm
 
 
 # ------------------------------------------------------------------ grid
@@ -35,16 +44,17 @@ def test_coarse_dim():
 
 
 def test_hierarchy_structure():
-    levels = build_hierarchy(31)
+    levels, dropped = build_operator_hierarchy(scaled_laplacian(31))
     assert [lv.n for lv in levels] == [31, 15, 7, 3]
+    assert dropped == [0, 0, 0, 0]
     for lv in levels:
         assert lv.matrix.n_rows == lv.n * lv.n
     with pytest.raises(ValueError):
-        build_hierarchy(31, coarsest_dim=2)
+        build_operator_hierarchy(scaled_laplacian(31), coarsest_dim=2)
 
 
 def test_hierarchy_operator_scaling():
-    levels = build_hierarchy(15)
+    levels, _ = build_operator_hierarchy(scaled_laplacian(15))
     # diag = 4 / h^2
     for lv in levels:
         h = 1.0 / (lv.n + 1)
@@ -92,9 +102,9 @@ def test_transfer_shape_validation():
 # ---------------------------------------------------------------- vcycle
 def test_vcycle_converges_fast():
     rng = np.random.default_rng(1)
-    mg = MultigridSolver(31, GaussSeidelSmoother(1), GaussSeidelSmoother(1))
+    mg = MultigridExecutor(scaled_laplacian(31), GaussSeidelSmoother(1))
     b = rng.uniform(-1, 1, 31 * 31)
-    hist = mg.solve(b, n_cycles=9)
+    hist = mg.run(b, n_cycles=9)
     assert hist.final_norm / hist.initial_norm < 1e-6
     # roughly constant per-cycle contraction
     rates = np.array(hist.residual_norms[1:]) / np.array(
@@ -104,46 +114,42 @@ def test_vcycle_converges_fast():
 
 def test_vcycle_solution_is_accurate():
     rng = np.random.default_rng(2)
-    mg = MultigridSolver(15, GaussSeidelSmoother(1), GaussSeidelSmoother(1))
+    A = scaled_laplacian(15)
+    mg = MultigridExecutor(A, GaussSeidelSmoother(1))
     b = rng.uniform(-1, 1, 225)
-    mg.solve(b, n_cycles=12)
-    A = mg.fine_level.matrix
+    mg.run(b, n_cycles=12)
     x_star = np.linalg.solve(A.to_dense(), b)
     assert np.allclose(mg.x, x_star, atol=1e-8)
 
 
 def test_grid_independent_convergence_gs():
-    rels = [vcycle_experiment_run(d, lambda: GaussSeidelSmoother(1), seed=3)
+    rels = [rel_resid(d, GaussSeidelSmoother(1), seed=3)
             for d in (15, 31, 63)]
     assert max(rels) / min(rels) < 25.0     # same order across grids
     assert max(rels) < 1e-6
 
 
 def test_grid_independent_convergence_ds_smoother():
-    rels = [vcycle_experiment_run(
-        d, lambda: DistributedSouthwellSmoother(1.0), seed=3)
-        for d in (15, 31, 63)]
+    rels = [rel_resid(d, DistributedSouthwellSmoother(1.0), seed=3)
+            for d in (15, 31, 63)]
     assert max(rels) / min(rels) < 25.0
     assert max(rels) < 1e-7
 
 
 def test_ds_smoother_beats_gs_per_relaxation():
     """The paper's Figure 6 claim at equal relaxation budgets."""
-    gs = vcycle_experiment_run(31, lambda: GaussSeidelSmoother(1), seed=0)
-    ds = vcycle_experiment_run(
-        31, lambda: DistributedSouthwellSmoother(1.0), seed=0)
+    gs = rel_resid(31, GaussSeidelSmoother(1))
+    ds = rel_resid(31, DistributedSouthwellSmoother(1.0))
     assert ds < gs
 
 
 def test_half_sweep_ds_still_converges():
-    rel = vcycle_experiment_run(
-        31, lambda: DistributedSouthwellSmoother(0.5), seed=0)
+    rel = rel_resid(31, DistributedSouthwellSmoother(0.5))
     assert rel < 1e-5
 
 
 def test_parallel_southwell_smoother_works():
-    rel = vcycle_experiment_run(
-        31, lambda: ParallelSouthwellSmoother(1.0), seed=0)
+    rel = rel_resid(31, ParallelSouthwellSmoother(1.0))
     assert rel < 1e-7
 
 

@@ -2,6 +2,7 @@
 ``solve()`` front door, per-level message accounting, and AMG
 sparsification (DESIGN.md §5.16)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,11 +14,9 @@ from repro.multigrid import (
     ChebyshevSmoother,
     GaussSeidelSmoother,
     MultigridExecutor,
-    MultigridSolver,
     RedBlackGaussSeidelSmoother,
     make_smoother,
     sparsify,
-    vcycle_experiment_run,
 )
 from repro.trace import RunTracer
 
@@ -25,6 +24,10 @@ from repro.trace import RunTracer
 def scaled_laplacian(dim):
     h = 1.0 / (dim + 1)
     return poisson_2d(dim).scale(1.0 / h ** 2)
+
+
+def _sha(x):
+    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
 
 
 def fig6_rhs(dim, seed=0):
@@ -56,27 +59,18 @@ def test_block_ds_grid_independent_convergence(n_parts):
     assert rels[1] < 10 * rels[0] + 1e-8
 
 
-def test_scalar_smoothed_executor_bit_identical_to_deprecated_solver():
-    """The executor's V-cycle arithmetic is the deprecated solver's."""
+def test_scalar_smoothed_executor_matches_pinned_digest():
+    """Scalar Gauss-Seidel V-cycles at d = 15, 5 cycles.  The digests were
+    recorded while the seed-era multigrid driver still existed and was
+    proven bit-identical to this run, so they carry its guarantee."""
     dim = 15
-    b = fig6_rhs(dim)
-    sm = GaussSeidelSmoother(1)
-    mg = MultigridExecutor(scaled_laplacian(dim), sm)
-    new = mg.run(b, n_cycles=5)
-    with pytest.warns(DeprecationWarning):
-        old_solver = MultigridSolver(dim, GaussSeidelSmoother(1),
-                                     GaussSeidelSmoother(1))
-    old = old_solver.solve(b, n_cycles=5)
-    assert new.residual_norms == old.residual_norms
-    assert np.array_equal(mg.x, old_solver.x)
-
-
-def test_deprecated_entry_points_warn_once_each():
-    with pytest.warns(DeprecationWarning, match="MultigridSolver"):
-        MultigridSolver(7, GaussSeidelSmoother(1), GaussSeidelSmoother(1))
-    with pytest.warns(DeprecationWarning, match="vcycle_experiment_run"):
-        vcycle_experiment_run(7, lambda: GaussSeidelSmoother(1),
-                              n_cycles=1)
+    mg = MultigridExecutor(scaled_laplacian(dim), GaussSeidelSmoother(1))
+    hist = mg.run(fig6_rhs(dim), n_cycles=5)
+    assert _sha(mg.x) == ("f7fd94f6915be1fb20b1302b1a94a938"
+                          "0321c7daccddbf49f0dd0b471a6c8eaa")
+    assert _sha(np.asarray(hist.residual_norms)) == (
+        "48e90d8be1b623aef03649f0b6d3d580"
+        "36c1fa4666bcf8053d6ede6096deba50")
 
 
 # ------------------------------------------------- equal relaxation budget
@@ -279,12 +273,6 @@ def test_solve_mg_trace_reconciles_end_to_end(tmp_path):
 # plane across smoothing visits; ``solve(poisson_2d(31), method="mg")``
 # at P=8, 3 cycles.  Rows are (n_parts, msgs, bytes, recvs, relaxations)
 # per level, finest first.
-def _sha(x):
-    import hashlib
-
-    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
-
-
 def _solve_pinned(smoother, **cfg):
     return solve(poisson_2d(31), method="mg",
                  config=RunConfig(n_parts=8, mg=MultigridConfig(

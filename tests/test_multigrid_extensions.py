@@ -4,9 +4,11 @@ Galerkin coarse operators, and the extra smoothers."""
 import numpy as np
 import pytest
 
+from repro.matrices.poisson import poisson_2d
 from repro.multigrid import (
+    ChebyshevSmoother,
     GaussSeidelSmoother,
-    MultigridSolver,
+    MultigridExecutor,
     RedBlackGaussSeidelSmoother,
     WeightedJacobiSmoother,
     bilinear_prolongation,
@@ -16,9 +18,17 @@ from repro.multigrid import (
 )
 from repro.sparsela import CSRMatrix
 
-# MultigridSolver is deprecated (one cycle) in favour of
-# solve(method="mg"); these tests pin the legacy behaviour until removal
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+def scaled_laplacian(dim):
+    h = 1.0 / (dim + 1)
+    return poisson_2d(dim).scale(1.0 / h ** 2)
+
+
+def vcycles(dim, smoother, b, n_cycles=9, hierarchy="geometric"):
+    """``n_cycles`` V-cycles from zero on the ``dim``² grid."""
+    mg = MultigridExecutor(scaled_laplacian(dim), smoother,
+                           hierarchy=hierarchy)
+    return mg.run(b, n_cycles=n_cycles)
 
 
 # ------------------------------------------------------- transfer matrices
@@ -69,8 +79,8 @@ def test_matmat_matches_dense(rng):
 
 # ------------------------------------------------------------- galerkin
 def test_galerkin_coarse_operator_is_spd():
-    mg = MultigridSolver(15, GaussSeidelSmoother(1), GaussSeidelSmoother(1),
-                         galerkin=True)
+    mg = MultigridExecutor(scaled_laplacian(15), GaussSeidelSmoother(1),
+                           hierarchy="galerkin")
     for level in mg.levels:
         d = level.matrix.to_dense()
         assert np.allclose(d, d.T, atol=1e-10)
@@ -81,10 +91,8 @@ def test_galerkin_vcycle_grid_independent():
     rng = np.random.default_rng(5)
     rels = []
     for dim in (15, 31, 63):
-        mg = MultigridSolver(dim, GaussSeidelSmoother(1),
-                             GaussSeidelSmoother(1), galerkin=True)
         b = rng.uniform(-1, 1, dim * dim)
-        hist = mg.solve(b, n_cycles=9)
+        hist = vcycles(dim, GaussSeidelSmoother(1), b, hierarchy="galerkin")
         rels.append(hist.final_norm / hist.initial_norm)
     assert max(rels) < 1e-6
     assert max(rels) / min(rels) < 30.0
@@ -93,12 +101,8 @@ def test_galerkin_vcycle_grid_independent():
 def test_galerkin_matches_rediscretized_accuracy():
     rng = np.random.default_rng(6)
     b = rng.uniform(-1, 1, 31 * 31)
-    redisc = MultigridSolver(31, GaussSeidelSmoother(1),
-                             GaussSeidelSmoother(1))
-    galerk = MultigridSolver(31, GaussSeidelSmoother(1),
-                             GaussSeidelSmoother(1), galerkin=True)
-    h1 = redisc.solve(b, n_cycles=9)
-    h2 = galerk.solve(b, n_cycles=9)
+    h1 = vcycles(31, GaussSeidelSmoother(1), b)
+    h2 = vcycles(31, GaussSeidelSmoother(1), b, hierarchy="galerkin")
     # both reach deep convergence; neither is catastrophically worse
     assert h1.final_norm < 1e-6 and h2.final_norm < 1e-6
 
@@ -106,29 +110,23 @@ def test_galerkin_matches_rediscretized_accuracy():
 # ------------------------------------------------------------- smoothers
 def test_weighted_jacobi_smoother_vcycle_converges():
     rng = np.random.default_rng(7)
-    mg = MultigridSolver(31, WeightedJacobiSmoother(0.8),
-                         WeightedJacobiSmoother(0.8))
     b = rng.uniform(-1, 1, 31 * 31)
-    hist = mg.solve(b, n_cycles=12)
+    hist = vcycles(31, WeightedJacobiSmoother(0.8), b, n_cycles=12)
     assert hist.final_norm / hist.initial_norm < 1e-6
 
 
 def test_plain_jacobi_is_a_worse_smoother_than_damped():
     rng = np.random.default_rng(8)
     b = rng.uniform(-1, 1, 31 * 31)
-    plain = MultigridSolver(31, WeightedJacobiSmoother(1.0),
-                            WeightedJacobiSmoother(1.0)).solve(b, 9)
-    damped = MultigridSolver(31, WeightedJacobiSmoother(0.8),
-                             WeightedJacobiSmoother(0.8)).solve(b, 9)
+    plain = vcycles(31, WeightedJacobiSmoother(1.0), b)
+    damped = vcycles(31, WeightedJacobiSmoother(0.8), b)
     assert damped.final_norm < plain.final_norm
 
 
 def test_red_black_gs_smoother_vcycle():
     rng = np.random.default_rng(9)
-    mg = MultigridSolver(31, RedBlackGaussSeidelSmoother(),
-                         RedBlackGaussSeidelSmoother())
     b = rng.uniform(-1, 1, 31 * 31)
-    hist = mg.solve(b, n_cycles=9)
+    hist = vcycles(31, RedBlackGaussSeidelSmoother(), b)
     assert hist.final_norm / hist.initial_norm < 1e-6
 
 
@@ -162,11 +160,11 @@ def test_smoother_validation_extras():
 
 # ------------------------------------------------------------- chebyshev
 def test_chebyshev_smoother_vcycle_grid_independent():
-    from repro.multigrid import ChebyshevSmoother, vcycle_experiment_run
-
-    rels = [vcycle_experiment_run(d, lambda: ChebyshevSmoother(degree=2),
-                                  seed=0)
-            for d in (15, 31, 63)]
+    rels = []
+    for d in (15, 31, 63):
+        b = np.random.default_rng(0).uniform(-1.0, 1.0, d * d)
+        hist = vcycles(d, ChebyshevSmoother(degree=2), b)
+        rels.append(hist.final_norm / hist.initial_norm)
     assert max(rels) < 1e-2
     assert max(rels) / min(rels) < 10.0
 
@@ -174,8 +172,6 @@ def test_chebyshev_smoother_vcycle_grid_independent():
 def test_chebyshev_as_solver_with_full_spectrum(poisson_100, rng):
     """With the polynomial covering the whole spectrum and high degree,
     Chebyshev converges as a standalone solver."""
-    from repro.multigrid import ChebyshevSmoother
-
     b = rng.standard_normal(100)
     sm = ChebyshevSmoother(degree=120, eig_ratio=5000.0)
     x = sm.smooth(poisson_100, np.zeros(100), b)
@@ -184,8 +180,6 @@ def test_chebyshev_as_solver_with_full_spectrum(poisson_100, rng):
 
 
 def test_chebyshev_caches_eigenvalue_estimate(poisson_100, rng):
-    from repro.multigrid import ChebyshevSmoother
-
     sm = ChebyshevSmoother(degree=2)
     b = rng.standard_normal(100)
     sm.smooth(poisson_100, np.zeros(100), b)
@@ -199,50 +193,7 @@ def test_chebyshev_caches_eigenvalue_estimate(poisson_100, rng):
 
 
 def test_chebyshev_validation():
-    from repro.multigrid import ChebyshevSmoother
-
     with pytest.raises(ValueError):
         ChebyshevSmoother(degree=0)
     with pytest.raises(ValueError):
         ChebyshevSmoother(eig_ratio=1.0)
-
-
-# -------------------------------------------------------- W-cycles / FMG
-def test_wcycle_converges_at_least_as_fast_as_vcycle():
-    rng = np.random.default_rng(11)
-    b = rng.uniform(-1, 1, 31 * 31)
-    mgv = MultigridSolver(31, GaussSeidelSmoother(1), GaussSeidelSmoother(1))
-    mgw = MultigridSolver(31, GaussSeidelSmoother(1), GaussSeidelSmoother(1))
-    xv = np.zeros(31 * 31)
-    xw = np.zeros(31 * 31)
-    for _ in range(5):
-        xv = mgv.vcycle(xv, b)
-        xw = mgw.wcycle(xw, b)
-    A = mgv.fine_level.matrix
-    rv = np.linalg.norm(b - A.matvec(xv))
-    rw = np.linalg.norm(b - A.matvec(xw))
-    assert rw <= rv * 1.05
-
-
-def test_fmg_beats_single_vcycle_from_zero():
-    rng = np.random.default_rng(12)
-    b = rng.uniform(-1, 1, 63 * 63)
-    mg = MultigridSolver(63, GaussSeidelSmoother(1), GaussSeidelSmoother(1))
-    x_fmg = mg.fmg(b)
-    x_v = mg.vcycle(np.zeros(63 * 63), b)
-    A = mg.fine_level.matrix
-    r_fmg = np.linalg.norm(b - A.matvec(x_fmg))
-    r_v = np.linalg.norm(b - A.matvec(x_v))
-    assert r_fmg < r_v
-
-
-def test_fmg_reaches_good_accuracy_in_one_pass():
-    rng = np.random.default_rng(13)
-    b = rng.uniform(-1, 1, 31 * 31)
-    mg = MultigridSolver(31, GaussSeidelSmoother(1), GaussSeidelSmoother(1))
-    x = mg.fmg(b)
-    A = mg.fine_level.matrix
-    rel = np.linalg.norm(b - A.matvec(x)) / np.linalg.norm(b)
-    # one FMG pass with a single V-cycle per level lands around 1e-1
-    # relative algebraic residual (discretisation-accuracy territory)
-    assert rel < 0.15

@@ -7,8 +7,8 @@ same strict one the flat plane carries against the object plane:
 ``MessageStats`` — including under a seeded lossy ``FaultPlan`` — for
 every method that supports the flat path.  These tests pin that
 contract, the graceful ``shm-unavailable`` degradation (both branches),
-the int32 slab-index fast path, the worker-count knob, the pool
-mechanics, and the optional mpi4py transport's import gating.
+the int32 slab-index fast path, the worker-count knob and the pool
+mechanics.
 """
 
 from __future__ import annotations
@@ -265,22 +265,3 @@ def test_private_arena_copies():
     z = PRIVATE_ARENA.take(4, np.int64)
     assert z.shape == (4,) and not z.any()
 
-
-# ----------------------------------------------------------------------
-# optional mpi4py transport: import gating
-# ----------------------------------------------------------------------
-def test_mpiplane_imports_without_mpi4py():
-    from repro.runtime import mpiplane
-    assert isinstance(mpiplane.mpi_available(), bool)
-    if mpiplane.mpi_available():
-        pytest.skip("mpi4py present: constructor gating not reachable")
-    with pytest.raises(RuntimeError, match="mpi4py"):
-        mpiplane.MpiEdgePlane([0], [4])
-
-
-def test_mpiplane_validates_shapes():
-    from repro.runtime import mpiplane
-    if not mpiplane.mpi_available():
-        pytest.skip("needs mpi4py")
-    with pytest.raises(ValueError):
-        mpiplane.MpiEdgePlane([0, 1], [4], comm=None)
