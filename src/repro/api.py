@@ -387,19 +387,21 @@ def solve(A: CSRMatrix, b: np.ndarray | None = None,
           config: RunConfig | None = None, **overrides) -> SolveResult:
     """Run one distributed method end to end (the package front door).
 
-    ``b`` defaults to zero with a random ``x0`` scaled so ``‖r⁰‖₂ = 1``
-    (the paper's Section 4.2 setup).  ``method`` may be a name
-    (``'block-jacobi'``, ``'parallel-southwell'``,
-    ``'distributed-southwell'``, ``'mg'``) or an already-built method
-    instance (whose system is then reused).  Keyword ``overrides`` are
-    :class:`RunConfig` fields applied on top of ``config``::
+    ``x0`` defaults to zero, ``b`` to zero with (if ``x0`` is omitted too)
+    a random ``x0`` scaled so ``‖r⁰‖₂ = 1`` (the paper's Section 4.2
+    setup).  ``method`` may be a name (``'block-jacobi'``,
+    ``'parallel-southwell'``, ``'distributed-southwell'``, ``'mg'``) or an
+    already-built method instance (whose system is then reused).  Keyword
+    ``overrides`` are :class:`RunConfig` fields applied on top of
+    ``config``::
 
         solve(A, method="distributed-southwell",
               config=RunConfig(n_parts=64, trace="run.jsonl"))
         solve(A, n_parts=64, max_steps=100)      # config built for you
 
-    ``A``, ``b`` and ``x0`` must be finite: a NaN or Inf raises
-    :class:`ValueError` naming the argument before any set-up runs.
+    ``A``, ``b``, ``x0`` must be finite, ``b``, ``x0`` of shape ``(n,)``
+    and ``A``'s diagonal non-negative, else :class:`ValueError` names
+    the argument (or row) before any set-up runs.
 
     ``method="mg"`` runs communication-aware multigrid V-cycles
     (DESIGN.md §5.16) tuned by ``RunConfig.mg``
@@ -443,12 +445,28 @@ def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
     """The one real driver behind :func:`solve` and the legacy wrappers."""
     # min/max propagate NaN and expose ±Inf without the n-sized boolean
     # temporary np.isfinite(values) would add to the run's peak RSS
+    n = A.n_rows
     for arg, values in (("A", A.data), ("b", b), ("x0", x0)):
         if values is None:
             continue
         v = np.asarray(values)
+        if arg != "A" and v.shape != (n,):
+            raise ValueError(f"{arg} must be 1-D of length {n} (the matrix "
+                             f"size), got shape {v.shape}")
         if v.size and not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError(f"{arg} contains non-finite values (NaN or Inf)")
+    # diagonal signs in row chunks of ≈ n entries (A.diagonal() would
+    # cache an nnz-sized row-id array)
+    step = max(1, n * n // max(A.nnz, 1))
+    for r0 in range(0, n, step):
+        p = A.indptr[r0:r0 + step + 1]
+        rows = np.repeat(np.arange(r0, r0 + p.size - 1), np.diff(p))
+        bad = (A.indices[p[0]:p[-1]] == rows) & (A.data[p[0]:p[-1]] < 0.0)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(
+                f"A has a negative diagonal entry {A.data[p[0] + k]!r} at row "
+                f"{int(rows[k])}; the methods need a positive diagonal")
     if method == "mg":
         return _solve_multigrid(A, x0, b, cfg)
     trace_path: str | None = None
@@ -495,12 +513,14 @@ def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
                                       seed=cfg.seed, tracer=tracer,
                                       faults=plan)
             name = method
-        if x0 is None or b is None:
-            rng = np.random.default_rng(cfg.seed)
-            x0 = rng.uniform(-1.0, 1.0, A.n_rows)
+        if b is None:
             b = np.zeros(A.n_rows)
-            r0 = b - A.matvec(x0)
-            x0 = x0 / np.linalg.norm(r0)
+            if x0 is None:          # the Section 4.2 start
+                x0 = np.random.default_rng(cfg.seed).uniform(
+                    -1.0, 1.0, A.n_rows)
+                x0 = x0 / np.linalg.norm(A.matvec(x0))
+        elif x0 is None:
+            x0 = np.zeros(A.n_rows)
         executor = None
         if runtime_mode() == "async":
             acfg = cfg.async_config or AsyncConfig()

@@ -927,11 +927,10 @@ class AsyncExecutor:
             # ---- phase 3: relax every winner (rank-local state only)
             relax_df = np.zeros(n)
             widx = np.flatnonzero(win)
-            for k in widx.tolist():
-                p = int(ranks[k])
-                f0 = flops[p]
-                runner._relax_one_flat(p)
-                relax_df[k] = float(flops[p] - f0)
+            wr = ranks[widx]
+            f0 = flops[wr]
+            runner._relax_ranks(wr)
+            relax_df[widx] = flops[wr] - f0
 
             # ---- phase 4: replay clock charges, sends and repairs in
             # scalar turn order (sends must land in turn order: fate

@@ -48,6 +48,19 @@ from repro.trace import NULL_TRACER, tracer_from_config
 
 __all__ = ["BlockMethodBase"]
 
+#: BLAS ``ddot`` with the least dispatch (same bits as ``np.dot``)
+_dot = np.ndarray.dot
+#: rows costing about one python dispatch to relax: the batched relax runs
+#: on blocks averaging at most this many rows and bridges shorter gaps
+#: between winners (measured crossover ≈ 150 rows/block, 5-point stencil)
+_BATCH_ROWS = 128
+
+
+def _rank_views(store: np.ndarray, cut: np.ndarray) -> list[np.ndarray]:
+    """Views ``store[cut[p]:cut[p + 1]]``, one per rank."""
+    cut = cut.tolist()
+    return [store[lo:hi] for lo, hi in zip(cut, cut[1:])]
+
 
 class BlockMethodBase:
     """State and primitives common to Block Jacobi, PS and DS.
@@ -69,6 +82,8 @@ class BlockMethodBase:
     """
 
     name = "block-method"
+    #: damping of every flat-path local update (Block Jacobi's ``omega``)
+    omega = 1.0
 
     def __init__(self, system: BlockSystem, cost_model: CostModel = CORI_LIKE,
                  delay_probability: float = 0.0, seed: int = 0,
@@ -396,19 +411,48 @@ class BlockMethodBase:
         # add is exactly the object path's per-charge sum
         self._solver_call = [getattr(s, "apply_fast", None) or s.apply
                              for s in sysm.local_solvers]
-        self._relax_flops = [
+        self._relax_flops = np.array([
             s.flops + 2.0 * B.nnz + 2.0 * B.n_rows
             + (0.0 if F is None else 2.0 * F.nnz)
             for s, B, F in zip(sysm.local_solvers, sysm.diag_blocks,
-                               sysm.fanout)]
+                               sysm.fanout)])
         # per-sender contiguous delta slab over the mailbox backing store
         self._vals_slab = self._rank_slabs(plane.vals_flat)
+        # coupling row k is mailbox entry k, so rank p's fan-out rows are
+        # its mailbox slab ``_fan_rows[p]:_fan_rows[p + 1]``
+        self._fan_rows = sysm.edge_rows[off]
+        self._relax_csr = None              # built by _relax_plans
+
+    def _relax_plans(self) -> list:
+        """The batched-relax plans, built at first use (a scalar async run
+        never holds them): per store (diagonal blocks, couplings) its
+        global-column CSR, rank cut, scratch output and per-rank row ids;
+        empty above :data:`_BATCH_ROWS` rows per block (relax per rank)."""
+        if self._relax_csr is not None:
+            return self._relax_csr
+        sysm, rstart = self.system, self._rstart
+        self._relax_csr = []
+        if sysm.n > _BATCH_ROWS * sysm.n_parts:
+            return self._relax_csr
+        d_ptr, d_idx, d_data, c_ptr, c_idx, c_data = sysm.stores[:6]
+        cdt = np.int32 if max(c_idx.size, d_idx.size, sysm.n) <= \
+            _INT32_LIMIT else np.int64
+        self._relax_csr = [
+            (ptr.astype(cdt), idx.astype(cdt) + np.repeat(
+                rstart[:-1].astype(cdt), np.diff(ptr[cut])), data,
+             cut.tolist(), np.zeros(ptr.size - 1),
+             _rank_views(np.arange(ptr.size - 1), cut))
+            for ptr, idx, data, cut in ((d_ptr, d_idx, d_data, rstart),
+                                        (c_ptr, c_idx, c_data,
+                                         self._fan_rows))]
+        self._dx_flat = np.zeros(sysm.n)
+        self._csr_kernel = get_backend().csr_matvec
+        return self._relax_csr
 
     def _rank_slabs(self, store: np.ndarray) -> list[np.ndarray]:
         """Per-rank contiguous views of a vals-shaped backing store (a
         rank's out-edges, hence its regions, are consecutive)."""
-        cut = self.engine.flat.vals_off[self._nbr_off].tolist()
-        return [store[lo:hi] for lo, hi in zip(cut, cut[1:])]
+        return _rank_views(store, self.engine.flat.vals_off[self._nbr_off])
 
     # ------------------------------------------------------------------
     # fault plane (DESIGN.md §5.11)
@@ -419,7 +463,6 @@ class BlockMethodBase:
         plane = self.engine.flat
         self._cum_flat = np.zeros_like(plane.vals_flat)
         self._applied_flat = np.zeros_like(plane.vals_flat)
-        self._cum_slab = self._rank_slabs(self._cum_flat)
 
     def _reset_lossy_state(self) -> None:
         """Zero the cumulative self-healing solve-payload state.
@@ -461,15 +504,16 @@ class BlockMethodBase:
         cum += delta
         return cum.copy()
 
-    def _lossy_finalize_send(self, p: int) -> None:
+    def _lossy_finalize_send(self, idx) -> None:
         """Flat-path counterpart of :meth:`_outgoing_vals`: swap the
-        just-relaxed raw delta slab for the running per-edge sum (the
-        wire payload under a lossy plan).  Callers invoke it *after* any
-        use of the raw deltas — the DS ghost update needs them — with
-        the same ``cum + delta`` add order as the object path."""
-        cs = self._cum_slab[p]
-        cs += self._vals_slab[p]
-        self._vals_slab[p][:] = cs
+        just-relaxed raw deltas at mailbox positions ``idx`` (a slice or
+        an index array) for the running per-edge sums (the wire payload
+        under a lossy plan).  Callers invoke it *after* any use of the
+        raw deltas — the DS ghost update needs them — with the same
+        ``cum + delta`` add order as the object path."""
+        cum = self._cum_flat
+        cum[idx] += self.engine.flat.vals_flat[idx]
+        self.engine.flat.vals_flat[idx] = cum[idx]
 
     def _apply_update(self, p: int, msg) -> bool:
         """Apply one solve message's boundary values to ``r_p``; returns
@@ -677,15 +721,71 @@ class BlockMethodBase:
     # shared-memory execution plane (DESIGN.md §5.12)
     # ------------------------------------------------------------------
     def _relax_one_flat(self, p: int) -> None:
-        """One rank's complete relax-phase body on the flat plane.
-
-        The single-process flat step runs it per winner; the shm plane's
-        workers run it for their owned winners.  Subclasses extend it
-        with their per-winner post-relax work (DS's line-15 ghost
-        update, BJ's damping)."""
+        """One rank's relax-phase body: the scalar async scheduler's turn
+        (a one-rank batch costs more) and the batch's form on large
+        blocks.  DS extends it with its line-15 ghost update."""
         self._relax_send(p)
         if self._lossy:
-            self._lossy_finalize_send(p)
+            self._lossy_finalize_send(slice(*self._fan_rows[p:p + 2]))
+
+    def _relax_ranks(self, winners: np.ndarray) -> None:
+        """The relax phase of the distinct ranks ``winners`` (trace events
+        in their order) as one batched kernel, bit-identical to
+        :meth:`_relax_one_flat` per rank: a winner touches only its own
+        rows, mailbox slab, ghosts and Γ (DESIGN.md §5.8)."""
+        if winners.size == 0 or not self._relax_plans():
+            for p in winners.tolist():      # large blocks (see the plans)
+                self._relax_one_flat(p)
+            return
+        if self.tracer.enabled:
+            self._trace_relax(winners)
+        vidx = self._relax_batch(winners)
+        if self._lossy:
+            self._lossy_finalize_send(vidx)
+
+    def _relax_batch(self, W: np.ndarray) -> np.ndarray:
+        """:meth:`_relax_send` for all of ``W``; returns their fan-outs'
+        mailbox positions.  Solves and ``‖r_p‖`` dots stay per block
+        (DESIGN.md §5.8); every product row sums the same entries in the
+        same order as the per-block matvec."""
+        wl, rb, call = W.tolist(), self.r_blocks, self._solver_call
+        row_ids, fan_ids = self._relax_csr[0][-1], self._relax_csr[1][-1]
+        rows = np.concatenate([row_ids[p] for p in wl])
+        blocks = [rb[p] for p in wl]
+        dx = np.concatenate([call[p](r) for p, r in zip(wl, blocks)])
+        if self.omega != 1.0:
+            dx *= self.omega
+        g = self._dx_flat
+        g[rows] = dx
+        # rank ranges of the matvecs' contiguous runs: winners fewer than
+        # _BATCH_ROWS rows apart share one, since computing the rows
+        # between them costs less than another kernel call
+        rs, runs = self._relax_csr[0][3], []
+        for p in sorted(wl):
+            if runs and rs[p] - rs[runs[-1][1]] <= _BATCH_ROWS:
+                runs[-1][1] = p + 1
+            else:
+                runs.append([p, p + 1])
+        self._r_flat[rows] -= self._span_matvec(0, runs, g)[rows]
+        self._x_flat[rows] += dx
+        self.norms[W] = np.sqrt(list(map(_dot, blocks, blocks)))
+        self._flops[W] += self._relax_flops[W]
+        self.total_relaxations += rows.size
+        # A (−dx), as in _relax_send (−(A dx) differs in zero signs)
+        g[rows] = np.negative(dx, out=dx)
+        vidx = np.concatenate([fan_ids[p] for p in wl])
+        self.engine.flat.vals_flat[vidx] = self._span_matvec(1, runs, g)[vidx]
+        return vidx
+
+    def _span_matvec(self, k: int, runs: list, x: np.ndarray) -> np.ndarray:
+        """Store ``k`` (0 = diagonal blocks, 1 = couplings) times ``x`` on
+        the rank ranges ``runs``, into the store's scratch output."""
+        ptr, cols, data, cut, out, _ = self._relax_csr[k]
+        for p, q in runs:
+            a, b = cut[p], cut[q]
+            if b > a:
+                self._csr_kernel(ptr[a:b + 1], cols, data, x, out[a:b])
+        return out
 
     def _flat_relax_phase(self, relaxed: np.ndarray) -> None:
         """Run the relax phase for every winner in ``relaxed`` — on the
@@ -694,23 +794,22 @@ class BlockMethodBase:
             if relaxed.any():
                 self._shm_relax_epoch(relaxed)
             return
-        for p in np.flatnonzero(relaxed).tolist():
-            self._relax_one_flat(p)
+        self._relax_ranks(np.flatnonzero(relaxed))
 
     def _shm_relax_epoch(self, relaxed: np.ndarray) -> None:
         if self.tracer.enabled:
-            self._shm_trace_relax(relaxed)
+            self._trace_relax(np.flatnonzero(relaxed))
         self._shm.relax_epoch(relaxed)
         # the workers' own counters never cross the fork; the total is
         # deterministic (each winner relaxes its whole block)
         self.total_relaxations += int(self._block_sizes[relaxed].sum())
 
-    def _shm_trace_relax(self, relaxed: np.ndarray) -> None:
-        """Replicate the per-winner trace events the workers would have
-        emitted (they run with a null tracer), in the sequential winner
-        loop's rank order.  Subclasses mirror their extra events."""
+    def _trace_relax(self, winners: np.ndarray) -> None:
+        """The per-winner trace events of a relax phase, in ``winners``
+        order — also replayed by the driver for the shm workers, which
+        run with a null tracer.  Subclasses add their extra events."""
         trc = self.tracer
-        for p in np.flatnonzero(relaxed).tolist():
+        for p in winners.tolist():
             trc.relax(p)
 
     def _shm_apply_epoch(self, plane) -> None:
@@ -775,10 +874,7 @@ class BlockMethodBase:
     def _shm_exec(self, w: int, cmd: int, lo: int, hi: int) -> None:
         """Worker-side command dispatch (runs inside the forked pool)."""
         if cmd == CMD_RELAX:
-            winners = self._shm.winners
-            for p in range(lo, hi):
-                if winners[p]:
-                    self._relax_one_flat(p)
+            self._relax_ranks(np.flatnonzero(self._shm.winners[lo:hi]) + lo)
         elif cmd == CMD_APPLY:
             self._shm_apply_range(lo, hi)
         else:   # pragma: no cover - protocol invariant
@@ -787,7 +883,7 @@ class BlockMethodBase:
     def _shm_worker_init(self, w: int) -> None:
         """Runs in each worker right after the fork: workers must not
         emit trace events — the driver replicates them deterministically
-        (:meth:`_shm_trace_relax`) so trace files stay identical."""
+        (:meth:`_trace_relax`) so trace files stay identical."""
         self.tracer = NULL_TRACER
         self.engine.flat.tracer = NULL_TRACER
 
@@ -812,6 +908,7 @@ class BlockMethodBase:
 
         plane = self.engine.flat
         shm = None
+        self._relax_plans()     # before the fork: the workers share them
         try:
             movables = self._shm_movables()
             extra = (sum(int(a.nbytes) for a in movables)
@@ -873,7 +970,6 @@ class BlockMethodBase:
         if self._lossy:
             self._cum_flat = arena.move(self._cum_flat)
             self._applied_flat = arena.move(self._applied_flat)
-            self._cum_slab = self._rank_slabs(self._cum_flat)
         self._shm_rehome_extra(arena)
 
     def _shm_rehome_extra(self, arena) -> None:
@@ -924,8 +1020,8 @@ class BlockMethodBase:
             self.tracer.relax(p)
         r_p = self.r_blocks[p]
         dx = solver.apply(r_p)
-        if damping != 1.0:
-            dx *= damping               # dx is fresh from the solver
+        if self.omega != 1.0:
+            dx *= self.omega            # dx is fresh from the solver
         self.engine.charge_flops(p, solver.flops)
         App = sysm.diag_blocks[p]
         ws = self._ws_Ax[p]
@@ -950,7 +1046,7 @@ class BlockMethodBase:
             self.engine.charge_flops(p, 2.0 * block.nnz)
         return deltas
 
-    def _relax_send(self, p: int, damping: float = 1.0) -> None:
+    def _relax_send(self, p: int) -> None:
         """Flat-path :meth:`relax`: deltas land straight in the mailboxes
         (the plan buffers alias them), no deltas dict, dispatch hoisted.
 
@@ -965,8 +1061,8 @@ class BlockMethodBase:
             self.tracer.relax(p)
         r_p = self.r_blocks[p]
         dx = self._solver_call[p](r_p)
-        if damping != 1.0:
-            dx *= damping               # dx is fresh from the solver
+        if self.omega != 1.0:
+            dx *= self.omega            # dx is fresh from the solver
         ws = self._ws_Ax[p]
         self._mv_diag[p](dx, ws)
         r_p -= ws

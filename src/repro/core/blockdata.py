@@ -86,6 +86,12 @@ class BlockSystem:
         return (_from_stores, self._pickle_args)
 
     @property
+    def stores(self) -> tuple:
+        """The stores the blocks view (DESIGN.md §5.1), ``(d_ptr, d_idx,
+        d_data, c_ptr, c_idx, c_data, ...)``; columns block-local."""
+        return self._pickle_args[4]
+
+    @property
     def n(self) -> int:
         return self.A.n_rows
 

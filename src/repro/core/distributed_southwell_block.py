@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.block_base import BlockMethodBase
+from repro.core.block_base import BlockMethodBase, _dot, _rank_views
 from repro.faults import FATE_STALE
 from repro.runtime import CATEGORY_RESIDUAL, CATEGORY_SOLVE
 from repro.runtime.flatplane import multi_arange
@@ -113,6 +113,8 @@ class DistributedSouthwell(BlockMethodBase):
         voff = self.engine.flat.vals_off
         self._bind_ghost_views(np.empty(int(voff[-1])))
         self._ghost_flops = 4.0 * np.diff(voff[self._nbr_off])
+        # per-rank slab positions: the batched relax's Γ index plan
+        self._slab_ids = _rank_views(np.arange(self._nbr_flat.size), off)
         # wire size of the residual message at every (owner,
         # neighbor) slab position — the deadlock scan sums its
         # per-sender byte charges by slab index
@@ -378,15 +380,11 @@ class DistributedSouthwell(BlockMethodBase):
 
     # ------------------------------------------------------------------
     def _relax_one_flat(self, p: int) -> None:
-        """DS's relax-phase body, identical on the driver and on a shm
-        worker: relax, then line 15 — update ghosts + estimates locally,
-        no messages.  The slab add applies every neighbor's delta at
-        once (ghost slab and delta slab share layout); the contribution
-        dots stay per neighbor — same values in the same order as the
-        object path's per-edge updates (scalar arithmetic runs on python
-        floats: same IEEE doubles, less interpreter overhead).  Under a
-        lossy plan the ghost update consumes the raw deltas first; the
-        wire payload is the cumulative per-edge sum."""
+        """DS's per-rank relax-phase body: relax, then line 15 — ghosts and
+        estimates updated locally, no messages: one slab add (ghost and
+        delta slabs share layout), then per-neighbor dots in the object
+        path's order.  Under a lossy plan the ghost update consumes the
+        raw deltas before the cumulative wire payload replaces them."""
         self._relax_send(p)             # raw deltas land in plane.vals
         if self.ghost_estimation:
             if self.tracer.enabled:
@@ -404,16 +402,31 @@ class DistributedSouthwell(BlockMethodBase):
             gseg[:] = gl
             self._flops[p] += self._ghost_flops[p]
         if self._lossy:
-            self._lossy_finalize_send(p)
+            self._lossy_finalize_send(slice(*self._fan_rows[p:p + 2]))
 
-    def _shm_trace_relax(self, relaxed) -> None:
-        # mirror of the worker-side per-winner events, in loop order:
-        # relax(p) (inside _relax_send) then ghosts(p, ...) per winner
+    def _relax_batch(self, W: np.ndarray) -> np.ndarray:
+        """The batched relax plus line 15: one ghost add, one Γ update;
+        the contribution dots stay per layer (``ddot`` bits), one pass."""
+        vidx = super()._relax_batch(W)
+        if self.ghost_estimation:
+            wl, gv = W.tolist(), self._ghost_views
+            views = [z for p in wl for z in gv[p]]
+            olds = np.array(list(map(_dot, views, views)))
+            self._ghost_flat[vidx] += self.engine.flat.vals_flat[vidx]
+            news = np.array(list(map(_dot, views, views)))
+            spos = np.concatenate([self._slab_ids[p] for p in wl])
+            est = self._gamma_flat[spos] - olds + news
+            self._gamma_flat[spos] = np.where(news > est, news, est)
+            self._flops[W] += self._ghost_flops[W]
+        return vidx
+
+    def _trace_relax(self, winners) -> None:
+        # per winner relax(p), then ghosts(p, ...), as the per-rank body
         if not self.ghost_estimation:
-            super()._shm_trace_relax(relaxed)
+            super()._trace_relax(winners)
             return
         trc = self.tracer
-        for p in np.flatnonzero(relaxed).tolist():
+        for p in winners.tolist():
             trc.relax(p)
             trc.ghosts(p, self.system.neighbors_of(p))
 

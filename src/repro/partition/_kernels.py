@@ -20,14 +20,7 @@ implementation here must reproduce the seed's decisions exactly:
     and rollback stay whole-array.  IEEE float64 arithmetic and tuple
     ordering are value-identical between numpy scalars and Python
     floats, so the decision sequence — and hence the matching and the
-    refined bisection — is unchanged.  A whole-array *rounds* matcher
-    (:func:`_hem_match_rounds`) simulates the sequential random-order
-    greedy exactly by committing, per round, every vertex whose visit
-    rank is minimal within graph distance ≤ 2 (its decision then
-    provably cannot be affected by any unresolved earlier-ranked vertex,
-    and committed vertices are pairwise far enough apart not to
-    conflict); it is opt-in via :data:`HEM_ROUNDS_MIN_VERTICES` for
-    denser graphs where per-slot Python-loop cost dominates.
+    refined bisection — is unchanged.
 ``make_numba_kernels``
     Optional nopython versions (via the ``numba`` backend).  The FM
     kernel embeds an exact replica of CPython's binary-heap routines so
@@ -47,15 +40,6 @@ __all__ = [
     "hem_match_reference",
     "make_numba_kernels",
 ]
-
-#: vertex count above which matching runs as whole-array rounds instead
-#: of the flat-list scan.  On the suite's mesh-like graphs (degree ~5,
-#: diameter-limited round count) the list scan wins at every size
-#: measured (3.8 ms vs 8.7 ms at n = 12100), so the default disables the
-#: rounds path; it is kept (and cross-validated in the tests) because its
-#: cost scales with round count rather than nnz, which pays off on
-#: denser graphs.
-HEM_ROUNDS_MIN_VERTICES: int | None = None
 
 
 # ----------------------------------------------------------------------
@@ -83,16 +67,7 @@ def hem_match_reference(g, perm: np.ndarray) -> np.ndarray:
 
 
 def hem_match_fast(g, perm: np.ndarray) -> np.ndarray:
-    """Decision-identical matcher: flat lists by default, whole-array
-    rounds above :data:`HEM_ROUNDS_MIN_VERTICES` when that is set."""
-    if (HEM_ROUNDS_MIN_VERTICES is not None
-            and g.n_vertices >= HEM_ROUNDS_MIN_VERTICES):
-        return _hem_match_rounds(g, perm)
-    return _hem_match_lists(g, perm)
-
-
-def _hem_match_lists(g, perm: np.ndarray) -> np.ndarray:
-    """Flat-list sequential matcher.
+    """Decision-identical flat-list sequential matcher.
 
     The strict ``>`` keeps the *first* maximum-weight free neighbor,
     which is exactly the seed's ``cand[np.argmax(wgts[free])]``; edge
@@ -118,83 +93,6 @@ def _hem_match_lists(g, perm: np.ndarray) -> np.ndarray:
         else:
             match[u] = u
     return np.array(match, dtype=np.int64)
-
-
-def _segmin(values: np.ndarray, starts_nz: np.ndarray, nz_mask: np.ndarray,
-            n: int, fill) -> np.ndarray:
-    """Per-CSR-segment minimum of ``values``; empty segments get ``fill``.
-
-    ``reduceat`` must only see non-empty segment starts: a clipped start
-    for a trailing empty segment would silently truncate the *previous*
-    segment's range.
-    """
-    out = np.full(n, fill, dtype=values.dtype)
-    if starts_nz.size:
-        out[nz_mask] = np.minimum.reduceat(values, starts_nz)
-    return out
-
-
-def _hem_match_rounds(g, perm: np.ndarray) -> np.ndarray:
-    """Exact whole-array simulation of the sequential random-order greedy.
-
-    Per round, the *frontier* F is every unresolved vertex whose visit
-    rank is a minimum among unresolved vertices within graph distance
-    ≤ 2.  When such a vertex's turn comes in the sequential order, no
-    unresolved earlier-ranked vertex can still change its neighborhood
-    (any vertex able to do so is within distance 2), so its greedy
-    decision is already determined — and distinct frontier vertices are
-    mutually > distance 2 apart, so their decisions commute.  Each round
-    resolves F (and its grabbed partners) with the same
-    heaviest-free-neighbor / first-tie rule as the scalar loop.
-    """
-    n = g.n_vertices
-    xadj, adj, wgt = g.xadj, g.adjncy, g.adjwgt
-    deg = np.diff(xadj)
-    match = np.full(n, -1, dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[perm] = np.arange(n)
-    INF = n
-    nz = deg > 0
-    starts_nz = xadj[:-1][nz]
-    unres = rank.copy()               # rank while unmatched, else INF
-    while True:
-        m1 = _segmin(unres[adj], starts_nz, nz, n, INF)
-        np.minimum(m1, unres, out=m1)
-        m2 = _segmin(m1[adj], starts_nz, nz, n, INF)
-        np.minimum(m2, unres, out=m2)
-        F = np.flatnonzero((unres < INF) & (m2 == unres))
-        if F.size == 0:
-            break
-        dF = deg[F]
-        tot = int(dF.sum())
-        if tot:
-            segs = np.repeat(np.arange(F.size), dF)
-            sF = np.cumsum(dF) - dF
-            within = np.arange(tot) - sF[segs]
-            pos = xadj[F][segs] + within
-            nb = adj[pos]
-            free = match[nb] < 0
-            w_eff = np.where(free, wgt[pos], -np.inf)
-            nzF = dF > 0
-            segmax = np.full(F.size, -np.inf)
-            segmax[nzF] = np.maximum.reduceat(w_eff, sF[nzF])
-            has_free = segmax > -np.inf
-            # first slot achieving the max = np.argmax tie-break
-            hit = w_eff == segmax[segs]
-            within_masked = np.where(hit, within, tot)
-            first = np.zeros(F.size, dtype=np.int64)
-            first[nzF] = np.minimum.reduceat(within_masked, sF[nzF])
-            u_match = F[has_free]
-            b_match = adj[xadj[u_match] + first[has_free]]
-            match[u_match] = b_match
-            match[b_match] = u_match
-            unres[b_match] = INF
-            u_self = F[~has_free]
-            match[u_self] = u_self
-        else:
-            match[F] = F
-        unres[F] = INF
-    return match
 
 
 # ----------------------------------------------------------------------

@@ -120,13 +120,6 @@ class BlockJacobi(BlockMethodBase):
         self.engine.close_step()
         return int(relaxed.sum())
 
-    def _relax_one_flat(self, p: int) -> None:
-        """BJ's relax-phase body: the damped relax plus, under a lossy
-        plan, the cumulative-payload finalize."""
-        self._relax_send(p, damping=self.omega)
-        if self._lossy:
-            self._lossy_finalize_send(p)
-
     def _step_flat(self) -> int:
         """Same two phases over the preallocated flat-buffer plane.
 

@@ -128,6 +128,15 @@ class KernelBackend:
             _mv(_A, x, out=out)
         return plan
 
+    def csr_matvec(self, indptr: np.ndarray, indices: np.ndarray,
+                   data: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+        """``out = A @ x`` over raw CSR arrays whose ``indptr`` may be a
+        slice of a larger store's; rows sum in entry order, as matvec."""
+        lo, hi = int(indptr[0]), int(indptr[-1])
+        rows = np.repeat(np.arange(out.size), np.diff(indptr))
+        out[:] = np.bincount(rows, weights=data[lo:hi] * x[indices[lo:hi]],
+                             minlength=out.size)
+
     def rmatvec(self, A, y: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
         """``A.T @ y`` without forming the transpose."""
@@ -283,6 +292,12 @@ class SciPyBackend(KernelBackend):
             out[:] = 0.0
             _kernel(_m, _n, _indptr, _indices, _data, x, out)
         return plan
+
+    def csr_matvec(self, indptr, indices, data, x, out):
+        if self._csr_matvec is None:  # pragma: no cover - scipy too old
+            return super().csr_matvec(indptr, indices, data, x, out)
+        out[:] = 0.0
+        self._csr_matvec(out.size, x.size, indptr, indices, data, x, out)
 
     def rmatvec(self, A, y, out=None):
         S = A.to_scipy()

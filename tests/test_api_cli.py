@@ -69,6 +69,36 @@ def test_solve_rejects_non_finite_input(arg, kind, bad):
         solve(A, b, x0=x0, **_RUN_KINDS[kind])
 
 
+@pytest.mark.parametrize("kind", sorted(_RUN_KINDS))
+@pytest.mark.parametrize("arg", ["b", "x0"])
+@pytest.mark.parametrize("shape", [(10,), (49, 1), ()], ids=str)
+def test_solve_rejects_misshaped_vectors(arg, kind, shape):
+    """``b``/``x0`` must be 1-D of the matrix size — also when the other
+    one is omitted."""
+    A = poisson_2d(7).scale(64.0)
+    with pytest.raises(ValueError, match=f"^{arg} must be 1-D of length 49"):
+        solve(A, **{arg: np.ones(shape)}, **_RUN_KINDS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_KINDS))
+def test_solve_rejects_negative_diagonal(kind):
+    A = poisson_2d(7).scale(64.0)
+    row = 5
+    A.data[A.indptr[row] + np.flatnonzero(
+        A.indices[A.indptr[row]:A.indptr[row + 1]] == row)[0]] *= -1.0
+    with pytest.raises(ValueError, match="negative diagonal.* at row 5;"):
+        solve(A, np.ones(A.n_rows), **_RUN_KINDS[kind])
+
+
+def test_solve_keeps_b_without_x0():
+    """``solve(A, b)`` solves ``A x = b`` from ``x0 = 0``."""
+    A = poisson_2d(12)
+    b = np.random.default_rng(0).uniform(-1.0, 1.0, A.n_rows)
+    res = solve(A, b, n_parts=4, max_steps=30)
+    assert res.history.initial_norm == pytest.approx(np.linalg.norm(b))
+    assert np.linalg.norm(b - A.matvec(res.x)) < 0.5 * np.linalg.norm(b)
+
+
 def test_reached_helper(fem_300):
     res = solve(fem_300, method="parallel-southwell", n_parts=4,
                 max_steps=40, seed=0)

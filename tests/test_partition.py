@@ -278,17 +278,6 @@ def test_fast_kernels_match_reference_backend():
     assert _parts_digest(fast.parts) == "1bee47fa0fb511ab"
 
 
-def test_hem_rounds_kernel_matches_lists_kernel():
-    from repro.partition._kernels import _hem_match_lists, _hem_match_rounds
-
-    for n, seed in ((12, 0), (20, 1), (31, 2)):
-        g = matrix_graph(poisson_2d(n))
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(g.n_vertices)
-        assert np.array_equal(_hem_match_rounds(g, perm),
-                              _hem_match_lists(g, perm))
-
-
 def test_numba_kernels_match_fast_kernels():
     pytest.importorskip("numba")
     from repro.sparsela.backend import use_backend
