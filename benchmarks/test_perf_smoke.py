@@ -483,87 +483,7 @@ def test_bench_faults_smoke_writes_schema(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 9. the shm worker pool beats single-process flat on real cores (§5.12)
-# ----------------------------------------------------------------------
-def test_bench_parallel_smoke_writes_schema(tmp_path):
-    out = tmp_path / "bench.json"
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "bench_parallel.py"),
-         "--smoke", "--quiet", "--output", str(out)],
-        capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro.bench_parallel/v1"
-    assert doc["smoke"] is True
-    assert doc["summary"]["all_identical"] is True
-    assert doc["environment"]["cpu_count"] >= 1
-    assert doc["environment"]["workers"] >= 1
-    pairs = {(r["method"], r["runtime"]) for r in doc["results"]}
-    for m in ("block-jacobi", "parallel-southwell",
-              "distributed-southwell"):
-        assert (m, "flat") in pairs and (m, "shm") in pairs
-    for rec in doc["results"]:
-        assert rec["best_step_s"] > 0.0
-        assert rec["mean_step_s"] >= rec["best_step_s"] * 0.5
-
-
-@pytest.mark.skipif((__import__("os").cpu_count() or 1) < 2,
-                    reason="shm speedup needs at least 2 physical cores")
-def test_shm_plane_beats_flat_plane_ds_p256():
-    """The §5.12 acceptance bar: with real cores available, a
-    Distributed Southwell parallel step at P=256 on the shm worker pool
-    must beat the single-process flat plane — on identical trajectories
-    and identical message/byte accounting, verified alongside the
-    timing.  The full measurement lives in ``scripts/bench_parallel.py``
-    → ``BENCH_parallel.json``; this smoke asserts a noise-robust 1.3×
-    so a pessimisation of the pool fails CI without flaking."""
-    import os
-
-    from repro.runtime.pool import shm_available
-
-    if not shm_available():
-        pytest.skip("shared memory / fork unavailable here")
-    os.environ.setdefault("REPRO_WORKERS", "0")  # size to the core count
-
-    side = 224                  # n = 50176
-    A = symmetric_unit_diagonal_scale(poisson_2d(side)).matrix
-    part = partition(A, 256, method="grid", grid_shape=(side, side))
-    system = build_block_system(A, part)
-    rng = np.random.default_rng(1)
-    x0 = rng.uniform(-1.0, 1.0, A.n_rows)
-    b = np.zeros(A.n_rows)
-    steps, repeats = 5, 3
-
-    def measure(mode):
-        best = np.inf
-        with use_runtime(mode):
-            for _ in range(repeats):
-                ds = DistributedSouthwell(system)
-                ds.setup(x0, b)
-                ds._shm_ensure()        # fork outside the timed region
-                t0 = time.perf_counter()
-                for _ in range(steps):
-                    ds.step()
-                best = min(best, time.perf_counter() - t0)
-                ds._shm_close()
-            assert ds._use_flat
-        return best / steps, ds
-
-    t_flat, ds_flat = measure("flat")
-    t_shm, ds_shm = measure("shm")
-    assert ds_shm.degraded_reason is None
-    np.testing.assert_array_equal(ds_flat.norms, ds_shm.norms)
-    sf, ss = ds_flat.engine.stats, ds_shm.engine.stats
-    assert sf.total_messages == ss.total_messages
-    assert sf.total_bytes == ss.total_bytes
-    ratio = t_flat / t_shm
-    assert ratio >= 1.3, (
-        f"shm plane only {ratio:.2f}x flat plane "
-        f"({t_shm * 1e3:.3f} ms vs {t_flat * 1e3:.3f} ms per step)")
-
-
-# ----------------------------------------------------------------------
-# 10. the batched async scheduler beats the scalar heap oracle
+# 9. the batched async scheduler beats the scalar heap oracle
 # ----------------------------------------------------------------------
 def test_batched_scheduler_beats_scalar_ds_p256():
     """The §5.15 acceptance bar: at P=256 under a latency-dominated
@@ -611,7 +531,7 @@ def test_batched_scheduler_beats_scalar_ds_p256():
 
 
 # ----------------------------------------------------------------------
-# 11. communication-aware multigrid: messages per digit (§5.16)
+# 10. communication-aware multigrid: messages per digit (§5.16)
 # ----------------------------------------------------------------------
 def test_bench_mg_smoke_writes_schema(tmp_path):
     out = tmp_path / "bench.json"

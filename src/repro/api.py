@@ -186,13 +186,11 @@ class RunConfig:
     execution-environment overrides: ``None`` defers to the ``REPRO_*``
     environment knobs (see :mod:`repro.config`).  ``runtime`` picks the
     message plane — ``"flat"`` (preallocated single-process buffers),
-    ``"shm"`` (the flat plane executed by real worker processes over
-    shared memory, DESIGN.md §5.12; bit-identical results, and if shared
-    memory or forking is unavailable the run falls back to ``"flat"``
-    with ``SolveResult.degraded_reason = "shm-unavailable"``),
     ``"async"`` (the event-driven virtual-time executor, tuned by
-    ``async_config``), or
-    ``"object"`` (the reference dict plane).  ``trace`` accepts a
+    ``async_config``), or ``"object"`` (the reference dict plane).
+    ``"shm"`` names a deleted plane (DESIGN.md §5.12): it runs ``"flat"``
+    and reports ``SolveResult.degraded_reason = "shm-unavailable"``.
+    ``trace`` accepts a
     file path (a JSONL or Chrome trace is written there after the run —
     suffix picks the format) or a :class:`~repro.trace.Tracer` instance
     to record into.  ``faults`` is a frozen
@@ -262,13 +260,11 @@ class SolveResult:
     #: (graceful degradation) instead of converging / hitting max_steps?
     degraded: bool = False
     #: why the run degraded — a deadlock report, or ``"shm-unavailable"``
-    #: when ``runtime="shm"`` fell back to the single-process flat plane
-    #: (results are identical either way; ``degraded`` stays False then)
+    #: when ``runtime="shm"`` ran the flat plane (results are identical
+    #: to ``runtime="flat"``; ``degraded`` stays False then)
     degraded_reason: str | None = None
     #: process peak resident-set high-water mark (bytes) observed right
-    #: after the run — ``getrusage(RUSAGE_SELF).ru_maxrss``, with the shm
-    #: workers' ``RUSAGE_CHILDREN`` peak folded in when the run forked a
-    #: pool (their slab pages are charged to them, not us).  ``None``
+    #: after the run — ``getrusage(RUSAGE_SELF).ru_maxrss``.  ``None``
     #: where the ``resource`` module is unavailable.  A high-water mark
     #: for the whole process, not a per-run delta: in a fresh process
     #: (one cell of ``scripts/bench_scale.py``) it IS the run's peak.
@@ -408,7 +404,9 @@ def solve(A: CSRMatrix, b: np.ndarray | None = None,
     (:class:`MultigridConfig`); the defaults follow Figure 6 — 9
     V-cycles, a seeded random RHS in ``[-1, 1]``, zero initial guess —
     and the result carries per-level message accounting in
-    ``SolveResult.levels``::
+    ``SolveResult.levels``.  The V-cycle smooths on a lockstep plane, so
+    an explicit ``runtime="async"`` or ``"shm"`` raises
+    :class:`ValueError`::
 
         solve(A, method="mg", n_parts=16,
               config=RunConfig(mg=MultigridConfig(smoother="ds",
@@ -420,23 +418,15 @@ def solve(A: CSRMatrix, b: np.ndarray | None = None,
     return _solve_with_config(method, A, x0, b, cfg)
 
 
-def _peak_rss_bytes(include_children: bool) -> int | None:
-    """Peak RSS high-water mark in bytes, or ``None`` without ``resource``.
-
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; the children
-    peak (the shm workers) is an upper-bound fold — shared segment pages
-    count once per process, so the sum over-reports sharing, which is
-    the safe direction for a memory-budget gate.
-    """
+def _peak_rss_bytes() -> int | None:
+    """Peak RSS high-water mark in bytes, or ``None`` without ``resource``
+    (``ru_maxrss`` is kilobytes on Linux and bytes on macOS)."""
     try:
         import resource
     except ImportError:      # pragma: no cover - POSIX-only module
         return None
     unit = 1 if sys.platform == "darwin" else 1024
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
-    if include_children:
-        peak += resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * unit
-    return int(peak)
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit)
 
 
 def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
@@ -521,8 +511,9 @@ def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
                 x0 = x0 / np.linalg.norm(A.matvec(x0))
         elif x0 is None:
             x0 = np.zeros(A.n_rows)
+        mode = runtime_mode()
         executor = None
-        if runtime_mode() == "async":
+        if mode == "async":
             acfg = cfg.async_config or AsyncConfig()
             executor = AsyncExecutor(runner, latency=acfg.latency,
                                      poll_interval=acfg.poll_interval,
@@ -538,12 +529,13 @@ def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
             history = runner.run(x0, b, max_steps=cfg.max_steps,
                                  target_norm=cfg.target_norm,
                                  stop_at_target=cfg.stop_at_target)
-    peak_rss = _peak_rss_bytes(
-        include_children=bool(getattr(runner, "_shm_was_active", False)))
+    peak_rss = _peak_rss_bytes()
     if trace_path is not None:
         tracer.save(trace_path)
     degraded = bool(getattr(runner, "degraded", False))
     degraded_reason = getattr(runner, "degraded_reason", None)
+    if mode == "shm" and degraded_reason is None:
+        degraded_reason = "shm-unavailable"     # ran flat (DESIGN.md §5.12)
     if degraded and cfg.strict:
         raise DegradedRunError(degraded_reason or
                                f"{name} run degraded under fault plan")
@@ -593,6 +585,11 @@ def _solve_multigrid(A: CSRMatrix, x0: np.ndarray | None,
     """
     from repro.multigrid.mg_exec import MultigridExecutor, make_smoother
 
+    if cfg.runtime in ("async", "shm"):
+        raise ValueError(
+            f"method='mg' with runtime={cfg.runtime!r} is unsupported: the "
+            "V-cycle smooths on a lockstep plane ('auto', 'flat' or "
+            "'object')")
     trace_path: str | None = None
     tracer: Tracer | None = None
     if isinstance(cfg.trace, Tracer):
@@ -640,7 +637,7 @@ def _solve_multigrid(A: CSRMatrix, x0: np.ndarray | None,
             n_levels=n_levels, hierarchy=hierarchy, drop_tol=drop_tol,
             tracer=tracer)
         history = executor.run(b, x0=x0, n_cycles=cycles)
-    peak_rss = _peak_rss_bytes(include_children=False)
+    peak_rss = _peak_rss_bytes()
     if trace_path is not None:
         tracer.save(trace_path)
     level_rows = tuple(executor.level_stats())

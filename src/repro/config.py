@@ -40,7 +40,6 @@ __all__ = [
     "ENV_FAULTS",
     "ENV_RUNTIME",
     "ENV_SETUP_CACHE",
-    "ENV_SHM_MB",
     "ENV_SWEEP_CACHE",
     "ENV_TRACE",
     "ENV_WORKERS",
@@ -57,8 +56,6 @@ __all__ = [
     "runtime",
     "setup_cache_dir",
     "setup_cache_spec",
-    "shm_mb",
-    "shm_workers",
     "sweep_cache",
     "trace_active",
     "trace_dir",
@@ -73,14 +70,13 @@ ENV_SWEEP_CACHE = "REPRO_SWEEP_CACHE"
 ENV_TRACE = "REPRO_TRACE"
 ENV_SETUP_CACHE = "REPRO_SETUP_CACHE"
 ENV_FAULTS = "REPRO_FAULTS"
-ENV_SHM_MB = "REPRO_SHM_MB"
 ENV_ASYNC_SCHEDULER = "REPRO_ASYNC_SCHEDULER"
 
 #: message-plane modes accepted by ``REPRO_RUNTIME`` / ``set_runtime_mode``;
-#: ``shm`` is the flat plane plus a shared-memory worker pool that runs the
-#: per-rank phases on real OS processes (DESIGN.md §5.12); ``async`` is the
-#: flat plane driven by the discrete-event executor instead of lockstep
-#: epochs (DESIGN.md §5.14)
+#: ``async`` is the flat plane driven by the discrete-event executor instead
+#: of lockstep epochs (DESIGN.md §5.14); ``shm`` names a deleted plane and
+#: runs the flat plane, reported as ``degraded_reason = "shm-unavailable"``
+#: (DESIGN.md §5.12)
 VALID_RUNTIME_MODES = ("auto", "flat", "shm", "async", "object")
 
 #: simulated one-way network latency (seconds) for the async runtime
@@ -129,10 +125,10 @@ KNOBS: tuple[Knob, ...] = (
     Knob(ENV_BACKEND, "scipy (reference if scipy is missing)",
          "kernel backend: reference | scipy | numba"),
     Knob(ENV_RUNTIME, "auto",
-         "message plane: auto | flat | shm (flat + worker pool) | object"),
+         "message plane: auto | flat | async | object "
+         "(shm runs flat, reported as degraded)"),
     Knob(ENV_WORKERS, "0",
-         "worker-pool size: sweep pool (< 2 runs inline) and shm runtime "
-         "ranks (< 1 uses the core count)"),
+         "sweep worker-pool size (< 2 runs the sweep inline)"),
     Knob(ENV_SWEEP_CACHE, "~/.cache/repro-southwell",
          "on-disk sweep result cache directory"),
     Knob(ENV_TRACE, "off",
@@ -142,9 +138,6 @@ KNOBS: tuple[Knob, ...] = (
          "off | 1 (default dir) | <dir>"),
     Knob(ENV_FAULTS, "off",
          "fault injection: off | <path to a FaultPlan JSON file>"),
-    Knob(ENV_SHM_MB, "0",
-         "shared-memory segment floor in MB for the shm runtime "
-         "(0 = size from demand; raise it when ShmArena reports overflow)"),
     Knob(ENV_ASYNC_SCHEDULER, "scalar",
          "async event-loop scheduler: scalar (per-turn heap oracle) | "
          "batched (vectorized event-horizon macro-turns, bit-identical)"),
@@ -183,37 +176,6 @@ def workers(explicit: int | None = None) -> int:
         return int(explicit)
     try:
         return int(_env(ENV_WORKERS) or 0)
-    except ValueError:
-        return 0
-
-
-def shm_workers(explicit: int | None = None) -> int:
-    """Worker count for the ``shm`` runtime (``REPRO_WORKERS`` reuse).
-
-    An explicit value (argument or environment) is honored as-is so tests
-    and CI can run 2 workers on any box; when unset (the sweep default of
-    0) the pool sizes itself to the machine's core count — the tentpole's
-    "W ≤ physical cores" contract for unattended runs.
-    """
-    w = workers(explicit)
-    if w < 1:
-        w = os.cpu_count() or 1
-    return max(1, w)
-
-
-def shm_mb(explicit: int | None = None) -> int:
-    """Shared-memory segment floor in MB for the shm runtime.
-
-    The segment is sized from actual demand (DESIGN.md §5.13); this knob
-    only raises that to a floor — the actionable escape hatch the
-    :class:`~repro.runtime.shmplane.ShmArenaOverflow` error suggests
-    when a rehome hook needs more than the estimate.  Junk or negative
-    values degrade to 0 (pure demand sizing).
-    """
-    if explicit is not None:
-        return max(0, int(explicit))
-    try:
-        return max(0, int(_env(ENV_SHM_MB) or 0))
     except ValueError:
         return 0
 
@@ -378,9 +340,6 @@ def _effective(knob: Knob) -> tuple[str, str]:
         if spec is None:
             return "off", "environment" if _env(ENV_FAULTS) else "default"
         return spec, "environment"
-    if knob.env == ENV_SHM_MB:
-        return (str(shm_mb()),
-                "environment" if _env(ENV_SHM_MB) else "default")
     if knob.env == ENV_ASYNC_SCHEDULER:
         return (async_scheduler(),
                 "environment" if _env(ENV_ASYNC_SCHEDULER) else "default")

@@ -42,9 +42,8 @@ from repro.faults import FaultPlan, FaultRuntime
 from repro.runtime import (CATEGORY_SOLVE, CORI_LIKE, CostModel,
                            ParallelEngine, runtime_mode)
 from repro.runtime.flatplane import _INT32_LIMIT, multi_arange
-from repro.runtime.pool import CMD_APPLY, CMD_RELAX
 from repro.sparsela.backend import get_backend
-from repro.trace import NULL_TRACER, tracer_from_config
+from repro.trace import tracer_from_config
 
 __all__ = ["BlockMethodBase"]
 
@@ -113,10 +112,10 @@ class BlockMethodBase:
         # order; the per-process blocks are views into them, so a re-run
         # rewrites the whole state with two vector operations
         self._rstart = np.asarray(system.part.offsets, dtype=np.int64)
-        self._block_sizes = np.diff(self._rstart)
         self._x_flat = np.zeros(system.n)
         self._r_flat = np.zeros(system.n)
-        self._bind_blocks()
+        self.x_blocks = _rank_views(self._x_flat, self._rstart)
+        self.r_blocks = _rank_views(self._r_flat, self._rstart)
         self.norms = np.zeros(P)
         self.total_relaxations = 0
         self.steps_taken = 0
@@ -158,14 +157,6 @@ class BlockMethodBase:
         #: kernel bindings, estimate slabs) was last built under; ``None``
         #: = not built.  :meth:`setup` rebuilds on any mismatch.
         self._structure_key = None
-        #: shared-memory execution plane (DESIGN.md §5.12): built lazily
-        #: at the first step of a run when the runtime mode is ``shm``
-        self._shm = None
-        self._want_shm = False
-        #: sticky "this run forked shm workers" marker — outlives the
-        #: plane's teardown so RSS accounting knows to fold in
-        #: ``RUSAGE_CHILDREN`` (the workers' pages are theirs, not ours)
-        self._shm_was_active = False
 
     # ------------------------------------------------------------------
     # setup
@@ -213,16 +204,13 @@ class BlockMethodBase:
         self._reuse_delta_buffers = (
             self._legacy_delay == 0.0
             and (plan is None or not plan.requires_object_plane))
-        self._shm_close()       # a previous run's worker pool, if any
-        mode = runtime_mode()
         self._use_flat = (self._reuse_delta_buffers
-                          and mode != "object"
+                          and runtime_mode() != "object"
                           and self._flat_supported())
-        self._want_shm = self._use_flat and mode == "shm"
         # everything the kept structure depends on besides ``system``;
         # the backend compares by identity (its kernels are bound into
         # the matvec plans)
-        key = (self._use_flat, self._want_shm, get_backend(),
+        key = (self._use_flat, get_backend(),
                self._reuse_delta_buffers, self._lossy)
         if key != self._structure_key:
             self._structure_key = None      # a raising build leaves none
@@ -267,13 +255,6 @@ class BlockMethodBase:
             self.engine.windows.reset_flat()
         if self._lossy:
             self._reset_lossy_state()
-
-    def _bind_blocks(self) -> None:
-        """Per-process views of the ``x`` / ``r`` backing stores."""
-        rs = self._rstart
-        P = self.system.n_parts
-        self.x_blocks = [self._x_flat[rs[p]:rs[p + 1]] for p in range(P)]
-        self.r_blocks = [self._r_flat[rs[p]:rs[p + 1]] for p in range(P)]
 
     # ------------------------------------------------------------------
     # flat-buffer message plane (DESIGN.md §5.8)
@@ -588,9 +569,6 @@ class BlockMethodBase:
         order, as the object path's :meth:`_apply_update`.
         """
         plane = self.engine.flat
-        if self._shm is not None:
-            self._shm_apply_epoch(plane)
-            return
         mail = plane.mail_ranks
         plane.drain_all()
         flops = self._flops
@@ -718,7 +696,7 @@ class BlockMethodBase:
         return 0
 
     # ------------------------------------------------------------------
-    # shared-memory execution plane (DESIGN.md §5.12)
+    # the flat relax phase (DESIGN.md §5.8)
     # ------------------------------------------------------------------
     def _relax_one_flat(self, p: int) -> None:
         """One rank's relax-phase body: the scalar async scheduler's turn
@@ -787,222 +765,12 @@ class BlockMethodBase:
                 self._csr_kernel(ptr[a:b + 1], cols, data, x, out[a:b])
         return out
 
-    def _flat_relax_phase(self, relaxed: np.ndarray) -> None:
-        """Run the relax phase for every winner in ``relaxed`` — on the
-        worker pool when the shm plane is live, inline otherwise."""
-        if self._shm_ensure():
-            if relaxed.any():
-                self._shm_relax_epoch(relaxed)
-            return
-        self._relax_ranks(np.flatnonzero(relaxed))
-
-    def _shm_relax_epoch(self, relaxed: np.ndarray) -> None:
-        if self.tracer.enabled:
-            self._trace_relax(np.flatnonzero(relaxed))
-        self._shm.relax_epoch(relaxed)
-        # the workers' own counters never cross the fork; the total is
-        # deterministic (each winner relaxes its whole block)
-        self.total_relaxations += int(self._block_sizes[relaxed].sum())
-
     def _trace_relax(self, winners: np.ndarray) -> None:
-        """The per-winner trace events of a relax phase, in ``winners``
-        order — also replayed by the driver for the shm workers, which
-        run with a null tracer.  Subclasses add their extra events."""
+        """The per-winner trace events of a batched relax phase, in
+        ``winners`` order.  Subclasses add their extra events."""
         trc = self.tracer
         for p in winners.tolist():
             trc.relax(p)
-
-    def _shm_apply_epoch(self, plane) -> None:
-        """Worker-parallel :meth:`_apply_flat_epoch`: the driver drains
-        (receive charges and trace events stay driver-side), publishes
-        the delivered slot-ids and the mailed-ranks mask, and each
-        worker scatter-adds the deltas of the receivers it owns."""
-        shm = self._shm
-        mail = plane.mail_ranks
-        plane.drain_all()
-        arr = plane.last_delivered
-        if self._lossy and self._dedupe_dups and arr.size > 1:
-            # collapse adjacent duplicate deliveries into a copy for the
-            # shm sid buffer only — ``last_delivered`` itself is read
-            # again (with ``last_fates`` alignment) by the DS header pass
-            keep = np.empty(arr.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-            arr = arr[keep]
-        if arr.size == 0 and not mail:
-            return          # nothing delivered, no norms to refresh
-        shm.mail[:] = False
-        if mail:
-            shm.mail[mail] = True
-        shm.apply_epoch(arr)
-
-    def _shm_apply_range(self, lo: int, hi: int) -> None:
-        """One worker's share of :meth:`_apply_flat_epoch`: the epoch's
-        deliveries whose receiver it owns — subsetting keeps each
-        receiver's put order, and receivers' row blocks are disjoint, so
-        the partitioned scatter-add is bit-identical to the sequential
-        one — plus the norm refresh of its owned mailed ranks."""
-        plane = self.engine.flat
-        shm = self._shm
-        flops = self._flops
-        arr = shm.delivered_sids()
-        eids = arr >> 1
-        if eids.size:
-            dst = plane.edge_dst[eids]
-            eids = eids[(dst >= lo) & (dst < hi)]
-        if eids.size:
-            voff = plane.vals_off
-            idx = multi_arange(voff[eids], voff[eids + 1])
-            if self._lossy:
-                np.add.at(self._r_flat, self._grows_flat[idx],
-                          plane.vals_flat[idx] - self._applied_flat[idx])
-                self._applied_flat[idx] = plane.vals_flat[idx]
-                np.add.at(flops, plane.edge_dst[eids],
-                          2.0 * self._edge_recv_flops[eids])
-            else:
-                np.add.at(self._r_flat, self._grows_flat[idx],
-                          plane.vals_flat[idx])
-                np.add.at(flops, plane.edge_dst[eids],
-                          self._edge_recv_flops[eids])
-        mailed = shm.mail
-        for p in range(lo, hi):
-            if mailed[p]:
-                r_p = self.r_blocks[p]
-                self.norms[p] = math.sqrt(np.dot(r_p, r_p))
-                flops[p] += 2.0 * r_p.size  # the refresh_norm charge
-
-    def _shm_exec(self, w: int, cmd: int, lo: int, hi: int) -> None:
-        """Worker-side command dispatch (runs inside the forked pool)."""
-        if cmd == CMD_RELAX:
-            self._relax_ranks(np.flatnonzero(self._shm.winners[lo:hi]) + lo)
-        elif cmd == CMD_APPLY:
-            self._shm_apply_range(lo, hi)
-        else:   # pragma: no cover - protocol invariant
-            raise RuntimeError(f"unknown shm command {cmd}")
-
-    def _shm_worker_init(self, w: int) -> None:
-        """Runs in each worker right after the fork: workers must not
-        emit trace events — the driver replicates them deterministically
-        (:meth:`_trace_relax`) so trace files stay identical."""
-        self.tracer = NULL_TRACER
-        self.engine.flat.tracer = NULL_TRACER
-
-    def _shm_ensure(self) -> bool:
-        """The shm execution plane, started lazily at the first step.
-
-        Deferring the fork past the subclass's full :meth:`setup` lets
-        the workers inherit every immutable plan copy-on-write with zero
-        pickling.  One attempt per setup: on failure the run continues
-        on the plain flat path, reporting ``degraded_reason``."""
-        if self._shm is not None:
-            return True
-        if not self._want_shm:
-            return False
-        self._want_shm = False
-        self._shm_start()
-        return self._shm is not None
-
-    def _shm_start(self) -> None:
-        from repro import config as _config
-        from repro.runtime.shmplane import ShmExecutionPlane, ShmUnavailable
-
-        plane = self.engine.flat
-        shm = None
-        self._relax_plans()     # before the fork: the workers share them
-        try:
-            movables = self._shm_movables()
-            extra = (sum(int(a.nbytes) for a in movables)
-                     + 64 * (len(movables) + 3))
-            # demand-driven sid capacity: a fault-free epoch delivers at
-            # most one payload per directed edge (2E slots); lossy plans
-            # can duplicate fates, so keep the 4E ceiling only then
-            sid_cap = (4 if self._lossy else 2) * plane.n_edges + 8
-            shm = ShmExecutionPlane(
-                self.system.n_parts, self._block_sizes,
-                _config.shm_workers(), extra_nbytes=extra,
-                sid_capacity=sid_cap)
-            self._shm = shm
-            self._shm_rehome(shm.arena)
-            self._flops = shm.flops
-            shm.start(self._shm_exec, init=self._shm_worker_init)
-            self._shm_was_active = True
-        except ShmUnavailable:
-            from repro.runtime.shmplane import PRIVATE_ARENA
-            if self._shm is not None:
-                # move any re-homed state off the segment before it is
-                # unmapped, then fall back to the plain flat path
-                self._shm_rehome(PRIVATE_ARENA)
-            self._shm = None
-            self._flops = self.engine.stats._step_flops
-            if shm is not None:
-                shm.close()
-            self.degraded_reason = "shm-unavailable"
-
-    def _shm_movables(self) -> list[np.ndarray]:
-        """Mutable arrays both sides touch — re-homed into the arena."""
-        arrs = [self._r_flat, self._x_flat, self.norms,
-                self.engine.flat.vals_flat]
-        if self._lossy:
-            arrs += [self._cum_flat, self._applied_flat]
-        arrs += self._shm_movables_extra()
-        return arrs
-
-    def _shm_movables_extra(self) -> list[np.ndarray]:
-        """Subclass hook: extra mutable arrays the workers touch."""
-        return []
-
-    def _shm_rehome(self, arena) -> None:
-        """Move the mutable run state into the shared arena and rebuild
-        every view over it (the fork happens after this, so both sides
-        address the same pages)."""
-        plane = self.engine.flat
-        self._r_flat = arena.move(self._r_flat)
-        self._x_flat = arena.move(self._x_flat)
-        self._bind_blocks()
-        self.norms = arena.move(self.norms)
-        plane.vals_flat = arena.move(plane.vals_flat)
-        voff = plane.vals_off
-        plane.vals = [plane.vals_flat[voff[e]:voff[e + 1]]
-                      for e in range(plane.n_edges)]
-        self._ws_delta = {key: plane.vals[eid]
-                          for key, eid in self._flat_eid.items()}
-        self._vals_slab = self._rank_slabs(plane.vals_flat)
-        if self._lossy:
-            self._cum_flat = arena.move(self._cum_flat)
-            self._applied_flat = arena.move(self._applied_flat)
-        self._shm_rehome_extra(arena)
-
-    def _shm_rehome_extra(self, arena) -> None:
-        """Subclass hook: re-home method-specific mutable state."""
-
-    def _flat_close_step(self) -> None:
-        """Step close for the flat paths: fold the workers' per-rank
-        flop charges into the open step before the engine prices it
-        (exact — the charge streams are disjoint per rank and every
-        term is an integer-valued float)."""
-        if self._shm is not None:
-            self._shm.fold_flops(self.engine.stats._step_flops)
-        self.engine.close_step()
-
-    def _shm_close(self) -> None:
-        """Tear down the worker pool (idempotent — :meth:`run` calls it
-        in a ``finally`` so a raising step never leaks processes)."""
-        shm = self._shm
-        self._shm = None
-        self._want_shm = False
-        if shm is not None:
-            from repro.runtime.shmplane import PRIVATE_ARENA
-            # copy the mutable state back into private memory first:
-            # releasing the segment unmaps its pages, and post-run reads
-            # (``solution()``, norms, the residual store) go through the
-            # views the rehome rebuilds
-            self._shm_rehome(PRIVATE_ARENA)
-            shm.close()
-            if self._use_flat:
-                self._flops = self.engine.stats._step_flops
-            # the two re-homes replaced every mutable array the kept
-            # structure was bound to; the next setup() builds it afresh
-            self._structure_key = None
 
     # ------------------------------------------------------------------
     # primitives
@@ -1217,49 +985,44 @@ class BlockMethodBase:
             trc.begin_run(self.name, self.system.n_parts)
         fr = self._faults
         quiet = 0
-        try:
-            for _ in range(max_steps):
-                if tracing:
-                    trc.step_begin(self.steps_taken + 1)
-                msgs_before = self.engine.stats.total_messages
-                active = self.step()
-                self.steps_taken += 1
-                if tracing:
-                    trc.step_end(active)
-                self.history.append(
-                    norm=self.global_norm(),
-                    relaxations=self.total_relaxations,
-                    parallel_steps=self.steps_taken,
-                    comm_cost=self.engine.stats.communication_cost(),
-                    time=self.engine.stats.elapsed_time(),
-                    active_fraction=active / self.system.n_parts)
-                if (stop_at_target and target_norm is not None
-                        and self.global_norm() <= target_norm):
-                    break
-                if fr is not None:
-                    # graceful degradation (DESIGN.md §5.11): a fully
-                    # quiet step — nobody relaxed, nothing was sent,
-                    # nothing is in flight — cannot change any state, so
-                    # ``patience`` of them in a row with the residual
-                    # still up means the run is wedged; report the
-                    # deadlock instead of spinning
-                    if (active == 0
-                            and self.engine.stats.total_messages
-                            == msgs_before
-                            and self.engine.windows.in_flight == 0
-                            and self.global_norm() > (target_norm or 0.0)):
-                        quiet += 1
-                        if quiet >= self._active_plan.deadlock_patience:
-                            self.degraded = True
-                            self.degraded_reason = \
-                                self._deadlock_diagnosis()
-                            break
-                    else:
-                        quiet = 0
-        finally:
-            # the worker pool never outlives its run (the re-homed state
-            # stays readable: the shared mapping survives live views)
-            self._shm_close()
+        for _ in range(max_steps):
+            if tracing:
+                trc.step_begin(self.steps_taken + 1)
+            msgs_before = self.engine.stats.total_messages
+            active = self.step()
+            self.steps_taken += 1
+            if tracing:
+                trc.step_end(active)
+            self.history.append(
+                norm=self.global_norm(),
+                relaxations=self.total_relaxations,
+                parallel_steps=self.steps_taken,
+                comm_cost=self.engine.stats.communication_cost(),
+                time=self.engine.stats.elapsed_time(),
+                active_fraction=active / self.system.n_parts)
+            if (stop_at_target and target_norm is not None
+                    and self.global_norm() <= target_norm):
+                break
+            if fr is not None:
+                # graceful degradation (DESIGN.md §5.11): a fully
+                # quiet step — nobody relaxed, nothing was sent,
+                # nothing is in flight — cannot change any state, so
+                # ``patience`` of them in a row with the residual
+                # still up means the run is wedged; report the
+                # deadlock instead of spinning
+                if (active == 0
+                        and self.engine.stats.total_messages
+                        == msgs_before
+                        and self.engine.windows.in_flight == 0
+                        and self.global_norm() > (target_norm or 0.0)):
+                    quiet += 1
+                    if quiet >= self._active_plan.deadlock_patience:
+                        self.degraded = True
+                        self.degraded_reason = \
+                            self._deadlock_diagnosis()
+                        break
+                else:
+                    quiet = 0
         if tracing:
             trc.end_run(self.engine.stats,
                         faults=fr.summary() if fr is not None else None)

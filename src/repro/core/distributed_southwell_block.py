@@ -111,7 +111,14 @@ class DistributedSouthwell(BlockMethodBase):
         # therefore also the plan that fills the whole store from the
         # residual store in one gather.
         voff = self.engine.flat.vals_off
-        self._bind_ghost_views(np.empty(int(voff[-1])))
+        self._ghost_flat = ghost = np.empty(int(voff[-1]))
+        self._ghost_slab = self._rank_slabs(ghost)
+        views = _rank_views(ghost, voff)
+        spans = list(zip(off.tolist(), off[1:].tolist()))
+        self._ghost_views = [views[lo:hi] for lo, hi in spans]
+        nbrs = self._nbr_flat.tolist()
+        self.ghost: list[dict[int, np.ndarray]] = [
+            dict(zip(nbrs[lo:hi], views[lo:hi])) for lo, hi in spans]
         self._ghost_flops = 4.0 * np.diff(voff[self._nbr_off])
         # per-rank slab positions: the batched relax's Γ index plan
         self._slab_ids = _rank_views(np.arange(self._nbr_flat.size), off)
@@ -122,20 +129,6 @@ class DistributedSouthwell(BlockMethodBase):
         # slab-shaped flag: positions we sent an explicit residual
         # update to this step (the phase-3 crossing settlement)
         self._res_mask = np.zeros(self._slab_owner.size, dtype=bool)
-
-    def _bind_ghost_views(self, ghost: np.ndarray) -> None:
-        """Point ``self.ghost`` and the per-rank slabs / per-layer views
-        at ``ghost`` (a store laid out like the mailbox delta store)."""
-        voff = self.engine.flat.vals_off.tolist()
-        off = self._nbr_off.tolist()
-        nbrs = self._nbr_flat.tolist()
-        self._ghost_flat = ghost
-        self._ghost_slab = self._rank_slabs(ghost)
-        views = [ghost[lo:hi] for lo, hi in zip(voff, voff[1:])]
-        self._ghost_views = [views[lo:hi] for lo, hi in zip(off, off[1:])]
-        self.ghost: list[dict[int, np.ndarray]] = [
-            dict(zip(nbrs[lo:hi], views[lo:hi]))
-            for lo, hi in zip(off, off[1:])]
 
     def _reset_state(self, x0, b) -> None:
         super()._reset_state(x0, b)
@@ -430,18 +423,6 @@ class DistributedSouthwell(BlockMethodBase):
             trc.relax(p)
             trc.ghosts(p, self.system.neighbors_of(p))
 
-    def _shm_movables_extra(self):
-        # workers write Γ (the line-15 estimate update) and the ghost
-        # store; Γ̃ and the headers stay driver-side
-        return [self._gamma_flat, self._ghost_flat]
-
-    def _shm_rehome_extra(self, arena) -> None:
-        off = self._nbr_off
-        self._gamma_flat = arena.move(self._gamma_flat)
-        self.gamma_sq = [self._gamma_flat[off[p]:off[p + 1]]
-                         for p in range(self.system.n_parts)]
-        self._bind_ghost_views(arena.move(self._ghost_flat))
-
     # ------------------------------------------------------------------
     def _step_flat(self) -> int:
         """Same three phases over the preallocated flat-buffer plane.
@@ -453,7 +434,6 @@ class DistributedSouthwell(BlockMethodBase):
         read phases.  The decision, the Γ̃ crossing settlement and the
         deadlock scan are single vector operations over the neighbor slab.
         """
-        self._shm_ensure()  # re-homes arrays — must precede the locals
         plane = self.engine.flat
         norm_hdr = plane.norm
         est_hdr = plane.est
@@ -476,7 +456,7 @@ class DistributedSouthwell(BlockMethodBase):
         winners = np.flatnonzero(relaxed)
         hardened = self._hardened
         step_no = self.steps_taken + 1
-        self._flat_relax_phase(relaxed)  # deltas + line 15, per winner
+        self._relax_ranks(winners)  # deltas + line 15, per winner
         # the norms every relaxer piggybacks this step (read again by the
         # Γ̃ crossing settlement after phase-2 applies change norms);
         # only the relaxed entries are ever read
@@ -606,7 +586,7 @@ class DistributedSouthwell(BlockMethodBase):
             tflat[gpos[keep]] = est_hdr[arr[keep]]
         if tracing:
             trc.phase_end("finalize")
-        self._flat_close_step()
+        self.engine.close_step()
         return int(relaxed.sum())
 
     # ------------------------------------------------------------------

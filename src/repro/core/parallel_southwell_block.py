@@ -169,7 +169,6 @@ class ParallelSouthwell(BlockMethodBase):
         only ranks with mail run the read phases, and the decision and the
         broadcast-divergence check are single vector operations.
         """
-        self._shm_ensure()  # re-homes arrays — must precede the locals
         plane = self.engine.flat
         norm_hdr = plane.norm
         gflat = self._gamma_flat
@@ -183,7 +182,7 @@ class ParallelSouthwell(BlockMethodBase):
         relaxed = self._mask_stalled(
             self._wins_vector(self.norms * self.norms, gflat))
         winners = np.flatnonzero(relaxed)
-        self._flat_relax_phase(relaxed)     # deltas land in plane.vals
+        self._relax_ranks(winners)          # deltas land in plane.vals
         if winners.size:
             # the piggybacked norms, line-10 puts and broadcast records
             # for every winner at once (vector square ≡ per-rank _sq:
@@ -232,7 +231,7 @@ class ParallelSouthwell(BlockMethodBase):
             gflat[slabpos[arr]] = norm_hdr[arr]
         if tracing:
             trc.phase_end("finalize")
-        self._flat_close_step()
+        self.engine.close_step()
         return int(relaxed.sum())
 
     # ------------------------------------------------------------------

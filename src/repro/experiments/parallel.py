@@ -16,11 +16,10 @@ Two layers make repeated sweeps cheap and safe:
   forbid forking — if the pool cannot be built the sweep silently runs
   inline, same results, one process.
 
-The pool itself is :class:`repro.runtime.pool.ForkTaskPool` — the same
-persistent forked workers the shm execution plane uses (DESIGN.md
-§5.12): the loaded package and config ride through the fork, so a
-worker costs one ``fork()`` instead of a fresh interpreter, a re-import
-and a knob replay.
+The pool itself is :class:`repro.runtime.pool.ForkTaskPool`: the loaded
+package and config ride through the fork, so a worker costs one
+``fork()`` instead of a fresh interpreter, a re-import and a knob
+replay.
 
 Workers default to serial (``workers=0``); opt in per call or with the
 ``REPRO_WORKERS`` environment variable (``scripts/reproduce_all.py
@@ -219,7 +218,7 @@ def run_sweep(tasks, workers: int | None = None,
 
 def _run_pool(tasks, todo, results, workers) -> list[int]:
     """Try the fork pool for ``todo``; return indices still unrun."""
-    from repro.runtime.pool import ForkTaskPool, ShmUnavailable
+    from repro.runtime.pool import ForkTaskPool, ForkUnavailable
 
     done: set[int] = set()
     try:
@@ -230,7 +229,7 @@ def _run_pool(tasks, todo, results, workers) -> list[int]:
                 done.add(i)
         return []
     except (OSError, ImportError, PermissionError, RuntimeError,
-            ShmUnavailable):
+            ForkUnavailable):
         # no forking in this environment, or a worker died mid-sweep:
         # degrade inline for whatever is still missing
         return [i for i in todo if i not in done]

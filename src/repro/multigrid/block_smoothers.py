@@ -182,10 +182,10 @@ class BlockSmoother(Smoother):
                         break
             return keep
 
-        # the smoothing steps always run a lockstep plane: under the shm /
-        # async runtimes a per-application worker pool (or event loop)
-        # would cost far more than the tiny level solves it serves
-        ctx = (use_runtime("flat") if runtime_mode() in ("shm", "async")
+        # the smoothing steps always run a lockstep plane: under an
+        # env-forced async runtime an event loop per application would
+        # cost far more than the tiny level solves it serves
+        ctx = (use_runtime("flat") if runtime_mode() == "async"
                else nullcontext())
         runner._relax_filter = truncate
         try:
@@ -206,7 +206,6 @@ class BlockSmoother(Smoother):
                         stalled = 0
         finally:
             runner._relax_filter = None
-            runner._shm_close()
         lr.carry = min(budget - runner.total_relaxations, A.n_rows)
         lr.relaxations += runner.total_relaxations
         if runner._faults is not None:

@@ -29,18 +29,7 @@ from repro.runtime.flatplane import (
     set_runtime_mode,
     use_runtime,
 )
-from repro.runtime.pool import (
-    ForkTaskPool,
-    ForkWorkers,
-    ShmUnavailable,
-    rank_bounds,
-    shm_available,
-)
-from repro.runtime.shmplane import (
-    ShmArena,
-    ShmArenaOverflow,
-    ShmExecutionPlane,
-)
+from repro.runtime.pool import ForkTaskPool, ForkUnavailable
 from repro.runtime.message import (
     CATEGORY_RESIDUAL,
     CATEGORY_SOLVE,
@@ -58,24 +47,18 @@ __all__ = [
     "CostModel",
     "FlatEdgePlane",
     "ForkTaskPool",
-    "ForkWorkers",
+    "ForkUnavailable",
     "Message",
     "MessageStats",
     "ParallelEngine",
     "SLOT_RESIDUAL",
     "SLOT_SOLVE",
-    "ShmArena",
-    "ShmArenaOverflow",
-    "ShmExecutionPlane",
-    "ShmUnavailable",
     "StepSnapshot",
     "Window",
     "WindowSystem",
     "ZERO_COST",
     "payload_nbytes",
-    "rank_bounds",
     "runtime_mode",
-    "shm_available",
     "set_runtime_mode",
     "use_runtime",
 ]

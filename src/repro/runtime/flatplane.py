@@ -38,11 +38,10 @@ stored.
 The runtime mode knob (``REPRO_RUNTIME`` / :func:`set_runtime_mode` /
 :func:`use_runtime`) selects which plane the block methods drive:
 ``auto``/``flat`` use this plane whenever a run is eligible (synchronous
-epochs, no messaging-hook override); ``shm`` is the flat plane with its
-mutable slabs re-homed into shared memory and the per-rank phase work
-executed by a pool of forked worker processes (DESIGN.md §5.12;
-bit-identical, falls back to ``flat`` where the OS forbids forking);
-``object`` forces the legacy plane everywhere.  Delay injection always
+epochs, no messaging-hook override); ``shm``, the spelling of a deleted
+plane (DESIGN.md §5.12), runs as ``flat``; ``async`` drives this plane
+from the discrete-event executor; ``object`` forces the legacy plane
+everywhere.  Delay injection always
 uses the object plane — a delayed message needs storage that survives
 the epoch.
 """
@@ -106,8 +105,8 @@ _mode_override: str | None = None
 
 
 def runtime_mode() -> str:
-    """The active message-plane mode: ``auto``, ``flat``, ``shm`` or
-    ``object``.
+    """The active message-plane mode: ``auto``, ``flat``, ``shm``,
+    ``async`` or ``object``.
 
     Resolution order: programmatic override (:func:`set_runtime_mode` /
     :func:`use_runtime`), then the ``REPRO_RUNTIME`` environment variable

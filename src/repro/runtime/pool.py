@@ -1,30 +1,14 @@
-"""Fork-based persistent worker pools (DESIGN.md §5.12).
+"""Fork-based persistent task pool for the sweep runner.
 
-Two consumers share this module:
-
-- the ``shm`` runtime (:mod:`repro.runtime.shmplane`): W long-lived
-  workers forked *after* a method's :meth:`setup`, so they inherit the
-  immutable solve plans copy-on-write and operate on the shared-memory
-  slabs with **zero per-step pickling** — :class:`ForkWorkers` provides
-  the process lifecycle and the per-epoch barrier;
-- the sweep runner (:mod:`repro.experiments.parallel`):
-  :class:`ForkTaskPool` runs coarse pickled tasks over the same forked
-  processes instead of a spawn-based ``ProcessPoolExecutor`` (spawned
-  workers re-import the package per pool; forked ones inherit it).
-
-Barrier choice: the driver wakes workers by writing one command byte
-down a per-worker pipe and waits by reading one ack byte back.  The
-pipe syscalls are full memory barriers on both sides, so every shared-
-array write made before the wake is visible to the worker when its
-``read`` returns (and vice versa for results before the ack) — the
-correctness a userspace seqlock would need fences for, with blocking
-waits instead of burning a core spinning.  A shared epoch counter is
-still kept and checked each dispatch as a cheap protocol invariant.
+:class:`ForkTaskPool` runs coarse pickled tasks for
+:mod:`repro.experiments.parallel` over forked processes instead of a
+spawn-based ``ProcessPoolExecutor``: spawned workers re-import the
+package per pool, forked ones inherit it.
 
 Sandboxes routinely forbid forking (the case
-``experiments/parallel.py`` has always degraded around): every
-constructor failure surfaces as :class:`ShmUnavailable` so callers can
-fall back to the single-process path instead of crashing.
+``experiments/parallel.py`` has always degraded around): a constructor
+failure surfaces as :class:`ForkUnavailable` so callers can fall back to
+the single-process path instead of crashing.
 """
 
 from __future__ import annotations
@@ -34,185 +18,14 @@ import os
 import pickle
 import select
 import struct
-import sys
 
-import numpy as np
-
-__all__ = [
-    "CMD_APPLY",
-    "CMD_EXIT",
-    "CMD_RELAX",
-    "ForkTaskPool",
-    "ForkWorkers",
-    "ShmUnavailable",
-    "rank_bounds",
-    "shm_available",
-]
-
-#: command bytes on the wake pipes (0 is reserved: an EOF read returns
-#: b"" and must not alias a live command)
-CMD_EXIT = 1
-CMD_RELAX = 2
-CMD_APPLY = 3
-
-_ACK_OK = b"\x01"
-_ACK_ERR = b"\xff"
+__all__ = ["ForkTaskPool", "ForkUnavailable"]
 
 
-class ShmUnavailable(RuntimeError):
-    """The environment forbids the fork/shared-memory machinery."""
+class ForkUnavailable(RuntimeError):
+    """The environment forbids forking worker processes."""
 
 
-def rank_bounds(sizes: np.ndarray, n_workers: int) -> list[tuple[int, int]]:
-    """Split ranks ``0..P`` into ``n_workers`` contiguous ranges with
-    approximately equal total rows (greedy cumulative split).
-
-    Every worker gets a (possibly empty) range; the ranges partition
-    ``range(P)`` exactly, which is what makes the workers' writes
-    race-free — no rank is touched by two processes.
-    """
-    P = int(len(sizes))
-    W = max(1, int(n_workers))
-    cum = np.concatenate(([0], np.cumsum(np.asarray(sizes, dtype=np.int64))))
-    total = int(cum[-1])
-    bounds = []
-    lo = 0
-    for w in range(W):
-        target = total * (w + 1) / W
-        hi = int(np.searchsorted(cum, target, side="left"))
-        hi = min(max(hi, lo), P)
-        if w == W - 1:
-            hi = P
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-class ForkWorkers:
-    """``n`` forked worker processes with pipe-barrier dispatch.
-
-    ``target(w, cmd)`` runs in worker ``w`` for every dispatched command;
-    the callable (and everything it closes over) is inherited through
-    ``os.fork`` — nothing is pickled, which is the whole point.  An
-    optional ``init(w)`` runs once in each child before serving (strip
-    tracers, drop parent-only handles).
-    """
-
-    def __init__(self, n: int, target, init=None) -> None:
-        if not hasattr(os, "fork"):
-            raise ShmUnavailable("os.fork is not available on this platform")
-        self.n = n
-        self._cmd_w: list[int] = []
-        self._ack_r: list[int] = []
-        self._pids: list[int] = []
-        self._closed = False
-        self._epoch = 0
-        try:
-            for w in range(n):
-                cmd_r, cmd_w = os.pipe()
-                ack_r, ack_w = os.pipe()
-                pid = os.fork()
-                if pid == 0:                    # ---- child
-                    status = 0
-                    try:
-                        os.close(cmd_w)
-                        os.close(ack_r)
-                        for fd in self._cmd_w + self._ack_r:
-                            os.close(fd)
-                        if init is not None:
-                            init(w)
-                        self._serve(w, target, cmd_r, ack_w)
-                    except BaseException:       # pragma: no cover - child
-                        status = 1
-                        try:
-                            import traceback
-                            traceback.print_exc(file=sys.stderr)
-                            os.write(ack_w, _ACK_ERR)
-                        except OSError:
-                            pass
-                    finally:
-                        # never run the parent's atexit/teardown in a child
-                        os._exit(status)
-                os.close(cmd_r)
-                os.close(ack_w)
-                self._cmd_w.append(cmd_w)
-                self._ack_r.append(ack_r)
-                self._pids.append(pid)
-        except OSError as exc:
-            self.close()
-            raise ShmUnavailable(f"cannot fork workers: {exc}") from exc
-        self._atexit = atexit.register(self.close)
-
-    @staticmethod
-    def _serve(w: int, target, cmd_r: int, ack_w: int) -> None:
-        """Child main loop: block on the wake pipe, run, ack."""
-        while True:
-            b = os.read(cmd_r, 1)
-            if not b or b[0] == CMD_EXIT:
-                os.write(ack_w, _ACK_OK)
-                return
-            target(w, b[0])
-            os.write(ack_w, _ACK_OK)
-
-    # ------------------------------------------------------------------
-    def dispatch(self, cmd: int) -> None:
-        """Wake every worker with ``cmd`` and barrier on their acks."""
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        self._epoch += 1
-        wake = bytes([cmd])
-        for fd in self._cmd_w:
-            os.write(fd, wake)
-        for w, fd in enumerate(self._ack_r):
-            b = os.read(fd, 1)
-            if b != _ACK_OK:
-                self.close()
-                raise RuntimeError(
-                    f"shm worker {w} failed (see stderr for its traceback)")
-
-    @property
-    def epoch(self) -> int:
-        """Barriers completed so far (the shared-counter invariant the
-        shm plane cross-checks each dispatch)."""
-        return self._epoch
-
-    def close(self) -> None:
-        """Terminate the workers (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for fd in self._cmd_w:
-            try:
-                os.write(fd, bytes([CMD_EXIT]))
-            except OSError:
-                pass
-        for fd in self._ack_r:      # the exit ack — keep the pipe open
-            try:                    # until the child has written it
-                os.read(fd, 1)
-            except OSError:
-                pass
-        for fd in self._cmd_w + self._ack_r:
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        for pid in self._pids:
-            try:
-                reaped, _status = os.waitpid(pid, os.WNOHANG)
-                if reaped == 0:
-                    # still draining the exit byte / pipe EOF; a healthy
-                    # child exits promptly, so a blocking reap is safe
-                    os.waitpid(pid, 0)
-            except (ChildProcessError, ProcessLookupError, OSError):
-                pass
-        if getattr(self, "_atexit", None) is not None:
-            atexit.unregister(self._atexit)
-            self._atexit = None
-
-
-# ----------------------------------------------------------------------
-# coarse-grained task pool (sweep runner)
-# ----------------------------------------------------------------------
 _LEN = struct.Struct("<Q")
 
 
@@ -261,7 +74,7 @@ class ForkTaskPool:
 
     def __init__(self, n: int, fn, init=None) -> None:
         if not hasattr(os, "fork"):
-            raise ShmUnavailable("os.fork is not available on this platform")
+            raise ForkUnavailable("os.fork is not available on this platform")
         self.n = n
         self._task_w: list[int] = []
         self._res_r: list[int] = []
@@ -293,7 +106,7 @@ class ForkTaskPool:
                 self._pids.append(pid)
         except OSError as exc:
             self.close()
-            raise ShmUnavailable(f"cannot fork workers: {exc}") from exc
+            raise ForkUnavailable(f"cannot fork workers: {exc}") from exc
         self._atexit = atexit.register(self.close)
 
     @staticmethod
@@ -371,50 +184,3 @@ class ForkTaskPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# availability probe
-# ----------------------------------------------------------------------
-_available: bool | None = None
-
-
-def shm_available() -> bool:
-    """Can this environment run the shm execution plane at all?
-
-    One cached end-to-end probe: allocate a small
-    ``multiprocessing.shared_memory`` segment, fork a worker, round-trip
-    one barrier.  Sandboxes that forbid ``/dev/shm`` or ``fork`` fail
-    here instead of mid-solve.
-    """
-    global _available
-    if _available is None:
-        _available = _probe()
-    return _available
-
-
-def _probe() -> bool:
-    try:
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(create=True, size=16)
-        try:
-            flag = np.ndarray((1,), dtype=np.int64, buffer=seg.buf)
-            flag[0] = 0
-            workers = ForkWorkers(
-                1, lambda w, cmd: flag.__setitem__(0, 41 + cmd))
-            try:
-                workers.dispatch(CMD_RELAX)
-                return int(flag[0]) == 41 + CMD_RELAX
-            finally:
-                workers.close()
-        finally:
-            flag = None  # release the exported memoryview before close
-            try:
-                seg.close()
-            except BufferError:  # pragma: no cover
-                pass
-            seg.unlink()
-    except (ShmUnavailable, OSError, PermissionError, RuntimeError,
-            ImportError, ValueError):
-        return False

@@ -125,11 +125,8 @@ class BlockJacobi(BlockMethodBase):
 
         Bit-for-bit and byte-for-byte equivalent to :meth:`step` (see
         DESIGN.md §5.8): relax deltas land directly in the edge
-        mailboxes, only ranks with mail run the read phase.  In ``shm``
-        mode the relax and apply phases run on the worker pool
-        (DESIGN.md §5.12) with identical results.
+        mailboxes, only ranks with mail run the read phase.
         """
-        self._shm_ensure()  # re-homes arrays — must precede the locals
         P = self.system.n_parts
         plane = self.engine.flat
         trc = self.tracer
@@ -140,7 +137,7 @@ class BlockJacobi(BlockMethodBase):
             trc.phase_begin("relax")
         relaxed = self._mask_stalled(np.ones(P, dtype=bool))
         active = np.flatnonzero(relaxed)
-        self._flat_relax_phase(relaxed)     # deltas land in plane.vals
+        self._relax_ranks(active)           # deltas land in plane.vals
         if active.size == P:
             plane.put_epoch(self._slab_solve_sids, 0.0, 0.0,
                             self._all_ranks, self._nbr_counts,
@@ -158,5 +155,5 @@ class BlockJacobi(BlockMethodBase):
         self._apply_flat_epoch()
         if tracing:
             trc.phase_end("apply")
-        self._flat_close_step()
+        self.engine.close_step()
         return int(relaxed.sum())

@@ -206,6 +206,10 @@ def test_describe_lists_every_knob():
     for knob in config.KNOBS:
         assert knob.env in out
     assert "precedence" in out
+    # one row per knob, and the knob set is pinned: adding one is a
+    # decision, not a side effect
+    rows = [ln for ln in out.splitlines() if ln.lstrip().startswith("REPRO_")]
+    assert len(rows) == len(config.KNOBS) == 8
 
 
 def test_describe_shows_env_sources(monkeypatch, tmp_path):

@@ -224,6 +224,27 @@ def test_solve_mg_block_requires_n_parts():
         solve(scaled_laplacian(7), method="mg")
 
 
+@pytest.mark.parametrize("runtime", ["async", "shm"])
+def test_solve_mg_rejects_an_explicit_non_lockstep_runtime(runtime):
+    """The V-cycle smooths on a lockstep plane: asking for another one is
+    a typed error naming the pair, not a silent fallback."""
+    with pytest.raises(ValueError, match=f"'mg'.*'{runtime}'"):
+        solve(poisson_2d(15), fig6_rhs(15), method="mg",
+              config=RunConfig(n_parts=4, runtime=runtime))
+
+
+def test_solve_mg_env_async_still_smooths_lockstep(monkeypatch):
+    """``REPRO_RUNTIME=async`` forces a whole test run, not this call:
+    the smoothing stays lockstep, bit-identical to ``runtime="flat"``."""
+    dim = 15
+    flat = solve(scaled_laplacian(dim), method="mg",
+                 config=RunConfig(n_parts=4, runtime="flat"))
+    monkeypatch.setenv("REPRO_RUNTIME", "async")
+    env = solve(scaled_laplacian(dim), method="mg",
+                config=RunConfig(n_parts=4))
+    assert _sha(env.x) == _sha(flat.x)
+
+
 def test_solve_mg_rejects_non_grid_operator(fem_300):
     with pytest.raises(ValueError, match="2\\^k"):
         solve(fem_300, method="mg", config=RunConfig(n_parts=4))

@@ -15,7 +15,9 @@ tests pin that contract:
   piggyback ablation and ``REPRO_RUNTIME=object`` all fall back to the
   object plane;
 - the flat plane's epoch discipline (visibility only after the collective
-  close, collision detection, delay rejection).
+  close, collision detection, delay rejection);
+- the int32 slab-index fast path, and ``runtime="shm"`` (a deleted
+  plane's spelling) running the flat plane and reporting it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import solve
 from repro.core import DistributedSouthwell, ParallelSouthwell
 from repro.core.blockdata import build_block_system
 from repro.core.threshold_ds import ThresholdedDistributedSouthwell
@@ -70,6 +73,32 @@ def _run(cls, mode, side=20, n_parts=8, steps=20, **kwargs):
     return m, hist
 
 
+def _assert_identical(m_a, h_a, m_b, h_b):
+    """The full plane identity bar: histories, solution, stats."""
+    assert np.array_equal(np.asarray(h_a.residual_norms),
+                          np.asarray(h_b.residual_norms))
+    assert h_a.relaxations == h_b.relaxations
+    assert h_a.times == h_b.times
+    assert h_a.comm_costs == h_b.comm_costs
+    np.testing.assert_array_equal(m_a.solution(), m_b.solution())
+    sa, sb = m_a.engine.stats, m_b.engine.stats
+    assert sa.total_messages == sb.total_messages
+    assert sa.total_bytes == sb.total_bytes
+    assert sa.category_msgs == sb.category_msgs
+    assert sa.category_bytes == sb.category_bytes
+    assert sa.elapsed_time() == sb.elapsed_time()
+    assert sa.communication_cost() == sb.communication_cost()
+    assert len(sa.steps) == len(sb.steps)
+    for a, b in zip(sa.steps, sb.steps):
+        np.testing.assert_array_equal(a.msgs, b.msgs)
+        np.testing.assert_array_equal(a.nbytes, b.nbytes)
+        np.testing.assert_array_equal(a.flops, b.flops)
+        np.testing.assert_array_equal(a.recvs, b.recvs)
+        assert a.category_msgs == b.category_msgs
+        assert a.time == b.time
+    assert m_a.total_relaxations == m_b.total_relaxations
+
+
 # ----------------------------------------------------------------------
 # pinned seed behaviour across paths
 # ----------------------------------------------------------------------
@@ -99,29 +128,7 @@ def test_flat_and_object_planes_identical(method):
     m_obj, h_obj = _run(cls, "object")
     m_flat, h_flat = _run(cls, "flat")
     assert not m_obj._use_flat and m_flat._use_flat
-
-    # bit-identical numerics
-    assert np.array_equal(np.asarray(h_obj.residual_norms),
-                          np.asarray(h_flat.residual_norms))
-    assert h_obj.relaxations == h_flat.relaxations
-    np.testing.assert_array_equal(m_obj.solution(), m_flat.solution())
-
-    # byte-identical accounting
-    so, sf = m_obj.engine.stats, m_flat.engine.stats
-    assert so.total_messages == sf.total_messages
-    assert so.total_bytes == sf.total_bytes
-    assert so.category_msgs == sf.category_msgs
-    assert so.category_bytes == sf.category_bytes
-    assert so.elapsed_time() == sf.elapsed_time()
-    assert so.communication_cost() == sf.communication_cost()
-    assert len(so.steps) == len(sf.steps)
-    for a, b in zip(so.steps, sf.steps):
-        np.testing.assert_array_equal(a.msgs, b.msgs)
-        np.testing.assert_array_equal(a.nbytes, b.nbytes)
-        np.testing.assert_array_equal(a.flops, b.flops)
-        np.testing.assert_array_equal(a.recvs, b.recvs)
-        assert a.category_msgs == b.category_msgs
-        assert a.time == b.time
+    _assert_identical(m_obj, h_obj, m_flat, h_flat)
 
 
 def test_relax_deltas_alias_flat_mailboxes():
@@ -202,6 +209,49 @@ def test_runtime_mode_env_junk_falls_back_to_auto(monkeypatch):
     assert runtime_mode() == "auto"
     monkeypatch.setenv("REPRO_RUNTIME", "  FLAT ")
     assert runtime_mode() == "flat"
+
+
+def test_shm_spelling_runs_the_flat_plane():
+    """``runtime="shm"`` names the deleted shared-memory plane (DESIGN.md
+    §5.12): the run is the flat plane's, byte for byte, and says so."""
+    A = symmetric_unit_diagonal_scale(poisson_2d(16)).matrix
+    shm = solve(A, n_parts=4, max_steps=5, runtime="shm", seed=0)
+    flat = solve(A, n_parts=4, max_steps=5, runtime="flat", seed=0)
+    assert shm.degraded_reason == "shm-unavailable" and not shm.degraded
+    assert flat.degraded_reason is None
+    assert shm.x.tobytes() == flat.x.tobytes()
+    assert shm.history.residual_norms == flat.history.residual_norms
+
+
+# ----------------------------------------------------------------------
+# int32 slab-index fast path
+# ----------------------------------------------------------------------
+def test_int32_index_fast_path_small_problem():
+    m = _setup_method(DistributedSouthwell, mode="flat")
+    plane = m.engine.flat
+    assert plane.idx_dtype is np.int32
+    for p in range(m.system.n_parts):
+        assert m._out_eids[p].dtype == np.int32
+        assert m._grows_flat[p].dtype == np.int32
+    assert m._sid_slabpos.dtype == np.int32
+    # header-row and ghost-scatter plans: the Γ/Γ̃ slab indices and the
+    # z-span bounds follow the plane dtype too
+    assert m._nbr_off.dtype == np.int32
+    assert m._nbr_flat.dtype == np.int32
+    assert m._slab_owner.dtype == np.int32
+    assert m._eid_pos.dtype == np.int32
+    assert m._zspan_lo.dtype == np.int32
+    assert m._zspan_hi.dtype == np.int32
+    assert m._z2g.dtype == np.int32
+
+
+def test_int32_and_int64_paths_agree(monkeypatch):
+    import repro.runtime.flatplane as fp
+    m32, h32 = _run(DistributedSouthwell, "flat")
+    monkeypatch.setattr(fp, "_INT32_LIMIT", 0)   # force the int64 path
+    m64, h64 = _run(DistributedSouthwell, "flat")
+    assert m64.engine.flat.idx_dtype is np.int64
+    _assert_identical(m32, h32, m64, h64)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Scaling-plane tests (DESIGN.md §5.13): the paper-scale machinery.
 
 Covers the pieces the million-row campaign rides on: the in-place
-relabel coarsening path and the ``coarse`` partition method, the sized
-``ShmArenaOverflow`` error and the ``REPRO_SHM_MB`` floor knob, the
+relabel coarsening path and the ``coarse`` partition method, the
 memmap-backed setup-cache blobs, and ``peak_rss_bytes`` on
 :class:`~repro.api.SolveResult`.  (Bit-identity of the streamed
 generators lives in ``tests/test_stream_matrices.py``; the int32 slab
-dtype extension in ``tests/test_runtime_parallel.py``.)
+dtype extension in ``tests/test_runtime_fastpath.py``.)
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config as _config
 from repro.api import solve
 from repro.matrices.poisson import poisson_2d
 from repro.partition import (
@@ -26,12 +24,7 @@ from repro.partition import (
     parts_are_valid,
 )
 from repro.partition.coarsen import heavy_edge_matching
-from repro.runtime.pool import ShmUnavailable, shm_available
-from repro.runtime.shmplane import ShmArena, ShmArenaOverflow
 from repro.sparsela import symmetric_unit_diagonal_scale
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="shared memory / fork unavailable here")
 
 
 @pytest.fixture
@@ -89,80 +82,6 @@ def test_coarse_method_through_solve(A):
 
 
 # ----------------------------------------------------------------------
-# sized arena overflow + the REPRO_SHM_MB floor
-# ----------------------------------------------------------------------
-@needs_shm
-def test_arena_overflow_error_is_sized_and_actionable():
-    arena = ShmArena(256)
-    try:
-        arena.take(16, np.float64)
-        with pytest.raises(ShmArenaOverflow) as ei:
-            arena.take(10_000, np.float64)
-        err = ei.value
-        assert isinstance(err, ShmUnavailable)       # degradation still works
-        assert err.requested_nbytes == 80_000
-        assert err.used_nbytes == 128                # 16*8 aligned to 64
-        assert err.capacity_nbytes >= 256
-        assert err.suggested_mb >= 1
-        msg = str(err)
-        assert "REPRO_SHM_MB" in msg
-        assert "80000 B" in msg
-    finally:
-        arena.release()
-
-
-@needs_shm
-def test_arena_overflow_suggestion_has_headroom():
-    arena = ShmArena(1 << 20)
-    try:
-        with pytest.raises(ShmArenaOverflow) as ei:
-            arena.take(300 << 20, np.uint8)
-        # suggestion must cover the request with ~25% headroom, in MB
-        assert ei.value.suggested_mb >= 300
-        assert ei.value.suggested_mb <= 500
-    finally:
-        arena.release()
-
-
-def test_shm_mb_knob_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM_MB", raising=False)
-    assert _config.shm_mb() == 0                     # default: demand-driven
-    monkeypatch.setenv("REPRO_SHM_MB", "64")
-    assert _config.shm_mb() == 64
-    assert _config.shm_mb(128) == 128                # explicit beats env
-    monkeypatch.setenv("REPRO_SHM_MB", "junk")
-    assert _config.shm_mb() == 0                     # junk degrades
-    monkeypatch.setenv("REPRO_SHM_MB", "-5")
-    assert _config.shm_mb() == 0                     # negative degrades
-
-
-def test_shm_mb_knob_in_describe(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM_MB", raising=False)
-    assert "REPRO_SHM_MB" in _config.describe()
-
-
-@needs_shm
-def test_shm_mb_floor_enlarges_segment(monkeypatch):
-    from repro.runtime.shmplane import ShmExecutionPlane
-
-    monkeypatch.delenv("REPRO_SHM_MB", raising=False)
-    small = ShmExecutionPlane(4, np.full(4, 8), 2, extra_nbytes=1024,
-                              sid_capacity=16)
-    try:
-        demand_size = small.arena.seg.size
-    finally:
-        small.close()
-    monkeypatch.setenv("REPRO_SHM_MB", "8")
-    floored = ShmExecutionPlane(4, np.full(4, 8), 2, extra_nbytes=1024,
-                                sid_capacity=16)
-    try:
-        assert floored.arena.seg.size >= 8 << 20
-        assert floored.arena.seg.size > demand_size
-    finally:
-        floored.close()
-
-
-# ----------------------------------------------------------------------
 # memmap-backed setup cache
 # ----------------------------------------------------------------------
 def test_warm_setup_arrays_are_memmap_views(A, tmp_path):
@@ -181,10 +100,9 @@ def test_warm_setup_arrays_are_memmap_views(A, tmp_path):
 
 
 def test_warm_setup_solve_identity_all_runtimes(A, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
     monkeypatch.setenv("REPRO_SETUP_CACHE", str(tmp_path))
     cold = solve(A, n_parts=4, max_steps=6, seed=0, runtime="flat")
-    for rt in ("flat", "shm", "object"):
+    for rt in ("flat", "object"):
         warm = solve(A, n_parts=4, max_steps=6, seed=0, runtime=rt)
         assert (warm.history.residual_norms
                 == cold.history.residual_norms), rt
@@ -201,18 +119,3 @@ def test_solve_reports_peak_rss(A):
     d = res.to_dict()
     assert d["schema"] == "repro.solveresult/v5"
     assert d["peak_rss_bytes"] == res.peak_rss_bytes
-
-
-@needs_shm
-def test_shm_run_folds_children_rss(A, monkeypatch):
-    """A pooled run reports at least the flat run's self peak plus the
-    reaped workers' high-water mark (the fold is an upper bound)."""
-    import resource
-
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    flat = solve(A, n_parts=4, max_steps=3, seed=0, runtime="flat")
-    res = solve(A, n_parts=4, max_steps=3, seed=0, runtime="shm")
-    assert res.degraded_reason is None
-    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
-    assert kids > 0, "shm workers were reaped, so children peak is set"
-    assert res.peak_rss_bytes >= flat.peak_rss_bytes + kids

@@ -23,7 +23,6 @@ from repro.matrices.poisson import poisson_2d
 from repro.multigrid import MultigridExecutor, make_smoother
 from repro.runtime import use_runtime
 from repro.runtime.flatplane import FlatEdgePlane
-from repro.runtime.pool import shm_available
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela.backend import use_backend
 
@@ -144,26 +143,6 @@ def test_structure_follows_the_fault_plan():
         got = _run_record(runner, x1, b1, 4)
         assert runner.engine.flat is not lossy_plane
         assert got == _run_record(DistributedSouthwell(system), x1, b1, 4)
-
-
-@pytest.mark.skipif(not shm_available(),
-                    reason="shared memory / fork unavailable here")
-def test_shm_run_drops_the_structure(monkeypatch):
-    """The arena re-home replaces the arrays the structure is bound to,
-    so a run that forked workers rebuilds it at the next setup()."""
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    _, system, x1, b1 = _random_setup(48, 5, 6)
-    x2, b2 = _second_rhs(system, 6)
-    runner = DistributedSouthwell(system)
-    with use_runtime("shm"):
-        first = _run_record(runner, x1, b1, 4)
-        plane = runner.engine.flat
-        assert runner._structure_key is None
-        second = _run_record(runner, x2, b2, 4)
-        assert runner.engine.flat is not plane
-    with use_runtime("flat"):
-        assert first == _run_record(DistributedSouthwell(system), x1, b1, 4)
-        assert second == _run_record(DistributedSouthwell(system), x2, b2, 4)
 
 
 # ----------------------------------------------------------------------
