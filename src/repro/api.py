@@ -268,6 +268,9 @@ class SolveResult:
     #: where the ``resource`` module is unavailable.  A high-water mark
     #: for the whole process, not a per-run delta: in a fresh process
     #: (one cell of ``scripts/bench_scale.py``) it IS the run's peak.
+    #: The partitioner's forked child (DESIGN.md §5.10) is another
+    #: process, so its memory is not in ``RUSAGE_SELF``; it shows under
+    #: ``RUSAGE_CHILDREN``.
     peak_rss_bytes: int | None = None
     #: simulated seconds the event-driven run spanned (the furthest
     #: rank clock); ``None`` for lockstep runs

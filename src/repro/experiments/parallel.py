@@ -153,30 +153,20 @@ def _cache_store(cache: Path, key: str, result) -> None:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-#: set in :func:`_worker_init`: this process is a sweep-pool worker
-_in_worker = False
-
-
 def _run_task(task: SweepTask):
     """Execute one task in the current process (worker or inline)."""
     from repro.experiments.runners import clear_run_caches, run_method
+    from repro.runtime.pool import in_pool_worker
 
     try:
         return run_method(task.problem, task.method, task.n_procs,
                           task.size_scale, task.max_steps, task.seed)
     finally:
-        if _in_worker:  # pragma: no cover - exercised in spawned procs
+        if in_pool_worker():  # pragma: no cover - exercised in forked procs
             # the parent holds the returned result and the disk caches
             # hold everything reusable; keep only the bounded setup LRU
             # so consecutive tasks on one problem share a partition
             clear_run_caches(keep_setup=True)
-
-
-def _worker_init(w: int) -> None:  # pragma: no cover - runs in children
-    """Forked workers inherit the loaded package and every config knob;
-    all that changes is the in-worker flag driving per-task cache trims."""
-    global _in_worker
-    _in_worker = True
 
 
 def run_sweep(tasks, workers: int | None = None,
@@ -222,8 +212,7 @@ def _run_pool(tasks, todo, results, workers) -> list[int]:
 
     done: set[int] = set()
     try:
-        with ForkTaskPool(min(workers, len(todo)), _run_task,
-                          init=_worker_init) as pool:
+        with ForkTaskPool(min(workers, len(todo)), _run_task) as pool:
             for i, out in pool.map_indexed({i: tasks[i] for i in todo}):
                 results[i] = out
                 done.add(i)

@@ -8,16 +8,22 @@ Pipeline per bisection (the classic multilevel scheme):
    refinement at every level.
 
 k-way partitions come from recursive bisection with proportional weight
-targets, so any ``k`` (not just powers of two) is balanced.
+targets, so any ``k`` (not just powers of two) is balanced.  Below a
+bisection the two halves share nothing, so large halves are cut in two
+forked processes (:func:`partition_graph`).
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
 from repro.partition.bisect import fm_refine, greedy_grow_bisection
 from repro.partition.coarsen import coarsen_graph, coarsen_labels
 from repro.partition.graph import Graph, matrix_graph
+from repro.runtime import pool as _pool
 from repro.sparsela import CSRMatrix
 
 __all__ = ["multilevel_bisection", "partition_graph", "partition_matrix",
@@ -55,13 +61,22 @@ def partition_graph(g: Graph, n_parts: int, seed: int = 0,
                     imbalance: float = 0.05) -> np.ndarray:
     """k-way partition by recursive multilevel bisection.
 
-    Returns ``parts`` with ``parts[v] ∈ [0, n_parts)``.  Part weights are
-    proportional (each final part targets ``1/n_parts`` of the total vertex
-    weight, to within ``imbalance`` per bisection).
+    Returns ``parts`` with ``parts[v] ∈ [0, n_parts)``, every part
+    nonempty.  Part weights are proportional (each final part targets
+    ``1/n_parts`` of the total vertex weight, to within ``imbalance`` per
+    bisection).
+
+    Where forking is safe and pays (:func:`_fork_width`,
+    ``_FORK_MIN_VERTICES``), the two halves of a bisection are cut in
+    two processes.  Every bisection's seed depends only on its place in
+    the tree, so the labels are the serial ones byte for byte.
     """
     if n_parts < 1:
         raise ValueError("n_parts must be positive")
     n = g.n_vertices
+    if n_parts > n:
+        raise ValueError(f"cannot cut n={n} vertices into P={n_parts} "
+                         "nonempty parts")
     parts = np.zeros(n, dtype=np.int64)
     if n_parts == 1:
         return parts
@@ -71,30 +86,86 @@ def partition_graph(g: Graph, n_parts: int, seed: int = 0,
     imbalance = imbalance / levels
 
     def recurse(vertices: np.ndarray, sub: Graph, k: int, base: int,
-                depth: int) -> None:
-        if k == 1 or vertices.size == 0:
-            parts[vertices] = base
-            return
+                depth: int, width: int) -> None:
+        # invariant: vertices.size >= k, so no part can come out empty
         k0 = k // 2
-        frac0 = k0 / k
-        if sub.n_vertices <= 1:
-            # degenerate: everything to the first child
-            parts[vertices] = base
-            return
-        side = multilevel_bisection(sub, fraction0=frac0,
+        side = multilevel_bisection(sub, fraction0=k0 / k,
                                     seed=seed + 31 * depth + base,
                                     imbalance=imbalance)
-        for s, kk, b in ((0, k0, base), (1, k - k0, base + k0)):
-            mask = side == s
-            child_vertices = vertices[mask]
-            if kk == 1 or child_vertices.size <= 1:
-                parts[child_vertices] = b
-                continue
-            child = _induced_subgraph(sub, np.flatnonzero(mask))
-            recurse(child_vertices, child, kk, b, depth + 1)
+        _make_room(sub, side, (k0, k - k0))
 
-    recurse(np.arange(n), g, n_parts, 0, 0)
+        def half(s: int, kk: int, b: int, w: int) -> np.ndarray:
+            keep = np.flatnonzero(side == s)
+            mine = vertices[keep]
+            if kk == 1:
+                parts[mine] = b
+            else:
+                recurse(mine, _induced_subgraph(sub, keep), kk, b,
+                        depth + 1, w)
+            return mine
+
+        if (width > 1 and k0 > 1
+                and np.count_nonzero(side) >= _FORK_MIN_VERTICES):
+            try:
+                child = _pool.ForkedCall(
+                    lambda: parts[half(1, k - k0, base + k0, width // 2)])
+            except OSError:
+                pass                    # fork refused: cut both halves here
+            else:
+                with child:
+                    half(0, k0, base, width // 2)
+                    parts[vertices[side == 1]] = child.result()
+                return
+        half(0, k0, base, width)
+        half(1, k - k0, base + k0, width)
+
+    recurse(np.arange(n), g, n_parts, 0, 0, _fork_width())
     return parts
+
+
+#: fork a bisection's side 1 only from this many vertices up.  On a
+#: 2-core box a forked root saves ≈ 3 ms with a 512-vertex side 1,
+#: 7–14 ms at 1 024 and 20–100 ms at 2 048, against ≈ 2–3 ms for fork +
+#: reap at 40–940 MB parent RSS (DESIGN.md §5.10)
+_FORK_MIN_VERTICES = 1024
+
+
+def _fork_width() -> int:
+    """CPUs the recursion may fan out over; 1 means it stays serial.
+
+    Forking needs ``os.fork``, no other thread (a fork copies locks
+    another thread may hold) and not being a sweep-pool worker (whose
+    siblings already fill the cores).  Each fork halves the width, so a
+    4-CPU box forks at two depths of the tree.
+    """
+    if (not hasattr(os, "fork") or threading.active_count() != 1
+            or _pool.in_pool_worker()):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return 1
+
+
+def _make_room(g: Graph, side: np.ndarray, need: tuple[int, int]) -> None:
+    """Move vertices across the cut until side ``s`` holds ``need[s]``.
+
+    A bisection of a tiny or lopsided subgraph can leave a side with
+    fewer vertices than the parts it must cover, and its recursion would
+    then leave a part empty.  The short side takes the other side's
+    vertices most strongly tied to it (ties: lowest index).  A cut that
+    already fits is left untouched, so partitions that were valid before
+    this repair existed keep their labels.
+    """
+    for s in (0, 1):
+        short = need[s] - np.count_nonzero(side == s)
+        if short > 0:
+            donors = np.flatnonzero(side != s)
+            tie = np.bincount(g.expanded_rows(),
+                              weights=g.adjwgt * (side[g.adjncy] == s),
+                              minlength=g.n_vertices)[donors]
+            side[donors[np.argsort(-tie, kind="stable")[:short]]] = s
+            return
 
 
 def _induced_subgraph(g: Graph, keep: np.ndarray) -> Graph:

@@ -29,7 +29,7 @@ from repro.runtime.flatplane import (
     set_runtime_mode,
     use_runtime,
 )
-from repro.runtime.pool import ForkTaskPool, ForkUnavailable
+from repro.runtime.pool import ForkTaskPool, ForkUnavailable, WorkerDied
 from repro.runtime.message import (
     CATEGORY_RESIDUAL,
     CATEGORY_SOLVE,
@@ -56,6 +56,7 @@ __all__ = [
     "StepSnapshot",
     "Window",
     "WindowSystem",
+    "WorkerDied",
     "ZERO_COST",
     "payload_nbytes",
     "runtime_mode",

@@ -1,14 +1,17 @@
-"""Fork-based persistent task pool for the sweep runner.
+"""Fork-based workers: a persistent task pool and a one-shot child.
 
 :class:`ForkTaskPool` runs coarse pickled tasks for
 :mod:`repro.experiments.parallel` over forked processes instead of a
 spawn-based ``ProcessPoolExecutor``: spawned workers re-import the
-package per pool, forked ones inherit it.
+package per pool, forked ones inherit it.  :class:`ForkedCall` runs one
+function in one forked child while the parent works on — the
+partitioner's second bisection half (DESIGN.md §5.10).
 
 Sandboxes routinely forbid forking (the case
 ``experiments/parallel.py`` has always degraded around): a constructor
-failure surfaces as :class:`ForkUnavailable` so callers can fall back to
-the single-process path instead of crashing.
+failure surfaces as :class:`ForkUnavailable` (pool) or ``OSError``
+(one-shot child) so callers can fall back to the single-process path
+instead of crashing.
 """
 
 from __future__ import annotations
@@ -17,13 +20,29 @@ import atexit
 import os
 import pickle
 import select
+import signal
 import struct
 
-__all__ = ["ForkTaskPool", "ForkUnavailable"]
+__all__ = ["ForkTaskPool", "ForkUnavailable", "ForkedCall", "WorkerDied",
+           "in_pool_worker"]
 
 
 class ForkUnavailable(RuntimeError):
     """The environment forbids forking worker processes."""
+
+
+class WorkerDied(RuntimeError):
+    """A forked worker exited without sending its result."""
+
+
+#: set in every :class:`ForkTaskPool` worker: code that could fork on its
+#: own stays serial there, so ``n`` workers never become ``2n`` processes
+_in_worker = False
+
+
+def in_pool_worker() -> bool:
+    """True inside a :class:`ForkTaskPool` worker process."""
+    return _in_worker
 
 
 _LEN = struct.Struct("<Q")
@@ -61,6 +80,77 @@ class _TaskError:
         self.exc = exc
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or its exception wrapped as a :class:`_TaskError`."""
+    try:
+        return fn(*args)
+    except BaseException as exc:                # ship the failure back
+        return _TaskError(exc)
+
+
+def _dumps(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class ForkedCall:
+    """``fn()`` evaluated in one forked child while the parent works on.
+
+    The constructor forks; its ``OSError`` propagates so a caller can call
+    ``fn`` itself instead.  :meth:`result` blocks for the child's value,
+    re-raises the child's exception with its type, or raises
+    :class:`WorkerDied` when the child exits without sending one — EOF on
+    the pipe, never a hang.  The child leaves through ``os._exit``;
+    leaving the ``with`` block kills a child whose result was never
+    collected, and the parent always reaps it.
+    """
+
+    def __init__(self, fn) -> None:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:                            # ---- child
+            status = 0
+            try:
+                os.close(r)
+                _write_frame(w, _dumps(_outcome(fn)))
+            except BaseException:               # pragma: no cover - child
+                status = 1
+            finally:
+                os._exit(status)
+        os.close(w)
+        self._fd, self._pid = r, pid
+
+    def result(self):
+        """Block for ``fn()``'s value and reap the child."""
+        frame = _read_frame(self._fd)
+        self._reap(kill=frame is None)
+        if frame is None:
+            raise WorkerDied("forked child exited without a result")
+        out = pickle.loads(frame)
+        if isinstance(out, _TaskError):
+            raise out.exc
+        return out
+
+    def _reap(self, kill: bool) -> None:
+        if self._pid is None:
+            return
+        os.close(self._fd)
+        if kill:
+            os.kill(self._pid, signal.SIGKILL)  # a zombie takes it too
+        os.waitpid(self._pid, 0)
+        self._pid = None
+
+    def __enter__(self) -> "ForkedCall":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._reap(kill=True)
+
+
 class ForkTaskPool:
     """Persistent forked workers running pickled ``(index, item)`` tasks.
 
@@ -69,10 +159,10 @@ class ForkTaskPool:
     ``fork()`` instead of a fresh interpreter plus re-import.  Results
     stream back over pipes; :meth:`map_indexed` multiplexes over all
     workers with ``select`` so one slow task never blocks dispatch to an
-    idle process.
+    idle process.  Workers see :func:`in_pool_worker` return True.
     """
 
-    def __init__(self, n: int, fn, init=None) -> None:
+    def __init__(self, n: int, fn) -> None:
         if not hasattr(os, "fork"):
             raise ForkUnavailable("os.fork is not available on this platform")
         self.n = n
@@ -81,7 +171,7 @@ class ForkTaskPool:
         self._pids: list[int] = []
         self._closed = False
         try:
-            for w in range(n):
+            for _ in range(n):
                 task_r, task_w = os.pipe()
                 res_r, res_w = os.pipe()
                 pid = os.fork()
@@ -92,8 +182,6 @@ class ForkTaskPool:
                         os.close(res_r)
                         for fd in self._task_w + self._res_r:
                             os.close(fd)
-                        if init is not None:
-                            init(w)
                         self._serve(fn, task_r, res_w)
                     except BaseException:       # pragma: no cover - child
                         status = 1
@@ -111,17 +199,14 @@ class ForkTaskPool:
 
     @staticmethod
     def _serve(fn, task_r: int, res_w: int) -> None:
+        global _in_worker
+        _in_worker = True
         while True:
             frame = _read_frame(task_r)
             if frame is None:
                 return
             idx, item = pickle.loads(frame)
-            try:
-                out = fn(item)
-            except BaseException as exc:        # ship the failure back
-                out = _TaskError(exc)
-            _write_frame(res_w, pickle.dumps((idx, out),
-                                             protocol=pickle.HIGHEST_PROTOCOL))
+            _write_frame(res_w, _dumps((idx, _outcome(fn, item))))
 
     # ------------------------------------------------------------------
     def map_indexed(self, items: dict):
@@ -141,8 +226,7 @@ class ForkTaskPool:
             while pending and idle:
                 w = idle.pop()
                 idx, item = pending.pop(0)
-                _write_frame(self._task_w[w], pickle.dumps(
-                    (idx, item), protocol=pickle.HIGHEST_PROTOCOL))
+                _write_frame(self._task_w[w], _dumps((idx, item)))
                 busy[self._res_r[w]] = True
                 inflight += 1
             ready, _, _ = select.select(list(busy), [], [])
@@ -150,7 +234,7 @@ class ForkTaskPool:
                 frame = _read_frame(fd)
                 if frame is None:
                     self.close()
-                    raise RuntimeError("sweep worker died")
+                    raise WorkerDied("sweep worker died")
                 idx, out = pickle.loads(frame)
                 if isinstance(out, _TaskError):
                     self.close()

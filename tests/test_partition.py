@@ -1,8 +1,17 @@
 """Tests for the graph substrate and the multilevel partitioner."""
 
+import os
+import signal
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.partition.multilevel as ml
+from repro.matrices import fem_poisson_2d
 from repro.matrices.poisson import poisson_2d
 from repro.partition import (
     Partition,
@@ -24,6 +33,7 @@ from repro.partition import (
 )
 from repro.partition.bisect import bisection_cut
 from repro.partition.coarsen import contract
+from repro.runtime import pool
 from repro.sparsela import CSRMatrix
 
 
@@ -130,6 +140,31 @@ def test_partition_graph_valid_and_balanced(pgraph, k):
 def test_partition_graph_one_part(pgraph):
     parts = partition_graph(pgraph, 1)
     assert np.all(parts == 0)
+
+
+def test_partition_fills_every_part_when_a_side_runs_short():
+    # a bisection here leaves one side fewer vertices than the parts it
+    # must cover; without the repair part 148 came out empty
+    A = fem_poisson_2d(300, seed=1).matrix
+    part = partition(A, 299)
+    assert parts_are_valid(part.parts, 299)
+    assert np.all(np.diff(part.offsets) > 0)
+
+
+def test_partition_graph_rejects_more_parts_than_vertices(pgraph):
+    with pytest.raises(ValueError, match="n=144.*P=145"):
+        partition_graph(pgraph, 145)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fem=st.booleans(), size=st.integers(2, 120),
+       frac=st.floats(0.0, 1.0), seed=st.integers(0, 3))
+def test_partition_graph_parts_never_empty(fem, size, frac, seed):
+    A = (fem_poisson_2d(size, seed=seed).matrix if fem
+         else poisson_2d(max(2, int(np.sqrt(size)))))
+    n = A.n_rows
+    k = 2 + int(frac * (n - 2))
+    assert parts_are_valid(partition_graph(matrix_graph(A), k, seed=seed), k)
 
 
 def test_partition_matrix_beats_strided():
@@ -276,6 +311,195 @@ def test_fast_kernels_match_reference_backend():
     assert np.array_equal(fast.parts, ref.parts)
     assert np.array_equal(fast.perm, ref.perm)
     assert _parts_digest(fast.parts) == "1bee47fa0fb511ab"
+
+
+# ------------------------------------------------------- forked subtrees
+# partition_graph cuts the two halves of a large bisection in two
+# processes.  Forcing the fork on (tiny size threshold, a wide CPU set)
+# and off must give the same labels byte for byte, a failing child must
+# surface in the parent, and no child may outlive the call.
+class _ChildBoom(Exception):
+    """Raised only inside a forked child."""
+
+
+@contextmanager
+def _forks(mp, on: bool = True, cpus=(0, 1, 2, 3)):
+    """Force the fork path on or off; yield the list of fork attempts."""
+    made = []
+    real = pool.ForkedCall
+
+    def spy(fn):
+        made.append(os.getpid())
+        return real(fn)
+
+    mp.setattr(pool, "ForkedCall", spy)
+    mp.setattr(ml, "_FORK_MIN_VERTICES", 8 if on else 1 << 60)
+    if cpus is not None:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                   raising=False)
+    yield made
+    _assert_no_children()
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _deadline(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _labels(A, k, seed=0, on=True, cpus=(0, 1, 2, 3)):
+    with (pytest.MonkeyPatch.context() as mp, _forks(mp, on, cpus) as made,
+          _deadline(120)):
+        parts = partition(A, k, method="multilevel", seed=seed).parts
+    return parts, made
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("n,k,digest,cut", _PINNED,
+                         ids=[f"n{n}-P{k}" for n, k, _, _ in _PINNED])
+def test_forked_partition_matches_pinned_digest(n, k, digest, cut):
+    A = poisson_2d(n)
+    forked, made = _labels(A, k, on=True)
+    serial, none = _labels(A, k, on=False)
+    assert made and not none
+    assert _parts_digest(forked) == _parts_digest(serial) == digest
+
+
+@needs_fork
+@settings(max_examples=15, deadline=None)
+@given(fem=st.booleans(), size=st.integers(40, 600),
+       k=st.integers(4, 40), seed=st.integers(0, 3))
+def test_forked_partition_labels_are_serial_labels(fem, size, k, seed):
+    A = (fem_poisson_2d(size, seed=seed).matrix if fem
+         else poisson_2d(int(np.sqrt(size))))
+    k = min(k, A.n_rows)
+    forked, made = _labels(A, k, seed=seed, on=True)
+    serial, _ = _labels(A, k, seed=seed, on=False)
+    assert made
+    assert forked.tobytes() == serial.tobytes()
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3, 4, 8])
+def test_each_fork_halves_the_width(cpus):
+    # the parent keeps side 0 of every fork it makes: one fork per depth
+    # while the width lasts (children fork too; their spies are their own)
+    parts, made = _labels(poisson_2d(40), 16, cpus=range(cpus))
+    assert len(made) == int(np.log2(cpus))
+    assert _parts_digest(parts) == "1bee47fa0fb511ab"
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_one_usable_cpu_stays_serial():
+    A = poisson_2d(24)
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(before)})
+    try:
+        parts, made = _labels(A, 8, on=True, cpus=None)
+    finally:
+        os.sched_setaffinity(0, before)
+    assert made == []
+    assert _parts_digest(parts) == "1355cf2f6344ce7e"
+
+
+@needs_fork
+def test_another_thread_keeps_partition_serial():
+    stop = threading.Event()
+    t = threading.Thread(target=stop.wait)
+    t.start()
+    try:
+        parts, made = _labels(poisson_2d(24), 8)
+    finally:
+        stop.set()
+        t.join()
+    assert made == []
+    assert _parts_digest(parts) == "1355cf2f6344ce7e"
+
+
+def test_no_fork_without_os_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    parts, made = _labels(poisson_2d(24), 8)
+    assert made == []
+    assert _parts_digest(parts) == "1355cf2f6344ce7e"
+
+
+@needs_fork
+def test_fork_oserror_falls_back_to_serial(monkeypatch):
+    def refuse():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    parts, made = _labels(poisson_2d(24), 8)
+    assert made                              # tried, then ran serial
+    assert _parts_digest(parts) == "1355cf2f6344ce7e"
+
+
+def _only_in_child(monkeypatch, action):
+    """Run ``action()`` whenever a forked child cuts a subgraph."""
+    parent = os.getpid()
+    real = ml._induced_subgraph
+
+    def induced(*args):
+        if os.getpid() != parent:
+            action()
+        return real(*args)
+
+    monkeypatch.setattr(ml, "_induced_subgraph", induced)
+
+
+@needs_fork
+def test_child_exception_reraises_with_its_type(monkeypatch):
+    def boom():
+        raise _ChildBoom("side 1 failed")
+
+    _only_in_child(monkeypatch, boom)
+    with pytest.raises(_ChildBoom, match="side 1 failed"):
+        _labels(poisson_2d(24), 8, cpus=(0, 1))
+    _assert_no_children()
+
+
+@needs_fork
+def test_child_killed_before_result_raises_worker_died(monkeypatch):
+    _only_in_child(monkeypatch,
+                   lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(pool.WorkerDied):           # bounded by _labels
+        _labels(poisson_2d(24), 8, cpus=(0, 1))
+    _assert_no_children()
+
+
+def _partition_in_worker(_):
+    """Pool task: partition with the fork forced on; report attempts."""
+    with pytest.MonkeyPatch.context() as mp, _forks(mp) as made:
+        parts = partition(poisson_2d(24), 8, seed=0).parts
+    return len(made), _parts_digest(parts)
+
+
+@needs_fork
+def test_pool_worker_partitions_serially():
+    with _deadline(120), pool.ForkTaskPool(1, _partition_in_worker) as w:
+        (_, (made, digest)), = w.map_indexed({0: None})
+    assert made == 0
+    assert digest == "1355cf2f6344ce7e"
+    _assert_no_children()
 
 
 def test_numba_kernels_match_fast_kernels():
