@@ -80,7 +80,9 @@ class AsyncConfig:
     stragglers, ``max_turns`` ``max_steps × P × 8``.
 
     ``speed_factors`` is a tuple of ``(rank, factor)`` pairs — factor
-    0.5 makes that rank compute at half speed (a 2× straggler).
+    0.5 makes that rank compute at half speed (a 2× straggler) — or the
+    CLI's ``"rank:factor,..."`` spec string, parsed into that tuple.
+    Every duration and factor must be finite.
     ``max_time`` bounds *simulated* seconds.  ``poll_interval`` is how
     long an idle rank sleeps before re-checking its mailbox;
     ``record_every`` is the history sampling cadence in turns.
@@ -100,19 +102,28 @@ class AsyncConfig:
     scheduler: str | None = None
 
     def __post_init__(self) -> None:
-        if self.latency is not None and self.latency < 0.0:
-            raise ValueError("latency must be non-negative")
-        if self.poll_interval <= 0.0:
-            raise ValueError("poll_interval must be positive")
+        finite = _config.require_finite
+        if self.latency is not None:
+            finite("latency", self.latency, positive=False)
+        finite("poll_interval", self.poll_interval, positive=True)
+        if isinstance(self.speed_factors, str):
+            # the CLI's "rank:factor,..." spec, parsed and validated once
+            object.__setattr__(self, "speed_factors",
+                               _config.parse_speed_factors(
+                                   self.speed_factors))
         if self.speed_factors is not None:
             for pair in self.speed_factors:
-                rank, factor = pair
+                try:
+                    rank, factor = pair
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"speed_factors entries must be (rank, factor) "
+                        f"pairs, got {pair!r}") from None
                 if int(rank) < 0:
-                    raise ValueError("speed factor ranks must be >= 0")
-                if float(factor) <= 0.0:
-                    raise ValueError("speed factors must be positive")
-        if self.max_time is not None and self.max_time <= 0.0:
-            raise ValueError("max_time must be positive")
+                    raise ValueError("speed_factors ranks must be >= 0")
+                finite("speed_factors factor", factor, positive=True)
+        if self.max_time is not None:
+            finite("max_time", self.max_time, positive=True)
         if self.max_turns is not None and self.max_turns < 1:
             raise ValueError("max_turns must be at least 1")
         if self.record_every < 1:

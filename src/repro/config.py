@@ -30,6 +30,7 @@ imported during package init) can read through it without cycles.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,7 @@ __all__ = [
     "async_scheduler",
     "backend",
     "parse_speed_factors",
+    "require_finite",
     "describe",
     "faults_spec",
     "runtime",
@@ -274,8 +276,8 @@ def async_scheduler(explicit: str | None = None) -> str:
 def parse_speed_factors(spec: str) -> tuple[tuple[int, float], ...]:
     """Parse a ``"rank:factor,rank:factor"`` straggler spec.
 
-    Raises :class:`ValueError` on malformed entries or non-positive
-    factors — the CLI's ``--async-speed-factors`` and
+    Raises :class:`ValueError` on malformed entries or non-finite or
+    non-positive factors — the CLI's ``--async-speed-factors`` and
     :class:`~repro.core.async_exec.AsyncExecutor`'s string specs share
     this.
     """
@@ -289,13 +291,26 @@ def parse_speed_factors(spec: str) -> tuple[tuple[int, float], ...]:
             raise ValueError(
                 f"speed-factor entry {part!r} is not 'rank:factor'")
         rank = int(rank_s)
-        factor = float(factor_s)
+        factor = require_finite("speed factor", factor_s, positive=True)
         if rank < 0:
             raise ValueError(f"speed-factor rank {rank} is negative")
-        if factor <= 0.0:
-            raise ValueError(f"speed factor {factor} must be positive")
         out.append((rank, factor))
     return tuple(out)
+
+
+def require_finite(name: str, value, *, positive: bool) -> float:
+    """``value`` as a float: finite and ``> 0`` (``positive``) or
+    ``>= 0``, else a :class:`ValueError` naming ``name`` (NaN fails
+    every comparison, so a bare ``< 0`` check would let it through)."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
+        raise ValueError(f"{name} must be finite and "
+                         f"{'positive' if positive else 'non-negative'}, "
+                         f"got {value!r}")
+    return v
 
 
 # ----------------------------------------------------------------------

@@ -84,16 +84,14 @@ class AsyncExecutor:
                  poll_interval: float = 2.0e-6,
                  speed_factors=None, record_every: int = 64,
                  scheduler: str | None = None) -> None:
-        if poll_interval <= 0.0:
-            raise ValueError("poll_interval must be positive")
+        finite = _config.require_finite
+        self.poll_interval = finite("poll_interval", poll_interval,
+                                    positive=True)
         if record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if latency is not None and latency < 0.0:
-            raise ValueError("async latency must be non-negative")
         self.runner = runner
         self.latency = (_config.DEFAULT_ASYNC_LATENCY if latency is None
-                        else float(latency))
-        self.poll_interval = float(poll_interval)
+                        else finite("latency", latency, positive=False))
         self.speed_factors = speed_factors
         self.record_every = int(record_every)
         self.scheduler = _config.async_scheduler(scheduler)
@@ -107,22 +105,22 @@ class AsyncExecutor:
         if spec is None:
             return None
         if isinstance(spec, np.ndarray):
-            arr = np.asarray(spec, dtype=np.float64)
-            if arr.shape != (P,):
+            base = np.asarray(spec, dtype=np.float64)
+            if base.shape != (P,):
                 raise ValueError("speed_factors array must have one "
                                  "entry per process")
-            return arr
-        if isinstance(spec, str):
-            spec = _config.parse_speed_factors(spec)
-        base = np.ones(P)
-        for rank, factor in spec:
-            rank = int(rank)
-            if not 0 <= rank < P:
-                raise ValueError(f"speed factor rank {rank} out of "
-                                 f"range for {P} processes")
-            base[rank] = float(factor)
-        if np.any(base <= 0.0):
-            raise ValueError("speed factors must be positive")
+        else:
+            if isinstance(spec, str):
+                spec = _config.parse_speed_factors(spec)
+            base = np.ones(P)
+            for rank, factor in spec:
+                rank = int(rank)
+                if not 0 <= rank < P:
+                    raise ValueError(f"speed factor rank {rank} out of "
+                                     f"range for {P} processes")
+                base[rank] = float(factor)
+        if not np.all(np.isfinite(base) & (base > 0.0)):
+            raise ValueError("speed_factors must be finite and positive")
         return base
 
     # ------------------------------------------------------------------
@@ -144,36 +142,34 @@ class AsyncExecutor:
         runner = self.runner
         aplane = self.aplane
         flops = self._c_flops
-        solve_eids = [s >> 1 for s in sids if not (s & 1)]
-        if solve_eids:
-            voff = self._c_voff
-            recv_flops = 0.0
+        solve = [s for s in sids if not (s & 1)]
+        if solve:
             r_flat = self._c_r_flat
-            grows = self._c_grows
-            wire = aplane.wire_vals
-            applied = self._c_applied
-            edge_flops = self._c_edge_flops
-            if len(solve_eids) <= 8:
-                # small fan-in: per-edge slices beat multi_arange +
-                # np.add.at by a wide margin (rows are unique within
-                # one edge, so a direct fancy += is exact)
-                for eid in solve_eids:
-                    lo = int(voff[eid])
-                    hi = int(voff[eid + 1])
-                    w = wire[lo:hi]
-                    r_flat[grows[lo:hi]] += w - applied[lo:hi]
-                    applied[lo:hi] = w
-                    recv_flops += float(edge_flops[eid])
+            if len(solve) <= 8:
+                # small fan-in: the slot's bound views, one += and one
+                # copy each (rows are unique within one edge, so a
+                # direct fancy += is exact)
+                slot = self._c_slot
+                recv_flops = 0.0
+                for s in solve:
+                    rows, w, ap, f = slot[s]
+                    r_flat[rows] += w - ap
+                    ap[...] = w
+                    recv_flops += f
             else:
-                eids = np.array(solve_eids, dtype=np.int64)
+                voff = self._c_voff
+                wire = aplane.wire_vals
+                applied = self._c_applied
+                eids = np.array(solve, dtype=np.int64) >> 1
                 idx = multi_arange(voff[eids], voff[eids + 1])
-                np.add.at(r_flat, grows[idx], wire[idx] - applied[idx])
+                np.add.at(r_flat, self._c_grows[idx],
+                          wire[idx] - applied[idx])
                 applied[idx] = wire[idx]
-                recv_flops = float(edge_flops[eids].sum())
+                recv_flops = float(self._c_edge_flops[eids].sum())
             flops[p] += 2.0 * recv_flops
         r_p = self._c_r_blocks[p]
         self._c_norms[p] = math.sqrt(np.dot(r_p, r_p))
-        flops[p] += 2.0 * r_p.size      # the refresh_norm charge
+        flops[p] += self._c_norm_flops[p]   # the refresh_norm charge
         fr = runner._faults
         if fr is not None and fr.message_faults:
             # the fault paths (stale masking) index with ndarrays
@@ -279,6 +275,20 @@ class AsyncExecutor:
         self._c_norms = runner.norms
         self._c_bsizes = np.array([rb.size for rb in runner.r_blocks],
                                   dtype=np.int64)
+        self._c_norm_flops = (2.0 * self._c_bsizes).tolist()
+        # per-slot views, bound once: a solve slot's (receiver rows,
+        # wire vals, applied, recv flops) regions — residual slots carry
+        # no deltas.  Rows go intp: an int32 fancy index costs several
+        # times more per call.
+        voff = self._c_voff.tolist()
+        grows = self._c_grows.astype(np.intp)
+        applied = self._c_applied
+        wire = self.aplane.wire_vals
+        self._c_slot = slot = [None] * (2 * (len(voff) - 1))
+        for e, f in enumerate(self._c_edge_flops.tolist()):
+            lo, hi = voff[e], voff[e + 1]
+            slot[2 * e] = (grows[lo:hi], wire[lo:hi], applied[lo:hi], f)
+        runner._async_bind(self.aplane)
         self._prepared = True
 
     def run(self, x0: np.ndarray | None = None,
@@ -296,6 +306,9 @@ class AsyncExecutor:
         was already called.
         """
         runner = self.runner
+        if max_time is not None:
+            max_time = _config.require_finite("max_time", max_time,
+                                              positive=True)
         if not getattr(self, "_prepared", False):
             if x0 is None or b is None:
                 raise ValueError("run() needs x0 and b unless "

@@ -369,6 +369,7 @@ class BlockMethodBase:
         # fills with one gather).  A rank's z span is its out-edges'.
         zoff, voff = plane.z_off, plane.vals_off
         self._z2g = multi_arange(voff[rev], voff[rev] + np.diff(zoff))
+        self._z2g_lo = voff[rev]    # edge e's run of _z2g starts here
         self._zsrc_grows = self._grows_flat[self._z2g]
         self._zspan_lo, self._zspan_hi = zoff[off[:-1]], zoff[off[1:]]
         # relaxation plans: the open step's per-process flop counters
@@ -648,11 +649,24 @@ class BlockMethodBase:
         """Publish ``p``'s post-relax updates onto the async plane;
         returns the slot-ids that entered the network (drops excluded)."""
         off = self._nbr_off
-        sids = self._slab_solve_sids[off[p]:off[p + 1]]
+        sids = self._async_solve_sids[off[p]:off[p + 1]]
         kept = aplane.send(p, sids, 0.0, 0.0,
                            int(self._solve_nbytes_arr[p]), CATEGORY_SOLVE)
         self._async_capture_vals(aplane, kept)
         return kept
+
+    def _async_bind(self, aplane) -> None:
+        """Bind the per-edge views the send/deliver hooks copy through,
+        once per :meth:`AsyncExecutor.prepare` (``aplane``'s wire stores
+        are new each time): edge e's ``(wire vals, vals)`` regions, and
+        intp copies of the slab's slot-ids (an int32 fancy index costs
+        several times more per call)."""
+        plane = self.engine.flat
+        self._async_vals = list(zip(
+            _rank_views(aplane.wire_vals, plane.vals_off),
+            _rank_views(plane.vals_flat, plane.vals_off)))
+        self._async_solve_sids = self._slab_solve_sids.astype(np.intp)
+        self._async_res_sids = self._slab_res_sids.astype(np.intp)
 
     def _async_capture_vals(self, aplane, sids: np.ndarray) -> None:
         """Snapshot the ``vals`` regions of freshly stamped solve slots
@@ -660,21 +674,17 @@ class BlockMethodBase:
         :meth:`AsyncFlatPlane.send`)."""
         if sids.size == 0:
             return
-        plane = self.engine.flat
-        voff = plane.vals_off
-        wire = aplane.wire_vals
-        vals = plane.vals_flat
         if sids.size <= 8:
-            # small fan-out: contiguous slice copies beat multi_arange
+            # small fan-out: the bound region copies beat multi_arange
+            views = self._async_vals
             for sid in sids.tolist():
-                eid = sid >> 1
-                lo = int(voff[eid])
-                hi = int(voff[eid + 1])
-                wire[lo:hi] = vals[lo:hi]
+                w, v = views[sid >> 1]
+                w[...] = v
         else:
+            voff = self.engine.flat.vals_off
             eids = sids >> 1
             idx = multi_arange(voff[eids], voff[eids + 1])
-            wire[idx] = vals[idx]
+            aplane.wire_vals[idx] = self.engine.flat.vals_flat[idx]
 
     def _async_on_deliver(self, p: int, sids: np.ndarray,
                           fates: np.ndarray, aplane) -> None:

@@ -592,26 +592,53 @@ class DistributedSouthwell(BlockMethodBase):
     # ------------------------------------------------------------------
     # event-driven async plane hooks (DESIGN.md §5.14)
     # ------------------------------------------------------------------
+    def _async_bind(self, aplane) -> None:
+        super()._async_bind(aplane)
+        # per slot: its (ghost region, wire z region) pair — z payloads
+        # land on the reverse edge's ghost run, which is contiguous;
+        # per edge: the residual rows its outgoing z payload gathers
+        zoff = self.engine.flat.z_off.tolist()
+        glo = self._z2g_lo.tolist()
+        ghost, zsrc = self._ghost_flat, self._zsrc_grows.astype(np.intp)
+        zsolve, zres = aplane.wire_zsolve, aplane.wire_zres
+        self._async_z = z = []
+        self._async_zsrc = []
+        for e, g0 in enumerate(glo):
+            lo, hi = zoff[e], zoff[e + 1]
+            gv = ghost[g0:g0 + hi - lo]
+            z.append((gv, zsolve[lo:hi]))
+            z.append((gv, zres[lo:hi]))
+            self._async_zsrc.append(zsrc[lo:hi])
+
+    def _async_capture_z(self, aplane, kept: np.ndarray) -> None:
+        """Snapshot the z payloads (the sender's residual at each
+        receiver's ghost rows) of freshly stamped slots — solve or
+        residual, by the slot kind — into their wire stores."""
+        if kept.size <= 8:
+            r_flat, z, zsrc = self._r_flat, self._async_z, self._async_zsrc
+            for sid in kept.tolist():
+                z[sid][1][...] = r_flat[zsrc[sid >> 1]]
+        else:
+            zoff = self.engine.flat.z_off
+            store = aplane.wire_zres if kept[0] & 1 else aplane.wire_zsolve
+            eids = kept >> 1
+            zidx = multi_arange(zoff[eids], zoff[eids + 1])
+            store[zidx] = self._r_flat[self._zsrc_grows[zidx]]
+
     def _async_decide(self, p: int) -> bool:
         # criterion on the Γ *estimates* (Alg 3 line 12) — under async
         # timing these go stale on their own, no injection needed.
-        # Scalar scan of the (tiny) neighbor segment: same comparisons
+        # Scalar max of the (tiny) neighbor segment: same comparisons
         # as wins_neighborhood, which settles the rare exact tie.
         own_sq = _sq(self.norms[p])
         if own_sq <= 0.0:
             return False
-        off = self._nbr_off
-        lo, hi = int(off[p]), int(off[p + 1])
-        g = self._gamma_flat
-        m = -np.inf
-        for i in range(lo, hi):
-            v = g[i]
-            if v > m:
-                m = v
+        seg = self.gamma_sq[p]
+        m = max(seg.tolist(), default=-np.inf)
         if own_sq > m:
             return True
         if own_sq == m:
-            return self.wins_neighborhood(p, own_sq, g[lo:hi])
+            return self.wins_neighborhood(p, own_sq, seg)
         return False
 
     def _async_decide_batch(self, ranks: np.ndarray) -> np.ndarray:
@@ -640,30 +667,16 @@ class DistributedSouthwell(BlockMethodBase):
         lo, hi = int(off[p]), int(off[p + 1])
         if hi == lo:
             return
-        plane = self.engine.flat
         new_sq = _sq(self.norms[p])
-        kept = aplane.send(p, self._slab_solve_sids[lo:hi], new_sq,
+        kept = aplane.send(p, self._async_solve_sids[lo:hi], new_sq,
                            self._gamma_flat[lo:hi],
                            int(self._solve_nbytes_arr[p]), CATEGORY_SOLVE)
         # line 16: p told every neighbor its new norm (drops included —
         # the sender cannot know, which is exactly what repair heals)
         self._tilde_flat[lo:hi] = new_sq
-        self._async_capture_vals(aplane, kept)
         if kept.size:
-            zoff = plane.z_off
-            zsolve = aplane.wire_zsolve
-            r_flat = self._r_flat
-            zsrc = self._zsrc_grows
-            if kept.size <= 8:
-                for sid in kept.tolist():
-                    eid = sid >> 1
-                    zlo = int(zoff[eid])
-                    zhi = int(zoff[eid + 1])
-                    zsolve[zlo:zhi] = r_flat[zsrc[zlo:zhi]]
-            else:
-                eids = kept >> 1
-                zidx = multi_arange(zoff[eids], zoff[eids + 1])
-                zsolve[zidx] = r_flat[zsrc[zidx]]
+            self._async_capture_vals(aplane, kept)
+            self._async_capture_z(aplane, kept)
         if self._hardened:
             # a solve send restarts the edges' heartbeats
             self._hb_last_sent[lo:hi] = turn
@@ -672,7 +685,6 @@ class DistributedSouthwell(BlockMethodBase):
     def _async_on_deliver(self, p: int, sids, fates, aplane) -> None:
         # ``sids`` is a plain list on the fault-free hot path and an
         # ndarray (with per-slot fates) under a fault plan
-        plane = self.engine.flat
         if isinstance(sids, list):
             slist = sids
             zlist = sids
@@ -685,21 +697,17 @@ class DistributedSouthwell(BlockMethodBase):
         if zlist:
             # ghost overwrites from the wire z payloads (lines 24/34);
             # solve and residual slots carry separate wire stores
-            zoff = plane.z_off
-            z2g = self._z2g
-            ghost = self._ghost_flat
             if len(zlist) <= 8:
-                # small fan-in: per-slot slices beat the kind-split +
-                # multi_arange machinery on the every-turn path
-                zsolve = aplane.wire_zsolve
-                zres = aplane.wire_zres
+                # small fan-in: one copy per slot through its bound
+                # (ghost, wire z) views
+                z = self._async_z
                 for sid in zlist:
-                    eid = sid >> 1
-                    lo = int(zoff[eid])
-                    hi = int(zoff[eid + 1])
-                    store = zres if sid & 1 else zsolve
-                    ghost[z2g[lo:hi]] = store[lo:hi]
+                    gv, zw = z[sid]
+                    gv[...] = zw
             else:
+                zoff = self.engine.flat.z_off
+                z2g = self._z2g
+                ghost = self._ghost_flat
                 zarr = np.array(zlist, dtype=np.int64)
                 for store, arr in ((aplane.wire_zsolve,
                                     zarr[(zarr & 1) == 0]),
@@ -755,24 +763,16 @@ class DistributedSouthwell(BlockMethodBase):
     def _async_repair(self, p: int, aplane, turn: int) -> int:
         if not self.deadlock_avoidance:
             return 0
-        off = self._nbr_off
-        lo, hi = int(off[p]), int(off[p + 1])
-        if hi == lo:
+        tseg = self.tilde_sq[p]
+        if not tseg.size:
             return 0
         own_sq = _sq(self.norms[p])
-        tflat = self._tilde_flat
-        if not self._hardened:
-            # every-turn hot path: scalar scan of the tiny neighbor
-            # segment decides "nothing to repair" without building any
-            # intermediate arrays
-            hit = False
-            for i in range(lo, hi):
-                if tflat[i] > own_sq:
-                    hit = True
-                    break
-            if not hit:
-                return 0
-        tseg = tflat[lo:hi]
+        if not self._hardened and max(tseg.tolist()) <= own_sq:
+            # every-turn hot path: a scalar max of the tiny neighbor
+            # segment decides "nothing to repair"
+            return 0
+        lo = int(self._nbr_off[p])
+        hi = lo + tseg.size
         over = tseg > own_sq
         fire = over
         if self._hardened:
@@ -781,38 +781,24 @@ class DistributedSouthwell(BlockMethodBase):
                             >= self._resend_after)
                            & (self._hb_retry_used[lo:hi]
                               < self._retry_budget))
-        idx = np.flatnonzero(fire)
+        idx = fire.nonzero()[0]
         if idx.size == 0:
             return 0
         tseg[idx] = own_sq              # line 28
+        gidx = lo + idx                 # slab positions
         plane = self.engine.flat
-        eids = self._slab_eids[lo:hi][idx]
         if self.tracer.enabled:
             self.tracer.repairs(np.full(idx.size, p, dtype=np.int64),
-                                plane.edge_dst[eids])
-        kept = aplane.send(p, self._slab_res_sids[lo:hi][idx], own_sq,
-                           self._gamma_flat[lo:hi][idx],
-                           int(self._slab_res_nbytes[lo:hi][idx].sum()),
+                                plane.edge_dst[self._slab_eids[gidx]])
+        kept = aplane.send(p, self._async_res_sids[gidx], own_sq,
+                           self._gamma_flat[gidx],
+                           int(self._slab_res_nbytes[gidx].sum()),
                            CATEGORY_RESIDUAL)
         if kept.size:
-            zoff = plane.z_off
-            zres = aplane.wire_zres
-            r_flat = self._r_flat
-            zsrc = self._zsrc_grows
-            if kept.size <= 8:
-                for sid in kept.tolist():
-                    keid = sid >> 1
-                    zlo = int(zoff[keid])
-                    zhi = int(zoff[keid + 1])
-                    zres[zlo:zhi] = r_flat[zsrc[zlo:zhi]]
-            else:
-                keids = kept >> 1
-                zidx = multi_arange(zoff[keids], zoff[keids + 1])
-                zres[zidx] = r_flat[zsrc[zidx]]
+            self._async_capture_z(aplane, kept)
         self.repairs_sent += int(idx.size)
         if self._hardened:
             ov = over[idx]
-            gidx = lo + idx
             used = self._hb_retry_used
             used[gidx] = np.where(ov, 0, used[gidx] + 1)
             self._hb_last_sent[gidx] = turn

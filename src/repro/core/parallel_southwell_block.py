@@ -263,7 +263,7 @@ class ParallelSouthwell(BlockMethodBase):
         off = self._nbr_off
         new_sq = _sq(self.norms[p])
         self._broadcast_sq[p] = new_sq
-        sids = self._slab_solve_sids[off[p]:off[p + 1]]
+        sids = self._async_solve_sids[off[p]:off[p + 1]]
         kept = aplane.send(p, sids, new_sq, 0.0,
                            int(self._solve_nbytes_arr[p]), CATEGORY_SOLVE)
         self._async_capture_vals(aplane, kept)
@@ -290,7 +290,7 @@ class ParallelSouthwell(BlockMethodBase):
             return 0
         self._broadcast_sq[p] = new_sq
         off = self._nbr_off
-        sids = self._slab_res_sids[off[p]:off[p + 1]]
+        sids = self._async_res_sids[off[p]:off[p + 1]]
         if sids.size == 0:
             return 0
         aplane.send(p, sids, new_sq, 0.0,

@@ -36,6 +36,14 @@ The per-rank incoming slot-ids are additionally kept concatenated
 (``ins_flat`` along ``ins_off``) so a macro-turn's mailbox timestamp
 scan is one gather + segment-reduce (optionally a numba kernel).
 
+The scalar loop instead reads each rank's mailbox through an index:
+a heap of ``(stamp, slot-id)`` entries that ``send`` pushes onto.
+``deliver_at`` stays the one source of truth — an entry is live iff
+``deliver_at[sid] == stamp`` — so a restamped slot, or one the batched
+sweep delivered, merely leaves a stale entry that is dropped when it
+surfaces, and a heap grown past twice its rank's in-slot count is
+rebuilt from ``deliver_at``.
+
 Wire capture
 ------------
 The lockstep plane lets receivers read the sender's live buffers because
@@ -61,6 +69,7 @@ import math
 
 import numpy as np
 
+from repro.config import require_finite
 from repro.runtime.costmodel import CORI_LIKE, CostModel
 from repro.runtime.flatplane import multi_arange
 from repro.trace import NULL_TRACER
@@ -146,14 +155,12 @@ class AsyncFlatPlane:
                  latency: float = 5.0e-6,
                  speed_factors: np.ndarray | None = None,
                  tracer=None, faults=None) -> None:
-        if latency < 0.0:
-            raise ValueError("latency must be non-negative")
+        self.latency = require_finite("latency", latency, positive=False)
         self.plane = plane
         self.stats = stats
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.faults = faults
         self.cost_model = cost_model
-        self.latency = float(latency)
         P = plane.n_procs
         self.n_procs = P
         if speed_factors is None:
@@ -163,8 +170,9 @@ class AsyncFlatPlane:
             if self.speed.shape != (P,):
                 raise ValueError("speed_factors must have one entry "
                                  "per process")
-            if np.any(self.speed <= 0.0):
-                raise ValueError("speed factors must be positive")
+            if not np.all(np.isfinite(self.speed) & (self.speed > 0.0)):
+                raise ValueError("speed_factors must be finite and "
+                                 "positive")
         self._alpha = cost_model.alpha
         self._alpha_recv = cost_model.alpha_recv
         self._beta = cost_model.beta
@@ -203,16 +211,23 @@ class AsyncFlatPlane:
                          if self.ins_off[-1] else _EMPTY_SIDS.copy())
         #: receiver / sender rank per slot-id (both kinds share one)
         self.sid_dst = np.repeat(dsts, 2)
+        self._sid_dst_list = self.sid_dst.tolist()
         self.sid_src = np.repeat(
             np.asarray(plane.edge_src, dtype=np.int64), 2)
         #: per-rank count of in-flight messages
         self.n_pending = np.zeros(P, dtype=np.int64)
         # per-rank LOWER BOUND on the earliest pending stamp: a restamp
         # (RMA overwrite) can raise a slot's stamp without raising this,
-        # so a passed gate may still scan and find nothing — in which
-        # case the scan re-tightens the bound.  ``bound > clock`` always
+        # so a passed gate may still find nothing — in which case the
+        # mailbox read re-tightens the bound.  ``bound > clock`` always
         # implies nothing is deliverable, so the gate is semantics-exact.
         self._next_at = np.full(P, np.inf)
+        # per-rank mailbox index: a heap of (stamp, sid) holding every
+        # in-flight slot's current entry plus stale ones (live iff
+        # ``deliver_at[sid] == stamp``); rebuilt from ``deliver_at`` once
+        # it outgrows twice the rank's in-slot count
+        self._mail: list[list[tuple[float, int]]] = [[] for _ in range(P)]
+        self._mail_cap = [2 * s.size for s in self.in_sids]
         # ranks parked by the executor (idle, empty mailbox, provably
         # nothing to do): not in the heap; the next send addressed to
         # one wakes it at the message's stamp
@@ -311,34 +326,48 @@ class AsyncFlatPlane:
             self.wire_fate[sids] = fates
         self.wire_norm[sids] = norm_vals
         self.wire_est[sids] = est_vals
-        # a restamped slot (RMA overwrite of a still-in-flight message)
-        # is already counted; only empty slots grow the pending counts.
-        # One fan-out addresses each destination at most once (one slot
-        # per (edge, kind)), so the updates are plain fancy assignments.
-        stamp = self.clocks[src] + self.latency
+        # per slot: a fan-out is a handful of slots and addresses each
+        # destination at most once (one slot per (edge, kind)).  A
+        # restamped slot (RMA overwrite of a still-in-flight message) is
+        # already counted; only empty slots grow the pending counts.
+        stamp = float(self.clocks[src] + self.latency)
         da = self.deliver_at
-        dsts = self.sid_dst[sids]
-        empty = np.isinf(da[sids])
-        if empty.all():
-            self.n_pending[dsts] += 1
-        elif empty.any():
-            self.n_pending[dsts[empty]] += 1
-        da[sids] = stamp
+        sid_dst = self._sid_dst_list
+        n_pending = self.n_pending
         next_at = self._next_at
-        next_at[dsts] = np.minimum(next_at[dsts], stamp)
-        woken = dsts[self.parked[dsts].astype(bool)]
-        if woken.size:
-            # wake parked receivers at the delivery stamp (they were
-            # idle with an empty mailbox, so the wait is idle time)
-            clocks = self.clocks
-            idle = self.idle
-            for d in woken.tolist():
-                self.parked[d] = 0
+        parked = self.parked
+        mail = self._mail
+        for s in sids.tolist():
+            d = sid_dst[s]
+            if da[s] == math.inf:
+                n_pending[d] += 1
+            da[s] = stamp
+            if stamp < next_at[d]:
+                next_at[d] = stamp
+            box = mail[d]
+            heapq.heappush(box, (stamp, s))
+            if len(box) > self._mail_cap[d]:
+                self._rebuild_mail(d)
+            if parked[d]:
+                # wake a parked receiver at the delivery stamp (it was
+                # idle with an empty mailbox, so the wait is idle time)
+                parked[d] = 0
+                clocks = self.clocks
                 if stamp > clocks[d]:
-                    idle[d] += stamp - clocks[d]
+                    self.idle[d] += stamp - clocks[d]
                     clocks[d] = stamp
                 heapq.heappush(self._heap, (float(clocks[d]), d))
         return sids
+
+    def _rebuild_mail(self, p: int) -> None:
+        """Rebuild ``p``'s mailbox heap from ``deliver_at``, dropping its
+        stale entries (the batched sweeps never pop them)."""
+        sl = self.in_sids[p]
+        t = self.deliver_at[sl]
+        live = np.isfinite(t)
+        box = list(zip(t[live].tolist(), sl[live].tolist()))
+        heapq.heapify(box)
+        self._mail[p] = box
 
     # ------------------------------------------------------------------
     # target side
@@ -348,40 +377,52 @@ class AsyncFlatPlane:
         order (ties by slot-id); clears their stamps and charges the
         receives.  Returns a plain list — the downstream payload-apply
         paths branch on fan-in size with list plumbing."""
-        if not self.n_pending[p] or self._next_at[p] > self.clocks[p]:
-            return _EMPTY_LIST
         clock = self.clocks[p]
-        sl = self.in_sids[p]
-        t = self.deliver_at[sl]
-        ready = t <= clock
-        if not ready.any():
-            # the bound was stale (an overwrite raised a stamp);
-            # re-tighten it from the scan we just paid for
-            self._next_at[p] = t.min()
+        if not self.n_pending[p] or self._next_at[p] > clock:
             return _EMPTY_LIST
-        # stamp order, ties by slot-id — lexsort's last key is primary,
-        # exactly the old (stamp, sid) tuple-sort ordering
-        tr = t[ready]
-        sr = sl[ready]
-        order = np.lexsort((sr, tr))
-        sids_arr = sr[order]
-        self.deliver_at[sids_arr] = np.inf
-        rest = t[~ready]
-        self.n_pending[p] -= sids_arr.size
-        self._next_at[p] = (float(rest.min()) if rest.size
-                            and self.n_pending[p] else math.inf)
-        self.clocks[p] += sids_arr.size * self._alpha_recv
-        self.stats.record_receives(p, sids_arr.size)
+        # the heap pops in (stamp, sid) order — ties by slot-id; a live
+        # pop clears the stamp, so a duplicate entry surfaces stale
+        box = self._mail[p]
+        da = self.deliver_at
+        out = []
+        while box and box[0][0] <= clock:
+            t, s = heapq.heappop(box)
+            if da[s] == t:
+                da[s] = math.inf
+                out.append(s)
+        n = len(out)
+        if n:
+            self.n_pending[p] -= n
+        # the cleaned top re-tightens the bound (a stale one — an
+        # overwrite raised a stamp — passes the gate with nothing ready)
+        self._next_at[p] = (self._mail_top(p) if self.n_pending[p]
+                            else math.inf)
+        if not n:
+            return _EMPTY_LIST
+        self.clocks[p] += n * self._alpha_recv
+        self.stats.record_receives(p, n)
         if self.tracer.enabled:
-            self.tracer.recvs_flat(self.plane, p, sids_arr)
-        return sids_arr.tolist()
+            self.tracer.recvs_flat(self.plane, p,
+                                   np.array(out, dtype=np.int64))
+        return out
+
+    def _mail_top(self, p: int) -> float:
+        """Earliest live stamp in ``p``'s heap (which must hold one),
+        dropping the stale entries above it."""
+        box = self._mail[p]
+        da = self.deliver_at
+        while True:
+            t, s = box[0]
+            if da[s] == t:
+                return t
+            heapq.heappop(box)
 
     def earliest_pending(self, p: int) -> float:
         """Earliest in-flight stamp addressed to ``p`` (inf if none)."""
         if not self.n_pending[p]:
             return math.inf
-        e = float(self.deliver_at[self.in_sids[p]].min())
-        self._next_at[p] = e        # scan paid for: re-tighten the bound
+        e = self._mail_top(p)
+        self._next_at[p] = e        # exact: re-tighten the bound
         return e
 
     # ------------------------------------------------------------------

@@ -90,10 +90,13 @@ def test_speed_factors_scale_compute_only():
 
 
 def test_engine_validation():
-    with pytest.raises(ValueError):
-        make_plane(2, CostModel(), latency=-1.0)
-    with pytest.raises(ValueError):
-        make_plane(2, CostModel(), speed_factors=np.array([1.0, 0.0]))
+    for latency in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="latency"):
+            make_plane(2, CostModel(), latency=latency)
+    for factor in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="speed_factors"):
+            make_plane(2, CostModel(),
+                       speed_factors=np.array([1.0, factor]))
     with pytest.raises(ValueError):
         make_plane(2, CostModel(), speed_factors=np.ones(3))
     with pytest.raises(ValueError):      # a rank does not message itself

@@ -11,7 +11,10 @@ Covers the ISSUE-8 surface:
 4. ``SolveResult`` schema v4 (virtual_time / rank_clocks / rank_idle /
    ``timeline()``) round-trips;
 5. ``AsyncConfig`` / ``RunConfig`` validation raises early;
-6. plans that force the object plane raise ``AsyncUnsupportedError``.
+6. plans that force the object plane raise ``AsyncUnsupportedError``;
+7. the per-rank ``(stamp, slot)`` mailbox heaps read exactly what a full
+   scan of ``deliver_at`` reads, and stay bounded under the batched
+   scheduler, which never pops them.
 """
 
 from __future__ import annotations
@@ -22,12 +25,21 @@ import json
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.api import AsyncConfig, RunConfig, SolveResult, solve
-from repro.core.async_exec import AsyncUnsupportedError
+from repro.core import DistributedSouthwell
+from repro.core.async_exec import AsyncExecutor, AsyncUnsupportedError
+from repro.core.blockdata import build_block_system
 from repro.faults import FaultPlan
 from repro.matrices.fem import fem_poisson_2d
 from repro.matrices.poisson import poisson_2d
+from repro.partition import partition
+from repro.runtime import CATEGORY_SOLVE, CostModel
+from repro.runtime.flatplane import multi_arange
 from repro.sparsela import symmetric_unit_diagonal_scale
+from tests.test_async import make_plane
 
 METHODS = ("distributed-southwell", "parallel-southwell", "block-jacobi")
 
@@ -147,6 +159,25 @@ def test_async_config_validation():
         AsyncConfig(max_turns=0)
     with pytest.raises(ValueError):
         AsyncConfig(record_every=0)
+    # NaN fails every comparison, so each field checks finiteness: a
+    # NaN latency never delivered, an inf one ran to virtual_time=inf
+    nan, inf = float("nan"), float("inf")
+    for field, bad in (("latency", nan), ("latency", inf),
+                       ("poll_interval", nan), ("poll_interval", inf),
+                       ("max_time", nan), ("max_time", inf)):
+        with pytest.raises(ValueError, match=field):
+            AsyncConfig(**{field: bad})
+    for factor in (nan, inf):
+        with pytest.raises(ValueError, match="speed_factors"):
+            AsyncConfig(speed_factors=((0, factor),))
+    with pytest.raises(ValueError, match="speed_factors"):
+        AsyncConfig(speed_factors=((0,),))
+    # the CLI's spec string parses into pairs, and is validated as such
+    assert AsyncConfig(speed_factors="0:0.5, 3:2").speed_factors == (
+        (0, 0.5), (3, 2.0))
+    for spec in ("0:nan", "0:0", "0", "x:1"):
+        with pytest.raises(ValueError):
+            AsyncConfig(speed_factors=spec)
     # frozen dataclass: assignment is an error
     cfg = AsyncConfig()
     with pytest.raises(Exception):
@@ -160,6 +191,24 @@ def test_runconfig_carries_async_config(fem_300):
     res = solve(fem_300, method="block-jacobi", config=cfg)
     assert res.config.async_config is acfg
     assert res.virtual_time is not None
+
+
+def test_executor_rejects_non_finite_settings(fem_300):
+    nan = float("nan")
+    for kw, field in ((dict(latency=nan), "latency"),
+                      (dict(poll_interval=nan), "poll_interval")):
+        with pytest.raises(ValueError, match=field):
+            AsyncExecutor(None, **kw)
+    system = build_block_system(fem_300, partition(fem_300, 4, seed=0))
+    x0 = np.ones(fem_300.n_rows)
+    b = np.zeros(fem_300.n_rows)
+    ex = AsyncExecutor(DistributedSouthwell(system),
+                       speed_factors=np.array([1.0, nan, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="speed_factors"):
+        ex.prepare(x0, b)
+    ex = AsyncExecutor(DistributedSouthwell(system))
+    with pytest.raises(ValueError, match="max_time"):
+        ex.run(x0, b, max_time=nan)
 
 
 def test_speed_factor_rank_out_of_range(fem_300):
@@ -179,3 +228,146 @@ def test_object_plane_plans_raise_async_unsupported():
         solve(A, method="distributed-southwell",
               config=RunConfig(n_parts=4, max_steps=10, seed=0,
                                faults=plan, runtime="async"))
+
+
+# ------------------------------------------------------------------- 7
+def _scan_deliverable(ap, p) -> list[int]:
+    """The mailbox read the heap replaced: gather ``p``'s slot stamps,
+    keep the ready ones, ``lexsort`` by (stamp, slot-id)."""
+    sl = ap.in_sids[p]
+    t = ap.deliver_at[sl]
+    ready = t <= ap.clocks[p]
+    return sl[ready][np.lexsort((sl[ready], t[ready]))].tolist()
+
+
+def _scan_earliest(ap, p) -> float:
+    t = ap.deliver_at[ap.in_sids[p]]
+    return float(t.min()) if t.size else np.inf
+
+
+def _mailbox_ops(n_procs):
+    rank = st.integers(0, n_procs - 1)
+    sends = st.tuples(st.just("send"), rank,
+                      st.sets(rank, min_size=1, max_size=n_procs),
+                      st.integers(0, 1))
+    waits = st.tuples(st.just("wait"), rank,
+                      st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    reads = st.tuples(st.just("read"), rank)
+    peeks = st.tuples(st.just("peek"), rank)
+    sweeps = st.tuples(st.just("sweep"),
+                       st.sets(rank, min_size=1, max_size=n_procs))
+    return st.lists(st.one_of(sends, waits, reads, peeks, sweeps),
+                    max_size=80)
+
+
+@given(_mailbox_ops(4), st.sampled_from([0.0, 1.0]),
+       st.sampled_from([0.0, 0.5, 2.0]))
+@settings(max_examples=150, deadline=None)
+def test_mailbox_heap_matches_full_scan(ops, alpha, latency):
+    """Random fan-outs (restamping in-flight slots, at equal stamps when
+    sends are free), waits, scalar reads and batched sweeps: every
+    ``deliver`` equals the gather + lexsort scan, every
+    ``earliest_pending`` the stamp minimum, and no heap outgrows twice
+    its rank's in-slot count."""
+    P = 4
+    ap = make_plane(P, CostModel(alpha=alpha, alpha_recv=0.25, beta=0.0,
+                                 gamma=0.0), latency=latency)
+    for op in ops:
+        if op[0] == "send":
+            _, src, dsts, kind = op
+            sids = np.array(sorted(2 * ap.plane.edge_index[(src, d)] + kind
+                                   for d in dsts if d != src),
+                            dtype=np.int64)
+            ap.send(src, sids, 0.0, 0.0, 8 * sids.size, CATEGORY_SOLVE)
+        elif op[0] == "wait":
+            ap.advance_idle(op[1], op[2])
+        elif op[0] == "read":
+            p = op[1]
+            want = _scan_deliverable(ap, p)
+            gated = ap.n_pending[p] and ap._next_at[p] <= ap.clocks[p]
+            assert ap.deliver(p) == want
+            if gated:       # a read past the bound re-tightens it
+                assert ap._next_at[p] == _scan_earliest(ap, p)
+        elif op[0] == "peek":
+            p = op[1]
+            assert ap.earliest_pending(p) == _scan_earliest(ap, p)
+        else:
+            # the batched scheduler's sweep: clears stamps, pops nothing
+            mem = np.array(sorted(op[1]), dtype=np.int64)
+            off = ap.ins_off
+            counts = off[mem + 1] - off[mem]
+            slots = ap.ins_flat[multi_arange(off[mem], off[mem + 1])]
+            t = ap.deliver_at[slots]
+            mid = np.repeat(np.arange(mem.size), counts)
+            want = [_scan_deliverable(ap, int(p)) for p in mem]
+            sids, got = ap.deliver_scanned(
+                mem, slots, t, mid, t <= ap.clocks[mem][mid], counts,
+                np.cumsum(counts) - counts)
+            assert sids.tolist() == [s for w in want for s in w]
+            assert got.tolist() == [len(w) for w in want]
+        for p in range(P):
+            assert ap._next_at[p] <= _scan_earliest(ap, p)
+            assert ap.n_pending[p] == np.isfinite(
+                ap.deliver_at[ap.in_sids[p]]).sum()
+            assert len(ap._mail[p]) <= 2 * ap.in_sids[p].size
+
+
+def test_mailbox_heap_skips_restamped_and_duplicate_entries():
+    # a restamp leaves the slot's old (earlier) entry behind: it must
+    # neither deliver early nor hide the live one
+    ap = make_plane(2, CostModel(alpha=1.0, alpha_recv=0.0, beta=0.0,
+                                 gamma=0.0))
+    s = 2 * ap.plane.edge_index[(0, 1)]
+    sid = np.array([s])
+    ap.send(0, sid, 0.0, 0.0, 8, CATEGORY_SOLVE)     # stamp 1
+    ap.send(0, sid, 0.0, 0.0, 8, CATEGORY_SOLVE)     # restamp to 2
+    ap.advance_idle(1, 1.0)
+    assert ap.deliver(1) == []
+    assert ap.earliest_pending(1) == 2.0
+    ap.advance_idle(1, 1.0)
+    assert ap.deliver(1) == [s]
+    assert ap.earliest_pending(1) == np.inf
+    # free sends restamp at an equal stamp: two live-looking entries,
+    # one delivery
+    ap = make_plane(2, CostModel(alpha=0.0, alpha_recv=0.0, beta=0.0,
+                                 gamma=0.0))
+    ap.send(0, sid, 0.0, 0.0, 8, CATEGORY_SOLVE)
+    ap.send(0, sid, 0.0, 0.0, 8, CATEGORY_SOLVE)
+    assert len(ap._mail[1]) == 2
+    assert ap.deliver(1) == [s]
+    assert ap.deliver(1) == [] and ap.in_flight == 0
+
+
+def test_batched_stragglers_smoke_keeps_heaps_bounded():
+    """The async_stragglers benchmark's smoke shape under the batched
+    scheduler: its sweeps never pop the heaps, so only the rebuild
+    keeps them from holding one entry per message ever sent."""
+    A = fem_poisson_2d(target_rows=600, seed=0).matrix
+    rng = np.random.default_rng(0)
+    x0 = rng.uniform(-1.0, 1.0, A.n_rows)
+    b = np.zeros(A.n_rows)
+    x0 /= np.linalg.norm(A.matvec(x0))
+    P = 16
+    system = build_block_system(A, partition(A, P, seed=0),
+                                local_solver="gs", n_sweeps=1)
+    ex = AsyncExecutor(DistributedSouthwell(system, seed=0),
+                       speed_factors=((0, 0.5), (8, 0.5)),
+                       scheduler="batched")
+    ex.prepare(x0, b)
+    ap = ex.aplane
+    send = ap.send
+    peak = 0
+
+    def watched(*args):
+        nonlocal peak
+        kept = send(*args)
+        peak = max(peak, sum(len(box) for box in ap._mail))
+        return kept
+
+    ap.send = watched
+    ex.run(max_turns=3_000)
+    slots = int(ap.ins_off[-1])
+    assert ex.sched_stats["macro_turns"] > 0
+    # enough traffic that an index without the rebuild would overflow
+    assert ex.runner.engine.stats.total_messages > 2 * slots
+    assert 0 < peak <= 2 * slots
