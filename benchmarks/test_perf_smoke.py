@@ -1,19 +1,21 @@
-"""Performance smoke tests for the kernel backend layer.
+"""Performance smoke tests: the hot paths' structural and speed floors.
 
-These benches guard the PR's acceptance bar rather than a paper figure:
+These benches guard acceptance bars rather than paper figures:
 
-1. the default compiled (``scipy``) backend's matvec beats the pure-numpy
-   ``reference`` bincount path by >=3x on a 100k-row 2D Poisson operator;
-2. a Distributed Southwell parallel step allocates no per-neighbor
+1. a Distributed Southwell parallel step allocates no per-neighbor
    temporaries — the relax/apply hot path runs entirely through the
    preallocated workspaces (verified by array identity, not timing);
-3. ``scripts/bench_kernels.py --smoke`` runs end-to-end and writes a
-   schema-conformant JSON document.
+2. the flat-buffer plane beats the object plane, tracing is free when
+   off, and a null fault plan compiles to no machinery at all;
+3. the partitioner's list kernels beat the seed loops, the setup cache
+   pays for itself, the batched async scheduler beats the scalar one;
+4. the legacy ``scripts/bench_*.py --smoke`` runs write their schemas.
 
 Timing assertions are best-of-N on a dedicated operator, so they are
 robust to scheduler noise; they still assume the box is not fully
 oversubscribed, which is why they live in ``benchmarks/`` (excluded from
 the tier-1 ``tests/`` run) alongside the other perf-sensitive suites.
+The kernels' own timings are the ``sparsela.*`` probes of ``bench/``.
 """
 
 from __future__ import annotations
@@ -32,56 +34,13 @@ from repro.core.blockdata import build_block_system
 from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
 from repro.runtime import use_runtime
-from repro.sparsela import symmetric_unit_diagonal_scale, use_backend
+from repro.sparsela import symmetric_unit_diagonal_scale
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _best_of(fn, repeats: int = 20) -> float:
-    fn()                                    # warm-up (caches, handles)
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return min(samples)
-
-
 # ----------------------------------------------------------------------
-# 1. compiled matvec beats the seed bincount path
-# ----------------------------------------------------------------------
-def test_scipy_matvec_at_least_3x_reference_100k():
-    A = symmetric_unit_diagonal_scale(poisson_2d(317)).matrix
-    assert A.n_rows >= 100_000
-    x = np.random.default_rng(0).standard_normal(A.n_cols)
-    out = np.empty(A.n_rows)
-    with use_backend("reference"):
-        t_ref = _best_of(lambda: A.matvec(x, out=out))
-    with use_backend("scipy"):
-        t_scipy = _best_of(lambda: A.matvec(x, out=out))
-    ratio = t_ref / t_scipy
-    assert ratio >= 3.0, (
-        f"scipy matvec only {ratio:.2f}x reference "
-        f"({t_scipy * 1e3:.3f} ms vs {t_ref * 1e3:.3f} ms)")
-
-
-def test_gs_sweep_backend_beats_reference():
-    """The compiled triangular solve dwarfs per-row python solves."""
-    from repro.sparsela.kernels import gauss_seidel_sweep
-
-    A = symmetric_unit_diagonal_scale(poisson_2d(64)).matrix
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(A.n_rows)
-    b = rng.standard_normal(A.n_rows)
-    with use_backend("reference"):
-        t_ref = _best_of(lambda: gauss_seidel_sweep(A, x, b), repeats=3)
-    with use_backend("scipy"):
-        t_scipy = _best_of(lambda: gauss_seidel_sweep(A, x, b), repeats=3)
-    assert t_scipy < t_ref / 3.0
-
-
-# ----------------------------------------------------------------------
-# 2. DS step is allocation-free on the per-neighbor path
+# 1. DS step is allocation-free on the per-neighbor path
 # ----------------------------------------------------------------------
 def _ds_on_poisson(side=24, n_parts=8, delay_probability=0.0):
     A = symmetric_unit_diagonal_scale(poisson_2d(side)).matrix
@@ -139,35 +98,7 @@ def test_ds_step_residual_exact_with_buffer_reuse():
 
 
 # ----------------------------------------------------------------------
-# 3. the bench harness runs and writes its schema
-# ----------------------------------------------------------------------
-def test_bench_kernels_smoke_writes_schema(tmp_path):
-    out = tmp_path / "bench.json"
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "bench_kernels.py"),
-         "--smoke", "--quiet", "--output", str(out)],
-        capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro.bench_kernels/v1"
-    assert doc["smoke"] is True
-    assert {"python", "numpy", "scipy", "numba",
-            "platform"} <= doc["environment"].keys()
-    kinds = {r["kind"] for r in doc["results"]}
-    assert kinds == {"kernel", "block_step"}
-    for rec in doc["results"]:
-        assert rec["best_s"] > 0.0
-        assert rec["mean_s"] >= rec["best_s"] * 0.5
-        if rec["kind"] == "kernel":
-            assert rec["backend"] in doc["config"]["backends"]
-            assert rec["kernel"] in {"matvec", "gs_sweep", "jacobi_sweep"}
-        else:
-            assert rec["method"] in {"block-jacobi", "parallel-southwell",
-                                     "distributed-southwell"}
-
-
-# ----------------------------------------------------------------------
-# 4. the flat-buffer message plane beats the object plane at scale
+# 2. the flat-buffer message plane beats the object plane at scale
 # ----------------------------------------------------------------------
 def test_flat_plane_beats_object_plane_ds_p256():
     """The PR-2 acceptance bar (DESIGN.md §5.8): a Distributed Southwell
@@ -214,7 +145,7 @@ def test_flat_plane_beats_object_plane_ds_p256():
 
 
 # ----------------------------------------------------------------------
-# 5. tracing is free when off (the PR-3 overhead policy, DESIGN.md §5.9)
+# 3. tracing is free when off (the PR-3 overhead policy, DESIGN.md §5.9)
 # ----------------------------------------------------------------------
 def test_null_tracer_overhead_under_5pct_ds_p256():
     """The observability acceptance bar: with tracing off (the default
@@ -295,19 +226,24 @@ def test_bench_runtime_smoke_writes_schema(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 6. the vectorized partitioner beats the seed kernels (PR-4 bar)
+# 4. the vectorized partitioner beats the seed kernels (PR-4 bar)
 # ----------------------------------------------------------------------
 def test_partition_fast_at_least_2x_reference(monkeypatch):
-    """The setup-plane acceptance bar (DESIGN.md §5.10): the vectorized
-    matching/refinement kernels must beat the seed reference kernels on
-    a multilevel partition, with bit-identical output.  The
+    """The setup-plane acceptance bar (DESIGN.md §5.10): the list-based
+    matching/refinement kernels must beat the seed loops
+    (``tests/oracles.py``, patched in for the second timing) on a
+    multilevel partition, with bit-identical output.  The
     partitioner's absolute cost is ``partition.partition_s`` of the
     repo's benchmark (``bench/``); this smoke asserts noise-robust floors
-    against the reference kernels — 2× total, 3× coarsening — so a
+    against the seed loops — 2× total, 3× coarsening — so a
     pessimisation fails CI without flaking on a loaded box.  It compares
     kernels, so it runs the serial path: a forked subtree's coarsening
     would escape the parent-side timer."""
+    import repro.partition.bisect as _bisect
+    import repro.partition.coarsen as _coarsen
     import repro.partition.multilevel as _ml
+
+    from tests import oracles
 
     monkeypatch.setattr(_ml, "_fork_width", lambda: 1)
     A = poisson_2d(64)
@@ -341,11 +277,12 @@ def test_partition_fast_at_least_2x_reference(monkeypatch):
         dt, part_fast = measure()
         t_fast = min(t_fast, dt)
         best_c_fast = min(best_c_fast, measure_coarsen())
-    with use_backend("reference"):
-        for _ in range(3):
-            dt, part_ref = measure()
-            t_ref = min(t_ref, dt)
-            best_c_ref = min(best_c_ref, measure_coarsen())
+    monkeypatch.setattr(_coarsen, "hem_match_fast", oracles.hem_match)
+    monkeypatch.setattr(_bisect, "fm_refine_fast", oracles.fm_refine)
+    for _ in range(3):
+        dt, part_ref = measure()
+        t_ref = min(t_ref, dt)
+        best_c_ref = min(best_c_ref, measure_coarsen())
 
     np.testing.assert_array_equal(part_fast.parts, part_ref.parts)
     ratio = t_ref / t_fast
@@ -359,7 +296,7 @@ def test_partition_fast_at_least_2x_reference(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# 7. the persistent setup cache pays for itself (PR-4 bar)
+# 5. the persistent setup cache pays for itself (PR-4 bar)
 # ----------------------------------------------------------------------
 def test_setup_cache_warm_at_least_10x_cold(tmp_path):
     """A warm ``get_setup`` (map the stores, cut the views, re-factorize
@@ -424,16 +361,16 @@ def test_warm_run_method_skips_partition_and_block_build(tmp_path,
 
 
 # ----------------------------------------------------------------------
-# 8. the fault plane is free when disabled (PR-5 bar, DESIGN.md §5.11)
+# 6. the fault plane is free when disabled (PR-5 bar, DESIGN.md §5.11)
 # ----------------------------------------------------------------------
-def test_null_fault_plan_overhead_under_5pct_ds_p256():
+def test_null_fault_plan_compiles_to_nothing_ds_p256():
     """The resilience acceptance bar: attaching a *null*
     :class:`~repro.faults.FaultPlan` (every rate zero, no schedules) to
-    the P=256 flat-plane Distributed Southwell hot path costs ≤5% per
-    step relative to no plan at all, and the trajectory stays
-    bit-identical.  Null plans must compile to disabled machinery —
-    `plan.is_null` short-circuits before any fate hashing — so the only
-    residual cost is the `is None` gating at the hook sites."""
+    the P=256 flat-plane Distributed Southwell hot path leaves no fault
+    machinery behind — ``setup()`` maps the plan to ``None``, so no hook
+    site ever sees it — and the trajectory, message counts and bytes
+    stay bit-identical to no plan at all.  (Timing the two paths against
+    each other measured only noise: they run the same code.)"""
     from repro.faults import FaultPlan
 
     side = 96
@@ -443,31 +380,23 @@ def test_null_fault_plan_overhead_under_5pct_ds_p256():
     rng = np.random.default_rng(1)
     x0 = rng.uniform(-1.0, 1.0, A.n_rows)
     b = np.zeros(A.n_rows)
-    steps, repeats = 5, 5
 
-    def measure(plan):
-        best = np.inf
+    def run(plan):
         with use_runtime("flat"):
-            for _ in range(repeats):
-                ds = DistributedSouthwell(system, faults=plan)
-                ds.setup(x0, b)
-                t0 = time.perf_counter()
-                for _ in range(steps):
-                    ds.step()
-                best = min(best, time.perf_counter() - t0)
+            ds = DistributedSouthwell(system, faults=plan)
+            ds.setup(x0, b)
             assert ds._use_flat
-        return best / steps, ds
+            assert ds._faults is None and ds._active_plan is None
+            assert ds.engine.windows.faults is None
+            for _ in range(5):
+                ds.step()
+        return ds
 
-    t_off, ds_off = measure(None)
-    t_null, ds_null = measure(FaultPlan(seed=11))
+    ds_off, ds_null = run(None), run(FaultPlan(seed=11))
     np.testing.assert_array_equal(ds_off.norms, ds_null.norms)
     so, sn = ds_off.engine.stats, ds_null.engine.stats
     assert so.total_messages == sn.total_messages
     assert so.total_bytes == sn.total_bytes
-    overhead = t_null / t_off
-    assert overhead <= 1.05, (
-        f"null fault plan costs {overhead:.3f}x the no-plan path "
-        f"({t_null * 1e3:.3f} ms vs {t_off * 1e3:.3f} ms per step)")
 
 
 def test_bench_faults_smoke_writes_schema(tmp_path):
@@ -489,7 +418,7 @@ def test_bench_faults_smoke_writes_schema(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 9. the batched async scheduler beats the scalar heap oracle
+# 7. the batched async scheduler beats the scalar heap oracle
 # ----------------------------------------------------------------------
 def test_batched_scheduler_beats_scalar_ds_p256():
     """The §5.15 acceptance bar: at P=256 under a latency-dominated
@@ -537,7 +466,7 @@ def test_batched_scheduler_beats_scalar_ds_p256():
 
 
 # ----------------------------------------------------------------------
-# 10. communication-aware multigrid: messages per digit (§5.16)
+# 8. communication-aware multigrid: messages per digit (§5.16)
 # ----------------------------------------------------------------------
 def test_bench_mg_smoke_writes_schema(tmp_path):
     out = tmp_path / "bench.json"

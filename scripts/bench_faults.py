@@ -141,16 +141,10 @@ def bench(n_parts: int, side: int, steps: int, repeats: int,
 def environment() -> dict:
     import numpy
     import scipy
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "numba": numba_version,
         "platform": platform.platform(),
     }
 

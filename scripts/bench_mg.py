@@ -174,16 +174,10 @@ def bench(dims: tuple[int, ...], n_parts: int, cycles: int,
 def environment() -> dict:
     import numpy
     import scipy
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "numba": numba_version,
         "platform": platform.platform(),
     }
 

@@ -24,7 +24,7 @@ Schema (``BENCH_runtime.json``)::
       "schema": "repro.bench_runtime/v1",
       "smoke": false,
       "environment": {"python": ..., "numpy": ..., "scipy": ...,
-                      "numba": null | version, "platform": ...},
+                      "platform": ...},
       "config": {"n_procs": [...], "steps": ..., "repeats": ...},
       "results": [
         {"method": "distributed-southwell", "runtime": "flat",
@@ -164,16 +164,10 @@ def bench(n_procs_list, steps, repeats, log) -> tuple[list[dict], dict]:
 def environment() -> dict:
     import numpy
     import scipy
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "numba": numba_version,
         "platform": platform.platform(),
     }
 

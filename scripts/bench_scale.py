@@ -81,7 +81,6 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import config as _config  # noqa: E402
 from repro.core import DistributedSouthwell, ParallelSouthwell  # noqa: E402
 from repro.core.blockdata import build_block_system  # noqa: E402
 from repro.matrices.poisson import poisson_2d  # noqa: E402
@@ -340,7 +339,6 @@ def environment() -> dict:
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "backend": _config.backend() or "default",
     }
 
 

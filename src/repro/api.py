@@ -3,8 +3,8 @@
 :func:`solve` is the package's canonical entry point: it takes the matrix
 plus a frozen :class:`RunConfig` describing *everything else* — problem
 shape (``n_parts``, ``max_steps``, targets), machine (``cost_model``),
-and execution environment (kernel ``backend``, message-plane ``runtime``,
-``trace``) — runs the method end to end, and returns a
+and execution environment (message-plane ``runtime``, ``trace``) —
+runs the method end to end, and returns a
 :class:`SolveResult` with the solution, the convergence history, the
 communication statistics, and the resolved configuration.  It is the
 *only* entry point: the seed-era per-method wrappers
@@ -20,8 +20,8 @@ their history on the virtual-time axis (:meth:`SolveResult.timeline`).
 
 Configuration precedence follows :mod:`repro.config`: a ``RunConfig``
 field set here beats the corresponding ``REPRO_*`` environment variable,
-which beats the built-in default.  ``backend`` / ``runtime`` overrides
-are applied *scoped* (context managers) so a ``solve`` call never leaks
+which beats the built-in default.  A ``runtime`` override is applied
+*scoped* (a context manager) so a ``solve`` call never leaks
 process-global state.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +52,6 @@ from repro.runtime import (
 from repro.setupcache import get_setup
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import CSRMatrix
-from repro.sparsela.backend import use_backend
 from repro.trace import NULL_TRACER, RunTracer, Tracer, tracer_from_config
 
 __all__ = [
@@ -193,7 +192,7 @@ class RunConfig:
     defensive copies; derive variants with :func:`dataclasses.replace`
     (or the ``**overrides`` shorthand of :func:`solve`).
 
-    ``backend`` / ``runtime`` / ``trace`` / ``faults`` are
+    ``runtime`` / ``trace`` / ``faults`` are
     execution-environment overrides: ``None`` defers to the ``REPRO_*``
     environment knobs (see :mod:`repro.config`).  ``runtime`` picks the
     message plane — ``"flat"`` (preallocated single-process buffers),
@@ -210,6 +209,11 @@ class RunConfig:
     degraded run (reported unrecoverable deadlock) into a raised
     :class:`~repro.faults.DegradedRunError` instead of a returned
     result.
+
+    ``n_parts`` must be ``None`` or an integer ≥ 1, ``max_steps`` an
+    integer ≥ 0 (numpy integers count, ``bool`` does not) and
+    ``target_norm`` ``None`` or finite and ≥ 0; anything else raises a
+    :class:`ValueError` naming the field at construction.
     """
 
     n_parts: int | None = None
@@ -220,13 +224,27 @@ class RunConfig:
     cost_model: CostModel = CORI_LIKE
     partition_method: str = "multilevel"
     seed: int = 0
-    backend: str | None = None
     runtime: str | None = None
     trace: str | Tracer | None = None
     faults: FaultPlan | None = None
     strict: bool = False
     async_config: AsyncConfig | None = None
     mg: MultigridConfig | None = None
+
+    def __post_init__(self) -> None:
+        for name, low in (("n_parts", 1), ("max_steps", 0)):
+            value = getattr(self, name)
+            if value is None and name == "n_parts":
+                continue
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))
+                    or value < low):
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.target_norm is not None:
+            _config.require_finite("target_norm", self.target_norm,
+                                   positive=False)
 
     def to_dict(self) -> dict:
         """JSON-able view (cost-model coefficients inlined)."""
@@ -432,6 +450,11 @@ def solve(A: CSRMatrix, b: np.ndarray | None = None,
     return _solve_with_config(method, A, x0, b, cfg)
 
 
+def _runtime_scope(cfg: RunConfig):
+    """The scope of ``cfg.runtime``'s override (none when it defers)."""
+    return nullcontext() if cfg.runtime is None else use_runtime(cfg.runtime)
+
+
 def _peak_rss_bytes() -> int | None:
     """Peak RSS high-water mark in bytes, or ``None`` without ``resource``
     (``ru_maxrss`` is kilobytes on Linux and bytes on macOS)."""
@@ -486,11 +509,7 @@ def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
         spec = _config.faults_spec()
         if spec is not None:
             plan = FaultPlan.from_file(spec)
-    with ExitStack() as stack:
-        if cfg.backend is not None:
-            stack.enter_context(use_backend(cfg.backend))
-        if cfg.runtime is not None:
-            stack.enter_context(use_runtime(cfg.runtime))
+    with _runtime_scope(cfg):
         if isinstance(method, BlockMethodBase):
             runner = method
             name = runner.name
@@ -636,11 +655,7 @@ def _solve_multigrid(A: CSRMatrix, x0: np.ndarray | None,
     if b is None:
         rng = np.random.default_rng(cfg.seed)
         b = rng.uniform(-1.0, 1.0, A.n_rows)
-    with ExitStack() as stack:
-        if cfg.backend is not None:
-            stack.enter_context(use_backend(cfg.backend))
-        if cfg.runtime is not None:
-            stack.enter_context(use_runtime(cfg.runtime))
+    with _runtime_scope(cfg):
         smoother = make_smoother(
             smoother_name, budget=budget, n_parts=cfg.n_parts or 1,
             seed=cfg.seed, local_solver=cfg.local_solver,

@@ -1,19 +1,19 @@
 """Central run configuration: every ``REPRO_*`` knob in one place.
 
-The package grew one environment variable per subsystem — the kernel
-backend (``REPRO_BACKEND``), the message-plane mode (``REPRO_RUNTIME``),
-the sweep pool size (``REPRO_WORKERS``), the sweep cache directory
-(``REPRO_SWEEP_CACHE``) — and PR 3 adds run tracing (``REPRO_TRACE``).
-This module is the single read-through point for all of them, with one
-documented precedence rule:
+The package has one environment variable per subsystem — the
+message-plane mode (``REPRO_RUNTIME``), the sweep pool size
+(``REPRO_WORKERS``), the sweep cache directory (``REPRO_SWEEP_CACHE``),
+run tracing (``REPRO_TRACE``), the setup cache (``REPRO_SETUP_CACHE``),
+fault injection (``REPRO_FAULTS``) and the async scheduler
+(``REPRO_ASYNC_SCHEDULER``).  This module is the single read-through
+point for all of them, with one documented precedence rule:
 
     explicit argument  >  programmatic override  >  environment  >  default
 
 *Explicit argument* is a value passed to a getter here (ultimately a
 :class:`~repro.api.RunConfig` field or a function kwarg); *programmatic
-override* is :func:`repro.sparsela.backend.set_backend` /
-:func:`repro.runtime.flatplane.set_runtime_mode` state, which the
-subsystem modules keep (this module never mutates them); unset or junk
+override* is :func:`repro.runtime.flatplane.set_runtime_mode` state,
+which the runtime keeps (this module never mutates it); unset or junk
 environment values fall back to the default rather than breaking a run.
 Run parameters that have a config field (``MultigridConfig`` /
 ``AsyncConfig`` in :mod:`repro.api`) have no environment knob: the
@@ -24,8 +24,8 @@ knob with its environment variable, effective value, and where that
 value came from.
 
 This module imports nothing from the rest of the package so every
-subsystem (including ``repro.sparsela`` and ``repro.runtime``, which are
-imported during package init) can read through it without cycles.
+subsystem (including ``repro.runtime``, which is imported during package
+init) can read through it without cycles.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from pathlib import Path
 
 __all__ = [
     "ENV_ASYNC_SCHEDULER",
-    "ENV_BACKEND",
     "ENV_FAULTS",
     "ENV_RUNTIME",
     "ENV_SETUP_CACHE",
@@ -50,7 +49,6 @@ __all__ = [
     "VALID_MG_SMOOTHERS",
     "VALID_RUNTIME_MODES",
     "async_scheduler",
-    "backend",
     "parse_speed_factors",
     "require_finite",
     "describe",
@@ -65,7 +63,6 @@ __all__ = [
     "workers",
 ]
 
-ENV_BACKEND = "REPRO_BACKEND"
 ENV_RUNTIME = "REPRO_RUNTIME"
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_SWEEP_CACHE = "REPRO_SWEEP_CACHE"
@@ -124,8 +121,6 @@ class Knob:
 
 
 KNOBS: tuple[Knob, ...] = (
-    Knob(ENV_BACKEND, "scipy (reference if scipy is missing)",
-         "kernel backend: reference | scipy | numba"),
     Knob(ENV_RUNTIME, "auto",
          "message plane: auto | flat | async | object "
          "(shm runs flat, reported as degraded)"),
@@ -155,16 +150,6 @@ def _env(var: str) -> str | None:
 # ----------------------------------------------------------------------
 # typed getters (explicit argument > environment > default)
 # ----------------------------------------------------------------------
-def backend(explicit: str | None = None) -> str | None:
-    """Requested kernel-backend name, or ``None`` for "use the default".
-
-    Availability resolution (scipy importable? numba importable?) stays
-    in :mod:`repro.sparsela.backend`; this only answers "what was asked
-    for".
-    """
-    return explicit if explicit else _env(ENV_BACKEND)
-
-
 def runtime(explicit: str | None = None) -> str:
     """The message-plane mode; junk values degrade to ``auto``."""
     mode = (explicit if explicit else _env(ENV_RUNTIME)) or "auto"
@@ -318,16 +303,6 @@ def require_finite(name: str, value, *, positive: bool) -> float:
 # ----------------------------------------------------------------------
 def _effective(knob: Knob) -> tuple[str, str]:
     """``(value, source)`` for one knob, seeing programmatic overrides."""
-    if knob.env == ENV_BACKEND:
-        # lazy: repro.sparsela imports this module during package init
-        from repro.sparsela import backend as backend_mod
-
-        if backend_mod._current is not None:
-            return backend_mod._current.name, "active (set_backend/env)"
-        env = _env(ENV_BACKEND)
-        if env:
-            return env, "environment"
-        return backend_mod.default_backend_name(), "default"
     if knob.env == ENV_RUNTIME:
         from repro.runtime import flatplane
 

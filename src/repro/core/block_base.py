@@ -42,7 +42,7 @@ from repro.faults import FaultPlan, FaultRuntime
 from repro.runtime import (CATEGORY_SOLVE, CORI_LIKE, CostModel,
                            ParallelEngine, runtime_mode)
 from repro.runtime.flatplane import _INT32_LIMIT, multi_arange
-from repro.sparsela.backend import get_backend
+from repro.sparsela.primitives import csr_matvec, matvec_plan
 from repro.trace import tracer_from_config
 
 __all__ = ["BlockMethodBase"]
@@ -171,8 +171,8 @@ class BlockMethodBase:
         plans, kernel bindings, estimate slabs: everything that depends
         only on ``system`` and the method's options — is built by
         :meth:`_build_structure` on the first call and kept; a later call
-        rebuilds it only when the plane, the kernel backend or the
-        lossy-ness of the fault plan changed (``_structure_key``).
+        rebuilds it only when the plane or the lossy-ness of the fault
+        plan changed (``_structure_key``).
         The *state* — ``x``, ``r``, norms, estimates, mail, counters,
         the compiled fault plan — is rewritten in place on every call by
         :meth:`_reset_state`.  A re-run on one runner is bit-identical to
@@ -207,11 +207,8 @@ class BlockMethodBase:
         self._use_flat = (self._reuse_delta_buffers
                           and runtime_mode() != "object"
                           and self._flat_supported())
-        # everything the kept structure depends on besides ``system``;
-        # the backend compares by identity (its kernels are bound into
-        # the matvec plans)
-        key = (self._use_flat, get_backend(),
-               self._reuse_delta_buffers, self._lossy)
+        # everything the kept structure depends on besides ``system``
+        key = (self._use_flat, self._reuse_delta_buffers, self._lossy)
         if key != self._structure_key:
             self._structure_key = None      # a raising build leaves none
             self._build_structure()
@@ -383,9 +380,8 @@ class BlockMethodBase:
         # per-block products it replaces.
         # Flat-path only: the object plane stays the seed implementation.
         self._flops = self.engine.stats._step_flops
-        bk = get_backend()
-        self._mv_diag = [bk.matvec_plan(B) for B in sysm.diag_blocks]
-        self._mv_fanout = [None if F is None else bk.matvec_plan(F)
+        self._mv_diag = [matvec_plan(B) for B in sysm.diag_blocks]
+        self._mv_fanout = [None if F is None else matvec_plan(F)
                            for F in sysm.fanout]
         # fused hot-path bindings: the local solve with any python wrapper
         # peeled off, and every relax flop charge folded into one per-rank
@@ -428,7 +424,6 @@ class BlockMethodBase:
                                         (c_ptr, c_idx, c_data,
                                          self._fan_rows))]
         self._dx_flat = np.zeros(sysm.n)
-        self._csr_kernel = get_backend().csr_matvec
         return self._relax_csr
 
     def _rank_slabs(self, store: np.ndarray) -> list[np.ndarray]:
@@ -772,7 +767,7 @@ class BlockMethodBase:
         for p, q in runs:
             a, b = cut[p], cut[q]
             if b > a:
-                self._csr_kernel(ptr[a:b + 1], cols, data, x, out[a:b])
+                csr_matvec(ptr[a:b + 1], cols, data, x, out[a:b])
         return out
 
     def _trace_relax(self, winners: np.ndarray) -> None:

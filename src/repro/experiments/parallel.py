@@ -9,7 +9,7 @@ Two layers make repeated sweeps cheap and safe:
 
 - **on-disk cache**: each task's :class:`~repro.api.SolveResult` is
   pickled under a key that includes a digest of the ``repro`` source tree
-  (plus the active kernel backend and runtime mode), so results are
+  (plus the active runtime mode), so results are
   reused across processes *and* invocations but never survive a code
   change that could alter them;
 - **graceful degradation**: sandboxes and restricted environments often
@@ -86,8 +86,8 @@ def task_key(task: SweepTask) -> str:
     """Stable cache key for one task.
 
     Includes everything that can change the result: the task parameters,
-    the source digest, and the kernel-backend / runtime-mode / trace
-    knobs (all planes are equivalence-tested and tracing is
+    the source digest, and the runtime-mode / trace / fault-plan knobs
+    (all planes are equivalence-tested and tracing is
     zero-behavior-change, but those are test invariants, not assumptions
     the cache should bake in — and a traced run carries a ``trace_path``
     an untraced cache hit would not).  The runtime knob enters through
@@ -107,7 +107,6 @@ def task_key(task: SweepTask) -> str:
         str(task.max_steps),
         str(task.seed),
         code_digest(),
-        _config.backend() or "",
         runtime_mode(),
         _config.trace_spec() or "",
         _config.faults_spec() or "",

@@ -4,18 +4,18 @@ These run on the *coarsest* graph of the multilevel hierarchy (initial
 partition) and after every uncoarsening step (refinement), mirroring the
 METIS phases.
 
-:func:`fm_refine` dispatches its move loop through the kernel backend
-layer (``repro.sparsela.backend``); all backends replay the seed's greedy
-decision sequence exactly (see :mod:`repro.partition._kernels`), so the
-refined bisection is bit-identical whichever backend is active.
+:func:`fm_refine` runs its move loop in
+:func:`repro.partition._kernels.fm_refine_fast`, which replays the seed's
+greedy decision sequence exactly, so the refined bisection is
+bit-identical to the seed's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.partition._kernels import fm_refine_fast
 from repro.partition.graph import Graph
-from repro.sparsela.backend import get_backend
 
 __all__ = ["fm_refine", "greedy_grow_bisection", "bisection_cut"]
 
@@ -103,5 +103,4 @@ def fm_refine(g: Graph, side: np.ndarray, target0: float,
     hi = target0 + imbalance * total
     if stall_limit is None:
         stall_limit = 64 + n // 64
-    return get_backend().fm_refine(g, side, target0, lo, hi, max_passes,
-                                   stall_limit)
+    return fm_refine_fast(g, side, target0, lo, hi, max_passes, stall_limit)

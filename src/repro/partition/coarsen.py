@@ -5,11 +5,10 @@ neighbor; matched pairs contract to one coarse vertex whose weight is the
 sum and whose edges accumulate parallel-edge weights.  Coarsening stops
 when the graph is small enough or stops shrinking (high-degree graphs).
 
-The matcher itself dispatches through the kernel backend layer
-(``repro.sparsela.backend``): the default is the list-based fast kernel in
-:mod:`repro.partition._kernels`, ``reference`` is the seed loop verbatim,
-``numba`` a compiled version — all three produce bit-identical matchings
-(pinned by the partition-label digests in ``tests/test_partition.py``).
+The matcher itself is the list-based kernel
+:func:`repro.partition._kernels.hem_match_fast`, decision-identical to the
+seed loop (pinned by the partition-label digests in
+``tests/test_partition.py``).
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.partition._kernels import hem_match_fast
 from repro.partition.graph import Graph
-from repro.sparsela.backend import get_backend
 
 __all__ = ["CoarseLevel", "coarsen_graph", "coarsen_labels",
            "heavy_edge_matching", "matching_relabel"]
@@ -45,7 +44,7 @@ def heavy_edge_matching(g: Graph, seed: int = 0) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.n_vertices)
-    return get_backend().hem_match(g, perm)
+    return hem_match_fast(g, perm)
 
 
 def matching_relabel(match: np.ndarray) -> tuple[np.ndarray, int]:

@@ -34,7 +34,7 @@ both schedulers (DESIGN.md §5.15): the scalar event loop indexes them a
 rank at a time, the batched event-horizon scheduler scans them whole.
 The per-rank incoming slot-ids are additionally kept concatenated
 (``ins_flat`` along ``ins_off``) so a macro-turn's mailbox timestamp
-scan is one gather + segment-reduce (optionally a numba kernel).
+scan is one gather + segment-reduce.
 
 The scalar loop instead reads each rank's mailbox through an index:
 a heap of ``(stamp, slot-id)`` entries that ``send`` pushes onto.
@@ -79,49 +79,6 @@ __all__ = ["AsyncFlatPlane"]
 _EMPTY_SIDS = np.zeros(0, dtype=np.int64)
 _EMPTY_FATES = np.zeros(0, dtype=np.int64)
 _EMPTY_LIST: list[int] = []
-
-# ----------------------------------------------------------------------
-# optional numba kernel for the macro-turn mailbox timestamp scan
-# ----------------------------------------------------------------------
-_SEG_MIN = None
-_SEG_MIN_FAILED = False
-
-
-def _segment_min_kernel():
-    """Lazily compile the per-rank stamp-minimum scan with numba.
-
-    Returns the compiled kernel, or ``None`` when numba is unavailable
-    (the caller falls back to the gather + ``np.minimum.reduceat``
-    path, which computes the identical result — ``min`` over float64
-    segments has no accumulation order sensitivity).
-    """
-    global _SEG_MIN, _SEG_MIN_FAILED
-    if _SEG_MIN is not None or _SEG_MIN_FAILED:
-        return _SEG_MIN
-    try:
-        import numba
-
-        @numba.njit(cache=True, fastmath=False)
-        def seg_min(deliver_at, ins_flat, ins_off, ranks, out):
-            for i in range(ranks.size):
-                r = ranks[i]
-                lo = ins_off[r]
-                hi = ins_off[r + 1]
-                e = np.inf
-                for k in range(lo, hi):
-                    t = deliver_at[ins_flat[k]]
-                    if t < e:
-                        e = t
-                out[i] = e
-
-        # trigger the compile now so the first macro-turn is not billed
-        seg_min(np.array([np.inf]), np.zeros(1, dtype=np.int64),
-                np.zeros(2, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                np.zeros(1))
-        _SEG_MIN = seg_min
-    except Exception:               # pragma: no cover - numba missing
-        _SEG_MIN_FAILED = True
-    return _SEG_MIN
 
 
 class AsyncFlatPlane:
@@ -431,23 +388,18 @@ class AsyncFlatPlane:
     def earliest_pending_batch(self, ranks: np.ndarray) -> np.ndarray:
         """Exact earliest pending stamp for every rank in ``ranks``
         (inf if none), re-tightening the ``_next_at`` bounds.  One
-        mailbox timestamp scan for the whole candidate set — the numba
-        kernel when available, gather + segment-min otherwise."""
+        mailbox timestamp scan for the whole candidate set: a gather and
+        a segment-min."""
         off = self.ins_off
-        kern = _segment_min_kernel()
-        ep = np.empty(ranks.size)
-        if kern is not None:
-            kern(self.deliver_at, self.ins_flat, off, ranks, ep)
-        else:
-            counts = off[ranks + 1] - off[ranks]
-            idx = multi_arange(off[ranks], off[ranks + 1])
-            t = self.deliver_at[self.ins_flat[idx]]
-            nonempty = counts > 0
-            ep.fill(np.inf)
-            if t.size:
-                heads = np.zeros(int(nonempty.sum()), dtype=np.int64)
-                np.cumsum(counts[nonempty][:-1], out=heads[1:])
-                ep[nonempty] = np.minimum.reduceat(t, heads)
+        counts = off[ranks + 1] - off[ranks]
+        idx = multi_arange(off[ranks], off[ranks + 1])
+        t = self.deliver_at[self.ins_flat[idx]]
+        nonempty = counts > 0
+        ep = np.full(ranks.size, np.inf)
+        if t.size:
+            heads = np.zeros(int(nonempty.sum()), dtype=np.int64)
+            np.cumsum(counts[nonempty][:-1], out=heads[1:])
+            ep[nonempty] = np.minimum.reduceat(t, heads)
         self._next_at[ranks] = ep
         return ep
 

@@ -111,8 +111,7 @@ def runtime_mode() -> str:
     Resolution order: programmatic override (:func:`set_runtime_mode` /
     :func:`use_runtime`), then the ``REPRO_RUNTIME`` environment variable
     read through :mod:`repro.config`, then ``auto``.  Unknown env values
-    fall back to ``auto`` (same spirit as ``REPRO_BACKEND``: junk must
-    not break a run).
+    fall back to ``auto`` (junk must not break a run).
     """
     if _mode_override is not None:
         return _mode_override

@@ -22,10 +22,9 @@ solver-side edits don't needlessly retire partitions.
 
 Correctness notes:
 
-- Partitions are bit-identical across kernel backends (pinned digests in
-  ``tests/test_partition.py``), so the backend knob is deliberately *not*
-  part of the key — a partition computed under numba is valid for a
-  scipy-backend run.
+- Partitions are pure functions of the key: the partitioner's kernels
+  replay the seed's decision sequence exactly (pinned digests in
+  ``tests/test_partition.py``), and no knob changes them.
 - SuperLU factors cannot be pickled.  A ``BlockSystem`` pickles as the
   handful of stores its blocks are views of and is re-cut — and its
   local solvers re-factorized — on load by the constructor the build

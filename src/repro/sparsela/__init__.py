@@ -9,23 +9,15 @@ unit-diagonal symmetrically scaled SPD systems.  This package provides:
 - :mod:`repro.sparsela.scaling` — symmetric diagonal scaling to unit diagonal
   (the paper scales every test matrix this way).
 - :mod:`repro.sparsela.kernels` — relaxation kernels (Jacobi, Gauss-Seidel,
-  SOR sweeps) with a pure-python reference implementation and a fast path.
-- :mod:`repro.sparsela.backend` — pluggable kernel backends (``reference``,
-  ``scipy``, optional ``numba``), selectable via :func:`set_backend` or the
-  ``REPRO_BACKEND`` environment variable.
+  SOR sweeps) and residuals.
+- :mod:`repro.sparsela.primitives` — the compiled scipy matvec, transposed
+  matvec, triangular solve and Gauss-Seidel sweep every kernel runs on
+  (the seed's pure-python loops are their test oracles).
 - :mod:`repro.sparsela.io` — Matrix Market and a compact binary format
   (mirroring the artifact's ``.mtx.bin`` files).
 - :mod:`repro.sparsela.ordering` — BFS and reverse Cuthill-McKee orderings.
 """
 
-from repro.sparsela.backend import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
 from repro.sparsela.coo import COOMatrix
 from repro.sparsela.csr import CSRMatrix
 from repro.sparsela.io import (
@@ -46,22 +38,16 @@ from repro.sparsela.scaling import symmetric_unit_diagonal_scale
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
-    "KernelBackend",
-    "available_backends",
     "bfs_levels",
     "bfs_order",
     "gauss_seidel_sweep",
-    "get_backend",
     "jacobi_sweep",
     "rcm_order",
     "read_binary",
     "read_matrix_market",
-    "register_backend",
     "residual",
-    "set_backend",
     "sor_sweep",
     "symmetric_unit_diagonal_scale",
-    "use_backend",
     "write_binary",
     "write_matrix_market",
 ]

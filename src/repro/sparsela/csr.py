@@ -6,11 +6,10 @@ indices sorted within each row and no duplicate coordinates, which is the
 invariant assumed by all kernels.
 
 Design notes (following the HPC-Python guides): all bulk operations are
-vectorised numpy; ``matvec``/``rmatvec`` dispatch to the active kernel
-backend (:mod:`repro.sparsela.backend` — compiled scipy kernels by default,
-pure-numpy reference and optional numba variants selectable), and with
-``out=`` the compiled paths accumulate straight into the caller's buffer
-so the hot loop allocates nothing.  Derived structure that relaxation
+vectorised numpy; ``matvec``/``rmatvec`` run scipy's compiled kernels
+(:mod:`repro.sparsela.primitives`), and with ``out=`` they accumulate
+straight into the caller's buffer so the hot loop allocates nothing.
+Derived structure that relaxation
 kernels need every sweep — the diagonal, its zero check, the ``L+D``
 Gauss-Seidel factor, the per-``omega`` SOR factor, the scipy handle — is
 computed once per matrix and cached, invalidated when ``data`` is
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.sparsela.backend import get_backend
+from repro.sparsela import primitives
 
 __all__ = ["CSRMatrix"]
 
@@ -206,16 +205,16 @@ class CSRMatrix:
     # arithmetic
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``A @ x`` through the active kernel backend.
+        """``A @ x`` through the compiled CSR kernel.
 
         Parameters
         ----------
         x:
             ``(n,)`` input vector.
         out:
-            Optional preallocated ``(m,)`` output (overwritten).  On the
-            compiled backends the product accumulates directly into
-            ``out`` — no intermediate array is allocated.
+            Optional preallocated ``(m,)`` output (overwritten).  The
+            product accumulates directly into ``out`` — no intermediate
+            array is allocated.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
@@ -223,18 +222,18 @@ class CSRMatrix:
         if out is not None and out.shape != (self.n_rows,):
             raise ValueError(f"out has shape {out.shape}, "
                              f"expected ({self.n_rows},)")
-        return get_backend().matvec(self, x, out=out)
+        return primitives.matvec(self, x, out=out)
 
     def rmatvec(self, y: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """``A.T @ y`` without forming the transpose (backend-dispatched)."""
+        """``A.T @ y`` without forming the transpose."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n_rows,):
             raise ValueError(f"y has shape {y.shape}, expected ({self.n_rows},)")
         if out is not None and out.shape != (self.n_cols,):
             raise ValueError(f"out has shape {out.shape}, "
                              f"expected ({self.n_cols},)")
-        return get_backend().rmatvec(self, y, out=out)
+        return primitives.rmatvec(self, y, out=out)
 
     def __matmul__(self, x):
         if isinstance(x, np.ndarray) and x.ndim == 1:
@@ -319,7 +318,7 @@ class CSRMatrix:
 
         Built once per matrix so repeated sweeps do zero structural
         work; the factor's own cached scipy handle gives the compiled
-        backends a ready triangular operand.
+        triangular solve a ready operand.
         """
         cache = self._derived_cache()
         ld = cache.get("ld")
@@ -442,7 +441,7 @@ class CSRMatrix:
     def to_scipy(self):
         """A cached ``scipy.sparse.csr_matrix`` built from this data.
 
-        The compiled backends' operand: built once per matrix (scipy
+        The compiled kernels' operand: built once per matrix (scipy
         copies ``data`` and downcasts indices to int32 at construction,
         so the handle genuinely caches — the seed's shared-``data``
         identity check never hit) and invalidated when ``data`` is

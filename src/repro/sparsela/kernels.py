@@ -1,15 +1,8 @@
 """Relaxation kernels: Jacobi, Gauss-Seidel and SOR sweeps, residuals.
 
-Each kernel dispatches through the active kernel backend
-(:mod:`repro.sparsela.backend`):
-
-- the **reference** backend runs a straightforward transcription of the
-  textbook recurrences (used by tests as ground truth and bit-identical
-  to the seed implementation), and
-- the compiled backends (**scipy** — the default — and optional
-  **numba**) express each sweep through cached triangular factors or a
-  fused nopython loop, validated against the reference in the
-  cross-backend equivalence suite.
+The sweeps run on the compiled scipy primitives
+(:mod:`repro.sparsela.primitives`); the seed's textbook per-row loops are
+the test oracles they are checked against (``tests/oracles.py``).
 
 A forward Gauss-Seidel sweep on ``A x = b`` from iterate ``x`` with residual
 ``r = b - A x`` is exactly::
@@ -17,7 +10,7 @@ A forward Gauss-Seidel sweep on ``A x = b`` from iterate ``x`` with residual
     x_new = x + (L + D)^{-1} r
 
 where ``L + D`` is the lower triangle of ``A`` — the identity the
-factor-based fast paths use.  The ``L + D`` factor (and the per-``omega``
+compiled sweep uses.  The ``L + D`` factor (and the per-``omega``
 SOR factor ``D/omega + L``) is built **once per matrix** and cached on the
 :class:`CSRMatrix` (:meth:`CSRMatrix.ld_factor` /
 :meth:`CSRMatrix.sor_factor`), so repeated sweeps do zero structural work.
@@ -29,14 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparsela.backend import get_backend, reference_lower_solve
 from repro.sparsela.csr import CSRMatrix
+from repro.sparsela.primitives import gauss_seidel_sweep, solve_lower
 
 __all__ = [
     "gauss_seidel_sweep",
-    "gauss_seidel_sweep_reference",
     "jacobi_sweep",
-    "lower_triangular_solve",
     "residual",
     "sor_sweep",
 ]
@@ -64,54 +55,6 @@ def jacobi_sweep(A: CSRMatrix, x: np.ndarray, b: np.ndarray,
     return x + omega * residual(A, x, b) / A.diagonal()
 
 
-def lower_triangular_solve(L: CSRMatrix, b: np.ndarray,
-                           unit_diagonal: bool = False) -> np.ndarray:
-    """Solve ``L y = b`` for lower-triangular ``L`` (reference, pure python).
-
-    Strictly-upper entries, if present, are an error.  Used as ground truth
-    for the compiled fast paths (every backend's ``solve_lower`` is checked
-    against this in the equivalence suite).
-    """
-    return reference_lower_solve(L, b, unit_diagonal=unit_diagonal)
-
-
-def gauss_seidel_sweep_reference(A: CSRMatrix, x: np.ndarray, b: np.ndarray,
-                                 order: np.ndarray | None = None) -> np.ndarray:
-    """One forward Gauss-Seidel sweep, textbook per-row loop.
-
-    Rows are relaxed in ``order`` (default natural order); each relaxation
-    immediately uses the freshest values of its neighbours.
-    """
-    x = np.array(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    rows = range(A.n_rows) if order is None else order
-    for i in rows:
-        cols, vals = A.row(i)
-        diag = 0.0
-        acc = b[i]
-        for c, v in zip(cols, vals):
-            if c == i:
-                diag = v
-            else:
-                acc -= v * x[c]
-        if diag == 0.0:
-            raise ZeroDivisionError(f"zero diagonal at row {i}")
-        x[i] = acc / diag
-    return x
-
-
-def gauss_seidel_sweep(A: CSRMatrix, x: np.ndarray, b: np.ndarray,
-                       r: np.ndarray | None = None) -> np.ndarray:
-    """One forward Gauss-Seidel sweep via the active backend.
-
-    Equivalent to :func:`gauss_seidel_sweep_reference` in natural order but
-    runs through the backend's fast path (a compiled triangular solve on
-    the cached ``L+D`` factor, or numba's fused sweep).  If the current
-    residual ``r = b - A x`` is already known, pass it to skip one matvec.
-    """
-    return get_backend().gauss_seidel_sweep(A, x, b, r=r)
-
-
 def sor_sweep(A: CSRMatrix, x: np.ndarray, b: np.ndarray,
               omega: float) -> np.ndarray:
     """One forward SOR sweep with relaxation factor ``omega``.
@@ -123,5 +66,5 @@ def sor_sweep(A: CSRMatrix, x: np.ndarray, b: np.ndarray,
     if not 0.0 < omega < 2.0:
         raise ValueError("SOR requires 0 < omega < 2 for SPD convergence")
     r = residual(A, x, b)
-    dx = get_backend().solve_lower(A.sor_factor(omega), r)
+    dx = solve_lower(A.sor_factor(omega), r)
     return np.asarray(x, dtype=np.float64) + dx

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import MultigridConfig, solve
+from repro.api import MultigridConfig, RunConfig, solve
 from repro.cli import main
 from repro.core import DistributedSouthwell
 from repro.core.blockdata import build_block_system
@@ -88,6 +88,26 @@ def test_solve_rejects_negative_diagonal(kind):
         A.indices[A.indptr[row]:A.indptr[row + 1]] == row)[0]] *= -1.0
     with pytest.raises(ValueError, match="negative diagonal.* at row 5;"):
         solve(A, np.ones(A.n_rows), **_RUN_KINDS[kind])
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("n_parts", 2.5), ("n_parts", "4"), ("n_parts", True), ("n_parts", 0),
+    ("max_steps", -3), ("max_steps", 2.7), ("max_steps", None),
+    ("target_norm", np.nan), ("target_norm", -1.0), ("target_norm", "x"),
+], ids=str)
+def test_run_config_rejects_bad_scalars(field, bad):
+    """A bad scalar is a ValueError naming its field, raised before any
+    set-up (not a deep TypeError, a silent 0-step run or a run that
+    never stops)."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        solve(poisson_2d(12), np.ones(144), method="distributed-southwell",
+              **{"n_parts": 4, "stop_at_target": True, field: bad})
+
+
+def test_run_config_accepts_numpy_integers():
+    cfg = RunConfig(n_parts=np.int64(4), max_steps=np.int32(0))
+    assert (cfg.n_parts, cfg.max_steps) == (4, 0)
+    assert type(cfg.n_parts) is int and type(cfg.max_steps) is int
 
 
 def test_solve_keeps_b_without_x0():

@@ -39,6 +39,7 @@ from repro.partition import partition
 from repro.runtime import CATEGORY_SOLVE, CostModel
 from repro.runtime.flatplane import multi_arange
 from repro.sparsela import symmetric_unit_diagonal_scale
+from repro.trace import NULL_TRACER
 from tests.test_async import make_plane
 
 METHODS = ("distributed-southwell", "parallel-southwell", "block-jacobi")
@@ -350,7 +351,10 @@ def test_batched_stragglers_smoke_keeps_heaps_bounded():
     P = 16
     system = build_block_system(A, partition(A, P, seed=0),
                                 local_solver="gs", n_sweeps=1)
-    ex = AsyncExecutor(DistributedSouthwell(system, seed=0),
+    # tracing makes the batched scheduler run scalar turns: pin it off
+    # so the batched sweeps this test watches run under REPRO_TRACE=1 too
+    ex = AsyncExecutor(DistributedSouthwell(system, seed=0,
+                                            tracer=NULL_TRACER),
                        speed_factors=((0, 0.5), (8, 0.5)),
                        scheduler="batched")
     ex.prepare(x0, b)

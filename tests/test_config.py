@@ -28,13 +28,6 @@ def _clean_env(monkeypatch):
 # ----------------------------------------------------------------------
 # precedence: explicit > env > default, per getter
 # ----------------------------------------------------------------------
-def test_backend_precedence(monkeypatch):
-    assert config.backend() is None                  # default: unset
-    monkeypatch.setenv(config.ENV_BACKEND, "reference")
-    assert config.backend() == "reference"           # env
-    assert config.backend("numba") == "numba"        # explicit wins
-
-
 def test_runtime_precedence(monkeypatch):
     assert config.runtime() == "auto"
     monkeypatch.setenv(config.ENV_RUNTIME, "object")
@@ -209,7 +202,7 @@ def test_describe_lists_every_knob():
     # one row per knob, and the knob set is pinned: adding one is a
     # decision, not a side effect
     rows = [ln for ln in out.splitlines() if ln.lstrip().startswith("REPRO_")]
-    assert len(rows) == len(config.KNOBS) == 8
+    assert len(rows) == len(config.KNOBS) == 7
 
 
 def test_describe_shows_env_sources(monkeypatch, tmp_path):

@@ -95,7 +95,7 @@ def test_task_key_isolates_parameters_and_code(monkeypatch):
     assert base != task_key(_task("distributed-southwell", n_procs=7))
     assert base != task_key(_task("distributed-southwell", seed=1))
     assert base != task_key(_task("distributed-southwell", max_steps=9))
-    # the runtime/backend knobs are part of the key: results produced
+    # the runtime knob is part of the key: results produced
     # under a forced mode never masquerade as the default's
     monkeypatch.setenv("REPRO_RUNTIME", "object")
     assert base != task_key(_task("distributed-southwell"))

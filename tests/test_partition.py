@@ -276,9 +276,9 @@ def test_invariant_neighbor_lists_symmetric(inv_matrix, method, kwargs):
 # ----------------------------------------------------------- pinned digests
 # The multilevel partitioner's output is pinned bit-for-bit: downstream
 # run histories (and the persistent setup cache) assume a given
-# (matrix, P, seed) always yields the same partition, whatever kernel
-# backend computed it.  ``poisson_2d(110)`` at P=256 is the af_5_k101
-# suite analog — the paper-scale case the setup bench times.
+# (matrix, P, seed) always yields the same partition.  ``poisson_2d(110)``
+# at P=256 is the af_5_k101 suite analog — the paper-scale case the setup
+# bench times.
 _PINNED = [
     (24, 8, "1355cf2f6344ce7e", 212.0),
     (40, 16, "1bee47fa0fb511ab", 600.0),
@@ -301,13 +301,19 @@ def test_multilevel_partition_is_pinned(n, k, digest, cut):
     assert edge_cut(matrix_graph(A), part.parts) == cut
 
 
-def test_fast_kernels_match_reference_backend():
-    from repro.sparsela.backend import use_backend
+def test_fast_kernels_match_reference_backend(monkeypatch):
+    """The whole partition with the seed loops (``tests/oracles.py``)
+    patched in for the matcher and the refinement is the pinned one."""
+    import repro.partition.bisect as bisect_mod
+    import repro.partition.coarsen as coarsen_mod
+
+    from tests import oracles
 
     A = poisson_2d(40)
     fast = partition(A, 16, method="multilevel", seed=0)
-    with use_backend("reference"):
-        ref = partition(A, 16, method="multilevel", seed=0)
+    monkeypatch.setattr(coarsen_mod, "hem_match_fast", oracles.hem_match)
+    monkeypatch.setattr(bisect_mod, "fm_refine_fast", oracles.fm_refine)
+    ref = partition(A, 16, method="multilevel", seed=0)
     assert np.array_equal(fast.parts, ref.parts)
     assert np.array_equal(fast.perm, ref.perm)
     assert _parts_digest(fast.parts) == "1bee47fa0fb511ab"
@@ -500,17 +506,6 @@ def test_pool_worker_partitions_serially():
     assert made == 0
     assert digest == "1355cf2f6344ce7e"
     _assert_no_children()
-
-
-def test_numba_kernels_match_fast_kernels():
-    pytest.importorskip("numba")
-    from repro.sparsela.backend import use_backend
-
-    A = poisson_2d(40)
-    fast = partition(A, 16, method="multilevel", seed=0)
-    with use_backend("numba"):
-        nb = partition(A, 16, method="multilevel", seed=0)
-    assert np.array_equal(fast.parts, nb.parts)
 
 
 # ------------------------------------------------------------------- grid

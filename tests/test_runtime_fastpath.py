@@ -6,8 +6,8 @@ the same convergence history and **byte-for-byte** the same message
 statistics as the object plane, on every method that supports it.  These
 tests pin that contract:
 
-- the seed DS history digest reproduces under the object path, the flat
-  path, and (when available) the flat path on the numba kernel backend;
+- the seed DS history digest reproduces under the object path and the
+  flat path;
 - full stats equality — per-step message/byte/flop/receive arrays and
   category splits — across both planes for BJ, PS and DS;
 - the cumulative metrics are O(1) (they never walk the snapshot list);
@@ -42,11 +42,7 @@ from repro.runtime import (
     use_runtime,
 )
 from repro.solvers.block_jacobi import BlockJacobi
-from repro.sparsela import (
-    available_backends,
-    symmetric_unit_diagonal_scale,
-    use_backend,
-)
+from repro.sparsela import symmetric_unit_diagonal_scale
 
 from tests.test_backends import SEED_DS_DIGEST, _ds_history_digest
 
@@ -109,13 +105,6 @@ def test_seed_ds_digest_object_path():
 
 def test_seed_ds_digest_flat_path():
     with use_runtime("flat"):
-        assert _ds_history_digest() == SEED_DS_DIGEST
-
-
-@pytest.mark.skipif("numba" not in available_backends(),
-                    reason="numba backend not available")
-def test_seed_ds_digest_flat_path_numba():
-    with use_backend("numba"), use_runtime("flat"):
         assert _ds_history_digest() == SEED_DS_DIGEST
 
 

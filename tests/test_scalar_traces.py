@@ -9,7 +9,8 @@ from repro.solvers.scalar import (
     jacobi_trace,
     multicolor_gs_trace,
 )
-from repro.sparsela.kernels import gauss_seidel_sweep_reference
+
+from tests import oracles
 
 
 @pytest.fixture
@@ -24,8 +25,8 @@ def state(poisson_100):
 def test_gs_trace_endpoints_match_sweep_kernel(state):
     A, x0, b = state
     hist = gauss_seidel_trace(A, x0, b, 2)
-    x = gauss_seidel_sweep_reference(A, x0, b)
-    x = gauss_seidel_sweep_reference(A, x, b)
+    x = oracles.gauss_seidel_sweep(A, x0, b)
+    x = oracles.gauss_seidel_sweep(A, x, b)
     assert np.isclose(hist.residual_norms[-1],
                       np.linalg.norm(b - A.matvec(x)), atol=1e-10)
     assert hist.relaxations[-1] == 200
@@ -82,7 +83,7 @@ def test_mcgs_equivalent_accuracy_to_gs_class_structure(state):
     colors = greedy_coloring(A)
     hist = multicolor_gs_trace(A, x0, b, 1, colors=colors)
     order = np.argsort(colors, kind="stable")
-    x = gauss_seidel_sweep_reference(A, x0, b, order=order)
+    x = oracles.gauss_seidel_sweep(A, x0, b, order=order)
     assert np.isclose(hist.residual_norms[-1],
                       np.linalg.norm(b - A.matvec(x)), atol=1e-10)
 
