@@ -7,8 +7,8 @@ These benches guard acceptance bars rather than paper figures:
    preallocated workspaces (verified by array identity, not timing);
 2. the flat-buffer plane beats the object plane, tracing is free when
    off, and a null fault plan compiles to no machinery at all;
-3. the partitioner's list kernels beat the seed loops, the setup cache
-   pays for itself, the batched async scheduler beats the scalar one;
+3. the partitioner's list kernels beat the seed loops and the setup cache
+   pays for itself;
 4. the legacy ``scripts/bench_*.py --smoke`` runs write their schemas.
 
 Timing assertions are best-of-N on a dedicated operator, so they are
@@ -418,55 +418,7 @@ def test_bench_faults_smoke_writes_schema(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 7. the batched async scheduler beats the scalar heap oracle
-# ----------------------------------------------------------------------
-def test_batched_scheduler_beats_scalar_ds_p256():
-    """The §5.15 acceptance bar: at P=256 under a latency-dominated
-    config (400 µs links, 0.25 µs polls) the batched event-horizon
-    scheduler must beat the scalar heap oracle on the *same* turn
-    budget — with a bit-identical solution, turn count and history,
-    verified alongside the timing.  The tracked measurement is the
-    ``core.async_exec.batched_over_scalar`` side probe of ``bench/``
-    (``bench/probes.py``); this smoke asserts a noise-robust 2×
-    (measured ~4×) so a pessimisation of either engine fails CI without
-    flaking on a loaded box."""
-    import hashlib
-
-    from repro.api import AsyncConfig, solve
-
-    A = poisson_2d(96)
-    out = {}
-    for sched in ("scalar", "batched"):
-        best, res = np.inf, None
-        for _ in range(3):
-            cfg = AsyncConfig(record_every=4096, scheduler=sched,
-                              latency=400e-6, poll_interval=0.25e-6)
-            t0 = time.perf_counter()
-            r = solve(A, method="distributed-southwell", runtime="async",
-                      n_parts=256, max_steps=500, seed=0,
-                      async_config=cfg)
-            dt = time.perf_counter() - t0
-            if dt < best:
-                best, res = dt, r
-        out[sched] = (best, res)
-    t_s, r_s = out["scalar"]
-    t_b, r_b = out["batched"]
-    assert (hashlib.sha256(r_s.x.tobytes()).hexdigest()
-            == hashlib.sha256(r_b.x.tobytes()).hexdigest())
-    assert r_s.parallel_steps == r_b.parallel_steps
-    assert r_s.virtual_time == r_b.virtual_time
-    np.testing.assert_array_equal(r_s.history.residual_norms,
-                                  r_b.history.residual_norms)
-    np.testing.assert_array_equal(r_s.history.times, r_b.history.times)
-    np.testing.assert_array_equal(r_s.rank_idle, r_b.rank_idle)
-    ratio = t_s / t_b
-    assert ratio >= 2.0, (
-        f"batched scheduler only {ratio:.2f}x scalar "
-        f"({t_b * 1e3:.1f} ms vs {t_s * 1e3:.1f} ms)")
-
-
-# ----------------------------------------------------------------------
-# 8. communication-aware multigrid: messages per digit (§5.16)
+# 7. communication-aware multigrid: messages per digit (§5.16)
 # ----------------------------------------------------------------------
 def test_bench_mg_smoke_writes_schema(tmp_path):
     out = tmp_path / "bench.json"

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro import config as _config
 from repro.analysis.history import ConvergenceHistory
-from repro.core.async_exec import AsyncExecutor
+from repro.core.async_exec import AsyncExecutor, check_scheduler
 from repro.core.block_base import BlockMethodBase
 from repro.core.distributed_southwell_block import DistributedSouthwell
 from repro.core.parallel_southwell_block import ParallelSouthwell
@@ -81,15 +81,18 @@ class AsyncConfig:
     ``speed_factors`` is a tuple of ``(rank, factor)`` pairs — factor
     0.5 makes that rank compute at half speed (a 2× straggler) — or the
     CLI's ``"rank:factor,..."`` spec string, parsed into that tuple.
-    Every duration and factor must be finite.
+    Every duration and factor must be finite; ranks, ``max_turns`` and
+    ``record_every`` must be integers (numpy integers count, ``bool``
+    does not), else a :class:`ValueError` names the field.
     ``max_time`` bounds *simulated* seconds.  ``poll_interval`` is how
     long an idle rank sleeps before re-checking its mailbox;
     ``record_every`` is the history sampling cadence in turns.
 
-    ``scheduler`` picks the event-loop engine: ``"scalar"`` (one rank
-    per turn — the oracle) or ``"batched"`` (vectorized event-horizon
-    macro-turns, bit-identical results, DESIGN.md §5.15); ``None``
-    defers to ``REPRO_ASYNC_SCHEDULER`` then ``"scalar"``.
+    ``scheduler`` accepts ``None``, ``"scalar"`` or ``"batched"``, and
+    all three run the one event loop: ``"batched"`` names the deleted
+    event-horizon scheduler (DESIGN.md §5.15) and stays accepted because
+    the benchmark's probe passes it.  Any other value raises
+    :class:`ValueError`.
     """
 
     latency: float | None = None
@@ -118,17 +121,16 @@ class AsyncConfig:
                     raise ValueError(
                         f"speed_factors entries must be (rank, factor) "
                         f"pairs, got {pair!r}") from None
-                if int(rank) < 0:
-                    raise ValueError("speed_factors ranks must be >= 0")
+                _config.require_int("speed_factors rank", rank, 0)
                 finite("speed_factors factor", factor, positive=True)
         if self.max_time is not None:
             finite("max_time", self.max_time, positive=True)
-        if self.max_turns is not None and self.max_turns < 1:
-            raise ValueError("max_turns must be at least 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
-        if self.scheduler is not None:
-            _config.async_scheduler(self.scheduler)   # validates
+        if self.max_turns is not None:
+            object.__setattr__(self, "max_turns", _config.require_int(
+                "max_turns", self.max_turns, 1))
+        object.__setattr__(self, "record_every", _config.require_int(
+            "record_every", self.record_every, 1))
+        check_scheduler(self.scheduler)
 
 
 @dataclass(frozen=True)
@@ -232,16 +234,11 @@ class RunConfig:
     mg: MultigridConfig | None = None
 
     def __post_init__(self) -> None:
-        for name, low in (("n_parts", 1), ("max_steps", 0)):
-            value = getattr(self, name)
-            if value is None and name == "n_parts":
-                continue
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))
-                    or value < low):
-                raise ValueError(
-                    f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        if self.n_parts is not None:
+            object.__setattr__(self, "n_parts", _config.require_int(
+                "n_parts", self.n_parts, 1))
+        object.__setattr__(self, "max_steps", _config.require_int(
+            "max_steps", self.max_steps, 0))
         if self.target_norm is not None:
             _config.require_finite("target_norm", self.target_norm,
                                    positive=False)

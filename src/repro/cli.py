@@ -20,8 +20,7 @@ both the artifact's (``sos_sds``, ``sos_ps``, ``sj``) and descriptive
 
 Runtime additions (not in the artifact): ``--runtime async`` runs the
 event-driven engine (with ``--async-latency`` / ``--async-speed-factors``
-for link latency and per-rank stragglers, and ``--async-scheduler`` to
-pick the scalar oracle or the batched event-horizon engine).
+for link latency and per-rank stragglers).
 ``-solver mg`` (alias ``--method mg``) runs the communication-aware
 multigrid V-cycle with ``--mg-smoother`` / ``--mg-drop-tol``; it needs a
 square ``2^k - 1`` grid (``-grid_dim 31``, 63, 127, ...).
@@ -127,14 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="AMG sparsification threshold for Galerkin "
                              "coarse operators under -solver mg; implies "
                              "the Galerkin hierarchy")
-    parser.add_argument("--async-scheduler", default=None,
-                        dest="async_scheduler",
-                        choices=repro_config.VALID_ASYNC_SCHEDULERS,
-                        help="event-loop engine under --runtime async: "
-                             "'scalar' (heap oracle) or 'batched' "
-                             "(vectorized event-horizon macro-turns, "
-                             "bit-identical results; overrides "
-                             "REPRO_ASYNC_SCHEDULER)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record the run's event trace to PATH (JSONL; "
                              ".json/.chrome suffix writes Chrome "
@@ -223,16 +214,14 @@ def main(argv: list[str] | None = None) -> int:
         plan = FaultPlan.from_file(args.faults)
     async_cfg = None
     if (args.async_latency is not None
-            or args.async_speed_factors is not None
-            or args.async_scheduler is not None):
+            or args.async_speed_factors is not None):
         from repro.api import AsyncConfig
 
         sf = None
         if args.async_speed_factors is not None:
             sf = repro_config.parse_speed_factors(
                 args.async_speed_factors) or None
-        async_cfg = AsyncConfig(latency=args.async_latency, speed_factors=sf,
-                                scheduler=args.async_scheduler)
+        async_cfg = AsyncConfig(latency=args.async_latency, speed_factors=sf)
     mg_cfg = None
     if (method == "mg" or args.mg_smoother is not None
             or args.mg_drop_tol is not None):

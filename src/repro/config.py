@@ -3,10 +3,10 @@
 The package has one environment variable per subsystem — the
 message-plane mode (``REPRO_RUNTIME``), the sweep pool size
 (``REPRO_WORKERS``), the sweep cache directory (``REPRO_SWEEP_CACHE``),
-run tracing (``REPRO_TRACE``), the setup cache (``REPRO_SETUP_CACHE``),
-fault injection (``REPRO_FAULTS``) and the async scheduler
-(``REPRO_ASYNC_SCHEDULER``).  This module is the single read-through
-point for all of them, with one documented precedence rule:
+run tracing (``REPRO_TRACE``), the setup cache (``REPRO_SETUP_CACHE``)
+and fault injection (``REPRO_FAULTS``).  This module is the single
+read-through point for all of them, with one documented precedence
+rule:
 
     explicit argument  >  programmatic override  >  environment  >  default
 
@@ -31,12 +31,12 @@ init) can read through it without cycles.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
-    "ENV_ASYNC_SCHEDULER",
     "ENV_FAULTS",
     "ENV_RUNTIME",
     "ENV_SETUP_CACHE",
@@ -45,12 +45,11 @@ __all__ = [
     "ENV_WORKERS",
     "KNOBS",
     "Knob",
-    "VALID_ASYNC_SCHEDULERS",
     "VALID_MG_SMOOTHERS",
     "VALID_RUNTIME_MODES",
-    "async_scheduler",
     "parse_speed_factors",
     "require_finite",
+    "require_int",
     "describe",
     "faults_spec",
     "runtime",
@@ -69,7 +68,6 @@ ENV_SWEEP_CACHE = "REPRO_SWEEP_CACHE"
 ENV_TRACE = "REPRO_TRACE"
 ENV_SETUP_CACHE = "REPRO_SETUP_CACHE"
 ENV_FAULTS = "REPRO_FAULTS"
-ENV_ASYNC_SCHEDULER = "REPRO_ASYNC_SCHEDULER"
 
 #: message-plane modes accepted by ``REPRO_RUNTIME`` / ``set_runtime_mode``;
 #: ``async`` is the flat plane driven by the discrete-event executor instead
@@ -80,13 +78,6 @@ VALID_RUNTIME_MODES = ("auto", "flat", "shm", "async", "object")
 
 #: simulated one-way network latency (seconds) for the async runtime
 DEFAULT_ASYNC_LATENCY = 5e-6
-
-#: async event-loop schedulers: ``scalar`` is the one-rank-per-turn heap
-#: oracle, ``batched`` the event-horizon macro-turn engine that executes
-#: every rank below the lookahead horizon in vectorized phases — both
-#: produce bit-identical results (DESIGN.md §5.15)
-VALID_ASYNC_SCHEDULERS = ("scalar", "batched")
-DEFAULT_ASYNC_SCHEDULER = "scalar"
 
 #: multigrid smoother names accepted by ``MultigridConfig.smoother`` /
 #: ``--mg-smoother``: the block methods run the real
@@ -135,9 +126,6 @@ KNOBS: tuple[Knob, ...] = (
          "off | 1 (default dir) | <dir>"),
     Knob(ENV_FAULTS, "off",
          "fault injection: off | <path to a FaultPlan JSON file>"),
-    Knob(ENV_ASYNC_SCHEDULER, "scalar",
-         "async event-loop scheduler: scalar (per-turn heap oracle) | "
-         "batched (vectorized event-horizon macro-turns, bit-identical)"),
 )
 
 
@@ -241,23 +229,6 @@ def setup_cache_dir(explicit: str | Path | None = None) -> Path | None:
     return Path(spec)
 
 
-def async_scheduler(explicit: str | None = None) -> str:
-    """Async event-loop scheduler: ``scalar`` or ``batched``.
-
-    A junk environment value degrades to the scalar oracle; an explicit
-    junk argument is a programming error and raises.
-    """
-    if explicit is not None:
-        val = str(explicit).strip().lower()
-        if val not in VALID_ASYNC_SCHEDULERS:
-            raise ValueError(
-                f"unknown async scheduler {explicit!r}; expected one of "
-                f"{', '.join(VALID_ASYNC_SCHEDULERS)}")
-        return val
-    env = (_env(ENV_ASYNC_SCHEDULER) or "").strip().lower()
-    return env if env in VALID_ASYNC_SCHEDULERS else DEFAULT_ASYNC_SCHEDULER
-
-
 def parse_speed_factors(spec: str) -> tuple[tuple[int, float], ...]:
     """Parse a ``"rank:factor,rank:factor"`` straggler spec.
 
@@ -298,6 +269,18 @@ def require_finite(name: str, value, *, positive: bool) -> float:
     return v
 
 
+def require_int(name: str, value, low: int) -> int:
+    """``value`` as an ``int`` ``>= low``: a Python or numpy integer,
+    never a ``bool``, a float or a string — else a :class:`ValueError`
+    naming ``name``."""
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ValueError(
+            f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
@@ -330,9 +313,6 @@ def _effective(knob: Knob) -> tuple[str, str]:
         if spec is None:
             return "off", "environment" if _env(ENV_FAULTS) else "default"
         return spec, "environment"
-    if knob.env == ENV_ASYNC_SCHEDULER:
-        return (async_scheduler(),
-                "environment" if _env(ENV_ASYNC_SCHEDULER) else "default")
     raise ValueError(f"unknown knob {knob.env}")  # pragma: no cover
 
 

@@ -402,7 +402,7 @@ class BlockMethodBase:
         self._relax_csr = None              # built by _relax_plans
 
     def _relax_plans(self) -> list:
-        """The batched-relax plans, built at first use (a scalar async run
+        """The batched-relax plans, built at first use (an async run
         never holds them): per store (diagonal blocks, couplings) its
         global-column CSR, rank cut, scratch output and per-rank row ids;
         empty above :data:`_BATCH_ROWS` rows per block (relax per rank)."""
@@ -611,35 +611,6 @@ class BlockMethodBase:
         """Whether ``p`` relaxes on its async turn."""
         return float(self.norms[p]) > 0.0
 
-    def _async_decide_batch(self, ranks: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_async_decide` over a rank subset.
-
-        Must be elementwise bit-identical to calling the scalar hook per
-        rank — the batched event-horizon scheduler (DESIGN.md §5.15)
-        relies on it; methods overriding one must override both.  The
-        base implementation vectorizes the base criterion and falls back
-        to the scalar hook for subclasses that only overrode that.
-        """
-        if type(self)._async_decide is BlockMethodBase._async_decide:
-            return self.norms[ranks] > 0.0
-        return np.fromiter((self._async_decide(int(p)) for p in ranks),
-                           dtype=bool, count=ranks.size)
-
-    def _async_repair_mask(self, ranks: np.ndarray,
-                           win: np.ndarray) -> np.ndarray:
-        """Which of ``ranks`` (with relax decisions ``win``) need their
-        :meth:`_async_repair` hook *called* this turn.
-
-        ``False`` entries must be provable no-ops: the call would return
-        0 **and** leave no side effects, so the batched scheduler may
-        skip it outright.  When in doubt return ``True`` — a spurious
-        call is merely slower, a spurious skip diverges from the scalar
-        oracle.
-        """
-        if type(self)._async_repair is BlockMethodBase._async_repair:
-            return np.zeros(ranks.size, dtype=bool)
-        return np.ones(ranks.size, dtype=bool)
-
     def _async_send(self, p: int, aplane, turn: int) -> np.ndarray:
         """Publish ``p``'s post-relax updates onto the async plane;
         returns the slot-ids that entered the network (drops excluded)."""
@@ -687,15 +658,6 @@ class BlockMethodBase:
         scatters, ghost overwrites); the executor has already applied the
         solve payload deltas to ``r_p``."""
 
-    def _async_on_deliver_batch(self, ranks: np.ndarray,
-                                sids: np.ndarray, counts: np.ndarray,
-                                aplane) -> None:
-        """Fault-free batched counterpart of :meth:`_async_on_deliver`:
-        ``sids`` concatenated member-major (stamp order per member),
-        ``counts`` per member.  Receiver slab/ghost segments are
-        rank-local, so overrides may scatter all members at once as
-        long as each member's internal write order is preserved."""
-
     def _async_repair(self, p: int, aplane, turn: int) -> int:
         """Method-specific repair traffic; returns messages sent."""
         return 0
@@ -704,7 +666,7 @@ class BlockMethodBase:
     # the flat relax phase (DESIGN.md §5.8)
     # ------------------------------------------------------------------
     def _relax_one_flat(self, p: int) -> None:
-        """One rank's relax-phase body: the scalar async scheduler's turn
+        """One rank's relax-phase body: the async event loop's turn
         (a one-rank batch costs more) and the batch's form on large
         blocks.  DS extends it with its line-15 ghost update."""
         self._relax_send(p)
@@ -919,53 +881,6 @@ class BlockMethodBase:
                 wins[p] = self.wins_neighborhood(
                     p, float(own_sq[p]), gamma_flat[off[p]:off[p + 1]])
         return wins
-
-    def _wins_window(self, ranks: np.ndarray,
-                     gamma_flat: np.ndarray) -> np.ndarray:
-        """Relax decisions for just ``ranks``: a windowed gather +
-        segment-max over their neighborhoods, bit-identical to
-        ``_wins_vector(...)[ranks]`` at O(batch degree) instead of
-        O(total edges) cost — the batched async scheduler decides a
-        few dozen ranks per macro-turn, so scanning the whole slab
-        every call would dominate the macro-turn.
-        """
-        own = self.norms[ranks]
-        own_sq = own * own
-        off = self._nbr_off
-        counts = off[ranks + 1] - off[ranks]
-        wins = (counts == 0) & (own_sq > 0.0)
-        ne = counts > 0
-        if ne.any() and gamma_flat.size:
-            sel = ranks[ne]
-            g = gamma_flat[multi_arange(off[sel], off[sel + 1])]
-            cne = counts[ne]
-            m = np.maximum.reduceat(g, np.cumsum(cne) - cne)
-            sub_sq = own_sq[ne]
-            pos = sub_sq > 0.0
-            w = pos & (sub_sq > m)
-            ties = np.flatnonzero(pos & (sub_sq == m))
-            for k in ties.tolist():
-                p = int(sel[k])
-                w[k] = self.wins_neighborhood(
-                    p, float(sub_sq[k]), gamma_flat[off[p]:off[p + 1]])
-            wins[ne] = w
-        return wins
-
-    def _nbr_max_window(self, ranks: np.ndarray,
-                        flat: np.ndarray) -> np.ndarray:
-        """Per-rank neighborhood maximum of a slab-flat array for just
-        ``ranks`` (``-inf`` for isolated ranks) — the windowed
-        counterpart of the full segment-max in ``_wins_vector``."""
-        off = self._nbr_off
-        counts = off[ranks + 1] - off[ranks]
-        m = np.full(ranks.size, -np.inf)
-        ne = counts > 0
-        if ne.any() and flat.size:
-            sel = ranks[ne]
-            v = flat[multi_arange(off[sel], off[sel + 1])]
-            cne = counts[ne]
-            m[ne] = np.maximum.reduceat(v, np.cumsum(cne) - cne)
-        return m
 
     # ------------------------------------------------------------------
     # driver

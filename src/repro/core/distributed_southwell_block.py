@@ -33,7 +33,6 @@ from repro.faults import FATE_STALE
 from repro.runtime import CATEGORY_RESIDUAL, CATEGORY_SOLVE
 from repro.runtime.flatplane import multi_arange
 
-_EMPTY_FATES = np.empty(0, dtype=np.int64)
 
 __all__ = ["DistributedSouthwell"]
 
@@ -641,27 +640,6 @@ class DistributedSouthwell(BlockMethodBase):
             return self.wins_neighborhood(p, own_sq, seg)
         return False
 
-    def _async_decide_batch(self, ranks: np.ndarray) -> np.ndarray:
-        # the scalar hook's comparisons are exactly wins_neighborhood on
-        # the Γ estimates, so the segment-max vectorization applies
-        # verbatim — windowed to the batch, a few dozen ranks of the
-        # slab per macro-turn
-        return self._wins_window(ranks, self._gamma_flat)
-
-    def _async_repair_mask(self, ranks: np.ndarray,
-                           win: np.ndarray) -> np.ndarray:
-        if not self.deadlock_avoidance:
-            return np.zeros(ranks.size, dtype=bool)
-        if self._hardened:
-            # heartbeat bookkeeping is turn-indexed: always call
-            return np.ones(ranks.size, dtype=bool)
-        # unhardened line 27-30: fires iff any Γ̃ entry exceeds the own
-        # norm.  Winners just broadcast (tilde slab == own norm), so the
-        # scan is a provable no-op for them; for the rest a windowed
-        # segment max decides without touching the per-rank python path.
-        m = self._nbr_max_window(ranks, self._tilde_flat)
-        return ~win & (m > self.norms[ranks] * self.norms[ranks])
-
     def _async_send(self, p: int, aplane, turn: int) -> None:
         off = self._nbr_off
         lo, hi = int(off[p]), int(off[p + 1])
@@ -729,36 +707,6 @@ class DistributedSouthwell(BlockMethodBase):
             gp = slabpos[s]
             g[gp] = wn[s]
             t[gp] = we[s]
-
-    def _async_on_deliver_batch(self, ranks, sids, counts,
-                                aplane) -> None:
-        if sids.size == 0:
-            return
-        if np.any(counts > 8):
-            # rare large fan-in: the scalar hook's path selection
-            # (stamp-order writes vs store-split) is per member —
-            # replay it verbatim; members' segments are disjoint, so
-            # order across members is free
-            off0 = 0
-            for k, c in enumerate(counts.tolist()):
-                self._async_on_deliver(int(ranks[k]),
-                                       sids[off0:off0 + c].tolist(),
-                                       _EMPTY_FATES, aplane)
-                off0 += c
-            return
-        plane = self.engine.flat
-        zoff = plane.z_off
-        eids = sids >> 1
-        idx = multi_arange(zoff[eids], zoff[eids + 1])
-        odd = np.repeat((sids & 1) == 1, zoff[eids + 1] - zoff[eids])
-        # ghost overwrites in concatenated stamp order: duplicate ghost
-        # positions (both kinds of one edge in one delivery) resolve to
-        # the last write, exactly the per-slot loop's order
-        self._ghost_flat[self._z2g[idx]] = np.where(
-            odd, aplane.wire_zres[idx], aplane.wire_zsolve[idx])
-        sp = self._sid_slabpos[sids]
-        self._gamma_flat[sp] = aplane.wire_norm[sids]
-        self._tilde_flat[sp] = aplane.wire_est[sids]
 
     def _async_repair(self, p: int, aplane, turn: int) -> int:
         if not self.deadlock_avoidance:

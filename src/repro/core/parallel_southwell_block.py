@@ -246,19 +246,6 @@ class ParallelSouthwell(BlockMethodBase):
         return self.wins_neighborhood(
             p, _sq(self.norms[p]), self._gamma_flat[off[p]:off[p + 1]])
 
-    def _async_decide_batch(self, ranks: np.ndarray) -> np.ndarray:
-        # the scalar hook is wins_neighborhood verbatim, so the
-        # segment-max vectorization applies windowed to the batch
-        return self._wins_window(ranks, self._gamma_flat)
-
-    def _async_repair_mask(self, ranks: np.ndarray,
-                           win: np.ndarray) -> np.ndarray:
-        # lines 19-21 fire iff the norm moved since the last broadcast;
-        # winners re-broadcast in _async_send before repair runs, so
-        # their hook would early-return with no side effects
-        return ~win & (self.norms[ranks] * self.norms[ranks]
-                       != self._broadcast_sq[ranks])
-
     def _async_send(self, p: int, aplane, turn: int) -> None:
         off = self._nbr_off
         new_sq = _sq(self.norms[p])
@@ -274,13 +261,6 @@ class ParallelSouthwell(BlockMethodBase):
         wn = aplane.wire_norm
         for s in (sids if isinstance(sids, list) else sids.tolist()):
             g[slabpos[s]] = wn[s]
-
-    def _async_on_deliver_batch(self, ranks, sids, counts,
-                                aplane) -> None:
-        # the scalar hook is a per-slot header scatter in stamp order;
-        # duplicate slab positions resolve to the last write either way
-        sp = self._sid_slabpos[sids]
-        self._gamma_flat[sp] = aplane.wire_norm[sids]
 
     def _async_repair(self, p: int, aplane, turn: int) -> int:
         # explicit residual update (Alg 2 lines 19-21): our norm changed

@@ -29,20 +29,17 @@ injected.
 State layout
 ------------
 ``clocks`` / ``idle`` / ``deliver_at`` / ``_next_at`` / ``n_pending``
-are flat float64/int64 arrays (+inf = empty slot / no bound), shared by
-both schedulers (DESIGN.md §5.15): the scalar event loop indexes them a
-rank at a time, the batched event-horizon scheduler scans them whole.
-The per-rank incoming slot-ids are additionally kept concatenated
-(``ins_flat`` along ``ins_off``) so a macro-turn's mailbox timestamp
-scan is one gather + segment-reduce.
+are flat float64/int64 arrays (+inf = empty slot / no bound) that the
+event loop indexes a rank at a time.
 
-The scalar loop instead reads each rank's mailbox through an index:
-a heap of ``(stamp, slot-id)`` entries that ``send`` pushes onto.
-``deliver_at`` stays the one source of truth — an entry is live iff
-``deliver_at[sid] == stamp`` — so a restamped slot, or one the batched
-sweep delivered, merely leaves a stale entry that is dropped when it
-surfaces, and a heap grown past twice its rank's in-slot count is
-rebuilt from ``deliver_at``.
+Each rank's mailbox is read through an index: a heap of
+``(stamp, slot-id)`` entries that ``send`` pushes onto.  ``deliver_at``
+stays the one source of truth — an entry is live iff
+``deliver_at[sid] == stamp`` — so a restamped slot (an RMA overwrite of
+a message still in flight) merely leaves its old entry behind.  That
+entry is dropped when it reaches the heap top on a read or a peek, so
+it lingers until the receiver's clock nears its stamp; a heap grown
+past twice its rank's in-slot count is rebuilt from ``deliver_at``.
 
 Wire capture
 ------------
@@ -71,13 +68,11 @@ import numpy as np
 
 from repro.config import require_finite
 from repro.runtime.costmodel import CORI_LIKE, CostModel
-from repro.runtime.flatplane import multi_arange
 from repro.trace import NULL_TRACER
 
 __all__ = ["AsyncFlatPlane"]
 
 _EMPTY_SIDS = np.zeros(0, dtype=np.int64)
-_EMPTY_FATES = np.zeros(0, dtype=np.int64)
 _EMPTY_LIST: list[int] = []
 
 
@@ -134,10 +129,7 @@ class AsyncFlatPlane:
         self._alpha_recv = cost_model.alpha_recv
         self._beta = cost_model.beta
         self._gamma = cost_model.gamma
-        #: per-rank virtual clocks and cumulative idle time — float64
-        #: arrays shared by both schedulers: the scalar loop touches one
-        #: entry per turn, the batched scheduler reduces over the whole
-        #: vector to find the horizon
+        #: per-rank virtual clocks and cumulative idle time
         self.clocks = np.zeros(P)
         self.idle = np.zeros(P)
         E = plane.n_edges
@@ -151,9 +143,7 @@ class AsyncFlatPlane:
         self.wire_norm = np.zeros(2 * E)
         self.wire_est = np.zeros(2 * E)
         self.wire_fate = np.zeros(2 * E, dtype=np.int64)
-        #: per-rank incoming slot-ids (both kinds), ascending — kept
-        #: both as per-rank views and concatenated (``ins_flat`` along
-        #: ``ins_off``) for the batched mailbox scans
+        #: per-rank incoming slot-ids (both kinds), ascending
         dsts = np.asarray(plane.edge_dst, dtype=np.int64)
         self.in_sids = []
         for p in range(P):
@@ -162,15 +152,8 @@ class AsyncFlatPlane:
             sids[0::2] = 2 * eids
             sids[1::2] = 2 * eids + 1
             self.in_sids.append(np.sort(sids))
-        self.ins_off = np.zeros(P + 1, dtype=np.int64)
-        np.cumsum([s.size for s in self.in_sids], out=self.ins_off[1:])
-        self.ins_flat = (np.concatenate(self.in_sids)
-                         if self.ins_off[-1] else _EMPTY_SIDS.copy())
-        #: receiver / sender rank per slot-id (both kinds share one)
-        self.sid_dst = np.repeat(dsts, 2)
-        self._sid_dst_list = self.sid_dst.tolist()
-        self.sid_src = np.repeat(
-            np.asarray(plane.edge_src, dtype=np.int64), 2)
+        # receiver rank per slot-id (both kinds share one)
+        self._sid_dst_list = np.repeat(dsts, 2).tolist()
         #: per-rank count of in-flight messages
         self.n_pending = np.zeros(P, dtype=np.int64)
         # per-rank LOWER BOUND on the earliest pending stamp: a restamp
@@ -191,9 +174,7 @@ class AsyncFlatPlane:
         self.parked = np.zeros(P, dtype=np.uint8)
         # smallest-clock scheduler: lazy heap with staleness check — a
         # stale entry (clock != the rank's current clock) is skipped; a
-        # (clock, rank) tuple orders ties to the lower rank.  The
-        # batched scheduler ignores the heap and recomputes the runnable
-        # set from ``parked`` + ``clocks`` each macro-turn.
+        # (clock, rank) tuple orders ties to the lower rank
         self._heap: list[tuple[float, int]] = [(0.0, p) for p in range(P)]
         heapq.heapify(self._heap)
 
@@ -318,7 +299,10 @@ class AsyncFlatPlane:
 
     def _rebuild_mail(self, p: int) -> None:
         """Rebuild ``p``'s mailbox heap from ``deliver_at``, dropping its
-        stale entries (the batched sweeps never pop them)."""
+        stale entries: a restamp's old entry otherwise stays until the
+        receiver's clock nears its stamp, so a sender that restamps a
+        slot many times within one latency leaves one entry per
+        restamp."""
         sl = self.in_sids[p]
         t = self.deliver_at[sl]
         live = np.isfinite(t)
@@ -381,134 +365,3 @@ class AsyncFlatPlane:
         e = self._mail_top(p)
         self._next_at[p] = e        # exact: re-tighten the bound
         return e
-
-    # ------------------------------------------------------------------
-    # batched event-horizon scheduler primitives (DESIGN.md §5.15)
-    # ------------------------------------------------------------------
-    def earliest_pending_batch(self, ranks: np.ndarray) -> np.ndarray:
-        """Exact earliest pending stamp for every rank in ``ranks``
-        (inf if none), re-tightening the ``_next_at`` bounds.  One
-        mailbox timestamp scan for the whole candidate set: a gather and
-        a segment-min."""
-        off = self.ins_off
-        counts = off[ranks + 1] - off[ranks]
-        idx = multi_arange(off[ranks], off[ranks + 1])
-        t = self.deliver_at[self.ins_flat[idx]]
-        nonempty = counts > 0
-        ep = np.full(ranks.size, np.inf)
-        if t.size:
-            heads = np.zeros(int(nonempty.sum()), dtype=np.int64)
-            np.cumsum(counts[nonempty][:-1], out=heads[1:])
-            ep[nonempty] = np.minimum.reduceat(t, heads)
-        self._next_at[ranks] = ep
-        return ep
-
-    def first_hazard(self, ranks: np.ndarray, rc: np.ndarray,
-                     pos: np.ndarray) -> int:
-        """Index of the first rank in ``ranks`` (at clocks ``rc``)
-        holding a deliverable slot whose *sender* is a batch member
-        ordered before it (``pos`` maps rank → batch position, with a
-        sentinel ≥ ``ranks.size`` for non-members), or -1.
-
-        The batched scheduler truncates its macro-turn there: an
-        earlier-ordered member's send could restamp (RMA-overwrite)
-        that slot before this member's scalar-order turn, so delivering
-        it in the batched phase could hand the member a message the
-        oracle never sees.  Assuming every earlier member might send
-        over-approximates (most don't relax or repair that turn) — that
-        only shortens the batch, never changes results; senders ordered
-        at or after the member, and non-members, cannot act before its
-        turn, so they are exact non-hazards.
-        """
-        off = self.ins_off
-        idx = multi_arange(off[ranks], off[ranks + 1])
-        slots = self.ins_flat[idx]
-        mid = np.repeat(np.arange(ranks.size),
-                        off[ranks + 1] - off[ranks])
-        hazard = ((self.deliver_at[slots] <= rc[mid])
-                  & (pos[self.sid_src[slots]] < mid))
-        hit = np.flatnonzero(hazard)
-        return int(mid[hit[0]]) if hit.size else -1
-
-    def deliver_batch(self, ranks: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Deliver every ready slot of every rank in ``ranks`` (each of
-        which must have a deliverable stamp) in one vectorized sweep.
-
-        Returns ``(sids, counts)``: the delivered slot-ids concatenated
-        rank-major — within a rank in stamp order, ties by slot-id,
-        exactly :meth:`deliver`'s ordering — and the per-rank counts.
-        Clears the stamps, updates the pending counters and bounds, and
-        charges the receive clock/stat costs per rank (the same
-        per-rank arithmetic as :meth:`deliver`, so clocks stay
-        bit-identical).  Trace emission is left to the caller, which
-        replays receives in scalar turn order.
-        """
-        off = self.ins_off
-        counts_all = off[ranks + 1] - off[ranks]
-        idx = multi_arange(off[ranks], off[ranks + 1])
-        slots = self.ins_flat[idx]
-        t = self.deliver_at[slots]
-        mid = np.repeat(np.arange(ranks.size), counts_all)
-        ready = t <= self.clocks[ranks][mid]
-        sr = slots[ready]
-        tr = t[ready]
-        mr = mid[ready]
-        # rank-major, then stamp, ties by slot-id (lexsort: last key
-        # is primary) — per rank this is exactly deliver()'s ordering
-        order = np.lexsort((sr, tr, mr))
-        sids = sr[order]
-        counts = np.bincount(mr, minlength=ranks.size)
-        self.deliver_at[sids] = np.inf
-        self.n_pending[ranks] -= counts
-        # remaining-stamp minimum per rank (inf when nothing is left):
-        # identical to deliver()'s re-tightened bound
-        t_left = np.where(ready, np.inf, t)
-        heads = np.zeros(ranks.size, dtype=np.int64)
-        np.cumsum(counts_all[:-1], out=heads[1:])
-        nonempty = counts_all > 0
-        nxt = np.full(ranks.size, np.inf)
-        if t_left.size:
-            nxt[nonempty] = np.minimum.reduceat(t_left, heads[nonempty])
-        self._next_at[ranks] = nxt
-        # the same per-rank scalar receive charge as deliver(): int *
-        # float is one IEEE multiply either way
-        self.clocks[ranks] += counts * self._alpha_recv
-        self.stats.record_receive_groups(ranks, counts)
-        return sids, counts
-
-    def deliver_scanned(self, ranks: np.ndarray, slots: np.ndarray,
-                        t: np.ndarray, mid: np.ndarray,
-                        ready: np.ndarray, counts_all: np.ndarray,
-                        heads: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Commit a delivery sweep from an already-gathered mailbox
-        snapshot (the macro-turn's single scan): ``slots``/``t``/``mid``
-        are the member prefix's slot-ids, stamps and member indices,
-        ``ready`` the stamp-vs-clock mask, ``counts_all``/``heads`` the
-        per-member segment shapes.  Same ordering, charges and bound
-        refresh as :meth:`deliver_batch`, without re-gathering — ranks
-        with no ready slot get a zero count and an exact (unchanged)
-        ``_next_at`` refresh.
-        """
-        sr = slots[ready]
-        tr = t[ready]
-        mr = mid[ready]
-        order = np.lexsort((sr, tr, mr))
-        sids = sr[order]
-        counts = np.bincount(mr, minlength=ranks.size)
-        self.deliver_at[sids] = np.inf
-        self.n_pending[ranks] -= counts
-        t_left = np.where(ready, np.inf, t)
-        nonempty = counts_all > 0
-        nxt = np.full(ranks.size, np.inf)
-        if t_left.size:
-            nxt[nonempty] = np.minimum.reduceat(t_left, heads[nonempty])
-        self._next_at[ranks] = nxt
-        # charge and count receives only where something landed — the
-        # same per-rank scalar arithmetic as deliver()
-        deliv = counts > 0
-        dr = ranks[deliv]
-        self.clocks[dr] += counts[deliv] * self._alpha_recv
-        self.stats.record_receive_groups(dr, counts[deliv])
-        return sids, counts

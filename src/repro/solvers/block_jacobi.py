@@ -60,9 +60,6 @@ class BlockJacobi(BlockMethodBase):
     def _async_decide(self, p: int) -> bool:
         return bool(self._async_fresh[p]) and float(self.norms[p]) > 0.0
 
-    def _async_decide_batch(self, ranks: np.ndarray) -> np.ndarray:
-        return self._async_fresh[ranks] & (self.norms[ranks] > 0.0)
-
     def _async_send(self, p: int, aplane, turn: int) -> np.ndarray:
         kept = super()._async_send(p, aplane, turn)
         n = int(self._nbr_counts[p])
@@ -71,10 +68,6 @@ class BlockJacobi(BlockMethodBase):
 
     def _async_on_deliver(self, p: int, sids, fates, aplane) -> None:
         self._async_fresh[p] = True
-
-    def _async_on_deliver_batch(self, ranks, sids, counts,
-                                aplane) -> None:
-        self._async_fresh[ranks] = True
 
     # ------------------------------------------------------------------
     # flat-buffer plane hooks (DESIGN.md §5.8)

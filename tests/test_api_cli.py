@@ -172,24 +172,6 @@ def test_cli_async_flags_beat_env(monkeypatch, capsys):
     assert 0.0 < float(fields["virtual_time"]) < 1e-3
 
 
-def test_cli_async_scheduler_flag(monkeypatch, capsys):
-    """--async-scheduler batched runs the vectorized engine and reports
-    the same metrics as the scalar oracle (bit-identical, §5.15)."""
-    outs = []
-    for sched in ("scalar", "batched"):
-        monkeypatch.setenv("REPRO_ASYNC_SCHEDULER", "junk-ignored")
-        rc = main(["-n", "4", "-sweep_max", "10", "-grid_dim", "10",
-                   "-solver", "sos_sds", "-format_out",
-                   "--runtime", "async", "--async-scheduler", sched])
-        assert rc == 0
-        fields = dict(line.split(None, 1) for line in
-                      capsys.readouterr().out.strip().splitlines())
-        outs.append({k: v for k, v in fields.items()
-                     if "wallclock" not in k})
-    assert "virtual_time" in outs[0]
-    assert outs[0] == outs[1]
-
-
 def test_cli_rejects_bad_async_spec(capsys):
     with pytest.raises(ValueError):
         main(["-n", "4", "-sweep_max", "2", "-grid_dim", "10",

@@ -13,8 +13,8 @@ Covers the ISSUE-8 surface:
 5. ``AsyncConfig`` / ``RunConfig`` validation raises early;
 6. plans that force the object plane raise ``AsyncUnsupportedError``;
 7. the per-rank ``(stamp, slot)`` mailbox heaps read exactly what a full
-   scan of ``deliver_at`` reads, and stay bounded under the batched
-   scheduler, which never pops them.
+   scan of ``deliver_at`` reads, and stay bounded although a restamp's
+   old entry lingers until the receiver's clock nears its stamp.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from repro.matrices.fem import fem_poisson_2d
 from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
 from repro.runtime import CATEGORY_SOLVE, CostModel
-from repro.runtime.flatplane import multi_arange
 from repro.sparsela import symmetric_unit_diagonal_scale
-from repro.trace import NULL_TRACER
 from tests.test_async import make_plane
 
 METHODS = ("distributed-southwell", "parallel-southwell", "block-jacobi")
@@ -160,6 +158,20 @@ def test_async_config_validation():
         AsyncConfig(max_turns=0)
     with pytest.raises(ValueError):
         AsyncConfig(record_every=0)
+    # integer fields take integers only (numpy integers count, bool,
+    # floats and strings do not), rejected at construction
+    for field, bad in (("max_turns", 2.5), ("max_turns", True),
+                       ("max_turns", "50"), ("record_every", 2.5),
+                       ("record_every", True), ("record_every", "64")):
+        with pytest.raises(ValueError, match=field):
+            AsyncConfig(**{field: bad})
+    for rank in (1.7, True, "1"):
+        with pytest.raises(ValueError, match="speed_factors"):
+            AsyncConfig(speed_factors=((rank, 0.5),))
+    cfg = AsyncConfig(max_turns=np.int64(7), record_every=np.int32(4),
+                      speed_factors=((np.int64(1), 0.5),))
+    assert (cfg.max_turns, cfg.record_every) == (7, 4)
+    assert type(cfg.max_turns) is int and type(cfg.record_every) is int
     # NaN fails every comparison, so each field checks finiteness: a
     # NaN latency never delivered, an inf one ran to virtual_time=inf
     nan, inf = float("nan"), float("inf")
@@ -255,10 +267,7 @@ def _mailbox_ops(n_procs):
                       st.sampled_from([0.0, 0.5, 1.0, 3.0]))
     reads = st.tuples(st.just("read"), rank)
     peeks = st.tuples(st.just("peek"), rank)
-    sweeps = st.tuples(st.just("sweep"),
-                       st.sets(rank, min_size=1, max_size=n_procs))
-    return st.lists(st.one_of(sends, waits, reads, peeks, sweeps),
-                    max_size=80)
+    return st.lists(st.one_of(sends, waits, reads, peeks), max_size=80)
 
 
 @given(_mailbox_ops(4), st.sampled_from([0.0, 1.0]),
@@ -266,8 +275,7 @@ def _mailbox_ops(n_procs):
 @settings(max_examples=150, deadline=None)
 def test_mailbox_heap_matches_full_scan(ops, alpha, latency):
     """Random fan-outs (restamping in-flight slots, at equal stamps when
-    sends are free), waits, scalar reads and batched sweeps: every
-    ``deliver`` equals the gather + lexsort scan, every
+    sends are free), waits and reads: every ``deliver`` equals the gather + lexsort scan, every
     ``earliest_pending`` the stamp minimum, and no heap outgrows twice
     its rank's in-slot count."""
     P = 4
@@ -289,23 +297,9 @@ def test_mailbox_heap_matches_full_scan(ops, alpha, latency):
             assert ap.deliver(p) == want
             if gated:       # a read past the bound re-tightens it
                 assert ap._next_at[p] == _scan_earliest(ap, p)
-        elif op[0] == "peek":
+        else:
             p = op[1]
             assert ap.earliest_pending(p) == _scan_earliest(ap, p)
-        else:
-            # the batched scheduler's sweep: clears stamps, pops nothing
-            mem = np.array(sorted(op[1]), dtype=np.int64)
-            off = ap.ins_off
-            counts = off[mem + 1] - off[mem]
-            slots = ap.ins_flat[multi_arange(off[mem], off[mem + 1])]
-            t = ap.deliver_at[slots]
-            mid = np.repeat(np.arange(mem.size), counts)
-            want = [_scan_deliverable(ap, int(p)) for p in mem]
-            sids, got = ap.deliver_scanned(
-                mem, slots, t, mid, t <= ap.clocks[mem][mid], counts,
-                np.cumsum(counts) - counts)
-            assert sids.tolist() == [s for w in want for s in w]
-            assert got.tolist() == [len(w) for w in want]
         for p in range(P):
             assert ap._next_at[p] <= _scan_earliest(ap, p)
             assert ap.n_pending[p] == np.isfinite(
@@ -339,10 +333,11 @@ def test_mailbox_heap_skips_restamped_and_duplicate_entries():
     assert ap.deliver(1) == [] and ap.in_flight == 0
 
 
-def test_batched_stragglers_smoke_keeps_heaps_bounded():
-    """The async_stragglers benchmark's smoke shape under the batched
-    scheduler: its sweeps never pop the heaps, so only the rebuild
-    keeps them from holding one entry per message ever sent."""
+def test_stragglers_smoke_keeps_heaps_bounded():
+    """The async_stragglers benchmark's smoke shape sends more than
+    twice as many messages as there are slots, yet no heap ever holds
+    more than twice its rank's in-slot count: stale entries pop as the
+    receiver reads past them, and the rebuild drops the rest."""
     A = fem_poisson_2d(target_rows=600, seed=0).matrix
     rng = np.random.default_rng(0)
     x0 = rng.uniform(-1.0, 1.0, A.n_rows)
@@ -351,12 +346,8 @@ def test_batched_stragglers_smoke_keeps_heaps_bounded():
     P = 16
     system = build_block_system(A, partition(A, P, seed=0),
                                 local_solver="gs", n_sweeps=1)
-    # tracing makes the batched scheduler run scalar turns: pin it off
-    # so the batched sweeps this test watches run under REPRO_TRACE=1 too
-    ex = AsyncExecutor(DistributedSouthwell(system, seed=0,
-                                            tracer=NULL_TRACER),
-                       speed_factors=((0, 0.5), (8, 0.5)),
-                       scheduler="batched")
+    ex = AsyncExecutor(DistributedSouthwell(system, seed=0),
+                       speed_factors=((0, 0.5), (8, 0.5)))
     ex.prepare(x0, b)
     ap = ex.aplane
     send = ap.send
@@ -370,8 +361,7 @@ def test_batched_stragglers_smoke_keeps_heaps_bounded():
 
     ap.send = watched
     ex.run(max_turns=3_000)
-    slots = int(ap.ins_off[-1])
-    assert ex.sched_stats["macro_turns"] > 0
+    slots = sum(s.size for s in ap.in_sids)
     # enough traffic that an index without the rebuild would overflow
     assert ex.runner.engine.stats.total_messages > 2 * slots
     assert 0 < peak <= 2 * slots

@@ -202,7 +202,7 @@ def test_describe_lists_every_knob():
     # one row per knob, and the knob set is pinned: adding one is a
     # decision, not a side effect
     rows = [ln for ln in out.splitlines() if ln.lstrip().startswith("REPRO_")]
-    assert len(rows) == len(config.KNOBS) == 7
+    assert len(rows) == len(config.KNOBS) == 6
 
 
 def test_describe_shows_env_sources(monkeypatch, tmp_path):

@@ -1,7 +1,7 @@
 """Batched relax kernel ≡ per-rank relax, byte for byte (DESIGN.md §5.8).
 
 ``_relax_ranks(W)`` runs a whole step's relax phase as one kernel;
-``_relax_one_flat(p)`` is the per-rank body the scalar async scheduler
+``_relax_one_flat(p)`` is the per-rank body the async event loop
 still calls.  For any set of distinct ranks ``W`` the two must leave
 identical x, r, norm, mailbox, ghost, Γ, flop and lossy stores, the same
 relaxation count, and the same trace events in the same order.

@@ -16,8 +16,10 @@ tests pin that contract:
   object plane;
 - the flat plane's epoch discipline (visibility only after the collective
   close, collision detection, delay rejection);
-- the int32 slab-index fast path, and ``runtime="shm"`` (a deleted
-  plane's spelling) running the flat plane and reporting it.
+- the int32 slab-index fast path, ``runtime="shm"`` (a deleted
+  plane's spelling) running the flat plane and reporting it, and
+  ``AsyncConfig(scheduler="batched")`` (a deleted scheduler's spelling)
+  running the one async event loop.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import solve
+from repro.api import AsyncConfig, solve
 from repro.core import DistributedSouthwell, ParallelSouthwell
 from repro.core.blockdata import build_block_system
 from repro.core.threshold_ds import ThresholdedDistributedSouthwell
@@ -210,6 +212,24 @@ def test_shm_spelling_runs_the_flat_plane():
     assert flat.degraded_reason is None
     assert shm.x.tobytes() == flat.x.tobytes()
     assert shm.history.residual_norms == flat.history.residual_norms
+
+
+@pytest.mark.parametrize("scheduler", ["scalar", "batched"])
+def test_async_scheduler_spellings_run_the_one_loop(scheduler):
+    """``AsyncConfig.scheduler`` keeps the spellings the benchmark's probe
+    passes; ``"batched"`` names the deleted event-horizon scheduler
+    (DESIGN.md §5.15).  Both run the one event loop, byte for byte the
+    default's, and any other spelling raises."""
+    A = symmetric_unit_diagonal_scale(poisson_2d(16)).matrix
+    runs = [solve(A, n_parts=4, max_steps=5, runtime="async", seed=0,
+                  async_config=AsyncConfig(scheduler=s))
+            for s in (None, scheduler)]
+    default, spelled = runs
+    assert spelled.x.tobytes() == default.x.tobytes()
+    assert spelled.virtual_time == default.virtual_time
+    assert spelled.history == default.history
+    with pytest.raises(ValueError, match="nope"):
+        AsyncConfig(scheduler="nope")
 
 
 # ----------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_cli_config_subcommand_lists_knobs(capsys):
     assert cli_main(["config"]) == 0
     out = capsys.readouterr().out
     for var in ("REPRO_RUNTIME", "REPRO_WORKERS", "REPRO_SWEEP_CACHE",
-                "REPRO_TRACE", "REPRO_ASYNC_SCHEDULER"):
+                "REPRO_TRACE", "REPRO_SETUP_CACHE", "REPRO_FAULTS"):
         assert var in out
     # config-field parameters are not environment knobs
     for var in ("REPRO_ASYNC_LATENCY", "REPRO_ASYNC_SPEED_FACTORS",
