@@ -206,7 +206,9 @@ class AsyncExecutor:
         it separately lets callers front-load the one-time setup cost
         (slab construction, local factorizations, plane allocation)
         before entering the event loop — e.g. to time or profile the
-        steady-state engine on its own.
+        steady-state engine on its own.  Every rank relaxes on its own
+        here, so every rank's local solve is bound (and its block
+        factored) now; the whole block diagonal's factor never is.
         """
         runner = self.runner
         runner.setup(x0, b)
@@ -247,6 +249,9 @@ class AsyncExecutor:
         for e, f in enumerate(self._c_edge_flops.tolist()):
             lo, hi = voff[e], voff[e + 1]
             slot[2 * e] = (grows[lo:hi], wire[lo:hi], applied[lo:hi], f)
+        runner.system.factor_blocks()
+        for p in range(P):
+            runner._bind_solve(p)
         runner._async_bind(self.aplane)
         self._prepared = True
 

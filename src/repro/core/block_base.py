@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from repro.analysis.history import ConvergenceHistory
-from repro.core.blockdata import BlockSystem
+from repro.core.blockdata import _BATCH_ROWS, BlockSystem, _batched
 from repro.faults import FaultPlan, FaultRuntime
 from repro.runtime import (CATEGORY_SOLVE, CORI_LIKE, CostModel,
                            ParallelEngine, runtime_mode)
@@ -49,10 +49,6 @@ __all__ = ["BlockMethodBase"]
 
 #: BLAS ``ddot`` with the least dispatch (same bits as ``np.dot``)
 _dot = np.ndarray.dot
-#: rows costing about one python dispatch to relax: the batched relax runs
-#: on blocks averaging at most this many rows and bridges shorter gaps
-#: between winners (measured crossover ≈ 150 rows/block, 5-point stencil)
-_BATCH_ROWS = 128
 
 
 def _rank_views(store: np.ndarray, cut: np.ndarray) -> list[np.ndarray]:
@@ -384,11 +380,12 @@ class BlockMethodBase:
         self._mv_fanout = [None if F is None else matvec_plan(F)
                            for F in sysm.fanout]
         # fused hot-path bindings: the local solve with any python wrapper
-        # peeled off, and every relax flop charge folded into one per-rank
-        # constant — each term is an integer-valued float, so the batched
-        # add is exactly the object path's per-charge sum
-        self._solver_call = [getattr(s, "apply_fast", None) or s.apply
-                             for s in sysm.local_solvers]
+        # peeled off (bound at the rank's first solo relax, which factors
+        # a batching system's block: _bind_solve), and every relax flop
+        # charge folded into one per-rank constant — each term is an
+        # integer-valued float, so the batched add is exactly the object
+        # path's per-charge sum
+        self._solver_call = [None] * sysm.n_parts
         self._relax_flops = np.array([
             s.flops + 2.0 * B.nnz + 2.0 * B.n_rows
             + (0.0 if F is None else 2.0 * F.nnz)
@@ -410,7 +407,7 @@ class BlockMethodBase:
             return self._relax_csr
         sysm, rstart = self.system, self._rstart
         self._relax_csr = []
-        if sysm.n > _BATCH_ROWS * sysm.n_parts:
+        if not _batched(sysm.n, sysm.n_parts):
             return self._relax_csr
         d_ptr, d_idx, d_data, c_ptr, c_idx, c_data = sysm.stores[:6]
         cdt = np.int32 if max(c_idx.size, d_idx.size, sysm.n) <= \
@@ -425,6 +422,12 @@ class BlockMethodBase:
                                          self._fan_rows))]
         self._dx_flat = np.zeros(sysm.n)
         return self._relax_csr
+
+    def _bind_solve(self, p: int):
+        """Rank ``p``'s local solve as one callable, bound (and its block
+        factored) on first use."""
+        call = self._solver_call[p] = self.system.local_solvers[p].bind()
+        return call
 
     def _rank_slabs(self, store: np.ndarray) -> list[np.ndarray]:
         """Per-rank contiguous views of a vals-shaped backing store (a
@@ -690,14 +693,22 @@ class BlockMethodBase:
 
     def _relax_batch(self, W: np.ndarray) -> np.ndarray:
         """:meth:`_relax_send` for all of ``W``; returns their fan-outs'
-        mailbox positions.  Solves and ``‖r_p‖`` dots stay per block
-        (DESIGN.md §5.8); every product row sums the same entries in the
-        same order as the per-block matvec."""
-        wl, rb, call = W.tolist(), self.r_blocks, self._solver_call
+        mailbox positions.  Winners covering :data:`_BATCH_ROWS` rows
+        each solve through the whole block diagonal's factor, fewer per
+        block; ``‖r_p‖`` dots stay per block (DESIGN.md §5.8).  Every
+        solve row and product row is computed exactly as per block."""
+        wl, rb = W.tolist(), self.r_blocks
         row_ids, fan_ids = self._relax_csr[0][-1], self._relax_csr[1][-1]
         rows = np.concatenate([row_ids[p] for p in wl])
         blocks = [rb[p] for p in wl]
-        dx = np.concatenate([call[p](r) for p, r in zip(wl, blocks)])
+        whole = (self.system.block_diag_solve()
+                 if len(wl) * _BATCH_ROWS >= self.system.n else None)
+        if whole is not None:
+            dx = whole(self._r_flat)[rows]
+        else:
+            call = self._solver_call
+            dx = np.concatenate([(call[p] or self._bind_solve(p))(r)
+                                 for p, r in zip(wl, blocks)])
         if self.omega != 1.0:
             dx *= self.omega
         g = self._dx_flat
@@ -795,7 +806,7 @@ class BlockMethodBase:
         if self.tracer.enabled:
             self.tracer.relax(p)
         r_p = self.r_blocks[p]
-        dx = self._solver_call[p](r_p)
+        dx = (self._solver_call[p] or self._bind_solve(p))(r_p)
         if self.omega != 1.0:
             dx *= self.omega            # dx is fresh from the solver
         ws = self._ws_Ax[p]

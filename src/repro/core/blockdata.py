@@ -4,7 +4,7 @@ After partitioning, the matrix is symmetrically permuted so each process
 ``p`` owns the contiguous (permuted) rows ``offsets[p]:offsets[p+1]``
 (the paper's ``δ`` arrays).  Each process stores:
 
-- its diagonal block ``A_pp`` plus a pre-factorized local solver;
+- its diagonal block ``A_pp`` plus its local solver;
 - for every neighbor ``q``, the coupling block
   ``B[(p, q)] = A[β_qp, rows_p]`` — the rows of ``q`` reachable from ``p``'s
   columns (this is "process p stores column i of A" from Section 3): with
@@ -20,17 +20,32 @@ identical data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.partition import Partition
 from repro.sparsela import CSRMatrix
 from repro.sparsela.csr import _segment_pointers
-from repro.core.local_solvers import (LocalSolver, _ld_operands,
-                                      make_local_solver)
+from repro.core.local_solvers import (LocalSolver, _ld_operands, _ld_whole,
+                                      _splu_ld, make_local_solver)
 
 __all__ = ["BlockSystem", "build_block_system"]
+
+#: rows costing about one python dispatch to relax: a lockstep step runs
+#: its winners as one batch on blocks averaging at most this many rows
+#: and bridges shorter gaps between winners (measured crossover ≈ 150
+#: rows/block, 5-point stencil); its winners solve through one factor of
+#: the whole block diagonal once they cover this many rows each
+#: (DESIGN.md §5.8)
+_BATCH_ROWS = 128
+
+
+def _batched(n: int, n_parts: int) -> bool:
+    """Whether lockstep steps relax their winners as one batch: blocks
+    average at most :data:`_BATCH_ROWS` rows.  Otherwise every rank
+    relaxes on its own and factors its block at build."""
+    return n <= _BATCH_ROWS * n_parts
 
 
 @dataclass
@@ -46,7 +61,11 @@ class BlockSystem:
     diag_blocks:
         ``diag_blocks[p] = A_pp``.
     local_solvers:
-        Pre-factorized solver per process.
+        Local solver per process.  Gauss-Seidel blocks are factored at
+        build only where every rank relaxes on its own (blocks above
+        :data:`_BATCH_ROWS` rows on average); a batching system factors
+        a block at its rank's first solo relax and solves larger
+        batches through :meth:`block_diag_solve`.
     couplings:
         ``couplings[(p, q)]`` = CSR of shape ``(len(beta[(q, p)]), m_p)``
         mapping ``Δx_p`` to the residual change on ``q``'s boundary rows.
@@ -80,6 +99,7 @@ class BlockSystem:
     beta_rows: np.ndarray = None
     fanout: list[CSRMatrix | None] = None
     _pickle_args: tuple = None
+    _diag_lu: object = field(default=None, repr=False, compare=False)
 
     def __reduce__(self):
         # the views would pickle as thousands of separate arrays
@@ -94,6 +114,40 @@ class BlockSystem:
     @property
     def n(self) -> int:
         return self.A.n_rows
+
+    def block_diag_solve(self):
+        """One forward Gauss-Seidel sweep on every block at once, or
+        ``None`` unless the local solver is one ``gs`` sweep.
+
+        The solve of one SuperLU factor of the whole block diagonal's
+        ``L+D``, built at the first call (a pickle drops it): rows
+        ``rows_slice(p)`` of its result are bit-identical to
+        ``local_solvers[p]``'s sweep on those rows (blocks are
+        decoupled), so a batched relax solves once and keeps its
+        winners' rows (DESIGN.md §5.8).
+        """
+        if self._diag_lu is None:
+            if self._pickle_args[2:4] != ("gs", 1):
+                return None
+            d_ptr, d_idx, d_data = self.stores[:3]
+            self._diag_lu = _splu_ld(_ld_whole(
+                d_ptr, d_idx, d_data,
+                np.asarray(self.part.offsets, dtype=np.int64)))
+        return self._diag_lu.solve
+
+    def factor_blocks(self) -> None:
+        """Factor every Gauss-Seidel block not factored yet, operands cut
+        from one whole-matrix ``L+D`` pass (DESIGN.md §5.1): up front,
+        for runs in which every rank relaxes on its own."""
+        if self._pickle_args[2] != "gs" or all(
+                s._lu is not None for s in self.local_solvers):
+            return
+        d_ptr, d_idx, d_data = self.stores[:3]
+        for s, LD in zip(self.local_solvers, _ld_operands(
+                d_ptr, d_idx, d_data,
+                np.asarray(self.part.offsets, dtype=np.int64))):
+            if s._lu is None:
+                s.factor(LD)
 
     @property
     def n_parts(self) -> int:
@@ -229,19 +283,18 @@ def build_block_system(A: CSRMatrix, part: Partition,
 def _from_stores(Aperm: CSRMatrix, part: Partition, local_solver: str,
                  n_sweeps: int, stores: tuple) -> BlockSystem:
     """Cut the (checked, read-only) stores into a :class:`BlockSystem`
-    and factor the local solvers.  Also the unpickling constructor: a
-    system pickles as its stores, so a set-up cache hit maps a dozen
-    arrays and then runs exactly this."""
+    and make the local solvers, factoring Gauss-Seidel blocks only where
+    every rank relaxes on its own (:func:`_batched`).  Also the
+    unpickling constructor: a system pickles as its stores, so a set-up
+    cache hit maps a dozen arrays and then runs exactly this."""
     (d_ptr, d_idx, d_data, c_ptr, c_idx, c_data,
      edge_src, edge_dst, edge_rows, beta_rows) = stores
     offsets = np.asarray(part.offsets, dtype=np.int64)
     sizes = np.diff(offsets)
     diag_blocks = _cut_blocks(d_ptr, offsets, d_idx, d_data, sizes.tolist())
-    ld = (_ld_operands(d_ptr, d_idx, d_data, offsets)
-          if local_solver == "gs" else [None] * part.n_parts)
     local_solvers = [make_local_solver(local_solver, App, n_sweeps=n_sweeps,
-                                       _ld=LD)
-                     for App, LD in zip(diag_blocks, ld)]
+                                       _checked=True)
+                     for App in diag_blocks]
     pq = list(zip(edge_src.tolist(), edge_dst.tolist()))
     couplings = dict(zip(pq, _cut_blocks(c_ptr, edge_rows, c_idx, c_data,
                                          sizes[edge_src].tolist())))
@@ -252,10 +305,13 @@ def _from_stores(Aperm: CSRMatrix, part: Partition, local_solver: str,
                                          np.arange(part.n_parts + 1))]
     fanout = [F if F.n_rows else None for F in _cut_blocks(
         c_ptr, fan_rows, c_idx, c_data, sizes.tolist())]
-    return BlockSystem(A=Aperm, part=part, diag_blocks=diag_blocks,
-                       local_solvers=local_solvers, couplings=couplings,
-                       beta=beta, perm=part.perm, edge_src=edge_src,
-                       edge_dst=edge_dst, edge_rows=edge_rows,
-                       beta_rows=beta_rows, fanout=fanout,
-                       _pickle_args=(Aperm, part, local_solver, n_sweeps,
-                                     stores))
+    system = BlockSystem(A=Aperm, part=part, diag_blocks=diag_blocks,
+                         local_solvers=local_solvers, couplings=couplings,
+                         beta=beta, perm=part.perm, edge_src=edge_src,
+                         edge_dst=edge_dst, edge_rows=edge_rows,
+                         beta_rows=beta_rows, fanout=fanout,
+                         _pickle_args=(Aperm, part, local_solver, n_sweeps,
+                                       stores))
+    if not _batched(system.n, system.n_parts):
+        system.factor_blocks()
+    return system

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import require_int
 from repro.core.scalar import (
     ScalarDistributedSouthwell,
     ScalarParallelSouthwell,
@@ -52,9 +53,7 @@ class GaussSeidelSmoother(Smoother):
     name = "gauss-seidel"
 
     def __init__(self, n_sweeps: int = 1):
-        if n_sweeps < 1:
-            raise ValueError("n_sweeps must be at least 1")
-        self.n_sweeps = n_sweeps
+        self.n_sweeps = require_int("n_sweeps", n_sweeps, 1)
 
     def smooth(self, A: CSRMatrix, x: np.ndarray,
                b: np.ndarray) -> np.ndarray:
@@ -128,10 +127,8 @@ class WeightedJacobiSmoother(Smoother):
     def __init__(self, omega: float = 0.8, n_sweeps: int = 1):
         if not 0.0 < omega <= 1.0:
             raise ValueError("omega must be in (0, 1]")
-        if n_sweeps < 1:
-            raise ValueError("n_sweeps must be at least 1")
         self.omega = omega
-        self.n_sweeps = n_sweeps
+        self.n_sweeps = require_int("n_sweeps", n_sweeps, 1)
 
     def relaxations(self, n: int) -> int:
         """Relaxation budget on an ``n``-row level."""
@@ -232,9 +229,7 @@ class RedBlackGaussSeidelSmoother(Smoother):
     name = "red-black-gauss-seidel"
 
     def __init__(self, n_sweeps: int = 1):
-        if n_sweeps < 1:
-            raise ValueError("n_sweeps must be at least 1")
-        self.n_sweeps = n_sweeps
+        self.n_sweeps = require_int("n_sweeps", n_sweeps, 1)
         self._classes_cache: dict[int, tuple] = {}
 
     def relaxations(self, n: int) -> int:

@@ -26,10 +26,11 @@ Correctness notes:
   replay the seed's decision sequence exactly (pinned digests in
   ``tests/test_partition.py``), and no knob changes them.
 - SuperLU factors cannot be pickled.  A ``BlockSystem`` pickles as the
-  handful of stores its blocks are views of and is re-cut — and its
-  local solvers re-factorized — on load by the constructor the build
-  itself ends in, so a cache hit still pays factorization but skips
-  partitioning and assembly.  The repo's benchmark times all of it:
+  handful of stores its blocks are views of and is re-cut on load by
+  the constructor the build itself ends in, which factors the local
+  solvers a fresh build would (none for a batching system: they factor
+  at first use), so a cache hit skips partitioning and assembly.  The
+  repo's benchmark times all of it:
   workload ``setup_p1024`` (``partition.partition_s``,
   ``core.blockdata.build_s``) and the ``setupcache.store_s`` /
   ``setupcache.warm_load_s`` probes of ``bench/run.py --trace 1``.
@@ -142,7 +143,7 @@ def setup_key(A: CSRMatrix, n_parts: int, method: str = "multilevel",
         method,
         str(int(seed)),
         local_solver,
-        str(int(n_sweeps)),
+        str(_config.require_int("n_sweeps", n_sweeps, 1)),
         setup_code_digest(),
     )
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
@@ -257,8 +258,9 @@ def get_setup(A: CSRMatrix, n_parts: int, method: str = "multilevel",
     ``partition(...)`` + ``build_block_system(...)``, with the two
     phases traced.  With ``REPRO_SETUP_CACHE`` set (or ``cache_dir``
     given), results round-trip through the on-disk store: a hit loads
-    the pickled pair (re-factorizing local solvers) instead of
-    recomputing, and fires a ``setup_cache`` trace event either way.
+    the pickled pair (its solvers factored as a fresh build's are)
+    instead of recomputing, and fires a ``setup_cache`` trace event
+    either way.
     """
     cache = (Path(cache_dir) if cache_dir is not None
              else _config.setup_cache_dir())

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DistributedSouthwell, ParallelSouthwell
-from repro.core.blockdata import BlockSystem, build_block_system
+from repro.core.blockdata import _BATCH_ROWS, BlockSystem, build_block_system
 from repro.core.local_solvers import make_local_solver
 from repro.matrices.poisson import poisson_2d
 from repro.matrices.random_spd import random_sparse_spd
@@ -283,7 +283,13 @@ def test_pickle_round_trip_of_a_view_backed_system(poisson_setup, solver):
     kind, sweeps = solver
     system = build_block_system(*poisson_setup, local_solver=kind,
                                 n_sweeps=sweeps)
-    loaded = pickle.loads(pickle.dumps(system))
+    blob = pickle.dumps(system)
+    loaded = pickle.loads(blob)
+    # a batching system's Gauss-Seidel blocks factor at first use only
+    assert system.n <= _BATCH_ROWS * system.n_parts
+    for sysm in (system, loaded):
+        assert all((s._lu is None) == (kind == "gs")
+                   for s in sysm.local_solvers)
     _assert_same_system(loaded, system)
     for name in ("edge_src", "edge_dst", "edge_rows", "beta_rows"):
         assert _same_array(getattr(loaded, name), getattr(system, name))
@@ -295,11 +301,12 @@ def test_pickle_round_trip_of_a_view_backed_system(poisson_setup, solver):
     r = np.linspace(-1.0, 1.0, solver.n)
     assert pickle.loads(pickle.dumps(solver)).apply(r).tobytes() \
         == solver.apply(r).tobytes()
-    # and it drives a run exactly like the original
+    # and a fresh load, nothing factored yet, drives a run exactly like
+    # the original
     rng = np.random.default_rng(0)
     x0, b = rng.standard_normal(system.n), np.zeros(system.n)
     runs = []
-    for sysm in (system, loaded):
+    for sysm in (system, pickle.loads(blob)):
         ds = DistributedSouthwell(sysm)
         ds.run(x0, b, max_steps=5)
         runs.append(ds.solution().tobytes())

@@ -8,6 +8,9 @@ from repro.core.local_solvers import (
     GaussSeidelLocal,
     make_local_solver,
 )
+from repro.core.blockdata import build_block_system
+from repro.matrices.poisson import poisson_2d
+from repro.partition import partition
 from repro.sparsela import CSRMatrix
 
 from tests import oracles
@@ -63,6 +66,21 @@ def test_gs_local_validates():
         GaussSeidelLocal(rect)
     with pytest.raises(ValueError):
         GaussSeidelLocal(CSRMatrix.identity(2), n_sweeps=0)
+    # a sweep count is an integer: no float, string or bool
+    for bad_sweeps in (2.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="n_sweeps"):
+            GaussSeidelLocal(CSRMatrix.identity(2), n_sweeps=bad_sweeps)
+    solver = GaussSeidelLocal(CSRMatrix.identity(2), n_sweeps=np.int64(2))
+    assert type(solver.n_sweeps) is int and solver.n_sweeps == 2
+
+
+@pytest.mark.parametrize("bad_sweeps", [2.5, "2", True])
+def test_block_build_rejects_non_integer_sweeps(bad_sweeps):
+    """Raised at build, not at the first relax (2.5 used to build with
+    ``flops`` scaled by 2.5; ``True`` ran one sweep)."""
+    A = poisson_2d(8)
+    with pytest.raises(ValueError, match="n_sweeps"):
+        build_block_system(A, partition(A, 4), n_sweeps=bad_sweeps)
 
 
 def test_single_row_block():

@@ -162,6 +162,9 @@ def test_gs_smoother_budget_accounting(poisson_100):
 def test_smoother_validation():
     with pytest.raises(ValueError):
         GaussSeidelSmoother(0)
+    for bad_sweeps in (2.5, "2", True):
+        with pytest.raises(ValueError, match="n_sweeps"):
+            GaussSeidelSmoother(bad_sweeps)
     with pytest.raises(ValueError):
         DistributedSouthwellSmoother(0.0)
 

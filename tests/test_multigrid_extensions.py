@@ -156,6 +156,11 @@ def test_smoother_validation_extras():
         WeightedJacobiSmoother(n_sweeps=0)
     with pytest.raises(ValueError):
         RedBlackGaussSeidelSmoother(n_sweeps=0)
+    for bad_sweeps in (2.5, "2", True):
+        with pytest.raises(ValueError, match="n_sweeps"):
+            WeightedJacobiSmoother(n_sweeps=bad_sweeps)
+        with pytest.raises(ValueError, match="n_sweeps"):
+            RedBlackGaussSeidelSmoother(n_sweeps=bad_sweeps)
 
 
 # ------------------------------------------------------------- chebyshev

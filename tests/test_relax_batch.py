@@ -4,7 +4,10 @@
 ``_relax_one_flat(p)`` is the per-rank body the async event loop
 still calls.  For any set of distinct ranks ``W`` the two must leave
 identical x, r, norm, mailbox, ghost, Γ, flop and lossy stores, the same
-relaxation count, and the same trace events in the same order.
+relaxation count, and the same trace events in the same order — on both
+sides of the crossover where the batch solves through one factor of the
+whole block diagonal (``len(W) * _BATCH_ROWS >= n``) instead of per
+block.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DistributedSouthwell, ParallelSouthwell
-from repro.core.blockdata import build_block_system
+from repro.core.blockdata import _BATCH_ROWS, build_block_system
 from repro.faults import FaultPlan
 from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
@@ -32,9 +35,10 @@ _METHODS = {
 }
 
 
-def _poisson_setup(side, n_parts, seed):
+def _poisson_setup(side, n_parts, seed, solver=("gs", 1)):
     A = poisson_2d(side)
-    system = build_block_system(A, partition(A, n_parts, seed=seed))
+    system = build_block_system(A, partition(A, n_parts, seed=seed),
+                                local_solver=solver[0], n_sweeps=solver[1])
     rng = np.random.default_rng(seed)
     return A, system, rng.uniform(-1, 1, A.n_rows), rng.uniform(-1, 1,
                                                                A.n_rows)
@@ -75,34 +79,74 @@ def _pair(system, x0, b, method, lossy, warm_steps):
     return out
 
 
-def _check(system, x0, b, method, lossy, warm_steps, winners):
+def _check(system, x0, b, method, lossy, warm_steps, winners) -> int:
+    """Compare the two relax forms on ``winners``; returns how many
+    whole-diagonal solves the batch made."""
     batch, single = _pair(system, x0, b, method, lossy, warm_steps)
     marks = [len(m.tracer._events) for m in (batch, single)]
-    batch._relax_ranks(winners)
+    whole = system.block_diag_solve()
+    calls = []
+
+    def counted():
+        calls.append(whole)
+        return whole
+
+    if whole is not None:
+        system.block_diag_solve = counted     # shadows the method
+    try:
+        batch._relax_ranks(winners)
+    finally:
+        vars(system).pop("block_diag_solve", None)
     for p in winners.tolist():
         single._relax_one_flat(p)
     for a, s in zip(_stores(batch), _stores(single)):
         assert a.tobytes() == s.tobytes()
     assert (_events(batch.tracer, marks[0])
             == _events(single.tracer, marks[1]))
+    return len(calls)
+
+
+def _takes_whole(system, winners) -> bool:
+    return (winners.size > 0 and system.block_diag_solve() is not None
+            and winners.size * _BATCH_ROWS >= system.n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["poisson", "spd"]),
-       size=st.integers(4, 11), n_parts=st.integers(1, 10),
+       size=st.integers(4, 40), n_parts=st.integers(1, 24),
        seed=st.integers(0, 10_000),
+       # gs x 1, the only solver with a whole factor, drawn twice as often
+       solver=st.sampled_from([("gs", 1), ("gs", 1), ("gs", 2),
+                               ("direct", 1)]),
        method=st.sampled_from(sorted(_METHODS)), lossy=st.booleans(),
        warm_steps=st.integers(0, 3), data=st.data())
-def test_relax_ranks_matches_per_rank(kind, size, n_parts, seed, method,
-                                      lossy, warm_steps, data):
+def test_relax_ranks_matches_per_rank(kind, size, n_parts, seed, solver,
+                                      method, lossy, warm_steps, data):
+    # up to 1 600 rows, with enough parts to batch: winner sets of any
+    # size fall on either side of the whole-diagonal crossover
+    n = size * size if kind == "poisson" else 5 * size
+    n_parts = min(max(n_parts, -(-n // _BATCH_ROWS)), n)
     if kind == "poisson":
-        _, system, x0, b = _poisson_setup(size, n_parts, seed)
+        _, system, x0, b = _poisson_setup(size, n_parts, seed, solver)
     else:
-        _, system, x0, b = _random_setup(5 * size, n_parts, seed)
+        _, system, x0, b = _random_setup(n, n_parts, seed)
     P = system.n_parts
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=P,
-                                       max_size=P)))
-    _check(system, x0, b, method, lossy, warm_steps, np.flatnonzero(mask))
+    winners = np.array(sorted(data.draw(st.lists(
+        st.integers(0, P - 1), unique=True, max_size=P))), dtype=np.int64)
+    calls = _check(system, x0, b, method, lossy, warm_steps, winners)
+    assert calls == _takes_whole(system, winners)
+
+
+@pytest.mark.parametrize("method", sorted(_METHODS))
+def test_relax_ranks_on_both_sides_of_the_crossover(method):
+    """1 024 rows on 32 blocks: 7 winners solve per block, 8 and all 32
+    through the whole block diagonal — both byte-equal per rank."""
+    _, system, x0, b = _poisson_setup(32, 32, 1)
+    assert system.n == 8 * _BATCH_ROWS
+    rng = np.random.default_rng(4)
+    for k, expect in ((7, 0), (8, 1), (32, 1), (1, 0)):
+        winners = np.sort(rng.choice(system.n_parts, k, replace=False))
+        assert _check(system, x0, b, method, False, 2, winners) == expect
 
 
 @pytest.mark.parametrize("method", sorted(_METHODS))

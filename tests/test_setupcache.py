@@ -56,6 +56,13 @@ def test_key_varies_with_every_parameter(A, kwargs):
     assert setup_key(A, **kwargs) != setup_key(A, 4)
 
 
+@pytest.mark.parametrize("bad_sweeps", [2.5, "2", True, 0])
+def test_key_rejects_a_non_integer_sweep_count(A, bad_sweeps):
+    """2.5 and 2 used to share a key (``str(int(n_sweeps))``)."""
+    with pytest.raises(ValueError, match="n_sweeps"):
+        setup_key(A, 4, n_sweeps=bad_sweeps)
+
+
 def test_key_varies_with_matrix_content(A):
     B = CSRMatrix(A.indptr.copy(), A.indices.copy(), A.data.copy(), A.shape)
     assert setup_key(B, 4) == setup_key(A, 4)      # content, not identity
