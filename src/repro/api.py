@@ -151,6 +151,11 @@ class MultigridConfig:
     (relaxations per smoothing application = ``budget × level rows``).
     A positive ``drop_tol`` sparsifies the Galerkin coarse operators
     (arXiv 1512.04629) — and implies ``hierarchy="galerkin"``.
+
+    ``budget`` must be finite and positive, ``drop_tol`` finite and
+    ≥ 0; ``cycles``, ``levels`` and ``coarsest_dim`` integers ≥ 1, 2 and
+    3 (numpy integers count, ``bool`` does not).  Anything else raises a
+    :class:`ValueError` naming the field at construction.
     """
 
     smoother: str | None = None
@@ -170,20 +175,22 @@ class MultigridConfig:
                     f"expected one of "
                     f"{', '.join(_config.VALID_MG_SMOOTHERS)}")
             object.__setattr__(self, "smoother", name)
-        if self.budget is not None and self.budget <= 0.0:
-            raise ValueError("multigrid smoothing budget must be positive")
-        if self.drop_tol is not None and self.drop_tol < 0.0:
-            raise ValueError("multigrid drop_tol must be non-negative")
-        if self.cycles is not None and self.cycles < 1:
-            raise ValueError("multigrid needs at least one V-cycle")
-        if self.levels is not None and self.levels < 2:
-            raise ValueError("a multigrid hierarchy needs at least 2 levels")
+        if self.budget is not None:
+            _config.require_finite("budget", self.budget, positive=True)
+        if self.drop_tol is not None:
+            _config.require_finite("drop_tol", self.drop_tol, positive=False)
+        # at least one V-cycle, a two-level hierarchy, a 3x3 coarsest grid
+        for name, low in (("cycles", 1), ("levels", 2)):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name,
+                                   _config.require_int(name, value, low))
+        object.__setattr__(self, "coarsest_dim", _config.require_int(
+            "coarsest_dim", self.coarsest_dim, 3))
         if self.hierarchy not in ("geometric", "galerkin"):
             raise ValueError(
                 f"unknown hierarchy {self.hierarchy!r}; expected "
                 f"'geometric' or 'galerkin'")
-        if self.coarsest_dim < 3:
-            raise ValueError("coarsest grid must be at least 3x3")
 
 
 @dataclass(frozen=True)
@@ -212,8 +219,8 @@ class RunConfig:
     :class:`~repro.faults.DegradedRunError` instead of a returned
     result.
 
-    ``n_parts`` must be ``None`` or an integer ≥ 1, ``max_steps`` an
-    integer ≥ 0 (numpy integers count, ``bool`` does not) and
+    ``n_parts`` must be ``None`` or an integer ≥ 1, ``max_steps`` and
+    ``seed`` integers ≥ 0 (numpy integers count, ``bool`` does not) and
     ``target_norm`` ``None`` or finite and ≥ 0; anything else raises a
     :class:`ValueError` naming the field at construction.
     """
@@ -239,6 +246,8 @@ class RunConfig:
                 "n_parts", self.n_parts, 1))
         object.__setattr__(self, "max_steps", _config.require_int(
             "max_steps", self.max_steps, 0))
+        object.__setattr__(self, "seed", _config.require_int(
+            "seed", self.seed, 0))
         if self.target_norm is not None:
             _config.require_finite("target_norm", self.target_norm,
                                    positive=False)

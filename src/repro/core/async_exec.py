@@ -207,8 +207,11 @@ class AsyncExecutor:
         (slab construction, local factorizations, plane allocation)
         before entering the event loop — e.g. to time or profile the
         steady-state engine on its own.  Every rank relaxes on its own
-        here, so every rank's local solve is bound (and its block
-        factored) now; the whole block diagonal's factor never is.
+        here, so every rank's solo-relax kernels are bound now — its
+        local solve (its block factored), its diagonal and fan-out
+        matvec plans — and the async hooks' per-slot views; the whole
+        block diagonal's factor never is, nor any object-plane state
+        (DESIGN.md §5.8).
         """
         runner = self.runner
         runner.setup(x0, b)
@@ -250,8 +253,9 @@ class AsyncExecutor:
             lo, hi = voff[e], voff[e + 1]
             slot[2 * e] = (grows[lo:hi], wire[lo:hi], applied[lo:hi], f)
         runner.system.factor_blocks()
-        for p in range(P):
-            runner._bind_solve(p)
+        for p, call in enumerate(runner._solver_call):
+            if call is None:
+                runner._bind_solve(p)
         runner._async_bind(self.aplane)
         self._prepared = True
 

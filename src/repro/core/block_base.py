@@ -33,6 +33,7 @@ byte-for-byte equivalent (pinned by ``tests/test_runtime_fastpath.py``).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -125,21 +126,10 @@ class BlockMethodBase:
         #: Deliberately NOT reset by :meth:`setup` — it belongs to the
         #: adapter that owns this runner, not to one run.
         self._relax_filter = None
-        # Preallocated hot-path workspaces: the diagonal-block matvec
-        # output per process, one send buffer per coupling (the outgoing
-        # Δr message), and one gather buffer per boundary list (receive
-        # side).  With synchronous epochs (delay_probability == 0) every
-        # solve message is consumed within the step that produced it, so
-        # the send buffers can be reused and a parallel step performs no
-        # per-neighbor allocation; with staleness injection a message may
-        # outlive the step, so each delta is a fresh array instead.
+        # with staleness injection a message may outlive its step, so
+        # each object-plane delta is a fresh array instead of a reused
+        # workspace (see _ws_delta)
         self._reuse_delta_buffers = (delay_probability == 0.0)
-        self._ws_Ax = [np.empty(system.size_of(p)) for p in range(P)]
-        self._ws_delta_own = {pq: np.empty(block.n_rows)
-                              for pq, block in system.couplings.items()}
-        self._ws_delta = self._ws_delta_own
-        self._ws_gather = {qp: np.empty(rows.size)
-                           for qp, rows in system.beta.items()}
         # concatenated neighbor slab: neighbors_of(p) for every p laid out
         # back to back, with offsets — the decision phase and the deadlock
         # scan become single segment operations over it.  It is the block
@@ -153,6 +143,49 @@ class BlockMethodBase:
         #: kernel bindings, estimate slabs) was last built under; ``None``
         #: = not built.  :meth:`setup` rebuilds on any mismatch.
         self._structure_key = None
+
+    # ------------------------------------------------------------------
+    # object-plane workspaces, built the first time the object plane
+    # runs (DESIGN.md §5.8): the diagonal-block matvec output per
+    # process, one send buffer per coupling (the outgoing Δr message),
+    # one gather buffer per boundary list (receive side).  With
+    # synchronous epochs every solve message is consumed within the step
+    # that produced it, so the send buffers are reused and a parallel
+    # step performs no per-neighbor allocation.
+    # ------------------------------------------------------------------
+    @cached_property
+    def _ws_Ax(self) -> list[np.ndarray]:
+        return _rank_views(np.empty(self.system.n), self._rstart)
+
+    @cached_property
+    def _ws_delta_own(self) -> dict[tuple[int, int], np.ndarray]:
+        return {pq: np.empty(block.n_rows)
+                for pq, block in self.system.couplings.items()}
+
+    @cached_property
+    def _ws_gather(self) -> dict[tuple[int, int], np.ndarray]:
+        return {qp: np.empty(rows.size)
+                for qp, rows in self.system.beta.items()}
+
+    @cached_property
+    def _ws_delta(self) -> dict[tuple[int, int], np.ndarray]:
+        """:meth:`relax`'s outgoing delta buffers: on the flat plane the
+        mailbox regions themselves (a relax writes the wire payload in
+        place), else :attr:`_ws_delta_own`.  Dropped by every
+        :meth:`_build_structure`, since the plane it aliases may go."""
+        if self._use_flat:
+            plane = self.engine.flat
+            return {key: plane.vals[eid]
+                    for key, eid in plane.edge_index.items()}
+        return self._ws_delta_own
+
+    @cached_property
+    def _nbr_pos(self) -> list[dict[int, int]]:
+        """``_nbr_pos[p][q]``: ``q``'s position in ``p``'s neighbor list
+        (the object plane's Γ/Γ̃ slot of a message's sender)."""
+        nbrs, off = self.system.edge_dst.tolist(), self._nbr_off.tolist()
+        return [dict(zip(nbrs[lo:hi], range(hi - lo)))
+                for lo, hi in zip(off, off[1:])]
 
     # ------------------------------------------------------------------
     # setup
@@ -215,12 +248,12 @@ class BlockMethodBase:
     def _build_structure(self) -> None:
         """The run-independent half of :meth:`setup`; subclasses extend
         it with their estimate slabs and iteration plans."""
+        self.__dict__.pop("_ws_delta", None)
         if self._use_flat:
             self._configure_flat_plane()
             if self._lossy:
                 self._alloc_lossy_flat()
         else:
-            self._ws_delta = self._ws_delta_own
             self.engine.windows.flat = None
 
     def _reset_state(self, x0: np.ndarray, b: np.ndarray) -> None:
@@ -293,9 +326,8 @@ class BlockMethodBase:
         if not np.array_equal((src[rev], dst[rev]), (dst, src)):
             raise RuntimeError("flat plane expects a symmetric topology")
         n_z = self._flat_ghost_rows(n_vals, rev)
-        self._flat_eid = self.engine.configure_flat(
-            zip(src.tolist(), dst.tolist(), n_vals.tolist(), n_z.tolist()))
-        plane = self.engine.flat
+        plane = self.engine.configure_flat(
+            np.column_stack((src, dst, n_vals, n_z)))
         E = plane.n_edges
         # index plans follow the plane's dtype (the int32 fast path of
         # the million-row campaign); row indices get it only when the
@@ -331,8 +363,6 @@ class BlockMethodBase:
             return np.diff(np.r_[0, np.cumsum(per_edge)][off])
         self._solve_nbytes_arr = per_rank(self._flat_solve_nbytes)
         self._res_nbytes_arr = per_rank(self._flat_res_nbytes)
-        self._ws_delta = {key: plane.vals[eid]
-                          for key, eid in self._flat_eid.items()}
         # receive plan: parallel to the mailbox backing store, each delta
         # entry's *global* destination row in the residual backing store
         # — a whole epoch's solve updates then apply as one in-place
@@ -350,9 +380,6 @@ class BlockMethodBase:
         # per slot-id, the receiver's Γ-slab position of the sender — one
         # fancy scatter updates every receiver's records for a whole epoch
         self._sid_slabpos = np.repeat(rev, 2).astype(idt)
-        # python mirror for the async per-slot header scatter, where
-        # scalar list reads beat ndarray indexing
-        self._sid_slabpos_list = self._sid_slabpos.tolist()
         # z-payload plans.  Edge (s, d)'s z entries are s's residual at
         # its rows coupled to d — the rows the *reverse* edge's deltas
         # land on — so the reverse edges' regions of the delta store index
@@ -366,26 +393,17 @@ class BlockMethodBase:
         self._zsrc_grows = self._grows_flat[self._z2g]
         self._zspan_lo, self._zspan_hi = zoff[off[:-1]], zoff[off[1:]]
         # relaxation plans: the open step's per-process flop counters
-        # (+= on the view is exactly engine.charge_flops), per-block
-        # matvec plans with the kernel dispatch hoisted out of the loop,
-        # and the fan-out plan — each rank's coupling blocks stacked
-        # (neighbor order) into one CSR whose matvec writes the whole
-        # fan-out of deltas straight into the rank's mailbox slab: one
-        # kernel call per relax instead of one per neighbor.  Each CSR row
-        # is an independent dot, so stacking is bit-identical to the
-        # per-block products it replaces.
+        # (+= on the view is exactly engine.charge_flops), each rank's
+        # solo-relax kernels (bound at its first solo relax: _bind_solve)
+        # and every relax flop charge folded into one per-rank constant —
+        # each term is an integer-valued float, so the batched add is
+        # exactly the object path's per-charge sum.
         # Flat-path only: the object plane stays the seed implementation.
         self._flops = self.engine.stats._step_flops
-        self._mv_diag = [matvec_plan(B) for B in sysm.diag_blocks]
-        self._mv_fanout = [None if F is None else matvec_plan(F)
-                           for F in sysm.fanout]
-        # fused hot-path bindings: the local solve with any python wrapper
-        # peeled off (bound at the rank's first solo relax, which factors
-        # a batching system's block: _bind_solve), and every relax flop
-        # charge folded into one per-rank constant — each term is an
-        # integer-valued float, so the batched add is exactly the object
-        # path's per-charge sum
-        self._solver_call = [None] * sysm.n_parts
+        self._solver_call = [None] * P
+        self._mv_diag = [None] * P
+        self._mv_fanout = [None] * P
+        self._ws_mv = [None] * P
         self._relax_flops = np.array([
             s.flops + 2.0 * B.nnz + 2.0 * B.n_rows
             + (0.0 if F is None else 2.0 * F.nnz)
@@ -397,6 +415,10 @@ class BlockMethodBase:
         # its mailbox slab ``_fan_rows[p]:_fan_rows[p + 1]``
         self._fan_rows = sysm.edge_rows[off]
         self._relax_csr = None              # built by _relax_plans
+        if not _batched(sysm.n, P):
+            # every rank relaxes on its own (its block factored at build)
+            for p in range(P):
+                self._bind_solve(p)
 
     def _relax_plans(self) -> list:
         """The batched-relax plans, built at first use (an async run
@@ -424,9 +446,21 @@ class BlockMethodBase:
         return self._relax_csr
 
     def _bind_solve(self, p: int):
-        """Rank ``p``'s local solve as one callable, bound (and its block
-        factored) on first use."""
-        call = self._solver_call[p] = self.system.local_solvers[p].bind()
+        """Bind rank ``p``'s solo-relax kernels on first use and return
+        its local solve: the solve as one callable with any python
+        wrapper peeled off (its block factored now if it was not), the
+        diagonal-block matvec plan with its output scratch, and the
+        fan-out plan — the rank's coupling blocks stacked (neighbor
+        order) into one CSR whose matvec writes the whole fan-out of
+        deltas straight into its mailbox slab: one kernel call per relax
+        instead of one per neighbor.  Each CSR row is an independent
+        dot, so stacking is bit-identical to the per-block products."""
+        sysm = self.system
+        B, F = sysm.diag_blocks[p], sysm.fanout[p]
+        self._mv_diag[p] = matvec_plan(B)
+        self._ws_mv[p] = np.empty(B.n_rows)
+        self._mv_fanout[p] = None if F is None else matvec_plan(F)
+        call = self._solver_call[p] = sysm.local_solvers[p].bind()
         return call
 
     def _rank_slabs(self, store: np.ndarray) -> list[np.ndarray]:
@@ -627,15 +661,18 @@ class BlockMethodBase:
     def _async_bind(self, aplane) -> None:
         """Bind the per-edge views the send/deliver hooks copy through,
         once per :meth:`AsyncExecutor.prepare` (``aplane``'s wire stores
-        are new each time): edge e's ``(wire vals, vals)`` regions, and
-        intp copies of the slab's slot-ids (an int32 fancy index costs
-        several times more per call)."""
+        are new each time): edge e's ``(wire vals, vals)`` regions, intp
+        copies of the slab's slot-ids (an int32 fancy index costs several
+        times more per call) and the slot-to-slab-position list."""
         plane = self.engine.flat
         self._async_vals = list(zip(
             _rank_views(aplane.wire_vals, plane.vals_off),
             _rank_views(plane.vals_flat, plane.vals_off)))
         self._async_solve_sids = self._slab_solve_sids.astype(np.intp)
         self._async_res_sids = self._slab_res_sids.astype(np.intp)
+        # python mirror of _sid_slabpos for the per-slot header scatter,
+        # where scalar list reads beat ndarray indexing
+        self._sid_slabpos_list = self._sid_slabpos.tolist()
 
     def _async_capture_vals(self, aplane, sids: np.ndarray) -> None:
         """Snapshot the ``vals`` regions of freshly stamped solve slots
@@ -809,7 +846,7 @@ class BlockMethodBase:
         dx = (self._solver_call[p] or self._bind_solve(p))(r_p)
         if self.omega != 1.0:
             dx *= self.omega            # dx is fresh from the solver
-        ws = self._ws_Ax[p]
+        ws = self._ws_mv[p]
         self._mv_diag[p](dx, ws)
         r_p -= ws
         self.x_blocks[p] += dx

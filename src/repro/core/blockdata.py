@@ -20,8 +20,6 @@ identical data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.partition import Partition
@@ -48,7 +46,6 @@ def _batched(n: int, n_parts: int) -> bool:
     return n <= _BATCH_ROWS * n_parts
 
 
-@dataclass
 class BlockSystem:
     """All per-process immutable data for one (matrix, partition) pair.
 
@@ -83,23 +80,38 @@ class BlockSystem:
         (``None`` without neighbors): the same store entries, not a copy.
 
     Blocks, ``beta`` lists and directory are read-only views of the
-    stores :func:`build_block_system` assembles (DESIGN.md §5.1).
+    stores :func:`build_block_system` assembles (DESIGN.md §5.1).  The
+    per-pair dicts ``couplings`` and ``beta`` are cut from the coupling
+    store and its directory the first time something reads them: only
+    the object message plane does, so a flat or async run never holds
+    their thousands of views.  A system constructed from the dicts
+    themselves (the per-block oracle) keeps the ones it was given.
     """
 
-    A: CSRMatrix
-    part: Partition
-    diag_blocks: list[CSRMatrix]
-    local_solvers: list[LocalSolver]
-    couplings: dict[tuple[int, int], CSRMatrix]
-    beta: dict[tuple[int, int], np.ndarray]
-    perm: np.ndarray = None     # original-row permutation used
-    edge_src: np.ndarray = None
-    edge_dst: np.ndarray = None
-    edge_rows: np.ndarray = None
-    beta_rows: np.ndarray = None
-    fanout: list[CSRMatrix | None] = None
-    _pickle_args: tuple = None
-    _diag_lu: object = field(default=None, repr=False, compare=False)
+    def __init__(self, A: CSRMatrix, part: Partition,
+                 diag_blocks: list[CSRMatrix],
+                 local_solvers: list[LocalSolver],
+                 couplings: dict[tuple[int, int], CSRMatrix] | None = None,
+                 beta: dict[tuple[int, int], np.ndarray] | None = None,
+                 perm: np.ndarray = None, edge_src: np.ndarray = None,
+                 edge_dst: np.ndarray = None, edge_rows: np.ndarray = None,
+                 beta_rows: np.ndarray = None,
+                 fanout: list[CSRMatrix | None] = None,
+                 _pickle_args: tuple = None):
+        self.A = A
+        self.part = part
+        self.diag_blocks = diag_blocks
+        self.local_solvers = local_solvers
+        self.perm = perm            # original-row permutation used
+        self.edge_src = edge_src
+        self.edge_dst = edge_dst
+        self.edge_rows = edge_rows
+        self.beta_rows = beta_rows
+        self.fanout = fanout
+        self._pickle_args = _pickle_args
+        self._couplings = couplings
+        self._beta = beta
+        self._diag_lu = None
 
     def __reduce__(self):
         # the views would pickle as thousands of separate arrays
@@ -110,6 +122,31 @@ class BlockSystem:
         """The stores the blocks view (DESIGN.md §5.1), ``(d_ptr, d_idx,
         d_data, c_ptr, c_idx, c_data, ...)``; columns block-local."""
         return self._pickle_args[4]
+
+    @property
+    def couplings(self) -> dict[tuple[int, int], CSRMatrix]:
+        """``couplings[(p, q)]``, cut from the coupling store at first
+        read: three views per pair."""
+        if self._couplings is None:
+            c_ptr, c_idx, c_data = self.stores[3:6]
+            sizes = np.diff(np.asarray(self.part.offsets, dtype=np.int64))
+            self._couplings = dict(zip(self._pairs(), _cut_blocks(
+                c_ptr, self.edge_rows, c_idx, c_data,
+                sizes[self.edge_src].tolist())))
+        return self._couplings
+
+    @property
+    def beta(self) -> dict[tuple[int, int], np.ndarray]:
+        """``beta[(q, p)]``, split from the directory at first read."""
+        if self._beta is None:
+            self._beta = dict(zip(((q, p) for p, q in self._pairs()),
+                                  np.split(self.beta_rows,
+                                           self.edge_rows[1:-1])))
+        return self._beta
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        """The directory's ``(p, q)`` pairs, ascending."""
+        return list(zip(self.edge_src.tolist(), self.edge_dst.tolist()))
 
     @property
     def n(self) -> int:
@@ -283,8 +320,9 @@ def build_block_system(A: CSRMatrix, part: Partition,
 def _from_stores(Aperm: CSRMatrix, part: Partition, local_solver: str,
                  n_sweeps: int, stores: tuple) -> BlockSystem:
     """Cut the (checked, read-only) stores into a :class:`BlockSystem`
-    and make the local solvers, factoring Gauss-Seidel blocks only where
-    every rank relaxes on its own (:func:`_batched`).  Also the
+    — diagonal blocks and fan-outs now, the per-pair dicts at first
+    read — and make the local solvers, factoring Gauss-Seidel blocks
+    only where every rank relaxes on its own (:func:`_batched`).  Also the
     unpickling constructor: a system pickles as its stores, so a set-up
     cache hit maps a dozen arrays and then runs exactly this."""
     (d_ptr, d_idx, d_data, c_ptr, c_idx, c_data,
@@ -295,23 +333,19 @@ def _from_stores(Aperm: CSRMatrix, part: Partition, local_solver: str,
     local_solvers = [make_local_solver(local_solver, App, n_sweeps=n_sweeps,
                                        _checked=True)
                      for App in diag_blocks]
-    pq = list(zip(edge_src.tolist(), edge_dst.tolist()))
-    couplings = dict(zip(pq, _cut_blocks(c_ptr, edge_rows, c_idx, c_data,
-                                         sizes[edge_src].tolist())))
-    beta = dict(zip(((q, p) for p, q in pq),
-                    np.split(beta_rows, edge_rows[1:-1])))
+    system = BlockSystem(A=Aperm, part=part, diag_blocks=diag_blocks,
+                         local_solvers=local_solvers, perm=part.perm,
+                         edge_src=edge_src, edge_dst=edge_dst,
+                         edge_rows=edge_rows, beta_rows=beta_rows,
+                         _pickle_args=(Aperm, part, local_solver, n_sweeps,
+                                       stores))
+    # factors before fan-outs: the same allocations, in the order that
+    # leaves fewer resident pages on a large-block build (DESIGN.md §5.1)
+    if not _batched(system.n, system.n_parts):
+        system.factor_blocks()
     # rank p's stacked fan-out: the row span of all its pairs
     fan_rows = edge_rows[np.searchsorted(edge_src,
                                          np.arange(part.n_parts + 1))]
-    fanout = [F if F.n_rows else None for F in _cut_blocks(
+    system.fanout = [F if F.n_rows else None for F in _cut_blocks(
         c_ptr, fan_rows, c_idx, c_data, sizes.tolist())]
-    system = BlockSystem(A=Aperm, part=part, diag_blocks=diag_blocks,
-                         local_solvers=local_solvers, couplings=couplings,
-                         beta=beta, perm=part.perm, edge_src=edge_src,
-                         edge_dst=edge_dst, edge_rows=edge_rows,
-                         beta_rows=beta_rows, fanout=fanout,
-                         _pickle_args=(Aperm, part, local_solver, n_sweeps,
-                                       stores))
-    if not _batched(system.n, system.n_parts):
-        system.factor_blocks()
     return system

@@ -26,6 +26,8 @@ shrinks as the iteration converges (Section 3).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.core.block_base import BlockMethodBase, _dot, _rank_views
@@ -73,13 +75,20 @@ class DistributedSouthwell(BlockMethodBase):
         self.deadlock_avoidance = deadlock_avoidance
         self.ghost_estimation = ghost_estimation
 
+    @cached_property
+    def ghost(self) -> list[dict[int, np.ndarray]]:
+        """``ghost[p][q]`` (the paper's ``z_q``): ``p``'s copy of ``q``'s
+        residual at ``β_qp``.  The object plane assigns fresh layers every
+        run; on the flat plane the per-layer views of the ghost store are
+        wrapped in dicts at first read (no flat-path code reads them)."""
+        nbrs, off = self._nbr_flat.tolist(), self._nbr_off.tolist()
+        return [dict(zip(nbrs[lo:hi], views)) for lo, hi, views
+                in zip(off, off[1:], self._ghost_views)]
+
     def _build_structure(self) -> None:
         super()._build_structure()
-        sysm = self.system
-        P = sysm.n_parts
-        self._nbr_pos: list[dict[int, int]] = [
-            {int(q): i for i, q in enumerate(sysm.neighbors_of(p))}
-            for p in range(P)]
+        self.__dict__.pop("ghost", None)    # the last plane's layers
+        P = self.system.n_parts
         # Γ (line 5), Γ̃ (line 6) live as one flat slab each along the
         # neighbor offsets (the per-rank lists are views into it), so the
         # decision phase and the deadlock scan are single vector
@@ -115,9 +124,6 @@ class DistributedSouthwell(BlockMethodBase):
         views = _rank_views(ghost, voff)
         spans = list(zip(off.tolist(), off[1:].tolist()))
         self._ghost_views = [views[lo:hi] for lo, hi in spans]
-        nbrs = self._nbr_flat.tolist()
-        self.ghost: list[dict[int, np.ndarray]] = [
-            dict(zip(nbrs[lo:hi], views[lo:hi])) for lo, hi in spans]
         self._ghost_flops = 4.0 * np.diff(voff[self._nbr_off])
         # per-rank slab positions: the batched relax's Γ index plan
         self._slab_ids = _rank_views(np.arange(self._nbr_flat.size), off)

@@ -49,8 +49,7 @@ class ParallelSouthwell(BlockMethodBase):
 
     def _build_structure(self) -> None:
         super()._build_structure()
-        sysm = self.system
-        P = sysm.n_parts
+        P = self.system.n_parts
         # Γ_p: exact neighbor norms (squared — the criterion compares
         # squares so no square roots are needed in the hot loop).  Γ lives
         # as one flat slab along the neighbor offsets (per-rank lists are
@@ -59,9 +58,6 @@ class ParallelSouthwell(BlockMethodBase):
         self._gamma_flat = np.empty(self._nbr_flat.size)
         self.gamma_sq: list[np.ndarray] = [
             self._gamma_flat[off[p]:off[p + 1]] for p in range(P)]
-        self._nbr_pos: list[dict[int, int]] = [
-            {int(q): i for i, q in enumerate(sysm.neighbors_of(p))}
-            for p in range(P)]
 
     def _reset_state(self, x0, b) -> None:
         super()._reset_state(x0, b)

@@ -53,8 +53,9 @@ class ParallelEngine:
         """Read process ``p``'s window (after an epoch close)."""
         return self.windows.drain(p)
 
-    def configure_flat(self, edges) -> dict[tuple[int, int], int]:
-        """Attach the preallocated flat-buffer message plane."""
+    def configure_flat(self, edges):
+        """Attach the preallocated flat-buffer message plane; returns
+        it."""
         return self.windows.configure_flat(edges)
 
     @property

@@ -49,6 +49,7 @@ the epoch.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 
@@ -149,23 +150,43 @@ class FlatEdgePlane:
         The shared :class:`~repro.runtime.stats.MessageStats`; every put /
         drain is charged exactly like the object plane charges it.
     edges:
-        Iterable of ``(src, dst, n_vals, n_z)``: one entry per directed
-        coupling, with the ``vals`` buffer length (rows of ``dst`` coupled
-        to ``src``) and the ``z`` buffer length (ghost payload; 0 if the
-        method ships no ghosts).
+        ``(E, 4)`` array-like of ``(src, dst, n_vals, n_z)``: one row per
+        directed coupling, with the ``vals`` buffer length (rows of
+        ``dst`` coupled to ``src``) and the ``z`` buffer length (ghost
+        payload; 0 if the method ships no ghosts).
     tracer:
         Optional :class:`~repro.trace.Tracer`; every put / drain fires
         one batched trace hook at the same site that charges the stats,
         so trace aggregates reconcile exactly with ``MessageStats``.
+
+    The constructor validates the topology and allocates the backing
+    stores in whole-array passes.  The per-edge views :attr:`vals` and
+    the ``(src, dst)`` map :attr:`edge_index` are built at first read:
+    the flat hot path addresses edges by id and senders by slab, so
+    only the object-plane ``relax`` and tests read them (DESIGN.md
+    §5.8).
     """
 
     def __init__(self, n_procs: int, stats, edges, tracer=None) -> None:
         self.n_procs = n_procs
         self.stats = stats
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        edges = list(edges)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 4)
+        src, dst = edges[:, 0], edges[:, 1]
         E = len(edges)
         self.n_edges = E
+        bad = np.flatnonzero((src < 0) | (src >= n_procs)
+                             | (dst < 0) | (dst >= n_procs))
+        if bad.size:
+            k = bad[0]
+            raise IndexError(f"edge ({src[k]}, {dst[k]}) out of range")
+        if np.any(src == dst):
+            raise ValueError("a process does not message itself")
+        key = np.sort(src * n_procs + dst)
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            k = int(key[dup[0]])
+            raise ValueError(f"duplicate edge {divmod(k, n_procs)}")
         # int32 slab-index fast path (first step of the million-row
         # campaign): when every slot-id and buffer offset fits in int32,
         # all index arrays use it — half the index memory, identical
@@ -174,47 +195,24 @@ class FlatEdgePlane:
         # overflows.
         vals_off64 = np.zeros(E + 1, dtype=np.int64)
         z_off64 = np.zeros(E + 1, dtype=np.int64)
-        np.cumsum([int(e[2]) for e in edges], out=vals_off64[1:])
-        np.cumsum([int(e[3]) for e in edges], out=z_off64[1:])
+        np.cumsum(edges[:, 2], out=vals_off64[1:])
+        np.cumsum(edges[:, 3], out=z_off64[1:])
         lim = _INT32_LIMIT
         self.idx_dtype = (np.int32
                           if max(2 * E, int(vals_off64[-1]),
                                  int(z_off64[-1]), n_procs) <= lim
                           else np.int64)
-        self.edge_index: dict[tuple[int, int], int] = {}
-        self.edge_src = np.zeros(E, dtype=self.idx_dtype)
-        self.edge_dst = np.zeros(E, dtype=self.idx_dtype)
-        for eid, (src, dst, n_vals, n_z) in enumerate(edges):
-            if not (0 <= src < n_procs and 0 <= dst < n_procs):
-                raise IndexError(f"edge ({src}, {dst}) out of range")
-            if src == dst:
-                raise ValueError("a process does not message itself")
-            key = (int(src), int(dst))
-            if key in self.edge_index:
-                raise ValueError(f"duplicate edge {key}")
-            self.edge_index[key] = eid
-            self.edge_src[eid] = src
-            self.edge_dst[eid] = dst
-        # all data regions live in flat backing arrays with per-edge
-        # views, so edges with a common source (contiguous when the edge
-        # list is sorted by (src, dst)) expose one contiguous per-sender
-        # slab — the senders fill a whole fan-out with single vector ops
+        self.edge_src = src.astype(self.idx_dtype)
+        self.edge_dst = dst.astype(self.idx_dtype)
+        # all data regions live in flat backing arrays, so edges with a
+        # common source (contiguous when the edge list is sorted by
+        # (src, dst)) expose one contiguous per-sender slab — the senders
+        # fill a whole fan-out with single vector ops
         self.vals_off = vals_off64.astype(self.idx_dtype)
         self.z_off = z_off64.astype(self.idx_dtype)
         self.vals_flat = np.empty(int(self.vals_off[-1]))
         self.zsolve_flat = np.empty(int(self.z_off[-1]))
         self.zres_flat = np.empty(int(self.z_off[-1]))
-        #: per-edge delta buffer (solve slot only)
-        self.vals: list[np.ndarray] = [
-            self.vals_flat[self.vals_off[e]:self.vals_off[e + 1]]
-            for e in range(E)]
-        #: per-slot ghost buffer, indexed by slot-id ``2 * eid + kind``
-        self.zbuf: list[np.ndarray] = []
-        for e in range(E):
-            self.zbuf.append(self.zsolve_flat[self.z_off[e]:
-                                              self.z_off[e + 1]])
-            self.zbuf.append(self.zres_flat[self.z_off[e]:
-                                            self.z_off[e + 1]])
         #: per-slot headers (own squared norm, receiver-norm estimate)
         self.norm = np.zeros(2 * E)
         self.est = np.zeros(2 * E)
@@ -245,6 +243,21 @@ class FlatEdgePlane:
         #: while a fault plan with message faults is attached)
         self.last_fates: np.ndarray = _EMPTY_SIDS
 
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """``(src, dst) -> edge id``, built at first read (the flat hot
+        path indexes by edge id and never reads it)."""
+        return dict(zip(zip(self.edge_src.tolist(), self.edge_dst.tolist()),
+                        range(self.n_edges)))
+
+    @cached_property
+    def vals(self) -> list[np.ndarray]:
+        """Per-edge delta buffer (solve slot only): views of
+        :attr:`vals_flat`, cut at first read — the object-plane relax
+        writes through them, the flat hot path through per-rank slabs."""
+        off = self.vals_off.tolist()
+        return [self.vals_flat[lo:hi] for lo, hi in zip(off, off[1:])]
+
     def reset(self) -> None:
         """Forget all mail, keeping the topology and every buffer: the
         plane then behaves as freshly constructed (a method re-arming it
@@ -272,8 +285,9 @@ class FlatEdgePlane:
             your_est_sq: float, nbytes: int, category: str) -> None:
         """Buffer the message in edge ``eid``'s ``slot`` mailbox.
 
-        The caller has already written the data regions (``vals[eid]`` /
-        ``zbuf[2 * eid + slot]``); this stamps the headers, queues the
+        The caller has already written the data regions (edge ``eid``'s
+        runs of :attr:`vals_flat` and of the slot's z store); this stamps
+        the headers, queues the
         slot for the next epoch close, and charges the send.  Counts as
         exactly one message of ``nbytes`` (the precomputed wire size of
         this edge's message kind).

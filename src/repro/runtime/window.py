@@ -23,6 +23,7 @@ path.  :meth:`WindowSystem.close_epoch` completes both.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -85,7 +86,6 @@ class WindowSystem:
         self.n_procs = n_procs
         self.stats = stats if stats is not None else MessageStats(n_procs)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.windows = [Window(p) for p in range(n_procs)]
         self._pending: list[Message] = []
         self._delayed: list[Message] = []
         self._delay_probability = delay_probability
@@ -100,11 +100,17 @@ class WindowSystem:
         #: fault-delayed messages as ``[epochs_remaining, Message]`` pairs
         self._fault_delayed: list[list] = []
 
-    def configure_flat(self, edges) -> dict[tuple[int, int], int]:
+    @cached_property
+    def windows(self) -> list[Window]:
+        """One inbox per process, made at first read: only the object
+        plane delivers into them."""
+        return [Window(p) for p in range(self.n_procs)]
+
+    def configure_flat(self, edges) -> FlatEdgePlane:
         """Attach a preallocated flat-buffer plane for a fixed topology.
 
-        ``edges`` is an iterable of ``(src, dst, n_vals, n_z)``; returns
-        the ``(src, dst) -> edge-id`` map.  Only valid with synchronous
+        ``edges`` is an ``(E, 4)`` array-like of ``(src, dst, n_vals,
+        n_z)``; returns the plane.  Only valid with synchronous
         epochs — a delayed message needs per-message storage, which the
         flat plane deliberately does not have.
         """
@@ -117,7 +123,7 @@ class WindowSystem:
         self.flat = FlatEdgePlane(self.n_procs, self.stats, edges,
                                   tracer=self.tracer)
         self.reset_flat()
-        return self.flat.edge_index
+        return self.flat
 
     def reset_flat(self) -> None:
         """Re-arm the attached flat plane for a new run on the same

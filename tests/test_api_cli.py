@@ -94,6 +94,7 @@ def test_solve_rejects_negative_diagonal(kind):
     ("n_parts", 2.5), ("n_parts", "4"), ("n_parts", True), ("n_parts", 0),
     ("max_steps", -3), ("max_steps", 2.7), ("max_steps", None),
     ("target_norm", np.nan), ("target_norm", -1.0), ("target_norm", "x"),
+    ("seed", 2.5), ("seed", "1"), ("seed", -1), ("seed", True),
 ], ids=str)
 def test_run_config_rejects_bad_scalars(field, bad):
     """A bad scalar is a ValueError naming its field, raised before any
@@ -105,9 +106,11 @@ def test_run_config_rejects_bad_scalars(field, bad):
 
 
 def test_run_config_accepts_numpy_integers():
-    cfg = RunConfig(n_parts=np.int64(4), max_steps=np.int32(0))
-    assert (cfg.n_parts, cfg.max_steps) == (4, 0)
+    cfg = RunConfig(n_parts=np.int64(4), max_steps=np.int32(0),
+                    seed=np.int64(7))
+    assert (cfg.n_parts, cfg.max_steps, cfg.seed) == (4, 0, 7)
     assert type(cfg.n_parts) is int and type(cfg.max_steps) is int
+    assert type(cfg.seed) is int
 
 
 def test_solve_keeps_b_without_x0():

@@ -101,6 +101,12 @@ def test_engine_validation():
         make_plane(2, CostModel(), speed_factors=np.ones(3))
     with pytest.raises(ValueError):      # a rank does not message itself
         FlatEdgePlane(2, MessageStats(2), [(0, 0, 1, 0)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 0\)"):
+        FlatEdgePlane(3, MessageStats(3), [(0, 1, 1, 0), (1, 0, 1, 0),
+                                           (1, 2, 1, 0), (1, 0, 2, 0)])
+    for bad in ((0, 3, 1, 0), (-1, 0, 1, 0)):
+        with pytest.raises(IndexError, match="out of range"):
+            FlatEdgePlane(3, MessageStats(3), [(0, 1, 1, 0), bad])
 
 
 def test_fifo_per_sender_preserved():

@@ -273,6 +273,19 @@ def test_multigrid_config_validation():
         MultigridConfig(hierarchy="algebraic")
     with pytest.raises(ValueError):
         MultigridConfig(coarsest_dim=1)
+    # non-integer and non-finite values are a ValueError naming the field
+    # at construction, not a truncated count or a deep numpy error
+    for field, bad in [("cycles", 2.5), ("cycles", True), ("cycles", "3"),
+                       ("levels", 2.5), ("coarsest_dim", 3.5),
+                       ("budget", float("nan")), ("budget", float("inf")),
+                       ("drop_tol", float("nan")), ("drop_tol", "x")]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MultigridConfig(**{field: bad})
+    cfg = MultigridConfig(cycles=np.int64(2), levels=np.int32(3),
+                          coarsest_dim=np.int64(4))
+    assert (cfg.cycles, cfg.levels, cfg.coarsest_dim) == (2, 3, 4)
+    assert {type(v) for v in (cfg.cycles, cfg.levels,
+                              cfg.coarsest_dim)} == {int}
 
 
 def test_solve_mg_trace_reconciles_end_to_end(tmp_path):

@@ -132,11 +132,11 @@ def test_relax_deltas_alias_flat_mailboxes():
         ds.setup(rng.uniform(-1, 1, A.n_rows), np.zeros(A.n_rows))
     plane = ds.engine.flat
     assert plane is not None
-    for key, eid in ds._flat_eid.items():
+    for key, eid in plane.edge_index.items():
         assert ds._ws_delta[key] is plane.vals[eid]
     deltas = ds.relax(0)
     for q, buf in deltas.items():
-        assert buf is plane.vals[ds._flat_eid[(0, int(q))]]
+        assert buf is plane.vals[plane.edge_index[(0, int(q))]]
 
 
 # ----------------------------------------------------------------------
@@ -311,8 +311,8 @@ def test_record_receives_batches_like_singles():
 # ----------------------------------------------------------------------
 def _tiny_plane():
     ws = WindowSystem(3)
-    eid_map = ws.configure_flat([(0, 1, 2, 1), (1, 0, 2, 1), (1, 2, 3, 0)])
-    return ws, ws.flat, eid_map
+    plane = ws.configure_flat([(0, 1, 2, 1), (1, 0, 2, 1), (1, 2, 3, 0)])
+    return ws, plane, plane.edge_index
 
 
 def test_flat_put_invisible_until_epoch_close():
