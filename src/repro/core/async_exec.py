@@ -41,7 +41,7 @@ import numpy as np
 
 from repro import config as _config
 from repro.runtime.asyncplane import AsyncFlatPlane
-from repro.runtime.flatplane import multi_arange
+from repro.sparsela.primitives import multi_arange
 
 __all__ = ["AsyncExecutor", "AsyncUnsupportedError", "check_scheduler"]
 

@@ -37,19 +37,18 @@ from functools import cached_property
 
 import numpy as np
 
+from repro import config as _config
 from repro.analysis.history import ConvergenceHistory
 from repro.core.blockdata import _BATCH_ROWS, BlockSystem, _batched
 from repro.faults import FaultPlan, FaultRuntime
 from repro.runtime import (CATEGORY_SOLVE, CORI_LIKE, CostModel,
                            ParallelEngine, runtime_mode)
-from repro.runtime.flatplane import _INT32_LIMIT, multi_arange
-from repro.sparsela.primitives import csr_matvec, matvec_plan
+from repro.runtime.flatplane import _INT32_LIMIT
+from repro.sparsela.primitives import (csr_matvec, matvec_plan,
+                                       multi_arange, segment_sq)
 from repro.trace import tracer_from_config
 
 __all__ = ["BlockMethodBase"]
-
-#: BLAS ``ddot`` with the least dispatch (same bits as ``np.dot``)
-_dot = np.ndarray.dot
 
 
 def _rank_views(store: np.ndarray, cut: np.ndarray) -> list[np.ndarray]:
@@ -68,7 +67,8 @@ class BlockMethodBase:
     cost_model:
         Pricing for the simulated wall-clock.
     delay_probability, seed:
-        Staleness injection for the runtime (0 = paper behaviour).
+        Staleness injection for the runtime (0 = paper behaviour); the
+        seed is an integer ``>= 0`` (a ``ValueError`` naming it if not).
     faults:
         Optional :class:`~repro.faults.FaultPlan` (DESIGN.md §5.11): a
         frozen, seeded schedule of message drops / duplications /
@@ -85,6 +85,7 @@ class BlockMethodBase:
                  delay_probability: float = 0.0, seed: int = 0,
                  speed_factors=None, tracer=None,
                  faults: FaultPlan | None = None):
+        seed = _config.require_int("seed", seed, 0)
         self.system = system
         self.tracer = tracer if tracer is not None else tracer_from_config()
         self.engine = ParallelEngine(system.n_parts, cost_model=cost_model,
@@ -109,6 +110,7 @@ class BlockMethodBase:
         # order; the per-process blocks are views into them, so a re-run
         # rewrites the whole state with two vector operations
         self._rstart = np.asarray(system.part.offsets, dtype=np.int64)
+        self._rsize = np.diff(self._rstart)
         self._x_flat = np.zeros(system.n)
         self._r_flat = np.zeros(system.n)
         self.x_blocks = _rank_views(self._x_flat, self._rstart)
@@ -258,16 +260,16 @@ class BlockMethodBase:
 
     def _reset_state(self, x0: np.ndarray, b: np.ndarray) -> None:
         """The per-run half of :meth:`setup`: write ``(x0, b)`` (permuted
-        numbering) into the existing stores.  Whole-array except the
-        block norms, whose per-block dot is what keeps them bit-equal to
-        ``np.linalg.norm`` of each block.  Subclasses extend it."""
+        numbering) into the existing stores, whole-array.  The block
+        norms are one :func:`segment_sq` over the residual store: each
+        is the ``ddot`` that keeps it bit-equal to ``np.linalg.norm`` of
+        its block.  Subclasses extend it."""
         self._x_flat[:] = x0
         r = self._r_flat
         self.system.A.matvec(x0, out=r)
         np.subtract(b, r, out=r)
-        norms = self.norms
-        for p, r_p in enumerate(self.r_blocks):
-            norms[p] = math.sqrt(np.dot(r_p, r_p))
+        np.sqrt(segment_sq(r, self._rstart[:-1], self._rsize),
+                out=self.norms)
         self.total_relaxations = 0
         self.steps_taken = 0
         self.history = ConvergenceHistory()
@@ -423,8 +425,8 @@ class BlockMethodBase:
     def _relax_plans(self) -> list:
         """The batched-relax plans, built at first use (an async run
         never holds them): per store (diagonal blocks, couplings) its
-        global-column CSR, rank cut, scratch output and per-rank row ids;
-        empty above :data:`_BATCH_ROWS` rows per block (relax per rank)."""
+        global-column CSR, rank cut and scratch output; empty above
+        :data:`_BATCH_ROWS` rows per block (relax per rank)."""
         if self._relax_csr is not None:
             return self._relax_csr
         sysm, rstart = self.system, self._rstart
@@ -437,8 +439,7 @@ class BlockMethodBase:
         self._relax_csr = [
             (ptr.astype(cdt), idx.astype(cdt) + np.repeat(
                 rstart[:-1].astype(cdt), np.diff(ptr[cut])), data,
-             cut.tolist(), np.zeros(ptr.size - 1),
-             _rank_views(np.arange(ptr.size - 1), cut))
+             cut.tolist(), np.zeros(ptr.size - 1))
             for ptr, idx, data, cut in ((d_ptr, d_idx, d_data, rstart),
                                         (c_ptr, c_idx, c_data,
                                          self._fan_rows))]
@@ -591,9 +592,11 @@ class BlockMethodBase:
         sequentially in index order), so with the indices laid out in put
         order each residual entry sees its updates in exactly the object
         path's per-message sequence; different receivers' blocks are
-        disjoint.  Charges match :meth:`apply_delta` +
-        :meth:`refresh_norm` exactly (integer-valued terms, any
-        grouping).
+        disjoint.  The receivers' norms refresh in one
+        :func:`segment_sq` (each block's own ``ddot``, one BLAS call per
+        distinct block length) and their flops in one vector add.
+        Charges match :meth:`apply_delta` + :meth:`refresh_norm` exactly
+        (integer-valued terms, any grouping).
 
         Under a lossy fault plan the payloads are cumulative: adjacent
         duplicate deliveries (the only same-epoch repeats the single-slot
@@ -628,10 +631,11 @@ class BlockMethodBase:
                           plane.vals_flat[idx])
                 np.add.at(flops, plane.edge_dst[eids],
                           self._edge_recv_flops[eids])
-        for p in mail:
-            r_p = self.r_blocks[p]
-            self.norms[p] = math.sqrt(np.dot(r_p, r_p))
-            flops[p] += 2.0 * r_p.size  # the refresh_norm charge
+        if mail.size:
+            sizes = self._rsize[mail]
+            self.norms[mail] = np.sqrt(
+                segment_sq(self._r_flat, self._rstart[mail], sizes))
+            flops[mail] += 2.0 * sizes  # the refresh_norm charges
 
     # ------------------------------------------------------------------
     # event-driven async plane hooks (DESIGN.md §5.14)
@@ -732,20 +736,21 @@ class BlockMethodBase:
         """:meth:`_relax_send` for all of ``W``; returns their fan-outs'
         mailbox positions.  Winners covering :data:`_BATCH_ROWS` rows
         each solve through the whole block diagonal's factor, fewer per
-        block; ``‖r_p‖`` dots stay per block (DESIGN.md §5.8).  Every
-        solve row and product row is computed exactly as per block."""
-        wl, rb = W.tolist(), self.r_blocks
-        row_ids, fan_ids = self._relax_csr[0][-1], self._relax_csr[1][-1]
-        rows = np.concatenate([row_ids[p] for p in wl])
-        blocks = [rb[p] for p in wl]
+        block.  Every solve row and product row is computed exactly as
+        per block, and the ``‖r_p‖`` are one :func:`segment_sq` — each
+        block's own ``ddot``, one BLAS call per distinct block length
+        (DESIGN.md §5.8).  Row and mailbox indices are offset
+        arithmetic, no per-winner Python."""
+        rstart, rsize = self._rstart, self._rsize
+        rows = multi_arange(rstart[W], rstart[W + 1])
         whole = (self.system.block_diag_solve()
-                 if len(wl) * _BATCH_ROWS >= self.system.n else None)
+                 if W.size * _BATCH_ROWS >= self.system.n else None)
         if whole is not None:
             dx = whole(self._r_flat)[rows]
         else:
-            call = self._solver_call
-            dx = np.concatenate([(call[p] or self._bind_solve(p))(r)
-                                 for p, r in zip(wl, blocks)])
+            call, rb = self._solver_call, self.r_blocks
+            dx = np.concatenate([(call[p] or self._bind_solve(p))(rb[p])
+                                 for p in W.tolist()])
         if self.omega != 1.0:
             dx *= self.omega
         g = self._dx_flat
@@ -753,27 +758,29 @@ class BlockMethodBase:
         # rank ranges of the matvecs' contiguous runs: winners fewer than
         # _BATCH_ROWS rows apart share one, since computing the rows
         # between them costs less than another kernel call
-        rs, runs = self._relax_csr[0][3], []
-        for p in sorted(wl):
-            if runs and rs[p] - rs[runs[-1][1]] <= _BATCH_ROWS:
-                runs[-1][1] = p + 1
-            else:
-                runs.append([p, p + 1])
+        sw = np.sort(W)
+        head = np.ones(sw.size, dtype=bool)
+        head[1:] = rstart[sw[1:]] - rstart[sw[:-1] + 1] > _BATCH_ROWS
+        last = np.ones(sw.size, dtype=bool)
+        last[:-1] = head[1:]
+        runs = list(zip(sw[head].tolist(), (sw[last] + 1).tolist()))
         self._r_flat[rows] -= self._span_matvec(0, runs, g)[rows]
         self._x_flat[rows] += dx
-        self.norms[W] = np.sqrt(list(map(_dot, blocks, blocks)))
+        self.norms[W] = np.sqrt(segment_sq(self._r_flat, rstart[W],
+                                           rsize[W]))
         self._flops[W] += self._relax_flops[W]
         self.total_relaxations += rows.size
         # A (−dx), as in _relax_send (−(A dx) differs in zero signs)
         g[rows] = np.negative(dx, out=dx)
-        vidx = np.concatenate([fan_ids[p] for p in wl])
+        fan = self._fan_rows
+        vidx = multi_arange(fan[W], fan[W + 1])
         self.engine.flat.vals_flat[vidx] = self._span_matvec(1, runs, g)[vidx]
         return vidx
 
     def _span_matvec(self, k: int, runs: list, x: np.ndarray) -> np.ndarray:
         """Store ``k`` (0 = diagonal blocks, 1 = couplings) times ``x`` on
         the rank ranges ``runs``, into the store's scratch output."""
-        ptr, cols, data, cut, out, _ = self._relax_csr[k]
+        ptr, cols, data, cut, out = self._relax_csr[k]
         for p, q in runs:
             a, b = cut[p], cut[q]
             if b > a:

@@ -30,10 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.block_base import BlockMethodBase, _dot, _rank_views
+from repro.core.block_base import BlockMethodBase, _rank_views
 from repro.faults import FATE_STALE
 from repro.runtime import CATEGORY_RESIDUAL, CATEGORY_SOLVE
-from repro.runtime.flatplane import multi_arange
+from repro.sparsela.primitives import multi_arange, segment_plan, segment_sq
 
 
 __all__ = ["DistributedSouthwell"]
@@ -125,8 +125,10 @@ class DistributedSouthwell(BlockMethodBase):
         spans = list(zip(off.tolist(), off[1:].tolist()))
         self._ghost_views = [views[lo:hi] for lo, hi in spans]
         self._ghost_flops = 4.0 * np.diff(voff[self._nbr_off])
-        # per-rank slab positions: the batched relax's Γ index plan
-        self._slab_ids = _rank_views(np.arange(self._nbr_flat.size), off)
+        # each slab position's ghost layer (= its edge's delta region):
+        # the batched relax's contribution-dot segments
+        self._layer_lo = voff[:-1]
+        self._layer_len = np.diff(voff)
         # wire size of the residual message at every (owner,
         # neighbor) slab position — the deadlock scan sums its
         # per-sender byte charges by slab index
@@ -403,16 +405,20 @@ class DistributedSouthwell(BlockMethodBase):
             self._lossy_finalize_send(slice(*self._fan_rows[p:p + 2]))
 
     def _relax_batch(self, W: np.ndarray) -> np.ndarray:
-        """The batched relax plus line 15: one ghost add, one Γ update;
-        the contribution dots stay per layer (``ddot`` bits), one pass."""
+        """The batched relax plus line 15: one ghost add, one Γ update.
+        The contribution dots are each layer's own ``ddot``, batched by
+        :func:`segment_sq` — one BLAS call per distinct layer length,
+        the old and new passes sharing one length grouping."""
         vidx = super()._relax_batch(W)
         if self.ghost_estimation:
-            wl, gv = W.tolist(), self._ghost_views
-            views = [z for p in wl for z in gv[p]]
-            olds = np.array(list(map(_dot, views, views)))
-            self._ghost_flat[vidx] += self.engine.flat.vals_flat[vidx]
-            news = np.array(list(map(_dot, views, views)))
-            spos = np.concatenate([self._slab_ids[p] for p in wl])
+            off = self._nbr_off
+            spos = multi_arange(off[W], off[W + 1])
+            lo, ln = self._layer_lo[spos], self._layer_len[spos]
+            plan = segment_plan(lo, ln)
+            ghost = self._ghost_flat
+            olds = segment_sq(ghost, lo, ln, plan)
+            ghost[vidx] += self.engine.flat.vals_flat[vidx]
+            news = segment_sq(ghost, lo, ln, plan)
             est = self._gamma_flat[spos] - olds + news
             self._gamma_flat[spos] = np.where(news > est, news, est)
             self._flops[W] += self._ghost_flops[W]

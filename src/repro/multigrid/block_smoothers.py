@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import config as _config
 from repro.core.distributed_southwell_block import DistributedSouthwell
 from repro.core.parallel_southwell_block import ParallelSouthwell
 from repro.multigrid.smoothers import Smoother, per_operator
@@ -108,15 +109,12 @@ class BlockSmoother(Smoother):
         if method not in BLOCK_SMOOTHER_METHODS:
             raise ValueError(f"unknown block smoother method {method!r}; "
                              f"choices: {sorted(BLOCK_SMOOTHER_METHODS)}")
-        if fraction <= 0:
-            raise ValueError("fraction must be positive")
-        if n_parts < 1:
-            raise ValueError("n_parts must be positive")
         self.method = method
         self.name = f"block-{method}"
-        self.n_parts = n_parts
-        self.fraction = fraction
-        self.seed = seed
+        self.n_parts = _config.require_int("n_parts", n_parts, 1)
+        self.fraction = _config.require_finite("fraction", fraction,
+                                               positive=True)
+        self.seed = _config.require_int("seed", seed, 0)
         self.local_solver = local_solver
         self.partition_method = partition_method
         self.cost_model = cost_model

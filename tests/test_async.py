@@ -189,6 +189,9 @@ def test_async_ds_validation(async_setup):
         AsyncExecutor(DistributedSouthwell(system), poll_interval=-1e-6)
     with pytest.raises(ValueError):
         AsyncExecutor(DistributedSouthwell(system)).run()
+    for bad in (2.5, -1, True, "0"):
+        with pytest.raises(ValueError, match="^seed must be"):
+            DistributedSouthwell(system, seed=bad)
 
 
 def test_lockstep_straggler_support(async_setup):

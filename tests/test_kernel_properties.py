@@ -1,5 +1,7 @@
 """Property-based tests for the relaxation kernels on random SPD systems."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.sparsela import (
     jacobi_sweep,
     symmetric_unit_diagonal_scale,
 )
+from repro.sparsela import primitives
 from repro.sparsela.kernels import residual
 
 from tests import oracles
@@ -72,3 +75,36 @@ def test_unit_scaling_congruence(n, seed):
     d = scaled.scale
     assert np.allclose(scaled.matrix.to_dense() * np.outer(d, d),
                        A.to_dense(), atol=1e-10)
+
+
+#: segment lengths past 300, so OpenBLAS's unrolled blocks and its
+#: scalar tails both run; every shape the length grouping special-cases
+_SEGMENT_LENGTHS = st.one_of(
+    st.lists(st.integers(1, 320), max_size=40),
+    st.integers(1, 320).map(lambda n: [n]),
+    st.just([]),
+    st.tuples(st.integers(1, 320), st.integers(2, 40)).map(
+        lambda t: [t[0]] * t[1]),
+    st.lists(st.integers(1, 320), min_size=2, max_size=40, unique=True),
+)
+
+
+@given(_SEGMENT_LENGTHS, st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_segment_sq_is_ndarray_dot_bit_for_bit(lens, seed):
+    """The length-batched squared norms are each segment's own ``ddot``:
+    equal bytes, not merely close, batched or looped."""
+    rng = np.random.default_rng(seed)
+    store = (rng.standard_normal(4000)
+             * 10.0 ** rng.uniform(-6.0, 4.0, 4000))
+    ln = np.array(lens, dtype=np.int64)
+    lo = rng.integers(0, store.size - ln + 1) if ln.size else ln
+    want = np.array([store[a:a + n].dot(store[a:a + n])
+                     for a, n in zip(lo.tolist(), lens)], dtype=np.float64)
+    assert primitives.segment_sq(store, lo, ln).tobytes() == want.tobytes()
+    with mock.patch.object(primitives, "_SEGMENT_BATCH", 1), \
+            mock.patch.object(primitives, "_SEGMENTS_PER_LENGTH", 1):
+        plan = primitives.segment_plan(lo, ln)
+        assert bool(plan) == bool(lens)     # every non-empty run batches
+        got = primitives.segment_sq(store, lo, ln, plan)
+    assert got.tobytes() == want.tobytes()

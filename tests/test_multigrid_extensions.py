@@ -13,6 +13,7 @@ from repro.multigrid import (
     WeightedJacobiSmoother,
     bilinear_prolongation,
     full_weighting,
+    make_smoother,
     prolongation_matrix,
     restriction_matrix,
 )
@@ -161,6 +162,21 @@ def test_smoother_validation_extras():
             WeightedJacobiSmoother(n_sweeps=bad_sweeps)
         with pytest.raises(ValueError, match="n_sweeps"):
             RedBlackGaussSeidelSmoother(n_sweeps=bad_sweeps)
+    # the block smoothers: a bad scalar is a ValueError naming the field
+    # at construction, not a partitioner or SeedSequence error mid-cycle
+    for kw, field in [({"n_parts": 2.5}, "n_parts"),
+                      ({"n_parts": True}, "n_parts"),
+                      ({"n_parts": "4"}, "n_parts"),
+                      ({"n_parts": 0}, "n_parts"),
+                      ({"seed": 2.5}, "seed"), ({"seed": -1}, "seed"),
+                      ({"budget": float("nan")}, "fraction"),
+                      ({"budget": float("inf")}, "fraction"),
+                      ({"budget": 0.0}, "fraction")]:
+        args = {"budget": 1.0, "n_parts": 4, "seed": 0, **kw}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make_smoother("ds", **args)
+    sm = make_smoother("ds", n_parts=np.int64(4), seed=np.int32(1))
+    assert (sm.n_parts, sm.seed) == (4, 1)
 
 
 # ------------------------------------------------------------- chebyshev
