@@ -734,17 +734,17 @@ class BlockMethodBase:
 
     def _relax_batch(self, W: np.ndarray) -> np.ndarray:
         """:meth:`_relax_send` for all of ``W``; returns their fan-outs'
-        mailbox positions.  Winners covering :data:`_BATCH_ROWS` rows
-        each solve through the whole block diagonal's factor, fewer per
-        block.  Every solve row and product row is computed exactly as
-        per block, and the ``‖r_p‖`` are one :func:`segment_sq` — each
-        block's own ``ddot``, one BLAS call per distinct block length
-        (DESIGN.md §5.8).  Row and mailbox indices are offset
-        arithmetic, no per-winner Python."""
+        mailbox positions.  A one-sweep ``gs`` system solves every
+        batch through the whole block diagonal's one factor and keeps
+        the winners' rows, so no rank's block is ever factored; other
+        local solvers solve per block.  Every solve row and product row
+        is computed exactly as per block, and the ``‖r_p‖`` are one
+        :func:`segment_sq` — each block's own ``ddot``, one BLAS call
+        per distinct block length (DESIGN.md §5.8).  Row and mailbox
+        indices are offset arithmetic, no per-winner Python."""
         rstart, rsize = self._rstart, self._rsize
         rows = multi_arange(rstart[W], rstart[W + 1])
-        whole = (self.system.block_diag_solve()
-                 if W.size * _BATCH_ROWS >= self.system.n else None)
+        whole = self.system.block_diag_solve()
         if whole is not None:
             dx = whole(self._r_flat)[rows]
         else:

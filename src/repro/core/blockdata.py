@@ -33,14 +33,13 @@ __all__ = ["BlockSystem", "build_block_system"]
 #: rows costing about one python dispatch to relax: a lockstep step runs
 #: its winners as one batch on blocks averaging at most this many rows
 #: and bridges shorter gaps between winners (measured crossover ≈ 150
-#: rows/block, 5-point stencil); its winners solve through one factor of
-#: the whole block diagonal once they cover this many rows each
-#: (DESIGN.md §5.8)
+#: rows/block, 5-point stencil; DESIGN.md §5.8)
 _BATCH_ROWS = 128
 
 
 def _batched(n: int, n_parts: int) -> bool:
-    """Whether lockstep steps relax their winners as one batch: blocks
+    """Whether lockstep steps relax their winners as one batch (through
+    :meth:`BlockSystem.block_diag_solve` for a ``gs`` sweep): blocks
     average at most :data:`_BATCH_ROWS` rows.  Otherwise every rank
     relaxes on its own and factors its block at build."""
     return n <= _BATCH_ROWS * n_parts
@@ -60,9 +59,11 @@ class BlockSystem:
     local_solvers:
         Local solver per process.  Gauss-Seidel blocks are factored at
         build only where every rank relaxes on its own (blocks above
-        :data:`_BATCH_ROWS` rows on average); a batching system factors
-        a block at its rank's first solo relax and solves larger
-        batches through :meth:`block_diag_solve`.
+        :data:`_BATCH_ROWS` rows on average), and by an async run's
+        ``prepare()``.  A batching system's lockstep steps solve every
+        one-sweep batch through :meth:`block_diag_solve` and factor no
+        block; a block is factored at its first relax through its own
+        solver (the object plane's ``relax``).
     couplings:
         ``couplings[(p, q)]`` = CSR of shape ``(len(beta[(q, p)]), m_p)``
         mapping ``Δx_p`` to the residual change on ``q``'s boundary rows.
@@ -159,9 +160,11 @@ class BlockSystem:
         The solve of one SuperLU factor of the whole block diagonal's
         ``L+D``, built at the first call (a pickle drops it): rows
         ``rows_slice(p)`` of its result are bit-identical to
-        ``local_solvers[p]``'s sweep on those rows (blocks are
-        decoupled), so a batched relax solves once and keeps its
-        winners' rows (DESIGN.md §5.8).
+        ``local_solvers[p]``'s sweep on those rows, whatever the other
+        rows hold (blocks are decoupled), so every batched lockstep
+        relax solves once and keeps its winners' rows, and a batching
+        system holds this one factor instead of one per block
+        (DESIGN.md §5.8).
         """
         if self._diag_lu is None:
             if self._pickle_args[2:4] != ("gs", 1):

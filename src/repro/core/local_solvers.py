@@ -46,9 +46,11 @@ class GaussSeidelLocal(LocalSolver):
     residual ``r - A_pp dx`` and accumulate.  The ``L+D`` factor (SuperLU,
     natural ordering keeps it triangular) is built at the first apply or
     :meth:`bind`, or by :meth:`factor` — so each sweep is one compiled
-    solve, and a rank that never relaxes on its own never holds one: a
-    block build whose steps relax their winners together solves one
-    factor of the whole block diagonal instead (DESIGN.md §5.8).
+    solve.  A one-sweep block of a system whose lockstep steps relax
+    their winners together is never factored by those steps: they solve
+    one factor of the whole block diagonal instead; a relax through
+    this solver itself (the object plane's) factors it
+    (DESIGN.md §5.8).
     """
 
     def __init__(self, App: CSRMatrix, n_sweeps: int = 1,

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.analysis.history import ConvergenceHistory
 from repro.sparsela import CSRMatrix
+from repro.sparsela.csr import _mirror_slots
 from repro.sparsela.kernels import residual
 
 __all__ = [
@@ -70,14 +71,9 @@ class EdgeStructure:
         counts = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        keys = src * n + dst
-        rev_keys = dst * n + src
-        order = np.argsort(keys)
-        pos = np.searchsorted(keys[order], rev_keys)
-        if (pos >= keys.size).any() or np.any(
-                keys[order][np.minimum(pos, keys.size - 1)] != rev_keys):
+        rev = _mirror_slots(src, dst, n)
+        if np.any(rev < 0):
             raise ValueError("matrix pattern is not structurally symmetric")
-        rev = order[pos]
         diag = A.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("zero diagonal entry")

@@ -113,6 +113,12 @@ def coarsen_graph(g: Graph, min_vertices: int = 48, max_levels: int = 30,
         if current.n_vertices <= min_vertices:
             break
         match = heavy_edge_matching(current, seed=seed + lev)
+        if current is not g:
+            # a coarse level's lists are read again only by its
+            # refinement: converting twice keeps one level's lists
+            # alive at a time.  ``g`` keeps its lists, since its own
+            # refinement, which holds them, is the bisection's peak
+            current.drop_lists()
         level = contract(current, match)
         if level.graph.n_vertices >= shrink_threshold * current.n_vertices:
             break

@@ -73,6 +73,13 @@ class Graph:
             self._vwgt_list = self.vwgt.tolist()
         return self._vwgt_list
 
+    def drop_lists(self) -> None:
+        """Forget the cached Python lists once the graph's last list
+        kernel has run: a list holds an int object per slot, several
+        times its array's bytes, and a bisection would otherwise keep
+        every coarse level's alive (DESIGN.md §5.10)."""
+        self._lists = self._vwgt_list = None
+
     @property
     def n_edges(self) -> int:
         """Number of undirected edges."""

@@ -47,13 +47,16 @@ def multilevel_bisection(g: Graph, fraction0: float = 0.5, seed: int = 0,
     side = fm_refine(coarsest, side,
                      target0=target0_frac * coarsest.total_vertex_weight(),
                      imbalance=imbalance)
-    # project up through the hierarchy, refining at each level
+    coarsest.drop_lists()
+    # project up through the hierarchy, refining at each level; each
+    # graph's lists go once it is refined (no later kernel lists ``g``)
     for level, fine in zip(reversed(levels),
                            reversed([g] + [lv.graph for lv in levels[:-1]])):
         side = side[level.cmap]
         side = fm_refine(fine, side,
                          target0=target0_frac * fine.total_vertex_weight(),
                          imbalance=imbalance)
+        fine.drop_lists()
     return side
 
 

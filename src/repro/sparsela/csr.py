@@ -528,3 +528,19 @@ def _segment_pointers(ptr: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """
     seg = np.repeat(np.arange(bounds.size - 1), np.diff(bounds) + 1)
     return ptr[np.arange(seg.size) - seg] - ptr[bounds[seg]]
+
+
+def _mirror_slots(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Where each coordinate's mirror is stored: ``out[e]`` is the ``f``
+    with ``(src[f], dst[f]) == (dst[e], src[e])``, or ``-1`` where the
+    pattern holds no mirror.  Coordinates must be distinct and below
+    ``n``; every temporary is one entry per coordinate."""
+    keys = src * n + dst
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    want = dst * n + src
+    pos = np.searchsorted(keys, want)
+    np.minimum(pos, max(keys.size - 1, 0), out=pos)
+    out = order[pos]
+    out[keys[pos] != want] = -1
+    return out

@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
+import repro.api
 from repro.api import MultigridConfig, RunConfig, solve
 from repro.cli import main
 from repro.core import DistributedSouthwell
 from repro.core.blockdata import build_block_system
 from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
-from repro.sparsela import write_matrix_market
+from repro.sparsela import CSRMatrix, write_matrix_market
 
 
 def test_solve_returns_consistent_result(fem_300):
@@ -88,6 +89,78 @@ def test_solve_rejects_negative_diagonal(kind):
         A.indices[A.indptr[row]:A.indptr[row + 1]] == row)[0]] *= -1.0
     with pytest.raises(ValueError, match="negative diagonal.* at row 5;"):
         solve(A, np.ones(A.n_rows), **_RUN_KINDS[kind])
+
+
+@pytest.fixture
+def no_setup(monkeypatch):
+    """Fail the test if a run gets as far as partitioning."""
+    def ran(*args, **kwargs):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(repro.api, "get_setup", ran)
+    monkeypatch.setattr(repro.api, "_solve_multigrid", ran)
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_KINDS))
+def test_solve_rejects_non_square_matrix(kind, no_setup):
+    A = CSRMatrix.from_scipy(poisson_2d(4).to_scipy()[:, :15])
+    with pytest.raises(ValueError, match=r"^A must be square, got shape "
+                                         r"\(16, 15\)"):
+        solve(A, np.ones(16), **_RUN_KINDS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(_RUN_KINDS))
+@pytest.mark.parametrize("extra,first", [
+    ([(0, 8)], (0, 8)),
+    # the first entry without a mirror in row-major order is named
+    ([(9, 30), (2, 40)], (2, 40)),
+    # a mirrored pair is fine; its unmirrored neighbor is not
+    ([(0, 8), (8, 0), (48, 3)], (48, 3)),
+], ids=["one", "first-of-two", "mirrored-pair"])
+def test_solve_rejects_pattern_asymmetric_matrix(kind, extra, first,
+                                                 no_setup):
+    """A stored ``(i, j)`` without ``(j, i)`` is a ValueError naming the
+    first such entry, before set-up (values need not be symmetric)."""
+    S = poisson_2d(7).scale(64.0).to_scipy().tolil()
+    for i, j in extra:
+        S[i, j] = -1.0
+    A = CSRMatrix.from_scipy(S.tocsr())
+    i, j = first
+    with pytest.raises(ValueError, match=rf"^A's pattern is not symmetric: "
+                                         rf"entry \({i}, {j}\) has no "
+                                         rf"mirror \({j}, {i}\)"):
+        solve(A, np.ones(A.n_rows), **_RUN_KINDS[kind])
+
+
+def test_solve_accepts_value_asymmetric_matrix():
+    """Only the pattern must be symmetric."""
+    S = poisson_2d(7).scale(64.0).to_scipy().tolil()
+    S[0, 1] = -30.0
+    A = CSRMatrix.from_scipy(S.tocsr())
+    res = solve(A, np.ones(A.n_rows), max_steps=3,
+                **_RUN_KINDS["lockstep"])
+    assert res.parallel_steps == 3
+
+
+def test_pattern_check_reads_unsorted_rows():
+    """Rows stored out of column order fail the transpose comparison
+    but are searched entry by entry: a symmetric pattern passes, a lone
+    entry is still named."""
+    S = poisson_2d(5).to_scipy()
+    ptr, idx = S.indptr.astype(np.int64), S.indices.astype(np.int64)
+    rev = np.concatenate([np.arange(ptr[r + 1] - 1, ptr[r] - 1, -1)
+                          for r in range(S.shape[0])])
+    repro.api._check_pattern_symmetric(
+        CSRMatrix(ptr, idx[rev], S.data[rev], S.shape))
+    L = S.tolil()
+    L[3, 20] = -1.0
+    L = L.tocsr()
+    ptr, idx = L.indptr.astype(np.int64), L.indices.astype(np.int64)
+    rev = np.concatenate([np.arange(ptr[r + 1] - 1, ptr[r] - 1, -1)
+                          for r in range(L.shape[0])])
+    with pytest.raises(ValueError, match=r"entry \(3, 20\) has no mirror"):
+        repro.api._check_pattern_symmetric(
+            CSRMatrix(ptr, idx[rev], L.data[rev], L.shape))
 
 
 @pytest.mark.parametrize("field,bad", [

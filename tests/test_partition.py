@@ -33,6 +33,7 @@ from repro.partition import (
 )
 from repro.partition.bisect import bisection_cut
 from repro.partition.coarsen import contract
+from repro.partition.graph import Graph
 from repro.runtime import pool
 from repro.sparsela import CSRMatrix
 
@@ -531,3 +532,20 @@ def test_grid_blocks_contiguous():
         ys, xs = np.nonzero(parts == p)
         area = (ys.max() - ys.min() + 1) * (xs.max() - xs.min() + 1)
         assert area == ys.size
+
+
+def test_bisection_drops_its_list_caches(monkeypatch):
+    """Coarse levels hold their Python lists only while a kernel reads
+    them, and a finished bisection leaves none behind; the labels are
+    those of a run that kept every list."""
+    g = matrix_graph(poisson_2d(24))
+    levels = coarsen_graph(g, seed=0)
+    assert len(levels) > 1 and g._lists is not None
+    assert all(lv.graph._lists is None for lv in levels)
+    g = matrix_graph(poisson_2d(24))
+    side = multilevel_bisection(g, seed=3)
+    assert g._lists is None and g._vwgt_list is None
+    monkeypatch.setattr(Graph, "drop_lists", lambda self: None)
+    kept = matrix_graph(poisson_2d(24))
+    assert np.array_equal(multilevel_bisection(kept, seed=3), side)
+    assert kept._lists is not None
