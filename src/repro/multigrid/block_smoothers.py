@@ -17,11 +17,13 @@ contract (DESIGN.md §5.16):
   block) carries into the level's next smoothing application, keeping the
   *cumulative* budget exact to within one block.
 
-Each level's runner is built once per operator (via the persistent setup
-cache, so a warm run re-partitions nothing) and reused across every
+Each level's runner is built once per operator and reused across every
 V-cycle visit; its engine's :class:`~repro.runtime.stats.MessageStats`
 therefore accumulates the level's smoothing traffic for the per-level
-accounting in :mod:`repro.multigrid.mg_exec`.
+accounting in :mod:`repro.multigrid.mg_exec`.  Only the finest level is
+partitioned (through the persistent setup cache): a coarse level of a
+2:1 hierarchy inherits the finer level's ownership by injection, and
+partitions afresh only where that would leave a part empty.
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import config as _config
+from repro.core.blockdata import BlockSystem, build_block_system
 from repro.core.distributed_southwell_block import DistributedSouthwell
 from repro.core.parallel_southwell_block import ParallelSouthwell
+from repro.multigrid.grid import fine_dim_of
 from repro.multigrid.smoothers import Smoother, per_operator
+from repro.partition import partition_from_parts
 from repro.runtime import CORI_LIKE, CostModel, runtime_mode, use_runtime
 from repro.setupcache import get_setup
 from repro.solvers.block_jacobi import BlockJacobi
@@ -123,6 +128,9 @@ class BlockSmoother(Smoother):
         self.cache_dir = cache_dir
         #: ``id(A) -> (A, LevelRunner)`` (see :func:`per_operator`)
         self._levels: dict[int, tuple] = {}
+        #: ``id(A_c) -> (A_c, A_f)``: a coarse operator's finer level, held
+        #: and verified by identity like :attr:`_levels`
+        self._finer: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Smoother protocol
@@ -134,17 +142,57 @@ class BlockSmoother(Smoother):
     def prepare(self, A: CSRMatrix) -> LevelRunner:
         """Build (or fetch) the persistent runner for operator ``A``.
 
-        Partitioning and block building go through the persistent setup
-        cache, so a warm multigrid run re-partitions no level.
+        A coarse level of a linked hierarchy (:meth:`_link_hierarchy`)
+        prepares its finer level first and inherits its ownership
+        (:meth:`_inherited_system`); any other level is partitioned
+        through the persistent setup cache.
         """
         return per_operator(self._levels, A, self._build_level)
 
+    def _link_hierarchy(self, operators: list[CSRMatrix]) -> None:
+        """Record each coarse operator's finer level (``operators`` is a
+        2:1 grid hierarchy, finest first)."""
+        for fine, coarse in zip(operators, operators[1:]):
+            self._finer[id(coarse)] = (coarse, fine)
+
+    def _inherited_system(self, A: CSRMatrix,
+                          n_parts: int) -> BlockSystem | None:
+        """``A``'s block system on its finer level's ownership, or None.
+
+        Coarse point ``(I, J)`` is fine point ``(2I+1, 2J+1)``
+        (:mod:`repro.multigrid.transfer`) and stays on the rank that owns
+        it there.  None — partition afresh — when ``A`` has no finer
+        level, the finer level has another part count, or a part would
+        be empty.
+        """
+        link = self._finer.get(id(A))
+        if link is None or link[0] is not A:
+            return None
+        fine = self.prepare(link[1])
+        if fine.n_parts != n_parts:
+            return None
+        n_f = fine_dim_of(link[1].n_rows)
+        parts = fine.runner.system.part.parts
+        labels = parts.reshape(n_f, n_f)[1::2, 1::2].ravel()
+        if np.bincount(labels, minlength=n_parts).min() == 0:
+            return None
+        if self.tracer.enabled:
+            self.tracer.phase_begin("setup:block_build")
+        system = build_block_system(
+            A, partition_from_parts(A, labels, n_parts),
+            local_solver=self.local_solver)
+        if self.tracer.enabled:
+            self.tracer.phase_end("setup:block_build")
+        return system
+
     def _build_level(self, A: CSRMatrix) -> LevelRunner:
         n_parts = min(self.n_parts, A.n_rows)
-        _, system = get_setup(
-            A, n_parts, method=self.partition_method, seed=self.seed,
-            local_solver=self.local_solver, tracer=self.tracer,
-            cache_dir=self.cache_dir)
+        system = self._inherited_system(A, n_parts)
+        if system is None:
+            _, system = get_setup(
+                A, n_parts, method=self.partition_method, seed=self.seed,
+                local_solver=self.local_solver, tracer=self.tracer,
+                cache_dir=self.cache_dir)
         cls = BLOCK_SMOOTHER_METHODS[self.method]
         runner = cls(system, cost_model=self.cost_model, seed=self.seed,
                      tracer=self.tracer, faults=self.faults)

@@ -166,6 +166,8 @@ class MultigridExecutor:
             A, coarsest_dim=coarsest_dim, n_levels=n_levels,
             hierarchy=hierarchy, drop_tol=drop_tol)
         self.smoother = smoother
+        if hasattr(smoother, "_link_hierarchy"):
+            smoother._link_hierarchy([lvl.matrix for lvl in self.levels])
         self.tracer = tracer if tracer is not None else tracer_from_config()
         self._coarse_dense = np.linalg.inv(self.levels[-1].matrix.to_dense())
         #: smoothing applications per level (2 per cycle per smoothed
@@ -295,7 +297,8 @@ class MultigridExecutor:
              else np.array(x0, dtype=np.float64))
         # build every smoothed level's runner up front so the trace meta
         # line carries the hierarchy's true process count (and a warm
-        # setup cache registers one hit per level before the first cycle)
+        # setup cache is read, once per level that is partitioned rather
+        # than inherited, before the first cycle)
         n_procs = 1
         if hasattr(self.smoother, "prepare"):
             for lvl in self.levels[:-1]:

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import MultigridConfig, RunConfig, solve
 from repro.matrices.poisson import poisson_2d
@@ -18,6 +20,7 @@ from repro.multigrid import (
     make_smoother,
     sparsify,
 )
+from repro.partition import partition
 from repro.trace import RunTracer
 
 
@@ -117,15 +120,33 @@ def test_unsmoothed_coarsest_level_row_is_zero():
     assert all(r.relaxations > 0 for r in rows[:-1])
 
 
-def test_warm_setup_cache_hits_every_level(tmp_path):
-    run_block(15, 4, cache_dir=tmp_path)         # cold: populate the cache
+def _phases(tracer, name):
+    return sum(1 for ev in tracer.iter_events()
+               if ev.get("ev") == "phase" and ev.get("name") == name)
+
+
+@pytest.mark.parametrize("dim,n_parts", [(15, 4), (31, 8)])
+def test_warm_setup_cache_hits_every_partitioned_level(tmp_path, dim,
+                                                       n_parts):
+    """Only the levels that are partitioned read and write the setup
+    cache; inherited levels derive from a cached finer level, so a cold
+    and a warm run are identical byte for byte."""
+    cold_tr = RunTracer()
+    cold, _ = run_block(dim, n_parts, tracer=cold_tr, cache_dir=tmp_path,
+                        n_cycles=2)
+    n_cut = _phases(cold_tr, "setup:partition")
+    assert 1 <= n_cut < len(cold.levels) - 1     # some level inherited
+    assert len(list(tmp_path.glob("*.pkl"))) == n_cut
     tr = RunTracer()
-    mg, _ = run_block(15, 4, tracer=tr, cache_dir=tmp_path, n_cycles=1)
+    mg, _ = run_block(dim, n_parts, tracer=tr, cache_dir=tmp_path,
+                      n_cycles=2)
     cache_events = [ev for ev in tr.iter_events()
                     if ev.get("ev") == "setup_cache"]
-    n_smoothed = len(mg.levels) - 1
-    assert len(cache_events) == n_smoothed
+    assert len(cache_events) == n_cut
     assert all(ev["hit"] for ev in cache_events)
+    assert _phases(tr, "setup:partition") == 0
+    assert _sha(mg.x) == _sha(cold.x)
+    assert mg.level_stats() == cold.level_stats()
 
 
 # ------------------------------------------------------- AMG sparsification
@@ -303,10 +324,11 @@ def test_solve_mg_trace_reconciles_end_to_end(tmp_path):
 
 
 # ------------------------------------------- cross-commit pins (block smoothers)
-# Recorded on the commit before the runners started keeping their flat
-# plane across smoothing visits; ``solve(poisson_2d(31), method="mg")``
-# at P=8, 3 cycles.  Rows are (n_parts, msgs, bytes, recvs, relaxations)
-# per level, finest first.
+# Recorded when coarse levels started inheriting the finer level's
+# ownership (level 0's partition is unchanged; levels 1-2 of this
+# hierarchy now carry injected labels); ``solve(poisson_2d(31),
+# method="mg")`` at P=8, 3 cycles.  Rows are (n_parts, msgs, bytes,
+# recvs, relaxations) per level, finest first.
 def _solve_pinned(smoother, **cfg):
     return solve(poisson_2d(31), method="mg",
                  config=RunConfig(n_parts=8, mg=MultigridConfig(
@@ -318,20 +340,20 @@ def _level_rows(res):
             for r in res.levels]
 
 
-_DS_X = "a96e463fa99b7893f5473a849783bd32ecd6c2e6c2a6f8da707675ed08e57c1b"
+_DS_X = "076f443ebe4eeac46bc651678dcde1e59b8efe60021f3fc5341749715c17c11b"
 
 _BLOCK_PINS = {
-    "ds": (_DS_X, 83.125, 0.0007361898000000001,
-           [(8, 168, 31976, 168, 5659), (8, 226, 22816, 226, 1348),
-            (8, 271, 16344, 271, 290), (0, 0, 0, 0, 0)]),
-    "ps": ("4fb0c0d2fed0583e582ecfce37f520586705a0fa2655d0afa27a62cd726db3d5",
-           215.125, 0.0013889735399999997,
-           [(8, 532, 25376, 532, 5651), (8, 639, 21808, 639, 1346),
-            (8, 550, 16040, 550, 289), (0, 0, 0, 0, 0)]),
-    "bj": ("ac4f5711d3e78f0bc9c1edfea004430ebba60f548ddafd484cdde9fe4f0c442f",
-           57.0, 0.00031882158,
-           [(8, 144, 14688, 144, 5766), (8, 156, 8880, 156, 1350),
-            (8, 156, 5376, 156, 294), (0, 0, 0, 0, 0)]),
+    "ds": (_DS_X, 68.125, 0.0006220943,
+           [(8, 164, 31624, 164, 5659), (8, 193, 19936, 193, 1328),
+            (8, 188, 12744, 188, 293), (0, 0, 0, 0, 0)]),
+    "ps": ("48b75f6c8485a39f9972874aca24b7bb63537b8cee96d9716077f62f842d67ce",
+           179.625, 0.00116722671,
+           [(8, 532, 25376, 532, 5651), (8, 514, 18328, 514, 1350),
+            (8, 391, 12032, 391, 289), (0, 0, 0, 0, 0)]),
+    "bj": ("99490fd5ec8eeecc0c0be1faef8e268a10108a4441add30fa2ce88814ae58a40",
+           52.5, 0.00029516382,
+           [(8, 144, 14688, 144, 5766), (8, 144, 8160, 144, 1350),
+            (8, 132, 4800, 132, 294), (0, 0, 0, 0, 0)]),
 }
 
 
@@ -349,14 +371,14 @@ def test_block_ds_lossy_solve_matches_pinned_digest():
     from repro.faults import FaultPlan
 
     res = _solve_pinned("ds", faults=FaultPlan.uniform(seed=7, drop=0.05))
-    assert _sha(res.x) == ("8498be792766dc1771e9bf346206cc22"
-                           "3589f517171c049bb5e1a3f10b5f586d")
-    assert res.comm_cost == 92.75
-    assert res.simulated_time == 0.0008228898799999998
+    assert _sha(res.x) == ("3854b4c80b880c30e54613bcb50a1125"
+                           "29a3e6474d2658a0c253ce4fb2f09e79")
+    assert res.comm_cost == 78.75
+    assert res.simulated_time == 0.00067294123
     assert _level_rows(res) == [
-        (8, 172, 32656, 171, 5659), (8, 250, 24568, 249, 1350),
-        (8, 320, 18888, 303, 289), (0, 0, 0, 0, 0)]
-    assert res.faults_injected == {"drop:solve": 16, "drop:residual": 3,
+        (8, 174, 32920, 173, 5659), (8, 206, 20880, 205, 1328),
+        (8, 250, 15952, 244, 293), (0, 0, 0, 0, 0)]
+    assert res.faults_injected == {"drop:solve": 2, "drop:residual": 6,
                                    "retry": 86}
 
 
@@ -366,7 +388,7 @@ def test_block_ds_traced_solve_matches_pinned_digest(tmp_path):
     tr = RunTracer()
     res = _solve_pinned("ds", trace=tr)
     assert _sha(res.x) == _DS_X                  # tracing changes nothing
-    assert sum(1 for _ in tr.iter_events()) == 2398
+    assert sum(1 for _ in tr.iter_events()) == 2060
     path = tmp_path / "pinned.jsonl"
     tr.save_jsonl(path)
     summary = summarize_trace(path)
@@ -397,3 +419,147 @@ def test_smoothers_do_not_confuse_short_lived_operators(make):
             assert shared.record_for(A).runner.system.A.nnz == A.nnz
             assert shared.record_for(poisson_2d(7)) is None
         del A
+
+
+# ------------------------------------- coarse levels inherit their ownership
+def _labels(sm, level):
+    return sm.record_for(level.matrix).runner.system.part.parts
+
+
+def _check_inheritance(sm, levels, seed=0):
+    """Each smoothed level's labels follow the rule: a coarse level
+    carries its finer level's labels at ``(2I+1, 2J+1)`` when the part
+    counts agree and no part is left empty, and ``partition()``'s labels
+    otherwise.  Returns how many levels were partitioned."""
+    smoothed = levels[:-1]
+    n_cut = 0
+    for k, level in enumerate(smoothed):
+        A = level.matrix
+        n_parts = min(sm.n_parts, A.n_rows)
+        labels = _labels(sm, level)
+        assert np.bincount(labels, minlength=n_parts).min() > 0, k
+        if k:
+            n_f = smoothed[k - 1].n
+            inj = _labels(sm, smoothed[k - 1]).reshape(n_f, n_f)[1::2, 1::2]
+            inj = inj.ravel()
+            if (n_parts == min(sm.n_parts, n_f * n_f)
+                    and np.bincount(inj, minlength=n_parts).min() > 0):
+                assert np.array_equal(labels, inj), k
+                continue
+        assert np.array_equal(labels,
+                              partition(A, n_parts, seed=seed).parts), k
+        n_cut += 1
+    return n_cut
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([7, 15, 31, 63]),
+       n_parts=st.integers(1, 40),
+       hierarchy=st.sampled_from([("geometric", 0.0), ("galerkin", 0.0),
+                                  ("galerkin", 0.1), ("galerkin", 0.2)]),
+       reverse=st.booleans())
+def test_coarse_levels_inherit_the_finer_ownership(dim, n_parts, hierarchy,
+                                                   reverse):
+    sm = make_smoother("ds", n_parts=n_parts)
+    ex = MultigridExecutor(scaled_laplacian(dim), sm,
+                           hierarchy=hierarchy[0], drop_tol=hierarchy[1])
+    smoothed = ex.levels[:-1]
+    for level in (smoothed[::-1] if reverse else smoothed):
+        sm.prepare(level.matrix)
+    _check_inheritance(sm, ex.levels)
+
+
+def test_fine_grid_partitions_twice_per_hierarchy(monkeypatch):
+    """The benchmark's shape, P = 32 on 127²: only the fine level (labels
+    pinned) and the 7² level, where injection would empty a part, call
+    the partitioner; every level builds its block system once."""
+    import repro.partition as rp
+
+    monkeypatch.delenv("REPRO_SETUP_CACHE", raising=False)
+    cut = []
+    real = rp.partition_matrix
+
+    def counting(A, n_parts, **kw):
+        cut.append(A.n_rows)
+        return real(A, n_parts, **kw)
+
+    monkeypatch.setattr(rp, "partition_matrix", counting)
+    tr = RunTracer()
+    sm = make_smoother("ds", n_parts=32, tracer=tr)
+    ex = MultigridExecutor(scaled_laplacian(127), sm, tracer=tr)
+    for level in ex.levels[:-1]:
+        sm.prepare(level.matrix)
+    assert cut == [127 * 127, 7 * 7]
+    assert _phases(tr, "setup:partition") == 2
+    assert _phases(tr, "setup:block_build") == len(ex.levels) - 1 == 5
+    parts = _labels(sm, ex.levels[0]).astype(np.int64)
+    assert hashlib.sha256(parts.tobytes()).hexdigest()[:16] == (
+        "b312794341c96c1b")
+    monkeypatch.setattr(rp, "partition_matrix", real)
+    assert _check_inheritance(sm, ex.levels) == 2
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_piecewise_mg_round_matches_the_front_door(order):
+    """The benchmark's mg round makes the pieces itself — smoother,
+    executor, one ``prepare()`` per smoothed level, then ``run()`` — and
+    requires ``solve(method="mg")`` to return exactly what it did, in
+    whatever order the levels were prepared."""
+    from repro.runtime import use_runtime
+
+    A, b, x0 = poisson_2d(31), fig6_rhs(31), np.zeros(31 * 31)
+    with use_runtime("flat"):
+        sm = make_smoother("ds", budget=1.0, n_parts=8, seed=0,
+                           local_solver="gs", partition_method="multilevel",
+                           tracer=None, faults=None)
+        ex = MultigridExecutor(A, sm, coarsest_dim=3, n_levels=None,
+                               hierarchy="geometric", drop_tol=0.0)
+        smoothed = ex.levels[:-1]
+        for level in (smoothed if order == "forward" else smoothed[::-1]):
+            sm.prepare(level.matrix)
+        ex.run(b, x0=x0, n_cycles=3)
+    res = solve(A, b, method="mg", x0=x0,
+                config=RunConfig(n_parts=8, seed=0, runtime="flat",
+                                 mg=MultigridConfig(smoother="ds",
+                                                    budget=1.0, cycles=3)))
+    agg = ex.aggregate_stats()
+    assert res.x.tobytes() == ex.x.tobytes()
+    assert res.relaxations == sum(r.relaxations for r in ex.level_stats())
+    assert res.comm_cost == agg.communication_cost()
+    assert res.simulated_time == agg.elapsed_time()
+    assert list(res.levels) == ex.level_stats()
+
+
+def test_inherited_levels_never_follow_a_recycled_id():
+    """The coarse -> fine links are keyed on ``id(A)`` and hold both
+    operators: executors built on one smoother and dropped before they
+    run leave no link that a later operator's recycled id could follow,
+    and no runner a later level could be handed."""
+    import gc
+
+    shared = make_smoother("ds", n_parts=4)
+    for k in range(12):
+        # alternate grid sizes and coarse-operator stencils, so a stale
+        # parent would hand a level other labels (or another shape)
+        dim, other = ((15, 31), (31, 15))[k % 2]
+        hierarchy = ("geometric", "galerkin")[(k // 2) % 2]
+        MultigridExecutor(scaled_laplacian(other), shared,
+                          hierarchy=hierarchy)     # linked, never prepared
+        gc.collect()
+        ex = MultigridExecutor(scaled_laplacian(dim).scale(1.0 + k), shared,
+                               hierarchy=hierarchy)
+        fresh = MultigridExecutor(scaled_laplacian(dim).scale(1.0 + k),
+                                  make_smoother("ds", n_parts=4),
+                                  hierarchy=hierarchy)
+        b = fig6_rhs(dim)
+        ex.run(b, n_cycles=2)
+        fresh.run(b, n_cycles=2)
+        assert _sha(ex.x) == _sha(fresh.x), k
+        for mine, theirs in zip(ex.levels[:-1], fresh.levels[:-1]):
+            assert shared.record_for(mine.matrix).runner.system.A.nnz == (
+                mine.matrix.nnz)
+            assert np.array_equal(_labels(shared, mine),
+                                  _labels(fresh.smoother, theirs)), k
+        _check_inheritance(shared, ex.levels)
+        del ex, fresh
+        gc.collect()
