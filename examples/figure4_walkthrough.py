@@ -18,6 +18,7 @@ from repro.core.blockdata import build_block_system
 from repro.matrices.poisson import poisson_1d
 from repro.partition import partition
 from repro.sparsela import symmetric_unit_diagonal_scale
+from repro.trace import RunTracer
 
 
 def build_chain():
@@ -55,25 +56,23 @@ def show_state(method, label, with_tilde):
 
 
 def trace_step(cls, label, with_tilde):
+    """Print one parallel step of ``cls`` on the chain; returns every
+    message it sent as ``"P<src> --<category>--> P<dst>"``, in put
+    order, read from a run tracer's send events."""
     system, x0, b = build_chain()
-    method = cls(system)
+    tracer = RunTracer()
+    method = cls(system, tracer=tracer)
     method.setup(x0, b)
-
-    sent = []
-    original_put = method.engine.put
-
-    def logging_put(src, dst, category, payload, nbytes=None):
-        sent.append(f"P{src} --{category}--> P{dst}")
-        return original_put(src, dst, category, payload, nbytes=nbytes)
-
-    method.engine.put = logging_put
     print(f"\n=== {label} — one parallel step on the chain "
           "P0 - P1 - P2 - P3 ===")
     show_state(method, "initial state (Figure 4 ramp)", with_tilde)
     n_relaxed = method.step()
+    sent = [f"P{ev['src']} --{ev['cat']}--> P{ev['dst']}"
+            for ev in tracer.iter_events() if ev["ev"] == "send"]
     print(f"  phase 1: {n_relaxed} process(es) relaxed")
     print("  messages: " + ("; ".join(sent) if sent else "(none)"))
     show_state(method, "after the step", with_tilde)
+    return sent
 
 
 def main() -> None:

@@ -95,7 +95,8 @@ def run_one(label: str, plan, system, x0, b, steps: int,
                 ds.step()
                 norms.append(ds.global_norm())
             best.append((time.perf_counter() - t0) / steps)
-        assert ds._use_flat
+        assert ds.engine.flat is not None
+        assert ds.engine.faults is ds._faults
     h = hashlib.sha256()
     h.update(np.asarray(norms, dtype=np.float64).tobytes())
     h.update(np.asarray(ds.norms, dtype=np.float64).tobytes())

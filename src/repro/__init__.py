@@ -26,7 +26,7 @@ The package is organised as the paper's system is:
     Histories, metric extraction, and table formatting.
 ``repro.faults``
     Deterministic, seeded fault injection (message drop / duplication /
-    reordering / delay, process stalls, ghost staleness) and the
+    reordering, process stalls, ghost staleness) and the
     methods' repair / graceful-degradation semantics.
 ``repro.experiments``
     One driver per paper table/figure.

@@ -205,9 +205,9 @@ class RunConfig:
     ``runtime`` / ``trace`` / ``faults`` are
     execution-environment overrides: ``None`` defers to the ``REPRO_*``
     environment knobs (see :mod:`repro.config`).  ``runtime`` picks the
-    message plane — ``"flat"`` (preallocated single-process buffers),
-    ``"async"`` (the event-driven virtual-time executor, tuned by
-    ``async_config``), or ``"object"`` (the reference dict plane).
+    message plane — ``"flat"`` or ``"auto"`` (the lockstep epoch loop
+    over preallocated per-edge mailboxes) or ``"async"`` (the
+    event-driven virtual-time executor, tuned by ``async_config``).
     ``"shm"`` names a deleted plane (DESIGN.md §5.12): it runs ``"flat"``
     and reports ``SolveResult.degraded_reason = "shm-unavailable"``.
     ``trace`` accepts a
@@ -222,8 +222,9 @@ class RunConfig:
 
     ``n_parts`` must be ``None`` or an integer ≥ 1, ``max_steps`` and
     ``seed`` integers ≥ 0 (numpy integers count, ``bool`` does not) and
-    ``target_norm`` ``None`` or finite and ≥ 0; anything else raises a
-    :class:`ValueError` naming the field at construction.
+    ``target_norm`` ``None`` or finite and ≥ 0, and ``runtime`` ``None``
+    or one of :data:`repro.config.VALID_RUNTIME_MODES`; anything else
+    raises a :class:`ValueError` naming the field at construction.
     """
 
     n_parts: int | None = None
@@ -252,6 +253,8 @@ class RunConfig:
         if self.target_norm is not None:
             _config.require_finite("target_norm", self.target_norm,
                                    positive=False)
+        if self.runtime is not None:
+            _config.require_runtime(self.runtime)
 
     def to_dict(self) -> dict:
         """JSON-able view (cost-model coefficients inlined)."""
@@ -660,8 +663,7 @@ def _solve_multigrid(A: CSRMatrix, x0: np.ndarray | None,
     if cfg.runtime in ("async", "shm"):
         raise ValueError(
             f"method='mg' with runtime={cfg.runtime!r} is unsupported: the "
-            "V-cycle smooths on a lockstep plane ('auto', 'flat' or "
-            "'object')")
+            "V-cycle smooths on the lockstep plane ('auto' or 'flat')")
     trace_path: str | None = None
     tracer: Tracer | None = None
     if isinstance(cfg.trace, Tracer):

@@ -104,9 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-format_out", action="store_true",
                         help="machine-readable output (one metric per line)")
     parser.add_argument("--runtime", default=None,
-                        choices=repro_config.VALID_RUNTIME_MODES,
-                        help="execution plane (overrides REPRO_RUNTIME); "
-                             "'async' runs the event-driven engine")
+                        help="execution plane, one of "
+                             f"{', '.join(repro_config.VALID_RUNTIME_MODES)}"
+                             " (overrides REPRO_RUNTIME; a ValueError "
+                             "otherwise); 'async' runs the event-driven "
+                             "engine")
     parser.add_argument("--async-latency", type=float, default=None,
                         dest="async_latency", metavar="SECONDS",
                         help="simulated network latency under --runtime "

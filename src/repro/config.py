@@ -50,6 +50,7 @@ __all__ = [
     "parse_speed_factors",
     "require_finite",
     "require_int",
+    "require_runtime",
     "describe",
     "faults_spec",
     "runtime",
@@ -70,11 +71,12 @@ ENV_SETUP_CACHE = "REPRO_SETUP_CACHE"
 ENV_FAULTS = "REPRO_FAULTS"
 
 #: message-plane modes accepted by ``REPRO_RUNTIME`` / ``set_runtime_mode``;
-#: ``async`` is the flat plane driven by the discrete-event executor instead
-#: of lockstep epochs (DESIGN.md §5.14); ``shm`` names a deleted plane and
-#: runs the flat plane, reported as ``degraded_reason = "shm-unavailable"``
-#: (DESIGN.md §5.12)
-VALID_RUNTIME_MODES = ("auto", "flat", "shm", "async", "object")
+#: ``auto`` and ``flat`` both name the lockstep epoch loop over the flat
+#: plane; ``async`` is the same plane driven by the discrete-event executor
+#: instead of lockstep epochs (DESIGN.md §5.14); ``shm`` names a deleted
+#: plane and runs the flat plane, reported as ``degraded_reason =
+#: "shm-unavailable"`` (DESIGN.md §5.12)
+VALID_RUNTIME_MODES = ("auto", "flat", "shm", "async")
 
 #: simulated one-way network latency (seconds) for the async runtime
 DEFAULT_ASYNC_LATENCY = 5e-6
@@ -113,8 +115,8 @@ class Knob:
 
 KNOBS: tuple[Knob, ...] = (
     Knob(ENV_RUNTIME, "auto",
-         "message plane: auto | flat | async | object "
-         "(shm runs flat, reported as degraded)"),
+         "message plane: auto | flat | async "
+         "(auto = flat; shm runs flat, reported as degraded)"),
     Knob(ENV_WORKERS, "0",
          "sweep worker-pool size (< 2 runs the sweep inline)"),
     Knob(ENV_SWEEP_CACHE, "~/.cache/repro-southwell",
@@ -252,6 +254,15 @@ def parse_speed_factors(spec: str) -> tuple[tuple[int, float], ...]:
             raise ValueError(f"speed-factor rank {rank} is negative")
         out.append((rank, factor))
     return tuple(out)
+
+
+def require_runtime(mode) -> str:
+    """``mode`` itself when it is one of :data:`VALID_RUNTIME_MODES`;
+    otherwise a :class:`ValueError` listing them."""
+    if mode not in VALID_RUNTIME_MODES:
+        raise ValueError(f"runtime must be one of {VALID_RUNTIME_MODES}, "
+                         f"got {mode!r}")
+    return mode
 
 
 def require_finite(name: str, value, *, positive: bool) -> float:

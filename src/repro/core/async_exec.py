@@ -210,17 +210,14 @@ class AsyncExecutor:
         here, so every rank's solo-relax kernels are bound now — its
         local solve (its block factored), its diagonal and fan-out
         matvec plans — and the async hooks' per-slot views; the whole
-        block diagonal's factor never is, nor any object-plane state
-        (DESIGN.md §5.8).
+        block diagonal's factor never is (DESIGN.md §5.8).
         """
         runner = self.runner
-        runner.setup(x0, b)
-        if not runner._use_flat:
+        if not runner._async_supported:
             raise AsyncUnsupportedError(
-                "the async runtime needs the flat message plane: "
-                "object-plane-only configurations (delay-rate fault "
-                "plans, legacy delay injection, methods outside the "
-                "flat contract) cannot run asynchronously")
+                f"{runner.name} has no async form: its send rule is a "
+                "lockstep decision")
+        runner.setup(x0, b)
         self._force_lossy()
         P = runner.system.n_parts
         self.aplane = AsyncFlatPlane(

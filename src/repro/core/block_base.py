@@ -16,25 +16,21 @@ Invariant maintained by the messaging discipline: at the end of every
 parallel step, each ``r_p`` equals the owner's exact block of
 ``b - A x`` for the current global ``x`` — verified directly by the tests.
 
-Two message planes (DESIGN.md §5.8): the *object* plane (dict payloads,
-:class:`~repro.runtime.message.Message` objects — needed whenever delay
-injection lets a message outlive its step) and the preallocated
-*flat-buffer* plane for the paper's synchronous-epoch runs.  The base
-class owns the shared flat machinery: the concatenated neighbor slab
-(``_nbr_flat`` + ``_nbr_off`` offsets) that turns the per-rank
-``wins_neighborhood`` scan into one segment-max (:meth:`_wins_vector`),
-and the per-edge mailbox setup that points the relax workspaces straight
-at the mailbox buffers.  Eligibility is decided per :meth:`setup` from
-the runtime mode (``REPRO_RUNTIME``), the delay setting, and the
-subclass's :meth:`_flat_supported` hook; both paths are bit-for-bit and
-byte-for-byte equivalent (pinned by ``tests/test_runtime_fastpath.py``).
+One message plane (DESIGN.md §5.8): the preallocated per-edge mailboxes
+of :class:`~repro.runtime.flatplane.FlatEdgePlane`, one slot per (edge,
+message kind) per epoch — the synchronous-epoch contract of the paper's
+algorithms.  The base class owns the shared machinery: the concatenated
+neighbor slab (``_nbr_flat`` + ``_nbr_off`` offsets) that turns the
+per-rank ``wins_neighborhood`` scan into one segment-max
+(:meth:`_wins_vector`), the per-edge mailbox setup, and the relax phase
+that writes every winner's outgoing deltas straight into its mailbox
+slab.  The results are pinned bit for bit against the recorded output
+of the seed's per-message implementation (``tests/plane_pins.py``).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-
 import numpy as np
 
 from repro import config as _config
@@ -42,7 +38,7 @@ from repro.analysis.history import ConvergenceHistory
 from repro.core.blockdata import _BATCH_ROWS, BlockSystem, _batched
 from repro.faults import FaultPlan, FaultRuntime
 from repro.runtime import (CATEGORY_SOLVE, CORI_LIKE, CostModel,
-                           ParallelEngine, runtime_mode)
+                           ParallelEngine)
 from repro.runtime.flatplane import _INT32_LIMIT
 from repro.sparsela.primitives import (csr_matvec, matvec_plan,
                                        multi_arange, segment_sq)
@@ -66,34 +62,35 @@ class BlockMethodBase:
         Immutable per-process data (blocks, couplings, local solvers).
     cost_model:
         Pricing for the simulated wall-clock.
-    delay_probability, seed:
-        Staleness injection for the runtime (0 = paper behaviour); the
-        seed is an integer ``>= 0`` (a ``ValueError`` naming it if not).
+    seed:
+        An integer ``>= 0`` (a ``ValueError`` naming it if not), accepted
+        so every method takes the front door's arguments; the lockstep
+        plane draws no random numbers, so no run reads it.
     faults:
         Optional :class:`~repro.faults.FaultPlan` (DESIGN.md §5.11): a
         frozen, seeded schedule of message drops / duplications /
-        reorderings / delays, per-process stalls and slowdowns.  A null
+        reorderings, per-process stalls and slowdowns.  A null
         plan (all rates zero, no schedules) compiles to disabled
         machinery and is bit-identical to ``faults=None``.
     """
 
     name = "block-method"
-    #: damping of every flat-path local update (Block Jacobi's ``omega``)
+    #: whether :class:`~repro.core.async_exec.AsyncExecutor` can drive
+    #: the method (a lockstep-only send rule cannot)
+    _async_supported = True
+    #: damping of every local update (Block Jacobi's ``omega``)
     omega = 1.0
 
     def __init__(self, system: BlockSystem, cost_model: CostModel = CORI_LIKE,
-                 delay_probability: float = 0.0, seed: int = 0,
-                 speed_factors=None, tracer=None,
+                 seed: int = 0, speed_factors=None, tracer=None,
                  faults: FaultPlan | None = None):
-        seed = _config.require_int("seed", seed, 0)
+        _config.require_int("seed", seed, 0)
         self.system = system
         self.tracer = tracer if tracer is not None else tracer_from_config()
         self.engine = ParallelEngine(system.n_parts, cost_model=cost_model,
-                                     delay_probability=delay_probability,
-                                     seed=seed, speed_factors=speed_factors,
+                                     speed_factors=speed_factors,
                                      tracer=self.tracer)
         self.fault_plan = faults
-        self._legacy_delay = delay_probability
         self._active_plan: FaultPlan | None = None
         self._faults: FaultRuntime | None = None
         self._lossy = False
@@ -128,10 +125,6 @@ class BlockMethodBase:
         #: Deliberately NOT reset by :meth:`setup` — it belongs to the
         #: adapter that owns this runner, not to one run.
         self._relax_filter = None
-        # with staleness injection a message may outlive its step, so
-        # each object-plane delta is a fresh array instead of a reused
-        # workspace (see _ws_delta)
-        self._reuse_delta_buffers = (delay_probability == 0.0)
         # concatenated neighbor slab: neighbors_of(p) for every p laid out
         # back to back, with offsets — the decision phase and the deadlock
         # scan become single segment operations over it.  It is the block
@@ -140,55 +133,13 @@ class BlockMethodBase:
         self._nbr_flat = system.edge_dst
         self._nbr_off = np.searchsorted(system.edge_src, np.arange(P + 1))
         self._nbr_nonempty = np.diff(self._nbr_off) > 0
-        self._use_flat = False
-        #: what the run-independent structure (flat plane, index plans,
-        #: kernel bindings, estimate slabs) was last built under; ``None``
-        #: = not built.  :meth:`setup` rebuilds on any mismatch.
+        #: the lossy-ness of the fault plan the run-independent structure
+        #: (flat plane, index plans, kernel bindings, estimate slabs) was
+        #: last built under; ``None`` = not built.  :meth:`setup` rebuilds
+        #: on any mismatch.
         self._structure_key = None
 
     # ------------------------------------------------------------------
-    # object-plane workspaces, built the first time the object plane
-    # runs (DESIGN.md §5.8): the diagonal-block matvec output per
-    # process, one send buffer per coupling (the outgoing Δr message),
-    # one gather buffer per boundary list (receive side).  With
-    # synchronous epochs every solve message is consumed within the step
-    # that produced it, so the send buffers are reused and a parallel
-    # step performs no per-neighbor allocation.
-    # ------------------------------------------------------------------
-    @cached_property
-    def _ws_Ax(self) -> list[np.ndarray]:
-        return _rank_views(np.empty(self.system.n), self._rstart)
-
-    @cached_property
-    def _ws_delta_own(self) -> dict[tuple[int, int], np.ndarray]:
-        return {pq: np.empty(block.n_rows)
-                for pq, block in self.system.couplings.items()}
-
-    @cached_property
-    def _ws_gather(self) -> dict[tuple[int, int], np.ndarray]:
-        return {qp: np.empty(rows.size)
-                for qp, rows in self.system.beta.items()}
-
-    @cached_property
-    def _ws_delta(self) -> dict[tuple[int, int], np.ndarray]:
-        """:meth:`relax`'s outgoing delta buffers: on the flat plane the
-        mailbox regions themselves (a relax writes the wire payload in
-        place), else :attr:`_ws_delta_own`.  Dropped by every
-        :meth:`_build_structure`, since the plane it aliases may go."""
-        if self._use_flat:
-            plane = self.engine.flat
-            return {key: plane.vals[eid]
-                    for key, eid in plane.edge_index.items()}
-        return self._ws_delta_own
-
-    @cached_property
-    def _nbr_pos(self) -> list[dict[int, int]]:
-        """``_nbr_pos[p][q]``: ``q``'s position in ``p``'s neighbor list
-        (the object plane's Γ/Γ̃ slot of a message's sender)."""
-        nbrs, off = self.system.edge_dst.tolist(), self._nbr_off.tolist()
-        return [dict(zip(nbrs[lo:hi], range(hi - lo)))
-                for lo, hi in zip(off, off[1:])]
-
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
@@ -202,8 +153,8 @@ class BlockMethodBase:
         plans, kernel bindings, estimate slabs: everything that depends
         only on ``system`` and the method's options — is built by
         :meth:`_build_structure` on the first call and kept; a later call
-        rebuilds it only when the plane or the lossy-ness of the fault
-        plan changed (``_structure_key``).
+        rebuilds it only when the lossy-ness of the fault plan changed
+        (``_structure_key``).
         The *state* — ``x``, ``r``, norms, estimates, mail, counters,
         the compiled fault plan — is rewritten in place on every call by
         :meth:`_reset_state`.  A re-run on one runner is bit-identical to
@@ -220,8 +171,8 @@ class BlockMethodBase:
             x0 = x0[sysm.perm]
             b = b[sysm.perm]
         # compile the fault plan (a null plan compiles to nothing at all —
-        # the bit-identity contract) and attach it to the window system
-        # before either plane is configured
+        # the bit-identity contract) and attach it to the engine before
+        # the plane is configured
         plan = self.fault_plan
         if plan is not None and plan.is_null:
             plan = None
@@ -229,17 +180,9 @@ class BlockMethodBase:
         self._faults = (FaultRuntime(plan, sysm.n_parts, tracer=self.tracer)
                         if plan is not None else None)
         self._lossy = plan is not None and plan.lossy
-        self.engine.windows.faults = self._faults
-        # fault-plan delays, like legacy delay injection, let a message
-        # outlive its epoch: per-message storage, no buffer reuse
-        self._reuse_delta_buffers = (
-            self._legacy_delay == 0.0
-            and (plan is None or not plan.requires_object_plane))
-        self._use_flat = (self._reuse_delta_buffers
-                          and runtime_mode() != "object"
-                          and self._flat_supported())
+        self.engine.faults = self._faults
         # everything the kept structure depends on besides ``system``
-        key = (self._use_flat, self._reuse_delta_buffers, self._lossy)
+        key = self._lossy
         if key != self._structure_key:
             self._structure_key = None      # a raising build leaves none
             self._build_structure()
@@ -250,13 +193,9 @@ class BlockMethodBase:
     def _build_structure(self) -> None:
         """The run-independent half of :meth:`setup`; subclasses extend
         it with their estimate slabs and iteration plans."""
-        self.__dict__.pop("_ws_delta", None)
-        if self._use_flat:
-            self._configure_flat_plane()
-            if self._lossy:
-                self._alloc_lossy_flat()
-        else:
-            self.engine.windows.flat = None
+        self._configure_flat_plane()
+        if self._lossy:
+            self._alloc_lossy_flat()
 
     def _reset_state(self, x0: np.ndarray, b: np.ndarray) -> None:
         """The per-run half of :meth:`setup`: write ``(x0, b)`` (permuted
@@ -279,24 +218,13 @@ class BlockMethodBase:
         self.degraded = False
         self.degraded_reason = None
         self.repairs_sent = 0
-        if self._use_flat:
-            self.engine.windows.reset_flat()
+        self.engine.reset_flat()
         if self._lossy:
             self._reset_lossy_state()
 
     # ------------------------------------------------------------------
     # flat-buffer message plane (DESIGN.md §5.8)
     # ------------------------------------------------------------------
-    def _flat_supported(self) -> bool:
-        """Can this method drive the flat-buffer plane?
-
-        Overridden by subclasses: False whenever a messaging hook changes
-        the one-solve-plus-one-residual-per-edge-per-epoch contract (the
-        thresholded variant's send suppression, the PS piggyback
-        ablation's double sends).
-        """
-        return False
-
     def _flat_ghost_rows(self, n_vals: np.ndarray,
                          rev: np.ndarray) -> np.ndarray:
         """Ghost (``z``) payload length of every edge (0 = no ghosts),
@@ -306,14 +234,14 @@ class BlockMethodBase:
     def _flat_message_nbytes(self, n_vals, n_z):
         """Wire sizes ``(solve, residual)`` of this method's messages on
         edges with the given buffer lengths (scalars or per-edge arrays)
-        — must equal ``payload_nbytes`` on the equivalent dict payloads so
-        both planes charge identical bytes."""
+        — 16 header bytes plus 8 per float64 or scalar field of the
+        message (``tests/oracles.py::payload_nbytes`` is the reference)."""
         raise NotImplementedError  # pragma: no cover
 
     def _configure_flat_plane(self) -> None:
-        """Attach preallocated per-edge mailboxes and point the outgoing
-        delta workspaces at them (a relax then writes the wire payload in
-        place — no copy, no allocation).
+        """Attach preallocated per-edge mailboxes and build the plans that
+        address them (a relax writes the wire payload in place — no copy,
+        no allocation).
 
         Every index plan is a whole-array gather over the block system's
         coupling directory: its pairs ascend by ``(src, dst)``, so pair
@@ -344,8 +272,8 @@ class BlockMethodBase:
         # slab-aligned send plans: each (owner, neighbor) position's edge
         # and slot-ids, plus per-rank fan-out shapes — the phase loops
         # batch a whole epoch's sends into one put_epoch call (the slab
-        # is owner-major with neighbors ascending, which is exactly the
-        # per-put order of the object path)
+        # is owner-major with neighbors ascending: the put order of one
+        # message per (sender, neighbor) in ascending rank order)
         self._slab_eids = np.arange(E, dtype=idt)
         self._out_eids = [self._slab_eids[off[p]:off[p + 1]]
                           for p in range(P)]
@@ -395,12 +323,11 @@ class BlockMethodBase:
         self._zsrc_grows = self._grows_flat[self._z2g]
         self._zspan_lo, self._zspan_hi = zoff[off[:-1]], zoff[off[1:]]
         # relaxation plans: the open step's per-process flop counters
-        # (+= on the view is exactly engine.charge_flops), each rank's
+        # (+= on the view is exactly stats.record_flops), each rank's
         # solo-relax kernels (bound at its first solo relax: _bind_solve)
         # and every relax flop charge folded into one per-rank constant —
         # each term is an integer-valued float, so the batched add is
-        # exactly the object path's per-charge sum.
-        # Flat-path only: the object plane stays the seed implementation.
+        # exactly the per-charge sum.
         self._flops = self.engine.stats._step_flops
         self._solver_call = [None] * P
         self._mv_diag = [None] * P
@@ -487,73 +414,22 @@ class BlockMethodBase:
         forever, a doubled one applies twice.  Instead each sender ships
         the *running sum* of its deltas per edge and each receiver
         applies ``received − applied_so_far`` — any later message on the
-        edge heals every earlier loss, and replays apply zero.  Both
-        planes compute the delta into a workspace first and then
-        scatter-add it, so they stay bit-identical.
+        edge heals every earlier loss, and replays apply zero.
         """
-        sysm = self.system
         plan = self._active_plan
         self._dedupe_dups = (plan.solve.duplicate > 0.0
                              or plan.residual.duplicate > 0.0)
-        if self._use_flat:
-            self._cum_flat.fill(0.0)
-            self._applied_flat.fill(0.0)
-        else:
-            self._cum_sent = {pq: np.zeros(block.n_rows)
-                              for pq, block in sysm.couplings.items()}
-            self._cum_applied = {qp: np.zeros(rows.size)
-                                 for qp, rows in sysm.beta.items()}
-            self._ws_gather2 = {qp: np.empty(rows.size)
-                                for qp, rows in sysm.beta.items()}
-            self._last_seq = {qp: -1 for qp in sysm.beta}
-
-    def _outgoing_vals(self, p: int, q: int,
-                       delta: np.ndarray) -> np.ndarray:
-        """The solve payload for edge ``(p, q)``: the delta itself, or
-        under a lossy plan the cumulative per-edge sum (a fresh copy —
-        the running sum keeps mutating while the message is in flight).
-        """
-        if not self._lossy:
-            return delta
-        cum = self._cum_sent[(p, q)]
-        cum += delta
-        return cum.copy()
+        self._cum_flat.fill(0.0)
+        self._applied_flat.fill(0.0)
 
     def _lossy_finalize_send(self, idx) -> None:
-        """Flat-path counterpart of :meth:`_outgoing_vals`: swap the
-        just-relaxed raw deltas at mailbox positions ``idx`` (a slice or
-        an index array) for the running per-edge sums (the wire payload
-        under a lossy plan).  Callers invoke it *after* any use of the
-        raw deltas — the DS ghost update needs them — with the same
-        ``cum + delta`` add order as the object path."""
+        """Swap the just-relaxed raw deltas at mailbox positions ``idx``
+        (a slice or an index array) for the running per-edge sums (the
+        wire payload under a lossy plan).  Callers invoke it *after* any
+        use of the raw deltas — the DS ghost update needs them."""
         cum = self._cum_flat
         cum[idx] += self.engine.flat.vals_flat[idx]
         self.engine.flat.vals_flat[idx] = cum[idx]
-
-    def _apply_update(self, p: int, msg) -> bool:
-        """Apply one solve message's boundary values to ``r_p``; returns
-        whether anything changed (a replayed or out-of-date cumulative
-        message applies nothing)."""
-        vals = msg.payload["vals"]
-        if not self._lossy:
-            self.apply_delta(p, msg.src, vals)
-            return True
-        key = (p, msg.src)
-        if msg.seq <= self._last_seq[key]:
-            return False                # duplicate or out-of-order replay
-        self._last_seq[key] = msg.seq
-        applied = self._cum_applied[key]
-        ws = self._ws_gather2[key]
-        np.subtract(vals, applied, out=ws)      # the still-missing delta
-        rows = self.system.beta[key]
-        r_p = self.r_blocks[p]
-        g = self._ws_gather[key]
-        np.take(r_p, rows, out=g)
-        g += ws
-        r_p[rows] = g
-        applied[:] = vals
-        self.engine.charge_flops(p, 2.0 * rows.size)
-        return True
 
     def _mask_stalled(self, relaxed: np.ndarray) -> np.ndarray:
         """Clear the relax decision of every rank stalled this step.
@@ -584,25 +460,21 @@ class BlockMethodBase:
         """Apply every solve delta the last epoch close delivered and
         refresh the receivers' exact block norms.
 
-        Flat-plane read-phase helper: with synchronous epochs every
-        message drained in a solve read phase is a solve update, so the
-        per-message category check of the object path is statically true.
-        The whole epoch applies as one scatter-add over the global
-        residual store — ``np.add.at`` is unbuffered (index pairs apply
-        sequentially in index order), so with the indices laid out in put
-        order each residual entry sees its updates in exactly the object
-        path's per-message sequence; different receivers' blocks are
-        disjoint.  The receivers' norms refresh in one
+        Read-phase helper: with synchronous epochs every message drained
+        in a solve read phase is a solve update.  The whole epoch applies
+        as one scatter-add over the global residual store — ``np.add.at``
+        is unbuffered (index pairs apply sequentially in index order), so
+        with the indices laid out in put order each residual entry sees
+        its updates in per-message delivery order; different receivers'
+        blocks are disjoint.  The receivers' norms refresh in one
         :func:`segment_sq` (each block's own ``ddot``, one BLAS call per
-        distinct block length) and their flops in one vector add.
-        Charges match :meth:`apply_delta` + :meth:`refresh_norm` exactly
-        (integer-valued terms, any grouping).
+        distinct block length) and their flops in one vector add: one
+        flop per applied entry, two per refreshed norm entry.
 
         Under a lossy fault plan the payloads are cumulative: adjacent
         duplicate deliveries (the only same-epoch repeats the single-slot
         mailboxes can produce) collapse to one, and each edge applies
-        ``received − applied_so_far`` — the same delta, in the same
-        order, as the object path's :meth:`_apply_update`.
+        ``received − applied_so_far``.
         """
         plane = self.engine.flat
         mail = plane.mail_ranks
@@ -635,7 +507,7 @@ class BlockMethodBase:
             sizes = self._rsize[mail]
             self.norms[mail] = np.sqrt(
                 segment_sq(self._r_flat, self._rstart[mail], sizes))
-            flops[mail] += 2.0 * sizes  # the refresh_norm charges
+            flops[mail] += 2.0 * sizes  # the norm refresh charges
 
     # ------------------------------------------------------------------
     # event-driven async plane hooks (DESIGN.md §5.14)
@@ -797,55 +669,16 @@ class BlockMethodBase:
     # ------------------------------------------------------------------
     # primitives
     # ------------------------------------------------------------------
-    def relax(self, p: int, damping: float = 1.0) -> dict[int, np.ndarray]:
-        """Relax process ``p``'s equations against its current residual.
-
-        Applies the local solver (scaled by ``damping``), updates ``x_p``,
-        ``r_p`` and the exact block norm, charges flops, and returns the
-        per-neighbor residual deltas ``{q: Δr_q[β_qp]}`` ready to be sent.
-        """
-        sysm = self.system
-        solver = sysm.local_solvers[p]
-        if self.tracer.enabled:
-            self.tracer.relax(p)
-        r_p = self.r_blocks[p]
-        dx = solver.apply(r_p)
-        if self.omega != 1.0:
-            dx *= self.omega            # dx is fresh from the solver
-        self.engine.charge_flops(p, solver.flops)
-        App = sysm.diag_blocks[p]
-        ws = self._ws_Ax[p]
-        App.matvec(dx, out=ws)
-        r_p -= ws
-        self.engine.charge_flops(p, 2.0 * App.nnz)
-        self.x_blocks[p] += dx
-        self.norms[p] = np.linalg.norm(r_p)
-        self.engine.charge_flops(p, 2.0 * r_p.size)
-        self.total_relaxations += r_p.size
-        deltas: dict[int, np.ndarray] = {}
-        for q in sysm.neighbors_of(p):
-            q = int(q)
-            block = sysm.couplings[(p, q)]
-            if self._reuse_delta_buffers:
-                buf = self._ws_delta[(p, q)]
-            else:
-                buf = np.empty(block.n_rows)
-            block.matvec(dx, out=buf)
-            np.negative(buf, out=buf)
-            deltas[q] = buf
-            self.engine.charge_flops(p, 2.0 * block.nnz)
-        return deltas
-
     def _relax_send(self, p: int) -> None:
-        """Flat-path :meth:`relax`: deltas land straight in the mailboxes
-        (the plan buffers alias them), no deltas dict, dispatch hoisted.
+        """Relax rank ``p`` on its own: local solve, ``x_p``/``r_p``
+        update, exact block norm, and the fan-out deltas written straight
+        into its mailbox slab.
 
-        Bit-identical to :meth:`relax`: same kernels on the same inputs,
         ``sqrt(x·x)`` is exactly ``np.linalg.norm(x)`` for a contiguous
-        float64 vector (numpy computes the 2-norm that way; the
-        equivalence tests pin it), and the one fused flop charge equals
-        the per-term charges because every term is an integer-valued
-        float below 2**53.
+        float64 vector (numpy computes the 2-norm that way), and the one
+        fused flop charge equals the per-term charges (solve, diagonal
+        matvec, norm, fan-out matvec) because every term is an
+        integer-valued float below 2**53.
         """
         if self.tracer.enabled:
             self.tracer.relax(p)
@@ -868,25 +701,6 @@ class BlockMethodBase:
             # after the diagonal update above.
             ndx = np.negative(dx, out=ws)
             mv(ndx, self._vals_slab[p])
-
-    def apply_delta(self, p: int, src: int, vals: np.ndarray) -> None:
-        """Apply a received boundary update from ``src`` to ``r_p``.
-
-        Runs through the preallocated gather workspace: take the boundary
-        rows, add the delta, scatter back — no temporary arrays.
-        """
-        rows = self.system.beta[(p, src)]
-        r_p = self.r_blocks[p]
-        ws = self._ws_gather[(p, src)]
-        np.take(r_p, rows, out=ws)
-        ws += vals
-        r_p[rows] = ws
-        self.engine.charge_flops(p, float(rows.size))
-
-    def refresh_norm(self, p: int) -> None:
-        """Recompute the exact block norm of ``p`` (charged as flops)."""
-        self.norms[p] = np.linalg.norm(self.r_blocks[p])
-        self.engine.charge_flops(p, 2.0 * self.r_blocks[p].size)
 
     def global_norm(self) -> float:
         """Exact global residual norm (diagnostic; no communication)."""
@@ -988,7 +802,7 @@ class BlockMethodBase:
                 if (active == 0
                         and self.engine.stats.total_messages
                         == msgs_before
-                        and self.engine.windows.in_flight == 0
+                        and self.engine.in_flight == 0
                         and self.global_norm() > (target_norm or 0.0)):
                     quiet += 1
                     if quiet >= self._active_plan.deadlock_patience:

@@ -63,7 +63,7 @@ class BlockSystem:
         ``prepare()``.  A batching system's lockstep steps solve every
         one-sweep batch through :meth:`block_diag_solve` and factor no
         block; a block is factored at its first relax through its own
-        solver (the object plane's ``relax``).
+        solver (an async turn, the sequential adaptive methods).
     couplings:
         ``couplings[(p, q)]`` = CSR of shape ``(len(beta[(q, p)]), m_p)``
         mapping ``Δx_p`` to the residual change on ``q``'s boundary rows.

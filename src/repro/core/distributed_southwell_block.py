@@ -78,9 +78,8 @@ class DistributedSouthwell(BlockMethodBase):
     @cached_property
     def ghost(self) -> list[dict[int, np.ndarray]]:
         """``ghost[p][q]`` (the paper's ``z_q``): ``p``'s copy of ``q``'s
-        residual at ``β_qp``.  The object plane assigns fresh layers every
-        run; on the flat plane the per-layer views of the ghost store are
-        wrapped in dicts at first read (no flat-path code reads them)."""
+        residual at ``β_qp`` — the per-layer views of the ghost store,
+        wrapped in dicts at first read (the hot path never reads them)."""
         nbrs, off = self._nbr_flat.tolist(), self._nbr_off.tolist()
         return [dict(zip(nbrs[lo:hi], views)) for lo, hi, views
                 in zip(off, off[1:], self._ghost_views)]
@@ -105,9 +104,7 @@ class DistributedSouthwell(BlockMethodBase):
         self._hb_last_sent = np.zeros(self._slab_owner.size, dtype=np.int64)
         self._hb_retry_used = np.zeros(self._slab_owner.size,
                                        dtype=np.int64)
-        if not self._use_flat:
-            return
-        # flat-plane iteration plans.  The ghost layers live in one
+        # iteration plans.  The ghost layers live in one
         # global flat array laid out exactly parallel to the mailbox
         # delta store: edge (p, q)'s region holds ghost[p][q] (same
         # length as the edge's vals buffer by construction).  Rank p's
@@ -146,14 +143,7 @@ class DistributedSouthwell(BlockMethodBase):
         np.take(norms_sq, self._nbr_flat, out=self._gamma_flat)
         np.take(norms_sq, self._slab_owner, out=self._tilde_flat)
         # ghost layers z_q (lines 7-9): p's copy of q's residual at β_qp
-        if self._use_flat:
-            np.take(self._r_flat, self._grows_flat, out=self._ghost_flat)
-        else:
-            sysm = self.system
-            self.ghost = [
-                {int(q): self.r_blocks[q][sysm.beta[(int(q), p)]]
-                 for q in sysm.neighbors_of(p)}
-                for p in range(sysm.n_parts)]
+        np.take(self._r_flat, self._grows_flat, out=self._ghost_flat)
         # loss hardening (DESIGN.md §5.11): under a lossy plan the Γ̃
         # mirror breaks — a dropped message leaves the neighbor believing
         # an old norm, and the line-27 repair itself can be lost.  Every
@@ -177,9 +167,6 @@ class DistributedSouthwell(BlockMethodBase):
     # ------------------------------------------------------------------
     # flat-buffer plane hooks (DESIGN.md §5.8)
     # ------------------------------------------------------------------
-    def _flat_supported(self) -> bool:
-        return True
-
     def _flat_ghost_rows(self, n_vals, rev):
         # z on edge (p, q) is p's residual at its rows coupled to q: as
         # long as the delta buffer of the reverse edge
@@ -191,200 +178,12 @@ class DistributedSouthwell(BlockMethodBase):
         return 32 + 8 * (n_vals + n_z), 32 + 8 * n_z
 
     # ------------------------------------------------------------------
-    def _boundary_values(self, p: int, q: int) -> np.ndarray:
-        """``p``'s residual at its rows coupled to ``q`` (the z payload)."""
-        return self.r_blocks[p][self.system.beta[(p, q)]].copy()
-
-    def _ghost_estimate_update(self, p: int, q: int,
-                               delta: np.ndarray) -> None:
-        """Fold ``p``'s own contribution into its estimate of ``q``.
-
-        ``est² ← est² − ‖z_old‖² + ‖z_new‖²``, clamped from below by the
-        ghost contribution itself (float drift must not push the estimate
-        of a full norm under the norm of the part we can see).
-        """
-        if self.tracer.enabled:
-            self.tracer.ghost(p, q)
-        pos = self._nbr_pos[p][q]
-        z = self.ghost[p][q]
-        old_contrib = float(z @ z)
-        z += delta
-        new_contrib = float(z @ z)
-        est = self.gamma_sq[p][pos] - old_contrib + new_contrib
-        self.gamma_sq[p][pos] = max(est, new_contrib)
-        self.engine.charge_flops(p, 4.0 * z.size)
-
-    def _emit_solve_update(self, p: int, q: int, vals: np.ndarray,
-                           new_sq: float) -> None:
-        """Send one relax update to ``q`` (Alg 3 lines 16-17).
-
-        Split out as a hook so communication-reducing variants (e.g. the
-        variable-threshold method) can intercept the send.
-        """
-        # line 16: q will learn our norm from this message
-        self.tilde_sq[p][self._nbr_pos[p][q]] = new_sq
-        self._solve_sent[p].add(q)
-        # line 17: updates, z_p, ‖r_p‖, ‖r_q‖-estimate — 1 message
-        # (under a lossy plan the vals are the cumulative per-edge sum)
-        self.engine.put(p, q, CATEGORY_SOLVE, {
-            "vals": self._outgoing_vals(p, q, vals),
-            "z": self._boundary_values(p, q),
-            "own_norm_sq": new_sq,
-            "your_est_sq": float(self.gamma_sq[p][self._nbr_pos[p][q]]),
-        })
-
-    # ------------------------------------------------------------------
-    def step(self) -> int:
-        if self._use_flat:
-            return self._step_flat()
-        sysm = self.system
-        P = sysm.n_parts
-        trc = self.tracer
-        tracing = trc.enabled
-
-        # norm each relaxing process piggybacks this step (needed again in
-        # phase 2 to settle Γ̃ after crossing messages)
-        phase1_norm_sq = np.zeros(P)
-        # neighbors each process sent an explicit residual update to this
-        # step (phase-3 crossing settlement)
-        res_sent: list[set[int]] = [set() for _ in range(P)]
-        # neighbors each relaxer actually messaged this step (variants may
-        # suppress sends, so the Γ̃ settlement must track real sends)
-        self._solve_sent: list[set[int]] = [set() for _ in range(P)]
-
-        # ---- phase 1: criterion on *estimates*, relax, put (lines 12-19)
-        if tracing:
-            trc.phase_begin("relax")
-        relaxed = self._mask_stalled(
-            self._wins_vector(self.norms * self.norms, self._gamma_flat))
-        hardened = self._hardened
-        step_no = self.steps_taken + 1
-        off = self._nbr_off
-        for p in np.flatnonzero(relaxed):
-            p = int(p)
-            deltas = self.relax(p)
-            new_sq = _sq(self.norms[p])
-            phase1_norm_sq[p] = new_sq
-            for q, vals in deltas.items():
-                # line 15: update ghost + estimate locally, no messages
-                if self.ghost_estimation:
-                    self._ghost_estimate_update(p, q, vals)
-                self._emit_solve_update(p, q, vals, new_sq)
-            if hardened:
-                # a solve send restarts the edge's heartbeat
-                for q in self._solve_sent[p]:
-                    i = off[p] + self._nbr_pos[p][q]
-                    self._hb_last_sent[i] = step_no
-                    self._hb_retry_used[i] = 0
-        self.engine.close_epoch()
-        if tracing:
-            trc.phase_end("relax")
-            trc.phase_begin("apply")
-
-        # ---- phase 2: read, correct, deadlock-check (lines 20-31)
-        for p in range(P):
-            msgs = self.engine.drain(p)
-            changed = False
-            for msg in msgs:
-                # solve messages carry boundary deltas; explicit residual
-                # messages do not (under delay injection either category
-                # can arrive in either read phase)
-                if "vals" in msg.payload:
-                    changed = self._apply_update(p, msg) or changed
-            if changed:
-                self.refresh_norm(p)
-            for msg in msgs:
-                pos = self._nbr_pos[p][msg.src]
-                # lines 24-25: overwrite ghost, Γ and Γ̃ from the payload
-                # (a ghost-stale fate models a torn one-sided read: the
-                # z payload is not applied, the headers still land)
-                if not msg.fate & FATE_STALE:
-                    self.ghost[p][msg.src] = msg.payload["z"].copy()
-                self.gamma_sq[p][pos] = msg.payload["own_norm_sq"]
-                self.tilde_sq[p][pos] = msg.payload["your_est_sq"]
-            if relaxed[p]:
-                # crossing-message settlement: a neighbor's your_est was
-                # composed before our solve message landed there, but every
-                # *recipient* ends this phase holding our piggybacked norm —
-                # so Γ̃ must record the phase-1 value we broadcast
-                # (line 16's promise), not the stale crossing estimate
-                for q in self._solve_sent[p]:
-                    self.tilde_sq[p][self._nbr_pos[p][q]] = \
-                        phase1_norm_sq[p]
-
-            # lines 27-30: deadlock avoidance; under a lossy plan every
-            # silent edge also fires a heartbeat re-send (timed out and
-            # retry budget left) — the repair message itself can be lost
-            own_sq = _sq(self.norms[p])
-            over = (self.tilde_sq[p] > own_sq if self.deadlock_avoidance
-                    else np.zeros(self.tilde_sq[p].size, dtype=bool))
-            fire = over
-            if hardened:
-                last = self._hb_last_sent[off[p]:off[p + 1]]
-                used = self._hb_retry_used[off[p]:off[p + 1]]
-                fire = over | ((step_no - last >= self._resend_after)
-                               & (used < self._retry_budget))
-            if np.any(fire):
-                nbrs = sysm.neighbors_of(p)
-                for pos in np.flatnonzero(fire):
-                    q = int(nbrs[pos])
-                    self.tilde_sq[p][pos] = own_sq  # line 28
-                    res_sent[p].add(q)
-                    if tracing:
-                        trc.repair(p, q)
-                    self.engine.put(p, q, CATEGORY_RESIDUAL, {
-                        "z": self._boundary_values(p, q),
-                        "own_norm_sq": own_sq,
-                        "your_est_sq": float(self.gamma_sq[p][pos]),
-                    })
-                self.repairs_sent += int(fire.sum())
-                if hardened:
-                    retry_only = fire & ~over
-                    used[fire] = np.where(over[fire], 0, used[fire] + 1)
-                    last[fire] = step_no
-                    n_retry = int(retry_only.sum())
-                    if n_retry:
-                        self._faults.count_retries(n_retry)
-                        if tracing:
-                            for pos in np.flatnonzero(retry_only):
-                                trc.retry(p, int(nbrs[pos]))
-        self.engine.close_epoch()
-        if tracing:
-            trc.phase_end("apply")
-            trc.phase_begin("finalize")
-
-        # ---- phase 3: read explicit residual messages (lines 32-38)
-        for p in range(P):
-            msgs = self.engine.drain(p)
-            changed = False
-            for msg in msgs:
-                if "vals" in msg.payload:       # delayed solve update
-                    changed = self._apply_update(p, msg) or changed
-            if changed:
-                self.refresh_norm(p)
-            for msg in msgs:
-                pos = self._nbr_pos[p][msg.src]
-                if not msg.fate & FATE_STALE:
-                    self.ghost[p][msg.src] = msg.payload["z"].copy()
-                self.gamma_sq[p][pos] = msg.payload["own_norm_sq"]
-                # crossing settlement: if we also sent this neighbor an
-                # explicit update, its your_est was composed before our
-                # message landed — the neighbor's final belief about us is
-                # the norm we sent (our line-28 value), so keep that
-                if msg.src not in res_sent[p]:
-                    self.tilde_sq[p][pos] = msg.payload["your_est_sq"]
-        if tracing:
-            trc.phase_end("finalize")
-        self.engine.close_step()
-        return int(relaxed.sum())
-
-    # ------------------------------------------------------------------
     def _relax_one_flat(self, p: int) -> None:
         """DS's per-rank relax-phase body: relax, then line 15 — ghosts and
         estimates updated locally, no messages: one slab add (ghost and
-        delta slabs share layout), then per-neighbor dots in the object
-        path's order.  Under a lossy plan the ghost update consumes the
-        raw deltas before the cumulative wire payload replaces them."""
+        delta slabs share layout), then per-neighbor dots in neighbor
+        order.  Under a lossy plan the ghost update consumes the raw
+        deltas before the cumulative wire payload replaces them."""
         self._relax_send(p)             # raw deltas land in plane.vals
         if self.ghost_estimation:
             if self.tracer.enabled:
@@ -405,10 +204,12 @@ class DistributedSouthwell(BlockMethodBase):
             self._lossy_finalize_send(slice(*self._fan_rows[p:p + 2]))
 
     def _relax_batch(self, W: np.ndarray) -> np.ndarray:
-        """The batched relax plus line 15: one ghost add, one Γ update.
-        The contribution dots are each layer's own ``ddot``, batched by
-        :func:`segment_sq` — one BLAS call per distinct layer length,
-        the old and new passes sharing one length grouping."""
+        """The batched relax plus line 15: one ghost add, one Γ update,
+        ``Γ ← max(Γ − ‖z_old‖² + ‖z_new‖², ‖z_new‖²)`` (float drift must
+        not push the estimate of a full norm under the part ``p`` can
+        see).  The contribution dots are each layer's own ``ddot``,
+        batched by :func:`segment_sq` — one BLAS call per distinct layer
+        length, the old and new passes sharing one length grouping."""
         vidx = super()._relax_batch(W)
         if self.ghost_estimation:
             off = self._nbr_off
@@ -435,15 +236,45 @@ class DistributedSouthwell(BlockMethodBase):
             trc.ghosts(p, self.system.neighbors_of(p))
 
     # ------------------------------------------------------------------
-    def _step_flat(self) -> int:
-        """Same three phases over the preallocated flat-buffer plane.
+    def _absorb_z(self, arr: np.ndarray, zstore: np.ndarray) -> None:
+        """Lines 24/34: overwrite the receivers' ghost layers with the z
+        payloads of the delivered slots ``arr`` (solve or residual
+        store), as one permuted copy; a ghost-stale fate (a torn
+        one-sided read) skips its overwrite."""
+        if self._stale_possible:
+            arr = arr[(self.engine.flat.last_fates & FATE_STALE) == 0]
+        eids = arr >> 1
+        zoff = self.engine.flat.z_off
+        idx = multi_arange(zoff[eids], zoff[eids + 1])
+        self._ghost_flat[self._z2g[idx]] = zstore[idx]
 
-        Bit-for-bit and byte-for-byte equivalent to :meth:`step`: the
-        relax deltas are written straight into the edge mailboxes (the
-        workspaces alias them), headers are stamped in the same order the
-        object path composes payloads, and only ranks with mail run the
-        read phases.  The decision, the Γ̃ crossing settlement and the
-        deadlock scan are single vector operations over the neighbor slab.
+    def _solve_send_mask(self, winners: np.ndarray,
+                         wmask: np.ndarray) -> np.ndarray:
+        """The slab positions (= edge ids) whose solve message goes out
+        this step, given the winners' whole fan-out ``wmask``: all of it
+        (Alg 3 line 17).  Send-suppressing variants return a subset; it
+        then also bounds the Γ̃ settlement and the heartbeat restart."""
+        return wmask
+
+    def _solve_totals(self, edges, senders):
+        """Per-sender message counts and byte totals of solve messages on
+        ``edges`` (a mask or ids over the slab), for the ranks
+        ``senders`` (exact: integer sums)."""
+        owners = self._slab_owner[edges]
+        P = self.system.n_parts
+        nbytes = np.bincount(owners, weights=self._flat_solve_nbytes[edges],
+                             minlength=P)
+        return (np.bincount(owners, minlength=P)[senders],
+                nbytes[senders].astype(np.int64))
+
+    def step(self) -> int:
+        """One parallel step (Algorithm 3) in three phases (DESIGN.md
+        §5.8): the relax deltas are written straight into the edge
+        mailboxes, headers are stamped in put order (ascending sender,
+        ascending neighbor), and only ranks with mail run the read
+        phases.  The decision, the Γ̃ crossing settlement and the
+        deadlock scan are single vector operations over the neighbor
+        slab.
         """
         plane = self.engine.flat
         norm_hdr = plane.norm
@@ -451,8 +282,6 @@ class DistributedSouthwell(BlockMethodBase):
         gflat = self._gamma_flat
         tflat = self._tilde_flat
         zoff = plane.z_off
-        z2g = self._z2g
-        ghost = self._ghost_flat
         slabpos = self._sid_slabpos
         res_mask = self._res_mask
         res_mask[:] = False
@@ -468,10 +297,11 @@ class DistributedSouthwell(BlockMethodBase):
         hardened = self._hardened
         step_no = self.steps_taken + 1
         self._relax_ranks(winners)  # deltas + line 15, per winner
-        # the norms every relaxer piggybacks this step (read again by the
-        # Γ̃ crossing settlement after phase-2 applies change norms);
-        # only the relaxed entries are ever read
+        # the norms every relaxer's solve messages carry this step (read
+        # again by the Γ̃ crossing settlement after phase-2 applies change
+        # norms); only the relaxed entries are ever read
         phase1_norm_sq = self.norms * self.norms
+        sent = None
         if winners.size:
             # every winner's outgoing z payloads in one gather out of the
             # global residual store (each winner's own block is final
@@ -487,16 +317,20 @@ class DistributedSouthwell(BlockMethodBase):
             # put for the whole epoch (slab order = ascending-sender put
             # order; vector square ≡ per-rank _sq: same IEEE multiplies)
             wmask = relaxed[self._slab_owner]
-            plane.put_epoch(self._slab_solve_sids[wmask],
-                            phase1_norm_sq[self._slab_owner[wmask]],
-                            gflat[wmask], winners,
-                            self._nbr_counts[winners],
-                            self._solve_nbytes_arr[winners],
+            sent = self._solve_send_mask(winners, wmask)
+            if sent is wmask:
+                counts = self._nbr_counts[winners]
+                nbytes = self._solve_nbytes_arr[winners]
+            else:
+                counts, nbytes = self._solve_totals(sent, winners)
+            plane.put_epoch(self._slab_solve_sids[sent],
+                            phase1_norm_sq[self._slab_owner[sent]],
+                            gflat[sent], winners, counts, nbytes,
                             CATEGORY_SOLVE)
             if hardened:
                 # a solve send restarts the edge's heartbeat
-                self._hb_last_sent[wmask] = step_no
-                self._hb_retry_used[wmask] = 0
+                self._hb_last_sent[sent] = step_no
+                self._hb_retry_used[sent] = 0
         self.engine.close_epoch()
         if tracing:
             trc.phase_end("relax")
@@ -512,27 +346,24 @@ class DistributedSouthwell(BlockMethodBase):
             # edge per epoch, so duplicate deliveries rewrite the same
             # value; applies above never read them).  Ghost-stale fated
             # messages skip the z overwrite, headers still land.
-            zarr = arr
-            if self._stale_possible:
-                zarr = arr[(plane.last_fates & FATE_STALE) == 0]
-            eids = zarr >> 1
-            idx = multi_arange(zoff[eids], zoff[eids + 1])
-            ghost[z2g[idx]] = plane.zsolve_flat[idx]
+            self._absorb_z(arr, plane.zsolve_flat)
             gpos = slabpos[arr]
             gflat[gpos] = norm_hdr[arr]
             tflat[gpos] = est_hdr[arr]
-        # crossing-message settlement (see step()): every relaxer sent all
-        # its neighbors its phase-1 norm, so Γ̃ records that promise
-        if relaxed.any():
-            mask = relaxed[self._slab_owner]
-            tflat[mask] = phase1_norm_sq[self._slab_owner[mask]]
+        # crossing-message settlement: a neighbor's your_est was composed
+        # before our solve message landed there, but every *recipient*
+        # ends this phase holding the norm we sent — so Γ̃ records that
+        # phase-1 value (line 16's promise), not the stale crossing
+        # estimate
+        if sent is not None:
+            tflat[sent] = phase1_norm_sq[self._slab_owner[sent]]
 
         # lines 27-30: deadlock avoidance — one vector scan over the slab,
         # line-28 settlement as one scatter, every repair z payload in one
         # gather and every send in one grouped put (owners come out
-        # ascending — the slab is owner-major — so the put order is the
-        # object path's; the per-sender byte sums via reduceat are exact:
-        # integer arithmetic)
+        # ascending — the slab is owner-major — so the put order is
+        # ascending sender; the per-sender byte sums via reduceat are
+        # exact: integer arithmetic)
         if self.deadlock_avoidance:
             own_sq_vec = self.norms * self.norms
             over = tflat > own_sq_vec[self._slab_owner]
@@ -583,12 +414,7 @@ class DistributedSouthwell(BlockMethodBase):
         plane.drain_all()               # charge receives; payloads below
         arr = plane.last_delivered
         if arr.size:
-            zarr = arr
-            if self._stale_possible:
-                zarr = arr[(plane.last_fates & FATE_STALE) == 0]
-            eids = zarr >> 1
-            idx = multi_arange(zoff[eids], zoff[eids + 1])
-            ghost[z2g[idx]] = plane.zres_flat[idx]
+            self._absorb_z(arr, plane.zres_flat)
             gpos = slabpos[arr]
             gflat[gpos] = norm_hdr[arr]
             # crossing settlement: keep our line-28 value wherever we also

@@ -49,8 +49,8 @@ class GaussSeidelLocal(LocalSolver):
     solve.  A one-sweep block of a system whose lockstep steps relax
     their winners together is never factored by those steps: they solve
     one factor of the whole block diagonal instead; a relax through
-    this solver itself (the object plane's) factors it
-    (DESIGN.md §5.8).
+    this solver itself (an async turn, the sequential adaptive methods)
+    factors it (DESIGN.md §5.8).
     """
 
     def __init__(self, App: CSRMatrix, n_sweeps: int = 1,

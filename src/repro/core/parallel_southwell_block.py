@@ -35,17 +35,15 @@ def _sq(x) -> float:
 class ParallelSouthwell(BlockMethodBase):
     """Algorithm 2 over the simulated RMA runtime.
 
-    Ablation knob: ``piggyback=False`` disables appending the new residual
-    norm to relax-update messages (Alg 2 line 10), so relaxing processes
-    must send their norm as a *separate* message — counting exactly what
-    the piggy-backing optimisation saves.
+    A relaxing process appends its new residual norm to every
+    relax-update message (Alg 2 line 10).  Sending that norm as a
+    separate message instead would change no arithmetic and cost exactly
+    one extra message per solve message, so a run's ``MessageStats``
+    price the saving directly: ``total_messages + category_msgs["solve"]``
+    is what the run would have sent without it.
     """
 
     name = "parallel-southwell"
-
-    def __init__(self, *args, piggyback: bool = True, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.piggyback = piggyback
 
     def _build_structure(self) -> None:
         super()._build_structure()
@@ -72,99 +70,15 @@ class ParallelSouthwell(BlockMethodBase):
     # ------------------------------------------------------------------
     # flat-buffer plane hooks (DESIGN.md §5.8)
     # ------------------------------------------------------------------
-    def _flat_supported(self) -> bool:
-        # the piggyback ablation sends two messages per edge per epoch,
-        # which breaks the one-message-per-(edge, slot) mailbox contract
-        return self.piggyback
-
     def _flat_message_nbytes(self, n_vals, n_z):
         # solve = {vals, own_norm_sq}; residual = {own_norm_sq}
         return 24 + 8 * n_vals, 24
 
     def step(self) -> int:
-        if self._use_flat:
-            return self._step_flat()
-        sysm = self.system
-        P = sysm.n_parts
-        trc = self.tracer
-        tracing = trc.enabled
-
-        # ---- phase 1: criterion + relax + put updates (lines 8-10)
-        if tracing:
-            trc.phase_begin("relax")
-        relaxed = self._mask_stalled(
-            self._wins_vector(self.norms * self.norms, self._gamma_flat))
-        for p in np.flatnonzero(relaxed):
-            p = int(p)
-            deltas = self.relax(p)
-            new_sq = _sq(self.norms[p])
-            self._broadcast_sq[p] = new_sq
-            for q, vals in deltas.items():
-                vals = self._outgoing_vals(p, q, vals)
-                if self.piggyback:
-                    self.engine.put(p, q, CATEGORY_SOLVE,
-                                    {"vals": vals, "own_norm_sq": new_sq})
-                else:
-                    # ablation: the norm travels as its own message
-                    self.engine.put(p, q, CATEGORY_SOLVE, {"vals": vals,
-                                    "own_norm_sq": None})
-                    self.engine.put(p, q, CATEGORY_RESIDUAL,
-                                    {"own_norm_sq": new_sq})
-        self.engine.close_epoch()
-        if tracing:
-            trc.phase_end("relax")
-            trc.phase_begin("apply")
-
-        # ---- phase 2: read updates; explicit residual update if our norm
-        # changed without us having told anyone (lines 11-21)
-        for p in range(P):
-            changed = False
-            for msg in self.engine.drain(p):
-                pos = self._nbr_pos[p][msg.src]
-                if msg.category == CATEGORY_SOLVE:
-                    changed = self._apply_update(p, msg) or changed
-                    if msg.payload["own_norm_sq"] is None:
-                        continue    # piggyback ablation: norm comes apart
-                self.gamma_sq[p][pos] = msg.payload["own_norm_sq"]
-            if changed:
-                self.refresh_norm(p)
-            new_sq = _sq(self.norms[p])
-            if new_sq != self._broadcast_sq[p]:
-                self._broadcast_sq[p] = new_sq
-                for q in sysm.neighbors_of(p):
-                    self.engine.put(p, int(q), CATEGORY_RESIDUAL,
-                                    {"own_norm_sq": new_sq})
-        self.engine.close_epoch()
-        if tracing:
-            trc.phase_end("apply")
-            trc.phase_begin("finalize")
-
-        # ---- phase 3: read the explicit residual updates (lines 23-28)
-        for p in range(P):
-            changed = False
-            for msg in self.engine.drain(p):
-                pos = self._nbr_pos[p][msg.src]
-                if msg.category == CATEGORY_SOLVE:  # delayed solve update
-                    changed = self._apply_update(p, msg) or changed
-                    if msg.payload["own_norm_sq"] is None:
-                        continue
-                self.gamma_sq[p][pos] = msg.payload["own_norm_sq"]
-            if changed:
-                self.refresh_norm(p)
-        if tracing:
-            trc.phase_end("finalize")
-        self.engine.close_step()
-        return int(relaxed.sum())
-
-    # ------------------------------------------------------------------
-    def _step_flat(self) -> int:
-        """Same three phases over the preallocated flat-buffer plane.
-
-        Bit-for-bit and byte-for-byte equivalent to :meth:`step` (see
-        DESIGN.md §5.8): relax deltas land directly in the edge mailboxes,
-        only ranks with mail run the read phases, and the decision and the
-        broadcast-divergence check are single vector operations.
-        """
+        """One parallel step (Algorithm 2) in three phases (DESIGN.md
+        §5.8): relax deltas land directly in the edge mailboxes, only
+        ranks with mail run the read phases, and the decision and the
+        broadcast-divergence check are single vector operations."""
         plane = self.engine.flat
         norm_hdr = plane.norm
         gflat = self._gamma_flat
@@ -180,7 +94,7 @@ class ParallelSouthwell(BlockMethodBase):
         winners = np.flatnonzero(relaxed)
         self._relax_ranks(winners)          # deltas land in plane.vals
         if winners.size:
-            # the piggybacked norms, line-10 puts and broadcast records
+            # the appended norms, line-10 puts and broadcast records
             # for every winner at once (vector square ≡ per-rank _sq:
             # same IEEE multiplies; slab order = ascending-sender put
             # order)

@@ -320,7 +320,7 @@ class ScalarDistributedSouthwell:
             self.x += dx
             self.total_relaxations += n_relaxed
             # phase 2 — receivers overwrite their ghost of each relaxed
-            # sender with the sender's piggybacked residual, which at send
+            # sender with the residual its message carries, which at send
             # time was exactly 0 (a scalar relaxation zeroes its residual)
             to_win = win[edges.dst]
             self.z[to_win] = 0.0

@@ -7,10 +7,14 @@ cost".  This variant grafts that idea onto Algorithm 3:
 
 A relaxing process compares each neighbor update's norm against
 ``threshold × ‖r_p‖`` and, instead of sending a negligible delta,
-*accumulates* it.  Accumulated deltas are flushed as soon as their sum
-crosses the threshold (or the next significant update goes out), so no
-update is ever lost — only batched.  Receivers are oblivious: payloads
-look exactly like Algorithm 3's.
+*holds* it.  A held delta is added to the edge's next update, which is
+tested again, so no update is ever lost — only batched.  Receivers are
+oblivious: payloads look exactly like Algorithm 3's.
+
+On the flat plane the held deltas live in one store shaped like the
+mailbox delta store, with one flag per edge; the DS step asks
+:meth:`ThresholdedDistributedSouthwell._solve_send_mask` which of the
+winners' edges send this step.
 
 The trade-off measured by the bench: fewer solve messages per step, at
 the cost of neighbors working with slightly staler boundary data (and
@@ -22,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.distributed_southwell_block import DistributedSouthwell
+from repro.runtime import CATEGORY_SOLVE
+from repro.sparsela.primitives import multi_arange, segment_sq
 
 __all__ = ["ThresholdedDistributedSouthwell"]
 
@@ -35,9 +41,15 @@ class ThresholdedDistributedSouthwell(DistributedSouthwell):
         Relative suppression level: an update with
         ``‖Δr_q‖₂ ≤ threshold * ‖r_p‖₂`` is held back and accumulated.
         ``0`` reproduces plain Distributed Southwell exactly.
+
+    The suppression is a lockstep send decision: it has no async form
+    (the async executor raises ``AsyncUnsupportedError``), and a lossy
+    fault plan raises a ``ValueError`` at setup — a held delta has no
+    cumulative payload that could heal a lost one.
     """
 
     name = "thresholded-distributed-southwell"
+    _async_supported = False
 
     def __init__(self, *args, threshold: float = 0.05, **kwargs):
         super().__init__(*args, **kwargs)
@@ -47,58 +59,82 @@ class ThresholdedDistributedSouthwell(DistributedSouthwell):
         self.suppressed_sends = 0
 
     def setup(self, x0, b, permuted: bool = False) -> None:
+        plan = self.fault_plan
+        if plan is not None and plan.lossy:
+            raise ValueError(
+                f"{self.name} with a lossy fault plan (drop or duplicate "
+                "> 0) is unsupported: a held-back delta has no cumulative "
+                "payload to heal a lost message")
         super().setup(x0, b, permuted=permuted)
-        # pending unsent deltas, keyed (p, q), aligned with beta[(q, p)]
-        self._pending: dict[tuple[int, int], np.ndarray] = {}
+
+    def _build_structure(self) -> None:
+        super()._build_structure()
+        #: held deltas, laid out like the mailbox delta store, and which
+        #: edges hold one
+        self._held = np.zeros_like(self.engine.flat.vals_flat)
+        self._held_edge = np.zeros(self.engine.flat.n_edges, dtype=bool)
+
+    def _reset_state(self, x0, b) -> None:
+        super()._reset_state(x0, b)
+        self._held_edge[:] = False
         self.suppressed_sends = 0
 
-    def _flat_supported(self) -> bool:
-        # send suppression batches deltas across steps, which breaks the
-        # flat plane's everything-consumed-within-the-step contract
-        return False
-
-    def _emit_solve_update(self, p: int, q: int, vals: np.ndarray,
-                           new_sq: float) -> None:
-        key = (p, q)
-        if key in self._pending:
-            vals = vals + self._pending.pop(key)
-        cutoff = self.threshold * float(np.sqrt(new_sq))
-        if float(np.linalg.norm(vals)) <= cutoff:
-            # negligible: batch it for later instead of paying a message.
-            # ``vals`` may be the relax send buffer, which is reused next
-            # step — pending state must own its storage.
-            self._pending[key] = np.array(vals)
-            self.suppressed_sends += 1
-            return
-        super()._emit_solve_update(p, q, vals, new_sq)
+    def _solve_send_mask(self, winners, wmask):
+        """Add each winner edge's held delta to its fresh one, then hold
+        every update whose norm is at most ``threshold`` times the
+        sender's new norm; the rest go out (carrying the sum)."""
+        plane = self.engine.flat
+        vals, voff = plane.vals_flat, plane.vals_off
+        eids = np.flatnonzero(wmask)
+        held = eids[self._held_edge[eids]]
+        if held.size:
+            idx = multi_arange(voff[held], voff[held + 1])
+            vals[idx] += self._held[idx]
+        norm = np.sqrt(segment_sq(vals, self._layer_lo[eids],
+                                  self._layer_len[eids]))
+        own = self.norms[self._slab_owner[eids]]
+        hold = norm <= self.threshold * np.sqrt(own * own)
+        self._held_edge[eids] = hold
+        if not hold.any():
+            return wmask
+        kept = eids[hold]
+        idx = multi_arange(voff[kept], voff[kept + 1])
+        self._held[idx] = vals[idx]
+        self.suppressed_sends += int(kept.size)
+        sent = wmask.copy()
+        sent[kept] = False
+        return sent
 
     def flush_pending(self) -> int:
-        """Force-send every accumulated delta (end-of-run consistency).
+        """Force-send every held delta (end-of-run consistency).
 
-        Returns the number of flush messages; after the next epoch close
-        and read, residual bookkeeping is exact again.
+        Returns the number of flush messages.  They go out as one epoch
+        (ascending sender, then neighbor), carrying the sender's current
+        norm; after their read the residual bookkeeping is exact again.
         """
-        count = 0
-        for (p, q), vals in sorted(self._pending.items()):
-            super()._emit_solve_update(p, q, vals,
-                                       float(self.norms[p]) ** 2)
-            count += 1
-        self._pending.clear()
-        if count:
-            self.engine.close_epoch()
-            for p in range(self.system.n_parts):
-                msgs = self.engine.drain(p)
-                changed = False
-                for msg in msgs:
-                    if "vals" in msg.payload:
-                        changed = self._apply_update(p, msg) or changed
-                if changed:
-                    self.refresh_norm(p)
-                for msg in msgs:
-                    pos = self._nbr_pos[p][msg.src]
-                    self.ghost[p][msg.src] = msg.payload["z"].copy()
-                    self.gamma_sq[p][pos] = msg.payload["own_norm_sq"]
-        return count
+        held = np.flatnonzero(self._held_edge)
+        if held.size == 0:
+            return 0
+        plane = self.engine.flat
+        voff, zoff = plane.vals_off, plane.z_off
+        idx = multi_arange(voff[held], voff[held + 1])
+        plane.vals_flat[idx] = self._held[idx]
+        zidx = multi_arange(zoff[held], zoff[held + 1])
+        plane.zsolve_flat[zidx] = self._r_flat[self._zsrc_grows[zidx]]
+        owners = self._slab_owner[held]
+        own_sq = np.array([float(v) ** 2 for v in self.norms[owners]])
+        ranks = np.unique(owners)
+        plane.put_epoch(self._slab_solve_sids[held], own_sq,
+                        self._gamma_flat[held], ranks,
+                        *self._solve_totals(held, ranks), CATEGORY_SOLVE)
+        self._tilde_flat[held] = own_sq         # line 16
+        self._held_edge[:] = False
+        self.engine.close_epoch()
+        self._apply_flat_epoch()
+        arr = plane.last_delivered
+        self._absorb_z(arr, plane.zsolve_flat)
+        self._gamma_flat[self._sid_slabpos[arr]] = plane.norm[arr]
+        return int(held.size)
 
     def run(self, x0, b, max_steps: int = 50, target_norm=None,
             stop_at_target: bool = False):

@@ -1,16 +1,11 @@
-"""Figure 8 extension: resilience under message loss and delay.
+"""Figure 8 extension: resilience under message loss.
 
 The paper's Section 4.5 delay study (its Figure 8 axis is process
 count) asks how the methods behave when the network misbehaves; this
-sweep extends that question along two fault axes on the 2D Poisson
-problem, DS vs PS vs BJ:
-
-- **drop probability** — every solve/residual message is dropped i.i.d.
-  with probability ``p ∈ drop_sweep``;
-- **epoch delay** — messages are delivered 1..``max_delay`` epochs late
-  with probability ``p ∈ delay_sweep`` (object plane only — the delay
-  path is the legacy ``delay_probability`` study under the seeded fault
-  plane).
+sweep extends that question along the message-loss axis on the 2D
+Poisson problem, DS vs PS vs BJ: every solve/residual message is
+dropped i.i.d. with probability ``p ∈ drop_sweep``.  Late delivery is
+the async plane's latency (:mod:`repro.experiments.fig8_async`).
 
 Expected shape: BJ shrugs loss off (its updates are deltas and the
 self-healing cumulative payloads resynchronize); DS's repair/retry
@@ -40,11 +35,10 @@ def _poisson(grid_dim: int):
 
 def run_fig8_faults(grid_dim: int = 64, n_procs: int = 64,
                     drop_sweep: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2),
-                    delay_sweep: tuple[float, ...] = (0.1, 0.3),
-                    max_delay: int = 3, max_steps: int = 100,
+                    max_steps: int = 100,
                     target_norm: float = 0.1,
                     seed: int = 0, plan_seed: int = 0) -> list[dict]:
-    """One row per (fault axis, probability, method).
+    """One row per (drop probability, method).
 
     Columns: final residual norm, parallel steps to ``target_norm``
     (``None`` = never reached, the paper's ``†``), messages/process,
@@ -54,16 +48,8 @@ def run_fig8_faults(grid_dim: int = 64, n_procs: int = 64,
     """
     A = _poisson(grid_dim)
     rows = []
-    axes = ([("drop", p) for p in drop_sweep]
-            + [("delay", p) for p in delay_sweep])
-    for axis, p in axes:
-        if p == 0.0:
-            plan = None
-        elif axis == "drop":
-            plan = FaultPlan.uniform(drop=p, seed=plan_seed)
-        else:
-            plan = FaultPlan.uniform(delay=p, max_delay=max_delay,
-                                     seed=plan_seed)
+    for p in drop_sweep:
+        plan = FaultPlan.uniform(drop=p, seed=plan_seed) if p else None
         for method in METHODS:
             # lockstep by construction — steps_to_target counts parallel
             # steps; the event-driven analog lives in ``fig8_async``
@@ -72,7 +58,7 @@ def run_fig8_faults(grid_dim: int = 64, n_procs: int = 64,
             res = solve(A, method=method, config=cfg)
             inj = res.faults_injected or {}
             rows.append({
-                "axis": axis,
+                "axis": "drop",
                 "p": p,
                 "method": METHOD_LABELS[method],
                 "final_norm": res.final_norm,

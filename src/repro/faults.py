@@ -6,21 +6,20 @@ the Γ̃ repair mechanism exist precisely so the method survives imperfect
 communication, whereas Parallel Southwell needs exact explicit updates
 (PAPER.md, Algorithms 2–3).  This module turns that claim into a testable
 fault model: a frozen :class:`FaultPlan` describes per-category message
-**drop**, **duplication**, **reordering**, epoch-**delay** distributions,
-optional **ghost-payload staleness**, and per-process **stall/slowdown**
+**drop**, **duplication** and **reordering** rates, optional
+**ghost-payload staleness**, and per-process **stall/slowdown**
 schedules; a :class:`FaultRuntime` compiles the plan into per-edge
-counter-based random streams and is consulted by *both* message planes
-(:mod:`repro.runtime.window` and :mod:`repro.runtime.flatplane`).
+counter-based random streams and is consulted by the lockstep plane
+(:mod:`repro.runtime.flatplane`) and the async plane
+(:mod:`repro.runtime.asyncplane`).
 
 Determinism contract
 --------------------
 Every fault decision is a pure function of
 ``(plan.seed, src, dst, kind, sequence-number, salt)`` via a splitmix64-
-style hash — there is *no* stateful RNG.  Both planes maintain identical
-per-``(edge, kind)`` send-sequence counters (exactly one message per
-``(edge, kind)`` per epoch, in put order), so a faulted run makes
-bit-identical fate decisions on the object plane and the flat plane, and
-two runs with the same plan are bit-identical to each other.  A plan
+style hash — there is *no* stateful RNG.  The plane keeps one
+send-sequence counter per ``(edge, kind)`` slot, so two runs with the
+same plan are bit-identical to each other.  A plan
 whose message-fault rates are all zero (:attr:`FaultPlan.is_null`)
 compiles to *disabled* machinery: such runs are bit-identical to runs
 with no plan at all (the CI zero-behavior-change guard).
@@ -35,21 +34,21 @@ duplicated
 reordered
     Moved, stably, to the back of its destination's delivery batch for
     the epoch.
-delayed
-    Held back 1..``max_delay`` whole epochs.  Requires per-message
-    storage, so a plan with ``delay > 0`` forces the object plane
-    (:attr:`FaultPlan.requires_object_plane`), mirroring the existing
-    ``delay_probability`` ablation.
 ghost-stale
     The ghost payload (``z``) of the message is not applied by the
     receiver; headers (norms) still land.  Models a torn one-sided read.
+
+Late delivery is not a fault kind here: one slot per ``(edge, kind)``
+per epoch has no storage for a message that outlives its epoch.  Message
+latency is an :class:`~repro.api.AsyncConfig` field of the async plane,
+where every delivery is late by construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +66,7 @@ __all__ = [
     "StallWindow",
 ]
 
-#: fate bit flags carried on :class:`~repro.runtime.message.Message.fate`
-#: and in the flat plane's per-delivery fate array
+#: fate bit flags carried in the planes' per-delivery fate arrays
 FATE_DROP = 1
 FATE_DUP = 2
 FATE_REORDER = 4
@@ -80,15 +78,12 @@ _FATE_NAMES = ((FATE_DROP, "drop"), (FATE_DUP, "duplicate"),
 #: message-kind integers hashed into the fate stream (solve / residual)
 KIND_SOLVE = 0
 KIND_RESIDUAL = 1
-_KIND_OF = {"solve": KIND_SOLVE, "residual": KIND_RESIDUAL}
 _CAT_OF = {KIND_SOLVE: "solve", KIND_RESIDUAL: "residual"}
 
 # hash salts: one independent substream per fault decision
 _SALT_DROP = 1
 _SALT_DUP = 2
 _SALT_REORDER = 3
-_SALT_DELAY = 4
-_SALT_DELAY_LEN = 5
 _SALT_STALE = 6
 
 
@@ -102,27 +97,38 @@ class DegradedRunError(RuntimeError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EdgeFaults:
-    """Per-message fault rates for one message category."""
+    """Per-message fault rates for one message category.
+
+    ``delay`` / ``max_delay`` are accepted only at their neutral values
+    (0 and 1, as plan files written before epoch delays were removed
+    carry them) and are not stored; anything else raises a
+    :class:`ValueError` naming the field.
+    """
 
     drop: float = 0.0
     duplicate: float = 0.0
     reorder: float = 0.0
-    delay: float = 0.0
-    max_delay: int = 1
     ghost_stale: float = 0.0
+    delay: InitVar[float] = 0.0
+    max_delay: InitVar[int] = 1
 
-    def __post_init__(self):
-        for name in ("drop", "duplicate", "reorder", "delay", "ghost_stale"):
+    def __post_init__(self, delay, max_delay):
+        for name in ("drop", "duplicate", "reorder", "ghost_stale"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v!r}")
-        if self.max_delay < 1:
-            raise ValueError("max_delay must be >= 1")
+        for name, value, neutral in (("delay", delay, 0),
+                                     ("max_delay", max_delay, 1)):
+            if value != neutral:
+                raise ValueError(
+                    f"{name} must be {neutral}, got {value!r}: epoch "
+                    "delays are gone; model message latency with "
+                    "AsyncConfig.latency under runtime='async'")
 
     @property
     def any_fault(self) -> bool:
         return (self.drop > 0 or self.duplicate > 0 or self.reorder > 0
-                or self.delay > 0 or self.ghost_stale > 0)
+                or self.ghost_stale > 0)
 
 
 @dataclass(frozen=True)
@@ -215,21 +221,13 @@ class FaultPlan:
         return (self.solve.drop > 0 or self.solve.duplicate > 0
                 or self.residual.drop > 0 or self.residual.duplicate > 0)
 
-    @property
-    def requires_object_plane(self) -> bool:
-        """Delay distributions need per-message storage, which only the
-        object plane has (same constraint as ``delay_probability``)."""
-        return self.solve.delay > 0 or self.residual.delay > 0
-
     # -- constructors / serialization ---------------------------------
     @classmethod
     def uniform(cls, drop: float = 0.0, duplicate: float = 0.0,
-                reorder: float = 0.0, delay: float = 0.0,
-                max_delay: int = 1, ghost_stale: float = 0.0,
+                reorder: float = 0.0, ghost_stale: float = 0.0,
                 **plan_fields) -> "FaultPlan":
         """Same fault rates for both message categories."""
         ef = EdgeFaults(drop=drop, duplicate=duplicate, reorder=reorder,
-                        delay=delay, max_delay=max_delay,
                         ghost_stale=ghost_stale)
         return cls(solve=ef, residual=ef, **plan_fields)
 
@@ -255,7 +253,7 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# counter-based hashing (stateless, identical on both planes)
+# counter-based hashing (stateless)
 # ----------------------------------------------------------------------
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _C1 = np.uint64(0xFF51AFD7ED558CCD)
@@ -291,10 +289,9 @@ def _u01(seed: np.uint64, src, dst, kind: int, seq, salt: int) -> np.ndarray:
 # the compiled runtime
 # ----------------------------------------------------------------------
 class FaultRuntime:
-    """A :class:`FaultPlan` compiled for one run: per-edge sequence
+    """A :class:`FaultPlan` compiled for one run: per-slot sequence
     counters, injected-fault accounting, and per-step stall/slowdown
-    lookups.  One instance per run; shared by whichever message plane
-    the run uses (a run uses exactly one)."""
+    lookups.  One instance per run, bound to the run's plane."""
 
     def __init__(self, plan: FaultPlan, n_procs: int, tracer=None):
         from repro.trace import NULL_TRACER
@@ -304,9 +301,7 @@ class FaultRuntime:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._seed = np.uint64(plan.seed & 0xFFFFFFFFFFFFFFFF)
         self.message_faults = plan.message_faults
-        #: object-plane sequence counters: (src, dst, kind) -> next seq
-        self._seq: dict[tuple[int, int, int], int] = {}
-        #: flat-plane sequence counters, one per slot id (2E)
+        #: sequence counters, one per slot id (2E)
         self._sid_seq: np.ndarray | None = None
         self._sid_src: np.ndarray | None = None
         self._sid_dst: np.ndarray | None = None
@@ -341,7 +336,7 @@ class FaultRuntime:
 
     # -- fate streams --------------------------------------------------
     def _edge_fates(self, ef: EdgeFaults, src, dst, kind: int, seq):
-        """Vectorized fate bits (+ delay lengths) for one category."""
+        """Vectorized fate bits for one category."""
         n = np.broadcast(np.asarray(seq)).size
         fate = np.zeros(n, dtype=np.int64)
         if ef.drop > 0:
@@ -361,50 +356,12 @@ class FaultRuntime:
             hit = _u01(self._seed, src, dst, kind, seq,
                        _SALT_STALE) < ef.ghost_stale
             fate |= np.where(hit & alive, FATE_STALE, 0)
-        delay = None
-        if ef.delay > 0:
-            hit = _u01(self._seed, src, dst, kind, seq,
-                       _SALT_DELAY) < ef.delay
-            length = 1 + np.minimum(
-                (_u01(self._seed, src, dst, kind, seq, _SALT_DELAY_LEN)
-                 * ef.max_delay).astype(np.int64),
-                ef.max_delay - 1)
-            delay = np.where(hit & alive, length, 0)
-        return fate, delay
-
-    def fate(self, src: int, dst: int, category: str) -> tuple[int, int, int]:
-        """Object-plane fate for the next message on ``(src, dst,
-        category)``: ``(fate_bits, delay_epochs, seq)``.  Advances the
-        edge's sequence counter and records/traces every injected fault."""
-        kind = _KIND_OF[category]
-        key = (src, dst, kind)
-        seq = self._seq.get(key, 0)
-        self._seq[key] = seq + 1
-        ef = self.plan.solve if kind == KIND_SOLVE else self.plan.residual
-        if not ef.any_fault:
-            return 0, 0, seq
-        fate_arr, delay_arr = self._edge_fates(ef, src, dst, kind, seq)
-        fate = int(fate_arr[0])
-        delay = int(delay_arr[0]) if delay_arr is not None else 0
-        trc = self.tracer
-        for bit, name in _FATE_NAMES:
-            if fate & bit:
-                self._count(f"{name}:{category}")
-                if trc.enabled:
-                    trc.fault(name, src, dst, category)
-        if delay:
-            self._count(f"delay:{category}")
-            if trc.enabled:
-                trc.fault("delay", src, dst, category)
-        return fate, delay, seq
+        return fate
 
     # -- flat plane ----------------------------------------------------
     def attach_flat(self, plane) -> None:
         """Bind to a :class:`~repro.runtime.flatplane.FlatEdgePlane`:
         per-slot sequence counters plus cached src/dst/kind keys."""
-        if self.plan.requires_object_plane:
-            raise RuntimeError("a FaultPlan with delay > 0 requires the "
-                               "object message plane")
         n_slots = 2 * len(plane.edge_src)
         self._sid_seq = np.zeros(n_slots, dtype=np.int64)
         eids = np.arange(n_slots, dtype=np.int64) >> 1
@@ -412,9 +369,10 @@ class FaultRuntime:
         self._sid_dst = plane.edge_dst[eids].astype(np.uint64)
 
     def fates_flat(self, sids: np.ndarray) -> np.ndarray:
-        """Fates for a batch of flat-plane slot puts (one message per
-        sid).  Bit-identical to per-message :meth:`fate` calls because
-        both hash the same ``(src, dst, kind, seq)`` keys."""
+        """Fates for a batch of slot puts (one message per sid), each
+        hashed from its ``(src, dst, kind, seq)`` key; advances the
+        slots' sequence counters and records/traces every injected
+        fault."""
         seqs = self._sid_seq[sids]
         self._sid_seq[sids] += 1
         fates = np.zeros(sids.size, dtype=np.int64)
@@ -425,8 +383,8 @@ class FaultRuntime:
             sel = np.flatnonzero((sids & 1) == kind)
             if sel.size == 0 or not ef.any_fault:
                 continue
-            f, _ = self._edge_fates(ef, srcs[sel], dsts[sel], kind,
-                                    seqs[sel])
+            f = self._edge_fates(ef, srcs[sel], dsts[sel], kind,
+                                 seqs[sel])
             fates[sel] = f
             cat = _CAT_OF[kind]
             trc = self.tracer

@@ -28,7 +28,7 @@ partitions afresh only where that would leave a part empty.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,7 @@ from repro.core.parallel_southwell_block import ParallelSouthwell
 from repro.multigrid.grid import fine_dim_of
 from repro.multigrid.smoothers import Smoother, per_operator
 from repro.partition import partition_from_parts
-from repro.runtime import CORI_LIKE, CostModel, runtime_mode, use_runtime
+from repro.runtime import CORI_LIKE, CostModel
 from repro.setupcache import get_setup
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import CSRMatrix
@@ -126,10 +126,11 @@ class BlockSmoother(Smoother):
         self.tracer = tracer if tracer is not None else tracer_from_config()
         self.faults = faults
         self.cache_dir = cache_dir
-        #: ``id(A) -> (A, LevelRunner)`` (see :func:`per_operator`)
+        #: ``id(A) -> (weakref(A), LevelRunner)`` (see :func:`per_operator`)
         self._levels: dict[int, tuple] = {}
-        #: ``id(A_c) -> (A_c, A_f)``: a coarse operator's finer level, held
-        #: and verified by identity like :attr:`_levels`
+        #: ``id(A_c) -> (weakref(A_c), weakref(A_f))``: a coarse operator's
+        #: finer level, held and verified like :attr:`_levels` — both
+        #: weakly, so a dropped executor's operators and runners go
         self._finer: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -153,7 +154,9 @@ class BlockSmoother(Smoother):
         """Record each coarse operator's finer level (``operators`` is a
         2:1 grid hierarchy, finest first)."""
         for fine, coarse in zip(operators, operators[1:]):
-            self._finer[id(coarse)] = (coarse, fine)
+            self._finer.pop(id(coarse), None)     # a re-link replaces
+            per_operator(self._finer, coarse,
+                         lambda _, fine=fine: weakref.ref(fine))
 
     def _inherited_system(self, A: CSRMatrix,
                           n_parts: int) -> BlockSystem | None:
@@ -166,12 +169,13 @@ class BlockSmoother(Smoother):
         be empty.
         """
         link = self._finer.get(id(A))
-        if link is None or link[0] is not A:
+        finer = link[1]() if link is not None and link[0]() is A else None
+        if finer is None:
             return None
-        fine = self.prepare(link[1])
+        fine = self.prepare(finer)
         if fine.n_parts != n_parts:
             return None
-        n_f = fine_dim_of(link[1].n_rows)
+        n_f = fine_dim_of(finer.n_rows)
         parts = fine.runner.system.part.parts
         labels = parts.reshape(n_f, n_f)[1::2, 1::2].ravel()
         if np.bincount(labels, minlength=n_parts).min() == 0:
@@ -228,28 +232,25 @@ class BlockSmoother(Smoother):
                         break
             return keep
 
-        # the smoothing steps always run a lockstep plane: under an
-        # env-forced async runtime an event loop per application would
-        # cost far more than the tiny level solves it serves
-        ctx = (use_runtime("flat") if runtime_mode() == "async"
-               else nullcontext())
+        # the smoothing steps run the lockstep loop whatever the runtime
+        # mode: an event loop per application would cost far more than
+        # the tiny level solves it serves
         runner._relax_filter = truncate
         try:
-            with ctx:
-                runner.setup(np.asarray(x, dtype=np.float64), b)
-                stalled = 0
-                while runner.total_relaxations < budget:
-                    if budget - runner.total_relaxations < lr.min_block:
-                        break           # nothing left that fits a block
-                    before = runner.total_relaxations
-                    runner.step()
-                    runner.steps_taken += 1
-                    if runner.total_relaxations == before:
-                        stalled += 1
-                        if stalled >= _STALL_PATIENCE:
-                            break
-                    else:
-                        stalled = 0
+            runner.setup(np.asarray(x, dtype=np.float64), b)
+            stalled = 0
+            while runner.total_relaxations < budget:
+                if budget - runner.total_relaxations < lr.min_block:
+                    break           # nothing left that fits a block
+                before = runner.total_relaxations
+                runner.step()
+                runner.steps_taken += 1
+                if runner.total_relaxations == before:
+                    stalled += 1
+                    if stalled >= _STALL_PATIENCE:
+                        break
+                else:
+                    stalled = 0
         finally:
             runner._relax_filter = None
         lr.carry = min(budget - runner.total_relaxations, A.n_rows)
@@ -266,4 +267,4 @@ class BlockSmoother(Smoother):
     def record_for(self, A: CSRMatrix) -> LevelRunner | None:
         """The accounting record for operator ``A`` (None if never seen)."""
         hit = self._levels.get(id(A))
-        return hit[1] if hit is not None and hit[0] is A else None
+        return hit[1] if hit is not None and hit[0]() is A else None

@@ -9,6 +9,8 @@ the budget exactly.  Smoothers here implement that contract.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.config import require_int
@@ -28,14 +30,27 @@ __all__ = ["ChebyshevSmoother", "DistributedSouthwellSmoother",
 def per_operator(cache: dict, A: CSRMatrix, build):
     """``build(A)``, computed once per operator *object*.
 
-    The smoothers key their per-level plans on ``id(A)``; the entry keeps
-    ``A`` itself so the id cannot be recycled by a later operator while
-    the entry lives, and a hit is verified by identity.
+    The smoothers key their per-level plans on ``id(A)``.  An entry holds
+    ``A`` only weakly and leaves the cache when ``A`` dies, before its id
+    can be handed to another object; a hit is still verified by
+    identity.  A built value must not hold ``A`` itself, or the entry
+    would keep ``A`` alive.
     """
-    hit = cache.get(id(A))
-    if hit is None or hit[0] is not A:
-        hit = cache[id(A)] = (A, build(A))
+    key = id(A)
+    hit = cache.get(key)
+    if hit is None or hit[0]() is not A:
+        hit = cache[key] = (weakref.ref(A, _dropper(cache, key)), build(A))
     return hit[1]
+
+
+def _dropper(cache: dict, key: int):
+    """The weakref callback that removes entry ``key`` of ``cache`` if it
+    is still the dying operator's.  (An operator does not own its
+    weakrefs, so a live operator keeps no cache alive.)"""
+    def drop(ref) -> None:
+        if cache.get(key, (None,))[0] is ref:
+            del cache[key]
+    return drop
 
 
 class Smoother:

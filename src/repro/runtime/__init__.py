@@ -6,9 +6,11 @@ post/start/complete/wait epochs.  With no MPI available offline, this
 package substitutes a deterministic simulation with the same semantics and
 **exact** message/byte accounting:
 
-- :class:`WindowSystem` — windows, buffered ``put``, collective epoch close
-  (writes become visible only after the epoch, as in RMA), optional
-  staleness injection;
+- :class:`FlatEdgePlane` — preallocated per-edge mailboxes, buffered
+  ``put``, collective epoch close (writes become visible only after the
+  epoch, as in RMA);
+- :class:`AsyncFlatPlane` — the same mailboxes driven by per-rank
+  virtual clocks instead of epochs;
 - :class:`MessageStats` — per-category and per-step counters from which the
   paper's communication metrics (messages / P, solve-vs-residual breakdown,
   per-step means) are computed;
@@ -30,14 +32,12 @@ from repro.runtime.flatplane import (
     use_runtime,
 )
 from repro.runtime.pool import ForkTaskPool, ForkUnavailable, WorkerDied
-from repro.runtime.message import (
+from repro.runtime.stats import (
     CATEGORY_RESIDUAL,
     CATEGORY_SOLVE,
-    Message,
-    payload_nbytes,
+    MessageStats,
+    StepSnapshot,
 )
-from repro.runtime.stats import MessageStats, StepSnapshot
-from repro.runtime.window import Window, WindowSystem
 
 __all__ = [
     "AsyncFlatPlane",
@@ -48,17 +48,13 @@ __all__ = [
     "FlatEdgePlane",
     "ForkTaskPool",
     "ForkUnavailable",
-    "Message",
     "MessageStats",
     "ParallelEngine",
     "SLOT_RESIDUAL",
     "SLOT_SOLVE",
     "StepSnapshot",
-    "Window",
-    "WindowSystem",
     "WorkerDied",
     "ZERO_COST",
-    "payload_nbytes",
     "runtime_mode",
     "set_runtime_mode",
     "use_runtime",

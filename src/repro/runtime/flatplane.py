@@ -1,49 +1,35 @@
 """Flat-buffer message plane: preallocated per-edge mailboxes.
 
-The object message plane (:mod:`repro.runtime.window`) builds a dict
-payload and a :class:`~repro.runtime.message.Message` per put — exactly
-right for the delay-injection ablations, where a message can outlive the
-step that produced it, but pure interpreter churn for the paper's
-synchronous-epoch runs, where every message is produced and consumed
-within one parallel step.  At P in the hundreds (Figures 8-9) that churn
-dominates the step cost.
+The paper's Algorithms 1-3 run in synchronous one-sided epochs, and each
+neighbour gets at most one *solve* and one *residual* message per epoch.
+The coupling topology is fixed for a run, so every possible message gets
+its storage up front:
 
-This module is the allocation-free alternative.  The coupling topology is
-fixed for a run, and per directed edge ``(p, q)`` at most one *solve* and
-one *residual* message is in flight per epoch, so every possible message
-gets its storage up front:
-
-- per edge, a preallocated float64 ``vals`` buffer (the boundary residual
-  delta, solve messages only) and one ``z`` buffer per slot (the ghost
+- per edge, a preallocated float64 ``vals`` region (the boundary residual
+  delta, solve messages only) and one ``z`` region per slot (the ghost
   payload; length 0 for methods that do not ship ghosts);
 - per (edge, slot), header scalars ``own_norm_sq`` and ``your_est_sq``
   stored in flat arrays;
 - per edge, the wire size of each message kind, computed once at setup by
-  the method (byte-identical to :func:`~repro.runtime.message
-  .payload_nbytes` on the equivalent dict payload).
+  the method (16 header bytes plus 8 per float, as an MPI envelope plus
+  payload).
 
-A ``put`` is then: write into the edge buffers, append one int to the
-pending list, bump the counters.  No dicts, no ``Message`` objects, no
-per-message allocation.  Epoch semantics are identical to the object
-plane: a put becomes visible to its target only at the collective epoch
-close, and targets drain in global put order (ascending sender rank for
-the phase loops), so the two planes are byte-for-byte equivalent in the
-stats and bit-for-bit equivalent in the numerics — the tier-1 equivalence
-suite pins both.
+A ``put`` is then: write into the edge regions, append the slot-ids to
+the pending list, bump the counters.  No per-message allocation.  A put
+becomes visible to its target only at the collective epoch close, and
+each target reads its mail in global put order (ascending sender rank
+for the phase loops).
 
 Slot encoding: slot-id ``2 * edge + kind`` with kind 0 = solve, 1 =
 residual; the slot *is* the message category, so no per-message tag is
 stored.
 
 The runtime mode knob (``REPRO_RUNTIME`` / :func:`set_runtime_mode` /
-:func:`use_runtime`) selects which plane the block methods drive:
-``auto``/``flat`` use this plane whenever a run is eligible (synchronous
-epochs, no messaging-hook override); ``shm``, the spelling of a deleted
-plane (DESIGN.md §5.12), runs as ``flat``; ``async`` drives this plane
-from the discrete-event executor; ``object`` forces the legacy plane
-everywhere.  Delay injection always
-uses the object plane — a delayed message needs storage that survives
-the epoch.
+:func:`use_runtime`) selects how the block methods drive this plane:
+``auto`` and ``flat`` both name the lockstep epoch loop; ``shm``, the
+spelling of a deleted plane (DESIGN.md §5.12), runs as ``flat``;
+``async`` drives the same mailboxes from the discrete-event executor
+(:mod:`repro.runtime.asyncplane`).
 """
 
 from __future__ import annotations
@@ -75,13 +61,12 @@ _INT32_LIMIT = int(np.iinfo(np.int32).max)
 SLOT_SOLVE = 0
 SLOT_RESIDUAL = 1
 
-_VALID_MODES = _config.VALID_RUNTIME_MODES
 _mode_override: str | None = None
 
 
 def runtime_mode() -> str:
-    """The active message-plane mode: ``auto``, ``flat``, ``shm``,
-    ``async`` or ``object``.
+    """The active message-plane mode: ``auto``, ``flat``, ``shm`` or
+    ``async``.
 
     Resolution order: programmatic override (:func:`set_runtime_mode` /
     :func:`use_runtime`), then the ``REPRO_RUNTIME`` environment variable
@@ -96,10 +81,8 @@ def runtime_mode() -> str:
 def set_runtime_mode(mode: str | None) -> None:
     """Set (or with ``None`` clear) the programmatic mode override."""
     global _mode_override
-    if mode is not None and mode not in _VALID_MODES:
-        raise ValueError(f"unknown runtime mode {mode!r}; "
-                         f"choices: {_VALID_MODES}")
-    _mode_override = mode
+    _mode_override = (None if mode is None
+                      else _config.require_runtime(mode))
 
 
 @contextmanager
@@ -121,8 +104,8 @@ class FlatEdgePlane:
     n_procs:
         Number of virtual processes (destination ranks).
     stats:
-        The shared :class:`~repro.runtime.stats.MessageStats`; every put /
-        drain is charged exactly like the object plane charges it.
+        The shared :class:`~repro.runtime.stats.MessageStats`; every put
+        is charged to its sender, every drained delivery to its receiver.
     edges:
         ``(E, 4)`` array-like of ``(src, dst, n_vals, n_z)``: one row per
         directed coupling, with the ``vals`` buffer length (rows of
@@ -136,9 +119,8 @@ class FlatEdgePlane:
     The constructor validates the topology and allocates the backing
     stores in whole-array passes.  The per-edge views :attr:`vals` and
     the ``(src, dst)`` map :attr:`edge_index` are built at first read:
-    the flat hot path addresses edges by id and senders by slab, so
-    only the object-plane ``relax`` and tests read them (DESIGN.md
-    §5.8).
+    the hot path addresses edges by id and senders by slab, so only
+    tests and examples read them (DESIGN.md §5.8).
     """
 
     def __init__(self, n_procs: int, stats, edges, tracer=None) -> None:
@@ -211,9 +193,8 @@ class FlatEdgePlane:
         #: hooks stamp exact per-message byte counts
         self.sid_nbytes = np.zeros(2 * E, dtype=np.int64)
         #: optional compiled fault plan (:class:`repro.faults
-        #: .FaultRuntime`), attached by ``WindowSystem.configure_flat``;
-        #: fates are drawn at put time (same point the object plane
-        #: draws them) and applied at epoch close
+        #: .FaultRuntime`), attached by ``ParallelEngine.reset_flat``;
+        #: fates are drawn at put time and applied at epoch close
         self.faults = None
         self._pending_fates: list[np.ndarray] = []
         #: fate bits aligned with :attr:`last_delivered` (valid only
@@ -230,8 +211,8 @@ class FlatEdgePlane:
     @cached_property
     def vals(self) -> list[np.ndarray]:
         """Per-edge delta buffer (solve slot only): views of
-        :attr:`vals_flat`, cut at first read — the object-plane relax
-        writes through them, the flat hot path through per-rank slabs."""
+        :attr:`vals_flat`, cut at first read (the hot path writes through
+        per-rank slabs)."""
         off = self.vals_off.tolist()
         return [self.vals_flat[lo:hi] for lo, hi in zip(off, off[1:])]
 
@@ -298,8 +279,8 @@ class FlatEdgePlane:
         :meth:`~repro.runtime.stats.MessageStats.record_messages`, which
         is integer-exact equal to the per-put charges.
         """
-        if sids.size == 0:      # no neighbors — the object path would not
-            return              # have touched the category counters either
+        if sids.size == 0:      # no neighbors: no category counter moves
+            return
         self.norm[sids] = own_norm_sq
         self.est[sids] = est_vals
         self._pending.append(sids)
@@ -320,9 +301,9 @@ class FlatEdgePlane:
         broadcast or align with ``sids``.  ``srcs`` are the *unique*
         sender ranks with ``counts`` messages / ``nbytes_by_src`` byte
         totals each (senders with zero neighbors may appear with count
-        0 — the object path would not have sent for them either).  One
-        pending append plus one grouped stats charge, integer-exact
-        equal to the per-sender :meth:`put_block` calls.
+        0, and send nothing).  One pending append plus one grouped stats
+        charge, integer-exact equal to the per-sender :meth:`put_block`
+        calls.
         """
         if sids.size == 0:
             return
@@ -337,7 +318,7 @@ class FlatEdgePlane:
             self.tracer.sends_flat(self, sids, category)
 
     # ------------------------------------------------------------------
-    # epoch control (driven by WindowSystem.close_epoch)
+    # epoch control (driven by ParallelEngine.close_epoch)
     # ------------------------------------------------------------------
     def deliver_pending(self) -> int:
         """Make every buffered put visible to its target; refresh
@@ -345,9 +326,8 @@ class FlatEdgePlane:
         delivered.
 
         The epoch's slot-ids become one mailbox record: stably sorted by
-        destination (so each mailbox keeps the global put order — the
-        drain contract both planes share) with one bound per destination
-        run.  No per-destination Python work.
+        destination (so each mailbox keeps the global put order) with one
+        bound per destination run.  No per-destination Python work.
         """
         chunks = self._pending
         arr = _EMPTY_SIDS
@@ -386,9 +366,9 @@ class FlatEdgePlane:
 
         Drops are removed (never delivered, never charged as receives),
         duplicates are expanded back to back, and reorder-fated messages
-        move — stably — to the back of the batch, which induces exactly
-        the object plane's per-destination reordering once the stable
-        destination grouping runs.
+        move — stably — to the back of the batch, hence to the back of
+        each destination's batch once the stable destination grouping
+        runs.
         """
         from repro.faults import FATE_DROP, FATE_DUP, FATE_REORDER
 
@@ -421,7 +401,8 @@ class FlatEdgePlane:
         the receive accounting: each rank in :attr:`mail_ranks` is
         charged its records' run lengths, in one grouped
         :meth:`~repro.runtime.stats.MessageStats.record_receive_groups`
-        — the object plane's per-message charges, summed.  When tracing,
+        (one receive per delivered message: a dropped message is never
+        charged, a duplicated one twice).  When tracing,
         each rank's receives are emitted in ascending rank order, an
         undrained earlier epoch's mail first.
         """

@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MessageStats", "StepSnapshot"]
+__all__ = ["CATEGORY_RESIDUAL", "CATEGORY_SOLVE", "MessageStats",
+           "StepSnapshot"]
+
+# Message categories, matching the paper's Table 3 breakdown:
+#   solve comm - updates sent to neighbors after a local subdomain solve
+#   res comm   - explicit residual(-norm) update messages
+CATEGORY_SOLVE = "solve"
+CATEGORY_RESIDUAL = "residual"
 
 
 @dataclass

@@ -72,54 +72,14 @@ class BlockJacobi(BlockMethodBase):
     # ------------------------------------------------------------------
     # flat-buffer plane hooks (DESIGN.md §5.8)
     # ------------------------------------------------------------------
-    def _flat_supported(self) -> bool:
-        return True
-
     def _flat_message_nbytes(self, n_vals, n_z):
         # solve = {vals}; Block Jacobi sends no residual messages
         return 16 + 8 * n_vals, 0
 
     def step(self) -> int:
-        if self._use_flat:
-            return self._step_flat()
-        sysm = self.system
-        P = sysm.n_parts
-        trc = self.tracer
-        tracing = trc.enabled
-        # phase 1: everyone relaxes and writes updates (Alg 1 lines 7-8);
-        # stall-fated ranks sit the relaxation out but still read below
-        if tracing:
-            trc.phase_begin("relax")
-        relaxed = self._mask_stalled(np.ones(P, dtype=bool))
-        for p in np.flatnonzero(relaxed):
-            p = int(p)
-            deltas = self.relax(p, damping=self.omega)
-            for q, vals in deltas.items():
-                self.engine.put(p, q, CATEGORY_SOLVE,
-                                {"vals": self._outgoing_vals(p, q, vals)})
-        self.engine.close_epoch()
-        if tracing:
-            trc.phase_end("relax")
-            trc.phase_begin("apply")
-        # phase 2: wait + read (lines 9-10)
-        for p in range(P):
-            changed = False
-            for msg in self.engine.drain(p):
-                changed = self._apply_update(p, msg) or changed
-            if changed:
-                self.refresh_norm(p)
-        if tracing:
-            trc.phase_end("apply")
-        self.engine.close_step()
-        return int(relaxed.sum())
-
-    def _step_flat(self) -> int:
-        """Same two phases over the preallocated flat-buffer plane.
-
-        Bit-for-bit and byte-for-byte equivalent to :meth:`step` (see
-        DESIGN.md §5.8): relax deltas land directly in the edge
-        mailboxes, only ranks with mail run the read phase.
-        """
+        """One parallel step (Algorithm 1): every rank relaxes and puts,
+        then reads.  Relax deltas land directly in the edge mailboxes and
+        only ranks with mail run the read phase (DESIGN.md §5.8)."""
         P = self.system.n_parts
         plane = self.engine.flat
         trc = self.tracer

@@ -44,7 +44,7 @@ class CSRMatrix:
     """
 
     __slots__ = ("indptr", "indices", "data", "shape", "_row_ids",
-                 "_derived", "_derived_src")
+                 "_derived", "_derived_src", "__weakref__")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray, shape: tuple[int, int]):

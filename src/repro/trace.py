@@ -71,12 +71,12 @@ class Tracer:
       :meth:`step_end`
     - profiling: :meth:`phase_begin` / :meth:`phase_end` (perf-counter
       spans)
-    - solver events: :meth:`relax`, :meth:`ghost` / :meth:`ghosts`*,
-      :meth:`repair` / :meth:`repairs`*, :meth:`retry` / :meth:`retries`*
-    - message plane: :meth:`send` / :meth:`sends_flat`*, :meth:`recv` /
-      :meth:`recv_msgs` / :meth:`recvs_flat`*
+    - solver events: :meth:`relax`, :meth:`ghosts`*, :meth:`repairs`*,
+      :meth:`retries`*
+    - message plane: :meth:`send` / :meth:`sends_flat`*,
+      :meth:`recvs_flat`*
     - fault plane: :meth:`fault` / :meth:`faults_flat`* (every injected
-      drop / duplicate / reorder / delay / ghost-stale / stall)
+      drop / duplicate / reorder / ghost-stale / stall)
     """
 
     enabled = False
@@ -127,32 +127,23 @@ class Tracer:
     def relax(self, p: int) -> None:
         """Process ``p`` relaxed its subdomain this step."""
 
-    def ghost(self, p: int, q: int) -> None:
-        """``p`` updated its ghost layer / norm estimate of ``q``
-        locally (DS line 15 — the zero-communication update)."""
-
     def ghosts(self, p: int, neighbors) -> None:
-        """Batched :meth:`ghost`: ``p`` updated every listed neighbor."""
-
-    def repair(self, src: int, dst: int) -> None:
-        """``src`` sent ``dst`` a deadlock-repair residual message
-        (DS lines 27-30)."""
+        """``p`` updated its ghost layer / norm estimate of every listed
+        neighbor locally (DS line 15 — the zero-communication update)."""
 
     def repairs(self, srcs, dsts) -> None:
-        """Batched :meth:`repair` (parallel arrays)."""
-
-    def retry(self, src: int, dst: int) -> None:
-        """``src`` re-sent its residual-norm repair to ``dst`` because
-        the edge timed out (loss-hardening heartbeat, not a genuine
-        Γ̃ > Γ repair)."""
+        """Each ``srcs[k]`` sent ``dsts[k]`` a deadlock-repair residual
+        message (DS lines 27-30; parallel arrays)."""
 
     def retries(self, srcs, dsts) -> None:
-        """Batched :meth:`retry` (parallel arrays)."""
+        """Each ``srcs[k]`` re-sent its residual-norm repair to
+        ``dsts[k]`` because the edge timed out (loss-hardening heartbeat,
+        not a genuine Γ̃ > Γ repair; parallel arrays)."""
 
     # fault plane -------------------------------------------------------
     def fault(self, kind: str, src: int, dst: int, category: str) -> None:
         """One fault was injected: ``kind`` is ``drop`` / ``duplicate``
-        / ``reorder`` / ``delay`` / ``ghost_stale`` / ``stall`` (stalls
+        / ``reorder`` / ``ghost_stale`` / ``stall`` (stalls
         carry the stalled rank as ``src`` and ``dst = -1``)."""
 
     def faults_flat(self, kind: str, srcs, dsts, category: str) -> None:
@@ -164,12 +155,6 @@ class Tracer:
 
     def sends_flat(self, plane, sids, category: str) -> None:
         """A batched flat-plane put of the slot-ids ``sids``."""
-
-    def recv(self, src: int, dst: int, category: str) -> None:
-        """``dst`` read one message from ``src``."""
-
-    def recv_msgs(self, dst: int, msgs) -> None:
-        """``dst`` drained the object-plane messages ``msgs``."""
 
     def recvs_flat(self, plane, dst: int, sids) -> None:
         """``dst`` drained the flat-plane slot-ids ``sids``."""
@@ -262,23 +247,14 @@ class RunTracer(Tracer):
     def relax(self, p: int) -> None:
         self._events.append(("relax", self._step, int(p)))
 
-    def ghost(self, p: int, q: int) -> None:
-        self._events.append(("ghost", self._step, int(p), int(q)))
-
     def ghosts(self, p: int, neighbors) -> None:
         self._events.append(("ghostv", self._step, int(p),
                              np.asarray(neighbors, dtype=np.int64)))
-
-    def repair(self, src: int, dst: int) -> None:
-        self._events.append(("repair", self._step, int(src), int(dst)))
 
     def repairs(self, srcs, dsts) -> None:
         self._events.append(("repairv", self._step,
                              np.asarray(srcs, dtype=np.int64),
                              np.asarray(dsts, dtype=np.int64)))
-
-    def retry(self, src: int, dst: int) -> None:
-        self._events.append(("retry", self._step, int(src), int(dst)))
 
     def retries(self, srcs, dsts) -> None:
         self._events.append(("retryv", self._step,
@@ -306,16 +282,6 @@ class RunTracer(Tracer):
                              plane.edge_dst[eids], category,
                              plane.sid_nbytes[sids]))
 
-    def recv(self, src: int, dst: int, category: str) -> None:
-        self._events.append(("recv", self._step, int(src), int(dst),
-                             category))
-
-    def recv_msgs(self, dst: int, msgs) -> None:
-        step = self._step
-        for m in msgs:
-            self._events.append(("recv", step, int(m.src), int(dst),
-                                 m.category))
-
     def recvs_flat(self, plane, dst: int, sids) -> None:
         self._events.append(("recvv", self._step, plane.edge_src[sids >> 1],
                              int(dst), sids & 1))
@@ -327,8 +293,7 @@ class RunTracer(Tracer):
         """Yield every event as a JSON-able dict, expanding batches.
 
         The per-message expansion order inside one batch is the batch's
-        array order — ascending destination per sender for flat puts,
-        which is exactly the per-put order of the object plane.
+        array order — ascending destination per sender for puts.
         """
         for ev in self._events:
             tag = ev[0]
@@ -352,22 +317,14 @@ class RunTracer(Tracer):
                        "nnz_dropped": ev[8]}
             elif tag == "relax":
                 yield {"ev": "relax", "step": ev[1], "p": ev[2]}
-            elif tag == "ghost":
-                yield {"ev": "ghost", "step": ev[1], "p": ev[2], "q": ev[3]}
             elif tag == "ghostv":
                 _, step, p, qs = ev
                 for q in qs.tolist():
                     yield {"ev": "ghost", "step": step, "p": p, "q": q}
-            elif tag == "repair":
-                yield {"ev": "repair", "step": ev[1], "src": ev[2],
-                       "dst": ev[3]}
             elif tag == "repairv":
                 _, step, srcs, dsts = ev
                 for s, d in zip(srcs.tolist(), dsts.tolist()):
                     yield {"ev": "repair", "step": step, "src": s, "dst": d}
-            elif tag == "retry":
-                yield {"ev": "retry", "step": ev[1], "src": ev[2],
-                       "dst": ev[3]}
             elif tag == "retryv":
                 _, step, srcs, dsts = ev
                 for s, d in zip(srcs.tolist(), dsts.tolist()):
@@ -389,9 +346,6 @@ class RunTracer(Tracer):
                                     nbs.tolist()):
                     yield {"ev": "send", "step": step, "src": s, "dst": d,
                            "cat": cat, "nb": nb}
-            elif tag == "recv":
-                yield {"ev": "recv", "step": ev[1], "src": ev[2],
-                       "dst": ev[3], "cat": ev[4]}
             elif tag == "recvv":
                 _, step, srcs, dst, kinds = ev
                 for s, k in zip(srcs.tolist(), kinds.tolist()):

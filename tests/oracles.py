@@ -14,7 +14,9 @@ and the pinned digests were recorded on them.
   (per-vertex numpy slicing, ``heapq`` on tuples), call-compatible with
   ``hem_match_fast`` / ``fm_refine_fast``;
 - :class:`ChunkMailbox` — the flat plane's per-destination chunk-list
-  mailboxes, fed each epoch's delivered slot-ids.
+  mailboxes, fed each epoch's delivered slot-ids;
+- :func:`payload_nbytes` — the per-message plane's wire size of a dict
+  payload, which the methods' per-edge byte tables must reproduce.
 """
 
 from __future__ import annotations
@@ -203,8 +205,30 @@ def fm_refine(g, side: np.ndarray, target0: float, lo: float, hi: float,
 
 
 # ----------------------------------------------------------------------
-# flat-plane mailboxes
+# message planes
 # ----------------------------------------------------------------------
+_HEADER_BYTES = 16  # tag + source + payload length, like an MPI envelope
+
+
+def payload_nbytes(payload) -> int:
+    """Wire size of a dict payload: array bytes + 8 per scalar + header.
+
+    ``None`` fields are free; any other field type raises ``TypeError``.
+    """
+    total = _HEADER_BYTES
+    for value in payload.values():
+        if value is None:
+            continue
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif np.isscalar(value):
+            total += 8
+        else:
+            raise TypeError(f"unsupported payload field type {type(value)!r}")
+    return total
+
+
+
 class ChunkMailbox:
     """The flat plane's seed mailboxes: per destination a list of
     chunks (one per epoch, global put order within each), plus the set

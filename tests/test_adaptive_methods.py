@@ -14,6 +14,8 @@ from repro.core import (
 from repro.core.blockdata import build_block_system
 from repro.partition import partition
 
+from tests.plane_pins import PINS, run_fingerprint, trace_pin
+
 
 @pytest.fixture
 def state(poisson_100):
@@ -153,6 +155,57 @@ def block_state(fem_300):
     b = np.zeros(fem_300.n_rows)
     x0 /= np.linalg.norm(fem_300.matvec(x0))
     return system, x0, b
+
+
+def _threshold_pin(thr, hist, flushed):
+    """``thr``'s run, shaped like its ``tests/plane_pins.py`` record."""
+    return {**run_fingerprint(thr, hist), "suppressed": thr.suppressed_sends,
+            "flushed": flushed,
+            "solve_msgs": thr.engine.stats.category_msgs.get("solve", 0)}
+
+
+def _threshold_run(system, x0, b, threshold, steps):
+    thr = ThresholdedDistributedSouthwell(system, threshold=threshold)
+    flushed = []
+    flush = thr.flush_pending
+    thr.flush_pending = lambda: flushed.append(flush()) or flushed[-1]
+    hist = thr.run(x0, b, max_steps=steps)
+    return thr, _threshold_pin(thr, hist, flushed[0])
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("steps", [15, 20, 25])
+def test_threshold_reproduces_the_recorded_runs(block_state, threshold,
+                                                steps):
+    """The flat-plane variant (held deltas in a mailbox-shaped store)
+    reproduces the per-message plane's recorded runs bit for bit —
+    suppressed and flushed counts included."""
+    system, x0, b = block_state
+    _, got = _threshold_run(system, x0, b, threshold, steps)
+    assert got == PINS[f"threshold:{threshold}:{steps}"]
+
+
+def test_threshold_trace_reproduces_the_recorded_events(block_state):
+    from repro.trace import RunTracer
+
+    system, x0, b = block_state
+    for threshold in (0.0, 0.3, 0.5):
+        thr = ThresholdedDistributedSouthwell(system, threshold=threshold,
+                                              tracer=RunTracer())
+        thr.run(x0, b, max_steps=25)
+        assert trace_pin(list(thr.tracer.iter_events())) == \
+            PINS[f"threshold-trace:{threshold}"], threshold
+
+
+def test_threshold_rejects_a_lossy_plan(block_state):
+    from repro.faults import FaultPlan
+
+    system, x0, b = block_state
+    thr = ThresholdedDistributedSouthwell(
+        system, threshold=0.3, faults=FaultPlan.uniform(drop=0.1, seed=1))
+    with pytest.raises(ValueError, match="thresholded-distributed-"
+                                         "southwell with a lossy"):
+        thr.run(x0, b, max_steps=5)
 
 
 def test_threshold_zero_is_plain_ds(block_state):

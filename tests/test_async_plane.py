@@ -11,7 +11,8 @@ Covers the ISSUE-8 surface:
 4. ``SolveResult`` schema v4 (virtual_time / rank_clocks / rank_idle /
    ``timeline()``) round-trips;
 5. ``AsyncConfig`` / ``RunConfig`` validation raises early;
-6. plans that force the object plane raise ``AsyncUnsupportedError``;
+6. a lockstep-only send rule (thresholded DS) raises
+   ``AsyncUnsupportedError`` naming the method;
 7. the per-rank ``(stamp, slot)`` mailbox heaps read exactly what a full
    scan of ``deliver_at`` reads, and stay bounded although a restamp's
    old entry lingers until the receiver's clock nears its stamp.
@@ -233,14 +234,19 @@ def test_speed_factor_rank_out_of_range(fem_300):
 
 
 # ------------------------------------------------------------------- 6
-def test_object_plane_plans_raise_async_unsupported():
+def test_lockstep_only_methods_raise_async_unsupported():
+    """Thresholded DS decides per lockstep step which updates to hold;
+    that has no async form, so the executor refuses it up front instead
+    of silently running plain DS hooks."""
+    from repro.core.threshold_ds import ThresholdedDistributedSouthwell
+
     A = symmetric_unit_diagonal_scale(poisson_2d(12)).matrix
-    plan = FaultPlan.uniform(delay=0.3, max_delay=4, seed=1)
-    assert plan.requires_object_plane
-    with pytest.raises(AsyncUnsupportedError):
-        solve(A, method="distributed-southwell",
-              config=RunConfig(n_parts=4, max_steps=10, seed=0,
-                               faults=plan, runtime="async"))
+    system = build_block_system(A, partition(A, 4, seed=0))
+    ex = AsyncExecutor(ThresholdedDistributedSouthwell(system,
+                                                       threshold=0.3))
+    with pytest.raises(AsyncUnsupportedError,
+                       match="thresholded-distributed-southwell"):
+        ex.prepare(np.ones(A.n_rows), np.zeros(A.n_rows))
 
 
 # ------------------------------------------------------------------- 7

@@ -3,9 +3,8 @@
 A system whose lockstep steps relax their winners as one batch factors
 no block: every batched step of a one-sweep ``gs`` system solves through
 one factor of the whole block diagonal, made at the first batch.  A
-system of large blocks, and an async run, factor every rank; only the
-object plane, which relaxes one rank at a time, factors a batching
-system's blocks (lazily).  These are structural checks: they count
+system of large blocks, and an async run, factor every rank.  These are
+structural checks: they count
 ``splu`` calls, unfactored solvers and ``_bind_solve`` calls, never time
 anything.
 """
@@ -134,21 +133,6 @@ def test_async_prepare_factors_every_rank(splu_sizes):
     assert sorted(splu_sizes) == _block_sizes(system)
     ex.run(max_turns=500)
     assert len(splu_sizes) == 32 and system._diag_lu is None
-
-
-def test_object_plane_factors_the_ranks_it_relaxes(splu_sizes):
-    """The object plane relaxes one rank at a time through its local
-    solver: exactly the ranks that relaxed hold a factor, and the whole
-    block diagonal is never factored."""
-    A = poisson_2d(32)
-    system = build_block_system(A, partition(A, 32, seed=0))
-    with use_runtime("object"):
-        m = DistributedSouthwell(system)
-        m.run(*_start(system.n), max_steps=6)
-    relaxed = _factored(system)
-    assert relaxed and system._diag_lu is None
-    assert sorted(splu_sizes) == sorted(
-        system.size_of(p) for p in relaxed)
 
 
 def _ds_run(system) -> bytes:

@@ -170,7 +170,7 @@ def test_flat_plans_equal_per_edge_restacking(cls):
     rng = np.random.default_rng(1)
     with use_runtime("flat"):
         runner.setup(rng.standard_normal(A.n_rows), np.zeros(A.n_rows))
-    assert runner._use_flat
+    assert runner.engine.flat is not None
     plane = runner.engine.flat
     P = part.n_parts
     rstart = part.offsets

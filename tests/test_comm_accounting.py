@@ -8,18 +8,27 @@ from repro.api import solve
 from repro.runtime import (
     CATEGORY_RESIDUAL,
     CATEGORY_SOLVE,
+    SLOT_SOLVE,
     CostModel,
     MessageStats,
     ParallelEngine,
 )
 
 
+def _put(eng, src, dst):
+    """One solve message ``src -> dst`` on the engine's plane."""
+    plane = eng.flat
+    plane.put(plane.edge_index[(src, dst)], SLOT_SOLVE, 0.0, 0.0, 24,
+              CATEGORY_SOLVE)
+
+
 def test_receives_counted_on_drain():
     eng = ParallelEngine(3)
-    eng.put(0, 2, CATEGORY_SOLVE, {"x": 1.0})
-    eng.put(1, 2, CATEGORY_SOLVE, {"x": 2.0})
+    eng.configure_flat([(0, 2, 1, 0), (1, 2, 1, 0)])
+    _put(eng, 0, 2)
+    _put(eng, 1, 2)
     eng.close_epoch()
-    eng.drain(2)
+    eng.flat.drain_all()
     _, _, _, recvs = eng.stats.current_step_arrays()
     assert recvs[2] == 2
     assert recvs[0] == recvs[1] == 0
@@ -28,9 +37,10 @@ def test_receives_counted_on_drain():
 def test_receive_cost_prices_step():
     cm = CostModel(alpha=1.0, alpha_recv=10.0, beta=0.0, gamma=0.0)
     eng = ParallelEngine(2, cost_model=cm)
-    eng.put(0, 1, CATEGORY_SOLVE, {})
+    eng.configure_flat([(0, 1, 1, 0)])
+    _put(eng, 0, 1)
     eng.close_epoch()
-    eng.drain(1)
+    eng.flat.drain_all()
     snap = eng.close_step()
     # sender pays 1, receiver pays 10 -> step = max = 10
     assert snap.time == 10.0

@@ -30,8 +30,8 @@ def _clean_env(monkeypatch):
 # ----------------------------------------------------------------------
 def test_runtime_precedence(monkeypatch):
     assert config.runtime() == "auto"
-    monkeypatch.setenv(config.ENV_RUNTIME, "object")
-    assert config.runtime() == "object"
+    monkeypatch.setenv(config.ENV_RUNTIME, "async")
+    assert config.runtime() == "async"
     assert config.runtime("flat") == "flat"
 
 
@@ -217,7 +217,7 @@ def test_describe_shows_env_sources(monkeypatch, tmp_path):
 def test_describe_sees_programmatic_runtime_override():
     from repro.runtime import flatplane
 
-    with flatplane.use_runtime("object"):
+    with flatplane.use_runtime("async"):
         assert "set_runtime_mode()" in config.describe()
     assert "set_runtime_mode()" not in config.describe()
 
@@ -227,8 +227,8 @@ def test_runtime_mode_override_beats_env(monkeypatch):
 
     monkeypatch.setenv(config.ENV_RUNTIME, "flat")
     assert flatplane.runtime_mode() == "flat"
-    with flatplane.use_runtime("object"):
-        assert flatplane.runtime_mode() == "object"  # override wins
+    with flatplane.use_runtime("async"):
+        assert flatplane.runtime_mode() == "async"   # override wins
     assert flatplane.runtime_mode() == "flat"        # restored
 
 

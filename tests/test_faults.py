@@ -3,12 +3,15 @@
 The resilience contract pinned here:
 
 - a **null plan** (every rate zero, no schedules) compiles to disabled
-  machinery: runs are bit-identical to runs with no plan at all, on both
-  message planes (property-tested over plan seeds and repair knobs);
-- a **seeded lossy plan** produces bit-identical histories, identical
-  injected-fault counts, and byte-identical :class:`MessageStats` on the
-  object and flat planes — the fate stream is a pure function of the
+  machinery: runs are bit-identical to runs with no plan at all, and to
+  the recorded per-message plane's (property-tested over plan seeds and
+  repair knobs);
+- a **seeded lossy plan** reproduces the recorded per-message plane's
+  histories, injected-fault counts and :class:`MessageStats` bit for bit
+  (``tests/plane_pins.py``) — the fate stream is a pure function of the
   plan, never of runtime representation;
+- epoch delays are gone: a plan asking for one raises, while plan files
+  carrying the neutral legacy keys still load;
 - accounting: drops are charged as sends but **never** as receives;
   duplicates charge two receives;
 - DS's repair/retry hardening keeps it converging under 5% and 20%
@@ -47,6 +50,8 @@ from repro.partition import partition
 from repro.runtime import use_runtime
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import symmetric_unit_diagonal_scale
+
+from tests.plane_pins import PINS, run_fingerprint
 
 _CLASSES = {"block-jacobi": BlockJacobi,
             "parallel-southwell": ParallelSouthwell,
@@ -87,9 +92,10 @@ def _digest(hist) -> str:
 
 
 # ----------------------------------------------------------------------
-# null plans are bit-identical to no plan (both planes)
+# null plans are bit-identical to no plan (the live flat run's, and the
+# recorded per-message plane's)
 # ----------------------------------------------------------------------
-_BASELINE: dict[str, str] = {}
+_BASELINE: dict[str, str] = {"object": PINS["faultless-ds-digest"]}
 
 
 def _baseline_digest(small_setup, mode: str) -> str:
@@ -115,31 +121,38 @@ def test_null_plan_bit_identical_to_faultless(small_setup, mode, seed,
                      deadlock_patience=patience)
     assert plan.is_null
     A, system = small_setup
-    _, hist = _run(system, A.n_rows, DistributedSouthwell, mode, plan)
+    _, hist = _run(system, A.n_rows, DistributedSouthwell, "flat", plan)
     assert _digest(hist) == _baseline_digest(small_setup, mode)
 
 
 # ----------------------------------------------------------------------
-# seeded lossy plans: object plane ≡ flat plane, exactly
+# seeded lossy plans: the flat plane reproduces the recorded
+# per-message plane exactly
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("method", sorted(_CLASSES))
 def test_lossy_plan_object_vs_flat_identical(small_setup, method):
     """Histories, stats and injected-fault counts all match bitwise.
 
-    This also pins the drain-path accounting fix: dropped messages are
-    charged as sends but never as receives, identically on both planes,
-    so ``MessageStats`` equality holds under a nonzero fault plan.
+    This also pins the drain-path accounting: dropped messages are
+    charged as sends but never as receives, so the per-step
+    ``MessageStats`` equal the recorded ones under a nonzero fault plan.
     """
     A, system = small_setup
-    cls = _CLASSES[method]
-    m_o, h_o = _run(system, A.n_rows, cls, "object", LOSSY_PLAN)
-    m_f, h_f = _run(system, A.n_rows, cls, "flat", LOSSY_PLAN)
-    assert _digest(h_o) == _digest(h_f)
-    assert dict(m_o._faults.injected) == dict(m_f._faults.injected)
-    so, sf = m_o.engine.stats, m_f.engine.stats
-    assert so.total_messages == sf.total_messages
-    assert so.total_bytes == sf.total_bytes
-    assert so.total_receives == sf.total_receives
+    m_f, h_f = _run(system, A.n_rows, _CLASSES[method], "flat", LOSSY_PLAN)
+    pin = PINS[f"lossy:{method}"]
+    assert dict(m_f._faults.injected) == pin["injected"]
+    assert {**run_fingerprint(m_f, h_f), "injected": pin["injected"]} == pin
+
+
+def test_stale_plan_reproduces_the_recorded_run(small_setup):
+    """Ghost-stale and reorder fates (no loss): DS skips the torn z
+    overwrites exactly as the recorded per-message run did."""
+    A, system = small_setup
+    plan = FaultPlan.uniform(reorder=0.2, ghost_stale=0.3, seed=5)
+    m, h = _run(system, A.n_rows, DistributedSouthwell, "flat", plan)
+    pin = PINS["stale:distributed-southwell"]
+    assert {**run_fingerprint(m, h), "injected": dict(m._faults.injected)} \
+        == pin
 
 
 def test_same_plan_is_deterministic(small_setup):
@@ -153,23 +166,21 @@ def test_drops_charged_as_sends_not_receives(small_setup):
     """With drop-only faults, receives == sends − drops, exactly."""
     A, system = small_setup
     plan = FaultPlan.uniform(drop=0.15, seed=5)
-    for mode in ("object", "flat"):
-        m, _ = _run(system, A.n_rows, BlockJacobi, mode, plan)
-        stats = m.engine.stats
-        drops = m._faults.injected.get("drop:solve", 0)
-        assert drops > 0
-        assert stats.total_receives == stats.total_messages - drops
+    m, _ = _run(system, A.n_rows, BlockJacobi, "flat", plan)
+    stats = m.engine.stats
+    drops = m._faults.injected.get("drop:solve", 0)
+    assert drops > 0
+    assert stats.total_receives == stats.total_messages - drops
 
 
 def test_duplicates_charge_two_receives(small_setup):
     A, system = small_setup
     plan = FaultPlan.uniform(duplicate=0.2, seed=5)
-    for mode in ("object", "flat"):
-        m, _ = _run(system, A.n_rows, BlockJacobi, mode, plan)
-        stats = m.engine.stats
-        dups = m._faults.injected.get("duplicate:solve", 0)
-        assert dups > 0
-        assert stats.total_receives == stats.total_messages + dups
+    m, _ = _run(system, A.n_rows, BlockJacobi, "flat", plan)
+    stats = m.engine.stats
+    dups = m._faults.injected.get("duplicate:solve", 0)
+    assert dups > 0
+    assert stats.total_receives == stats.total_messages + dups
 
 
 # ----------------------------------------------------------------------
@@ -179,14 +190,11 @@ _rate = st.floats(0.0, 1.0, allow_nan=False)
 
 
 @settings(max_examples=25, deadline=None)
-@given(drop=_rate, duplicate=_rate, reorder=_rate, delay=_rate,
-       ghost_stale=_rate, max_delay=st.integers(1, 8),
+@given(drop=_rate, duplicate=_rate, reorder=_rate, ghost_stale=_rate,
        seed=st.integers(0, 2**31 - 1))
-def test_plan_json_roundtrip(drop, duplicate, reorder, delay, ghost_stale,
-                             max_delay, seed):
+def test_plan_json_roundtrip(drop, duplicate, reorder, ghost_stale, seed):
     plan = FaultPlan.uniform(drop=drop, duplicate=duplicate,
-                             reorder=reorder, delay=delay,
-                             max_delay=max_delay, ghost_stale=ghost_stale,
+                             reorder=reorder, ghost_stale=ghost_stale,
                              seed=seed,
                              stalls=(StallWindow(rank=1, start=2, stop=5),),
                              slowdowns=(SlowdownWindow(rank=0, start=1,
@@ -260,14 +268,13 @@ def test_stall_schedule_skips_relaxations(small_setup):
     A, system = small_setup
     plan = FaultPlan(seed=3, stalls=(StallWindow(rank=0, start=1, stop=6),))
     base, _ = _run(system, A.n_rows, BlockJacobi, "flat", None, steps=10)
-    digests = set()
-    for mode in ("object", "flat"):
-        m, hist = _run(system, A.n_rows, BlockJacobi, mode, plan, steps=10)
-        # rank 0 sat out 5 of its 10 relaxations (row-weighted counter)
-        assert m.total_relaxations < base.total_relaxations
-        assert m._faults.injected["stall"] == 5
-        digests.add(_digest(hist))
-    assert len(digests) == 1              # stalls are plane-agnostic too
+    m, hist = _run(system, A.n_rows, BlockJacobi, "flat", plan, steps=10)
+    # rank 0 sat out 5 of its 10 relaxations (row-weighted counter)
+    assert m.total_relaxations < base.total_relaxations
+    assert m._faults.injected["stall"] == 5
+    # and exactly as on the recorded per-message plane
+    pin = PINS["stall:block-jacobi"]
+    assert {**run_fingerprint(m, hist), "injected": {"stall": 5}} == pin
 
 
 def test_slowdown_schedule_stretches_time(small_setup):
@@ -287,13 +294,25 @@ def test_slowdown_schedule_stretches_time(small_setup):
             > 2.0 * m_base.engine.stats.elapsed_time())
 
 
-def test_delay_plan_requires_object_plane(small_setup):
-    A, system = small_setup
-    plan = FaultPlan(seed=3, solve=EdgeFaults(delay=0.3, max_delay=3))
-    assert plan.requires_object_plane
-    m, _ = _run(system, A.n_rows, DistributedSouthwell, "flat", plan)
-    assert not m._use_flat                # fell back to the object plane
-    assert m._faults.injected.get("delay:solve", 0) > 0
+def test_delay_plan_is_rejected():
+    """Epoch delays are gone (late delivery is ``AsyncConfig.latency``
+    under ``runtime="async"``): a nonzero ``delay`` or a ``max_delay``
+    other than 1 raises a ValueError naming the field, in code and in a
+    plan file; the neutral legacy keys an old ``to_json`` wrote load."""
+    with pytest.raises(ValueError, match="^delay must be 0"):
+        EdgeFaults(delay=0.3)
+    with pytest.raises(ValueError, match="^max_delay must be 1"):
+        EdgeFaults(max_delay=3)
+    with pytest.raises(ValueError, match="^delay must be 0"):
+        FaultPlan.from_json('{"seed": 1, "solve": {"delay": 0.5}}')
+    with pytest.raises(ValueError, match="^max_delay must be 1"):
+        FaultPlan.from_json('{"residual": {"max_delay": 2}}')
+    legacy = ('{"schema": "repro.faultplan/v1", "seed": 3, "solve": '
+              '{"drop": 0.1, "duplicate": 0.0, "reorder": 0.0, '
+              '"delay": 0.0, "max_delay": 1, "ghost_stale": 0.0}}')
+    plan = FaultPlan.from_json(legacy)
+    assert plan == FaultPlan(seed=3, solve=EdgeFaults(drop=0.1))
+    assert "delay" not in plan.to_json()
 
 
 # ----------------------------------------------------------------------
@@ -383,15 +402,24 @@ def test_trace_reconciles_without_faults(small_setup, tmp_path):
 # fate-stream unit properties
 # ----------------------------------------------------------------------
 def test_fate_stream_is_stateless_and_seeded():
-    plan = FaultPlan.uniform(drop=0.3, duplicate=0.1, seed=42)
-    a = FaultRuntime(plan, 8)
-    b = FaultRuntime(plan, 8)
+    from repro.runtime import ParallelEngine
+
+    def bound(seed):
+        fr = FaultRuntime(FaultPlan.uniform(drop=0.3, duplicate=0.1,
+                                            seed=seed), 8)
+        eng = ParallelEngine(8)
+        eng.faults = fr
+        eng.configure_flat([(p, q, 1, 0) for p in range(8)
+                            for q in range(8) if p != q])
+        return fr, eng.flat.edge_index
+
+    (a, idx), (b, _), (other, _) = bound(42), bound(42), bound(43)
+    s12 = np.array([2 * idx[(1, 2)]])
     for _ in range(50):
-        assert a.fate(1, 2, "solve") == b.fate(1, 2, "solve")
-    other = FaultRuntime(FaultPlan.uniform(drop=0.3, duplicate=0.1,
-                                           seed=43), 8)
+        assert a.fates_flat(s12).tolist() == b.fates_flat(s12).tolist()
     # different seeds decorrelate (not a hard guarantee per message, but
     # 200 draws agreeing would mean the seed is ignored)
-    draws_a = [a.fate(3, 4, "solve")[0] for _ in range(200)]
-    draws_c = [other.fate(3, 4, "solve")[0] for _ in range(200)]
+    s34 = np.array([2 * idx[(3, 4)]])
+    draws_a = [a.fates_flat(s34).tolist() for _ in range(200)]
+    draws_c = [other.fates_flat(s34).tolist() for _ in range(200)]
     assert draws_a != draws_c

@@ -1,10 +1,12 @@
-"""Which plane's state a run builds (DESIGN.md §5.1, §5.8).
+"""Which state a run builds (DESIGN.md §5.1, §5.8).
 
-The flat and async planes read a block system through a few whole-array
-stores; only the object plane reads the per-edge dicts, views and
-workspaces, so those are built the first time something reads them.
-These are structural checks — which attributes exist after a run — plus
-byte identity against fresh runners; no timing or memory figure.
+The lockstep and async planes read a block system through a few
+whole-array stores.  The per-edge dicts and views (the system's
+``couplings`` / ``beta``, the plane's ``vals`` / ``edge_index``, DS's
+``ghost`` dicts) serve only tests, examples and the sequential adaptive
+methods, so they are built the first time something reads them.  These
+are structural checks — which attributes exist after a run — plus byte
+identity against fresh runners; no timing or memory figure.
 """
 
 from __future__ import annotations
@@ -25,13 +27,6 @@ from repro.solvers.block_jacobi import BlockJacobi
 
 METHODS = [DistributedSouthwell, ParallelSouthwell, BlockJacobi]
 
-#: what every object-plane run builds, and what DS / PS add to it
-OBJECT_STATE = {"couplings", "beta", "windows", "_ws_Ax", "_ws_delta_own",
-                "_ws_gather", "_ws_delta"}
-EXTRA_STATE = {DistributedSouthwell: {"_nbr_pos", "ghost"},
-               ParallelSouthwell: {"_nbr_pos"}, BlockJacobi: set()}
-
-
 def _system(n_parts=32):
     A = poisson_2d(32)
     return build_block_system(A, partition(A, n_parts, seed=0))
@@ -43,18 +38,15 @@ def _start(n):
 
 
 def _built(runner) -> set[str]:
-    """The lazily built structures ``runner``, its system, its window
-    system and its flat plane hold."""
-    own = {"_ws_Ax", "_ws_delta_own", "_ws_gather", "_ws_delta",
-           "_nbr_pos", "ghost", "_sid_slabpos_list"}
-    names = own & vars(runner).keys()
-    sysm, windows = runner.system, runner.engine.windows
+    """The lazily built structures ``runner``, its system and its flat
+    plane hold."""
+    names = {"ghost", "_sid_slabpos_list"} & vars(runner).keys()
+    sysm, plane = runner.system, runner.engine.flat
     names |= {name for name, value in (("couplings", sysm._couplings),
                                        ("beta", sysm._beta))
               if value is not None}
-    names |= {"windows"} & vars(windows).keys()
-    if windows.flat is not None:
-        names |= {"vals", "edge_index"} & vars(windows.flat).keys()
+    if plane is not None:
+        names |= {"vals", "edge_index"} & vars(plane).keys()
     return names
 
 
@@ -63,7 +55,11 @@ def _bound(plans) -> set[int]:
 
 
 def _run(runner, mode, steps=3) -> bytes:
-    with use_runtime(mode):
+    """A lockstep (``"flat"``) or event-driven (``"async"``) run."""
+    if mode == "async":
+        hist = AsyncExecutor(runner).run(*_start(runner.system.n),
+                                         max_steps=steps)
+    else:
         hist = runner.run(*_start(runner.system.n), max_steps=steps)
     return (runner.solution().tobytes() + runner.residual_vector().tobytes()
             + np.asarray(hist.residual_norms).tobytes())
@@ -76,7 +72,7 @@ def test_flat_run_builds_no_object_plane_state(cls):
     runner = cls(system)
     assert _built(runner) == set()
     _run(runner, "flat")
-    assert runner._use_flat and _built(runner) == set()
+    assert _built(runner) == set()
     # solo-relax kernels bind per rank, together with its solve
     solved = _bound(runner._solver_call)
     assert _bound(runner._mv_diag) == solved
@@ -86,27 +82,14 @@ def test_flat_run_builds_no_object_plane_state(cls):
 
 
 @pytest.mark.parametrize("cls", METHODS)
-def test_object_run_builds_its_state_and_matches_a_fresh_system(cls):
-    system = _system()
-    flat = _run(cls(system), "flat")
-    runner = cls(system)        # on a system a flat run has used
-    obj = _run(runner, "object")
-    assert not runner._use_flat
-    assert _built(runner) == OBJECT_STATE | EXTRA_STATE[cls]
-    assert obj == _run(cls(_system()), "object") == flat
-
-
-@pytest.mark.parametrize("cls", METHODS)
 def test_plane_flips_reproduce_fresh_runners(cls):
+    """One runner driven lockstep, then event-driven, then lockstep
+    again matches a fresh runner of each kind byte for byte."""
     system = _system()
-    fresh = {mode: _run(cls(system), mode) for mode in ("flat", "object")}
+    fresh = {mode: _run(cls(system), mode) for mode in ("flat", "async")}
     runner = cls(system)
-    for mode in ("flat", "object", "flat"):
+    for mode in ("flat", "async", "flat"):
         assert _run(runner, mode) == fresh[mode], mode
-    # the flat map aliases the new plane's mailboxes, not the old ones
-    plane = runner.engine.flat
-    for key, eid in plane.edge_index.items():
-        assert runner._ws_delta[key] is plane.vals[eid]
     if cls is DistributedSouthwell:
         layers = next(g for g in runner.ghost if g)
         assert all(np.shares_memory(z, runner._ghost_flat)

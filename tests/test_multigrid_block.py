@@ -563,3 +563,24 @@ def test_inherited_levels_never_follow_a_recycled_id():
         _check_inheritance(shared, ex.levels)
         del ex, fresh
         gc.collect()
+
+
+def test_dropped_executor_frees_its_levels():
+    """A shared smoother holds its level runners and hierarchy links
+    weakly: once an executor is dropped, its operators and their runners
+    are freed and the smoother's records empty out."""
+    import gc
+    import weakref
+
+    shared = make_smoother("ds", n_parts=4)
+    ex = MultigridExecutor(scaled_laplacian(31), shared,
+                           hierarchy="galerkin")
+    ex.run(fig6_rhs(31), n_cycles=1)
+    operators = [weakref.ref(lvl.matrix) for lvl in ex.levels]
+    runners = [weakref.ref(shared.record_for(lvl.matrix).runner)
+               for lvl in ex.levels[:-1]]
+    assert len(shared._levels) == len(runners) and shared._finer
+    del ex
+    gc.collect()
+    assert all(ref() is None for ref in operators + runners)
+    assert shared._levels == {} and shared._finer == {}

@@ -205,7 +205,7 @@ def test_chebyshev_caches_eigenvalue_estimate(poisson_100, rng):
     b = rng.standard_normal(100)
     sm.smooth(poisson_100, np.zeros(100), b)
     pinned, lmax1 = sm._lmax_cache[id(poisson_100)]
-    assert pinned is poisson_100                 # the entry keeps its key alive
+    assert pinned() is poisson_100      # the entry refers to its key weakly
     sm.smooth(poisson_100, np.zeros(100), b)
     assert sm._lmax_cache[id(poisson_100)][1] == lmax1
     # the estimate brackets the true value (D=I after scaling)

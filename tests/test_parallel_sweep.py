@@ -97,7 +97,7 @@ def test_task_key_isolates_parameters_and_code(monkeypatch):
     assert base != task_key(_task("distributed-southwell", max_steps=9))
     # the runtime knob is part of the key: results produced
     # under a forced mode never masquerade as the default's
-    monkeypatch.setenv("REPRO_RUNTIME", "object")
+    monkeypatch.setenv("REPRO_RUNTIME", "async")
     assert base != task_key(_task("distributed-southwell"))
     assert code_digest()  # stable, non-empty
 

@@ -77,7 +77,7 @@ def _pair(system, x0, b, method, lossy, warm_steps):
             m.engine.flat.vals_flat.fill(0.0)
             for _ in range(warm_steps):
                 m.step()
-            assert m._use_flat and m._relax_plans()
+            assert m.engine.flat is not None and m._relax_plans()
             out.append(m)
     return out
 

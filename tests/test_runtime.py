@@ -1,26 +1,49 @@
-"""Tests for the simulated RMA runtime (messages, windows, stats, cost)."""
+"""Tests for the simulated RMA runtime (mailboxes, stats, cost)."""
 
 import numpy as np
 import pytest
 
+from repro.core import DistributedSouthwell, ParallelSouthwell
 from repro.runtime import (
     CATEGORY_RESIDUAL,
     CATEGORY_SOLVE,
     CORI_LIKE,
+    SLOT_RESIDUAL,
+    SLOT_SOLVE,
     CostModel,
-    Message,
     MessageStats,
     ParallelEngine,
-    WindowSystem,
     ZERO_COST,
-    payload_nbytes,
 )
+from repro.solvers.block_jacobi import BlockJacobi
+
+from tests.oracles import payload_nbytes
+from tests.test_async import make_plane, sid
 
 
 # -------------------------------------------------------------- messages
 def test_payload_nbytes_counts_arrays_and_scalars():
     size = payload_nbytes({"vals": np.zeros(10), "norm": 1.0, "none": None})
     assert size == 16 + 80 + 8
+    # every method's per-edge byte table is that size of its messages
+    n_vals, n_z = np.array([3, 7]), np.array([5, 2])
+    vals = [np.zeros(k) for k in n_vals]
+    z = [np.zeros(k) for k in n_z]
+    wire = {
+        BlockJacobi: ([{"vals": v} for v in vals], None),
+        ParallelSouthwell: ([{"vals": v, "own_norm_sq": 1.0} for v in vals],
+                            [{"own_norm_sq": 1.0}] * 2),
+        DistributedSouthwell: (
+            [{"vals": v, "z": w, "own_norm_sq": 1.0, "your_est_sq": 2.0}
+             for v, w in zip(vals, z)],
+            [{"z": w, "own_norm_sq": 1.0, "your_est_sq": 2.0} for w in z]),
+    }
+    for cls, (solve, residual) in wire.items():
+        got_s, got_r = cls._flat_message_nbytes(None, n_vals, n_z)
+        assert list(got_s) == [payload_nbytes(m) for m in solve], cls
+        if residual is not None:
+            assert list(np.broadcast_to(got_r, 2)) == [
+                payload_nbytes(m) for m in residual], cls
 
 
 def test_payload_nbytes_rejects_unknown():
@@ -28,70 +51,65 @@ def test_payload_nbytes_rejects_unknown():
         payload_nbytes({"bad": [1, 2, 3]})
 
 
-def test_message_is_frozen():
-    m = Message(src=0, dst=1, category=CATEGORY_SOLVE, payload={},
-                nbytes=16)
-    with pytest.raises(AttributeError):
-        m.src = 2
+# ------------------------------------------------------------- mailboxes
+def _engine(n_procs=3, edges=((0, 1, 2, 0), (1, 0, 2, 0), (2, 1, 2, 0))):
+    eng = ParallelEngine(n_procs)
+    plane = eng.configure_flat(list(edges))
+    return eng, plane
 
 
-# --------------------------------------------------------------- windows
 def test_put_not_visible_until_epoch_close():
-    ws = WindowSystem(3)
-    ws.put(0, 1, CATEGORY_SOLVE, {"x": 1.0})
-    assert ws.drain(1) == []
-    assert ws.in_flight == 1
-    ws.close_epoch()
-    msgs = ws.drain(1)
-    assert len(msgs) == 1
-    assert msgs[0].src == 0
-    assert ws.drain(1) == []        # drained
+    eng, plane = _engine()
+    eid = plane.edge_index[(0, 1)]
+    plane.put(eid, SLOT_SOLVE, 1.0, 0.0, 32, CATEGORY_SOLVE)
+    assert plane.mail_ranks.size == 0
+    assert eng.in_flight == 1
+    assert eng.close_epoch() == 1
+    assert plane.mail_ranks.tolist() == [1]
+    assert plane.src_of(plane.last_delivered[0]) == 0
+    plane.drain_all()
+    plane.drain_all()               # drained exactly once
+    assert eng.stats.total_receives == 1 and eng.in_flight == 0
 
 
 def test_put_validates_ranks():
-    ws = WindowSystem(2)
     with pytest.raises(IndexError):
-        ws.put(0, 5, CATEGORY_SOLVE, {})
+        ParallelEngine(2).configure_flat([(0, 5, 1, 0)])
     with pytest.raises(ValueError):
-        ws.put(1, 1, CATEGORY_SOLVE, {})
+        ParallelEngine(2).configure_flat([(1, 1, 1, 0)])
 
 
 def test_fifo_order_per_sender():
-    ws = WindowSystem(2)
-    for k in range(5):
-        ws.put(0, 1, CATEGORY_SOLVE, {"k": float(k)})
-    ws.close_epoch()
-    ks = [m.payload["k"] for m in ws.drain(1)]
-    assert ks == [0.0, 1.0, 2.0, 3.0, 4.0]
+    """A rank's mail of one epoch arrives in put order, whatever the
+    senders and slots."""
+    eng, plane = _engine()
+    e01, e21 = plane.edge_index[(0, 1)], plane.edge_index[(2, 1)]
+    order = [2 * e01 + SLOT_RESIDUAL, 2 * e21 + SLOT_SOLVE,
+             2 * e01 + SLOT_SOLVE]
+    for s in order:
+        plane.put(s >> 1, s & 1, 1.0, 0.0, 24, CATEGORY_SOLVE)
+    eng.close_epoch()
+    assert plane.last_delivered.tolist() == order
 
 
 def test_delay_injection_eventually_delivers():
-    ws = WindowSystem(2, delay_probability=0.7, seed=0)
-    for k in range(50):
-        ws.put(0, 1, CATEGORY_SOLVE, {"k": float(k)})
-    delivered = ws.close_epoch()
-    assert delivered < 50           # some were held back
-    total = delivered
-    for _ in range(100):
-        total += ws.close_epoch()
-        if total == 50:
-            break
-    assert total == 50
-
-
-def test_flush_all_ignores_delay():
-    ws = WindowSystem(2, delay_probability=0.9, seed=1)
-    for _ in range(20):
-        ws.put(0, 1, CATEGORY_SOLVE, {})
-    assert ws.flush_all() + len(ws.drain(1)) >= 20 or True
-    assert ws.in_flight == 0
+    """Late delivery is the async plane's latency: a message is not
+    readable before its stamp and is delivered once the receiver's clock
+    passes it."""
+    cm = CostModel(alpha=1.0, alpha_recv=0.0, beta=0.0, gamma=0.0)
+    ap = make_plane(2, cm, latency=50.0)
+    ap.send(0, sid(ap, 0, 1), 1.0, 0.0, 24, CATEGORY_SOLVE)
+    assert list(ap.deliver(1)) == [] and ap.in_flight == 1
+    ap.advance_idle(1, 100.0)
+    assert list(ap.deliver(1)) == sid(ap, 0, 1).tolist()
+    assert ap.in_flight == 0
 
 
 def test_window_system_validates_args():
     with pytest.raises(ValueError):
-        WindowSystem(0)
-    with pytest.raises(ValueError):
-        WindowSystem(2, delay_probability=1.5)
+        ParallelEngine(0)
+    with pytest.raises(ValueError, match="duplicate edge"):
+        ParallelEngine(2).configure_flat([(0, 1, 1, 0), (0, 1, 2, 0)])
 
 
 # ------------------------------------------------------------------ stats
@@ -150,10 +168,13 @@ def test_zero_cost_model():
 def test_engine_step_pricing_and_counters():
     eng = ParallelEngine(2, cost_model=CostModel(alpha=1.0, beta=0.0,
                                                  gamma=1.0))
-    eng.put(0, 1, CATEGORY_SOLVE, {"v": np.zeros(4)})
-    eng.charge_flops(0, 7.0)
+    plane = eng.configure_flat([(0, 1, 4, 0), (1, 0, 4, 0)])
+    plane.put(plane.edge_index[(0, 1)], SLOT_SOLVE, 0.0, 0.0, 48,
+              CATEGORY_SOLVE)
+    eng.stats.record_flops(0, 7.0)
     eng.close_epoch()
-    assert len(eng.drain(1)) == 1
+    plane.drain_all()
+    assert eng.stats.total_receives == 1
     snap = eng.close_step()
     # process 0 did 7 flops and 1 message -> 8.0; process 1 idle
     assert snap.time == 8.0

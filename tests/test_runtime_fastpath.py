@@ -1,21 +1,19 @@
 """Equivalence and accounting tests for the flat-buffer runtime.
 
-The flat-buffer message plane (DESIGN.md §5.8) is the default for the
-paper's synchronous-epoch runs, so its contract is strict: **bit-for-bit**
-the same convergence history and **byte-for-byte** the same message
-statistics as the object plane, on every method that supports it.  These
-tests pin that contract:
+The flat-buffer message plane (DESIGN.md §5.8) is the one lockstep plane,
+so its contract is strict: **bit-for-bit** the same convergence history
+and **byte-for-byte** the same message statistics as the per-message
+reference plane it replaced, whose results are recorded in
+``tests/plane_pins.py``.  These tests pin that contract:
 
-- the seed DS history digest reproduces under the object path and the
-  flat path;
-- full stats equality — per-step message/byte/flop/receive arrays and
-  category splits — across both planes for BJ, PS and DS;
+- the seed DS history digest reproduces;
+- full stats — per-step message/byte/flop/receive arrays and category
+  splits — match the reference's recorded runs for BJ, PS and DS;
 - the cumulative metrics are O(1) (they never walk the snapshot list);
-- eligibility: delay injection, the thresholded DS variant, the PS
-  piggyback ablation and ``REPRO_RUNTIME=object`` all fall back to the
-  object plane;
+- every method, the thresholded DS variant included, runs the flat
+  plane, and ``runtime="object"`` (the deleted plane's name) raises;
 - the flat plane's epoch discipline (visibility only after the collective
-  close, collision detection, delay rejection);
+  close, collision detection);
 - the int32 slab-index fast path, ``runtime="shm"`` (a deleted
   plane's spelling) running the flat plane and reporting it, and
   ``AsyncConfig(scheduler="batched")`` (a deleted scheduler's spelling)
@@ -38,7 +36,7 @@ from repro.runtime import (
     SLOT_RESIDUAL,
     SLOT_SOLVE,
     MessageStats,
-    WindowSystem,
+    ParallelEngine,
     runtime_mode,
     set_runtime_mode,
     use_runtime,
@@ -46,6 +44,7 @@ from repro.runtime import (
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import symmetric_unit_diagonal_scale
 
+from tests.plane_pins import PINS, run_fingerprint
 from tests.test_backends import SEED_DS_DIGEST, _ds_history_digest
 
 _METHOD_CLASSES = {
@@ -98,11 +97,15 @@ def _assert_identical(m_a, h_a, m_b, h_b):
 
 
 # ----------------------------------------------------------------------
-# pinned seed behaviour across paths
+# pinned seed behaviour
 # ----------------------------------------------------------------------
 def test_seed_ds_digest_object_path():
-    with use_runtime("object"):
-        assert _ds_history_digest() == SEED_DS_DIGEST
+    """The per-message plane's recorded run of the seed DS problem: the
+    flat run reproduces its whole history, every column."""
+    from tests.test_trace import _run_seed_ds
+
+    digest, _ = _run_seed_ds(full=True)
+    assert digest == PINS["trace:distributed-southwell"]["history"]
 
 
 def test_seed_ds_digest_flat_path():
@@ -111,36 +114,35 @@ def test_seed_ds_digest_flat_path():
 
 
 # ----------------------------------------------------------------------
-# full stats equality: both planes, all three methods
+# full stats equality with the recorded per-message plane, all methods
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("method", sorted(_METHOD_CLASSES))
 def test_flat_and_object_planes_identical(method):
-    cls = _METHOD_CLASSES[method]
-    m_obj, h_obj = _run(cls, "object")
-    m_flat, h_flat = _run(cls, "flat")
-    assert not m_obj._use_flat and m_flat._use_flat
-    _assert_identical(m_obj, h_obj, m_flat, h_flat)
+    m_flat, h_flat = _run(_METHOD_CLASSES[method], "flat")
+    assert run_fingerprint(m_flat, h_flat) == PINS[f"plane:{method}"]
 
 
 def test_relax_deltas_alias_flat_mailboxes():
-    """With the flat plane active the relax workspaces ARE the mailbox
-    buffers — a relax writes the wire payload in place."""
+    """A relax writes the wire payload in place: rank p's deltas
+    ``-A_qp dx_p`` land in its mailbox slab, a view of the plane's
+    delta store."""
     A, system = _small_system()
     ds = DistributedSouthwell(system)
     rng = np.random.default_rng(0)
-    with use_runtime("flat"):
-        ds.setup(rng.uniform(-1, 1, A.n_rows), np.zeros(A.n_rows))
+    ds.setup(rng.uniform(-1, 1, A.n_rows), np.zeros(A.n_rows))
     plane = ds.engine.flat
-    assert plane is not None
-    for key, eid in plane.edge_index.items():
-        assert ds._ws_delta[key] is plane.vals[eid]
-    deltas = ds.relax(0)
-    for q, buf in deltas.items():
-        assert buf is plane.vals[plane.edge_index[(0, int(q))]]
+    assert np.shares_memory(ds._vals_slab[0], plane.vals_flat)
+    x_before = ds.x_blocks[0].copy()
+    ds._relax_one_flat(0)
+    dx = ds.x_blocks[0] - x_before
+    for q in system.neighbors_of(0).tolist():
+        expect = -system.couplings[(0, q)].matvec(dx)
+        np.testing.assert_allclose(plane.vals[plane.edge_index[(0, q)]],
+                                   expect, rtol=1e-12, atol=1e-15)
 
 
 # ----------------------------------------------------------------------
-# eligibility: who falls back to the object plane
+# every method runs the one lockstep plane
 # ----------------------------------------------------------------------
 def _setup_method(cls, mode="auto", **kwargs):
     A, system = _small_system()
@@ -155,48 +157,53 @@ def _setup_method(cls, mode="auto", **kwargs):
                                  DistributedSouthwell])
 def test_auto_mode_uses_flat_plane(cls):
     m = _setup_method(cls)
-    assert m._use_flat and m.engine.flat is not None
+    assert m.engine.flat is not None
+    assert m.engine.flat.n_edges == m.system.edge_src.size
 
 
-def test_object_mode_forces_object_plane():
-    m = _setup_method(DistributedSouthwell, mode="object")
-    assert not m._use_flat and m.engine.flat is None
-    assert m._ws_delta is m._ws_delta_own
+def test_object_mode_is_rejected():
+    """``"object"`` named the deleted per-message plane: every front
+    door raises a ValueError listing the valid modes."""
+    from repro.api import RunConfig
+    from repro.cli import main as cli_main
+
+    modes = "('auto', 'flat', 'shm', 'async')"
+    with pytest.raises(ValueError, match="got 'object'") as err:
+        with use_runtime("object"):
+            pass                                    # pragma: no cover
+    assert modes in str(err.value)
+    with pytest.raises(ValueError, match="^runtime must be one of"):
+        RunConfig(runtime="object")
+    with pytest.raises(ValueError, match="^runtime must be one of"):
+        cli_main(["-n", "4", "-grid_dim", "8", "-sweep_max", "2",
+                  "--runtime", "object"])
+    assert runtime_mode() != "object"
 
 
-def test_delay_injection_forces_object_plane():
-    m = _setup_method(DistributedSouthwell, delay_probability=0.3)
-    assert not m._use_flat and m.engine.flat is None
-
-
-def test_thresholded_ds_forces_object_plane():
-    m = _setup_method(ThresholdedDistributedSouthwell)
-    assert not m._use_flat and m.engine.flat is None
-
-
-def test_ps_piggyback_ablation_forces_object_plane():
-    m = _setup_method(ParallelSouthwell, piggyback=False)
-    assert not m._use_flat and m.engine.flat is None
+def test_thresholded_ds_runs_the_flat_plane():
+    m = _setup_method(ThresholdedDistributedSouthwell, threshold=0.3)
+    assert m.engine.flat is not None
+    assert m._held.shape == m.engine.flat.vals_flat.shape
 
 
 def test_runtime_mode_knob():
-    assert runtime_mode() in ("auto", "flat", "shm", "async", "object")
-    with use_runtime("object"):
-        assert runtime_mode() == "object"
-        with use_runtime("flat"):
-            assert runtime_mode() == "flat"
-        assert runtime_mode() == "object"
-    with use_runtime("shm"):
-        assert runtime_mode() == "shm"
+    assert runtime_mode() in ("auto", "flat", "shm", "async")
     with use_runtime("async"):
         assert runtime_mode() == "async"
+        with use_runtime("flat"):
+            assert runtime_mode() == "flat"
+        assert runtime_mode() == "async"
+    with use_runtime("shm"):
+        assert runtime_mode() == "shm"
     with pytest.raises(ValueError):
         set_runtime_mode("turbo")
-    assert runtime_mode() in ("auto", "flat", "shm", "async", "object")
+    assert runtime_mode() in ("auto", "flat", "shm", "async")
 
 
 def test_runtime_mode_env_junk_falls_back_to_auto(monkeypatch):
     monkeypatch.setenv("REPRO_RUNTIME", "warp-speed")
+    assert runtime_mode() == "auto"
+    monkeypatch.setenv("REPRO_RUNTIME", "object")   # the deleted plane
     assert runtime_mode() == "auto"
     monkeypatch.setenv("REPRO_RUNTIME", "  FLAT ")
     assert runtime_mode() == "flat"
@@ -290,7 +297,7 @@ def test_cumulative_metrics_do_not_walk_snapshots():
 def test_elapsed_time_matches_sum_of_step_times():
     """The running total accumulates left-to-right exactly like summing
     the snapshots did, so the recorded histories are unchanged."""
-    m, _ = _run(DistributedSouthwell, "object", steps=10)
+    m, _ = _run(DistributedSouthwell, "flat", steps=10)
     acc = 0.0
     for s in m.engine.stats.steps:
         acc += float(s.time)
@@ -310,7 +317,7 @@ def test_record_receives_batches_like_singles():
 # flat plane mechanics
 # ----------------------------------------------------------------------
 def _tiny_plane():
-    ws = WindowSystem(3)
+    ws = ParallelEngine(3)
     plane = ws.configure_flat([(0, 1, 2, 1), (1, 0, 2, 1), (1, 2, 3, 0)])
     return ws, plane, plane.edge_index
 
@@ -380,7 +387,7 @@ def test_flat_mailboxes_match_chunk_lists_under_faults(seed):
     pairs |= {(q, p) for p, q in pairs}
     edges = [(p, q, 2, 1) for p, q in sorted(pairs)]
     tracer = RunTracer()
-    ws = WindowSystem(P, tracer=tracer)
+    ws = ParallelEngine(P, tracer=tracer)
     ws.faults = FaultRuntime(FaultPlan.uniform(
         drop=0.2, duplicate=0.2, reorder=0.3, seed=seed), P)
     plane = ws.configure_flat(edges)
@@ -405,8 +412,3 @@ def test_flat_mailboxes_match_chunk_lists_under_faults(seed):
         assert recvs.tolist() == box.recvs.tolist()
     assert ws.stats.total_receives == box.recvs.sum() > 0
 
-
-def test_configure_flat_rejects_delay_injection():
-    ws = WindowSystem(2, delay_probability=0.5)
-    with pytest.raises(RuntimeError, match="synchronous"):
-        ws.configure_flat([(0, 1, 2, 0)])

@@ -102,7 +102,7 @@ def test_warm_setup_arrays_are_memmap_views(A, tmp_path):
 def test_warm_setup_solve_identity_all_runtimes(A, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SETUP_CACHE", str(tmp_path))
     cold = solve(A, n_parts=4, max_steps=6, seed=0, runtime="flat")
-    for rt in ("flat", "object"):
+    for rt in ("flat", "auto"):
         warm = solve(A, n_parts=4, max_steps=6, seed=0, runtime=rt)
         assert (warm.history.residual_norms
                 == cold.history.residual_norms), rt

@@ -3,15 +3,16 @@
 The contract under test, in order of importance:
 
 1. **Zero behavior change**: a traced run produces the bit-identical
-   seed-DS convergence digest and byte-identical ``MessageStats`` on
-   *both* message planes.
+   seed-DS convergence digest and byte-identical ``MessageStats`` — the
+   live untraced run's and the recorded per-message plane's
+   (``tests/plane_pins.py``; the ``[object]`` cases).
 2. **Exact reconciliation**: the event-derived per-edge/per-category
-   counts equal the stats totals exactly, on both planes, and both
-   planes' traces aggregate to identical matrices.
+   counts equal the stats totals exactly, and the trace holds exactly
+   the events the recorded per-message plane's trace held.
 3. The sinks round-trip: JSONL → ``summarize_trace`` → the ``repro
    trace`` report; Chrome export is valid ``trace_event`` JSON.
-4. The ``solve``/``RunConfig`` front door is behaviour-identical across
-   message planes for lockstep modes.
+4. The ``solve``/``RunConfig`` front door is behaviour-identical to the
+   lockstep plane's direct run and to the recorded per-message plane's.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.core.blockdata import build_block_system
 from repro.analysis import format_trace_summary, summarize_trace
 from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
-from repro.runtime import use_runtime
 from repro.sparsela import symmetric_unit_diagonal_scale
 from repro.trace import (
     NULL_TRACER,
@@ -38,6 +38,9 @@ from repro.trace import (
     Tracer,
     tracer_from_config,
 )
+
+from tests.plane_pins import (PINS, _h, history_digest, stats_digest,
+                              trace_pin)
 
 # digest of the seed implementation's DS run (tests/test_backends.py)
 SEED_DS_DIGEST = \
@@ -53,11 +56,15 @@ def _seed_ds_problem():
     return A, system, x0
 
 
-def _run_seed_ds(tracer=None):
-    """The exact seed-DS run of test_backends, optionally traced."""
+def _run_seed_ds(tracer=None, full=False):
+    """The exact seed-DS run of test_backends, optionally traced
+    (``full``: the whole-history digest of ``tests/plane_pins.py``
+    instead of the seed's norms-and-relaxations one)."""
     A, system, x0 = _seed_ds_problem()
     ds = DistributedSouthwell(system, tracer=tracer)
     hist = ds.run(x0, np.zeros(A.n_rows), max_steps=25)
+    if full:
+        return history_digest(hist), ds.engine.stats
     norms = np.asarray(hist.residual_norms, dtype=np.float64)
     relax = np.asarray(hist.relaxations, dtype=np.int64)
     digest = hashlib.sha256(norms.tobytes() + relax.tobytes()).hexdigest()
@@ -73,22 +80,27 @@ def _stats_fingerprint(stats):
 
 
 # ----------------------------------------------------------------------
-# 1. zero behavior change, pinned by the seed digest on both planes
+# 1. zero behavior change, pinned by the seed digest and by the
+#    recorded per-message plane ("object")
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["flat", "object"])
 def test_traced_run_reproduces_seed_digest(mode):
-    with use_runtime(mode):
+    if mode == "flat":
         digest, _ = _run_seed_ds(tracer=RunTracer())
-    assert digest == SEED_DS_DIGEST
+        assert digest == SEED_DS_DIGEST
+    else:
+        digest, _ = _run_seed_ds(tracer=RunTracer(), full=True)
+        assert digest == PINS["trace:distributed-southwell"]["history"]
 
 
 @pytest.mark.parametrize("mode", ["flat", "object"])
 def test_traced_stats_byte_identical_to_untraced(mode):
-    with use_runtime(mode):
-        d_off, s_off = _run_seed_ds(tracer=None)
-        d_on, s_on = _run_seed_ds(tracer=RunTracer())
+    d_off, s_off = _run_seed_ds(tracer=None)
+    d_on, s_on = _run_seed_ds(tracer=RunTracer())
     assert d_on == d_off
     assert _stats_fingerprint(s_on) == _stats_fingerprint(s_off)
+    if mode == "object":
+        assert stats_digest(s_on) == PINS["seed-ds-stats"]
 
 
 def test_null_tracer_is_disabled_and_silent():
@@ -104,17 +116,22 @@ def test_null_tracer_is_disabled_and_silent():
 # ----------------------------------------------------------------------
 # 2. exact reconciliation with MessageStats, identical across planes
 # ----------------------------------------------------------------------
-def _traced_summary(mode, tmp_path):
-    tracer = RunTracer()
-    with use_runtime(mode):
-        _, stats = _run_seed_ds(tracer=tracer)
-    path = tracer.save_jsonl(tmp_path / f"ds-{mode}.trace.jsonl")
+def _traced_summary(tmp_path, tracer=None):
+    tracer = tracer if tracer is not None else RunTracer()
+    _, stats = _run_seed_ds(tracer=tracer)
+    path = tracer.save_jsonl(tmp_path / "ds.trace.jsonl")
     return summarize_trace(path), stats
 
 
 @pytest.mark.parametrize("mode", ["flat", "object"])
 def test_trace_reconciles_exactly_with_stats(mode, tmp_path):
-    s, stats = _traced_summary(mode, tmp_path)
+    tracer = RunTracer()
+    s, stats = _traced_summary(tmp_path, tracer)
+    if mode == "object":
+        # the events are exactly the recorded per-message plane's
+        pin = PINS["trace:distributed-southwell"]
+        pinned = trace_pin(list(tracer.iter_events()))
+        assert pinned == {k: pin[k] for k in ("counts", "events")}
     assert s.reconciles()
     assert s.total_messages == stats.total_messages
     assert s.total_bytes == stats.total_bytes
@@ -125,24 +142,21 @@ def test_trace_reconciles_exactly_with_stats(mode, tmp_path):
     assert s.communication_cost() == stats.communication_cost()
 
 
-def test_both_planes_record_identical_traces(tmp_path):
-    s_flat, _ = _traced_summary("flat", tmp_path)
-    s_obj, _ = _traced_summary("object", tmp_path)
-    np.testing.assert_array_equal(s_flat.send_matrix, s_obj.send_matrix)
-    np.testing.assert_array_equal(s_flat.bytes_matrix, s_obj.bytes_matrix)
-    np.testing.assert_array_equal(s_flat.repair_matrix,
-                                  s_obj.repair_matrix)
-    np.testing.assert_array_equal(s_flat.relax_counts, s_obj.relax_counts)
-    np.testing.assert_array_equal(s_flat.recv_counts, s_obj.recv_counts)
-    assert s_flat.ghost_updates == s_obj.ghost_updates
-    assert s_flat.n_steps == s_obj.n_steps == 25
-    for cat in s_flat.send_by_category:
-        np.testing.assert_array_equal(s_flat.send_by_category[cat],
-                                      s_obj.send_by_category[cat])
+def test_both_planes_record_identical_traces():
+    """Every method's traced seed-problem run emits exactly the events
+    (timing aside) the recorded per-message plane's trace held."""
+    from tests.test_runtime_fastpath import _METHOD_CLASSES
+
+    A, system, x0 = _seed_ds_problem()
+    for name, cls in _METHOD_CLASSES.items():
+        m = cls(system, tracer=RunTracer())
+        hist = m.run(x0, np.zeros(A.n_rows), max_steps=25)
+        assert {**trace_pin(list(m.tracer.iter_events())),
+                "history": history_digest(hist)} == PINS[f"trace:{name}"]
 
 
 def test_trace_records_phases_and_meta(tmp_path):
-    s, _ = _traced_summary("flat", tmp_path)
+    s, _ = _traced_summary(tmp_path)
     assert s.method == "distributed-southwell"
     assert s.n_procs == 8
     # DS has three phases, 25 spans each, all with non-negative time
@@ -234,6 +248,14 @@ def test_solve_runconfig_plane_equivalence(mode):
     base = solve(A, method="distributed-southwell",
                  config=RunConfig(n_parts=8, max_steps=20, seed=3,
                                   runtime="flat"))
+    if mode == "object":
+        # the front door reproduces the recorded per-message plane's
+        pin = PINS["solve-front-door"]
+        assert _h(np.asarray(base.history.residual_norms)) == pin["history"]
+        assert _h(np.asarray(base.x)) == pin["x"]
+        assert [float(v).hex() for v in (base.comm_cost, base.solve_comm,
+                                         base.residual_comm)] == pin["comm"]
+        mode = "auto"           # the default mode runs the same plane
     cfg = RunConfig(n_parts=8, max_steps=20, seed=3, runtime=mode)
     front = solve(A, method="distributed-southwell", config=cfg)
     np.testing.assert_array_equal(base.history.residual_norms,

@@ -4,9 +4,10 @@ A block-method runner builds its flat plane, index plans and kernel
 bindings on the first ``setup()`` and only rewrites ``x`` / ``r`` / norms
 / estimates / mail on later ones.  The contract pinned here: a re-run on
 one runner is indistinguishable from a fresh runner's run — solution
-bytes, history, per-step ``MessageStats``, repair and fault counts — and
-the kept structure is rebuilt whenever the plane or the lossy-ness of
-the fault plan it was built under changes.
+bytes, history, per-step ``MessageStats``, repair and fault counts — the
+one plane is kept across lockstep and event-driven runs, and the kept
+structure is rebuilt whenever the lossy-ness of the fault plan it was
+built under changes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DistributedSouthwell, ParallelSouthwell
+from repro.core.async_exec import AsyncExecutor
 from repro.core.block_base import BlockMethodBase
 from repro.faults import FaultPlan
 from repro.matrices.poisson import poisson_2d
@@ -37,15 +39,19 @@ def _second_rhs(system, seed):
     return rng.uniform(-1, 1, system.n), rng.uniform(-1, 1, system.n)
 
 
-def _run_record(runner, x0, b, steps):
-    """One ``run()`` and everything a caller can observe of it.  The
-    engine's stats are cumulative across runs on purpose, so the per-step
-    snapshots and totals are taken relative to the run's start."""
+def _run_record(runner, x0, b, steps, mode="flat"):
+    """One lockstep (or, ``mode="async"``, event-driven) run and
+    everything a caller can observe of it.  The engine's stats are
+    cumulative across runs on purpose, so the per-step snapshots and
+    totals are taken relative to the run's start."""
     stats = runner.engine.stats
     first = len(stats.steps)
     msgs0, bytes0, recvs0 = (stats.total_messages, stats.total_bytes,
                              stats.total_receives)
-    hist = runner.run(x0, b, max_steps=steps)
+    if mode == "async":
+        hist = AsyncExecutor(runner).run(x0, b, max_steps=steps)
+    else:
+        hist = runner.run(x0, b, max_steps=steps)
     fr = runner._faults
     return {
         "x": runner.solution().tobytes(),
@@ -95,23 +101,24 @@ def test_resetup_equals_fresh_runner(n, n_parts, seed, cls, k, m, lossy,
 
 
 # ----------------------------------------------------------------------
-# invalidation: the kept structure follows the plane and the fault plan
+# invalidation: one plane for every run mode; the kept structure follows
+# the fault plan
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cls", METHOD_CLASSES)
 def test_structure_follows_the_message_plane(cls):
+    """Lockstep and event-driven runs share the one flat plane: a runner
+    keeps it across both, and every run equals a fresh runner's."""
     _, system, x1, b1 = _random_setup(48, 5, 3)
     x2, b2 = _second_rhs(system, 3)
     runner = cls(system)
     planes = []
-    for mode, (x0, b) in (("flat", (x1, b1)), ("object", (x2, b2)),
+    for mode, (x0, b) in (("flat", (x1, b1)), ("async", (x2, b2)),
                           ("flat", (x1, b1)), ("flat", (x2, b2))):
-        with use_runtime(mode):
-            got = _run_record(runner, x0, b, 4)
-            planes.append(runner.engine.flat)
-            assert got == _run_record(cls(system), x0, b, 4)
-    first, none, rebuilt, kept = planes
-    assert none is None and first is not None
-    assert rebuilt is not first and kept is rebuilt
+        got = _run_record(runner, x0, b, 4, mode)
+        planes.append(runner.engine.flat)
+        assert got == _run_record(cls(system), x0, b, 4, mode), mode
+    assert planes[0] is not None
+    assert all(plane is planes[0] for plane in planes)
 
 
 def test_structure_follows_the_fault_plan():

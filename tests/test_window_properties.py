@@ -1,10 +1,10 @@
-"""Property-based tests for the window system and async plane delivery.
+"""Property-based tests for lockstep and async mailbox delivery.
 
 Delivery guarantees the solvers rely on, checked over random traffic:
 
 - lockstep: every put is delivered exactly once, after exactly one epoch
-  close (no delays), in per-sender FIFO order;
-- with delays: still exactly once, still per-sender FIFO, eventually;
+  close, each rank's mail in put order (per-sender FIFO);
+- with latency: still exactly once, eventually;
 - async: never before its stamp, per-sender FIFO, and every message is
   delivered exactly once unless a later put to the same slot superseded
   it while in flight (RMA overwrite).
@@ -14,59 +14,66 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import CATEGORY_SOLVE, CostModel, WindowSystem
+from repro.runtime import CATEGORY_SOLVE, CostModel, ParallelEngine
 from tests.test_async import make_plane
 
 
-def traffic(n_procs=4, max_msgs=40):
-    """Strategy: a list of (src, dst) pairs with src != dst."""
-    pair = st.tuples(st.integers(0, n_procs - 1),
-                     st.integers(0, n_procs - 1)).filter(
-        lambda t: t[0] != t[1])
-    return st.lists(pair, min_size=0, max_size=max_msgs)
+def traffic(n_procs=4, max_msgs=24):
+    """Strategy: distinct (src, dst, slot kind) puts with src != dst, in
+    random order — at most one message per mailbox slot per epoch."""
+    put = st.tuples(st.integers(0, n_procs - 1),
+                    st.integers(0, n_procs - 1),
+                    st.integers(0, 1)).filter(lambda t: t[0] != t[1])
+    return st.lists(put, min_size=0, max_size=max_msgs, unique=True)
+
+
+def _complete_engine(n_procs=4):
+    eng = ParallelEngine(n_procs)
+    plane = eng.configure_flat([(s, d, 1, 0) for s in range(n_procs)
+                                for d in range(n_procs) if s != d])
+    return eng, plane
 
 
 @given(traffic())
 @settings(max_examples=50, deadline=None)
-def test_lockstep_exactly_once_and_fifo(pairs):
-    ws = WindowSystem(4)
-    for k, (src, dst) in enumerate(pairs):
-        ws.put(src, dst, CATEGORY_SOLVE, {"k": float(k)})
-    ws.close_epoch()
+def test_lockstep_exactly_once_and_fifo(puts):
+    eng, plane = _complete_engine()
+    sids = [2 * plane.edge_index[(s, d)] + k for s, d, k in puts]
+    for s in sids:
+        plane.put(s >> 1, s & 1, 0.0, 0.0, 24, CATEGORY_SOLVE)
+    assert eng.close_epoch() == len(puts)
+    got = plane.last_delivered.tolist()
+    assert got == sids                   # put order, each exactly once
+    per_rank = np.bincount([d for _, d, _ in puts], minlength=4)
+    assert plane.mail_ranks.tolist() == np.flatnonzero(per_rank).tolist()
+    recvs = eng.stats.current_step_arrays()[3]
+    plane.drain_all()
+    assert recvs.tolist() == per_rank.tolist()
+    # nothing left anywhere
+    plane.drain_all()
+    eng.close_epoch()
+    assert eng.in_flight == 0 and plane.last_delivered.size == 0
+    assert recvs.tolist() == per_rank.tolist()
+
+
+@given(traffic(), st.floats(0.1, 8.0), st.integers(0, 1000))
+@settings(max_examples=30, deadline=None)
+def test_delayed_delivery_exactly_once(puts, latency, seed):
+    """Late delivery on the async plane: with any latency and any
+    sender clocks, every message is read exactly once, eventually."""
+    ap = async_plane(4, latency)
+    rng = np.random.default_rng(seed)
+    sids = [2 * ap.plane.edge_index[(s, d)] + k for s, d, k in puts]
+    for (src, _, _), s in zip(puts, sids):
+        ap.advance_idle(src, float(rng.uniform(0.0, 3.0)))
+        ap.send(src, np.array([s]), 0.0, 0.0, 8, CATEGORY_SOLVE)
     seen = []
     for p in range(4):
-        last_per_sender: dict[int, float] = {}
-        for msg in ws.drain(p):
-            assert msg.dst == p
-            k = msg.payload["k"]
-            seen.append(k)
-            if msg.src in last_per_sender:
-                assert k > last_per_sender[msg.src], "FIFO violated"
-            last_per_sender[msg.src] = k
-    assert sorted(seen) == [float(k) for k in range(len(pairs))]
-    # nothing left anywhere
-    assert ws.in_flight == 0
-    assert all(not ws.drain(p) for p in range(4))
-
-
-@given(traffic(), st.floats(0.1, 0.8), st.integers(0, 1000))
-@settings(max_examples=30, deadline=None)
-def test_delayed_delivery_exactly_once(pairs, prob, seed):
-    ws = WindowSystem(4, delay_probability=prob, seed=seed)
-    for k, (src, dst) in enumerate(pairs):
-        ws.put(src, dst, CATEGORY_SOLVE, {"k": float(k)})
-    seen = []
-    for _ in range(200):
-        ws.close_epoch()
-        for p in range(4):
-            seen.extend(m.payload["k"] for m in ws.drain(p))
-        if len(seen) == len(pairs):
-            break
-    else:
-        ws.flush_all()
-        for p in range(4):
-            seen.extend(m.payload["k"] for m in ws.drain(p))
-    assert sorted(seen) == [float(k) for k in range(len(pairs))]
+        seen.extend(ap.deliver(p))
+    for p in range(4):
+        ap.advance_idle(p, 1e6)
+        seen.extend(ap.deliver(p))
+    assert sorted(seen) == sorted(sids) and ap.in_flight == 0
 
 
 def async_plane(n_procs, latency):
