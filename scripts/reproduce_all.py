@@ -9,15 +9,12 @@ table and figure at the chosen scale, writes each one's raw rows to
 Usage::
 
     python scripts/reproduce_all.py [--scale paper|small] [--outdir results]
-                                    [--workers N] [--trace DIR]
+                                    [--trace DIR]
 
-``--workers N`` (or ``REPRO_WORKERS=N``) farms each experiment's
-(problem, method) sweep out to a process pool with an on-disk result
-cache (see :mod:`repro.experiments.parallel`); the default is serial.
-``--trace DIR`` (or ``REPRO_TRACE=DIR``) records one event-trace file
-per run into DIR (summarize with ``python -m repro trace``); traced runs
-key separately in the sweep cache, so cached untraced results are not
-mistaken for traced ones.
+The experiments run one after another in this process; runs they share
+are computed once (``run_method``'s in-process cache).  ``--trace DIR``
+(or ``REPRO_TRACE=DIR``) records one event-trace file per run into DIR
+(summarize with ``python -m repro trace``).
 """
 
 from __future__ import annotations
@@ -39,18 +36,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", default="paper",
                         choices=("paper", "small"))
     parser.add_argument("--outdir", default="results")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size for the sweeps "
-                             "(default: REPRO_WORKERS or serial)")
     parser.add_argument("--trace", default=None, metavar="DIR",
                         help="record one event-trace file per run into DIR "
                              "(default: REPRO_TRACE or off)")
     args = parser.parse_args(argv)
-    if args.workers is not None:
-        # suite_runs and the figure sweeps read this knob
-        os.environ["REPRO_WORKERS"] = str(max(args.workers, 0))
     if args.trace is not None:
-        # run_method and the sweep cache key read this knob
+        # run_method reads this knob
         os.environ["REPRO_TRACE"] = args.trace
     scale = get_scale(args.scale)
     outdir = Path(args.outdir)

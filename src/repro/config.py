@@ -1,12 +1,10 @@
 """Central run configuration: every ``REPRO_*`` knob in one place.
 
 The package has one environment variable per subsystem — the
-message-plane mode (``REPRO_RUNTIME``), the sweep pool size
-(``REPRO_WORKERS``), the sweep cache directory (``REPRO_SWEEP_CACHE``),
-run tracing (``REPRO_TRACE``), the setup cache (``REPRO_SETUP_CACHE``)
-and fault injection (``REPRO_FAULTS``).  This module is the single
-read-through point for all of them, with one documented precedence
-rule:
+message-plane mode (``REPRO_RUNTIME``), run tracing (``REPRO_TRACE``),
+the setup cache (``REPRO_SETUP_CACHE``) and fault injection
+(``REPRO_FAULTS``).  This module is the single read-through point for
+all of them, with one documented precedence rule:
 
     explicit argument  >  programmatic override  >  environment  >  default
 
@@ -40,9 +38,7 @@ __all__ = [
     "ENV_FAULTS",
     "ENV_RUNTIME",
     "ENV_SETUP_CACHE",
-    "ENV_SWEEP_CACHE",
     "ENV_TRACE",
-    "ENV_WORKERS",
     "KNOBS",
     "Knob",
     "VALID_MG_SMOOTHERS",
@@ -56,16 +52,12 @@ __all__ = [
     "runtime",
     "setup_cache_dir",
     "setup_cache_spec",
-    "sweep_cache",
     "trace_active",
     "trace_dir",
     "trace_spec",
-    "workers",
 ]
 
 ENV_RUNTIME = "REPRO_RUNTIME"
-ENV_WORKERS = "REPRO_WORKERS"
-ENV_SWEEP_CACHE = "REPRO_SWEEP_CACHE"
 ENV_TRACE = "REPRO_TRACE"
 ENV_SETUP_CACHE = "REPRO_SETUP_CACHE"
 ENV_FAULTS = "REPRO_FAULTS"
@@ -117,10 +109,6 @@ KNOBS: tuple[Knob, ...] = (
     Knob(ENV_RUNTIME, "auto",
          "message plane: auto | flat | async "
          "(auto = flat; shm runs flat, reported as degraded)"),
-    Knob(ENV_WORKERS, "0",
-         "sweep worker-pool size (< 2 runs the sweep inline)"),
-    Knob(ENV_SWEEP_CACHE, "~/.cache/repro-southwell",
-         "on-disk sweep result cache directory"),
     Knob(ENV_TRACE, "off",
          "run tracing: off | 1 (in-memory) | <dir> (one file per run)"),
     Knob(ENV_SETUP_CACHE, "off",
@@ -145,26 +133,6 @@ def runtime(explicit: str | None = None) -> str:
     mode = (explicit if explicit else _env(ENV_RUNTIME)) or "auto"
     mode = mode.strip().lower()
     return mode if mode in VALID_RUNTIME_MODES else "auto"
-
-
-def workers(explicit: int | None = None) -> int:
-    """Sweep pool size; non-integers degrade to 0 (serial)."""
-    if explicit is not None:
-        return int(explicit)
-    try:
-        return int(_env(ENV_WORKERS) or 0)
-    except ValueError:
-        return 0
-
-
-def sweep_cache(explicit: Path | str | None = None) -> Path:
-    """The on-disk sweep cache directory."""
-    if explicit is not None:
-        return Path(explicit)
-    env = _env(ENV_SWEEP_CACHE)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-southwell"
 
 
 def trace_spec(explicit: str | None = None) -> str | None:
@@ -218,11 +186,7 @@ def setup_cache_spec(explicit: str | Path | None = None) -> str | None:
 
 
 def setup_cache_dir(explicit: str | Path | None = None) -> Path | None:
-    """The setup-cache directory, or ``None`` when the cache is off.
-
-    The default directory lives beside the sweep cache so one
-    ``rm -rf ~/.cache/repro-southwell`` clears both.
-    """
+    """The setup-cache directory, or ``None`` when the cache is off."""
     spec = setup_cache_spec(explicit)
     if spec is None:
         return None
@@ -303,11 +267,6 @@ def _effective(knob: Knob) -> tuple[str, str]:
         if flatplane._mode_override is not None:
             return flatplane._mode_override, "set_runtime_mode()"
         return runtime(), "environment" if _env(ENV_RUNTIME) else "default"
-    if knob.env == ENV_WORKERS:
-        return str(workers()), "environment" if _env(ENV_WORKERS) else "default"
-    if knob.env == ENV_SWEEP_CACHE:
-        return (str(sweep_cache()),
-                "environment" if _env(ENV_SWEEP_CACHE) else "default")
     if knob.env == ENV_TRACE:
         spec = trace_spec()
         if spec is None:

@@ -275,8 +275,6 @@ class BlockMethodBase:
         # is owner-major with neighbors ascending: the put order of one
         # message per (sender, neighbor) in ascending rank order)
         self._slab_eids = np.arange(E, dtype=idt)
-        self._out_eids = [self._slab_eids[off[p]:off[p + 1]]
-                          for p in range(P)]
         self._slab_solve_sids = 2 * self._slab_eids
         self._slab_res_sids = 2 * self._slab_eids + 1
         self._nbr_counts = np.diff(off)
@@ -296,9 +294,7 @@ class BlockMethodBase:
         # receive plan: parallel to the mailbox backing store, each delta
         # entry's *global* destination row in the residual backing store
         # — a whole epoch's solve updates then apply as one in-place
-        # scatter-add (:meth:`_apply_flat_epoch`).  Also the sender's
-        # position in each receiver's neighbor list (the Γ slab scatter
-        # index).
+        # scatter-add (:meth:`_apply_flat_epoch`).
         rstart = self._rstart
         row_idt = (np.int32 if (idt is np.int32
                                 and int(rstart[-1]) <= _INT32_LIMIT)
@@ -306,7 +302,6 @@ class BlockMethodBase:
         self._grows_flat = (np.repeat(rstart[dst], n_vals)
                             + sysm.beta_rows).astype(row_idt)
         self._edge_recv_flops = n_vals.astype(np.float64)
-        self._eid_pos = (rev - off[dst]).astype(idt)
         # per slot-id, the receiver's Γ-slab position of the sender — one
         # fancy scatter updates every receiver's records for a whole epoch
         self._sid_slabpos = np.repeat(rev, 2).astype(idt)
@@ -812,10 +807,15 @@ class BlockMethodBase:
                         break
                 else:
                     quiet = 0
+        self._finish_run()
         if tracing:
             trc.end_run(self.engine.stats,
                         faults=fr.summary() if fr is not None else None)
         return self.history
+
+    def _finish_run(self) -> None:
+        """End-of-run hook: after the last step, before the trace's stats
+        footer is written, so anything it sends is counted there."""
 
     # ------------------------------------------------------------------
     # solution access

@@ -136,10 +136,5 @@ class ThresholdedDistributedSouthwell(DistributedSouthwell):
         self._gamma_flat[self._sid_slabpos[arr]] = plane.norm[arr]
         return int(held.size)
 
-    def run(self, x0, b, max_steps: int = 50, target_norm=None,
-            stop_at_target: bool = False):
-        hist = super().run(x0, b, max_steps=max_steps,
-                           target_norm=target_norm,
-                           stop_at_target=stop_at_target)
+    def _finish_run(self) -> None:
         self.flush_pending()
-        return hist

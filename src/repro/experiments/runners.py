@@ -72,20 +72,15 @@ def get_block_system(name: str, n_procs: int, size_scale: float = 1.0,
     return _problem_and_system(name, n_procs, size_scale, seed)[1]
 
 
-def clear_run_caches(keep_setup: bool = False) -> None:
+def clear_run_caches() -> None:
     """Drop the in-process run caches (results, setup pairs, problems).
 
-    Called by the CLI after a run and by sweep workers after each task
-    so long-lived processes don't accumulate block systems and results.
-    ``keep_setup`` retains the (small, bounded) setup LRU — sweep
-    workers use it so consecutive tasks on the same problem still share
-    one partition while completed ``SolveResult``\\ s, which the parent
-    process already holds, are released.
+    Called by the CLI after a run so a long-lived process does not
+    accumulate block systems and results.
     """
     _run_method_cached.cache_clear()
-    if not keep_setup:
-        _SETUP_LRU.clear()
-        load_problem.cache_clear()
+    _SETUP_LRU.clear()
+    load_problem.cache_clear()
 
 
 def run_method(name: str, method: str, n_procs: int, size_scale: float = 1.0,
@@ -147,31 +142,8 @@ class SuiteRun:
 
 
 def suite_runs(names: tuple[str, ...], n_procs: int, size_scale: float = 1.0,
-               max_steps: int = 50, seed: int = 0,
-               workers: int | None = None) -> list[SuiteRun]:
-    """Run (or fetch) BJ/PS/DS on every named problem.
-
-    ``workers`` > 1 farms the (problem, method) grid out to the
-    process-pool sweep runner (:mod:`repro.experiments.parallel`), with
-    its on-disk result cache; ``None`` reads ``REPRO_WORKERS`` (default
-    0 = serial, in-process ``lru_cache`` only).
-    """
-    if workers is None:
-        workers = _config.workers()
-    if workers > 1:
-        # lazy import: parallel imports this module for its worker body
-        from repro.experiments.parallel import SweepTask, run_sweep
-
-        tasks = [SweepTask(name, m, n_procs, size_scale, max_steps, seed)
-                 for name in names for m in METHODS]
-        flat = run_sweep(tasks, workers=workers)
-        out = []
-        for i, name in enumerate(names):
-            prob, _ = _problem_and_system(name, n_procs, size_scale, seed)
-            results = {m: flat[i * len(METHODS) + j]
-                       for j, m in enumerate(METHODS)}
-            out.append(SuiteRun(name=name, n=prob.n, results=results))
-        return out
+               max_steps: int = 50, seed: int = 0) -> list[SuiteRun]:
+    """Run (or fetch) BJ/PS/DS on every named problem."""
     out = []
     for name in names:
         prob, _ = _problem_and_system(name, n_procs, size_scale, seed)

@@ -136,13 +136,11 @@ _FORK_MIN_VERTICES = 1024
 def _fork_width() -> int:
     """CPUs the recursion may fan out over; 1 means it stays serial.
 
-    Forking needs ``os.fork``, no other thread (a fork copies locks
-    another thread may hold) and not being a sweep-pool worker (whose
-    siblings already fill the cores).  Each fork halves the width, so a
-    4-CPU box forks at two depths of the tree.
+    Forking needs ``os.fork`` and no other thread (a fork copies locks
+    another thread may hold).  Each fork halves the width, so a 4-CPU box
+    forks at two depths of the tree.
     """
-    if (not hasattr(os, "fork") or threading.active_count() != 1
-            or _pool.in_pool_worker()):
+    if not hasattr(os, "fork") or threading.active_count() != 1:
         return 1
     try:
         return len(os.sched_getaffinity(0))

@@ -31,7 +31,7 @@ from repro.runtime.flatplane import (
     set_runtime_mode,
     use_runtime,
 )
-from repro.runtime.pool import ForkTaskPool, ForkUnavailable, WorkerDied
+from repro.runtime.pool import WorkerDied
 from repro.runtime.stats import (
     CATEGORY_RESIDUAL,
     CATEGORY_SOLVE,
@@ -46,8 +46,6 @@ __all__ = [
     "CORI_LIKE",
     "CostModel",
     "FlatEdgePlane",
-    "ForkTaskPool",
-    "ForkUnavailable",
     "MessageStats",
     "ParallelEngine",
     "SLOT_RESIDUAL",

@@ -172,12 +172,11 @@ class FlatEdgePlane:
         #: per-slot headers (own squared norm, receiver-norm estimate)
         self.norm = np.zeros(2 * E)
         self.est = np.zeros(2 * E)
-        # pending mail as chunk arrays: a put_block appends its
-        # (setup-constant) slot-id array, a single put a one-element
-        # array.  Visible mail is one record per delivered epoch not yet
-        # drained, oldest first: the epoch's slot-ids stably sorted by
-        # destination, its destination ranks (ascending) and their run
-        # bounds.
+        # pending mail as chunk arrays: a put_epoch appends its slot-id
+        # array, a single put a one-element array.  Visible mail is one
+        # record per delivered epoch not yet drained, oldest first: the
+        # epoch's slot-ids stably sorted by destination, its destination
+        # ranks (ascending) and their run bounds.
         self._pending: list[np.ndarray] = []
         self._in_pending = np.zeros(2 * E, dtype=bool)
         self._boxes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -265,31 +264,6 @@ class FlatEdgePlane:
             self.tracer.send(int(self.edge_src[eid]),
                              int(self.edge_dst[eid]), category, nbytes)
 
-    def put_block(self, sids: np.ndarray, own_norm_sq: float,
-                  est_vals, src: int, nbytes_total: int,
-                  category: str) -> None:
-        """Buffer one rank's whole fan-out in a single call.
-
-        ``sids`` are the slot-ids (ascending destination order — the
-        order the per-put path would have used), ``est_vals`` the
-        per-slot receiver-norm estimates (scalar or array aligned with
-        ``sids``).  The caller guarantees each slot is put at most once
-        per epoch (the phase structure of the synchronous methods), so
-        no collision check runs; the stats charge is one batched
-        :meth:`~repro.runtime.stats.MessageStats.record_messages`, which
-        is integer-exact equal to the per-put charges.
-        """
-        if sids.size == 0:      # no neighbors: no category counter moves
-            return
-        self.norm[sids] = own_norm_sq
-        self.est[sids] = est_vals
-        self._pending.append(sids)
-        if self.faults is not None and self.faults.message_faults:
-            self._pending_fates.append(self.faults.fates_flat(sids))
-        self.stats.record_messages(src, category, sids.size, nbytes_total)
-        if self.tracer.enabled:
-            self.tracer.sends_flat(self, sids, category)
-
     def put_epoch(self, sids: np.ndarray, norm_vals, est_vals,
                   srcs: np.ndarray, counts: np.ndarray,
                   nbytes_by_src: np.ndarray, category: str) -> None:
@@ -302,8 +276,7 @@ class FlatEdgePlane:
         sender ranks with ``counts`` messages / ``nbytes_by_src`` byte
         totals each (senders with zero neighbors may appear with count
         0, and send nothing).  One pending append plus one grouped stats
-        charge, integer-exact equal to the per-sender :meth:`put_block`
-        calls.
+        charge, integer-exact equal to one :meth:`put` per slot.
         """
         if sids.size == 0:
             return

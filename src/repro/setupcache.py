@@ -16,8 +16,7 @@ key of
   builder, the local solvers, and the sparse substrate they run on).
 
 The code digest means a stale partition can never survive an edit to
-anything that could have produced it — same policy as the sweep-result
-cache (:mod:`repro.experiments.parallel`), scoped to the setup plane so
+anything that could have produced it; it is scoped to the setup plane so
 solver-side edits don't needlessly retire partitions.
 
 Correctness notes:
@@ -104,9 +103,9 @@ _SETUP_SOURCES = (
 def setup_code_digest() -> str:
     """Digest of the setup-plane source files (cache-invalidation token).
 
-    Narrower than the sweep cache's whole-package digest on purpose:
-    editing a solver or an analysis module does not invalidate
-    partitions, editing anything that *computes* them does.
+    Not the whole package, on purpose: editing a solver or an analysis
+    module does not invalidate partitions, editing anything that
+    *computes* them does.
     """
     import repro
 
@@ -150,7 +149,7 @@ def setup_key(A: CSRMatrix, n_parts: int, method: str = "multilevel",
 
 
 # ----------------------------------------------------------------------
-# cache I/O (same atomicity discipline as the sweep cache, plus the
+# cache I/O (atomic tmp + ``os.replace`` stores, plus the
 # array-externalizing blob sidecar)
 # ----------------------------------------------------------------------
 class _BlobWriter:

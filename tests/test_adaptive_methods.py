@@ -197,6 +197,23 @@ def test_threshold_trace_reproduces_the_recorded_events(block_state):
             PINS[f"threshold-trace:{threshold}"], threshold
 
 
+def test_threshold_trace_reconciles_with_its_footer(block_state):
+    """The end-of-run flush is sent before the trace's stats footer is
+    written, so the footer counts every send the trace holds."""
+    from repro.analysis.traceagg import summarize_trace
+    from repro.trace import RunTracer
+
+    system, x0, b = block_state
+    thr = ThresholdedDistributedSouthwell(system, threshold=0.3,
+                                          tracer=RunTracer())
+    flushed = []
+    flush = thr.flush_pending
+    thr.flush_pending = lambda: flushed.append(flush()) or flushed[-1]
+    thr.run(x0, b, max_steps=25)
+    assert flushed[0] > 0                   # the flush sent something
+    assert summarize_trace(list(thr.tracer.iter_events())).reconciles()
+
+
 def test_threshold_rejects_a_lossy_plan(block_state):
     from repro.faults import FaultPlan
 

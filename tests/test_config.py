@@ -100,25 +100,6 @@ def test_parse_speed_factors_validation():
         ((0, 1.5), (2, 0.5))
 
 
-def test_workers_precedence(monkeypatch):
-    assert config.workers() == 0
-    monkeypatch.setenv(config.ENV_WORKERS, "4")
-    assert config.workers() == 4
-    assert config.workers(2) == 2
-
-
-def test_workers_junk_degrades_to_serial(monkeypatch):
-    monkeypatch.setenv(config.ENV_WORKERS, "many")
-    assert config.workers() == 0
-
-
-def test_sweep_cache_precedence(monkeypatch, tmp_path):
-    assert config.sweep_cache() == Path.home() / ".cache" / "repro-southwell"
-    monkeypatch.setenv(config.ENV_SWEEP_CACHE, str(tmp_path / "env"))
-    assert config.sweep_cache() == tmp_path / "env"
-    assert config.sweep_cache(tmp_path / "arg") == tmp_path / "arg"
-
-
 # ----------------------------------------------------------------------
 # REPRO_SETUP_CACHE spellings
 # ----------------------------------------------------------------------
@@ -202,14 +183,14 @@ def test_describe_lists_every_knob():
     # one row per knob, and the knob set is pinned: adding one is a
     # decision, not a side effect
     rows = [ln for ln in out.splitlines() if ln.lstrip().startswith("REPRO_")]
-    assert len(rows) == len(config.KNOBS) == 6
+    assert len(rows) == len(config.KNOBS) == 4
 
 
 def test_describe_shows_env_sources(monkeypatch, tmp_path):
-    monkeypatch.setenv(config.ENV_WORKERS, "8")
+    monkeypatch.setenv(config.ENV_SETUP_CACHE, str(tmp_path / "sc"))
     monkeypatch.setenv(config.ENV_TRACE, str(tmp_path / "tr"))
     out = config.describe()
-    assert "8" in out
+    assert str(tmp_path / "sc") in out
     assert str(tmp_path / "tr") in out
     assert "[environment" in out
 

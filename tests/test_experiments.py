@@ -143,3 +143,25 @@ def test_runs_are_cached():
                SMALL.size_scale, SMALL.max_steps, 0)
     second = time.perf_counter() - t0
     assert second < first / 5 + 1e-3
+
+
+def test_suite_runs_matches_run_method():
+    """A sweep is ``run_method`` per (problem, method): the same x bytes
+    and residual history as a fresh, uncached run of each method."""
+    from repro.experiments.runners import (
+        clear_run_caches,
+        run_method,
+        suite_runs,
+    )
+
+    args = (6, 0.03, 8, 0)                  # P, size scale, steps, seed
+    clear_run_caches()
+    (run,) = suite_runs(("af_5_k101",), *args)
+    assert set(run.results) == set(METHODS)
+    for method, res in run.results.items():
+        clear_run_caches()
+        ref = run_method("af_5_k101", method, *args)
+        assert ref is not res
+        assert ref.x.tobytes() == res.x.tobytes()
+        assert ref.history.residual_norms == res.history.residual_norms
+    clear_run_caches()

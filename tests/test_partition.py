@@ -493,19 +493,26 @@ def test_child_killed_before_result_raises_worker_died(monkeypatch):
     _assert_no_children()
 
 
-def _partition_in_worker(_):
-    """Pool task: partition with the fork forced on; report attempts."""
-    with pytest.MonkeyPatch.context() as mp, _forks(mp) as made:
-        parts = partition(poisson_2d(24), 8, seed=0).parts
-    return len(made), _parts_digest(parts)
+class _DiesWhilePickled:
+    """Kills the process that pickles it."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 @needs_fork
-def test_pool_worker_partitions_serially():
-    with _deadline(120), pool.ForkTaskPool(1, _partition_in_worker) as w:
-        (_, (made, digest)), = w.map_indexed({0: None})
-    assert made == 0
-    assert digest == "1355cf2f6344ce7e"
+def test_truncated_result_raises_worker_died(monkeypatch):
+    # the child dies a megabyte into its pickle: the parent reads a
+    # non-empty, truncated payload to EOF
+    read = []
+    real = pool._read_all
+    monkeypatch.setattr(pool, "_read_all",
+                        lambda fd: read.append(real(fd)) or read[-1])
+    with _deadline(60), pool.ForkedCall(
+            lambda: (b"x" * (1 << 20), _DiesWhilePickled())) as child:
+        with pytest.raises(pool.WorkerDied):
+            child.result()
+    assert 0 < len(read[0]) < (1 << 20) + 64
     _assert_no_children()
 
 

@@ -247,7 +247,6 @@ def test_int32_index_fast_path_small_problem():
     plane = m.engine.flat
     assert plane.idx_dtype is np.int32
     for p in range(m.system.n_parts):
-        assert m._out_eids[p].dtype == np.int32
         assert m._grows_flat[p].dtype == np.int32
     assert m._sid_slabpos.dtype == np.int32
     # header-row and ghost-scatter plans: the Γ/Γ̃ slab indices and the
@@ -255,7 +254,6 @@ def test_int32_index_fast_path_small_problem():
     assert m._nbr_off.dtype == np.int32
     assert m._nbr_flat.dtype == np.int32
     assert m._slab_owner.dtype == np.int32
-    assert m._eid_pos.dtype == np.int32
     assert m._zspan_lo.dtype == np.int32
     assert m._zspan_hi.dtype == np.int32
     assert m._z2g.dtype == np.int32

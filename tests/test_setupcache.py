@@ -241,17 +241,6 @@ def test_runners_setup_lru_is_bounded():
     assert len(runners._SETUP_LRU) == 0
 
 
-def test_clear_run_caches_keep_setup():
-    from repro.experiments import runners
-
-    runners.clear_run_caches()
-    runners._problem_and_system("af_5_k101", 4, size_scale=0.02)
-    runners.clear_run_caches(keep_setup=True)
-    assert len(runners._SETUP_LRU) == 1
-    runners.clear_run_caches()
-    assert len(runners._SETUP_LRU) == 0
-
-
 def test_run_method_results_survive_cache_round_trip(tmp_path, monkeypatch):
     from repro.experiments.runners import clear_run_caches, run_method
 
