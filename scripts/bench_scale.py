@@ -20,11 +20,11 @@ n = 1,048,576, P = 4096).  The ratio grows with convergence depth, so
 the default 48 steps (‖r‖ ≈ 4e-3 from ‖r⁰‖ = 1) is part of the
 campaign's definition.
 
-Before any cell runs, four small-n **digest gates** prove the touched
+Before any cell runs, three small-n **digest gates** prove the touched
 paths are still bit-identical to the seed implementations: streamed
-generation vs the whole-mesh reference, in-place-relabel coarsening vs
-the level-materializing hierarchy, int32 vs int64 slab indices, and
-cold vs warm setup-cache solves.  Any gate failure aborts the campaign.
+generation vs the whole-mesh reference, int32 vs int64 slab indices,
+and cold vs warm setup-cache solves.  Any gate failure aborts the
+campaign.
 
 Results are written to ``BENCH_scale.json`` at the repository root.
 
@@ -39,8 +39,8 @@ Schema (``BENCH_scale.json``)::
       "schema": "repro.bench_scale/v1",
       "smoke": false,
       "environment": {...},
-      "gates": {"generation": "ok", "coarsening": "ok",
-                "slab_dtypes": "ok", "setup_cache": "ok"},
+      "gates": {"generation": "ok", "slab_dtypes": "ok",
+                "setup_cache": "ok"},
       "cells": [
         {"side": ..., "n": ..., "n_parts": ...,
          "build_s": {"generate": ..., "partition": ..., "block_build": ...,
@@ -125,20 +125,6 @@ def _gate_generation() -> bool:
     return _csr_sha256(ref) == _csr_sha256(got)
 
 
-def _gate_coarsening() -> bool:
-    """In-place-relabel coarsening vs the level-materializing hierarchy."""
-    from repro.partition import coarsen_graph, coarsen_labels, matrix_graph
-
-    g = matrix_graph(poisson_2d(32))
-    labels, coarse, n_levels = coarsen_labels(g, min_vertices=48, seed=0)
-    levels = coarsen_graph(g, min_vertices=48, seed=0)
-    ref = np.arange(g.n_vertices)
-    for level in levels:
-        ref = level.cmap[ref]
-    return (n_levels == len(levels) and np.array_equal(labels, ref)
-            and coarse.n_vertices == levels[-1].graph.n_vertices)
-
-
 def _history_digest(cls, side: int, n_parts: int, steps: int) -> str:
     A = symmetric_unit_diagonal_scale(poisson_2d(side)).matrix
     part = partition(A, n_parts, method="grid", grid_shape=(side, side))
@@ -192,7 +178,6 @@ def _gate_setup_cache() -> bool:
 
 GATES = {
     "generation": _gate_generation,
-    "coarsening": _gate_coarsening,
     "slab_dtypes": _gate_slab_dtypes,
     "setup_cache": _gate_setup_cache,
 }

@@ -337,7 +337,13 @@ class AsyncExecutor:
         while turns < max_turns:
             if not aplane._heap:
                 # every rank is parked with an empty mailbox: no future
-                # event can occur (nothing in flight, nothing to do)
+                # event can occur (nothing in flight, nothing to do).
+                # Above target that is a stall, reported like the
+                # patience branch below
+                if runner.global_norm() > (target_norm or 0.0):
+                    runner.steps_taken = turns
+                    runner.degraded = True
+                    runner.degraded_reason = runner._deadlock_diagnosis()
                 break
             p = aplane.next_process()
             if max_time is not None and clocks[p] >= max_time:
@@ -406,6 +412,7 @@ class AsyncExecutor:
                 # graceful degradation (DESIGN.md §5.11): every rank
                 # idled a full patience round with nothing in flight —
                 # no future event can change any state
+                runner.steps_taken = turns
                 runner.degraded = True
                 runner.degraded_reason = runner._deadlock_diagnosis()
                 break

@@ -318,11 +318,11 @@ class BlockMethodBase:
         self._zsrc_grows = self._grows_flat[self._z2g]
         self._zspan_lo, self._zspan_hi = zoff[off[:-1]], zoff[off[1:]]
         # relaxation plans: the open step's per-process flop counters
-        # (+= on the view is exactly stats.record_flops), each rank's
-        # solo-relax kernels (bound at its first solo relax: _bind_solve)
-        # and every relax flop charge folded into one per-rank constant —
-        # each term is an integer-valued float, so the batched add is
-        # exactly the per-charge sum.
+        # (the stats' own array: a += on it is the flop charge), each
+        # rank's solo-relax kernels (bound at its first solo relax:
+        # _bind_solve) and every relax flop charge folded into one
+        # per-rank constant — each term is an integer-valued float, so
+        # the batched add is exactly the per-charge sum.
         self._flops = self.engine.stats._step_flops
         self._solver_call = [None] * P
         self._mv_diag = [None] * P
@@ -442,12 +442,15 @@ class BlockMethodBase:
         return relaxed
 
     def _deadlock_diagnosis(self) -> str:
-        """One-line explanation reported when a faulted run degrades.
+        """One-line explanation reported when a run degrades: a faulted
+        run out of patience, or an async run that quiesced above target.
 
         Subclasses refine it with their belief state (what each process
         thinks its neighbors' norms are)."""
-        return (f"no active process and nothing in flight for "
-                f"{self._active_plan.deadlock_patience} consecutive steps "
+        plan = self._active_plan
+        idle = ("once every process quiesced" if plan is None else
+                f"for {plan.deadlock_patience} consecutive steps")
+        return (f"no active process and nothing in flight {idle} "
                 f"with global residual norm {self.global_norm():.3e} "
                 f"still above target after {self.steps_taken} steps")
 

@@ -26,8 +26,6 @@ shrinks as the iteration converges (Section 3).
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from repro.core.block_base import BlockMethodBase, _rank_views
@@ -75,18 +73,8 @@ class DistributedSouthwell(BlockMethodBase):
         self.deadlock_avoidance = deadlock_avoidance
         self.ghost_estimation = ghost_estimation
 
-    @cached_property
-    def ghost(self) -> list[dict[int, np.ndarray]]:
-        """``ghost[p][q]`` (the paper's ``z_q``): ``p``'s copy of ``q``'s
-        residual at ``β_qp`` — the per-layer views of the ghost store,
-        wrapped in dicts at first read (the hot path never reads them)."""
-        nbrs, off = self._nbr_flat.tolist(), self._nbr_off.tolist()
-        return [dict(zip(nbrs[lo:hi], views)) for lo, hi, views
-                in zip(off, off[1:], self._ghost_views)]
-
     def _build_structure(self) -> None:
         super()._build_structure()
-        self.__dict__.pop("ghost", None)    # the last plane's layers
         P = self.system.n_parts
         # Γ (line 5), Γ̃ (line 6) live as one flat slab each along the
         # neighbor offsets (the per-rank lists are views into it), so the
@@ -110,11 +98,11 @@ class DistributedSouthwell(BlockMethodBase):
         # length as the edge's vals buffer by construction).  Rank p's
         # layers are then one contiguous slab mirroring its delta slab,
         # so the phase-1 ghost update is a single vector add; per-layer
-        # views keep ``self.ghost`` usable and give the per-neighbor
-        # contribution dots.  ghost[p][q] is q's residual at β_qp, which
-        # is what edge (p, q)'s deltas scatter onto — ``_grows_flat`` is
-        # therefore also the plan that fills the whole store from the
-        # residual store in one gather.
+        # views (``_ghost_views[p][i]``, neighbor i of rank p) give the
+        # per-neighbor contribution dots.  ghost[p][q] is q's residual
+        # at β_qp, which is what edge (p, q)'s deltas scatter onto —
+        # ``_grows_flat`` is therefore also the plan that fills the
+        # whole store from the residual store in one gather.
         voff = self.engine.flat.vals_off
         self._ghost_flat = ghost = np.empty(int(voff[-1]))
         self._ghost_slab = self._rank_slabs(ghost)
@@ -605,7 +593,7 @@ class DistributedSouthwell(BlockMethodBase):
         parts = [super()._deadlock_diagnosis(),
                  f"{deferring} neighbor records hold a Γ estimate at or "
                  f"above the owner's true norm (stale beliefs from lost "
-                 f"messages)"]
+                 f"or late messages)"]
         if self._hardened:
             spent = int(np.count_nonzero(
                 self._hb_retry_used >= self._retry_budget))

@@ -126,12 +126,6 @@ def _run_method_cached(name: str, method: str, n_procs: int,
     return res
 
 
-# ``run_method`` was lru_cache-wrapped before the faults-spec key was
-# added; keep its cache-management surface for existing callers.
-run_method.cache_clear = _run_method_cached.cache_clear
-run_method.cache_info = _run_method_cached.cache_info
-
-
 @dataclass(frozen=True)
 class SuiteRun:
     """All three methods' results for one problem."""

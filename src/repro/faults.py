@@ -417,8 +417,8 @@ class FaultRuntime:
             stalled = np.flatnonzero(out)
             self._count("stall", stalled.size)
             if self.tracer.enabled:
-                for p in stalled:
-                    self.tracer.fault("stall", int(p), -1, "")
+                self.tracer.faults_flat("stall", stalled,
+                                        np.full(stalled.size, -1), "")
         self._stall_memo = (step, out)
         return out
 
@@ -452,7 +452,7 @@ class FaultRuntime:
             return False
         self._count("stall", 1)
         if self.tracer.enabled:
-            self.tracer.fault("stall", int(p), -1, "")
+            self.tracer.faults_flat("stall", [p], [-1], "")
         return True
 
     def rank_slowdown(self, p: int, turn: int) -> float:

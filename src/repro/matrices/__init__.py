@@ -7,9 +7,8 @@ collection (Table 1, all other experiments).  SuiteSparse is not available
 offline, so :mod:`repro.matrices.suite` provides a named synthetic analog
 for each matrix, built from the generators here:
 
-- :mod:`repro.matrices.poisson` — 2D/3D finite-difference Laplacians
-  (5/9-point, 7/27-point stencils), anisotropic and jump-coefficient
-  variants.
+- :mod:`repro.matrices.poisson` — finite-difference Laplacians (1D and
+  the 2D 5-point stencil) and a jump-coefficient variant.
 - :mod:`repro.matrices.fem` — P1 finite elements on irregular triangular
   meshes (scalar Poisson), matching the paper's Figure 2 problem.
 - :mod:`repro.matrices.elasticity` — P1 plane-strain linear elasticity,
@@ -30,17 +29,12 @@ from repro.matrices.fem import (
 from repro.matrices.poisson import (
     poisson_1d,
     poisson_2d,
-    poisson_2d_anisotropic,
     poisson_2d_jump,
-    poisson_2d_ninepoint,
-    poisson_3d,
-    poisson_3d_27point,
 )
 from repro.matrices.problem import Problem
 from repro.matrices.random_spd import random_spd, random_sparse_spd
 from repro.matrices.stream import (
     grid2d_stream,
-    random_sparse_spd_streamed,
     stream_coo_to_csr,
 )
 from repro.matrices.suite import SUITE_NAMES, load_problem, load_suite, suite_table
@@ -56,13 +50,8 @@ __all__ = [
     "load_suite",
     "poisson_1d",
     "poisson_2d",
-    "poisson_2d_anisotropic",
     "poisson_2d_jump",
-    "poisson_2d_ninepoint",
-    "poisson_3d",
-    "poisson_3d_27point",
     "random_sparse_spd",
-    "random_sparse_spd_streamed",
     "random_spd",
     "stream_coo_to_csr",
     "suite_table",

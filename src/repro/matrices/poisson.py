@@ -19,11 +19,7 @@ from repro.sparsela import COOMatrix, CSRMatrix
 __all__ = [
     "poisson_1d",
     "poisson_2d",
-    "poisson_2d_anisotropic",
     "poisson_2d_jump",
-    "poisson_2d_ninepoint",
-    "poisson_3d",
-    "poisson_3d_27point",
 ]
 
 
@@ -103,16 +99,6 @@ def poisson_2d(nx: int, ny: int | None = None) -> CSRMatrix:
                          lambda i, j: (np.ones(i.shape), np.ones(i.shape)))
 
 
-def poisson_2d_anisotropic(nx: int, ny: int | None = None,
-                           epsilon: float = 1e-2) -> CSRMatrix:
-    """Anisotropic operator ``-eps u_xx - u_yy`` (5-point)."""
-    ny = nx if ny is None else ny
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return grid2d_stream(
-        nx, ny, lambda i, j: (np.full(i.shape, epsilon), np.ones(i.shape)))
-
-
 def poisson_2d_jump(nx: int, ny: int | None = None, contrast: float = 1e3,
                     seed: int = 0, n_islands: int = 6) -> CSRMatrix:
     """Jump-coefficient diffusion: random high-contrast rectangular islands.
@@ -131,106 +117,3 @@ def poisson_2d_jump(nx: int, ny: int | None = None, contrast: float = 1e3,
         field[y0:y0 + h, x0:x0 + w] = contrast
     return grid2d_stream(nx, ny, lambda i, j: (field, field))
 
-
-def poisson_2d_ninepoint(nx: int, ny: int | None = None) -> CSRMatrix:
-    """9-point (compact) 2D Laplacian: diag 8/3, edge -1/3, corner -1/3.
-
-    Bilinear-FEM stencil ``(1/3) [[-1,-1,-1],[-1,8,-1],[-1,-1,-1]]``, useful
-    for denser connectivity than the 5-point operator.
-    """
-    ny = nx if ny is None else ny
-    idx = np.arange(nx * ny).reshape(ny, nx)
-    rows, cols, vals = [], [], []
-
-    def link(a, b, w):
-        rows.extend([a.ravel(), b.ravel()])
-        cols.extend([b.ravel(), a.ravel()])
-        vals.extend([np.full(a.size, w), np.full(a.size, w)])
-
-    third = -1.0 / 3.0
-    link(idx[:, :-1], idx[:, 1:], third)          # E/W
-    link(idx[:-1, :], idx[1:, :], third)          # N/S
-    link(idx[:-1, :-1], idx[1:, 1:], third)       # NE/SW
-    link(idx[:-1, 1:], idx[1:, :-1], third)       # NW/SE
-    n = nx * ny
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(np.full(n, 8.0 / 3.0))
-    return COOMatrix(np.concatenate(rows), np.concatenate(cols),
-                     np.concatenate(vals), (n, n)).to_csr()
-
-
-def poisson_3d(nx: int, ny: int | None = None, nz: int | None = None
-               ) -> CSRMatrix:
-    """7-point 3D Laplacian on an interior grid (Dirichlet boundary)."""
-    ny = nx if ny is None else ny
-    nz = nx if nz is None else nz
-    idx = np.arange(nx * ny * nz).reshape(nz, ny, nx)
-    rows, cols, vals = [], [], []
-
-    def link(a, b, w):
-        rows.extend([a.ravel(), b.ravel()])
-        cols.extend([b.ravel(), a.ravel()])
-        vals.extend([np.full(a.size, w), np.full(a.size, w)])
-
-    link(idx[:, :, :-1], idx[:, :, 1:], -1.0)
-    link(idx[:, :-1, :], idx[:, 1:, :], -1.0)
-    link(idx[:-1, :, :], idx[1:, :, :], -1.0)
-    n = nx * ny * nz
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(np.full(n, 6.0))
-    return COOMatrix(np.concatenate(rows), np.concatenate(cols),
-                     np.concatenate(vals), (n, n)).to_csr()
-
-
-def poisson_3d_27point(nx: int, ny: int | None = None, nz: int | None = None
-                       ) -> CSRMatrix:
-    """27-point 3D operator (trilinear-FEM-style connectivity).
-
-    Weights: face -4/13, edge -1/13, corner -1/13 relative to a diagonal
-    chosen as the negated neighbor sum plus a Dirichlet boundary term, giving
-    an SPD M-matrix with 3D FEM-like connectivity (up to 26 neighbors/row),
-    the connectivity class of the paper's bone010/audikw matrices.
-    """
-    ny = nx if ny is None else ny
-    nz = nx if nz is None else nz
-    idx = np.arange(nx * ny * nz).reshape(nz, ny, nx)
-    rows, cols, vals = [], [], []
-
-    def link(a, b, w):
-        rows.extend([a.ravel(), b.ravel()])
-        cols.extend([b.ravel(), a.ravel()])
-        vals.extend([np.full(a.size, w), np.full(a.size, w)])
-
-    face, edge, corner = -4.0 / 13.0, -1.0 / 13.0, -1.0 / 13.0
-    # 3 face directions
-    link(idx[:, :, :-1], idx[:, :, 1:], face)
-    link(idx[:, :-1, :], idx[:, 1:, :], face)
-    link(idx[:-1, :, :], idx[1:, :, :], face)
-    # 6 edge diagonals (two per coordinate plane)
-    link(idx[:, :-1, :-1], idx[:, 1:, 1:], edge)
-    link(idx[:, :-1, 1:], idx[:, 1:, :-1], edge)
-    link(idx[:-1, :, :-1], idx[1:, :, 1:], edge)
-    link(idx[:-1, :, 1:], idx[1:, :, :-1], edge)
-    link(idx[:-1, :-1, :], idx[1:, 1:, :], edge)
-    link(idx[:-1, 1:, :], idx[1:, :-1, :], edge)
-    # 4 corner diagonals
-    link(idx[:-1, :-1, :-1], idx[1:, 1:, 1:], corner)
-    link(idx[:-1, :-1, 1:], idx[1:, 1:, :-1], corner)
-    link(idx[:-1, 1:, :-1], idx[1:, :-1, 1:], corner)
-    link(idx[:-1, 1:, 1:], idx[1:, :-1, :-1], corner)
-
-    n = nx * ny * nz
-    rows_cat = np.concatenate(rows)
-    vals_cat = np.concatenate(vals)
-    # diagonal = |neighbor sum| + Dirichlet boundary surplus so interior rows
-    # are exactly weakly dominant and boundary rows strictly dominant.
-    full_stencil = 6 * abs(face) + 12 * abs(edge) + 8 * abs(corner)
-    diag = np.full(n, full_stencil)
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    del rows_cat, vals_cat
-    return COOMatrix(np.concatenate(rows), np.concatenate(cols),
-                     np.concatenate(vals), (n, n)).to_csr()

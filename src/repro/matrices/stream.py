@@ -16,8 +16,6 @@ CSR directly in row blocks instead:
   for generators without a closed-form pattern (FEM assembly).  Chunks
   are merged one at a time into a sorted key/value store, dropping the
   rows/cols arrays and the global argsort scratch of the seed path.
-- :func:`random_sparse_spd_streamed` — forms ``B^T B`` in row blocks of
-  ``B^T`` instead of one sparse product.
 
 Every function here is **bit-identical** to its seed counterpart — same
 ``indptr``/``indices``/``data`` bytes, hence the same ``matrix_digest``
@@ -43,7 +41,6 @@ from repro.sparsela import CSRMatrix
 
 __all__ = [
     "grid2d_stream",
-    "random_sparse_spd_streamed",
     "stream_coo_to_csr",
 ]
 
@@ -240,39 +237,3 @@ def iter_chunks(total: int, block: int) -> Iterator[tuple[int, int]]:
     for lo in range(0, total, block):
         yield lo, min(lo + block, total)
 
-
-def random_sparse_spd_streamed(n: int, density: float = 0.02, seed: int = 0,
-                               shift: float = 0.05,
-                               row_block: int = 65536) -> CSRMatrix:
-    """Streamed ``random_sparse_spd``: ``B^T B`` formed in row blocks.
-
-    The random factor ``B`` is drawn exactly as the seed draws it (one
-    rng call per triplet array), but the product — the memory peak, at
-    roughly twice the factor's density — is computed as ``B^T[lo:hi] @ B``
-    row blocks and re-sorted per row, which is bit-identical to the whole
-    product (CSR matmul is row-local and deterministic).
-    """
-    import scipy.sparse as sp
-
-    from repro.sparsela import COOMatrix
-
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
-    if shift <= 0.0:
-        raise ValueError("shift must be positive")
-    rng = np.random.default_rng(seed)
-    nnz = max(n, int(density * n * n))
-    rows = rng.integers(0, n, nnz)
-    cols = rng.integers(0, n, nnz)
-    vals = rng.standard_normal(nnz)
-    B = COOMatrix(rows, cols, vals, (n, n)).to_csr().to_scipy()
-    Bt = B.T.tocsr()
-    blocks = []
-    for lo, hi in iter_chunks(n, row_block):
-        blk = (Bt[lo:hi] @ B).tocsr()
-        blk.sort_indices()
-        blocks.append(blk)
-    A = sp.vstack(blocks, format="csr") if len(blocks) > 1 else blocks[0]
-    A = A + shift * sp.identity(n, format="csr")
-    out = CSRMatrix.from_scipy(A)
-    return out.prune(0.0)

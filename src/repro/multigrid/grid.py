@@ -29,10 +29,6 @@ class GridLevel:
     def n_unknowns(self) -> int:
         return self.n * self.n
 
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.n + 1)
-
 
 def valid_grid_dims(max_dim: int = 255, min_dim: int = 15) -> list[int]:
     """The paper's grid dimensions: ``2^k - 1`` from 15 to ``max_dim``."""

@@ -21,7 +21,6 @@ import numpy as np
 from repro.partition.bisect import fm_refine, greedy_grow_bisection
 from repro.partition.coarsen import (
     coarsen_graph,
-    coarsen_labels,
     heavy_edge_matching,
     matching_relabel,
 )
@@ -42,12 +41,6 @@ from repro.partition.multilevel import (
     multilevel_bisection,
     partition_graph,
     partition_matrix,
-    partition_matrix_coarse,
-)
-from repro.partition.spectral import (
-    fiedler_vector,
-    spectral_bisection,
-    spectral_partition,
 )
 from repro.sparsela import CSRMatrix
 
@@ -55,11 +48,9 @@ __all__ = [
     "Graph",
     "Partition",
     "coarsen_graph",
-    "coarsen_labels",
     "color_classes",
     "edge_cut",
     "factor_near_square",
-    "fiedler_vector",
     "fm_refine",
     "greedy_coloring",
     "greedy_grow_bisection",
@@ -75,10 +66,7 @@ __all__ = [
     "partition_from_parts",
     "partition_graph",
     "partition_matrix",
-    "partition_matrix_coarse",
     "parts_are_valid",
-    "spectral_bisection",
-    "spectral_partition",
 ]
 
 
@@ -117,10 +105,6 @@ class Partition:
         """Number of rows owned by process ``p``."""
         return int(self.offsets[p + 1] - self.offsets[p])
 
-    @property
-    def max_neighbors(self) -> int:
-        return max((len(nb) for nb in self.neighbors), default=0)
-
 
 def partition_from_parts(A: CSRMatrix, parts: np.ndarray,
                          n_parts: int) -> Partition:
@@ -145,13 +129,11 @@ def partition(A: CSRMatrix, n_parts: int, method: str = "multilevel",
     Parameters
     ----------
     method:
-        ``'multilevel'`` (default, METIS-like), ``'coarse'`` (coarsen
-        with the in-place-relabel path then run the multilevel cut on
-        the collapsed graph — the memory-bounded paper-scale choice),
-        ``'spectral'`` (recursive Fiedler bisection), ``'grid'``
-        (rectangular blocks; needs ``grid_shape=(nx, ny)`` with
-        ``nx*ny == n_rows``), or ``'strided'`` (contiguous equal chunks
-        of the natural ordering — the trivial baseline).
+        ``'multilevel'`` (default; the METIS k-way substitute the
+        paper's experiments use), ``'grid'`` (rectangular blocks; needs
+        ``grid_shape=(nx, ny)`` with ``nx*ny == n_rows``), or
+        ``'strided'`` (contiguous equal chunks of the natural ordering —
+        the trivial baseline).
     """
     if n_parts < 1:
         raise ValueError("n_parts must be positive")
@@ -159,10 +141,6 @@ def partition(A: CSRMatrix, n_parts: int, method: str = "multilevel",
         raise ValueError("more parts than rows")
     if method == "multilevel":
         parts = partition_matrix(A, n_parts, seed=seed)
-    elif method == "coarse":
-        parts = partition_matrix_coarse(A, n_parts, seed=seed)
-    elif method == "spectral":
-        parts = spectral_partition(matrix_graph(A), n_parts, seed=seed)
     elif method == "grid":
         if grid_shape is None:
             raise ValueError("grid method needs grid_shape=(nx, ny)")

@@ -20,8 +20,8 @@ import numpy as np
 from repro.partition._kernels import hem_match_fast
 from repro.partition.graph import Graph
 
-__all__ = ["CoarseLevel", "coarsen_graph", "coarsen_labels",
-           "heavy_edge_matching", "matching_relabel"]
+__all__ = ["CoarseLevel", "coarsen_graph", "heavy_edge_matching",
+           "matching_relabel"]
 
 
 @dataclass
@@ -126,35 +126,3 @@ def coarsen_graph(g: Graph, min_vertices: int = 48, max_levels: int = 30,
         current = level.graph
     return levels
 
-
-def coarsen_labels(g: Graph, min_vertices: int = 48, max_levels: int = 30,
-                   shrink_threshold: float = 0.92, seed: int = 0
-                   ) -> tuple[np.ndarray, Graph, int]:
-    """Memory-compact coarsening: relabel in place, keep only one graph.
-
-    Runs the exact :func:`coarsen_graph` schedule (same matchings, same
-    stopping rules, bit-identical coarse graphs) but composes the level
-    maps into one fine→coarsest label array as it goes, so intermediate
-    graphs are freed immediately instead of being retained in a
-    hierarchy — the difference between O(sum of level sizes) and
-    O(finest + current) resident memory at million-row scale
-    (DESIGN.md §5.13).
-
-    Returns ``(labels, coarsest, n_levels)`` where
-    ``labels[v] ∈ [0, coarsest.n_vertices)``; composing the cmaps of
-    :func:`coarsen_graph` gives the identical array.
-    """
-    labels = np.arange(g.n_vertices, dtype=np.int64)
-    current = g
-    n_levels = 0
-    for lev in range(max_levels):
-        if current.n_vertices <= min_vertices:
-            break
-        match = heavy_edge_matching(current, seed=seed + lev)
-        level = contract(current, match)
-        if level.graph.n_vertices >= shrink_threshold * current.n_vertices:
-            break
-        labels = level.cmap[labels]
-        current = level.graph       # previous level is dropped here
-        n_levels += 1
-    return labels, current, n_levels

@@ -93,10 +93,6 @@ class Graph:
         """Edge weights aligned with :meth:`neighbors`."""
         return self.adjwgt[self.xadj[u]:self.xadj[u + 1]]
 
-    def degree(self, u: int) -> int:
-        """Number of neighbors of ``u``."""
-        return int(self.xadj[u + 1] - self.xadj[u])
-
     def degrees(self) -> np.ndarray:
         """All vertex degrees."""
         return np.diff(self.xadj)

@@ -21,13 +21,12 @@ import threading
 import numpy as np
 
 from repro.partition.bisect import fm_refine, greedy_grow_bisection
-from repro.partition.coarsen import coarsen_graph, coarsen_labels
+from repro.partition.coarsen import coarsen_graph
 from repro.partition.graph import Graph, matrix_graph
 from repro.runtime import pool as _pool
 from repro.sparsela import CSRMatrix
 
-__all__ = ["multilevel_bisection", "partition_graph", "partition_matrix",
-           "partition_matrix_coarse"]
+__all__ = ["multilevel_bisection", "partition_graph", "partition_matrix"]
 
 
 def multilevel_bisection(g: Graph, fraction0: float = 0.5, seed: int = 0,
@@ -199,32 +198,3 @@ def partition_matrix(A: CSRMatrix, n_parts: int, seed: int = 0,
     return partition_graph(matrix_graph(A, weighted=weighted), n_parts,
                            seed=seed, imbalance=imbalance)
 
-
-def partition_matrix_coarse(A: CSRMatrix, n_parts: int, seed: int = 0,
-                            imbalance: float = 0.05, weighted: bool = True,
-                            min_vertices: int | None = None) -> np.ndarray:
-    """Memory-compact paper-scale partitioner: coarsen first, then cut.
-
-    Collapses the graph with the in-place-relabel coarsening path
-    (:func:`repro.partition.coarsen.coarsen_labels`, which never retains
-    intermediate levels) down to ``min_vertices`` (default
-    ``max(32 * n_parts, 4096)``), runs the full multilevel partitioner
-    on the small coarse graph, and projects the labels back through the
-    composed coarse map.  Skipping per-level FM refinement on the fine
-    levels trades some edge-cut quality for a setup that is bounded by
-    the coarsening sweep — the paper's regime of n ≥ 1M, P ≥ 4096 where
-    recursive bisection of the full graph is the setup bottleneck
-    (DESIGN.md §5.13).
-    """
-    if n_parts < 1:
-        raise ValueError("n_parts must be positive")
-    if min_vertices is None:
-        # one contraction can nearly halve the graph past the threshold,
-        # so leave a wide margin above n_parts for the coarse cut
-        min_vertices = max(32 * n_parts, 4096)
-    g = matrix_graph(A, weighted=weighted)
-    labels, coarse, _ = coarsen_labels(g, min_vertices=min_vertices,
-                                       seed=seed)
-    cparts = partition_graph(coarse, n_parts, seed=seed,
-                             imbalance=imbalance)
-    return cparts[labels]

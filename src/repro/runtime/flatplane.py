@@ -14,11 +14,11 @@ its storage up front:
   the method (16 header bytes plus 8 per float, as an MPI envelope plus
   payload).
 
-A ``put`` is then: write into the edge regions, append the slot-ids to
-the pending list, bump the counters.  No per-message allocation.  A put
-becomes visible to its target only at the collective epoch close, and
-each target reads its mail in global put order (ascending sender rank
-for the phase loops).
+A send (:meth:`FlatEdgePlane.put_epoch`) is then: write into the edge
+regions, append the slot-ids to the pending list, bump the counters.
+No per-message allocation.  A put becomes visible to its target only
+at the collective epoch close, and each target reads its mail in
+global put order (ascending sender rank for the phase loops).
 
 Slot encoding: slot-id ``2 * edge + kind`` with kind 0 = solve, 1 =
 residual; the slot *is* the message category, so no per-message tag is
@@ -35,7 +35,6 @@ spelling of a deleted plane (DESIGN.md §5.12), runs as ``flat``;
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import cached_property
 
 import numpy as np
 
@@ -117,10 +116,9 @@ class FlatEdgePlane:
         so trace aggregates reconcile exactly with ``MessageStats``.
 
     The constructor validates the topology and allocates the backing
-    stores in whole-array passes.  The per-edge views :attr:`vals` and
-    the ``(src, dst)`` map :attr:`edge_index` are built at first read:
-    the hot path addresses edges by id and senders by slab, so only
-    tests and examples read them (DESIGN.md §5.8).
+    stores in whole-array passes.  Edges are addressed by id (edge
+    ``e``'s delta region is ``vals_flat[vals_off[e]:vals_off[e + 1]]``)
+    and senders by slab (DESIGN.md §5.8).
     """
 
     def __init__(self, n_procs: int, stats, edges, tracer=None) -> None:
@@ -173,12 +171,11 @@ class FlatEdgePlane:
         self.norm = np.zeros(2 * E)
         self.est = np.zeros(2 * E)
         # pending mail as chunk arrays: a put_epoch appends its slot-id
-        # array, a single put a one-element array.  Visible mail is one
-        # record per delivered epoch not yet drained, oldest first: the
-        # epoch's slot-ids stably sorted by destination, its destination
-        # ranks (ascending) and their run bounds.
+        # array.  Visible mail is one record per delivered epoch not yet
+        # drained, oldest first: the epoch's slot-ids stably sorted by
+        # destination, its destination ranks (ascending) and their run
+        # bounds.
         self._pending: list[np.ndarray] = []
-        self._in_pending = np.zeros(2 * E, dtype=bool)
         self._boxes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         #: ranks with undrained mail, ascending int64 (refreshed at epoch
         #: close)
@@ -200,21 +197,6 @@ class FlatEdgePlane:
         #: while a fault plan with message faults is attached)
         self.last_fates: np.ndarray = _EMPTY_SIDS
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """``(src, dst) -> edge id``, built at first read (the flat hot
-        path indexes by edge id and never reads it)."""
-        return dict(zip(zip(self.edge_src.tolist(), self.edge_dst.tolist()),
-                        range(self.n_edges)))
-
-    @cached_property
-    def vals(self) -> list[np.ndarray]:
-        """Per-edge delta buffer (solve slot only): views of
-        :attr:`vals_flat`, cut at first read (the hot path writes through
-        per-rank slabs)."""
-        off = self.vals_off.tolist()
-        return [self.vals_flat[lo:hi] for lo, hi in zip(off, off[1:])]
-
     def reset(self) -> None:
         """Forget all mail, keeping the topology and every buffer: the
         plane then behaves as freshly constructed (a method re-arming it
@@ -227,7 +209,6 @@ class FlatEdgePlane:
         """
         self._pending = []
         self._pending_fates = []
-        self._in_pending[:] = False
         self._boxes = []
         self.mail_ranks = _EMPTY_SIDS
         self.last_delivered = _EMPTY_SIDS
@@ -236,47 +217,19 @@ class FlatEdgePlane:
     # ------------------------------------------------------------------
     # origin side
     # ------------------------------------------------------------------
-    def put(self, eid: int, slot: int, own_norm_sq: float,
-            your_est_sq: float, nbytes: int, category: str) -> None:
-        """Buffer the message in edge ``eid``'s ``slot`` mailbox.
-
-        The caller has already written the data regions (edge ``eid``'s
-        runs of :attr:`vals_flat` and of the slot's z store); this stamps
-        the headers, queues the
-        slot for the next epoch close, and charges the send.  Counts as
-        exactly one message of ``nbytes`` (the precomputed wire size of
-        this edge's message kind).
-        """
-        sid = 2 * eid + slot
-        if self._in_pending[sid]:
-            raise RuntimeError(
-                f"flat mailbox collision: edge {eid} slot {slot} already "
-                "holds an undelivered message this epoch")
-        self._in_pending[sid] = True
-        self.norm[sid] = own_norm_sq
-        self.est[sid] = your_est_sq
-        sids = np.array([sid], dtype=self.idx_dtype)
-        self._pending.append(sids)
-        if self.faults is not None and self.faults.message_faults:
-            self._pending_fates.append(self.faults.fates_flat(sids))
-        self.stats.record_message(int(self.edge_src[eid]), category, nbytes)
-        if self.tracer.enabled:
-            self.tracer.send(int(self.edge_src[eid]),
-                             int(self.edge_dst[eid]), category, nbytes)
-
     def put_epoch(self, sids: np.ndarray, norm_vals, est_vals,
                   srcs: np.ndarray, counts: np.ndarray,
                   nbytes_by_src: np.ndarray, category: str) -> None:
         """Buffer many ranks' whole fan-outs in a single call.
 
-        ``sids`` must be in the order the per-put path would have used
-        (ascending sender, ascending destination within each sender),
-        each slot put at most once this epoch; ``norm_vals``/``est_vals``
-        broadcast or align with ``sids``.  ``srcs`` are the *unique*
+        ``sids`` must be in ascending sender order (ascending
+        destination within each sender), each slot put at most once this
+        epoch; ``norm_vals``/``est_vals`` broadcast or align with
+        ``sids``.  ``srcs`` are the *unique*
         sender ranks with ``counts`` messages / ``nbytes_by_src`` byte
         totals each (senders with zero neighbors may appear with count
         0, and send nothing).  One pending append plus one grouped stats
-        charge, integer-exact equal to one :meth:`put` per slot.
+        charge.
         """
         if sids.size == 0:
             return
@@ -307,7 +260,6 @@ class FlatEdgePlane:
         if chunks:
             arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             self._pending = []
-            self._in_pending[arr] = False
         if self._pending_fates:
             fates = (self._pending_fates[0] if len(self._pending_fates) == 1
                      else np.concatenate(self._pending_fates))
@@ -397,7 +349,3 @@ class FlatEdgePlane:
                 chunks = runs[p]
                 self.tracer.recvs_flat(self, p, chunks[0] if len(chunks) == 1
                                        else np.concatenate(chunks))
-
-    def src_of(self, sid: int) -> int:
-        """Sender rank of a drained slot-id."""
-        return int(self.edge_src[sid >> 1])

@@ -77,22 +77,11 @@ class MessageStats:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def record_message(self, src: int, category: str, nbytes: int) -> None:
-        """Count one message sent by ``src`` in the current step."""
-        self._step_msgs[src] += 1
-        self._step_bytes[src] += nbytes
-        self.category_msgs[category] = self.category_msgs.get(category, 0) + 1
-        self.category_bytes[category] = (
-            self.category_bytes.get(category, 0) + nbytes)
-        self._step_cat[category] = self._step_cat.get(category, 0) + 1
-
     def record_messages(self, src: int, category: str, count: int,
                         nbytes_total: int) -> None:
-        """Count ``count`` messages from ``src`` in one batched charge.
-
-        Integer arithmetic is exact, so this equals ``count`` calls to
-        :meth:`record_message` totalling ``nbytes_total`` bytes (the flat
-        message plane charges a whole neighbor fan-out at once).
+        """Count ``count`` messages from ``src``, ``nbytes_total`` bytes
+        in all, in one charge (the async plane charges a whole neighbor
+        fan-out at once).
         """
         self._step_msgs[src] += count
         self._step_bytes[src] += nbytes_total
@@ -120,12 +109,8 @@ class MessageStats:
             self.category_bytes.get(category, 0) + tbytes)
         self._step_cat[category] = self._step_cat.get(category, 0) + total
 
-    def record_receive(self, dst: int) -> None:
-        """Count one message read by ``dst`` in the current step."""
-        self._step_recvs[dst] += 1
-
     def record_receives(self, dst: int, count: int) -> None:
-        """Count ``count`` messages read by ``dst`` in one batched charge."""
+        """Count ``count`` messages read by ``dst`` in one charge."""
         self._step_recvs[dst] += count
 
     def record_receive_groups(self, dsts: np.ndarray,
@@ -133,17 +118,14 @@ class MessageStats:
         """Count reads by many (*unique*) readers in one grouped charge."""
         self._step_recvs[dsts] += counts
 
-    def record_flops(self, p: int, flops: float) -> None:
-        """Charge floating-point work to process ``p`` in the current step."""
-        self._step_flops[p] += flops
-
     def current_step_arrays(self) -> tuple[np.ndarray, np.ndarray,
                                            np.ndarray, np.ndarray]:
         """Views of the open step's per-process ``(flops, msgs, bytes,
         recvs)``.
 
-        Used by the engine to price the step before closing it; callers must
-        not mutate the views.
+        Used by the engine to price the step before closing it.  Flops
+        are charged by adding into the first view in place (the block
+        methods hold it); the other three are read-only to callers.
         """
         return (self._step_flops, self._step_msgs, self._step_bytes,
                 self._step_recvs)
@@ -201,16 +183,6 @@ class MessageStats:
     def elapsed_time(self) -> float:
         """Sum of closed-step simulated times (O(1))."""
         return self._closed_time
-
-    def cumulative_costs(self) -> np.ndarray:
-        """Communication cost after each closed step (Figure 7 x-axis)."""
-        per_step = np.array([s.total_messages for s in self.steps],
-                            dtype=np.float64)
-        return np.cumsum(per_step) / self.n_procs
-
-    def cumulative_times(self) -> np.ndarray:
-        """Simulated wall-clock after each closed step (Figure 7 x-axis)."""
-        return np.cumsum([s.time for s in self.steps])
 
     def cumulative_category_costs(self, category: str) -> np.ndarray:
         """Per-category messages / P after each closed step.

@@ -6,12 +6,12 @@ indices sorted within each row and no duplicate coordinates, which is the
 invariant assumed by all kernels.
 
 Design notes (following the HPC-Python guides): all bulk operations are
-vectorised numpy; ``matvec``/``rmatvec`` run scipy's compiled kernels
+vectorised numpy; ``matvec`` runs scipy's compiled kernel
 (:mod:`repro.sparsela.primitives`), and with ``out=`` they accumulate
 straight into the caller's buffer so the hot loop allocates nothing.
 Derived structure that relaxation
 kernels need every sweep — the diagonal, its zero check, the ``L+D``
-Gauss-Seidel factor, the per-``omega`` SOR factor, the scipy handle — is
+Gauss-Seidel factor, the scipy handle — is
 computed once per matrix and cached, invalidated when ``data`` is
 replaced.
 """
@@ -123,14 +123,6 @@ class CSRMatrix:
         return cls(np.arange(n + 1, dtype=np.int64), idx,
                    np.full(n, float(scale)), (n, n))
 
-    @classmethod
-    def diagonal_matrix(cls, diag: np.ndarray) -> "CSRMatrix":
-        """Diagonal matrix with the given diagonal."""
-        diag = np.asarray(diag, dtype=np.float64)
-        n = diag.size
-        idx = np.arange(n, dtype=np.int64)
-        return cls(np.arange(n + 1, dtype=np.int64), idx, diag.copy(), (n, n))
-
     # ------------------------------------------------------------------
     # basic properties
     # ------------------------------------------------------------------
@@ -224,22 +216,6 @@ class CSRMatrix:
                              f"expected ({self.n_rows},)")
         return primitives.matvec(self, x, out=out)
 
-    def rmatvec(self, y: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """``A.T @ y`` without forming the transpose."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.n_rows,):
-            raise ValueError(f"y has shape {y.shape}, expected ({self.n_rows},)")
-        if out is not None and out.shape != (self.n_cols,):
-            raise ValueError(f"out has shape {out.shape}, "
-                             f"expected ({self.n_cols},)")
-        return primitives.rmatvec(self, y, out=out)
-
-    def __matmul__(self, x):
-        if isinstance(x, np.ndarray) and x.ndim == 1:
-            return self.matvec(x)
-        return NotImplemented
-
     def matmat(self, other: "CSRMatrix") -> "CSRMatrix":
         """Sparse-sparse product ``A @ B``.
 
@@ -257,18 +233,6 @@ class CSRMatrix:
         """Return ``alpha * A``."""
         return CSRMatrix(self.indptr.copy(), self.indices.copy(),
                          self.data * float(alpha), self.shape)
-
-    def add(self, other: "CSRMatrix") -> "CSRMatrix":
-        """Return ``A + B`` (shapes must match)."""
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in add")
-        from repro.sparsela.coo import COOMatrix
-
-        rows = np.concatenate([self._expanded_row_ids(),
-                               other._expanded_row_ids()])
-        cols = np.concatenate([self.indices, other.indices])
-        vals = np.concatenate([self.data, other.data])
-        return COOMatrix(rows, cols, vals, self.shape).to_csr()
 
     # ------------------------------------------------------------------
     # structure
@@ -326,18 +290,6 @@ class CSRMatrix:
             ld = self.lower_triangle(include_diagonal=True)
             cache["ld"] = ld
         return ld
-
-    def sor_factor(self, omega: float) -> "CSRMatrix":
-        """The cached SOR factor ``D/omega + L`` for one ``omega``."""
-        cache = self._derived_cache()
-        key = ("sor", float(omega))
-        M = cache.get(key)
-        if M is None:
-            L = self.lower_triangle(include_diagonal=False)
-            M = L.add(CSRMatrix.diagonal_matrix(
-                np.asarray(self.diagonal()) / float(omega)))
-            cache[key] = M
-        return M
 
     def transpose(self) -> "CSRMatrix":
         """Explicit transpose (CSR of ``A.T``)."""
@@ -458,18 +410,12 @@ class CSRMatrix:
         return S
 
     # ------------------------------------------------------------------
-    # triangular splits & norms
+    # triangular split
     # ------------------------------------------------------------------
     def lower_triangle(self, include_diagonal: bool = True) -> "CSRMatrix":
         """The (strictly) lower triangular part."""
         rows = self._expanded_row_ids()
         keep = (self.indices <= rows) if include_diagonal else (self.indices < rows)
-        return self._filter_entries(keep)
-
-    def upper_triangle(self, include_diagonal: bool = True) -> "CSRMatrix":
-        """The (strictly) upper triangular part."""
-        rows = self._expanded_row_ids()
-        keep = (self.indices >= rows) if include_diagonal else (self.indices > rows)
         return self._filter_entries(keep)
 
     def _filter_entries(self, keep: np.ndarray) -> "CSRMatrix":
@@ -479,18 +425,6 @@ class CSRMatrix:
         np.cumsum(counts, out=indptr[1:])
         return CSRMatrix(indptr, self.indices[keep], self.data[keep],
                          self.shape)
-
-    def frobenius_norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.sqrt(np.dot(self.data, self.data)))
-
-    def inf_norm(self) -> float:
-        """Maximum absolute row sum."""
-        if self.nnz == 0:
-            return 0.0
-        sums = np.bincount(self._expanded_row_ids(),
-                           weights=np.abs(self.data), minlength=self.n_rows)
-        return float(sums.max())
 
 
 def _slices_to_gather_index(indptr: np.ndarray, rows: np.ndarray,

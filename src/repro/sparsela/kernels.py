@@ -1,4 +1,4 @@
-"""Relaxation kernels: Jacobi, Gauss-Seidel and SOR sweeps, residuals.
+"""Relaxation kernels: Jacobi and Gauss-Seidel sweeps, residuals.
 
 The sweeps run on the compiled scipy primitives
 (:mod:`repro.sparsela.primitives`); the seed's textbook per-row loops are
@@ -10,10 +10,9 @@ A forward Gauss-Seidel sweep on ``A x = b`` from iterate ``x`` with residual
     x_new = x + (L + D)^{-1} r
 
 where ``L + D`` is the lower triangle of ``A`` — the identity the
-compiled sweep uses.  The ``L + D`` factor (and the per-``omega``
-SOR factor ``D/omega + L``) is built **once per matrix** and cached on the
-:class:`CSRMatrix` (:meth:`CSRMatrix.ld_factor` /
-:meth:`CSRMatrix.sor_factor`), so repeated sweeps do zero structural work.
+compiled sweep uses.  The ``L + D`` factor is built **once per matrix**
+and cached on the :class:`CSRMatrix` (:meth:`CSRMatrix.ld_factor`), so
+repeated sweeps do zero structural work.
 The paper's local subdomain solver is one such sweep (``-loc_solver gs``
 in the SC17 artifact).
 """
@@ -23,13 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparsela.csr import CSRMatrix
-from repro.sparsela.primitives import gauss_seidel_sweep, solve_lower
+from repro.sparsela.primitives import gauss_seidel_sweep
 
 __all__ = [
     "gauss_seidel_sweep",
     "jacobi_sweep",
     "residual",
-    "sor_sweep",
 ]
 
 
@@ -54,17 +52,3 @@ def jacobi_sweep(A: CSRMatrix, x: np.ndarray, b: np.ndarray,
         raise ZeroDivisionError("Jacobi sweep requires a nonzero diagonal")
     return x + omega * residual(A, x, b) / A.diagonal()
 
-
-def sor_sweep(A: CSRMatrix, x: np.ndarray, b: np.ndarray,
-              omega: float) -> np.ndarray:
-    """One forward SOR sweep with relaxation factor ``omega``.
-
-    ``x_new = x + (D/omega + L)^{-1} r``; ``omega = 1`` reduces to
-    Gauss-Seidel.  The factor is cached per (matrix, omega), so repeated
-    sweeps only pay the triangular solve.
-    """
-    if not 0.0 < omega < 2.0:
-        raise ValueError("SOR requires 0 < omega < 2 for SPD convergence")
-    r = residual(A, x, b)
-    dx = solve_lower(A.sor_factor(omega), r)
-    return np.asarray(x, dtype=np.float64) + dx

@@ -1,9 +1,8 @@
-"""Graph orderings over the sparsity pattern: BFS and reverse Cuthill-McKee.
+"""Breadth-first ordering over the sparsity pattern.
 
-These operate on the (symmetrised) adjacency structure of a square CSR
-matrix.  BFS is used by the multicoloring code (the paper assigns colors
-"using a breadth-first traversal") and RCM is offered as a bandwidth-reducing
-preprocessing option.
+Operates on the (symmetrised) adjacency structure of a square CSR matrix;
+the multicoloring code uses it (the paper assigns colors "using a
+breadth-first traversal").
 """
 
 from __future__ import annotations
@@ -12,35 +11,12 @@ import numpy as np
 
 from repro.sparsela.csr import CSRMatrix
 
-__all__ = ["bfs_levels", "bfs_order", "rcm_order"]
+__all__ = ["bfs_order"]
 
 
 def _neighbors(A: CSRMatrix, i: int) -> np.ndarray:
     cols, _ = A.row(i)
     return cols[cols != i]
-
-
-def bfs_levels(A: CSRMatrix, start: int = 0) -> np.ndarray:
-    """Breadth-first level of every row from ``start``.
-
-    Unreachable rows get level ``-1``.  Requires structural symmetry for the
-    levels to mean graph distance (callers symmetrise first if needed).
-    """
-    n = A.n_rows
-    level = np.full(n, -1, dtype=np.int64)
-    level[start] = 0
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt: list[int] = []
-        for u in frontier:
-            for v in _neighbors(A, u):
-                if level[v] < 0:
-                    level[v] = depth
-                    nxt.append(int(v))
-        frontier = nxt
-    return level
 
 
 def bfs_order(A: CSRMatrix, start: int = 0) -> np.ndarray:
@@ -72,37 +48,3 @@ def bfs_order(A: CSRMatrix, start: int = 0) -> np.ndarray:
         seed = start  # force re-seed lookup next component
     return order
 
-
-def rcm_order(A: CSRMatrix, start: int | None = None) -> np.ndarray:
-    """Reverse Cuthill-McKee ordering.
-
-    BFS that visits each level's vertices in increasing-degree order, then
-    reverses.  ``start`` defaults to a minimum-degree vertex; disconnected
-    components are handled by re-seeding.
-    """
-    n = A.n_rows
-    degree = A.row_counts()
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
-    while pos < n:
-        unvisited = np.flatnonzero(~visited)
-        if start is not None and not visited[start]:
-            seed = start
-        else:
-            seed = int(unvisited[np.argmin(degree[unvisited])])
-        visited[seed] = True
-        order[pos] = seed
-        pos += 1
-        head = pos - 1
-        while head < pos:
-            u = int(order[head])
-            head += 1
-            nbrs = _neighbors(A, u)
-            fresh = nbrs[~visited[nbrs]]
-            if fresh.size:
-                fresh = fresh[np.argsort(degree[fresh], kind="stable")]
-                visited[fresh] = True
-                order[pos:pos + fresh.size] = fresh
-                pos += fresh.size
-    return order[::-1].copy()

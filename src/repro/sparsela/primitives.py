@@ -3,8 +3,8 @@
 Every solver in the package bottoms out in a CSR matrix-vector product,
 a sparse lower-triangular solve and the Gauss-Seidel sweep built from
 them.  Each is a plain function over scipy's compiled kernels:
-``csr_matvec`` / ``csc_matvec`` from ``scipy.sparse._sparsetools``
-accumulate straight into a caller-supplied buffer, so ``matvec(out=...)``
+``csr_matvec`` from ``scipy.sparse._sparsetools`` accumulates straight
+into a caller-supplied buffer, so ``matvec(out=...)``
 allocates nothing, and ``spsolve_triangular`` solves on the factor's
 cached scipy handle.  The seed's pure-python loops are the test oracles
 these functions are checked against (``tests/oracles.py``).
@@ -31,14 +31,12 @@ __all__ = [
     "matvec",
     "matvec_plan",
     "multi_arange",
-    "rmatvec",
     "segment_plan",
     "segment_sq",
     "solve_lower",
 ]
 
 _csr_matvec = _sparsetools.csr_matvec
-_csc_matvec = _sparsetools.csc_matvec
 
 #: BLAS ``ddot`` with the least dispatch (same bits as ``np.dot``)
 _dot = np.ndarray.dot
@@ -114,23 +112,6 @@ def csr_matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     slice of a larger store's; rows sum in entry order, as matvec."""
     out[:] = 0.0
     _csr_matvec(out.size, x.size, indptr, indices, data, x, out)
-
-
-def rmatvec(A, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``A.T @ y`` without forming the transpose: the CSR arrays of ``A``
-    read as the CSC arrays of ``A.T``, one compiled pass."""
-    S = A.to_scipy()
-    if out is None:
-        out = np.zeros(A.n_cols)
-    elif not _writable_contig(out):
-        out[:] = S.T @ y            # pragma: no cover - strided output
-        return out
-    else:
-        out[:] = 0.0
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    m, n = A.shape
-    _csc_matvec(n, m, S.indptr, S.indices, S.data, y, out)
-    return out
 
 
 def solve_lower(L, b: np.ndarray, unit_diagonal: bool = False) -> np.ndarray:

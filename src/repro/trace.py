@@ -73,10 +73,9 @@ class Tracer:
       spans)
     - solver events: :meth:`relax`, :meth:`ghosts`*, :meth:`repairs`*,
       :meth:`retries`*
-    - message plane: :meth:`send` / :meth:`sends_flat`*,
-      :meth:`recvs_flat`*
-    - fault plane: :meth:`fault` / :meth:`faults_flat`* (every injected
-      drop / duplicate / reorder / ghost-stale / stall)
+    - message plane: :meth:`sends_flat`*, :meth:`recvs_flat`*
+    - fault plane: :meth:`faults_flat`* (every injected drop /
+      duplicate / reorder / ghost-stale / stall)
     """
 
     enabled = False
@@ -141,20 +140,16 @@ class Tracer:
         not a genuine Γ̃ > Γ repair; parallel arrays)."""
 
     # fault plane -------------------------------------------------------
-    def fault(self, kind: str, src: int, dst: int, category: str) -> None:
-        """One fault was injected: ``kind`` is ``drop`` / ``duplicate``
-        / ``reorder`` / ``ghost_stale`` / ``stall`` (stalls
-        carry the stalled rank as ``src`` and ``dst = -1``)."""
-
     def faults_flat(self, kind: str, srcs, dsts, category: str) -> None:
-        """Batched :meth:`fault` (parallel arrays, one fault kind)."""
+        """Faults were injected on the parallel arrays ``srcs``/``dsts``:
+        ``kind`` is ``drop`` / ``duplicate`` / ``reorder`` /
+        ``ghost_stale`` / ``stall`` (stalls carry the stalled rank as
+        the source and ``-1`` as the destination)."""
 
     # message plane -----------------------------------------------------
-    def send(self, src: int, dst: int, category: str, nbytes: int) -> None:
-        """One message was put (charged at the same site as the stats)."""
-
     def sends_flat(self, plane, sids, category: str) -> None:
-        """A batched flat-plane put of the slot-ids ``sids``."""
+        """A flat-plane put of the slot-ids ``sids`` (charged at the same
+        site as the stats)."""
 
     def recvs_flat(self, plane, dst: int, sids) -> None:
         """``dst`` drained the flat-plane slot-ids ``sids``."""
@@ -262,20 +257,12 @@ class RunTracer(Tracer):
                              np.asarray(dsts, dtype=np.int64)))
 
     # fault plane -------------------------------------------------------
-    def fault(self, kind: str, src: int, dst: int, category: str) -> None:
-        self._events.append(("fault", self._step, kind, int(src), int(dst),
-                             category))
-
     def faults_flat(self, kind: str, srcs, dsts, category: str) -> None:
         self._events.append(("faultv", self._step, kind,
                              np.asarray(srcs, dtype=np.int64),
                              np.asarray(dsts, dtype=np.int64), category))
 
     # message plane -----------------------------------------------------
-    def send(self, src: int, dst: int, category: str, nbytes: int) -> None:
-        self._events.append(("send", self._step, int(src), int(dst),
-                             category, int(nbytes)))
-
     def sends_flat(self, plane, sids, category: str) -> None:
         eids = sids >> 1
         self._events.append(("sendv", self._step, plane.edge_src[eids],
@@ -329,17 +316,11 @@ class RunTracer(Tracer):
                 _, step, srcs, dsts = ev
                 for s, d in zip(srcs.tolist(), dsts.tolist()):
                     yield {"ev": "retry", "step": step, "src": s, "dst": d}
-            elif tag == "fault":
-                yield {"ev": "fault", "step": ev[1], "kind": ev[2],
-                       "src": ev[3], "dst": ev[4], "cat": ev[5]}
             elif tag == "faultv":
                 _, step, kind, srcs, dsts, cat = ev
                 for s, d in zip(srcs.tolist(), dsts.tolist()):
                     yield {"ev": "fault", "step": step, "kind": kind,
                            "src": s, "dst": d, "cat": cat}
-            elif tag == "send":
-                yield {"ev": "send", "step": ev[1], "src": ev[2],
-                       "dst": ev[3], "cat": ev[4], "nb": ev[5]}
             elif tag == "sendv":
                 _, step, srcs, dsts, cat, nbs = ev
                 for s, d, nb in zip(srcs.tolist(), dsts.tolist(),

@@ -7,7 +7,7 @@ they replaced live here as ground truth: the suites check the run-time
 kernels against them (to 1e-12, or byte for byte for the partitioner),
 and the pinned digests were recorded on them.
 
-- :func:`matvec` / :func:`rmatvec` — ``np.bincount`` gathers;
+- :func:`matvec` — an ``np.bincount`` gather;
 - :func:`solve_lower` — forward substitution, one python row loop;
 - :func:`gauss_seidel_sweep` — the textbook per-row sweep, in any order;
 - :func:`hem_match` / :func:`fm_refine` — the partitioner's seed loops
@@ -16,7 +16,10 @@ and the pinned digests were recorded on them.
 - :class:`ChunkMailbox` — the flat plane's per-destination chunk-list
   mailboxes, fed each epoch's delivered slot-ids;
 - :func:`payload_nbytes` — the per-message plane's wire size of a dict
-  payload, which the methods' per-edge byte tables must reproduce.
+  payload, which the methods' per-edge byte tables must reproduce;
+- :func:`edge_id` / :func:`put_one` — the per-message plane's
+  ``(src, dst)`` edge lookup and single-slot put, spelled over the flat
+  plane's edge arrays and ``put_epoch``.
 """
 
 from __future__ import annotations
@@ -38,16 +41,6 @@ def matvec(A, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out[:] = y
         return out
     return y
-
-
-def rmatvec(A, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``A.T @ y`` as a weighted ``bincount`` over the entries' columns."""
-    contrib = A.data * y[A._expanded_row_ids()]
-    x = np.bincount(A.indices, weights=contrib, minlength=A.n_cols)
-    if out is not None:
-        out[:] = x
-        return out
-    return x
 
 
 def solve_lower(L, b: np.ndarray, unit_diagonal: bool = False) -> np.ndarray:
@@ -227,6 +220,24 @@ def payload_nbytes(payload) -> int:
             raise TypeError(f"unsupported payload field type {type(value)!r}")
     return total
 
+
+def edge_id(plane, src: int, dst: int) -> int:
+    """Edge id of the ``(src, dst)`` coupling of a flat plane."""
+    hit = np.flatnonzero((plane.edge_src == src) & (plane.edge_dst == dst))
+    if hit.size == 0:
+        raise KeyError((src, dst))
+    return int(hit[0])
+
+
+def put_one(plane, sid: int, nbytes: int, category: str,
+            own_norm_sq: float = 0.0, your_est_sq: float = 0.0) -> None:
+    """Buffer one message in slot ``sid``: a one-slot ``put_epoch``
+    charged to the slot's sender."""
+    sids = np.array([sid], dtype=plane.idx_dtype)
+    plane.put_epoch(sids, own_norm_sq, your_est_sq,
+                    plane.edge_src[sids >> 1].astype(np.int64),
+                    np.ones(1, dtype=np.int64),
+                    np.array([nbytes], dtype=np.int64), category)
 
 
 class ChunkMailbox:

@@ -6,6 +6,7 @@ import pytest
 from repro.core import DistributedSouthwell
 from repro.core.async_exec import AsyncExecutor
 from repro.core.blockdata import build_block_system
+from repro.faults import FaultPlan, SlowdownWindow, StallWindow
 from repro.partition import partition
 from repro.runtime import (
     CATEGORY_SOLVE,
@@ -14,6 +15,8 @@ from repro.runtime import (
     FlatEdgePlane,
     MessageStats,
 )
+
+from tests.oracles import edge_id
 
 
 def make_plane(n_procs, cost_model, latency=0.0, speed_factors=None):
@@ -29,7 +32,7 @@ def make_plane(n_procs, cost_model, latency=0.0, speed_factors=None):
 
 def sid(aplane, src, dst, kind=0):
     """Slot-id of the ``(src, dst)`` edge's solve (0) / residual (1) slot."""
-    return np.array([2 * aplane.plane.edge_index[(src, dst)] + kind])
+    return np.array([2 * edge_id(aplane.plane, src, dst) + kind])
 
 
 def send(aplane, src, dst, kind=0, nbytes=0):
@@ -208,3 +211,75 @@ def test_lockstep_straggler_support(async_setup):
     assert (slowed.history.residual_norms == fast.history.residual_norms)
     assert (slowed.engine.stats.elapsed_time()
             > fast.engine.stats.elapsed_time())
+
+
+def test_async_quiescence_above_target_degrades(async_setup):
+    """Every rank parked with nothing in flight and ‖r‖ above target is
+    a stall, reported like a patience-exhausted one.  Forged mirrors —
+    every Γ above its owner's norm, every Γ̃ at 0 — leave no rank a
+    decide or a repair to fire, so the run quiesces on its first turns."""
+    system, x0, b = async_setup
+    ds = DistributedSouthwell(system)
+    ex = AsyncExecutor(ds)
+    ex.prepare(x0, b)
+    ds._gamma_flat[:] = 2.0 * float(np.max(ds.norms)) ** 2 + 1.0
+    ds._tilde_flat[:] = 0.0
+    hist = ex.run(max_turns=10_000)
+    assert ex.turns == system.n_parts           # one no-op turn each
+    assert ds.total_relaxations == 0 and ex.aplane.in_flight == 0
+    assert hist.final_norm > 0.0
+    assert ds.degraded
+    assert "quiesced" in ds.degraded_reason
+    assert (f"{ds._slab_owner.size} neighbor records hold a Γ estimate"
+            in ds.degraded_reason)
+
+
+def test_async_stall_and_slowdown_windows(async_setup):
+    """A StallWindow silences one rank's relaxations for exactly its own
+    turns ``start <= turn < stop``; a SlowdownWindow makes another
+    rank's clock advance by ``1/factor`` as much for the same flops."""
+    system, x0, b = async_setup
+    stalled_rank, slow_rank, factor = 2, 5, 0.25
+    plan = FaultPlan(seed=1, stalls=(StallWindow(stalled_rank, 3, 40),),
+                     slowdowns=(SlowdownWindow(slow_rank, 3, 40, factor),))
+    ds = DistributedSouthwell(system, faults=plan)
+    ex = AsyncExecutor(ds)
+    ex.prepare(x0, b)
+    fr, aplane = ds._faults, ex.aplane
+    turn = {}                   # rank -> its current 1-based turn
+    relaxed = []                # (rank, turn) of every relaxation
+    charges = []                # (rank, turn, flops, clock advance)
+    real_slowdown = fr.rank_slowdown
+    real_relax = ds._relax_one_flat
+    real_advance = aplane.advance_compute
+
+    def rank_slowdown(p, t):    # consulted first in every rank turn
+        turn[p] = t
+        return real_slowdown(p, t)
+
+    def relax(p):
+        relaxed.append((p, turn[p]))
+        real_relax(p)
+
+    def advance_compute(p, flops, slowdown=1.0):
+        before = aplane.clocks[p]
+        real_advance(p, flops, slowdown)
+        charges.append((p, turn[p], flops, aplane.clocks[p] - before))
+
+    fr.rank_slowdown = rank_slowdown
+    ds._relax_one_flat = relax
+    aplane.advance_compute = advance_compute
+    ex.run(max_turns=3_000)
+
+    mine = [t for p, t in relaxed if p == stalled_rank]
+    assert not [t for t in mine if 3 <= t < 40]
+    assert any(t >= 40 for t in mine)           # it resumes afterwards
+    assert fr.summary()["stall"] == 40 - 3      # each stalled turn once
+    base = aplane._gamma / aplane.speed[slow_rank]
+    inside = [adv / f for p, t, f, adv in charges
+              if p == slow_rank and f > 0 and 3 <= t < 40]
+    outside = [adv / f for p, t, f, adv in charges
+               if p == slow_rank and f > 0 and not 3 <= t < 40]
+    assert inside and outside
+    np.testing.assert_allclose(inside, base / factor, rtol=1e-12)
+    np.testing.assert_allclose(outside, base, rtol=1e-12)

@@ -39,6 +39,7 @@ from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
 from repro.runtime import CATEGORY_SOLVE, CostModel
 from repro.sparsela import symmetric_unit_diagonal_scale
+from tests.oracles import edge_id
 from tests.test_async import make_plane
 
 METHODS = ("distributed-southwell", "parallel-southwell", "block-jacobi")
@@ -290,7 +291,7 @@ def test_mailbox_heap_matches_full_scan(ops, alpha, latency):
     for op in ops:
         if op[0] == "send":
             _, src, dsts, kind = op
-            sids = np.array(sorted(2 * ap.plane.edge_index[(src, d)] + kind
+            sids = np.array(sorted(2 * edge_id(ap.plane, src, d) + kind
                                    for d in dsts if d != src),
                             dtype=np.int64)
             ap.send(src, sids, 0.0, 0.0, 8 * sids.size, CATEGORY_SOLVE)
@@ -318,7 +319,7 @@ def test_mailbox_heap_skips_restamped_and_duplicate_entries():
     # neither deliver early nor hide the live one
     ap = make_plane(2, CostModel(alpha=1.0, alpha_recv=0.0, beta=0.0,
                                  gamma=0.0))
-    s = 2 * ap.plane.edge_index[(0, 1)]
+    s = 2 * edge_id(ap.plane, 0, 1)
     sid = np.array([s])
     ap.send(0, sid, 0.0, 0.0, 8, CATEGORY_SOLVE)     # stamp 1
     ap.send(0, sid, 0.0, 0.0, 8, CATEGORY_SOLVE)     # restamp to 2

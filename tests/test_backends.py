@@ -5,7 +5,7 @@ The package has one kernel path: scipy's compiled CSR primitives
 kernels (:mod:`repro.partition._kernels`).  Each is checked here against
 the seed's loops it replaced:
 
-- matvec, rmatvec, a row-sliced ``csr_matvec``, the triangular solve and
+- matvec, a row-sliced ``csr_matvec``, the triangular solve and
   the Gauss-Seidel sweep agree with the oracles to 1e-12, including
   degenerate shapes (empty rows, empty matrices, single-row systems).
   Tests parametrized over ``IMPLS`` run the same hand-checked cases on
@@ -28,12 +28,11 @@ from hypothesis.extra import numpy as hnp
 from repro.partition._kernels import fm_refine_fast, hem_match_fast
 from repro.partition.graph import Graph, matrix_graph
 from repro.sparsela import CSRMatrix, primitives
-from repro.sparsela.kernels import jacobi_sweep, sor_sweep
 
 from tests import oracles
 
 #: the oracles and the run-time kernels, under the names of the suite's
-#: parametrized ids; both expose matvec / rmatvec / solve_lower
+#: parametrized ids; both expose matvec / solve_lower
 IMPLS = {"reference": oracles, "scipy": primitives}
 RUNTIME = [name for name in IMPLS if name != "reference"]
 
@@ -72,7 +71,7 @@ def _sweep(impl, A, x, b, r=None):
 
 
 # ----------------------------------------------------------------------
-# matvec / rmatvec
+# matvec
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", RUNTIME)
 @given(dense=sparse_dense(), seed=st.integers(0, 2 ** 31 - 1))
@@ -106,22 +105,6 @@ def test_csr_matvec_on_a_row_slice_matches_reference(dense, seed, cut):
                                atol=1e-12, rtol=0)
 
 
-@pytest.mark.parametrize("name", RUNTIME)
-@given(dense=sparse_dense(), seed=st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_rmatvec_matches_reference(name, dense, seed):
-    A = CSRMatrix.from_dense(dense)
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal(dense.shape[0])
-    ref = oracles.rmatvec(A, y)
-    fast = IMPLS[name].rmatvec(A, y)
-    out = np.empty(A.n_cols)
-    res = A.rmatvec(y, out=out)
-    assert res is out
-    np.testing.assert_allclose(fast, ref, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(out, ref, atol=1e-12, rtol=0)
-
-
 @pytest.mark.parametrize("name", IMPLS)
 def test_matvec_edge_shapes(name):
     """Empty matrices, empty rows and 1x1 systems give exact answers."""
@@ -129,7 +112,6 @@ def test_matvec_edge_shapes(name):
     empty = CSRMatrix(np.zeros(4, dtype=np.int64),
                       np.zeros(0, dtype=np.int64), np.zeros(0), (3, 5))
     assert np.array_equal(k.matvec(empty, np.ones(5)), np.zeros(3))
-    assert np.array_equal(k.rmatvec(empty, np.ones(3)), np.zeros(5))
 
     gappy = CSRMatrix.from_dense(np.array([[0.0, 0.0], [3.0, 0.0]]))
     assert np.array_equal(k.matvec(gappy, np.array([2.0, 5.0])),
@@ -137,7 +119,6 @@ def test_matvec_edge_shapes(name):
 
     one = CSRMatrix.from_dense(np.array([[2.5]]))
     assert np.array_equal(k.matvec(one, np.array([2.0])), np.array([5.0]))
-    assert np.array_equal(k.rmatvec(one, np.array([2.0])), np.array([5.0]))
 
 
 # ----------------------------------------------------------------------
@@ -200,20 +181,6 @@ def test_gs_sweep_precomputed_residual_and_single_row(name, rng):
     r = b - dense @ x
     np.testing.assert_allclose(_sweep(name, B, x, b, r=r),
                                _sweep(name, B, x, b), atol=1e-12)
-
-
-@pytest.mark.parametrize("name", IMPLS)
-def test_jacobi_and_sor_per_backend(name, poisson_100, rng):
-    """Jacobi is its dense formula; SOR at omega = 1 is the GS sweep on
-    either implementation's primitives."""
-    x = rng.standard_normal(100)
-    b = rng.standard_normal(100)
-    d = np.asarray(poisson_100.diagonal())
-    expected = x + (b - poisson_100.to_dense() @ x) / d
-    np.testing.assert_allclose(jacobi_sweep(poisson_100, x, b),
-                               expected, atol=1e-12)
-    np.testing.assert_allclose(sor_sweep(poisson_100, x, b, omega=1.0),
-                               _sweep(name, poisson_100, x, b), atol=1e-10)
 
 
 # ----------------------------------------------------------------------

@@ -14,12 +14,14 @@ from repro.runtime import (
     ParallelEngine,
 )
 
+from tests.oracles import edge_id, put_one
+
 
 def _put(eng, src, dst):
     """One solve message ``src -> dst`` on the engine's plane."""
     plane = eng.flat
-    plane.put(plane.edge_index[(src, dst)], SLOT_SOLVE, 0.0, 0.0, 24,
-              CATEGORY_SOLVE)
+    put_one(plane, 2 * edge_id(plane, src, dst) + SLOT_SOLVE, 24,
+            CATEGORY_SOLVE)
 
 
 def test_receives_counted_on_drain():
@@ -55,10 +57,10 @@ def test_cost_model_recv_validation():
 
 def test_per_step_category_counts():
     st = MessageStats(2)
-    st.record_message(0, CATEGORY_SOLVE, 8)
-    st.record_message(0, CATEGORY_RESIDUAL, 8)
+    st.record_messages(0, CATEGORY_SOLVE, 1, 8)
+    st.record_messages(0, CATEGORY_RESIDUAL, 1, 8)
     st.close_step()
-    st.record_message(1, CATEGORY_RESIDUAL, 8)
+    st.record_messages(1, CATEGORY_RESIDUAL, 1, 8)
     st.close_step()
     solve = st.cumulative_category_costs(CATEGORY_SOLVE)
     res = st.cumulative_category_costs(CATEGORY_RESIDUAL)

@@ -51,6 +51,7 @@ from repro.runtime import use_runtime
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import symmetric_unit_diagonal_scale
 
+from tests.oracles import edge_id
 from tests.plane_pins import PINS, run_fingerprint
 
 _CLASSES = {"block-jacobi": BlockJacobi,
@@ -411,15 +412,15 @@ def test_fate_stream_is_stateless_and_seeded():
         eng.faults = fr
         eng.configure_flat([(p, q, 1, 0) for p in range(8)
                             for q in range(8) if p != q])
-        return fr, eng.flat.edge_index
+        return fr, eng.flat
 
-    (a, idx), (b, _), (other, _) = bound(42), bound(42), bound(43)
-    s12 = np.array([2 * idx[(1, 2)]])
+    (a, plane), (b, _), (other, _) = bound(42), bound(42), bound(43)
+    s12 = np.array([2 * edge_id(plane, 1, 2)])
     for _ in range(50):
         assert a.fates_flat(s12).tolist() == b.fates_flat(s12).tolist()
     # different seeds decorrelate (not a hard guarantee per message, but
     # 200 draws agreeing would mean the seed is ignored)
-    s34 = np.array([2 * idx[(3, 4)]])
+    s34 = np.array([2 * edge_id(plane, 3, 4)])
     draws_a = [a.fates_flat(s34).tolist() for _ in range(200)]
     draws_c = [other.fates_flat(s34).tolist() for _ in range(200)]
     assert draws_a != draws_c

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparsela import CSRMatrix, gauss_seidel_sweep, jacobi_sweep
-from repro.sparsela.kernels import residual, sor_sweep
+from repro.sparsela.kernels import residual
 
 from tests import oracles
 
@@ -91,29 +91,3 @@ def test_gs_fixed_point_is_solution(poisson_100):
     out = gauss_seidel_sweep(poisson_100, x_star, b)
     assert np.allclose(out, x_star, atol=1e-10)
 
-
-def test_sor_omega_one_is_gs(poisson_100, rng):
-    x = rng.standard_normal(100)
-    b = rng.standard_normal(100)
-    assert np.allclose(sor_sweep(poisson_100, x, b, omega=1.0),
-                       gauss_seidel_sweep(poisson_100, x, b), atol=1e-10)
-
-
-def test_sor_rejects_bad_omega(poisson_100):
-    with pytest.raises(ValueError):
-        sor_sweep(poisson_100, np.zeros(100), np.ones(100), omega=2.5)
-
-
-def test_sor_converges_faster_than_gs_for_good_omega(poisson_100):
-    """On the model Poisson problem, SOR with near-optimal omega beats GS."""
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal(100)
-    x_gs = np.zeros(100)
-    x_sor = np.zeros(100)
-    omega = 2.0 / (1.0 + np.sin(np.pi / 11))     # optimal for 10x10 grid
-    for _ in range(20):
-        x_gs = gauss_seidel_sweep(poisson_100, x_gs, b)
-        x_sor = sor_sweep(poisson_100, x_sor, b, omega=omega)
-    r_gs = np.linalg.norm(residual(poisson_100, x_gs, b))
-    r_sor = np.linalg.norm(residual(poisson_100, x_sor, b))
-    assert r_sor < r_gs

@@ -1,9 +1,8 @@
 """Which state a run builds (DESIGN.md §5.1, §5.8).
 
 The lockstep and async planes read a block system through a few
-whole-array stores.  The per-edge dicts and views (the system's
-``couplings`` / ``beta``, the plane's ``vals`` / ``edge_index``, DS's
-``ghost`` dicts) serve only tests, examples and the sequential adaptive
+whole-array stores.  The system's per-edge dicts ``couplings`` /
+``beta`` serve only tests, examples and the sequential adaptive
 methods, so they are built the first time something reads them.  These
 are structural checks — which attributes exist after a run — plus byte
 identity against fresh runners; no timing or memory figure.
@@ -40,13 +39,11 @@ def _start(n):
 def _built(runner) -> set[str]:
     """The lazily built structures ``runner``, its system and its flat
     plane hold."""
-    names = {"ghost", "_sid_slabpos_list"} & vars(runner).keys()
-    sysm, plane = runner.system, runner.engine.flat
+    names = {"_sid_slabpos_list"} & vars(runner).keys()
+    sysm = runner.system
     names |= {name for name, value in (("couplings", sysm._couplings),
                                        ("beta", sysm._beta))
               if value is not None}
-    if plane is not None:
-        names |= {"vals", "edge_index"} & vars(plane).keys()
     return names
 
 
@@ -91,9 +88,8 @@ def test_plane_flips_reproduce_fresh_runners(cls):
     for mode in ("flat", "async", "flat"):
         assert _run(runner, mode) == fresh[mode], mode
     if cls is DistributedSouthwell:
-        layers = next(g for g in runner.ghost if g)
-        assert all(np.shares_memory(z, runner._ghost_flat)
-                   for z in layers.values())
+        layers = next(g for g in runner._ghost_views if g)
+        assert all(np.shares_memory(z, runner._ghost_flat) for z in layers)
 
 
 @pytest.mark.parametrize("load", ["pickle", "setup_cache"])

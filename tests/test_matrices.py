@@ -12,11 +12,7 @@ from repro.matrices import (
     load_suite,
     poisson_1d,
     poisson_2d,
-    poisson_2d_anisotropic,
     poisson_2d_jump,
-    poisson_2d_ninepoint,
-    poisson_3d,
-    poisson_3d_27point,
     random_sparse_spd,
     random_spd,
     suite_table,
@@ -61,40 +57,11 @@ def test_poisson_2d_matches_kron_formula():
     assert np.allclose(poisson_2d(n).to_dense(), expected)
 
 
-def test_poisson_anisotropic_spd_and_limits():
-    A = poisson_2d_anisotropic(6, epsilon=1e-2)
-    _assert_spd(A)
-    iso = poisson_2d_anisotropic(6, epsilon=1.0)
-    assert np.allclose(iso.to_dense(), poisson_2d(6).to_dense())
-    with pytest.raises(ValueError):
-        poisson_2d_anisotropic(6, epsilon=0.0)
-
-
 def test_poisson_jump_spd_and_contrast():
     A = poisson_2d_jump(8, contrast=1e3, seed=1)
     _assert_spd(A)
     diag = A.diagonal()
     assert diag.max() / diag.min() > 50.0   # the contrast shows up
-
-
-def test_poisson_ninepoint_spd():
-    A = poisson_2d_ninepoint(6)
-    _assert_spd(A)
-    # interior rows have 8 neighbors
-    assert A.row_counts().max() == 9
-
-
-def test_poisson_3d_spd():
-    A = poisson_3d(4)
-    assert A.shape == (64, 64)
-    assert np.allclose(A.diagonal(), 6.0)
-    _assert_spd(A)
-
-
-def test_poisson_3d_27pt_spd_and_connectivity():
-    A = poisson_3d_27point(4)
-    _assert_spd(A, tol=1e-8)
-    assert A.row_counts().max() == 27
 
 
 # -------------------------------------------------------------------- fem

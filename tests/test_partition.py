@@ -226,7 +226,6 @@ def test_partition_errors():
 # structural properties the block builder and solvers rely on.
 _METHOD_CASES = [
     ("multilevel", {}),
-    ("spectral", {}),
     ("grid", {"grid_shape": (20, 20)}),
     ("strided", {}),
 ]

@@ -17,7 +17,7 @@ from repro.runtime import (
 )
 from repro.solvers.block_jacobi import BlockJacobi
 
-from tests.oracles import payload_nbytes
+from tests.oracles import edge_id, payload_nbytes, put_one
 from tests.test_async import make_plane, sid
 
 
@@ -60,13 +60,13 @@ def _engine(n_procs=3, edges=((0, 1, 2, 0), (1, 0, 2, 0), (2, 1, 2, 0))):
 
 def test_put_not_visible_until_epoch_close():
     eng, plane = _engine()
-    eid = plane.edge_index[(0, 1)]
-    plane.put(eid, SLOT_SOLVE, 1.0, 0.0, 32, CATEGORY_SOLVE)
+    eid = edge_id(plane, 0, 1)
+    put_one(plane, 2 * eid + SLOT_SOLVE, 32, CATEGORY_SOLVE, 1.0)
     assert plane.mail_ranks.size == 0
     assert eng.in_flight == 1
     assert eng.close_epoch() == 1
     assert plane.mail_ranks.tolist() == [1]
-    assert plane.src_of(plane.last_delivered[0]) == 0
+    assert plane.edge_src[plane.last_delivered[0] >> 1] == 0
     plane.drain_all()
     plane.drain_all()               # drained exactly once
     assert eng.stats.total_receives == 1 and eng.in_flight == 0
@@ -83,11 +83,11 @@ def test_fifo_order_per_sender():
     """A rank's mail of one epoch arrives in put order, whatever the
     senders and slots."""
     eng, plane = _engine()
-    e01, e21 = plane.edge_index[(0, 1)], plane.edge_index[(2, 1)]
+    e01, e21 = edge_id(plane, 0, 1), edge_id(plane, 2, 1)
     order = [2 * e01 + SLOT_RESIDUAL, 2 * e21 + SLOT_SOLVE,
              2 * e01 + SLOT_SOLVE]
     for s in order:
-        plane.put(s >> 1, s & 1, 1.0, 0.0, 24, CATEGORY_SOLVE)
+        put_one(plane, s, 24, CATEGORY_SOLVE, 1.0)
     eng.close_epoch()
     assert plane.last_delivered.tolist() == order
 
@@ -115,9 +115,9 @@ def test_window_system_validates_args():
 # ------------------------------------------------------------------ stats
 def test_stats_counts_by_category():
     st = MessageStats(4)
-    st.record_message(0, CATEGORY_SOLVE, 100)
-    st.record_message(1, CATEGORY_SOLVE, 50)
-    st.record_message(2, CATEGORY_RESIDUAL, 24)
+    st.record_message_groups(np.array([0, 1]), np.array([1, 1]),
+                             np.array([100, 50]), CATEGORY_SOLVE)
+    st.record_messages(2, CATEGORY_RESIDUAL, 1, 24)
     assert st.total_messages == 3
     assert st.total_bytes == 174
     assert st.communication_cost() == 3 / 4
@@ -128,17 +128,19 @@ def test_stats_counts_by_category():
 
 def test_stats_step_snapshots():
     st = MessageStats(2)
-    st.record_message(0, CATEGORY_SOLVE, 10)
-    st.record_flops(1, 500.0)
+    st.record_messages(0, CATEGORY_SOLVE, 1, 10)
+    flops = st.current_step_arrays()[0]
+    flops[1] += 500.0           # the block methods charge flops in place
     snap = st.close_step(time=0.25)
     assert snap.msgs[0] == 1 and snap.msgs[1] == 0
     assert snap.flops[1] == 500.0
     assert st.elapsed_time() == 0.25
     # counters reset
     snap2 = st.close_step(time=0.5)
-    assert snap2.total_messages == 0
-    assert np.allclose(st.cumulative_times(), [0.25, 0.75])
-    assert np.allclose(st.cumulative_costs(), [0.5, 0.5])
+    assert snap2.total_messages == 0 and snap2.flops[1] == 0.0
+    assert [s.time for s in st.steps] == [0.25, 0.5]
+    assert st.elapsed_time() == 0.75
+    assert st.communication_cost() == 0.5
 
 
 # ------------------------------------------------------------- cost model
@@ -169,9 +171,8 @@ def test_engine_step_pricing_and_counters():
     eng = ParallelEngine(2, cost_model=CostModel(alpha=1.0, beta=0.0,
                                                  gamma=1.0))
     plane = eng.configure_flat([(0, 1, 4, 0), (1, 0, 4, 0)])
-    plane.put(plane.edge_index[(0, 1)], SLOT_SOLVE, 0.0, 0.0, 48,
-              CATEGORY_SOLVE)
-    eng.stats.record_flops(0, 7.0)
+    put_one(plane, 2 * edge_id(plane, 0, 1) + SLOT_SOLVE, 48, CATEGORY_SOLVE)
+    eng.stats.current_step_arrays()[0][0] += 7.0
     eng.close_epoch()
     plane.drain_all()
     assert eng.stats.total_receives == 1

@@ -33,7 +33,6 @@ from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
 from repro.runtime import (
     CATEGORY_SOLVE,
-    SLOT_RESIDUAL,
     SLOT_SOLVE,
     MessageStats,
     ParallelEngine,
@@ -44,6 +43,7 @@ from repro.runtime import (
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import symmetric_unit_diagonal_scale
 
+from tests.oracles import edge_id, put_one
 from tests.plane_pins import PINS, run_fingerprint
 from tests.test_backends import SEED_DS_DIGEST, _ds_history_digest
 
@@ -137,8 +137,9 @@ def test_relax_deltas_alias_flat_mailboxes():
     dx = ds.x_blocks[0] - x_before
     for q in system.neighbors_of(0).tolist():
         expect = -system.couplings[(0, q)].matvec(dx)
-        np.testing.assert_allclose(plane.vals[plane.edge_index[(0, q)]],
-                                   expect, rtol=1e-12, atol=1e-15)
+        eid = edge_id(plane, 0, q)
+        got = plane.vals_flat[plane.vals_off[eid]:plane.vals_off[eid + 1]]
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -279,12 +280,12 @@ def test_cumulative_metrics_do_not_walk_snapshots():
     expect_msgs = expect_bytes = 0
     expect_time = 0.0
     for k in range(5):
-        stats.record_message(k % 4, CATEGORY_SOLVE, 100 + k)
+        stats.record_messages(k % 4, CATEGORY_SOLVE, 1, 100 + k)
         expect_msgs += 1
         expect_bytes += 100 + k
         stats.close_step(time=0.5 + k)
         expect_time += 0.5 + k
-    stats.record_message(0, CATEGORY_SOLVE, 7)  # open step counts too
+    stats.record_messages(0, CATEGORY_SOLVE, 1, 7)  # open step counts too
     stats.steps = None                          # would raise if walked
     assert stats.total_messages == expect_msgs + 1
     assert stats.total_bytes == expect_bytes + 7
@@ -305,7 +306,7 @@ def test_elapsed_time_matches_sum_of_step_times():
 def test_record_receives_batches_like_singles():
     a, b = MessageStats(3), MessageStats(3)
     for _ in range(5):
-        a.record_receive(1)
+        a.record_receives(1, 1)
     b.record_receives(1, 5)
     np.testing.assert_array_equal(a.current_step_arrays()[3],
                                   b.current_step_arrays()[3])
@@ -317,14 +318,14 @@ def test_record_receives_batches_like_singles():
 def _tiny_plane():
     ws = ParallelEngine(3)
     plane = ws.configure_flat([(0, 1, 2, 1), (1, 0, 2, 1), (1, 2, 3, 0)])
-    return ws, plane, plane.edge_index
+    return ws, plane
 
 
 def test_flat_put_invisible_until_epoch_close():
-    ws, plane, eid_map = _tiny_plane()
-    eid = eid_map[(0, 1)]
-    plane.vals[eid][:] = [1.0, 2.0]
-    plane.put(eid, SLOT_SOLVE, 4.0, 9.0, 48, CATEGORY_SOLVE)
+    ws, plane = _tiny_plane()
+    eid = edge_id(plane, 0, 1)
+    plane.vals_flat[plane.vals_off[eid]:plane.vals_off[eid + 1]] = [1.0, 2.0]
+    put_one(plane, 2 * eid + SLOT_SOLVE, 48, CATEGORY_SOLVE, 4.0, 9.0)
     plane.drain_all()                    # buffered, not visible
     assert plane.mail_ranks.size == 0 and ws.stats.total_receives == 0
     assert ws.in_flight == 1
@@ -332,7 +333,7 @@ def test_flat_put_invisible_until_epoch_close():
     sids = plane.last_delivered
     assert sids.tolist() == [2 * eid + SLOT_SOLVE]
     assert plane.mail_ranks.tolist() == [1]
-    assert plane.src_of(sids[0]) == 0
+    assert plane.edge_src[sids[0] >> 1] == 0
     assert plane.norm[sids[0]] == 4.0 and plane.est[sids[0]] == 9.0
     plane.drain_all()
     plane.drain_all()                    # drained exactly once
@@ -341,27 +342,18 @@ def test_flat_put_invisible_until_epoch_close():
     assert ws.stats.total_bytes == 48
 
 
-def test_flat_mailbox_collision_raises():
-    _, plane, eid_map = _tiny_plane()
-    eid = eid_map[(1, 2)]
-    plane.put(eid, SLOT_SOLVE, 1.0, 0.0, 40, CATEGORY_SOLVE)
-    with pytest.raises(RuntimeError, match="collision"):
-        plane.put(eid, SLOT_SOLVE, 2.0, 0.0, 40, CATEGORY_SOLVE)
-    # the residual slot of the same edge is a different mailbox
-    plane.put(eid, SLOT_RESIDUAL, 2.0, 0.0, 24, CATEGORY_SOLVE)
-
-
 def test_flat_mail_ranks_track_undrained_mail():
-    ws, plane, eid_map = _tiny_plane()
-    plane.put(eid_map[(0, 1)], SLOT_SOLVE, 1.0, 0.0, 48, CATEGORY_SOLVE)
-    plane.put(eid_map[(1, 2)], SLOT_SOLVE, 1.0, 0.0, 56, CATEGORY_SOLVE)
+    ws, plane = _tiny_plane()
+    e01, e12 = edge_id(plane, 0, 1), edge_id(plane, 1, 2)
+    put_one(plane, 2 * e01 + SLOT_SOLVE, 48, CATEGORY_SOLVE, 1.0)
+    put_one(plane, 2 * e12 + SLOT_SOLVE, 56, CATEGORY_SOLVE, 1.0)
     ws.close_epoch()
     assert plane.mail_ranks.tolist() == [1, 2]
     ws.close_epoch()                     # undrained mail stays visible
     assert plane.mail_ranks.tolist() == [1, 2]
     assert plane.last_delivered.size == 0
     plane.drain_all()
-    plane.put(eid_map[(1, 2)], SLOT_SOLVE, 1.0, 0.0, 56, CATEGORY_SOLVE)
+    put_one(plane, 2 * e12 + SLOT_SOLVE, 56, CATEGORY_SOLVE, 1.0)
     ws.close_epoch()
     assert plane.mail_ranks.tolist() == [2]
     assert ws.stats.current_step_arrays()[3].tolist() == [0, 1, 1]
@@ -394,7 +386,7 @@ def test_flat_mailboxes_match_chunk_lists_under_faults(seed):
     for _ in range(12):
         sids = np.flatnonzero(rng.random(2 * len(edges)) < 0.4)
         for sid in sids.tolist():
-            plane.put(sid >> 1, sid & 1, 1.0, 0.0, 40, CATEGORY_SOLVE)
+            put_one(plane, sid, 40, CATEGORY_SOLVE, 1.0)
         ws.close_epoch()
         box.deliver(plane.last_delivered)
         assert plane.mail_ranks.tolist() == box.mail_ranks

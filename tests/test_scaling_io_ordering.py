@@ -6,9 +6,7 @@ import pytest
 from repro.matrices.poisson import poisson_2d
 from repro.sparsela import (
     CSRMatrix,
-    bfs_levels,
     bfs_order,
-    rcm_order,
     read_binary,
     read_matrix_market,
     symmetric_unit_diagonal_scale,
@@ -110,12 +108,12 @@ def test_binary_rejects_wrong_magic(tmp_path):
 
 # --------------------------------------------------------------- ordering
 def test_bfs_levels_on_path_graph():
-    # 1D Poisson = path graph: level = distance from start
+    # 1D Poisson = path graph: level k holds only row k, so the BFS
+    # order from the end is the row order
     from repro.matrices.poisson import poisson_1d
 
     A = poisson_1d(6)
-    levels = bfs_levels(A, start=0)
-    assert np.array_equal(levels, np.arange(6))
+    assert np.array_equal(bfs_order(A, start=0), np.arange(6))
 
 
 def test_bfs_order_is_permutation(poisson_100):
@@ -131,16 +129,3 @@ def test_bfs_order_handles_disconnected():
     order = bfs_order(CSRMatrix.from_dense(d))
     assert np.array_equal(np.sort(order), np.arange(4))
 
-
-def test_rcm_is_permutation_and_reduces_bandwidth(poisson_100):
-    order = rcm_order(poisson_100)
-    assert np.array_equal(np.sort(order), np.arange(100))
-
-    def bandwidth(A):
-        rows = A._expanded_row_ids()
-        return int(np.abs(rows - A.indices).max())
-
-    rng = np.random.default_rng(12)
-    shuffled = poisson_100.permute(rng.permutation(100))
-    reordered = shuffled.permute(rcm_order(shuffled))
-    assert bandwidth(reordered) <= bandwidth(shuffled)

@@ -13,12 +13,7 @@ import pytest
 
 from repro.matrices.fem import _element_ke, assemble_p1_stiffness, triangular_mesh
 from repro.matrices.poisson import _grid2d_entries
-from repro.matrices.random_spd import random_sparse_spd
-from repro.matrices.stream import (
-    grid2d_stream,
-    random_sparse_spd_streamed,
-    stream_coo_to_csr,
-)
+from repro.matrices.stream import grid2d_stream, stream_coo_to_csr
 from repro.sparsela import COOMatrix
 
 
@@ -93,15 +88,6 @@ def test_fem_assembly_chunked_tensor():
     t = rotation_tensor(1e-3, np.pi / 6)
     assert_bit_identical(_seed_fem_assemble(mesh, t),
                          assemble_p1_stiffness(mesh, tensor=t, tri_block=7))
-
-
-@pytest.mark.parametrize("n,density,seed", [(64, 0.05, 0), (130, 0.02, 3),
-                                            (257, 0.01, 7)])
-def test_random_sparse_spd_streamed(n, density, seed):
-    ref = random_sparse_spd(n, density=density, seed=seed)
-    got = random_sparse_spd_streamed(n, density=density, seed=seed,
-                                     row_block=37)
-    assert_bit_identical(ref, got)
 
 
 def test_stream_coo_duplicate_fold_matches_seed():

@@ -108,7 +108,7 @@ def test_null_tracer_is_disabled_and_silent():
     assert isinstance(NULL_TRACER, NullTracer)
     # every hook is a no-op on the base protocol
     NULL_TRACER.relax(0)
-    NULL_TRACER.send(0, 1, "solve", 8)
+    NULL_TRACER.repairs([0], [1])
     NULL_TRACER.phase_begin("relax")
     NULL_TRACER.phase_end("relax")
 
@@ -317,10 +317,10 @@ def test_solve_result_to_dict_is_jsonable():
 def test_run_method_writes_per_run_trace_files(monkeypatch, tmp_path):
     """REPRO_TRACE=<dir> makes the experiment runner write one trace
     file per (uncached) run, named after the task parameters."""
-    from repro.experiments.runners import run_method
+    from repro.experiments.runners import clear_run_caches, run_method
 
     monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
-    run_method.cache_clear()
+    clear_run_caches()
     try:
         res = run_method("msdoor", "distributed-southwell", 4,
                          size_scale=0.05, max_steps=5)
@@ -331,7 +331,7 @@ def test_run_method_writes_per_run_trace_files(monkeypatch, tmp_path):
         assert s.n_procs == 4
         assert s.reconciles()
     finally:
-        run_method.cache_clear()
+        clear_run_caches()
 
 
 def test_tracer_from_config_env(monkeypatch):

@@ -142,12 +142,14 @@ def test_plane_reset_forgets_mail_keeps_stats():
     from repro.runtime import CATEGORY_SOLVE
     from repro.runtime.stats import MessageStats
 
+    from tests.oracles import put_one
+
     stats = MessageStats(3)
     plane = FlatEdgePlane(3, stats, [(0, 1, 2, 0), (1, 0, 2, 0),
                                      (1, 2, 3, 0)])
-    plane.put(0, 0, 1.0, 2.0, 24, CATEGORY_SOLVE)
+    put_one(plane, 0, 24, CATEGORY_SOLVE, 1.0, 2.0)
     plane.deliver_pending()
-    plane.put(2, 0, 1.0, 2.0, 32, CATEGORY_SOLVE)    # pending, undelivered
+    put_one(plane, 4, 32, CATEGORY_SOLVE, 1.0, 2.0)  # pending, undelivered
     assert plane.mail_ranks.tolist() == [1] and plane.in_flight == 1
     plane.reset()
     assert plane.mail_ranks.tolist() == [] and plane.in_flight == 0
@@ -155,7 +157,7 @@ def test_plane_reset_forgets_mail_keeps_stats():
     plane.drain_all()                            # nothing left to read
     assert stats.total_receives == 0
     assert stats.total_messages == 2             # charges survive a reset
-    plane.put(2, 0, 1.0, 2.0, 32, CATEGORY_SOLVE)    # slot is free again
+    put_one(plane, 4, 32, CATEGORY_SOLVE, 1.0, 2.0)  # slot is free again
     assert plane.deliver_pending() == 1 and plane.mail_ranks.tolist() == [2]
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import CATEGORY_SOLVE, CostModel, ParallelEngine
+from tests.oracles import edge_id, put_one
 from tests.test_async import make_plane
 
 
@@ -38,9 +39,9 @@ def _complete_engine(n_procs=4):
 @settings(max_examples=50, deadline=None)
 def test_lockstep_exactly_once_and_fifo(puts):
     eng, plane = _complete_engine()
-    sids = [2 * plane.edge_index[(s, d)] + k for s, d, k in puts]
+    sids = [2 * edge_id(plane, s, d) + k for s, d, k in puts]
     for s in sids:
-        plane.put(s >> 1, s & 1, 0.0, 0.0, 24, CATEGORY_SOLVE)
+        put_one(plane, s, 24, CATEGORY_SOLVE)
     assert eng.close_epoch() == len(puts)
     got = plane.last_delivered.tolist()
     assert got == sids                   # put order, each exactly once
@@ -63,7 +64,7 @@ def test_delayed_delivery_exactly_once(puts, latency, seed):
     sender clocks, every message is read exactly once, eventually."""
     ap = async_plane(4, latency)
     rng = np.random.default_rng(seed)
-    sids = [2 * ap.plane.edge_index[(s, d)] + k for s, d, k in puts]
+    sids = [2 * edge_id(ap.plane, s, d) + k for s, d, k in puts]
     for (src, _, _), s in zip(puts, sids):
         ap.advance_idle(src, float(rng.uniform(0.0, 3.0)))
         ap.send(src, np.array([s]), 0.0, 0.0, 8, CATEGORY_SOLVE)
@@ -118,7 +119,7 @@ def test_async_delivery_respects_stamps(ops, latency):
     for k, op in enumerate(ops):
         if op[0] == "send":
             _, src, dst, kind = op
-            s = 2 * ap.plane.edge_index[(src, dst)] + kind
+            s = 2 * edge_id(ap.plane, src, dst) + kind
             ap.send(src, np.array([s]), 0.0, 0.0, 8, CATEGORY_SOLVE)
             if s in in_slot:
                 superseded.append(in_slot[s])
