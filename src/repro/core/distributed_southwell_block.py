@@ -434,6 +434,30 @@ class DistributedSouthwell(BlockMethodBase):
             z.append((gv, zsolve[lo:hi]))
             z.append((gv, zres[lo:hi]))
             self._async_zsrc.append(zsrc[lo:hi])
+        # the Γ̃ ack: per edge (= the owner's slab position) the number of
+        # messages the owner has sent along it and the sequence number of
+        # the last message the owner received back; per slot the
+        # sender's pair at stamp time.  Under a lossy plan a dropped
+        # message is never acked, so the gate would pin Γ̃ at a norm
+        # the neighbor never received; there every estimate is taken
+        # as sent and the heartbeats repair the mirror (§5.11).
+        plan = self._active_plan
+        self._ack_gate = not (self._faults is not None and plan.lossy)
+        E = self._slab_owner.size
+        self._seq_sent = np.zeros(E, dtype=np.int64)
+        self._seq_seen = np.zeros(E, dtype=np.int64)
+        self._wire_seq = np.zeros(2 * E, dtype=np.int64)
+        self._wire_ack = np.zeros(2 * E, dtype=np.int64)
+
+    def _async_stamp_seq(self, slab, kept: np.ndarray) -> None:
+        """Count one send on each slab position ``slab`` (drops
+        included: the sender cannot know) and stamp the slots that
+        entered the network with their sequence number and ack."""
+        self._seq_sent[slab] += 1
+        if kept.size:
+            eids = kept >> 1
+            self._wire_seq[kept] = self._seq_sent[eids]
+            self._wire_ack[kept] = self._seq_seen[eids]
 
     def _async_capture_z(self, aplane, kept: np.ndarray) -> None:
         """Snapshot the z payloads (the sender's residual at each
@@ -478,6 +502,7 @@ class DistributedSouthwell(BlockMethodBase):
         # line 16: p told every neighbor its new norm (drops included —
         # the sender cannot know, which is exactly what repair heals)
         self._tilde_flat[lo:hi] = new_sq
+        self._async_stamp_seq(slice(lo, hi), kept)
         if kept.size:
             self._async_capture_vals(aplane, kept)
             self._async_capture_z(aplane, kept)
@@ -523,16 +548,27 @@ class DistributedSouthwell(BlockMethodBase):
                         ghost[z2g[idx]] = store[idx]
         # header scatter (scalar loop: a handful of slots per delivery;
         # duplicate slab positions resolve to the last write, matching
-        # fancy-assignment order)
+        # fancy-assignment order).  The sender's estimate of p enters
+        # Γ̃ only if the sender had seen p's latest message when it
+        # composed it: a message that crossed one of p's in flight
+        # carries a belief the in-flight one overwrites on arrival, and
+        # Γ̃ already holds that message's norm (line 16 / line 28).
         slabpos = self._sid_slabpos_list
         g = self._gamma_flat
         t = self._tilde_flat
         wn = aplane.wire_norm
         we = aplane.wire_est
+        gate = self._ack_gate
+        sent = self._seq_sent
+        seen = self._seq_seen
+        wseq = self._wire_seq
+        wack = self._wire_ack
         for s in slist:
             gp = slabpos[s]
             g[gp] = wn[s]
-            t[gp] = we[s]
+            seen[gp] = wseq[s]
+            if not gate or wack[s] == sent[gp]:
+                t[gp] = we[s]
 
     def _async_repair(self, p: int, aplane, turn: int) -> int:
         if not self.deadlock_avoidance:
@@ -568,6 +604,7 @@ class DistributedSouthwell(BlockMethodBase):
                            self._gamma_flat[gidx],
                            int(self._slab_res_nbytes[gidx].sum()),
                            CATEGORY_RESIDUAL)
+        self._async_stamp_seq(gidx, kept)
         if kept.size:
             self._async_capture_z(aplane, kept)
         self.repairs_sent += int(idx.size)

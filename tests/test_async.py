@@ -157,6 +157,26 @@ def test_async_ds_residual_exact_after_drain(async_setup, fem_300):
     assert np.allclose(ex.runner.residual_vector(), r_true, atol=1e-11)
 
 
+@pytest.mark.parametrize("straggler", [None, 2])
+def test_async_ds_tilde_mirror_exact_after_drain(async_setup, straggler):
+    """Once nothing is in flight, what p thinks q believes about p (Γ̃)
+    is bit for bit what q believes (Γ): a message q composed before p's
+    latest one reached it carries a stale belief, and p must not take
+    it into Γ̃ (the crossing the lockstep phase 3 settles)."""
+    system, x0, b = async_setup
+    slow = None
+    if straggler is not None:
+        slow = np.ones(system.n_parts)
+        slow[straggler] = 0.5
+    for turns in (200, 1_000, 3_000):
+        ex, _ = run_async(system, x0, b, max_turns=turns,
+                          speed_factors=slow)
+        ds = ex.runner
+        assert ex.aplane.in_flight == 0
+        mirrored = ds._gamma_flat[ds._sid_slabpos[0::2]]
+        assert np.array_equal(ds._tilde_flat, mirrored)
+
+
 def test_async_ds_time_comparable_to_lockstep(async_setup):
     """Same algorithm, two execution models: time-to-target should land
     in the same ballpark (within 3x either way)."""

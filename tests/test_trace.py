@@ -357,9 +357,6 @@ def test_custom_tracer_protocol_receives_hooks():
         def relax(self, p):
             self.relaxes += 1
 
-        def send(self, src, dst, category, nbytes):
-            self.sends += 1
-
         def sends_flat(self, plane, sids, category):
             self.sends += int(np.asarray(sids).size)
 
