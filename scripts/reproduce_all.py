@@ -13,14 +13,13 @@ Usage::
 
 The experiments run one after another in this process; runs they share
 are computed once (``run_method``'s in-process cache).  ``--trace DIR``
-(or ``REPRO_TRACE=DIR``) records one event-trace file per run into DIR
-(summarize with ``python -m repro trace``).
+records one event-trace file per run into DIR (summarize with
+``python -m repro trace``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -29,6 +28,7 @@ from repro.analysis.export import rows_to_csv, rows_to_json
 from repro.analysis.tables import format_table
 from repro.experiments.__main__ import EXPERIMENTS, _run
 from repro.experiments import get_scale
+from repro.experiments.runners import trace_runs_into
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,25 +38,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--outdir", default="results")
     parser.add_argument("--trace", default=None, metavar="DIR",
                         help="record one event-trace file per run into DIR "
-                             "(default: REPRO_TRACE or off)")
+                             "(default: off)")
     args = parser.parse_args(argv)
-    if args.trace is not None:
-        # run_method reads this knob
-        os.environ["REPRO_TRACE"] = args.trace
     scale = get_scale(args.scale)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     t_start = time.perf_counter()
-    for name in EXPERIMENTS:
-        t0 = time.perf_counter()
-        rows = _run(name, scale)
-        dt = time.perf_counter() - t0
-        rows_to_csv(rows, outdir / f"{name}.csv")
-        rows_to_json(rows, outdir / f"{name}.json")
-        print(format_table(rows, title=f"{name} ({scale.name} scale, "
-                                       f"{dt:.1f}s)", digits=4))
-        print()
+    with trace_runs_into(args.trace):
+        for name in EXPERIMENTS:
+            t0 = time.perf_counter()
+            rows = _run(name, scale)
+            dt = time.perf_counter() - t0
+            rows_to_csv(rows, outdir / f"{name}.csv")
+            rows_to_json(rows, outdir / f"{name}.json")
+            print(format_table(rows, title=f"{name} ({scale.name} scale, "
+                                           f"{dt:.1f}s)", digits=4))
+            print()
     total = time.perf_counter() - t_start
     print(f"all {len(EXPERIMENTS)} experiments regenerated in "
           f"{total:.0f}s; raw rows in {outdir}/")

@@ -18,18 +18,19 @@ by the cost model, simulated-time message delivery, stragglers via
 fields (``virtual_time``, ``rank_clocks``, ``rank_idle``) and sample
 their history on the virtual-time axis (:meth:`SolveResult.timeline`).
 
-Configuration precedence follows :mod:`repro.config`: a ``RunConfig``
-field set here beats the corresponding ``REPRO_*`` environment variable,
-which beats the built-in default.  A ``runtime`` override is applied
-*scoped* (a context manager) so a ``solve`` call never leaks
-process-global state.
+A run is configured by its ``RunConfig`` alone: the message plane, the
+tracer and the fault plan are its ``runtime``, ``trace`` and ``faults``
+fields, and no environment variable stands in for them.  A ``solve``
+call reads its ``runtime`` and sets no process-global state; only
+``runtime=None`` defers to a :func:`~repro.runtime.use_runtime` scope
+around the call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,12 @@ from repro.runtime import (
     CORI_LIKE,
     CostModel,
     runtime_mode,
-    use_runtime,
 )
 from repro.setupcache import get_setup
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import CSRMatrix
 from repro.sparsela.csr import _mirror_slots
-from repro.trace import NULL_TRACER, RunTracer, Tracer, tracer_from_config
+from repro.trace import NULL_TRACER, RunTracer, Tracer
 
 __all__ = [
     "AsyncConfig",
@@ -202,29 +202,35 @@ class RunConfig:
     defensive copies; derive variants with :func:`dataclasses.replace`
     (or the ``**overrides`` shorthand of :func:`solve`).
 
-    ``runtime`` / ``trace`` / ``faults`` are
-    execution-environment overrides: ``None`` defers to the ``REPRO_*``
-    environment knobs (see :mod:`repro.config`).  ``runtime`` picks the
-    message plane — ``"flat"`` or ``"auto"`` (the lockstep epoch loop
-    over preallocated per-edge mailboxes) or ``"async"`` (the
-    event-driven virtual-time executor, tuned by ``async_config``).
-    ``"shm"`` names a deleted plane (DESIGN.md §5.12): it runs ``"flat"``
-    and reports ``SolveResult.degraded_reason = "shm-unavailable"``.
-    ``trace`` accepts a
-    file path (a JSONL or Chrome trace is written there after the run —
-    suffix picks the format) or a :class:`~repro.trace.Tracer` instance
-    to record into.  ``faults`` is a frozen
-    :class:`~repro.faults.FaultPlan` (``None`` defers to the
-    ``REPRO_FAULTS`` plan file); ``strict=True`` turns a gracefully
-    degraded run (reported unrecoverable deadlock) into a raised
+    ``runtime`` / ``trace`` / ``faults`` describe the execution
+    environment, and no environment variable stands in for them.
+    ``runtime`` picks the message plane — ``"flat"`` or ``"auto"`` (the
+    lockstep epoch loop over preallocated per-edge mailboxes) or
+    ``"async"`` (the event-driven virtual-time executor, tuned by
+    ``async_config``); ``None`` defers to a
+    :func:`~repro.runtime.use_runtime` scope around the call, else
+    ``"auto"``.  ``"shm"`` names a deleted plane (DESIGN.md §5.12): it
+    runs ``"flat"`` and reports ``SolveResult.degraded_reason =
+    "shm-unavailable"``.
+    ``trace`` accepts a file path (a JSONL or Chrome trace is written
+    there after the run — suffix picks the format) or a
+    :class:`~repro.trace.Tracer` instance to record into; ``None``
+    records nothing.  ``faults`` is a frozen
+    :class:`~repro.faults.FaultPlan` (``None``: no faults);
+    ``strict=True`` turns a gracefully degraded run (reported
+    unrecoverable deadlock) into a raised
     :class:`~repro.faults.DegradedRunError` instead of a returned
     result.
 
     ``n_parts`` must be ``None`` or an integer ≥ 1, ``max_steps`` and
-    ``seed`` integers ≥ 0 (numpy integers count, ``bool`` does not) and
-    ``target_norm`` ``None`` or finite and ≥ 0, and ``runtime`` ``None``
-    or one of :data:`repro.config.VALID_RUNTIME_MODES`; anything else
-    raises a :class:`ValueError` naming the field at construction.
+    ``seed`` integers ≥ 0 (numpy integers count, ``bool`` does not),
+    ``target_norm`` ``None`` or finite and ≥ 0, ``stop_at_target`` and
+    ``strict`` bools (numpy bools count, ``0``/``1`` and strings do
+    not), ``runtime`` ``None`` or one of
+    :data:`repro.config.VALID_RUNTIME_MODES`, and ``trace`` ``None``, a
+    ``Tracer`` or a non-empty path that is not a directory (a path-like
+    is kept as its ``str``); anything else raises a :class:`ValueError`
+    naming the field at construction.
     """
 
     n_parts: int | None = None
@@ -253,8 +259,18 @@ class RunConfig:
         if self.target_norm is not None:
             _config.require_finite("target_norm", self.target_norm,
                                    positive=False)
+        for name in ("stop_at_target", "strict"):
+            object.__setattr__(self, name, _config.require_bool(
+                name, getattr(self, name)))
         if self.runtime is not None:
             _config.require_runtime(self.runtime)
+        if isinstance(self.trace, os.PathLike):
+            object.__setattr__(self, "trace", os.fspath(self.trace))
+        if not (self.trace is None or isinstance(self.trace, Tracer)
+                or (isinstance(self.trace, str) and self.trace.strip()
+                    and not os.path.isdir(self.trace))):
+            raise ValueError(f"trace must be None, a Tracer or a file path, "
+                             f"got {self.trace!r}")
 
     def to_dict(self) -> dict:
         """JSON-able view (cost-model coefficients inlined)."""
@@ -284,8 +300,8 @@ class SolveResult:
     #: Table 2 target crossing
     solve_comm_curve: np.ndarray | None = None
     residual_comm_curve: np.ndarray | None = None
-    #: the resolved configuration the run executed under (when it went
-    #: through :func:`solve` / :func:`run_block_method`)
+    #: the configuration the run executed under (every run goes through
+    #: :func:`solve`)
     config: RunConfig | None = None
     #: where the run's trace file was written, if tracing to disk
     trace_path: str | None = None
@@ -462,9 +478,14 @@ def solve(A: CSRMatrix, b: np.ndarray | None = None,
     return _solve_with_config(method, A, x0, b, cfg)
 
 
-def _runtime_scope(cfg: RunConfig):
-    """The scope of ``cfg.runtime``'s override (none when it defers)."""
-    return nullcontext() if cfg.runtime is None else use_runtime(cfg.runtime)
+def _run_tracer(cfg: RunConfig) -> tuple[Tracer, str | None]:
+    """The tracer ``cfg.trace`` asks for, and the file it is saved to
+    after the run (``None``: not saved)."""
+    if isinstance(cfg.trace, Tracer):
+        return cfg.trace, None
+    if cfg.trace is not None:
+        return RunTracer(), cfg.trace
+    return NULL_TRACER, None
 
 
 def _peak_rss_bytes() -> int | None:
@@ -508,7 +529,7 @@ def _check_pattern_symmetric(A: CSRMatrix) -> None:
 def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
                        x0: np.ndarray | None, b: np.ndarray | None,
                        cfg: RunConfig) -> SolveResult:
-    """The one real driver behind :func:`solve` and the legacy wrappers."""
+    """The one real driver behind :func:`solve`."""
     if A.n_rows != A.n_cols:
         raise ValueError(f"A must be square, got shape {A.shape}")
     # min/max propagate NaN and expose ±Inf without the n-sized boolean
@@ -538,72 +559,59 @@ def _solve_with_config(method: str | BlockMethodBase, A: CSRMatrix,
     _check_pattern_symmetric(A)
     if method == "mg":
         return _solve_multigrid(A, x0, b, cfg)
-    trace_path: str | None = None
-    tracer: Tracer | None = None
-    if isinstance(cfg.trace, Tracer):
-        tracer = cfg.trace
-    elif cfg.trace is not None:
-        tracer = RunTracer()
-        trace_path = str(cfg.trace)
-    # fault-plan precedence: explicit RunConfig field > REPRO_FAULTS file
-    plan = cfg.faults
-    if plan is None:
-        spec = _config.faults_spec()
-        if spec is not None:
-            plan = FaultPlan.from_file(spec)
-    with _runtime_scope(cfg):
-        if isinstance(method, BlockMethodBase):
-            runner = method
-            name = runner.name
-            if tracer is not None:
-                raise ValueError(
-                    "pass tracer= to the method constructor when supplying "
-                    "an already-built method instance")
-            if plan is not None and runner.fault_plan is None:
-                runner.fault_plan = plan
-        else:
-            if method not in _METHODS:
-                raise ValueError(f"unknown method {method!r}; "
-                                 f"choices: {sorted(_METHODS)}")
-            if cfg.n_parts is None:
-                raise ValueError("n_parts is required when method is a name")
-            # partition + block build through the setup plane: traced,
-            # and served from the persistent cache when enabled
-            _, system = get_setup(A, cfg.n_parts,
-                                  method=cfg.partition_method,
-                                  seed=cfg.seed,
-                                  local_solver=cfg.local_solver,
-                                  tracer=tracer or NULL_TRACER)
-            runner = _METHODS[method](system, cost_model=cfg.cost_model,
-                                      seed=cfg.seed, tracer=tracer,
-                                      faults=plan)
-            name = method
-        if b is None:
-            b = np.zeros(A.n_rows)
-            if x0 is None:          # the Section 4.2 start
-                x0 = np.random.default_rng(cfg.seed).uniform(
-                    -1.0, 1.0, A.n_rows)
-                x0 = x0 / np.linalg.norm(A.matvec(x0))
-        elif x0 is None:
-            x0 = np.zeros(A.n_rows)
-        mode = runtime_mode()
-        executor = None
-        if mode == "async":
-            acfg = cfg.async_config or AsyncConfig()
-            executor = AsyncExecutor(runner, latency=acfg.latency,
-                                     poll_interval=acfg.poll_interval,
-                                     speed_factors=acfg.speed_factors,
-                                     record_every=acfg.record_every,
-                                     scheduler=acfg.scheduler)
-            history = executor.run(x0, b, max_steps=cfg.max_steps,
-                                   target_norm=cfg.target_norm,
-                                   stop_at_target=cfg.stop_at_target,
-                                   max_turns=acfg.max_turns,
-                                   max_time=acfg.max_time)
-        else:
-            history = runner.run(x0, b, max_steps=cfg.max_steps,
-                                 target_norm=cfg.target_norm,
-                                 stop_at_target=cfg.stop_at_target)
+    tracer, trace_path = _run_tracer(cfg)
+    if isinstance(method, BlockMethodBase):
+        runner = method
+        name = runner.name
+        if cfg.trace is not None:
+            raise ValueError(
+                "pass tracer= to the method constructor when supplying "
+                "an already-built method instance")
+        if cfg.faults is not None and runner.fault_plan is None:
+            runner.fault_plan = cfg.faults
+    else:
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}; "
+                             f"choices: {sorted(_METHODS)}")
+        if cfg.n_parts is None:
+            raise ValueError("n_parts is required when method is a name")
+        # partition + block build through the setup plane: traced,
+        # and served from the persistent cache when enabled
+        _, system = get_setup(A, cfg.n_parts,
+                              method=cfg.partition_method,
+                              seed=cfg.seed,
+                              local_solver=cfg.local_solver,
+                              tracer=tracer)
+        runner = _METHODS[method](system, cost_model=cfg.cost_model,
+                                  seed=cfg.seed, tracer=tracer,
+                                  faults=cfg.faults)
+        name = method
+    if b is None:
+        b = np.zeros(A.n_rows)
+        if x0 is None:          # the Section 4.2 start
+            x0 = np.random.default_rng(cfg.seed).uniform(
+                -1.0, 1.0, A.n_rows)
+            x0 = x0 / np.linalg.norm(A.matvec(x0))
+    elif x0 is None:
+        x0 = np.zeros(A.n_rows)
+    mode = cfg.runtime or runtime_mode()
+    executor = None
+    if mode == "async":
+        acfg = cfg.async_config or AsyncConfig()
+        executor = AsyncExecutor(runner, latency=acfg.latency,
+                                 poll_interval=acfg.poll_interval,
+                                 speed_factors=acfg.speed_factors,
+                                 record_every=acfg.record_every,
+                                 scheduler=acfg.scheduler)
+        history = executor.run(x0, b, max_steps=cfg.max_steps,
+                               target_norm=cfg.target_norm,
+                               stop_at_target=cfg.stop_at_target,
+                               max_turns=acfg.max_turns,
+                               max_time=acfg.max_time)
+    else:
+        history = runner.run(x0, b, max_steps=cfg.max_steps,
+                             target_norm=cfg.target_norm,
+                             stop_at_target=cfg.stop_at_target)
     peak_rss = _peak_rss_bytes()
     if trace_path is not None:
         tracer.save(trace_path)
@@ -664,22 +672,7 @@ def _solve_multigrid(A: CSRMatrix, x0: np.ndarray | None,
         raise ValueError(
             f"method='mg' with runtime={cfg.runtime!r} is unsupported: the "
             "V-cycle smooths on the lockstep plane ('auto' or 'flat')")
-    trace_path: str | None = None
-    tracer: Tracer | None = None
-    if isinstance(cfg.trace, Tracer):
-        tracer = cfg.trace
-    elif cfg.trace is not None:
-        tracer = RunTracer()
-        trace_path = str(cfg.trace)
-    if tracer is None:
-        # resolve the REPRO_TRACE default once so the executor and every
-        # level runner record into the same tracer
-        tracer = tracer_from_config()
-    plan = cfg.faults
-    if plan is None:
-        spec = _config.faults_spec()
-        if spec is not None:
-            plan = FaultPlan.from_file(spec)
+    tracer, trace_path = _run_tracer(cfg)
     mcfg = cfg.mg if cfg.mg is not None else MultigridConfig()
     smoother_name = mcfg.smoother or _config.DEFAULT_MG_SMOOTHER
     budget = (_config.DEFAULT_MG_BUDGET if mcfg.budget is None
@@ -696,17 +689,16 @@ def _solve_multigrid(A: CSRMatrix, x0: np.ndarray | None,
     if b is None:
         rng = np.random.default_rng(cfg.seed)
         b = rng.uniform(-1.0, 1.0, A.n_rows)
-    with _runtime_scope(cfg):
-        smoother = make_smoother(
-            smoother_name, budget=budget, n_parts=cfg.n_parts or 1,
-            seed=cfg.seed, local_solver=cfg.local_solver,
-            partition_method=cfg.partition_method,
-            cost_model=cfg.cost_model, tracer=tracer, faults=plan)
-        executor = MultigridExecutor(
-            A, smoother, coarsest_dim=mcfg.coarsest_dim,
-            n_levels=n_levels, hierarchy=hierarchy, drop_tol=drop_tol,
-            tracer=tracer)
-        history = executor.run(b, x0=x0, n_cycles=cycles)
+    smoother = make_smoother(
+        smoother_name, budget=budget, n_parts=cfg.n_parts or 1,
+        seed=cfg.seed, local_solver=cfg.local_solver,
+        partition_method=cfg.partition_method,
+        cost_model=cfg.cost_model, tracer=tracer, faults=cfg.faults)
+    executor = MultigridExecutor(
+        A, smoother, coarsest_dim=mcfg.coarsest_dim,
+        n_levels=n_levels, hierarchy=hierarchy, drop_tol=drop_tol,
+        tracer=tracer)
+    history = executor.run(b, x0=x0, n_cycles=cycles)
     peak_rss = _peak_rss_bytes()
     if trace_path is not None:
         tracer.save(trace_path)

@@ -29,8 +29,10 @@ Observability additions (not in the artifact): ``--trace PATH`` records
 the run's event trace (JSONL, or Chrome ``trace_event`` for ``.json`` /
 ``.chrome``), ``--json`` prints the result as one JSON document, and two
 subcommands — ``python -m repro trace FILE`` summarizes a recorded trace
-and ``python -m repro config`` prints every ``REPRO_*`` knob with its
-effective value and source.
+and ``python -m repro config`` prints the one environment knob
+(``REPRO_SETUP_CACHE``) with its effective value and source.  The plane,
+the tracer and the fault plan come from ``--runtime``, ``--trace`` and
+``--faults`` only: no environment variable sets them.
 """
 
 from __future__ import annotations
@@ -106,9 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--runtime", default=None,
                         help="execution plane, one of "
                              f"{', '.join(repro_config.VALID_RUNTIME_MODES)}"
-                             " (overrides REPRO_RUNTIME; a ValueError "
-                             "otherwise); 'async' runs the event-driven "
-                             "engine")
+                             " (default auto; a ValueError otherwise); "
+                             "'async' runs the event-driven engine")
     parser.add_argument("--async-latency", type=float, default=None,
                         dest="async_latency", metavar="SECONDS",
                         help="simulated network latency under --runtime "
@@ -133,8 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                              ".json/.chrome suffix writes Chrome "
                              "trace_event format)")
     parser.add_argument("--faults", default=None, metavar="PATH",
-                        help="inject faults from a FaultPlan JSON file "
-                             "(also settable via REPRO_FAULTS)")
+                        help="inject faults from a FaultPlan JSON file")
     parser.add_argument("--strict", action="store_true",
                         help="exit non-zero (DegradedRunError) when a "
                              "faulted run degrades instead of converging")
@@ -162,8 +162,8 @@ def _trace_command(argv: list[str]) -> int:
         description="Summarize a recorded run trace: per-phase times, "
                     "per-edge message counts, MessageStats reconciliation.")
     parser.add_argument("files", nargs="+", metavar="FILE",
-                        help="JSONL trace file(s) written by --trace / "
-                             "REPRO_TRACE")
+                        help="JSONL trace file(s) written by --trace or "
+                             "reproduce_all.py --trace DIR")
     args = parser.parse_args(argv)
     from repro.analysis import format_trace_summary, summarize_trace
 
@@ -180,7 +180,8 @@ def _config_command(argv: list[str]) -> int:
     """``repro config``: print every knob's effective value and source."""
     argparse.ArgumentParser(
         prog="repro config",
-        description="Show the REPRO_* configuration knobs.").parse_args(argv)
+        description="Show the environment knob (REPRO_SETUP_CACHE)."
+    ).parse_args(argv)
     print(repro_config.describe())
     return 0
 

@@ -1,25 +1,21 @@
-"""Central run configuration: every ``REPRO_*`` knob in one place.
+"""Central run configuration: the one ``REPRO_*`` knob and the field checks.
 
-The package has one environment variable per subsystem — the
-message-plane mode (``REPRO_RUNTIME``), run tracing (``REPRO_TRACE``),
-the setup cache (``REPRO_SETUP_CACHE``) and fault injection
-(``REPRO_FAULTS``).  This module is the single read-through point for
-all of them, with one documented precedence rule:
+A run is configured by its own arguments — :class:`~repro.api.RunConfig`
+fields, method constructor keywords, CLI flags — and by no ambient
+state: the message plane, the tracer and the fault plan are explicit
+fields (``runtime``, ``trace``, ``faults``) with no environment
+fallback.  The one environment variable left is the setup cache's
+directory (``REPRO_SETUP_CACHE``), a deployment setting rather than a
+run parameter; it reads through this module with the precedence
 
-    explicit argument  >  programmatic override  >  environment  >  default
+    explicit argument  >  environment  >  default
 
-*Explicit argument* is a value passed to a getter here (ultimately a
-:class:`~repro.api.RunConfig` field or a function kwarg); *programmatic
-override* is :func:`repro.runtime.flatplane.set_runtime_mode` state,
-which the runtime keeps (this module never mutates it); unset or junk
-environment values fall back to the default rather than breaking a run.
-Run parameters that have a config field (``MultigridConfig`` /
-``AsyncConfig`` in :mod:`repro.api`) have no environment knob: the
-field, or its CLI flag, is the only way to set them.
+and unset or junk values fall back to the default rather than breaking
+a run.
 
-``repro config`` on the command line prints :func:`describe` — every
-knob with its environment variable, effective value, and where that
-value came from.
+``repro config`` on the command line prints :func:`describe` — the knob
+with its environment variable, effective value, and where that value
+came from.
 
 This module imports nothing from the rest of the package so every
 subsystem (including ``repro.runtime``, which is imported during package
@@ -34,40 +30,32 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
-    "ENV_FAULTS",
-    "ENV_RUNTIME",
     "ENV_SETUP_CACHE",
-    "ENV_TRACE",
     "KNOBS",
     "Knob",
     "VALID_MG_SMOOTHERS",
     "VALID_RUNTIME_MODES",
     "parse_speed_factors",
+    "require_bool",
     "require_finite",
     "require_int",
     "require_runtime",
     "describe",
-    "faults_spec",
-    "runtime",
     "setup_cache_dir",
     "setup_cache_spec",
-    "trace_active",
-    "trace_dir",
-    "trace_spec",
 ]
 
-ENV_RUNTIME = "REPRO_RUNTIME"
-ENV_TRACE = "REPRO_TRACE"
 ENV_SETUP_CACHE = "REPRO_SETUP_CACHE"
-ENV_FAULTS = "REPRO_FAULTS"
 
-#: message-plane modes accepted by ``REPRO_RUNTIME`` / ``set_runtime_mode``;
-#: ``auto`` and ``flat`` both name the lockstep epoch loop over the flat
-#: plane; ``async`` is the same plane driven by the discrete-event executor
-#: instead of lockstep epochs (DESIGN.md §5.14); ``shm`` names a deleted
-#: plane and runs the flat plane, reported as ``degraded_reason =
-#: "shm-unavailable"`` (DESIGN.md §5.12)
+#: message-plane modes accepted by ``RunConfig.runtime`` / ``--runtime`` /
+#: ``set_runtime_mode``; ``auto`` and ``flat`` both name the lockstep
+#: epoch loop over the flat plane; ``async`` is the same plane driven by
+#: the discrete-event executor instead of lockstep epochs (DESIGN.md
+#: §5.14); ``shm`` names a deleted plane and runs the flat plane,
+#: reported as ``degraded_reason = "shm-unavailable"`` (DESIGN.md §5.12)
 VALID_RUNTIME_MODES = ("auto", "flat", "shm", "async")
 
 #: simulated one-way network latency (seconds) for the async runtime
@@ -83,16 +71,9 @@ DEFAULT_MG_BUDGET = 1.0
 DEFAULT_MG_DROP_TOL = 0.0
 DEFAULT_MG_CYCLES = 9
 
-#: ``REPRO_TRACE`` spellings meaning "off" (same set as unset)
-_TRACE_OFF = ("", "0", "off", "false", "no")
-#: ``REPRO_TRACE`` spellings meaning "on, in memory" (events recorded and
-#: discarded — the CI zero-behavior-change guard); any other value is a
-#: directory that per-run trace files are written into
-_TRACE_ON = ("1", "on", "true", "yes")
-
-#: ``REPRO_SETUP_CACHE`` spellings meaning "on, in the default directory";
-#: the off set is shared with ``REPRO_TRACE``, any other value is a
-#: directory path
+#: ``REPRO_SETUP_CACHE`` spellings meaning "off" (same set as unset) and
+#: "on, in the default directory"; any other value is a directory path
+_SETUP_OFF = ("", "0", "off", "false", "no")
 _SETUP_ON = ("1", "on", "true", "yes")
 
 
@@ -106,16 +87,9 @@ class Knob:
 
 
 KNOBS: tuple[Knob, ...] = (
-    Knob(ENV_RUNTIME, "auto",
-         "message plane: auto | flat | async "
-         "(auto = flat; shm runs flat, reported as degraded)"),
-    Knob(ENV_TRACE, "off",
-         "run tracing: off | 1 (in-memory) | <dir> (one file per run)"),
     Knob(ENV_SETUP_CACHE, "off",
          "persistent setup cache (partitions + block systems): "
          "off | 1 (default dir) | <dir>"),
-    Knob(ENV_FAULTS, "off",
-         "fault injection: off | <path to a FaultPlan JSON file>"),
 )
 
 
@@ -128,57 +102,11 @@ def _env(var: str) -> str | None:
 # ----------------------------------------------------------------------
 # typed getters (explicit argument > environment > default)
 # ----------------------------------------------------------------------
-def runtime(explicit: str | None = None) -> str:
-    """The message-plane mode; junk values degrade to ``auto``."""
-    mode = (explicit if explicit else _env(ENV_RUNTIME)) or "auto"
-    mode = mode.strip().lower()
-    return mode if mode in VALID_RUNTIME_MODES else "auto"
-
-
-def trace_spec(explicit: str | None = None) -> str | None:
-    """Normalised ``REPRO_TRACE`` value: ``None`` (off), ``"1"``
-    (in-memory), or a directory path (one trace file per run)."""
-    raw = explicit if explicit is not None else _env(ENV_TRACE)
-    if raw is None or raw.strip().lower() in _TRACE_OFF:
-        return None
-    if raw.strip().lower() in _TRACE_ON:
-        return "1"
-    return raw
-
-
-def trace_active(explicit: str | None = None) -> bool:
-    """Should runs construct a recording tracer by default?"""
-    return trace_spec(explicit) is not None
-
-
-def trace_dir(explicit: str | None = None) -> Path | None:
-    """Directory per-run trace files go to, or ``None`` (off/in-memory)."""
-    spec = trace_spec(explicit)
-    if spec is None or spec == "1":
-        return None
-    return Path(spec)
-
-
-def faults_spec(explicit: str | None = None) -> str | None:
-    """Normalised ``REPRO_FAULTS`` value: ``None`` (off) or the path of
-    a :meth:`repro.faults.FaultPlan.to_json` plan file.
-
-    Loading/validating the plan stays in :mod:`repro.faults`; this only
-    answers "which plan file was asked for".  Callers also use the
-    returned string as a cache-key component so cached run results are
-    never shared across different fault plans.
-    """
-    raw = explicit if explicit is not None else _env(ENV_FAULTS)
-    if raw is None or raw.strip().lower() in _TRACE_OFF:
-        return None
-    return raw
-
-
 def setup_cache_spec(explicit: str | Path | None = None) -> str | None:
     """Normalised ``REPRO_SETUP_CACHE`` value: ``None`` (off), ``"1"``
     (on, default directory), or a directory path."""
     raw = str(explicit) if explicit is not None else _env(ENV_SETUP_CACHE)
-    if raw is None or raw.strip().lower() in _TRACE_OFF:
+    if raw is None or raw.strip().lower() in _SETUP_OFF:
         return None
     if raw.strip().lower() in _SETUP_ON:
         return "1"
@@ -244,6 +172,15 @@ def require_finite(name: str, value, *, positive: bool) -> float:
     return v
 
 
+def require_bool(name: str, value) -> bool:
+    """``value`` as a ``bool``: a Python or numpy bool only — never an
+    int, a string or another truthy object — else a :class:`ValueError`
+    naming ``name`` (the mirror of :func:`require_int`'s rule)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def require_int(name: str, value, low: int) -> int:
     """``value`` as an ``int`` ``>= low``: a Python or numpy integer,
     never a ``bool``, a float or a string — else a :class:`ValueError`
@@ -260,29 +197,13 @@ def require_int(name: str, value, low: int) -> int:
 # reporting
 # ----------------------------------------------------------------------
 def _effective(knob: Knob) -> tuple[str, str]:
-    """``(value, source)`` for one knob, seeing programmatic overrides."""
-    if knob.env == ENV_RUNTIME:
-        from repro.runtime import flatplane
-
-        if flatplane._mode_override is not None:
-            return flatplane._mode_override, "set_runtime_mode()"
-        return runtime(), "environment" if _env(ENV_RUNTIME) else "default"
-    if knob.env == ENV_TRACE:
-        spec = trace_spec()
-        if spec is None:
-            return "off", "environment" if _env(ENV_TRACE) else "default"
-        return ("in-memory" if spec == "1" else spec), "environment"
+    """``(value, source)`` for one knob."""
     if knob.env == ENV_SETUP_CACHE:
         cdir = setup_cache_dir()
         if cdir is None:
             return ("off",
                     "environment" if _env(ENV_SETUP_CACHE) else "default")
         return str(cdir), "environment"
-    if knob.env == ENV_FAULTS:
-        spec = faults_spec()
-        if spec is None:
-            return "off", "environment" if _env(ENV_FAULTS) else "default"
-        return spec, "environment"
     raise ValueError(f"unknown knob {knob.env}")  # pragma: no cover
 
 
@@ -292,8 +213,8 @@ def describe() -> str:
     Printed by the ``repro config`` CLI subcommand; the precedence rule
     in the header is the module's contract.
     """
-    lines = ["configuration (precedence: explicit arg > programmatic "
-             "override > env > default)", ""]
+    lines = ["configuration (precedence: explicit arg > env > default)",
+             ""]
     rows = []
     for knob in KNOBS:
         value, source = _effective(knob)

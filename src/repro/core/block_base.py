@@ -42,7 +42,7 @@ from repro.runtime import (CATEGORY_SOLVE, CORI_LIKE, CostModel,
 from repro.runtime.flatplane import _INT32_LIMIT
 from repro.sparsela.primitives import (csr_matvec, matvec_plan,
                                        multi_arange, segment_sq)
-from repro.trace import tracer_from_config
+from repro.trace import NULL_TRACER
 
 __all__ = ["BlockMethodBase"]
 
@@ -86,7 +86,7 @@ class BlockMethodBase:
                  faults: FaultPlan | None = None):
         _config.require_int("seed", seed, 0)
         self.system = system
-        self.tracer = tracer if tracer is not None else tracer_from_config()
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.engine = ParallelEngine(system.n_parts, cost_model=cost_model,
                                      speed_factors=speed_factors,
                                      tracer=self.tracer)

@@ -8,10 +8,11 @@ same runs — are computed once, and repeated bench invocations are cheap.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
-from repro import config as _config
 from repro.api import RunConfig, SolveResult, solve
 from repro.core.blockdata import BlockSystem
 from repro.core.distributed_southwell_block import DistributedSouthwell
@@ -22,7 +23,7 @@ from repro.solvers.block_jacobi import BlockJacobi
 from repro.trace import NULL_TRACER, RunTracer
 
 __all__ = ["METHOD_LABELS", "METHODS", "clear_run_caches",
-           "get_block_system", "run_method", "suite_runs"]
+           "get_block_system", "run_method", "suite_runs", "trace_runs_into"]
 
 #: method registry in the paper's column order: BJ, PS, DS
 METHODS = ("block-jacobi", "parallel-southwell", "distributed-southwell")
@@ -41,6 +42,24 @@ _CLASSES = {"block-jacobi": BlockJacobi,
 #: dict's.
 _SETUP_LRU: OrderedDict = OrderedDict()
 _SETUP_LRU_MAX = 8
+
+#: where :func:`run_method` writes per-run trace files (``None``: runs
+#: are not traced); set only inside :func:`trace_runs_into`
+_TRACE_DIR: Path | None = None
+
+
+@contextmanager
+def trace_runs_into(directory):
+    """Scope in which every (uncached) :func:`run_method` run records a
+    trace and writes it into ``directory``, one file per run (``None``:
+    runs are not traced)."""
+    global _TRACE_DIR
+    previous = _TRACE_DIR
+    _TRACE_DIR = None if directory is None else Path(directory)
+    try:
+        yield
+    finally:
+        _TRACE_DIR = previous
 
 
 def _problem_and_system(name: str, n_procs: int, size_scale: float = 1.0,
@@ -88,38 +107,32 @@ def run_method(name: str, method: str, n_procs: int, size_scale: float = 1.0,
     """One cached 50-step run of one method on one suite problem.
 
     The block system is shared across methods so all three run on
-    identical data (the paper's comparison discipline).  With
-    ``REPRO_TRACE`` set to a directory, each (uncached) run writes its
-    own trace file there, named after the task parameters; the tracer is
-    live during setup too, so setup phases and setup-cache hits/misses
-    appear in the trace (``repro trace FILE`` reports them).
-
-    The cache key includes the effective ``REPRO_FAULTS`` plan spec, so
-    faulted and faultless runs of the same task never share a result.
+    identical data (the paper's comparison discipline).  Inside
+    :func:`trace_runs_into`, each (uncached) run writes its own trace
+    file into that directory, named after the task parameters; the
+    tracer is live during setup too, so setup phases and setup-cache
+    hits/misses appear in the trace (``repro trace FILE`` reports them).
+    The trace directory is part of the cache key, so a run traced into
+    one directory is never served as another's.
     """
     return _run_method_cached(name, method, n_procs, size_scale,
-                              max_steps, seed, _config.faults_spec())
+                              max_steps, seed, _TRACE_DIR)
 
 
 @lru_cache(maxsize=512)
 def _run_method_cached(name: str, method: str, n_procs: int,
                        size_scale: float, max_steps: int, seed: int,
-                       faults_spec: str | None) -> SolveResult:
-    tracer = RunTracer() if _config.trace_active() else None
+                       trace_dir: Path | None) -> SolveResult:
+    tracer = NULL_TRACER if trace_dir is None else RunTracer()
     prob, system = _problem_and_system(name, n_procs, size_scale, seed,
-                                       tracer=tracer or NULL_TRACER)
+                                       tracer=tracer)
     runner = _CLASSES[method](system, seed=seed, tracer=tracer)
     x0, b = prob.initial_state(seed=seed)
-    # The figure experiments are lockstep by construction (their x-axes
-    # count parallel steps); under ``REPRO_RUNTIME=async`` fall back to
-    # the flat plane — the event-driven analog lives in ``fig8_async``.
-    from repro.runtime import runtime_mode
-
-    lockstep = "flat" if runtime_mode() == "async" else None
+    # the figure experiments are lockstep by construction (their x-axes
+    # count parallel steps); the event-driven analog is ``fig8_async``
     res = solve(prob.matrix, b=b, method=runner, x0=x0,
-                config=RunConfig(max_steps=max_steps, runtime=lockstep))
-    trace_dir = _config.trace_dir()
-    if tracer is not None and trace_dir is not None:
+                config=RunConfig(max_steps=max_steps, runtime="flat"))
+    if trace_dir is not None:
         fname = (f"{name}-{METHOD_LABELS[method]}-P{n_procs}"
                  f"-x{size_scale:g}-s{seed}.trace.jsonl")
         res.trace_path = str(tracer.save_jsonl(trace_dir / fname))

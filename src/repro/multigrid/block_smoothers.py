@@ -44,7 +44,7 @@ from repro.runtime import CORI_LIKE, CostModel
 from repro.setupcache import get_setup
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import CSRMatrix
-from repro.trace import tracer_from_config
+from repro.trace import NULL_TRACER
 
 __all__ = ["BLOCK_SMOOTHER_METHODS", "BlockSmoother", "LevelRunner"]
 
@@ -123,7 +123,7 @@ class BlockSmoother(Smoother):
         self.local_solver = local_solver
         self.partition_method = partition_method
         self.cost_model = cost_model
-        self.tracer = tracer if tracer is not None else tracer_from_config()
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.faults = faults
         self.cache_dir = cache_dir
         #: ``id(A) -> (weakref(A), LevelRunner)`` (see :func:`per_operator`)

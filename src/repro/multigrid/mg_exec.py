@@ -43,7 +43,7 @@ from repro.multigrid.smoothers import (
 from repro.multigrid.transfer import bilinear_prolongation, full_weighting
 from repro.runtime import CORI_LIKE, CostModel
 from repro.sparsela import CSRMatrix
-from repro.trace import tracer_from_config
+from repro.trace import NULL_TRACER
 
 __all__ = ["LevelStats", "MultigridExecutor", "make_smoother"]
 
@@ -154,7 +154,7 @@ class MultigridExecutor:
     n_levels, hierarchy, drop_tol, coarsest_dim:
         Passed to :func:`~repro.multigrid.grid.build_operator_hierarchy`.
     tracer:
-        Trace sink; defaults to the ``REPRO_TRACE`` config.
+        Trace sink; defaults to :data:`~repro.trace.NULL_TRACER`.
     """
 
     def __init__(self, A: CSRMatrix, smoother: Smoother,
@@ -168,7 +168,7 @@ class MultigridExecutor:
         self.smoother = smoother
         if hasattr(smoother, "_link_hierarchy"):
             smoother._link_hierarchy([lvl.matrix for lvl in self.levels])
-        self.tracer = tracer if tracer is not None else tracer_from_config()
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._coarse_dense = np.linalg.inv(self.levels[-1].matrix.to_dense())
         #: smoothing applications per level (2 per cycle per smoothed
         #: level) — the relaxation accounting for scalar smoothers,

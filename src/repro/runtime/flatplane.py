@@ -24,8 +24,10 @@ Slot encoding: slot-id ``2 * edge + kind`` with kind 0 = solve, 1 =
 residual; the slot *is* the message category, so no per-message tag is
 stored.
 
-The runtime mode knob (``REPRO_RUNTIME`` / :func:`set_runtime_mode` /
-:func:`use_runtime`) selects how the block methods drive this plane:
+The runtime mode (``RunConfig.runtime``, or the process-wide
+:func:`set_runtime_mode` / :func:`use_runtime` override a run with no
+``runtime`` of its own defers to) selects how the block methods drive
+this plane:
 ``auto`` and ``flat`` both name the lockstep epoch loop; ``shm``, the
 spelling of a deleted plane (DESIGN.md §5.12), runs as ``flat``;
 ``async`` drives the same mailboxes from the discrete-event executor
@@ -67,14 +69,11 @@ def runtime_mode() -> str:
     """The active message-plane mode: ``auto``, ``flat``, ``shm`` or
     ``async``.
 
-    Resolution order: programmatic override (:func:`set_runtime_mode` /
-    :func:`use_runtime`), then the ``REPRO_RUNTIME`` environment variable
-    read through :mod:`repro.config`, then ``auto``.  Unknown env values
-    fall back to ``auto`` (junk must not break a run).
+    The programmatic override (:func:`set_runtime_mode` /
+    :func:`use_runtime`) when one is set, else ``auto``; no environment
+    variable is read.
     """
-    if _mode_override is not None:
-        return _mode_override
-    return _config.runtime()
+    return _mode_override or "auto"
 
 
 def set_runtime_mode(mode: str | None) -> None:

@@ -45,7 +45,6 @@ __all__ = [
     "RunTracer",
     "TRACE_SCHEMA",
     "Tracer",
-    "tracer_from_config",
 ]
 
 #: schema tag stamped into every trace file's meta event
@@ -163,16 +162,6 @@ class NullTracer(Tracer):
 
 #: the shared do-nothing tracer every run defaults to
 NULL_TRACER = NullTracer()
-
-
-def tracer_from_config() -> Tracer:
-    """The default tracer per :mod:`repro.config`: a fresh recording
-    :class:`RunTracer` when ``REPRO_TRACE`` is active, else
-    :data:`NULL_TRACER`.  The CI zero-behavior-change leg runs the whole
-    tier-1 suite with this forced on."""
-    from repro import config
-
-    return RunTracer() if config.trace_active() else NULL_TRACER
 
 
 class RunTracer(Tracer):

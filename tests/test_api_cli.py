@@ -168,14 +168,31 @@ def test_pattern_check_reads_unsorted_rows():
     ("max_steps", -3), ("max_steps", 2.7), ("max_steps", None),
     ("target_norm", np.nan), ("target_norm", -1.0), ("target_norm", "x"),
     ("seed", 2.5), ("seed", "1"), ("seed", -1), ("seed", True),
+    ("stop_at_target", "no"), ("stop_at_target", 1),
+    ("stop_at_target", None), ("strict", "x"), ("strict", 0),
+    ("trace", ""), ("trace", "  "), ("trace", "."), ("trace", 123),
+    ("trace", b"t.jsonl"),
 ], ids=str)
 def test_run_config_rejects_bad_scalars(field, bad):
     """A bad scalar is a ValueError naming its field, raised before any
-    set-up (not a deep TypeError, a silent 0-step run or a run that
-    never stops)."""
+    set-up (not a deep TypeError, a silent 0-step run, a run that never
+    stops, a truthy string read as ``True`` or a trace that dies in
+    ``save`` after the whole solve)."""
     with pytest.raises(ValueError, match=f"^{field} must be"):
         solve(poisson_2d(12), np.ones(144), method="distributed-southwell",
               **{"n_parts": 4, "stop_at_target": True, field: bad})
+
+
+def test_run_config_bools_are_bools(tmp_path):
+    """``stop_at_target="no"`` used to stop a run at its first step (a
+    truthy string); bools and numpy bools are the only spellings, and a
+    path-like trace is kept as its ``str``."""
+    with pytest.raises(ValueError, match="^stop_at_target must be a bool"):
+        RunConfig(stop_at_target="no", target_norm=1e9)
+    cfg = RunConfig(stop_at_target=np.bool_(True), strict=np.False_,
+                    trace=tmp_path / "t.jsonl")
+    assert cfg.stop_at_target is True and cfg.strict is False
+    assert cfg.trace == str(tmp_path / "t.jsonl")
 
 
 def test_run_config_accepts_numpy_integers():
@@ -233,8 +250,8 @@ def test_cli_x_zeros_and_aliases(capsys):
 
 
 def test_cli_async_flags_beat_env(monkeypatch, capsys):
-    """--runtime overrides REPRO_RUNTIME; the --async-* flags set the
-    async run's config."""
+    """--runtime picks the plane (a stray REPRO_RUNTIME is ignored); the
+    --async-* flags set the async run's config."""
     monkeypatch.setenv("REPRO_RUNTIME", "flat")
     rc = main(["-n", "4", "-sweep_max", "10", "-grid_dim", "10",
                "-solver", "sos_sds", "-format_out",
@@ -243,7 +260,7 @@ def test_cli_async_flags_beat_env(monkeypatch, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     fields = dict(line.split(None, 1) for line in out.strip().splitlines())
-    # async ran (env said flat), priced at the flag's 10 µs latency
+    # async ran, priced at the flag's 10 µs latency
     assert "virtual_time" in fields
     assert 0.0 < float(fields["virtual_time"]) < 1e-3
 

@@ -1,6 +1,6 @@
 """Tests for the event-driven async runtime behind ``solve()``.
 
-Covers the ISSUE-8 surface:
+Covers:
 
 1. all three block methods converge under ``runtime="async"``;
 2. the plane is bit-deterministic for fixed seeds (pinned digest);
@@ -15,7 +15,10 @@ Covers the ISSUE-8 surface:
    ``AsyncUnsupportedError`` naming the method;
 7. the per-rank ``(stamp, slot)`` mailbox heaps read exactly what a full
    scan of ``deliver_at`` reads, and stay bounded although a restamp's
-   old entry lingers until the receiver's clock nears its stamp.
+   old entry lingers until the receiver's clock nears its stamp;
+8. the front door's plane-independent contract (the Section 4.2 start,
+   ``solve(A, b)``, the comm curves and their split, ``reached``, the
+   peak RSS) holds on the event plane too.
 """
 
 from __future__ import annotations
@@ -372,3 +375,39 @@ def test_stragglers_smoke_keeps_heaps_bounded():
     # enough traffic that an index without the rebuild would overflow
     assert ex.runner.engine.stats.total_messages > 2 * slots
     assert 0 < peak <= 2 * slots
+
+
+# ------------------------------------------------------------------- 8
+def test_async_front_door_start_and_rhs(fem_300):
+    """The Section 4.2 start has ``‖r⁰‖₂ = 1``; ``solve(A, b)`` starts
+    from ``x0 = 0`` and reduces ``‖b − Ax‖``."""
+    start = solve(fem_300, method="block-jacobi", n_parts=4, max_steps=0,
+                  seed=1, runtime="async")
+    assert np.isclose(start.history.initial_norm, 1.0, atol=1e-12)
+    A = poisson_2d(12)
+    b = np.random.default_rng(0).uniform(-1.0, 1.0, A.n_rows)
+    res = solve(A, b, n_parts=4, max_steps=30, runtime="async")
+    assert res.history.initial_norm == pytest.approx(np.linalg.norm(b))
+    assert np.linalg.norm(b - A.matvec(res.x)) < 0.5 * np.linalg.norm(b)
+
+
+def test_async_comm_curves_and_breakdown(fem_300):
+    """Per-category comm curves are monotone, one entry per history
+    sample, and end at the run totals; they split the comm cost at a
+    target crossing; ``reached`` reads the history; the result reports
+    the process peak RSS."""
+    ds = solve(fem_300, method="distributed-southwell", n_parts=8,
+               max_steps=20, seed=0, runtime="async")
+    assert np.all(np.diff(ds.solve_comm_curve) >= 0)
+    assert np.all(np.diff(ds.residual_comm_curve) >= 0)
+    assert len(ds.solve_comm_curve) == len(ds.history.parallel_steps)
+    assert np.isclose(ds.solve_comm_curve[-1], ds.solve_comm)
+    assert np.isclose(ds.residual_comm_curve[-1], ds.residual_comm)
+    assert ds.to_dict()["peak_rss_bytes"] == ds.peak_rss_bytes > 1 << 20
+    ps = solve(fem_300, method="parallel-southwell", n_parts=8,
+               max_steps=40, seed=0, runtime="async")
+    assert ps.reached(0.5) and not ps.reached(1e-30)
+    solve_part, residual_part = ps.comm_breakdown_at(0.2)
+    total = ps.history.cost_to_reach(0.2, axis="comm_costs")
+    assert np.isclose(solve_part + residual_part, total, rtol=1e-9)
+    assert ps.comm_breakdown_at(1e-30) is None

@@ -28,7 +28,6 @@ from repro.core.local_solvers import GaussSeidelLocal
 from repro.matrices.poisson import poisson_2d
 from repro.matrices.random_spd import random_sparse_spd
 from repro.partition import partition, partition_from_parts
-from repro.runtime import use_runtime
 from repro.setupcache import get_setup
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import CSRMatrix
@@ -77,8 +76,7 @@ def test_large_blocks_factor_at_build(splu_sizes):
     assert system.n > _BATCH_ROWS * system.n_parts
     assert sorted(splu_sizes) == _block_sizes(system)
     assert _factored(system) == set(range(4))
-    with use_runtime("flat"):
-        DistributedSouthwell(system).run(*_start(system.n), max_steps=5)
+    DistributedSouthwell(system).run(*_start(system.n), max_steps=5)
     assert len(splu_sizes) == 4 and system._diag_lu is None
 
 
@@ -104,17 +102,16 @@ def test_lockstep_run_factors_only_the_whole_diagonal(splu_sizes, bind_calls,
     and never factors a block or binds a rank's solve."""
     A = poisson_2d(32)
     system = build_block_system(A, partition(A, 64, seed=0))
-    with use_runtime("flat"):
-        m = method(system)
-        batches = []
-        relax = m._relax_ranks
+    m = method(system)
+    batches = []
+    relax = m._relax_ranks
 
-        def recording(winners):
-            batches.append(winners.tolist())
-            relax(winners)
+    def recording(winners):
+        batches.append(winners.tolist())
+        relax(winners)
 
-        m._relax_ranks = recording
-        m.run(*_start(system.n), max_steps=40)
+    m._relax_ranks = recording
+    m.run(*_start(system.n), max_steps=40)
     assert splu_sizes == [system.n] and system._diag_lu is not None
     assert _factored(system) == set() and bind_calls == []
     # the run has narrow steps (winners covering fewer than _BATCH_ROWS
@@ -136,9 +133,8 @@ def test_async_prepare_factors_every_rank(splu_sizes):
 
 
 def _ds_run(system) -> bytes:
-    with use_runtime("flat"):
-        ds = DistributedSouthwell(system)
-        ds.run(*_start(system.n), max_steps=12)
+    ds = DistributedSouthwell(system)
+    ds.run(*_start(system.n), max_steps=12)
     return ds.solution().tobytes() + ds.residual_vector().tobytes()
 
 

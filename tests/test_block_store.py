@@ -22,7 +22,6 @@ from repro.core.local_solvers import make_local_solver
 from repro.matrices.poisson import poisson_2d
 from repro.matrices.random_spd import random_sparse_spd
 from repro.partition import partition, partition_from_parts
-from repro.runtime import use_runtime
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import COOMatrix, CSRMatrix
 
@@ -168,8 +167,7 @@ def test_flat_plans_equal_per_edge_restacking(cls):
     ref = _reference_build(A, part)
     runner = cls(build_block_system(A, part))
     rng = np.random.default_rng(1)
-    with use_runtime("flat"):
-        runner.setup(rng.standard_normal(A.n_rows), np.zeros(A.n_rows))
+    runner.setup(rng.standard_normal(A.n_rows), np.zeros(A.n_rows))
     assert runner.engine.flat is not None
     plane = runner.engine.flat
     P = part.n_parts

@@ -1,11 +1,13 @@
 """The central ``repro.config`` knob layer.
 
-Contract: one read-through point for every ``REPRO_*`` environment
-variable, with precedence ``explicit arg > programmatic override > env >
-default`` and graceful degradation on junk values (a bad knob must never
-break a run).  Run parameters that have a config field
-(``MultigridConfig`` / ``AsyncConfig``) have no environment knob: a
-stray ``REPRO_MG_*`` / ``REPRO_ASYNC_LATENCY`` variable changes nothing.
+Contract: one read-through point for the one ``REPRO_*`` environment
+variable (the setup-cache directory), with precedence ``explicit arg >
+env > default`` and graceful degradation on junk values (a bad knob must
+never break a run).  Run parameters that have a config field
+(``RunConfig.runtime`` / ``trace`` / ``faults``, ``MultigridConfig``,
+``AsyncConfig``) have no environment knob: a stray ``REPRO_RUNTIME`` /
+``REPRO_TRACE`` / ``REPRO_MG_*`` / ``REPRO_ASYNC_LATENCY`` variable
+changes nothing.
 """
 
 from __future__ import annotations
@@ -25,21 +27,38 @@ def _clean_env(monkeypatch):
         monkeypatch.delenv(knob.env, raising=False)
 
 
+def _small_solve(**fields):
+    """A 4-step DS ``solve()`` on a 10×10 Laplacian."""
+    from repro.api import RunConfig, solve
+    from repro.matrices.poisson import poisson_2d
+
+    return solve(poisson_2d(10), config=RunConfig(n_parts=4, max_steps=4,
+                                                  **fields))
+
+
 # ----------------------------------------------------------------------
-# precedence: explicit > env > default, per getter
+# the message plane: RunConfig.runtime (or a use_runtime scope), never
+# the environment
 # ----------------------------------------------------------------------
 def test_runtime_precedence(monkeypatch):
-    assert config.runtime() == "auto"
-    monkeypatch.setenv(config.ENV_RUNTIME, "async")
-    assert config.runtime() == "async"
-    assert config.runtime("flat") == "flat"
+    from repro.runtime import flatplane
+
+    monkeypatch.setenv("REPRO_RUNTIME", "async")          # ignored
+    assert flatplane.runtime_mode() == "auto"
+    assert _small_solve().virtual_time is None            # ran lockstep
+    assert _small_solve(runtime="async").virtual_time > 0.0   # explicit
 
 
 def test_runtime_junk_degrades_to_auto(monkeypatch):
-    monkeypatch.setenv(config.ENV_RUNTIME, "warp-drive")
-    assert config.runtime() == "auto"
-    assert config.runtime("  FLAT ") == "flat"       # normalised
-    assert config.runtime("bogus") == "auto"
+    from repro.api import RunConfig
+    from repro.runtime import flatplane
+
+    monkeypatch.setenv("REPRO_RUNTIME", "warp-drive")      # ignored
+    assert flatplane.runtime_mode() == "auto"
+    with pytest.raises(ValueError, match="runtime"):
+        RunConfig(runtime="bogus")                         # explicit junk
+    with pytest.raises(ValueError, match="runtime"):
+        flatplane.set_runtime_mode("bogus")
 
 
 # ----------------------------------------------------------------------
@@ -136,40 +155,36 @@ def test_setup_cache_explicit_beats_env(monkeypatch, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# REPRO_TRACE spellings
+# tracing: RunConfig.trace or a tracer= argument, never the environment
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("raw", ["", "0", "off", "OFF", "false", "no"])
 def test_trace_off_spellings(monkeypatch, raw):
-    monkeypatch.setenv(config.ENV_TRACE, raw)
-    assert config.trace_spec() is None
-    assert config.trace_active() is False
-    assert config.trace_dir() is None
+    from repro.core import DistributedSouthwell
+    from repro.core.blockdata import build_block_system
+    from repro.matrices.poisson import poisson_2d
+    from repro.partition import partition
+    from repro.trace import NULL_TRACER
+
+    monkeypatch.setenv("REPRO_TRACE", raw)                 # ignored
+    A = poisson_2d(6)
+    runner = DistributedSouthwell(build_block_system(A, partition(A, 2)))
+    assert runner.tracer is NULL_TRACER
 
 
-@pytest.mark.parametrize("raw", ["1", "on", "true", "YES"])
-def test_trace_on_spellings_mean_in_memory(monkeypatch, raw):
-    monkeypatch.setenv(config.ENV_TRACE, raw)
-    assert config.trace_spec() == "1"
-    assert config.trace_active() is True
-    assert config.trace_dir() is None                # in-memory, no files
+def test_trace_explicit_beats_env(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "env"))   # ignored
+    path = tmp_path / "run.trace.jsonl"
+    assert _small_solve(trace=str(path)).trace_path == str(path)
+    assert path.exists() and not (tmp_path / "env").exists()
 
 
-def test_trace_other_value_is_a_directory(monkeypatch, tmp_path):
-    monkeypatch.setenv(config.ENV_TRACE, str(tmp_path))
-    assert config.trace_spec() == str(tmp_path)
-    assert config.trace_active() is True
-    assert config.trace_dir() == tmp_path
+def test_trace_default_is_off(monkeypatch):
+    from repro.multigrid.block_smoothers import BlockSmoother
+    from repro.trace import NULL_TRACER
 
-
-def test_trace_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv(config.ENV_TRACE, "1")
-    assert config.trace_spec("off") is None
-    assert config.trace_spec("traces") == "traces"
-
-
-def test_trace_default_is_off():
-    assert config.trace_spec() is None
-    assert config.trace_active() is False
+    monkeypatch.setenv("REPRO_TRACE", "1")                 # ignored
+    assert _small_solve().trace_path is None
+    assert BlockSmoother().tracer is NULL_TRACER
 
 
 # ----------------------------------------------------------------------
@@ -183,34 +198,26 @@ def test_describe_lists_every_knob():
     # one row per knob, and the knob set is pinned: adding one is a
     # decision, not a side effect
     rows = [ln for ln in out.splitlines() if ln.lstrip().startswith("REPRO_")]
-    assert len(rows) == len(config.KNOBS) == 4
+    assert len(rows) == len(config.KNOBS) == 1
 
 
 def test_describe_shows_env_sources(monkeypatch, tmp_path):
     monkeypatch.setenv(config.ENV_SETUP_CACHE, str(tmp_path / "sc"))
-    monkeypatch.setenv(config.ENV_TRACE, str(tmp_path / "tr"))
+    monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "tr"))   # not a knob
     out = config.describe()
     assert str(tmp_path / "sc") in out
-    assert str(tmp_path / "tr") in out
+    assert str(tmp_path / "tr") not in out
     assert "[environment" in out
-
-
-def test_describe_sees_programmatic_runtime_override():
-    from repro.runtime import flatplane
-
-    with flatplane.use_runtime("async"):
-        assert "set_runtime_mode()" in config.describe()
-    assert "set_runtime_mode()" not in config.describe()
 
 
 def test_runtime_mode_override_beats_env(monkeypatch):
     from repro.runtime import flatplane
 
-    monkeypatch.setenv(config.ENV_RUNTIME, "flat")
-    assert flatplane.runtime_mode() == "flat"
+    monkeypatch.setenv("REPRO_RUNTIME", "flat")            # ignored
     with flatplane.use_runtime("async"):
         assert flatplane.runtime_mode() == "async"   # override wins
-    assert flatplane.runtime_mode() == "flat"        # restored
+        assert _small_solve().virtual_time > 0.0     # and reaches solve()
+    assert flatplane.runtime_mode() == "auto"        # restored
 
 
 def test_knobs_are_frozen_and_documented():

@@ -17,14 +17,15 @@ The resilience contract pinned here:
 - DS's repair/retry hardening keeps it converging under 5% and 20%
   message loss, while PS — whose criterion needs exact neighbor norms —
   stops by *reporting* deadlock (``degraded``), never by hanging;
-- the ``REPRO_FAULTS`` knob, the ``solve()`` front door's
-  ``RunConfig.faults``/``strict`` fields, the deprecation of the legacy
-  wrappers, the v2 ``SolveResult`` schema, and trace reconciliation of
-  the ``fault:*`` / ``repair:*`` event categories.
+- the ``solve()`` front door's ``RunConfig.faults``/``strict`` fields
+  (the only way to attach a plan: no environment variable does), the
+  removal of the legacy wrappers, the ``SolveResult`` schema, and trace
+  reconciliation of the ``fault:*`` / ``repair:*`` event categories.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -47,7 +48,6 @@ from repro.faults import (
 )
 from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
-from repro.runtime import use_runtime
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import symmetric_unit_diagonal_scale
 
@@ -77,12 +77,11 @@ def loss_setup():
     return A, build_block_system(A, part)
 
 
-def _run(system, n, cls, mode, plan, steps=15, **kwargs):
+def _run(system, n, cls, plan, steps=15, **kwargs):
     m = cls(system, faults=plan, **kwargs)
     rng = np.random.default_rng(7)
     x0 = rng.uniform(-1.0, 1.0, n)
-    with use_runtime(mode):
-        hist = m.run(x0, np.zeros(n), max_steps=steps)
+    hist = m.run(x0, np.zeros(n), max_steps=steps)
     return m, hist
 
 
@@ -96,18 +95,18 @@ def _digest(hist) -> str:
 # null plans are bit-identical to no plan (the live flat run's, and the
 # recorded per-message plane's)
 # ----------------------------------------------------------------------
-_BASELINE: dict[str, str] = {"object": PINS["faultless-ds-digest"]}
+_BASELINE: dict[str, str] = {"pinned": PINS["faultless-ds-digest"]}
 
 
 def _baseline_digest(small_setup, mode: str) -> str:
     if mode not in _BASELINE:
         A, system = small_setup
-        _, hist = _run(system, A.n_rows, DistributedSouthwell, mode, None)
+        _, hist = _run(system, A.n_rows, DistributedSouthwell, None)
         _BASELINE[mode] = _digest(hist)
     return _BASELINE[mode]
 
 
-@pytest.mark.parametrize("mode", ["object", "flat"])
+@pytest.mark.parametrize("mode", ["pinned", "flat"])
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1),
        resend_after=st.integers(1, 10),
@@ -122,7 +121,7 @@ def test_null_plan_bit_identical_to_faultless(small_setup, mode, seed,
                      deadlock_patience=patience)
     assert plan.is_null
     A, system = small_setup
-    _, hist = _run(system, A.n_rows, DistributedSouthwell, "flat", plan)
+    _, hist = _run(system, A.n_rows, DistributedSouthwell, plan)
     assert _digest(hist) == _baseline_digest(small_setup, mode)
 
 
@@ -139,7 +138,7 @@ def test_lossy_plan_object_vs_flat_identical(small_setup, method):
     ``MessageStats`` equal the recorded ones under a nonzero fault plan.
     """
     A, system = small_setup
-    m_f, h_f = _run(system, A.n_rows, _CLASSES[method], "flat", LOSSY_PLAN)
+    m_f, h_f = _run(system, A.n_rows, _CLASSES[method], LOSSY_PLAN)
     pin = PINS[f"lossy:{method}"]
     assert dict(m_f._faults.injected) == pin["injected"]
     assert {**run_fingerprint(m_f, h_f), "injected": pin["injected"]} == pin
@@ -150,7 +149,7 @@ def test_stale_plan_reproduces_the_recorded_run(small_setup):
     overwrites exactly as the recorded per-message run did."""
     A, system = small_setup
     plan = FaultPlan.uniform(reorder=0.2, ghost_stale=0.3, seed=5)
-    m, h = _run(system, A.n_rows, DistributedSouthwell, "flat", plan)
+    m, h = _run(system, A.n_rows, DistributedSouthwell, plan)
     pin = PINS["stale:distributed-southwell"]
     assert {**run_fingerprint(m, h), "injected": dict(m._faults.injected)} \
         == pin
@@ -158,8 +157,8 @@ def test_stale_plan_reproduces_the_recorded_run(small_setup):
 
 def test_same_plan_is_deterministic(small_setup):
     A, system = small_setup
-    _, h1 = _run(system, A.n_rows, DistributedSouthwell, "flat", LOSSY_PLAN)
-    _, h2 = _run(system, A.n_rows, DistributedSouthwell, "flat", LOSSY_PLAN)
+    _, h1 = _run(system, A.n_rows, DistributedSouthwell, LOSSY_PLAN)
+    _, h2 = _run(system, A.n_rows, DistributedSouthwell, LOSSY_PLAN)
     assert _digest(h1) == _digest(h2)
 
 
@@ -167,7 +166,7 @@ def test_drops_charged_as_sends_not_receives(small_setup):
     """With drop-only faults, receives == sends − drops, exactly."""
     A, system = small_setup
     plan = FaultPlan.uniform(drop=0.15, seed=5)
-    m, _ = _run(system, A.n_rows, BlockJacobi, "flat", plan)
+    m, _ = _run(system, A.n_rows, BlockJacobi, plan)
     stats = m.engine.stats
     drops = m._faults.injected.get("drop:solve", 0)
     assert drops > 0
@@ -177,7 +176,7 @@ def test_drops_charged_as_sends_not_receives(small_setup):
 def test_duplicates_charge_two_receives(small_setup):
     A, system = small_setup
     plan = FaultPlan.uniform(duplicate=0.2, seed=5)
-    m, _ = _run(system, A.n_rows, BlockJacobi, "flat", plan)
+    m, _ = _run(system, A.n_rows, BlockJacobi, plan)
     stats = m.engine.stats
     dups = m._faults.injected.get("duplicate:solve", 0)
     assert dups > 0
@@ -222,9 +221,8 @@ def test_ds_converges_under_loss(loss_setup, drop):
     rng = np.random.default_rng(7)
     x0 = rng.uniform(-1.0, 1.0, A.n_rows)
     x0 /= np.linalg.norm(A.matvec(x0))
-    with use_runtime("flat"):
-        hist = m.run(x0, np.zeros(A.n_rows), max_steps=200,
-                     target_norm=0.1, stop_at_target=True)
+    hist = m.run(x0, np.zeros(A.n_rows), max_steps=200,
+                 target_norm=0.1, stop_at_target=True)
     assert not m.degraded
     assert hist.final_norm < 0.1          # ‖r⁰‖ = 1: converged under loss
     assert m.repairs_sent > 0             # the hardening did real work
@@ -238,9 +236,8 @@ def test_ps_deadlock_detected_not_hung(loss_setup):
     rng = np.random.default_rng(7)
     x0 = rng.uniform(-1.0, 1.0, A.n_rows)
     x0 /= np.linalg.norm(A.matvec(x0))
-    with use_runtime("flat"):
-        m.run(x0, np.zeros(A.n_rows), max_steps=400, target_norm=1e-8,
-              stop_at_target=True)
+    m.run(x0, np.zeros(A.n_rows), max_steps=400, target_norm=1e-8,
+          stop_at_target=True)
     assert m.degraded
     assert m.steps_taken < 400            # early, bounded stop
     assert "deadlock" in m.degraded_reason or "no active" \
@@ -262,14 +259,28 @@ def test_strict_policy_raises_on_degradation(loss_setup):
     assert res.degraded and res.degraded_reason
 
 
+def test_strict_policy_raises_on_async_degradation(loss_setup):
+    """PS under loss degrades on the event plane too, and ``strict``
+    turns that into a raised :class:`DegradedRunError`."""
+    A, _ = loss_setup
+    cfg = RunConfig(n_parts=64, max_steps=400, target_norm=1e-8,
+                    stop_at_target=True, runtime="async",
+                    faults=FaultPlan.uniform(drop=0.2, seed=11))
+    with pytest.raises(DegradedRunError):
+        solve(A, method="parallel-southwell",
+              config=dataclasses.replace(cfg, strict=True))
+    res = solve(A, method="parallel-southwell", config=cfg)
+    assert res.degraded and res.degraded_reason
+
+
 # ----------------------------------------------------------------------
 # stall / slowdown / delay schedules
 # ----------------------------------------------------------------------
 def test_stall_schedule_skips_relaxations(small_setup):
     A, system = small_setup
     plan = FaultPlan(seed=3, stalls=(StallWindow(rank=0, start=1, stop=6),))
-    base, _ = _run(system, A.n_rows, BlockJacobi, "flat", None, steps=10)
-    m, hist = _run(system, A.n_rows, BlockJacobi, "flat", plan, steps=10)
+    base, _ = _run(system, A.n_rows, BlockJacobi, None, steps=10)
+    m, hist = _run(system, A.n_rows, BlockJacobi, plan, steps=10)
     # rank 0 sat out 5 of its 10 relaxations (row-weighted counter)
     assert m.total_relaxations < base.total_relaxations
     assert m._faults.injected["stall"] == 5
@@ -285,9 +296,9 @@ def test_slowdown_schedule_stretches_time(small_setup):
     slow = FaultPlan(seed=3, slowdowns=(SlowdownWindow(rank=0, start=1,
                                                        stop=11,
                                                        factor=1e-3),))
-    m_base, h_base = _run(system, A.n_rows, BlockJacobi, "flat", None,
+    m_base, h_base = _run(system, A.n_rows, BlockJacobi, None,
                           steps=10)
-    m_slow, h_slow = _run(system, A.n_rows, BlockJacobi, "flat", slow,
+    m_slow, h_slow = _run(system, A.n_rows, BlockJacobi, slow,
                           steps=10)
     # same numerics (slowdowns only bend the clock) but more elapsed time
     assert _digest(h_base) == _digest(h_slow)
@@ -317,32 +328,21 @@ def test_delay_plan_is_rejected():
 
 
 # ----------------------------------------------------------------------
-# config knob + solve() front door
+# solve() front door: RunConfig.faults is the only source of a plan
 # ----------------------------------------------------------------------
-def test_faults_spec_precedence(monkeypatch, tmp_path):
-    monkeypatch.delenv(_config.ENV_FAULTS, raising=False)
-    assert _config.faults_spec() is None
-    for off in ("0", "off", "false", "no", ""):
-        monkeypatch.setenv(_config.ENV_FAULTS, off)
-        assert _config.faults_spec() is None
-    path = str(tmp_path / "plan.json")
-    monkeypatch.setenv(_config.ENV_FAULTS, path)
-    assert _config.faults_spec() == path
-    assert _config.faults_spec("other.json") == "other.json"  # explicit wins
-    assert "REPRO_FAULTS" in _config.describe()
-
-
-def test_env_plan_feeds_solve(monkeypatch, tmp_path, small_setup):
+def test_faults_spec_precedence(monkeypatch, tmp_path, small_setup):
+    """An explicit ``RunConfig.faults`` plan is the whole spec: a stray
+    ``REPRO_FAULTS`` plan file attaches nothing, and ``repro config``
+    does not list it."""
     A, _ = small_setup
     path = tmp_path / "plan.json"
     path.write_text(FaultPlan.uniform(drop=0.1, seed=7).to_json())
-    monkeypatch.setenv(_config.ENV_FAULTS, str(path))
-    res = solve(A, n_parts=8, max_steps=10)
-    assert res.faults_injected is not None
+    monkeypatch.setenv("REPRO_FAULTS", str(path))             # ignored
+    assert solve(A, n_parts=8, max_steps=10).faults_injected is None
+    res = solve(A, n_parts=8, max_steps=10,
+                faults=FaultPlan.from_file(path))
     assert sum(res.faults_injected.values()) > 0
-    # an explicit (null) RunConfig plan beats the environment plan
-    res2 = solve(A, n_parts=8, max_steps=10, faults=FaultPlan(seed=1))
-    assert res2.faults_injected is None
+    assert "REPRO_FAULTS" not in _config.describe()
 
 
 def test_solveresult_v4_schema(small_setup):
@@ -386,6 +386,25 @@ def test_trace_reconciles_fault_and_repair_events(small_setup, tmp_path):
     assert s.reconciles()
     assert s.fault_counts == res.faults_injected
     assert int(s.repair_matrix.sum()) == res.repairs
+
+
+@pytest.mark.parametrize("plan", [None, LOSSY_PLAN], ids=["clean", "lossy"])
+def test_async_trace_reconciles(small_setup, tmp_path, plan):
+    """A traced event-driven run writes its trace file, which reconciles
+    with its stats, fault counts and repairs; its result document is
+    JSON-able with the plan attached."""
+    from repro.analysis.traceagg import summarize_trace
+
+    A, _ = small_setup
+    path = tmp_path / "async.trace.jsonl"
+    res = solve(A, n_parts=8, max_steps=15, faults=plan, trace=str(path),
+                runtime="async")
+    assert res.trace_path == str(path)
+    s = summarize_trace(path)
+    assert s.reconciles()
+    assert s.fault_counts == (res.faults_injected or {})
+    assert int(s.repair_matrix.sum()) == res.repairs
+    json.dumps(res.to_dict())
 
 
 def test_trace_reconciles_without_faults(small_setup, tmp_path):

@@ -111,6 +111,39 @@ def test_different_partitions_same_convergence_class(fem_300):
         assert res.final_norm < 0.05, method
 
 
+def test_async_converges_on_every_partition(fem_300):
+    """The partition-robustness check on the event plane."""
+    for method in ("multilevel", "strided"):
+        res = solve(fem_300, method="distributed-southwell", n_parts=8,
+                    max_steps=40, partition_method=method, seed=0,
+                    runtime="async")
+        assert res.final_norm < 0.05, method
+
+
+def test_cli_matches_api_async(tmp_path, capsys, poisson_100):
+    """``--runtime async`` on a matrix file, with ``-x_zeros`` and a
+    short solver alias, prints the numbers of the same API run."""
+    from repro.cli import main
+    from repro.sparsela import write_matrix_market
+
+    path = tmp_path / "m.mtx"
+    write_matrix_market(path, poisson_100)
+    assert main(["-n", "4", "-sweep_max", "6", "-mat_file", str(path),
+                 "-solver", "ds", "-format_out", "-seed", "3", "-x_zeros",
+                 "--runtime", "async"]) == 0
+    fields = dict(line.split(None, 1)
+                  for line in capsys.readouterr().out.strip().splitlines())
+    b = np.random.default_rng(3).uniform(-1, 1, 100)
+    res = solve(poisson_100, b / np.linalg.norm(b),
+                method="distributed-southwell", x0=np.zeros(100),
+                n_parts=4, max_steps=6, seed=3, runtime="async")
+    assert float(fields["virtual_time"]) == pytest.approx(res.virtual_time,
+                                                          rel=1e-5)
+    assert np.isclose(float(fields["residual_norm"]), res.final_norm,
+                      rtol=1e-12)
+    assert np.isclose(float(fields["comm_cost"]), res.comm_cost)
+
+
 @pytest.mark.parametrize("x_zeros", [False, True])
 def test_cli_matches_api(tmp_path, capsys, x_zeros, poisson_100):
     """The CLI's -format_out numbers equal a direct API run."""

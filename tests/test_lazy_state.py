@@ -20,7 +20,6 @@ from repro.core.async_exec import AsyncExecutor
 from repro.core.blockdata import _batched, build_block_system
 from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
-from repro.runtime import use_runtime
 from repro.setupcache import get_setup
 from repro.solvers.block_jacobi import BlockJacobi
 
@@ -116,15 +115,13 @@ def test_async_prepare_binds_every_rank():
     system = _system()
     runner = DistributedSouthwell(system)
     ex = AsyncExecutor(runner)
-    with use_runtime("async"):
-        ex.prepare(*_start(system.n))
-        every = set(range(system.n_parts))
-        assert _bound(runner._solver_call) == _bound(runner._mv_diag) \
-            == every
-        assert _bound(runner._mv_fanout) == {
-            p for p in every if system.neighbors_of(p).size}
-        assert _built(runner) == {"_sid_slabpos_list"}
-        ex.run(max_turns=300)
+    ex.prepare(*_start(system.n))
+    every = set(range(system.n_parts))
+    assert _bound(runner._solver_call) == _bound(runner._mv_diag) == every
+    assert _bound(runner._mv_fanout) == {
+        p for p in every if system.neighbors_of(p).size}
+    assert _built(runner) == {"_sid_slabpos_list"}
+    ex.run(max_turns=300)
     assert _built(runner) == {"_sid_slabpos_list"}
 
 
@@ -132,7 +129,6 @@ def test_large_blocks_bind_every_rank_at_setup():
     system = _system(n_parts=4)
     assert not _batched(system.n, system.n_parts)
     runner = DistributedSouthwell(system)
-    with use_runtime("flat"):
-        runner.setup(*_start(system.n))
+    runner.setup(*_start(system.n))
     assert _bound(runner._mv_diag) == set(range(4))
     assert _built(runner) == set()

@@ -255,14 +255,19 @@ def test_solve_mg_rejects_an_explicit_non_lockstep_runtime(runtime):
 
 
 def test_solve_mg_env_async_still_smooths_lockstep(monkeypatch):
-    """``REPRO_RUNTIME=async`` forces a whole test run, not this call:
-    the smoothing stays lockstep, bit-identical to ``runtime="flat"``."""
+    """An ambient async mode — a ``use_runtime("async")`` scope, or a
+    stray ``REPRO_RUNTIME=async`` that nothing reads — is not this
+    call's: the smoothing stays lockstep, bit-identical to
+    ``runtime="flat"``."""
+    from repro.runtime import use_runtime
+
     dim = 15
     flat = solve(scaled_laplacian(dim), method="mg",
                  config=RunConfig(n_parts=4, runtime="flat"))
     monkeypatch.setenv("REPRO_RUNTIME", "async")
-    env = solve(scaled_laplacian(dim), method="mg",
-                config=RunConfig(n_parts=4))
+    with use_runtime("async"):
+        env = solve(scaled_laplacian(dim), method="mg",
+                    config=RunConfig(n_parts=4))
     assert _sha(env.x) == _sha(flat.x)
 
 
@@ -505,19 +510,16 @@ def test_piecewise_mg_round_matches_the_front_door(order):
     executor, one ``prepare()`` per smoothed level, then ``run()`` — and
     requires ``solve(method="mg")`` to return exactly what it did, in
     whatever order the levels were prepared."""
-    from repro.runtime import use_runtime
-
     A, b, x0 = poisson_2d(31), fig6_rhs(31), np.zeros(31 * 31)
-    with use_runtime("flat"):
-        sm = make_smoother("ds", budget=1.0, n_parts=8, seed=0,
-                           local_solver="gs", partition_method="multilevel",
-                           tracer=None, faults=None)
-        ex = MultigridExecutor(A, sm, coarsest_dim=3, n_levels=None,
-                               hierarchy="geometric", drop_tol=0.0)
-        smoothed = ex.levels[:-1]
-        for level in (smoothed if order == "forward" else smoothed[::-1]):
-            sm.prepare(level.matrix)
-        ex.run(b, x0=x0, n_cycles=3)
+    sm = make_smoother("ds", budget=1.0, n_parts=8, seed=0,
+                       local_solver="gs", partition_method="multilevel",
+                       tracer=None, faults=None)
+    ex = MultigridExecutor(A, sm, coarsest_dim=3, n_levels=None,
+                           hierarchy="geometric", drop_tol=0.0)
+    smoothed = ex.levels[:-1]
+    for level in (smoothed if order == "forward" else smoothed[::-1]):
+        sm.prepare(level.matrix)
+    ex.run(b, x0=x0, n_cycles=3)
     res = solve(A, b, method="mg", x0=x0,
                 config=RunConfig(n_parts=8, seed=0, runtime="flat",
                                  mg=MultigridConfig(smoother="ds",

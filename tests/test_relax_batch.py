@@ -23,7 +23,6 @@ from repro.core.blockdata import _BATCH_ROWS, build_block_system
 from repro.faults import FaultPlan
 from repro.matrices.poisson import poisson_2d
 from repro.partition import partition
-from repro.runtime import use_runtime
 from repro.solvers.block_jacobi import BlockJacobi
 from repro.sparsela import primitives
 from repro.trace import RunTracer
@@ -68,17 +67,16 @@ def _pair(system, x0, b, method, lossy, warm_steps):
     Γ and the mailboxes hold mid-run state."""
     plan = FaultPlan.uniform(drop=0.2, seed=5) if lossy else None
     out = []
-    with use_runtime("flat"):
-        for _ in range(2):
-            m = _METHODS[method](system, tracer=RunTracer(), faults=plan)
-            m.setup(x0, b)
-            # mailbox slots nobody has written yet are uninitialised
-            # memory; zero them so the byte comparison sees only writes
-            m.engine.flat.vals_flat.fill(0.0)
-            for _ in range(warm_steps):
-                m.step()
-            assert m.engine.flat is not None and m._relax_plans()
-            out.append(m)
+    for _ in range(2):
+        m = _METHODS[method](system, tracer=RunTracer(), faults=plan)
+        m.setup(x0, b)
+        # mailbox slots nobody has written yet are uninitialised
+        # memory; zero them so the byte comparison sees only writes
+        m.engine.flat.vals_flat.fill(0.0)
+        for _ in range(warm_steps):
+            m.step()
+        assert m.engine.flat is not None and m._relax_plans()
+        out.append(m)
     return out
 
 
@@ -165,9 +163,8 @@ def test_large_blocks_relax_per_rank():
     (same results by construction)."""
     A = poisson_2d(32)
     system = build_block_system(A, partition(A, 4, seed=0))
-    with use_runtime("flat"):
-        m = DistributedSouthwell(system)
-        m.setup(np.ones(A.n_rows), np.zeros(A.n_rows))
+    m = DistributedSouthwell(system)
+    m.setup(np.ones(A.n_rows), np.zeros(A.n_rows))
     assert m._relax_csr is None         # built at first use only
     assert m._relax_plans() == []
 
@@ -208,11 +205,10 @@ def test_lockstep_shape_takes_the_batched_dots(p256, monkeypatch):
     ghost-layer dots is batched, no per-segment ``ddot`` runs."""
     _, system, x0, b = p256
     seen = _watch_dots(monkeypatch)
-    with use_runtime("flat"):
-        m = DistributedSouthwell(system)
-        m.setup(x0, b)
-        for _ in range(3):
-            m.step()
+    m = DistributedSouthwell(system)
+    m.setup(x0, b)
+    for _ in range(3):
+        m.step()
     # set-up's norms, then per step the winners' norms, their ghost
     # layers and the receivers' norm refresh
     assert seen == {"batched": 1 + 3 * 3, "looped": 0, "dots": 0}
@@ -224,10 +220,9 @@ def test_mg_level0_shape_keeps_the_loop(monkeypatch):
     would cost more than the dots — the loop is kept."""
     _, system, x0, b = _poisson_setup(127, 32, 0)
     seen = _watch_dots(monkeypatch)
-    with use_runtime("flat"):
-        m = DistributedSouthwell(system)
-        m.setup(x0, b)
-        m.step()
+    m = DistributedSouthwell(system)
+    m.setup(x0, b)
+    m.step()
     assert seen["batched"] == 0 and seen["looped"] == 2
     assert seen["dots"] > 0
 
@@ -256,9 +251,8 @@ def test_batched_dots_equal_the_loop(p256, method, mode, monkeypatch):
         plan = (FaultPlan.uniform(drop=0.1, duplicate=0.1, reorder=0.2,
                                   seed=3) if mode == "lossy" else None)
         tracer = RunTracer() if mode == "traced" else None
-        with use_runtime("flat"):
-            m = _METHODS[method](system, tracer=tracer, faults=plan)
-            rec = _run_record(m, x0, b, 8)
+        m = _METHODS[method](system, tracer=tracer, faults=plan)
+        rec = _run_record(m, x0, b, 8)
         if tracer is not None:
             rec["events"] = sum(1 for _ in tracer.iter_events())
         return rec

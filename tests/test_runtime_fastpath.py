@@ -202,12 +202,11 @@ def test_runtime_mode_knob():
 
 
 def test_runtime_mode_env_junk_falls_back_to_auto(monkeypatch):
-    monkeypatch.setenv("REPRO_RUNTIME", "warp-speed")
-    assert runtime_mode() == "auto"
-    monkeypatch.setenv("REPRO_RUNTIME", "object")   # the deleted plane
-    assert runtime_mode() == "auto"
-    monkeypatch.setenv("REPRO_RUNTIME", "  FLAT ")
-    assert runtime_mode() == "flat"
+    """No environment variable selects the plane: any ``REPRO_RUNTIME``
+    value, valid or not, leaves the mode at ``auto``."""
+    for raw in ("warp-speed", "object", "  FLAT ", "async"):
+        monkeypatch.setenv("REPRO_RUNTIME", raw)
+        assert runtime_mode() == "auto"
 
 
 def test_shm_spelling_runs_the_flat_plane():

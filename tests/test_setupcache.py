@@ -218,6 +218,21 @@ def test_solve_identical_cold_vs_warm(A, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.pkl"))             # the cache was used
 
 
+def test_async_solve_identical_cold_vs_warm(A, tmp_path, monkeypatch):
+    """An event-driven run is the same uncached, from a cold cache and
+    from a warm one."""
+    def run():
+        return solve(A, n_parts=4, max_steps=5, runtime="async")
+    plain = run()
+    monkeypatch.setenv(config.ENV_SETUP_CACHE, str(tmp_path))
+    cold, warm = run(), run()
+    assert list(tmp_path.glob("*.pkl"))
+    for res in (cold, warm):
+        assert np.array_equal(plain.x, res.x)
+        assert plain.history.residual_norms == res.history.residual_norms
+        assert plain.comm_cost == res.comm_cost
+
+
 def test_solve_matches_uncached_run(A, tmp_path, monkeypatch):
     plain = solve(A, n_parts=4, max_steps=5)
     monkeypatch.setenv(config.ENV_SETUP_CACHE, str(tmp_path))

@@ -5,7 +5,7 @@ The contract under test, in order of importance:
 1. **Zero behavior change**: a traced run produces the bit-identical
    seed-DS convergence digest and byte-identical ``MessageStats`` — the
    live untraced run's and the recorded per-message plane's
-   (``tests/plane_pins.py``; the ``[object]`` cases).
+   (``tests/plane_pins.py``; the ``[pinned]`` cases).
 2. **Exact reconciliation**: the event-derived per-edge/per-category
    counts equal the stats totals exactly, and the trace holds exactly
    the events the recorded per-message plane's trace held.
@@ -36,7 +36,6 @@ from repro.trace import (
     NullTracer,
     RunTracer,
     Tracer,
-    tracer_from_config,
 )
 
 from tests.plane_pins import (PINS, _h, history_digest, stats_digest,
@@ -81,9 +80,9 @@ def _stats_fingerprint(stats):
 
 # ----------------------------------------------------------------------
 # 1. zero behavior change, pinned by the seed digest and by the
-#    recorded per-message plane ("object")
+#    recorded per-message plane ("pinned")
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["flat", "object"])
+@pytest.mark.parametrize("mode", ["flat", "pinned"])
 def test_traced_run_reproduces_seed_digest(mode):
     if mode == "flat":
         digest, _ = _run_seed_ds(tracer=RunTracer())
@@ -93,13 +92,13 @@ def test_traced_run_reproduces_seed_digest(mode):
         assert digest == PINS["trace:distributed-southwell"]["history"]
 
 
-@pytest.mark.parametrize("mode", ["flat", "object"])
+@pytest.mark.parametrize("mode", ["flat", "pinned"])
 def test_traced_stats_byte_identical_to_untraced(mode):
     d_off, s_off = _run_seed_ds(tracer=None)
     d_on, s_on = _run_seed_ds(tracer=RunTracer())
     assert d_on == d_off
     assert _stats_fingerprint(s_on) == _stats_fingerprint(s_off)
-    if mode == "object":
+    if mode == "pinned":
         assert stats_digest(s_on) == PINS["seed-ds-stats"]
 
 
@@ -123,11 +122,11 @@ def _traced_summary(tmp_path, tracer=None):
     return summarize_trace(path), stats
 
 
-@pytest.mark.parametrize("mode", ["flat", "object"])
+@pytest.mark.parametrize("mode", ["flat", "pinned"])
 def test_trace_reconciles_exactly_with_stats(mode, tmp_path):
     tracer = RunTracer()
     s, stats = _traced_summary(tmp_path, tracer)
-    if mode == "object":
+    if mode == "pinned":
         # the events are exactly the recorded per-message plane's
         pin = PINS["trace:distributed-southwell"]
         pinned = trace_pin(list(tracer.iter_events()))
@@ -216,11 +215,10 @@ def test_cli_trace_subcommand_summarizes(tmp_path, capsys):
 def test_cli_config_subcommand_lists_knobs(capsys):
     assert cli_main(["config"]) == 0
     out = capsys.readouterr().out
-    for var in ("REPRO_RUNTIME", "REPRO_TRACE", "REPRO_SETUP_CACHE",
-                "REPRO_FAULTS"):
-        assert var in out
+    assert "REPRO_SETUP_CACHE" in out
     # config-field parameters are not environment knobs
-    for var in ("REPRO_ASYNC_LATENCY", "REPRO_ASYNC_SPEED_FACTORS",
+    for var in ("REPRO_RUNTIME", "REPRO_TRACE", "REPRO_FAULTS",
+                "REPRO_ASYNC_LATENCY", "REPRO_ASYNC_SPEED_FACTORS",
                 "REPRO_MG_"):
         assert var not in out
 
@@ -242,13 +240,13 @@ def test_cli_solver_trace_flag_and_json(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # 4. the solve()/RunConfig front door
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["flat", "object"])
+@pytest.mark.parametrize("mode", ["flat", "pinned"])
 def test_solve_runconfig_plane_equivalence(mode):
     A = symmetric_unit_diagonal_scale(poisson_2d(16)).matrix
     base = solve(A, method="distributed-southwell",
                  config=RunConfig(n_parts=8, max_steps=20, seed=3,
                                   runtime="flat"))
-    if mode == "object":
+    if mode == "pinned":
         # the front door reproduces the recorded per-message plane's
         pin = PINS["solve-front-door"]
         assert _h(np.asarray(base.history.residual_norms)) == pin["history"]
@@ -314,16 +312,22 @@ def test_solve_result_to_dict_is_jsonable():
     assert "x" not in doc
 
 
-def test_run_method_writes_per_run_trace_files(monkeypatch, tmp_path):
-    """REPRO_TRACE=<dir> makes the experiment runner write one trace
-    file per (uncached) run, named after the task parameters."""
-    from repro.experiments.runners import clear_run_caches, run_method
+def test_run_method_writes_per_run_trace_files(tmp_path):
+    """Inside ``trace_runs_into(dir)`` the experiment runner writes one
+    trace file per (uncached) run, named after the task parameters; the
+    same task outside the scope is not served the traced result."""
+    from repro.experiments.runners import (clear_run_caches, run_method,
+                                           trace_runs_into)
 
-    monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
     clear_run_caches()
     try:
-        res = run_method("msdoor", "distributed-southwell", 4,
-                         size_scale=0.05, max_steps=5)
+        with trace_runs_into(tmp_path):
+            res = run_method("msdoor", "distributed-southwell", 4,
+                             size_scale=0.05, max_steps=5)
+        plain = run_method("msdoor", "distributed-southwell", 4,
+                           size_scale=0.05, max_steps=5)
+        assert plain.trace_path is None
+        assert plain.x.tobytes() == res.x.tobytes()
         expected = tmp_path / "msdoor-DS-P4-x0.05-s0.trace.jsonl"
         assert res.trace_path == str(expected)
         s = summarize_trace(expected)
@@ -332,16 +336,6 @@ def test_run_method_writes_per_run_trace_files(monkeypatch, tmp_path):
         assert s.reconciles()
     finally:
         clear_run_caches()
-
-
-def test_tracer_from_config_env(monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    assert tracer_from_config() is NULL_TRACER
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    t = tracer_from_config()
-    assert isinstance(t, RunTracer) and t.enabled
-    monkeypatch.setenv("REPRO_TRACE", "off")
-    assert tracer_from_config() is NULL_TRACER
 
 
 def test_custom_tracer_protocol_receives_hooks():

@@ -23,7 +23,6 @@ from repro.core.block_base import BlockMethodBase
 from repro.faults import FaultPlan
 from repro.matrices.poisson import poisson_2d
 from repro.multigrid import MultigridExecutor, make_smoother
-from repro.runtime import use_runtime
 from repro.runtime.flatplane import FlatEdgePlane
 from repro.solvers.block_jacobi import BlockJacobi
 
@@ -89,15 +88,14 @@ def test_resetup_equals_fresh_runner(n, n_parts, seed, cls, k, m, lossy,
     _, system, x1, b1 = _random_setup(n, n_parts, seed)
     x2, b2 = _second_rhs(system, seed)
     plan = LOSSY_PLAN if lossy else None
-    with use_runtime("flat"):
-        reused, fresh = cls(system, faults=plan), cls(system, faults=plan)
-        if filtered:
-            reused._relax_filter = fresh._relax_filter = _even_ranks_only
-        reused.run(x1, b1, max_steps=k)
-        plane = reused.engine.flat
-        again = _run_record(reused, x2, b2, m)
-        assert reused.engine.flat is plane       # the warm path was taken
-        assert again == _run_record(fresh, x2, b2, m)
+    reused, fresh = cls(system, faults=plan), cls(system, faults=plan)
+    if filtered:
+        reused._relax_filter = fresh._relax_filter = _even_ranks_only
+    reused.run(x1, b1, max_steps=k)
+    plane = reused.engine.flat
+    again = _run_record(reused, x2, b2, m)
+    assert reused.engine.flat is plane       # the warm path was taken
+    assert again == _run_record(fresh, x2, b2, m)
 
 
 # ----------------------------------------------------------------------
@@ -125,14 +123,13 @@ def test_structure_follows_the_fault_plan():
     """Lossy-ness is part of the key (the cumulative-payload stores are
     structure); a clean plan after a lossy one must not see them."""
     _, system, x1, b1 = _random_setup(48, 5, 5)
-    with use_runtime("flat"):
-        runner = DistributedSouthwell(system, faults=LOSSY_PLAN)
-        runner.run(x1, b1, max_steps=3)
-        lossy_plane = runner.engine.flat
-        runner.fault_plan = None
-        got = _run_record(runner, x1, b1, 4)
-        assert runner.engine.flat is not lossy_plane
-        assert got == _run_record(DistributedSouthwell(system), x1, b1, 4)
+    runner = DistributedSouthwell(system, faults=LOSSY_PLAN)
+    runner.run(x1, b1, max_steps=3)
+    lossy_plane = runner.engine.flat
+    runner.fault_plan = None
+    got = _run_record(runner, x1, b1, 4)
+    assert runner.engine.flat is not lossy_plane
+    assert got == _run_record(DistributedSouthwell(system), x1, b1, 4)
 
 
 # ----------------------------------------------------------------------
@@ -180,11 +177,10 @@ def test_block_ds_vcycles_build_each_level_once(monkeypatch):
     monkeypatch.setattr(BlockMethodBase, "_configure_flat_plane",
                         counting_configure)
     monkeypatch.setattr(FlatEdgePlane, "__init__", counting_init)
-    with use_runtime("flat"):
-        sm = make_smoother("ds", budget=1.0, n_parts=8, seed=0)
-        mg = MultigridExecutor(poisson_2d(31), sm)
-        mg.run(np.random.default_rng(0).uniform(-1.0, 1.0, 31 * 31),
-               n_cycles=9)
+    sm = make_smoother("ds", budget=1.0, n_parts=8, seed=0)
+    mg = MultigridExecutor(poisson_2d(31), sm)
+    mg.run(np.random.default_rng(0).uniform(-1.0, 1.0, 31 * 31),
+           n_cycles=9)
     smoothed = len(mg.levels) - 1
     assert smoothed >= 2 and sum(mg._visits) == 2 * 9 * smoothed
     assert built == {"configure": smoothed, "plane": smoothed}
