@@ -40,8 +40,8 @@ from repro.faults import FaultPlan, FaultRuntime
 from repro.runtime import (CATEGORY_SOLVE, CORI_LIKE, CostModel,
                            ParallelEngine)
 from repro.runtime.flatplane import _INT32_LIMIT
-from repro.sparsela.primitives import (csr_matvec, matvec_plan,
-                                       multi_arange, segment_sq)
+from repro.sparsela.primitives import (Segments, csr_matvec, matvec_plan,
+                                       multi_arange)
 from repro.trace import NULL_TRACER
 
 __all__ = ["BlockMethodBase"]
@@ -111,7 +111,11 @@ class BlockMethodBase:
         self._x_flat = np.zeros(system.n)
         self._r_flat = np.zeros(system.n)
         self.x_blocks = _rank_views(self._x_flat, self._rstart)
-        self.r_blocks = _rank_views(self._r_flat, self._rstart)
+        # the residual blocks as a segment family, grouped by length
+        # once: every block-norm pass is one masked sweep over it
+        self._row_segs = Segments(self._r_flat, self._rstart[:-1],
+                                  self._rsize)
+        self.r_blocks = self._row_segs.views
         self.norms = np.zeros(P)
         self.total_relaxations = 0
         self.steps_taken = 0
@@ -200,15 +204,14 @@ class BlockMethodBase:
     def _reset_state(self, x0: np.ndarray, b: np.ndarray) -> None:
         """The per-run half of :meth:`setup`: write ``(x0, b)`` (permuted
         numbering) into the existing stores, whole-array.  The block
-        norms are one :func:`segment_sq` over the residual store: each
-        is the ``ddot`` that keeps it bit-equal to ``np.linalg.norm`` of
-        its block.  Subclasses extend it."""
+        norms are the residual store's blocks' squared norms
+        (:attr:`_row_segs`): each is the ``ddot`` that keeps it bit-equal
+        to ``np.linalg.norm`` of its block.  Subclasses extend it."""
         self._x_flat[:] = x0
         r = self._r_flat
         self.system.A.matvec(x0, out=r)
         np.subtract(b, r, out=r)
-        np.sqrt(segment_sq(r, self._rstart[:-1], self._rsize),
-                out=self.norms)
+        np.sqrt(self._row_segs.sq(self._all_ranks), out=self.norms)
         self.total_relaxations = 0
         self.steps_taken = 0
         self.history = ConvergenceHistory()
@@ -267,16 +270,16 @@ class BlockMethodBase:
         # dtype: every value is bounded by the slab length, which fits
         # whenever the plane's offsets do
         self._nbr_off = off = self._nbr_off.astype(idt, copy=False)
+        self._nbr_heads = off[:-1][self._nbr_nonempty]   # segment-max cuts
         self._nbr_flat = self._nbr_flat.astype(idt, copy=False)
         self._slab_owner = self._slab_owner.astype(idt, copy=False)
-        # slab-aligned send plans: each (owner, neighbor) position's edge
-        # and slot-ids, plus per-rank fan-out shapes — the phase loops
+        # slab-aligned send plans: each (owner, neighbor) position's
+        # slot-ids, plus per-rank fan-out shapes — the phase loops
         # batch a whole epoch's sends into one put_epoch call (the slab
         # is owner-major with neighbors ascending: the put order of one
         # message per (sender, neighbor) in ascending rank order)
-        self._slab_eids = np.arange(E, dtype=idt)
-        self._slab_solve_sids = 2 * self._slab_eids
-        self._slab_res_sids = 2 * self._slab_eids + 1
+        self._slab_solve_sids = 2 * np.arange(E, dtype=idt)
+        self._slab_res_sids = self._slab_solve_sids + 1
         self._nbr_counts = np.diff(off)
         self._all_ranks = np.arange(P, dtype=np.int64)
         self._flat_solve_nbytes = np.zeros(E, dtype=np.int64)
@@ -311,12 +314,11 @@ class BlockMethodBase:
         # both the ghost store (``_z2g``: a whole epoch's ghost overwrites
         # are one fancy copy) and, through ``_grows_flat``, each z entry's
         # source row in the residual store (any set of outgoing z payloads
-        # fills with one gather).  A rank's z span is its out-edges'.
+        # fills with one gather).
         zoff, voff = plane.z_off, plane.vals_off
         self._z2g = multi_arange(voff[rev], voff[rev] + np.diff(zoff))
         self._z2g_lo = voff[rev]    # edge e's run of _z2g starts here
         self._zsrc_grows = self._grows_flat[self._z2g]
-        self._zspan_lo, self._zspan_hi = zoff[off[:-1]], zoff[off[1:]]
         # relaxation plans: the open step's per-process flop counters
         # (the stats' own array: a += on it is the flop charge), each
         # rank's solo-relax kernels (bound at its first solo relax:
@@ -345,13 +347,29 @@ class BlockMethodBase:
                 self._bind_solve(p)
 
     def _relax_plans(self) -> list:
-        """The batched-relax plans, built at first use (an async run
-        never holds them): per store (diagonal blocks, couplings) its
+        """The lockstep step's plans, built at its first relax phase (an
+        async run never holds them).  The static owner maps, in the
+        plane's index dtype: each residual row's rank (``_row_rank``),
+        each mailbox ``vals`` and ``z`` entry's edge (``_vals_edge``,
+        ``_z_edge``; an edge's owner is ``_slab_owner``).  Any per-step
+        index set over them is one boolean gather,
+        ``mask.take(map).nonzero()[0]`` (``take``: an int32 fancy index
+        would be cast to intp first, at twice the cost) — entries
+        ascending, the order the spans of ascending ranks or edges run
+        in.  Returned: the
+        batched-relax plans, per store (diagonal blocks, couplings) its
         global-column CSR, rank cut and scratch output; empty above
         :data:`_BATCH_ROWS` rows per block (relax per rank)."""
         if self._relax_csr is not None:
             return self._relax_csr
         sysm, rstart = self.system, self._rstart
+        plane = self.engine.flat
+        idt = plane.idx_dtype
+        self._row_rank = np.repeat(np.arange(sysm.n_parts, dtype=idt),
+                                   self._rsize)
+        eids = np.arange(plane.n_edges, dtype=idt)
+        self._vals_edge = np.repeat(eids, np.diff(plane.vals_off))
+        self._z_edge = np.repeat(eids, np.diff(plane.z_off))
         self._relax_csr = []
         if not _batched(sysm.n, sysm.n_parts):
             return self._relax_csr
@@ -454,6 +472,23 @@ class BlockMethodBase:
                 f"with global residual norm {self.global_norm():.3e} "
                 f"still above target after {self.steps_taken} steps")
 
+    def _delivered(self, arr: np.ndarray, emap: np.ndarray,
+                   off: np.ndarray) -> np.ndarray:
+        """The positions, in delivery order, of the delivered slots
+        ``arr``'s entries in a store laid out by edge along ``off``
+        (``emap``: its edge of each entry).  Every put of a method
+        ascends by slot, so a batch that is one unfated put
+        (``last_single_put``) is a boolean gather over ``emap``; any
+        other — several puts, or one a fault plan reordered or doubled —
+        keeps the ordered range gather."""
+        plane = self.engine.flat
+        eids = arr >> 1
+        if plane.last_single_put:
+            hit = np.zeros(plane.n_edges, dtype=bool)
+            hit[eids] = True
+            return hit.take(emap).nonzero()[0]
+        return multi_arange(off[eids], off[eids + 1])
+
     def _apply_flat_epoch(self) -> None:
         """Apply every solve delta the last epoch close delivered and
         refresh the receivers' exact block norms.
@@ -464,9 +499,9 @@ class BlockMethodBase:
         is unbuffered (index pairs apply sequentially in index order), so
         with the indices laid out in put order each residual entry sees
         its updates in per-message delivery order; different receivers'
-        blocks are disjoint.  The receivers' norms refresh in one
-        :func:`segment_sq` (each block's own ``ddot``, one BLAS call per
-        distinct block length) and their flops in one vector add: one
+        blocks are disjoint.  The receivers' norms refresh in one pass
+        over :attr:`_row_segs` (each block's own ``ddot``, one BLAS call
+        per distinct block length) and their flops in one vector add: one
         flop per applied entry, two per refreshed norm entry.
 
         Under a lossy fault plan the payloads are cumulative: adjacent
@@ -480,32 +515,27 @@ class BlockMethodBase:
         flops = self._flops
         arr = plane.last_delivered
         if arr.size:
-            voff = plane.vals_off
+            if self._lossy and self._dedupe_dups and arr.size > 1:
+                keep = np.empty(arr.size, dtype=bool)
+                keep[0] = True
+                np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+                arr = arr[keep]
+            eids = arr >> 1
+            idx = self._delivered(arr, self._vals_edge, plane.vals_off)
             if self._lossy:
-                if self._dedupe_dups and arr.size > 1:
-                    keep = np.empty(arr.size, dtype=bool)
-                    keep[0] = True
-                    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-                    arr = arr[keep]
-                eids = arr >> 1
-                idx = multi_arange(voff[eids], voff[eids + 1])
                 np.add.at(self._r_flat, self._grows_flat[idx],
                           plane.vals_flat[idx] - self._applied_flat[idx])
                 self._applied_flat[idx] = plane.vals_flat[idx]
                 np.add.at(flops, plane.edge_dst[eids],
                           2.0 * self._edge_recv_flops[eids])
             else:
-                eids = arr >> 1
-                idx = multi_arange(voff[eids], voff[eids + 1])
                 np.add.at(self._r_flat, self._grows_flat[idx],
                           plane.vals_flat[idx])
                 np.add.at(flops, plane.edge_dst[eids],
                           self._edge_recv_flops[eids])
         if mail.size:
-            sizes = self._rsize[mail]
-            self.norms[mail] = np.sqrt(
-                segment_sq(self._r_flat, self._rstart[mail], sizes))
-            flops[mail] += 2.0 * sizes  # the norm refresh charges
+            self.norms[mail] = np.sqrt(self._row_segs.sq(mail))
+            flops[mail] += 2.0 * self._rsize[mail]  # norm refresh charges
 
     # ------------------------------------------------------------------
     # event-driven async plane hooks (DESIGN.md §5.14)
@@ -588,32 +618,37 @@ class BlockMethodBase:
             self._lossy_finalize_send(slice(*self._fan_rows[p:p + 2]))
 
     def _relax_ranks(self, winners: np.ndarray) -> None:
-        """The relax phase of the distinct ranks ``winners`` (trace events
-        in their order) as one batched kernel, bit-identical to
-        :meth:`_relax_one_flat` per rank: a winner touches only its own
-        rows, mailbox slab, ghosts and Γ (DESIGN.md §5.8)."""
-        if winners.size == 0 or not self._relax_plans():
+        """The relax phase of the ascending distinct ranks ``winners``
+        as one batched kernel, bit-identical to :meth:`_relax_one_flat`
+        per rank: a winner touches only its own rows, mailbox slab,
+        ghosts and Γ (DESIGN.md §5.8).  Every lockstep step opens with
+        it, so the step's static maps exist from the first step on."""
+        if not self._relax_plans() or winners.size == 0:
             for p in winners.tolist():      # large blocks (see the plans)
                 self._relax_one_flat(p)
             return
         if self.tracer.enabled:
             self._trace_relax(winners)
-        vidx = self._relax_batch(winners)
+        vidx, _ = self._relax_batch(winners)
         if self._lossy:
             self._lossy_finalize_send(vidx)
 
-    def _relax_batch(self, W: np.ndarray) -> np.ndarray:
-        """:meth:`_relax_send` for all of ``W``; returns their fan-outs'
-        mailbox positions.  A one-sweep ``gs`` system solves every
-        batch through the whole block diagonal's one factor and keeps
-        the winners' rows, so no rank's block is ever factored; other
-        local solvers solve per block.  Every solve row and product row
-        is computed exactly as per block, and the ``‖r_p‖`` are one
-        :func:`segment_sq` — each block's own ``ddot``, one BLAS call
-        per distinct block length (DESIGN.md §5.8).  Row and mailbox
-        indices are offset arithmetic, no per-winner Python."""
-        rstart, rsize = self._rstart, self._rsize
-        rows = multi_arange(rstart[W], rstart[W + 1])
+    def _relax_batch(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_relax_send` for all of the ascending ``W``; returns
+        their fan-outs' mailbox positions and the slab mask of their
+        out-edges.  A one-sweep ``gs`` system solves every batch through
+        the whole block diagonal's one factor and keeps the winners'
+        rows, so no rank's block is ever factored; other local solvers
+        solve per block.  Every solve row and product row is computed
+        exactly as per block, and the ``‖r_p‖`` are one pass over
+        :attr:`_row_segs` — each block's own ``ddot``, one BLAS call per
+        distinct block length (DESIGN.md §5.8).  Row and mailbox indices
+        are boolean gathers over the static maps, no per-winner
+        Python."""
+        rstart = self._rstart
+        won = np.zeros(self.system.n_parts, dtype=bool)
+        won[W] = True
+        rows = won.take(self._row_rank).nonzero()[0]
         whole = self.system.block_diag_solve()
         if whole is not None:
             dx = whole(self._r_flat)[rows]
@@ -628,24 +663,22 @@ class BlockMethodBase:
         # rank ranges of the matvecs' contiguous runs: winners fewer than
         # _BATCH_ROWS rows apart share one, since computing the rows
         # between them costs less than another kernel call
-        sw = np.sort(W)
-        head = np.ones(sw.size, dtype=bool)
-        head[1:] = rstart[sw[1:]] - rstart[sw[:-1] + 1] > _BATCH_ROWS
-        last = np.ones(sw.size, dtype=bool)
+        head = np.ones(W.size, dtype=bool)
+        head[1:] = rstart[W[1:]] - rstart[W[:-1] + 1] > _BATCH_ROWS
+        last = np.ones(W.size, dtype=bool)
         last[:-1] = head[1:]
-        runs = list(zip(sw[head].tolist(), (sw[last] + 1).tolist()))
+        runs = list(zip(W[head].tolist(), (W[last] + 1).tolist()))
         self._r_flat[rows] -= self._span_matvec(0, runs, g)[rows]
         self._x_flat[rows] += dx
-        self.norms[W] = np.sqrt(segment_sq(self._r_flat, rstart[W],
-                                           rsize[W]))
+        self.norms[W] = np.sqrt(self._row_segs.sq(W))
         self._flops[W] += self._relax_flops[W]
         self.total_relaxations += rows.size
         # A (−dx), as in _relax_send (−(A dx) differs in zero signs)
         g[rows] = np.negative(dx, out=dx)
-        fan = self._fan_rows
-        vidx = multi_arange(fan[W], fan[W + 1])
+        edges = won.take(self._slab_owner)
+        vidx = edges.take(self._vals_edge).nonzero()[0]
         self.engine.flat.vals_flat[vidx] = self._span_matvec(1, runs, g)[vidx]
-        return vidx
+        return vidx, edges
 
     def _span_matvec(self, k: int, runs: list, x: np.ndarray) -> np.ndarray:
         """Store ``k`` (0 = diagonal blocks, 1 = couplings) times ``x`` on
@@ -739,11 +772,11 @@ class BlockMethodBase:
         if gamma_flat.size:
             off = self._nbr_off
             m = np.full(own_sq.size, -np.inf)
-            m[self._nbr_nonempty] = np.maximum.reduceat(
-                gamma_flat, off[:-1][self._nbr_nonempty])
+            m[self._nbr_nonempty] = np.maximum.reduceat(gamma_flat,
+                                                        self._nbr_heads)
             wins |= pos & (own_sq > m)
-            for p in np.flatnonzero(pos & self._nbr_nonempty
-                                    & (own_sq == m)):
+            for p in (pos & self._nbr_nonempty
+                      & (own_sq == m)).nonzero()[0]:
                 p = int(p)
                 wins[p] = self.wins_neighborhood(
                     p, float(own_sq[p]), gamma_flat[off[p]:off[p + 1]])

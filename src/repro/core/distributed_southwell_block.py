@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.block_base import BlockMethodBase, _rank_views
+from repro.core.block_base import BlockMethodBase
 from repro.faults import FATE_STALE
 from repro.runtime import CATEGORY_RESIDUAL, CATEGORY_SOLVE
-from repro.sparsela.primitives import multi_arange, segment_plan, segment_sq
+from repro.sparsela.primitives import Segments, multi_arange
 
 
 __all__ = ["DistributedSouthwell"]
@@ -102,22 +102,17 @@ class DistributedSouthwell(BlockMethodBase):
         # per-neighbor contribution dots.  ghost[p][q] is q's residual
         # at β_qp, which is what edge (p, q)'s deltas scatter onto —
         # ``_grows_flat`` is therefore also the plan that fills the
-        # whole store from the residual store in one gather.
+        # whole store from the residual store in one gather.  The layers
+        # (one per slab position, its edge's delta region) are grouped
+        # by length once: the batched relax's contribution dots.
         voff = self.engine.flat.vals_off
         self._ghost_flat = ghost = np.empty(int(voff[-1]))
         self._ghost_slab = self._rank_slabs(ghost)
-        views = _rank_views(ghost, voff)
+        self._layers = Segments(ghost, voff[:-1], np.diff(voff))
+        views = self._layers.views
         spans = list(zip(off.tolist(), off[1:].tolist()))
         self._ghost_views = [views[lo:hi] for lo, hi in spans]
         self._ghost_flops = 4.0 * np.diff(voff[self._nbr_off])
-        # each slab position's ghost layer (= its edge's delta region):
-        # the batched relax's contribution-dot segments
-        self._layer_lo = voff[:-1]
-        self._layer_len = np.diff(voff)
-        # wire size of the residual message at every (owner,
-        # neighbor) slab position — the deadlock scan sums its
-        # per-sender byte charges by slab index
-        self._slab_res_nbytes = self._flat_res_nbytes[self._slab_eids]
         # slab-shaped flag: positions we sent an explicit residual
         # update to this step (the phase-3 crossing settlement)
         self._res_mask = np.zeros(self._slab_owner.size, dtype=bool)
@@ -191,27 +186,23 @@ class DistributedSouthwell(BlockMethodBase):
         if self._lossy:
             self._lossy_finalize_send(slice(*self._fan_rows[p:p + 2]))
 
-    def _relax_batch(self, W: np.ndarray) -> np.ndarray:
+    def _relax_batch(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The batched relax plus line 15: one ghost add, one Γ update,
         ``Γ ← max(Γ − ‖z_old‖² + ‖z_new‖², ‖z_new‖²)`` (float drift must
         not push the estimate of a full norm under the part ``p`` can
-        see).  The contribution dots are each layer's own ``ddot``,
-        batched by :func:`segment_sq` — one BLAS call per distinct layer
-        length, the old and new passes sharing one length grouping."""
-        vidx = super()._relax_batch(W)
+        see).  The contribution dots are each layer's own ``ddot``, one
+        BLAS call per distinct layer length (:attr:`_layers`)."""
+        vidx, edges = super()._relax_batch(W)
         if self.ghost_estimation:
-            off = self._nbr_off
-            spos = multi_arange(off[W], off[W + 1])
-            lo, ln = self._layer_lo[spos], self._layer_len[spos]
-            plan = segment_plan(lo, ln)
+            spos = edges.nonzero()[0]
             ghost = self._ghost_flat
-            olds = segment_sq(ghost, lo, ln, plan)
+            olds = self._layers.sq(spos)
             ghost[vidx] += self.engine.flat.vals_flat[vidx]
-            news = segment_sq(ghost, lo, ln, plan)
+            news = self._layers.sq(spos)
             est = self._gamma_flat[spos] - olds + news
             self._gamma_flat[spos] = np.where(news > est, news, est)
             self._flops[W] += self._ghost_flops[W]
-        return vidx
+        return vidx, edges
 
     def _trace_relax(self, winners) -> None:
         # per winner relax(p), then ghosts(p, ...), as the per-rank body
@@ -231,9 +222,7 @@ class DistributedSouthwell(BlockMethodBase):
         one-sided read) skips its overwrite."""
         if self._stale_possible:
             arr = arr[(self.engine.flat.last_fates & FATE_STALE) == 0]
-        eids = arr >> 1
-        zoff = self.engine.flat.z_off
-        idx = multi_arange(zoff[eids], zoff[eids + 1])
+        idx = self._delivered(arr, self._z_edge, self.engine.flat.z_off)
         self._ghost_flat[self._z2g[idx]] = zstore[idx]
 
     def _solve_send_mask(self, winners: np.ndarray,
@@ -244,16 +233,17 @@ class DistributedSouthwell(BlockMethodBase):
         then also bounds the Γ̃ settlement and the heartbeat restart."""
         return wmask
 
-    def _solve_totals(self, edges, senders):
-        """Per-sender message counts and byte totals of solve messages on
-        ``edges`` (a mask or ids over the slab), for the ranks
-        ``senders`` (exact: integer sums)."""
+    def _send_groups(self, edges, wire_nbytes: np.ndarray):
+        """``put_epoch``'s grouped charge for messages on the slab
+        positions ``edges`` (a mask or ascending ids): the ascending
+        senders, each one's message count and its byte total under the
+        per-edge ``wire_nbytes`` (exact: integer sums)."""
         owners = self._slab_owner[edges]
         P = self.system.n_parts
-        nbytes = np.bincount(owners, weights=self._flat_solve_nbytes[edges],
-                             minlength=P)
-        return (np.bincount(owners, minlength=P)[senders],
-                nbytes[senders].astype(np.int64))
+        counts = np.bincount(owners, minlength=P)
+        senders = counts.nonzero()[0]
+        nbytes = np.bincount(owners, weights=wire_nbytes[edges], minlength=P)
+        return senders, counts[senders], nbytes[senders].astype(np.int64)
 
     def step(self) -> int:
         """One parallel step (Algorithm 3) in three phases (DESIGN.md
@@ -269,7 +259,6 @@ class DistributedSouthwell(BlockMethodBase):
         est_hdr = plane.est
         gflat = self._gamma_flat
         tflat = self._tilde_flat
-        zoff = plane.z_off
         slabpos = self._sid_slabpos
         res_mask = self._res_mask
         res_mask[:] = False
@@ -281,7 +270,7 @@ class DistributedSouthwell(BlockMethodBase):
             trc.phase_begin("relax")
         relaxed = self._mask_stalled(
             self._wins_vector(self.norms * self.norms, gflat))
-        winners = np.flatnonzero(relaxed)
+        winners = relaxed.nonzero()[0]
         hardened = self._hardened
         step_no = self.steps_taken + 1
         self._relax_ranks(winners)  # deltas + line 15, per winner
@@ -298,28 +287,26 @@ class DistributedSouthwell(BlockMethodBase):
             # norm at every neighbor) is subsumed by the phase-2 crossing
             # settlement, which rewrites exactly those slab positions
             # with exactly this value before any read.
-            idx = multi_arange(self._zspan_lo[winners],
-                               self._zspan_hi[winners])
-            plane.zsolve_flat[idx] = self._r_flat[self._zsrc_grows[idx]]
+            wmask = relaxed.take(self._slab_owner)
+            idx = wmask.take(self._z_edge).nonzero()[0]
+            plane.zsolve_flat[idx] = self._r_flat.take(self._zsrc_grows[idx])
             # line 17: updates, z_p, ‖r_p‖, ‖r_q‖-estimates — one grouped
             # put for the whole epoch (slab order = ascending-sender put
             # order; vector square ≡ per-rank _sq: same IEEE multiplies)
-            wmask = relaxed[self._slab_owner]
             sent = self._solve_send_mask(winners, wmask)
             if sent is wmask:
-                counts = self._nbr_counts[winners]
-                nbytes = self._solve_nbytes_arr[winners]
+                groups = (winners, self._nbr_counts[winners],
+                          self._solve_nbytes_arr[winners])
             else:
-                counts, nbytes = self._solve_totals(sent, winners)
+                groups = self._send_groups(sent, self._flat_solve_nbytes)
             plane.put_epoch(self._slab_solve_sids[sent],
                             phase1_norm_sq[self._slab_owner[sent]],
-                            gflat[sent], winners, counts, nbytes,
-                            CATEGORY_SOLVE)
+                            gflat[sent], *groups, CATEGORY_SOLVE)
             if hardened:
                 # a solve send restarts the edge's heartbeat
                 self._hb_last_sent[sent] = step_no
                 self._hb_retry_used[sent] = 0
-        self.engine.close_epoch()
+        plane.deliver_pending()
         if tracing:
             trc.phase_end("relax")
             trc.phase_begin("apply")
@@ -350,35 +337,29 @@ class DistributedSouthwell(BlockMethodBase):
         # line-28 settlement as one scatter, every repair z payload in one
         # gather and every send in one grouped put (owners come out
         # ascending — the slab is owner-major — so the put order is
-        # ascending sender; the per-sender byte sums via reduceat are
-        # exact: integer arithmetic)
+        # ascending sender)
         if self.deadlock_avoidance:
             own_sq_vec = self.norms * self.norms
-            over = tflat > own_sq_vec[self._slab_owner]
+            over = tflat > own_sq_vec.take(self._slab_owner)
             fire = over
             if hardened:
                 # heartbeat re-sends for silent edges with budget left
                 fire = over | ((step_no - self._hb_last_sent
                                 >= self._resend_after)
                                & (self._hb_retry_used < self._retry_budget))
-            over_idx = np.flatnonzero(fire)
+            over_idx = fire.nonzero()[0]
             if over_idx.size:
                 owners = self._slab_owner[over_idx]
                 tflat[over_idx] = own_sq_vec[owners]    # line 28
                 res_mask[over_idx] = True
-                eids = self._slab_eids[over_idx]
                 if tracing:
-                    trc.repairs(owners, plane.edge_dst[eids])
-                idx = multi_arange(zoff[eids], zoff[eids + 1])
-                plane.zres_flat[idx] = self._r_flat[self._zsrc_grows[idx]]
-                heads = np.flatnonzero(np.concatenate(
-                    ([True], owners[1:] != owners[:-1])))
-                counts = np.diff(np.append(heads, over_idx.size))
+                    trc.repairs(owners, plane.edge_dst[over_idx])
+                idx = fire.take(self._z_edge).nonzero()[0]
+                plane.zres_flat[idx] = self._r_flat.take(self._zsrc_grows[idx])
                 plane.put_epoch(
                     self._slab_res_sids[over_idx], own_sq_vec[owners],
-                    gflat[over_idx], owners[heads], counts,
-                    np.add.reduceat(self._slab_res_nbytes[over_idx],
-                                    heads),
+                    gflat[over_idx],
+                    *self._send_groups(over_idx, self._flat_res_nbytes),
                     CATEGORY_RESIDUAL)
                 self.repairs_sent += int(over_idx.size)
                 if hardened:
@@ -390,10 +371,9 @@ class DistributedSouthwell(BlockMethodBase):
                     if ridx.size:
                         self._faults.count_retries(ridx.size)
                         if tracing:
-                            trc.retries(
-                                self._slab_owner[ridx],
-                                plane.edge_dst[self._slab_eids[ridx]])
-        self.engine.close_epoch()
+                            trc.retries(self._slab_owner[ridx],
+                                        plane.edge_dst[ridx])
+        plane.deliver_pending()
         if tracing:
             trc.phase_end("apply")
             trc.phase_begin("finalize")
@@ -599,10 +579,10 @@ class DistributedSouthwell(BlockMethodBase):
         plane = self.engine.flat
         if self.tracer.enabled:
             self.tracer.repairs(np.full(idx.size, p, dtype=np.int64),
-                                plane.edge_dst[self._slab_eids[gidx]])
+                                plane.edge_dst[gidx])
         kept = aplane.send(p, self._async_res_sids[gidx], own_sq,
                            self._gamma_flat[gidx],
-                           int(self._slab_res_nbytes[gidx].sum()),
+                           int(self._flat_res_nbytes[gidx].sum()),
                            CATEGORY_RESIDUAL)
         self._async_stamp_seq(gidx, kept)
         if kept.size:
@@ -619,7 +599,7 @@ class DistributedSouthwell(BlockMethodBase):
                 if self.tracer.enabled:
                     self.tracer.retries(
                         np.full(ridx.size, p, dtype=np.int64),
-                        plane.edge_dst[self._slab_eids[lo:hi][ridx]])
+                        plane.edge_dst[lo + ridx])
         return int(idx.size)
 
     # ------------------------------------------------------------------

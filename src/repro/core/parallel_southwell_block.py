@@ -91,7 +91,7 @@ class ParallelSouthwell(BlockMethodBase):
             trc.phase_begin("relax")
         relaxed = self._mask_stalled(
             self._wins_vector(self.norms * self.norms, gflat))
-        winners = np.flatnonzero(relaxed)
+        winners = relaxed.nonzero()[0]
         self._relax_ranks(winners)          # deltas land in plane.vals
         if winners.size:
             # the appended norms, line-10 puts and broadcast records
@@ -100,13 +100,13 @@ class ParallelSouthwell(BlockMethodBase):
             # order)
             nsq = self.norms * self.norms
             self._broadcast_sq[winners] = nsq[winners]
-            wmask = relaxed[self._slab_owner]
+            wmask = relaxed.take(self._slab_owner)
             plane.put_epoch(self._slab_solve_sids[wmask],
                             nsq[self._slab_owner[wmask]], 0.0, winners,
                             self._nbr_counts[winners],
                             self._solve_nbytes_arr[winners],
                             CATEGORY_SOLVE)
-        self.engine.close_epoch()
+        plane.deliver_pending()
         if tracing:
             trc.phase_end("relax")
             trc.phase_begin("apply")
@@ -121,15 +121,15 @@ class ParallelSouthwell(BlockMethodBase):
             gflat[slabpos[arr]] = norm_hdr[arr]
         new_sq_vec = self.norms * self.norms
         diverged = new_sq_vec != self._broadcast_sq
-        upd = np.flatnonzero(diverged)
+        upd = diverged.nonzero()[0]
         if upd.size:
             self._broadcast_sq[upd] = new_sq_vec[upd]
-            umask = diverged[self._slab_owner]
+            umask = diverged.take(self._slab_owner)
             plane.put_epoch(self._slab_res_sids[umask],
                             new_sq_vec[self._slab_owner[umask]], 0.0, upd,
                             self._nbr_counts[upd],
                             self._res_nbytes_arr[upd], CATEGORY_RESIDUAL)
-        self.engine.close_epoch()
+        plane.deliver_pending()
         if tracing:
             trc.phase_end("apply")
             trc.phase_begin("finalize")

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.distributed_southwell_block import DistributedSouthwell
 from repro.runtime import CATEGORY_SOLVE
-from repro.sparsela.primitives import multi_arange, segment_sq
+from repro.sparsela.primitives import Segments, multi_arange
 
 __all__ = ["ThresholdedDistributedSouthwell"]
 
@@ -71,8 +71,12 @@ class ThresholdedDistributedSouthwell(DistributedSouthwell):
         super()._build_structure()
         #: held deltas, laid out like the mailbox delta store, and which
         #: edges hold one
-        self._held = np.zeros_like(self.engine.flat.vals_flat)
-        self._held_edge = np.zeros(self.engine.flat.n_edges, dtype=bool)
+        plane = self.engine.flat
+        self._held = np.zeros_like(plane.vals_flat)
+        self._held_edge = np.zeros(plane.n_edges, dtype=bool)
+        #: each edge's delta region, grouped by length for the send test
+        self._deltas = Segments(plane.vals_flat, plane.vals_off[:-1],
+                                np.diff(plane.vals_off))
 
     def _reset_state(self, x0, b) -> None:
         super()._reset_state(x0, b)
@@ -90,8 +94,7 @@ class ThresholdedDistributedSouthwell(DistributedSouthwell):
         if held.size:
             idx = multi_arange(voff[held], voff[held + 1])
             vals[idx] += self._held[idx]
-        norm = np.sqrt(segment_sq(vals, self._layer_lo[eids],
-                                  self._layer_len[eids]))
+        norm = np.sqrt(self._deltas.sq(eids))
         own = self.norms[self._slab_owner[eids]]
         hold = norm <= self.threshold * np.sqrt(own * own)
         self._held_edge[eids] = hold
@@ -123,13 +126,13 @@ class ThresholdedDistributedSouthwell(DistributedSouthwell):
         plane.zsolve_flat[zidx] = self._r_flat[self._zsrc_grows[zidx]]
         owners = self._slab_owner[held]
         own_sq = np.array([float(v) ** 2 for v in self.norms[owners]])
-        ranks = np.unique(owners)
         plane.put_epoch(self._slab_solve_sids[held], own_sq,
-                        self._gamma_flat[held], ranks,
-                        *self._solve_totals(held, ranks), CATEGORY_SOLVE)
+                        self._gamma_flat[held],
+                        *self._send_groups(held, self._flat_solve_nbytes),
+                        CATEGORY_SOLVE)
         self._tilde_flat[held] = own_sq         # line 16
         self._held_edge[:] = False
-        self.engine.close_epoch()
+        plane.deliver_pending()
         self._apply_flat_epoch()
         arr = plane.last_delivered
         self._absorb_z(arr, plane.zsolve_flat)

@@ -69,11 +69,6 @@ class ParallelEngine:
         if self.faults is not None:
             self.faults.attach_flat(self.flat)
 
-    def close_epoch(self) -> int:
-        """Collective epoch completion: deliver all buffered puts;
-        returns how many were delivered."""
-        return self.flat.deliver_pending()
-
     @property
     def in_flight(self) -> int:
         """Messages buffered but not yet visible."""

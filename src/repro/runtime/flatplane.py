@@ -171,11 +171,10 @@ class FlatEdgePlane:
         self.est = np.zeros(2 * E)
         # pending mail as chunk arrays: a put_epoch appends its slot-id
         # array.  Visible mail is one record per delivered epoch not yet
-        # drained, oldest first: the epoch's slot-ids stably sorted by
-        # destination, its destination ranks (ascending) and their run
-        # bounds.
+        # drained, oldest first: the epoch's slot-ids in delivery order
+        # and its per-destination message counts.
         self._pending: list[np.ndarray] = []
-        self._boxes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._boxes: list[tuple[np.ndarray, np.ndarray]] = []
         #: ranks with undrained mail, ascending int64 (refreshed at epoch
         #: close)
         self.mail_ranks: np.ndarray = _EMPTY_SIDS
@@ -183,6 +182,11 @@ class FlatEdgePlane:
         #: lets the methods run one vectorized header/payload pass over
         #: the whole epoch instead of per-receiver loops
         self.last_delivered: np.ndarray = _EMPTY_SIDS
+        #: whether :attr:`last_delivered` is exactly one put_epoch's
+        #: slot-ids in put order (no fate dropped, doubled or moved any):
+        #: a method whose puts ascend may then address the delivered
+        #: edges by a boolean mask instead of an ordered gather
+        self.last_single_put = False
         #: per-slot wire sizes (filled by the method at setup from its
         #: ``_flat_message_nbytes`` tables) — lets the batched trace
         #: hooks stamp exact per-message byte counts
@@ -211,6 +215,7 @@ class FlatEdgePlane:
         self._boxes = []
         self.mail_ranks = _EMPTY_SIDS
         self.last_delivered = _EMPTY_SIDS
+        self.last_single_put = False
         self.last_fates = _EMPTY_SIDS
 
     # ------------------------------------------------------------------
@@ -243,22 +248,25 @@ class FlatEdgePlane:
             self.tracer.sends_flat(self, sids, category)
 
     # ------------------------------------------------------------------
-    # epoch control (driven by ParallelEngine.close_epoch)
+    # epoch control
     # ------------------------------------------------------------------
     def deliver_pending(self) -> int:
-        """Make every buffered put visible to its target; refresh
-        :attr:`mail_ranks` and :attr:`last_delivered`.  Returns the number
-        delivered.
+        """Collective epoch completion: make every buffered put visible to
+        its target; refresh :attr:`mail_ranks`, :attr:`last_delivered`
+        and :attr:`last_single_put`.  Returns the number delivered.
 
-        The epoch's slot-ids become one mailbox record: stably sorted by
-        destination (so each mailbox keeps the global put order) with one
-        bound per destination run.  No per-destination Python work.
+        The epoch's slot-ids become one mailbox record: the batch in
+        delivery order (each mailbox reads its mail in global put order)
+        with one message count per destination rank — a ``bincount``, no
+        sort and no per-destination Python work.
         """
         chunks = self._pending
         arr = _EMPTY_SIDS
         if chunks:
             arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             self._pending = []
+        self.last_single_put = (len(chunks) == 1
+                                and not self._pending_fates)
         if self._pending_fates:
             fates = (self._pending_fates[0] if len(self._pending_fates) == 1
                      else np.concatenate(self._pending_fates))
@@ -269,19 +277,15 @@ class FlatEdgePlane:
         self._pending_fates = []
         self.last_delivered = arr
         if arr.size:
-            dsts = self.edge_dst[arr >> 1]
-            order = np.argsort(dsts, kind="stable")
-            sdst = dsts[order]
-            heads = np.flatnonzero(np.concatenate(
-                ([True], sdst[1:] != sdst[:-1])))
-            self._boxes.append((arr[order], sdst[heads].astype(np.int64),
-                                np.append(heads, arr.size)))
+            self._boxes.append((arr, np.bincount(
+                self.edge_dst[arr >> 1], minlength=self.n_procs)))
         boxes = self._boxes
-        if len(boxes) > 1:
-            self.mail_ranks = np.unique(np.concatenate(
-                [ranks for _, ranks, _ in boxes]))
+        if not boxes:
+            self.mail_ranks = _EMPTY_SIDS
+        elif len(boxes) == 1:
+            self.mail_ranks = boxes[0][1].nonzero()[0]
         else:
-            self.mail_ranks = boxes[0][1] if boxes else _EMPTY_SIDS
+            self.mail_ranks = sum(c for _, c in boxes).nonzero()[0]
         return int(arr.size)
 
     def _apply_fates(self, arr: np.ndarray,
@@ -323,27 +327,32 @@ class FlatEdgePlane:
         The read phases take their payloads from :attr:`last_delivered`
         (one vectorized pass over the epoch) and need the drain only for
         the receive accounting: each rank in :attr:`mail_ranks` is
-        charged its records' run lengths, in one grouped
+        charged its records' summed counts, in one grouped
         :meth:`~repro.runtime.stats.MessageStats.record_receive_groups`
         (one receive per delivered message: a dropped message is never
-        charged, a duplicated one twice).  When tracing,
-        each rank's receives are emitted in ascending rank order, an
-        undrained earlier epoch's mail first.
+        charged, a duplicated one twice).  When tracing, each record is
+        grouped by destination with one stable sort (the only sort the
+        plane makes), and the ranks' receives are emitted in ascending
+        rank order, each in global put order, an undrained earlier
+        epoch's mail first.
         """
         boxes, self._boxes = self._boxes, []
         if not boxes:
             return
-        counts = np.zeros(self.n_procs, dtype=np.int64)
-        for _, ranks, bounds in boxes:
-            counts[ranks] += np.diff(bounds)
-        ranks = np.flatnonzero(counts)
+        counts = boxes[0][1] if len(boxes) == 1 else sum(
+            c for _, c in boxes)
+        ranks = counts.nonzero()[0]
         self.stats.record_receive_groups(ranks, counts[ranks])
         if self.tracer.enabled:
             runs: dict[int, list[np.ndarray]] = {}
-            for sarr, rk, bounds in boxes:
-                b = bounds.tolist()
-                for i, p in enumerate(rk.tolist()):
-                    runs.setdefault(p, []).append(sarr[b[i]:b[i + 1]])
+            for arr, _ in boxes:
+                dsts = self.edge_dst[arr >> 1]
+                order = np.argsort(dsts, kind="stable")
+                sarr, sdst = arr[order], dsts[order]
+                cuts = np.flatnonzero(sdst[1:] != sdst[:-1]) + 1
+                for run in np.split(sarr, cuts):
+                    runs.setdefault(int(self.edge_dst[run[0] >> 1]),
+                                    []).append(run)
             for p in sorted(runs):
                 chunks = runs[p]
                 self.tracer.recvs_flat(self, p, chunks[0] if len(chunks) == 1

@@ -248,7 +248,7 @@ def _store(cache: Path, key: str, value) -> None:
 # ----------------------------------------------------------------------
 def get_setup(A: CSRMatrix, n_parts: int, method: str = "multilevel",
               seed: int = 0, local_solver: str = "gs", n_sweeps: int = 1,
-              tracer: Tracer = NULL_TRACER,
+              tracer: Tracer | None = None,
               cache_dir: Path | str | None = None
               ) -> tuple[Partition, BlockSystem]:
     """Partition ``A`` and build its block system, through the disk cache.
@@ -259,8 +259,11 @@ def get_setup(A: CSRMatrix, n_parts: int, method: str = "multilevel",
     given), results round-trip through the on-disk store: a hit loads
     the pickled pair (its solvers factored as a fresh build's are)
     instead of recomputing, and fires a ``setup_cache`` trace event
-    either way.
+    either way.  ``tracer=None`` traces nothing, as in every method
+    constructor.
     """
+    if tracer is None:
+        tracer = NULL_TRACER
     cache = (Path(cache_dir) if cache_dir is not None
              else _config.setup_cache_dir())
     key = None

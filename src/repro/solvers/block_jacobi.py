@@ -89,18 +89,18 @@ class BlockJacobi(BlockMethodBase):
         if tracing:
             trc.phase_begin("relax")
         relaxed = self._mask_stalled(np.ones(P, dtype=bool))
-        active = np.flatnonzero(relaxed)
+        active = relaxed.nonzero()[0]
         self._relax_ranks(active)           # deltas land in plane.vals
         if active.size == P:
             plane.put_epoch(self._slab_solve_sids, 0.0, 0.0,
                             self._all_ranks, self._nbr_counts,
                             self._solve_nbytes_arr, CATEGORY_SOLVE)
         elif active.size:
-            wmask = relaxed[self._slab_owner]
+            wmask = relaxed.take(self._slab_owner)
             plane.put_epoch(self._slab_solve_sids[wmask], 0.0, 0.0, active,
                             self._nbr_counts[active],
                             self._solve_nbytes_arr[active], CATEGORY_SOLVE)
-        self.engine.close_epoch()
+        plane.deliver_pending()
         if tracing:
             trc.phase_end("relax")
             trc.phase_begin("apply")

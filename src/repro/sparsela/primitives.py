@@ -11,8 +11,8 @@ these functions are checked against (``tests/oracles.py``).
 
 Two index/reduction helpers ride along for the block methods' batched
 step loop: :func:`multi_arange` (many index ranges as one array) and
-:func:`segment_sq` (the squared norms of many segments of one store,
-one BLAS call per distinct segment length).
+:class:`Segments` (the squared norms of any subset of a fixed family of
+segments of one store, one BLAS call per distinct segment length).
 
 The functions take a :class:`~repro.sparsela.csr.CSRMatrix` duck-typed
 (``shape`` / ``indptr`` / ``indices`` / ``data`` plus the cached-handle
@@ -31,8 +31,7 @@ __all__ = [
     "matvec",
     "matvec_plan",
     "multi_arange",
-    "segment_plan",
-    "segment_sq",
+    "Segments",
     "solve_lower",
 ]
 
@@ -43,12 +42,12 @@ _dot = np.ndarray.dot
 
 _EMPTY_IDX = np.zeros(0, dtype=np.int64)
 
-#: :func:`segment_plan` batches a run of segments only when it holds at
-#: least this many segments *and* this many per distinct length.
-#: Measured on a 2-core Xeon VM: a batch costs ≈ 17 µs plus ≈ 2.5 µs
-#: per length group, a loop segment ≈ 0.7 µs (one ``ddot``), so runs of
-#: 6–36-entry segments of one length break even at 24–32 segments
-#: (DESIGN.md §5.8)
+#: :meth:`Segments.sq` batches a subset only when it holds at least this
+#: many segments *and* this many per distinct length.
+#: Measured on a 2-core Xeon VM: a batch of one length costs ≈ 9–12 µs,
+#: plus ≈ 2.5–3 µs per further length, a loop segment ≈ 0.5 µs (one
+#: ``ddot``), so 36-entry segments break even at ≈ 24 segments of one
+#: length and at ≈ 48 of four (DESIGN.md §5.8)
 _SEGMENT_BATCH = 32
 _SEGMENTS_PER_LENGTH = 4
 
@@ -158,57 +157,69 @@ def multi_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
             + np.repeat(starts - ends + lens, lens))
 
 
-def segment_plan(lo: np.ndarray, ln: np.ndarray):
-    """The length grouping :func:`segment_sq` batches by; ``()`` (run
-    the per-segment loop) when that is cheaper: fewer than
-    :data:`_SEGMENT_BATCH` segments, or fewer than
-    :data:`_SEGMENTS_PER_LENGTH` segments per distinct length.
+class Segments:
+    """A fixed family of segments ``store[lo[i]:lo[i] + ln[i]]`` of one
+    store, laid out once; :meth:`sq` takes the squared norms of any
+    subset of them with no per-call sort.
 
-    A plan is ``(order, gather, groups)``: the segments sorted by length,
-    the store positions of all of them in that order, and each length
-    group's ``(first, stop, length)`` in the sorted order.  It depends on
-    ``lo``/``ln`` only, so one plan serves every store laid out alike.
-    """
-    k = ln.size
-    if k < _SEGMENT_BATCH:
-        return ()
-    order = np.argsort(ln, kind="stable")
-    sl = ln[order]
-    cuts = np.flatnonzero(sl[1:] != sl[:-1]) + 1
-    if (cuts.size + 1) * _SEGMENTS_PER_LENGTH > k:
-        return ()
-    so = lo[order]
-    heads = [0, *cuts.tolist()]
-    groups = list(zip(heads, heads[1:] + [k], sl[heads].tolist()))
-    return order, multi_arange(so, so + sl), groups
-
-
-def segment_sq(store: np.ndarray, lo: np.ndarray, ln: np.ndarray,
-               plan=None) -> np.ndarray:
-    """``store[lo[i]:lo[i] + ln[i]] · itself`` for every segment ``i``.
-
-    Bit-identical to one ``ndarray.dot`` per segment: the segments of
-    one length are gathered into a ``(g, L)`` block whose rows
+    Bit-identical to one ``ndarray.dot`` per segment either way.  A
+    subset of fewer than :data:`_SEGMENT_BATCH` segments, or of fewer
+    than :data:`_SEGMENTS_PER_LENGTH` per distinct length, loops over
+    the bound per-segment :attr:`views`.  Otherwise its segments of one
+    length are gathered into a ``(g, L)`` block whose rows
     :func:`numpy.vecdot` reduces with numpy's vector·vector inner loop —
-    the very ``DOUBLE_dot → cblas_ddot`` call ``ndarray.dot`` makes on
-    a contiguous row (``np.add.reduceat`` sums in another order and is
-    off by an ulp in about half the cases).  ``plan`` is
-    :func:`segment_plan`'s result for ``(lo, ln)``, computed here when
-    not given.
+    the very ``DOUBLE_dot → cblas_ddot`` call ``ndarray.dot`` makes on a
+    contiguous row (``np.add.reduceat`` sums in another order and is off
+    by an ulp in about half the cases).  The length grouping is static —
+    the segments stably sorted by length, and each one's group — so a
+    subset takes its order by masking it, and each group's ``(g, L)``
+    store positions by one broadcast add.
     """
-    if plan is None:
-        plan = segment_plan(lo, ln)
-    if not plan:
-        views = [store[a:a + n] for a, n in zip(lo.tolist(), ln.tolist())]
-        return np.array(list(map(_dot, views, views)), dtype=np.float64)
-    order, gather, groups = plan
-    flat = store[gather]
-    sq = np.empty(ln.size)
-    pos = 0
-    for a, b, n in groups:
-        block = flat[pos:pos + (b - a) * n].reshape(b - a, n)
-        np.vecdot(block, block, out=sq[a:b])
-        pos += (b - a) * n
-    out = np.empty(ln.size)
-    out[order] = sq
-    return out
+
+    def __init__(self, store: np.ndarray, lo: np.ndarray, ln: np.ndarray):
+        self.store = store
+        #: ``store[lo[i]:lo[i] + ln[i]]`` for every segment ``i``
+        self.views = [store[a:a + n] for a, n in zip(lo.tolist(),
+                                                     ln.tolist())]
+        self._lo, self._ln = lo, ln
+        # segment ids, in the smallest dtype that holds them
+        idt = np.int32 if ln.size <= np.iinfo(np.int32).max else np.int64
+        self._order = order = np.argsort(ln, kind="stable").astype(idt)
+        sl = ln[order]
+        heads = np.flatnonzero(np.diff(sl, prepend=-1))
+        self._lengths = sl[heads].tolist()
+        self._group = np.empty(ln.size, dtype=idt)
+        self._group[order] = np.repeat(np.arange(heads.size, dtype=idt),
+                                       np.diff(np.append(heads, ln.size)))
+        self._span = np.arange(sl[-1] if sl.size else 0, dtype=lo.dtype)
+        self._out = np.empty(ln.size)
+
+    def sq(self, ids: np.ndarray) -> np.ndarray:
+        """``‖segment i‖²`` for every ``i`` of the distinct ``ids``, in
+        ``ids`` order."""
+        k = ids.size
+        if k >= _SEGMENT_BATCH:
+            counts = np.bincount(self._group[ids],
+                                 minlength=len(self._lengths))
+            if np.count_nonzero(counts) * _SEGMENTS_PER_LENGTH <= k:
+                return self._batched_sq(ids, counts.tolist())
+        views = self.views
+        vs = [views[i] for i in ids.tolist()]
+        return np.array(list(map(_dot, vs, vs)), dtype=np.float64)
+
+    def _batched_sq(self, ids: np.ndarray, counts: list) -> np.ndarray:
+        order = self._order
+        sel = np.zeros(self._ln.size, dtype=bool)
+        sel[ids] = True
+        chosen = order[sel[order]]          # the subset by length
+        starts = self._lo[chosen, None]
+        sq = np.empty(ids.size)
+        a = 0
+        for c, n in zip(counts, self._lengths):
+            if c:
+                block = self.store.take(starts[a:a + c] + self._span[:n])
+                np.vecdot(block, block, out=sq[a:a + c])
+                a += c
+        out = self._out
+        out[chosen] = sq
+        return out[ids]

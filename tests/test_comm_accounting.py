@@ -29,7 +29,7 @@ def test_receives_counted_on_drain():
     eng.configure_flat([(0, 2, 1, 0), (1, 2, 1, 0)])
     _put(eng, 0, 2)
     _put(eng, 1, 2)
-    eng.close_epoch()
+    eng.flat.deliver_pending()
     eng.flat.drain_all()
     _, _, _, recvs = eng.stats.current_step_arrays()
     assert recvs[2] == 2
@@ -41,7 +41,7 @@ def test_receive_cost_prices_step():
     eng = ParallelEngine(2, cost_model=cm)
     eng.configure_flat([(0, 1, 1, 0)])
     _put(eng, 0, 1)
-    eng.close_epoch()
+    eng.flat.deliver_pending()
     eng.flat.drain_all()
     snap = eng.close_step()
     # sender pays 1, receiver pays 10 -> step = max = 10

@@ -101,10 +101,14 @@ def test_segment_sq_is_ndarray_dot_bit_for_bit(lens, seed):
     lo = rng.integers(0, store.size - ln + 1) if ln.size else ln
     want = np.array([store[a:a + n].dot(store[a:a + n])
                      for a, n in zip(lo.tolist(), lens)], dtype=np.float64)
-    assert primitives.segment_sq(store, lo, ln).tobytes() == want.tobytes()
+    ids = np.arange(ln.size)
+    sub = rng.permutation(ln.size)[:rng.integers(0, ln.size + 1)]
+    segs = primitives.Segments(store, lo, ln)
+    assert segs.sq(ids).tobytes() == want.tobytes()
     with mock.patch.object(primitives, "_SEGMENT_BATCH", 1), \
             mock.patch.object(primitives, "_SEGMENTS_PER_LENGTH", 1):
-        plan = primitives.segment_plan(lo, ln)
-        assert bool(plan) == bool(lens)     # every non-empty run batches
-        got = primitives.segment_sq(store, lo, ln, plan)
+        segs = primitives.Segments(store, lo, ln)   # every subset batches
+        got = segs.sq(ids)
+        part = segs.sq(sub)                 # any subset, in any order
     assert got.tobytes() == want.tobytes()
+    assert part.tobytes() == want[sub].tobytes()

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.distributed_southwell_block as dsb
 from repro.core import DistributedSouthwell, ParallelSouthwell
 from repro.core.blockdata import _BATCH_ROWS, build_block_system
 from repro.faults import FaultPlan
@@ -170,7 +169,7 @@ def test_large_blocks_relax_per_rank():
 
 
 # ----------------------------------------------------------------------
-# the length-batched dots (primitives.segment_sq): taken where they pay,
+# the length-batched dots (primitives.Segments): taken where they pay,
 # the per-segment loop kept where they would not, and either way the
 # same bytes
 # ----------------------------------------------------------------------
@@ -182,20 +181,22 @@ def p256():
 
 
 def _watch_dots(monkeypatch) -> dict:
-    """Count :func:`segment_plan` decisions and per-segment ``ddot``s."""
+    """Count :meth:`Segments.sq` calls that batch or loop, and the
+    per-segment ``ddot``s; a non-empty call batched iff it made none."""
     seen = {"batched": 0, "looped": 0, "dots": 0}
-    plan_of, dot = primitives.segment_plan, primitives._dot
+    sq, dot = primitives.Segments.sq, primitives._dot
 
-    def plan(lo, ln):
-        out = plan_of(lo, ln)
-        seen["batched" if out else "looped"] += 1
+    def watched(self, ids):
+        before = seen["dots"]
+        out = sq(self, ids)
+        seen["batched" if ids.size and seen["dots"] == before
+             else "looped"] += 1
         return out
 
     def counted(a, b):
         seen["dots"] += 1
         return dot(a, b)
-    monkeypatch.setattr(primitives, "segment_plan", plan)
-    monkeypatch.setattr(dsb, "segment_plan", plan)
+    monkeypatch.setattr(primitives.Segments, "sq", watched)
     monkeypatch.setattr(primitives, "_dot", counted)
     return seen
 
@@ -210,8 +211,8 @@ def test_lockstep_shape_takes_the_batched_dots(p256, monkeypatch):
     for _ in range(3):
         m.step()
     # set-up's norms, then per step the winners' norms, their ghost
-    # layers and the receivers' norm refresh
-    assert seen == {"batched": 1 + 3 * 3, "looped": 0, "dots": 0}
+    # layers before and after the add, and the receivers' norm refresh
+    assert seen == {"batched": 1 + 3 * 4, "looped": 0, "dots": 0}
 
 
 def test_mg_level0_shape_keeps_the_loop(monkeypatch):
@@ -227,16 +228,23 @@ def test_mg_level0_shape_keeps_the_loop(monkeypatch):
     assert seen["dots"] > 0
 
 
-def test_segment_plan_crossover_rules():
-    """Both loop-keeping rules, at their boundaries."""
-    plan = primitives.segment_plan
+def test_segments_crossover_rules(monkeypatch):
+    """Both loop-keeping rules, at their boundaries: the subset's size
+    and its segments per distinct length."""
+    seen = _watch_dots(monkeypatch)
 
-    def run(lens):
+    def batches(lens, k):
         ln = np.array(lens, dtype=np.int64)
-        return ln.cumsum() - ln, ln
-    assert plan(*run([36] * 32)) and not plan(*run([36] * 31))
-    assert plan(*run(list(range(1, 10)) * 4))           # 4 per length
-    assert not plan(*run(list(range(1, 10)) * 4 + [10]))
+        segs = primitives.Segments(np.ones(int(ln.sum())), ln.cumsum() - ln,
+                                   ln)
+        seen["batched"] = 0
+        segs.sq(np.arange(k))
+        return seen["batched"] == 1
+    assert batches([36] * 32, 32) and not batches([36] * 31, 31)
+    assert batches([36] * 40, 32) and not batches([36] * 40, 31)
+    assert batches(list(range(1, 10)) * 4, 36)          # 4 per length
+    assert not batches(list(range(1, 10)) * 4 + [10], 37)
+    assert batches(list(range(1, 10)) * 4 + [10], 36)   # the subset's
 
 
 @pytest.mark.parametrize("method", sorted(_METHODS))

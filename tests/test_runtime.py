@@ -64,7 +64,7 @@ def test_put_not_visible_until_epoch_close():
     put_one(plane, 2 * eid + SLOT_SOLVE, 32, CATEGORY_SOLVE, 1.0)
     assert plane.mail_ranks.size == 0
     assert eng.in_flight == 1
-    assert eng.close_epoch() == 1
+    assert plane.deliver_pending() == 1
     assert plane.mail_ranks.tolist() == [1]
     assert plane.edge_src[plane.last_delivered[0] >> 1] == 0
     plane.drain_all()
@@ -88,7 +88,7 @@ def test_fifo_order_per_sender():
              2 * e01 + SLOT_SOLVE]
     for s in order:
         put_one(plane, s, 24, CATEGORY_SOLVE, 1.0)
-    eng.close_epoch()
+    plane.deliver_pending()
     assert plane.last_delivered.tolist() == order
 
 
@@ -173,7 +173,7 @@ def test_engine_step_pricing_and_counters():
     plane = eng.configure_flat([(0, 1, 4, 0), (1, 0, 4, 0)])
     put_one(plane, 2 * edge_id(plane, 0, 1) + SLOT_SOLVE, 48, CATEGORY_SOLVE)
     eng.stats.current_step_arrays()[0][0] += 7.0
-    eng.close_epoch()
+    plane.deliver_pending()
     plane.drain_all()
     assert eng.stats.total_receives == 1
     snap = eng.close_step()

@@ -250,13 +250,13 @@ def test_int32_index_fast_path_small_problem():
         assert m._grows_flat[p].dtype == np.int32
     assert m._sid_slabpos.dtype == np.int32
     # header-row and ghost-scatter plans: the Γ/Γ̃ slab indices and the
-    # z-span bounds follow the plane dtype too
+    # step's static owner maps follow the plane dtype too
+    m._relax_plans()
     assert m._nbr_off.dtype == np.int32
     assert m._nbr_flat.dtype == np.int32
     assert m._slab_owner.dtype == np.int32
-    assert m._zspan_lo.dtype == np.int32
-    assert m._zspan_hi.dtype == np.int32
-    assert m._z2g.dtype == np.int32
+    for name in ("_row_rank", "_vals_edge", "_z_edge", "_z2g"):
+        assert getattr(m, name).dtype == np.int32, name
 
 
 def test_int32_and_int64_paths_agree(monkeypatch):
@@ -328,7 +328,7 @@ def test_flat_put_invisible_until_epoch_close():
     plane.drain_all()                    # buffered, not visible
     assert plane.mail_ranks.size == 0 and ws.stats.total_receives == 0
     assert ws.in_flight == 1
-    ws.close_epoch()
+    plane.deliver_pending()
     sids = plane.last_delivered
     assert sids.tolist() == [2 * eid + SLOT_SOLVE]
     assert plane.mail_ranks.tolist() == [1]
@@ -346,14 +346,14 @@ def test_flat_mail_ranks_track_undrained_mail():
     e01, e12 = edge_id(plane, 0, 1), edge_id(plane, 1, 2)
     put_one(plane, 2 * e01 + SLOT_SOLVE, 48, CATEGORY_SOLVE, 1.0)
     put_one(plane, 2 * e12 + SLOT_SOLVE, 56, CATEGORY_SOLVE, 1.0)
-    ws.close_epoch()
+    plane.deliver_pending()
     assert plane.mail_ranks.tolist() == [1, 2]
-    ws.close_epoch()                     # undrained mail stays visible
+    plane.deliver_pending()              # undrained mail stays visible
     assert plane.mail_ranks.tolist() == [1, 2]
     assert plane.last_delivered.size == 0
     plane.drain_all()
     put_one(plane, 2 * e12 + SLOT_SOLVE, 56, CATEGORY_SOLVE, 1.0)
-    ws.close_epoch()
+    plane.deliver_pending()
     assert plane.mail_ranks.tolist() == [2]
     assert ws.stats.current_step_arrays()[3].tolist() == [0, 1, 1]
 
@@ -386,7 +386,7 @@ def test_flat_mailboxes_match_chunk_lists_under_faults(seed):
         sids = np.flatnonzero(rng.random(2 * len(edges)) < 0.4)
         for sid in sids.tolist():
             put_one(plane, sid, 40, CATEGORY_SOLVE, 1.0)
-        ws.close_epoch()
+        plane.deliver_pending()
         box.deliver(plane.last_delivered)
         assert plane.mail_ranks.tolist() == box.mail_ranks
         if rng.random() < 0.6:      # else left undrained this epoch

@@ -136,6 +136,21 @@ def test_cache_off_by_default_writes_nothing(A, tmp_path, monkeypatch):
     assert list(tmp_path.rglob("*.pkl")) == []
 
 
+@pytest.mark.parametrize("cached", [False, True])
+def test_tracer_none_traces_nothing(cached, tmp_path):
+    """``tracer=None`` is the null tracer, with a ``cache_dir`` (cold
+    then warm) and without one, as a method constructor takes it."""
+    A = poisson_2d(16)
+    kw = {"cache_dir": tmp_path} if cached else {}
+    part, system = get_setup(A, 4, tracer=None, **kw)
+    want_part, want_system = get_setup(A, 4)
+    assert np.array_equal(part.parts, want_part.parts)
+    assert system.n_parts == want_system.n_parts == 4
+    if cached:
+        again, _ = get_setup(A, 4, tracer=None, **kw)   # the warm hit
+        assert np.array_equal(again.parts, part.parts)
+
+
 def test_corrupt_entry_degrades_to_recompute(A, tmp_path):
     from repro.setupcache import _load
 

@@ -42,7 +42,7 @@ def test_lockstep_exactly_once_and_fifo(puts):
     sids = [2 * edge_id(plane, s, d) + k for s, d, k in puts]
     for s in sids:
         put_one(plane, s, 24, CATEGORY_SOLVE)
-    assert eng.close_epoch() == len(puts)
+    assert plane.deliver_pending() == len(puts)
     got = plane.last_delivered.tolist()
     assert got == sids                   # put order, each exactly once
     per_rank = np.bincount([d for _, d, _ in puts], minlength=4)
@@ -52,7 +52,7 @@ def test_lockstep_exactly_once_and_fifo(puts):
     assert recvs.tolist() == per_rank.tolist()
     # nothing left anywhere
     plane.drain_all()
-    eng.close_epoch()
+    plane.deliver_pending()
     assert eng.in_flight == 0 and plane.last_delivered.size == 0
     assert recvs.tolist() == per_rank.tolist()
 
