@@ -36,6 +36,7 @@ model, the seeded fate streams and the method's arithmetic — a fixed
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -134,23 +135,20 @@ class AsyncExecutor:
         return base
 
     # ------------------------------------------------------------------
-    def _deliver_apply(self, p: int) -> bool:
-        """Deliver ``p``'s ready mail; apply deltas, refresh the norm."""
-        sids = self.aplane.deliver(p)
-        if not sids:
-            return False
-        self._apply_payload(p, sids)
-        return True
-
     def _apply_payload(self, p: int, sids: list[int]) -> None:
-        """Apply delivered slots to ``p``'s residual and ghost state.
+        """Apply delivered slots to ``p``'s residual and ghost state and
+        refresh its norm.
 
         ``sids`` must be :meth:`AsyncFlatPlane.deliver`'s ordering for
         one rank (stamp, then slot-id)."""
         runner = self.runner
         aplane = self.aplane
         flops = self._c_flops
-        solve = [s for s in sids if not (s & 1)]
+        solve = [s for s in sids if not s & 1]
+        # one flop per applied entry (twice: delta and applied update)
+        # plus the norm refresh — integer-valued floats, so one charge
+        # equals the per-term charges
+        charge = self._c_norm_flops[p]
         if solve:
             r_flat = self._c_r_flat
             if len(solve) <= 8:
@@ -174,10 +172,10 @@ class AsyncExecutor:
                           wire[idx] - applied[idx])
                 applied[idx] = wire[idx]
                 recv_flops = float(self._c_edge_flops[eids].sum())
-            flops[p] += 2.0 * recv_flops
+            charge += 2.0 * recv_flops
         r_p = self._c_r_blocks[p]
-        self._c_norms[p] = math.sqrt(np.dot(r_p, r_p))
-        flops[p] += self._c_norm_flops[p]   # the refresh_norm charge
+        self._c_norms[p] = math.sqrt(r_p.dot(r_p))
+        flops[p] += charge
         fr = runner._faults
         if fr is not None and fr.message_faults:
             # the fault paths (stale masking) index with ndarrays
@@ -264,13 +262,18 @@ class AsyncExecutor:
             max_time: float | None = None):
         """Run the method event-driven; returns its ConvergenceHistory.
 
-        ``max_steps`` converts to a turn budget (``max_steps × P × 8``)
-        when ``max_turns`` is not given, so lockstep and async calls
-        take comparable budget arguments; ``max_time`` bounds simulated
-        seconds instead.  ``x0``/``b`` may be omitted when ``prepare``
-        was already called.
+        ``max_steps`` (an integer ≥ 0) converts to a turn budget
+        (``max_steps × P × 8``) when ``max_turns`` (an integer ≥ 1) is
+        not given, so lockstep and async calls take comparable budget
+        arguments; ``max_time`` bounds simulated seconds instead.  A
+        budget of any other type or value raises :class:`ValueError`
+        naming it.  ``x0``/``b`` may be omitted when ``prepare`` was
+        already called.
         """
         runner = self.runner
+        max_steps = _config.require_int("max_steps", max_steps, 0)
+        if max_turns is not None:
+            max_turns = _config.require_int("max_turns", max_turns, 1)
         if max_time is not None:
             max_time = _config.require_finite("max_time", max_time,
                                               positive=True)
@@ -282,7 +285,7 @@ class AsyncExecutor:
         self._prepared = False      # one event loop per prepare
         P = runner.system.n_parts
         if max_turns is None:
-            max_turns = int(max_steps) * P * 8
+            max_turns = max_steps * P * 8
         stats = runner.engine.stats
         fr = runner._faults
         aplane = self.aplane
@@ -292,12 +295,29 @@ class AsyncExecutor:
             trc.begin_run(runner.name, P)
         stalling = fr is not None and bool(fr._stall_by_rank)
         slowing = fr is not None and bool(fr._slow_by_rank)
+        # no plan, no patience; no max_time, no time bound (inf: one
+        # comparison per turn either way)
         patience = (runner._active_plan.deadlock_patience * P
-                    if runner._active_plan is not None else None)
+                    if runner._active_plan is not None else math.inf)
+        time_bound = math.inf if max_time is None else max_time
+        # the turn's state, bound once: the plane's per-rank lists, its
+        # scheduler heap and the hooks
         flops = runner._flops
         clocks = aplane.clocks
+        idle = aplane.idle
         next_at = aplane._next_at
+        n_pending = aplane.n_pending
+        parked = aplane.parked
+        heap = aplane._heap
+        deliver = aplane.deliver
+        apply_payload = self._apply_payload
+        advance = aplane.advance_compute
+        decide = runner._async_decide
+        relax = runner._relax_one_flat
+        send = runner._async_send
+        repair = runner._async_repair
         poll = self.poll_interval
+        record_every = self.record_every
         turn_of = [0] * P
         # a rank is *clean* when its last evaluation produced no relax
         # and no repair: until something is delivered to it, both hooks
@@ -311,14 +331,14 @@ class AsyncExecutor:
         turns = 0
         idle_streak = 0
         win_active = 0
-        win_turns = 0
+        sampled_at = 0              # the turn count at the last sample
         last_closed = 0.0
-        dirty = False
 
         def sample() -> float:
-            nonlocal last_closed, win_active, win_turns, dirty
-            stats.close_step(time=aplane.elapsed - last_closed)
-            last_closed = aplane.elapsed
+            nonlocal last_closed, win_active, sampled_at
+            elapsed = aplane.elapsed
+            stats.close_step(time=elapsed - last_closed)
+            last_closed = elapsed
             norm = runner.global_norm()
             runner.history.append(
                 norm=norm,
@@ -326,16 +346,13 @@ class AsyncExecutor:
                 parallel_steps=turns,
                 comm_cost=stats.communication_cost(),
                 time=stats.elapsed_time(),
-                active_fraction=win_active / max(1, win_turns))
+                active_fraction=win_active / max(1, turns - sampled_at))
             win_active = 0
-            win_turns = 0
-            dirty = False
+            sampled_at = turns
             return norm
 
-        n_pending = aplane.n_pending
-        parked = aplane.parked
         while turns < max_turns:
-            if not aplane._heap:
+            if not heap:
                 # every rank is parked with an empty mailbox: no future
                 # event can occur (nothing in flight, nothing to do).
                 # Above target that is a stall, reported like the
@@ -345,43 +362,47 @@ class AsyncExecutor:
                     runner.degraded = True
                     runner.degraded_reason = runner._deadlock_diagnosis()
                 break
-            p = aplane.next_process()
-            if max_time is not None and clocks[p] >= max_time:
-                aplane.reschedule(p)
+            # the rank with the smallest clock (ties to the lower rank);
+            # an entry whose clock is not the rank's current one is stale
+            clock, p = heappop(heap)
+            while clock != clocks[p]:
+                clock, p = heappop(heap)
+            if clock >= time_bound:
+                heappush(heap, (clock, p))
                 break
             turn_of[p] = t_p = turn_of[p] + 1
-            delivered = (next_at[p] <= clocks[p]
-                         and self._deliver_apply(p))
+            delivered = False
+            if next_at[p] <= clock:
+                sids = deliver(p)
+                if sids:
+                    apply_payload(p, sids)
+                    delivered = True
             if skippable and clean[p] and not delivered:
                 # nothing arrived since the last no-op evaluation
                 acted = False
             else:
-                f0 = flops[p]
+                # the delivery's own flops are charged to the stats only
+                # (f0 is read after it): the clock pays for the relax
                 slowdown = fr.rank_slowdown(p, t_p) if slowing else 1.0
                 acted = delivered
-                if delivered:
-                    aplane.advance_compute(p, float(flops[p] - f0),
-                                           slowdown)
-                    f0 = flops[p]
-                stalled = stalling and fr.rank_stalled(p, t_p)
                 relaxed = False
-                if not stalled and runner._async_decide(p):
-                    runner._relax_one_flat(p)
-                    aplane.advance_compute(p, float(flops[p] - f0),
-                                           slowdown)
+                if not (stalling and fr.rank_stalled(p, t_p)):
                     f0 = flops[p]
-                    runner._async_send(p, aplane, t_p)
-                    acted = relaxed = True
-                if not stalled and runner._async_repair(p, aplane, t_p):
-                    acted = True
-                if flops[p] != f0:
-                    aplane.advance_compute(p, float(flops[p] - f0),
-                                           slowdown)
+                    if decide(p):
+                        relax(p)
+                        advance(p, float(flops[p] - f0), slowdown)
+                        f0 = flops[p]
+                        send(p, aplane, t_p)
+                        acted = relaxed = True
+                    if repair(p, aplane, t_p):
+                        acted = True
+                    if flops[p] != f0:
+                        advance(p, float(flops[p] - f0), slowdown)
                 clean[p] = not relaxed
             if acted:
                 idle_streak = 0
                 win_active += 1
-                aplane.reschedule(p)
+                heappush(heap, (clocks[p], p))
             else:
                 idle_streak += 1
                 if skippable and clean[p] and not n_pending[p]:
@@ -391,23 +412,26 @@ class AsyncExecutor:
                     # wake it at the message's stamp (asyncplane.send)
                     parked[p] = 1
                 else:
-                    wake = clocks[p] + poll
+                    # idle until the next poll, or the earliest pending
+                    # stamp when the bound says one may land sooner
+                    clock = clocks[p]
+                    wake = clock + poll
                     if next_at[p] < wake:
-                        # the bound says a message may land before the
-                        # poll horizon — pay the exact scan
-                        wake = min(wake, aplane.earliest_pending(p))
-                    aplane.advance_idle(p, wake - clocks[p])
-                    aplane.reschedule(p)
+                        e = aplane.earliest_pending(p)
+                        if e < wake:
+                            wake = e
+                    wait = wake - clock
+                    if wait > 0.0:
+                        clocks[p] = clock = clock + wait
+                        idle[p] += wait
+                    heappush(heap, (clock, p))
             turns += 1
-            win_turns += 1
-            dirty = True
-            if turns % self.record_every == 0:
+            if turns % record_every == 0:
                 norm = sample()
                 if (stop_at_target and target_norm is not None
                         and norm <= target_norm):
                     break
-            if (patience is not None and idle_streak >= patience
-                    and aplane.in_flight == 0
+            if (idle_streak >= patience and aplane.in_flight == 0
                     and runner.global_norm() > (target_norm or 0.0)):
                 # graceful degradation (DESIGN.md §5.11): every rank
                 # idled a full patience round with nothing in flight —
@@ -420,16 +444,18 @@ class AsyncExecutor:
         # drain: jump each rank with pending mail to its earliest stamp
         # so nothing sent is left unapplied (keeps the final norms a
         # pure function of the event sequence)
+        dirty = turns != sampled_at
         while aplane.in_flight:
             progressed = False
             for p in range(P):
                 nxt = aplane.earliest_pending(p)
-                if np.isfinite(nxt):
+                if nxt != math.inf:
                     if nxt > clocks[p]:
-                        aplane.advance_idle(p, float(nxt - clocks[p]))
-                    if self._deliver_apply(p):
-                        progressed = True
-                        dirty = True
+                        aplane.advance_idle(p, nxt - clocks[p])
+                    sids = deliver(p)
+                    if sids:
+                        apply_payload(p, sids)
+                        progressed = dirty = True
             if not progressed:      # pragma: no cover - defensive
                 break
         if dirty:

@@ -417,6 +417,7 @@ class BlockMethodBase:
         (structure; :meth:`_reset_lossy_state` zeroes them per run)."""
         plane = self.engine.flat
         self._cum_flat = np.zeros_like(plane.vals_flat)
+        self._cum_slab = self._rank_slabs(self._cum_flat)
         self._applied_flat = np.zeros_like(plane.vals_flat)
 
     def _reset_lossy_state(self) -> None:
@@ -443,6 +444,13 @@ class BlockMethodBase:
         cum = self._cum_flat
         cum[idx] += self.engine.flat.vals_flat[idx]
         self.engine.flat.vals_flat[idx] = cum[idx]
+
+    def _lossy_finalize_rank(self, p: int) -> None:
+        """:meth:`_lossy_finalize_send` over rank ``p``'s whole mailbox
+        slab, through its bound views."""
+        cum, vals = self._cum_slab[p], self._vals_slab[p]
+        cum += vals
+        vals[...] = cum
 
     def _mask_stalled(self, relaxed: np.ndarray) -> np.ndarray:
         """Clear the relax decision of every rank stalled this step.
@@ -552,55 +560,59 @@ class BlockMethodBase:
         """Whether ``p`` relaxes on its async turn."""
         return float(self.norms[p]) > 0.0
 
-    def _async_send(self, p: int, aplane, turn: int) -> np.ndarray:
+    def _async_send(self, p: int, aplane, turn: int) -> list[int]:
         """Publish ``p``'s post-relax updates onto the async plane;
         returns the slot-ids that entered the network (drops excluded)."""
-        off = self._nbr_off
-        sids = self._async_solve_sids[off[p]:off[p + 1]]
-        kept = aplane.send(p, sids, 0.0, 0.0,
-                           int(self._solve_nbytes_arr[p]), CATEGORY_SOLVE)
-        self._async_capture_vals(aplane, kept)
+        kept = aplane.send(p, self._async_out[p], 0.0, 0.0,
+                           self._async_nbytes[p], CATEGORY_SOLVE)
+        self._async_capture_vals(p, kept)
         return kept
 
     def _async_bind(self, aplane) -> None:
-        """Bind the per-edge views the send/deliver hooks copy through,
-        once per :meth:`AsyncExecutor.prepare` (``aplane``'s wire stores
-        are new each time): edge e's ``(wire vals, vals)`` regions, intp
-        copies of the slab's slot-ids (an int32 fancy index costs several
-        times more per call) and the slot-to-slab-position list."""
+        """Bind what the send/deliver hooks read, once per
+        :meth:`AsyncExecutor.prepare` (``aplane``'s wire stores are new
+        each time): per rank, its out-edges (= slab positions) as a
+        range, its solve and residual slot-ids as lists, its solve
+        fan-out's byte total and its wire ``vals`` slab; per edge, its
+        ``(wire vals, vals)`` regions; per slot, the receiver's slab
+        position."""
         plane = self.engine.flat
+        off = self._nbr_off.tolist()
+        spans = list(zip(off, off[1:]))
+        self._async_edges = [range(lo, hi) for lo, hi in spans]
+        solve = self._slab_solve_sids.tolist()
+        self._async_out = [solve[lo:hi] for lo, hi in spans]
+        self._async_res_out = [[s + 1 for s in out]
+                               for out in self._async_out]
+        self._async_nbytes = self._solve_nbytes_arr.tolist()
+        self._async_wire_slab = self._rank_slabs(aplane.wire_vals)
         self._async_vals = list(zip(
             _rank_views(aplane.wire_vals, plane.vals_off),
             _rank_views(plane.vals_flat, plane.vals_off)))
-        self._async_solve_sids = self._slab_solve_sids.astype(np.intp)
-        self._async_res_sids = self._slab_res_sids.astype(np.intp)
-        # python mirror of _sid_slabpos for the per-slot header scatter,
-        # where scalar list reads beat ndarray indexing
+        # scalar list reads beat ndarray indexing in the per-slot loops
         self._sid_slabpos_list = self._sid_slabpos.tolist()
 
-    def _async_capture_vals(self, aplane, sids: np.ndarray) -> None:
-        """Snapshot the ``vals`` regions of freshly stamped solve slots
-        into the wire store (fates landed first — see
-        :meth:`AsyncFlatPlane.send`)."""
-        if sids.size == 0:
-            return
-        if sids.size <= 8:
-            # small fan-out: the bound region copies beat multi_arange
+    def _async_capture_vals(self, p: int, sids: list[int]) -> None:
+        """Snapshot the ``vals`` regions of ``p``'s freshly stamped solve
+        slots ``sids`` into the wire store (fates landed first — see
+        :meth:`AsyncFlatPlane.send`): a whole fan-out is one slab copy
+        (a rank's out-edges are consecutive), a subset one copy per
+        slot."""
+        if len(sids) == len(self._async_out[p]):
+            self._async_wire_slab[p][...] = self._vals_slab[p]
+        else:
             views = self._async_vals
-            for sid in sids.tolist():
+            for sid in sids:
                 w, v = views[sid >> 1]
                 w[...] = v
-        else:
-            voff = self.engine.flat.vals_off
-            eids = sids >> 1
-            idx = multi_arange(voff[eids], voff[eids + 1])
-            aplane.wire_vals[idx] = self.engine.flat.vals_flat[idx]
 
-    def _async_on_deliver(self, p: int, sids: np.ndarray,
-                          fates: np.ndarray, aplane) -> None:
+    def _async_on_deliver(self, p: int, sids, fates: np.ndarray,
+                          aplane) -> None:
         """Method-specific handling of freshly delivered slots (header
         scatters, ghost overwrites); the executor has already applied the
-        solve payload deltas to ``r_p``."""
+        solve payload deltas to ``r_p``.  ``sids`` is a list on the
+        fault-free path and an ndarray, with per-slot ``fates``, under a
+        fault plan."""
 
     def _async_repair(self, p: int, aplane, turn: int) -> int:
         """Method-specific repair traffic; returns messages sent."""
@@ -615,7 +627,7 @@ class BlockMethodBase:
         blocks.  DS extends it with its line-15 ghost update."""
         self._relax_send(p)
         if self._lossy:
-            self._lossy_finalize_send(slice(*self._fan_rows[p:p + 2]))
+            self._lossy_finalize_rank(p)
 
     def _relax_ranks(self, winners: np.ndarray) -> None:
         """The relax phase of the ascending distinct ranks ``winners``

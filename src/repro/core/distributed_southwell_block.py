@@ -26,6 +26,8 @@ shrinks as the iteration converges (Section 3).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.block_base import BlockMethodBase
@@ -35,6 +37,9 @@ from repro.sparsela.primitives import Segments, multi_arange
 
 
 __all__ = ["DistributedSouthwell"]
+
+#: one vector's ``ddot`` (``z @ z`` without the operator dispatch)
+_dot = np.ndarray.dot
 
 
 def _sq(x) -> float:
@@ -165,26 +170,27 @@ class DistributedSouthwell(BlockMethodBase):
         """DS's per-rank relax-phase body: relax, then line 15 — ghosts and
         estimates updated locally, no messages: one slab add (ghost and
         delta slabs share layout), then per-neighbor dots in neighbor
-        order.  Under a lossy plan the ghost update consumes the raw
-        deltas before the cumulative wire payload replaces them."""
+        order, each its layer's own ``ddot``, and the estimates updated
+        on Python floats.  Under a lossy plan the ghost update consumes
+        the raw deltas before the cumulative wire payload replaces
+        them."""
         self._relax_send(p)             # raw deltas land in plane.vals
         if self.ghost_estimation:
             if self.tracer.enabled:
                 self.tracer.ghosts(p, self.system.neighbors_of(p))
             views = self._ghost_views[p]
-            olds = [float(z @ z) for z in views]
+            olds = list(map(float, map(_dot, views, views)))
             self._ghost_slab[p] += self._vals_slab[p]
             gseg = self.gamma_sq[p]
-            gl = gseg.tolist()
-            for i in range(len(views)):
-                z = views[i]
-                new_c = float(z @ z)
-                est = gl[i] - olds[i] + new_c
-                gl[i] = new_c if new_c > est else est
+            gl = []
+            for g, old, new in zip(gseg.tolist(), olds,
+                                   map(float, map(_dot, views, views))):
+                est = g - old + new
+                gl.append(new if new > est else est)
             gseg[:] = gl
             self._flops[p] += self._ghost_flops[p]
         if self._lossy:
-            self._lossy_finalize_send(slice(*self._fan_rows[p:p + 2]))
+            self._lossy_finalize_rank(p)
 
     def _relax_batch(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The batched relax plus line 15: one ghost add, one Γ update,
@@ -401,7 +407,8 @@ class DistributedSouthwell(BlockMethodBase):
         super()._async_bind(aplane)
         # per slot: its (ghost region, wire z region) pair — z payloads
         # land on the reverse edge's ghost run, which is contiguous;
-        # per edge: the residual rows its outgoing z payload gathers
+        # per edge: the residual rows its outgoing z payload gathers;
+        # per rank: its solve fan-out's wire z slab and source rows
         zoff = self.engine.flat.z_off.tolist()
         glo = self._z2g_lo.tolist()
         ghost, zsrc = self._ghost_flat, self._zsrc_grows.astype(np.intp)
@@ -414,6 +421,10 @@ class DistributedSouthwell(BlockMethodBase):
             z.append((gv, zsolve[lo:hi]))
             z.append((gv, zres[lo:hi]))
             self._async_zsrc.append(zsrc[lo:hi])
+        cut = [zoff[e] for e in self._nbr_off.tolist()]
+        self._async_zslab = [(zsrc[lo:hi], zsolve[lo:hi])
+                             for lo, hi in zip(cut, cut[1:])]
+        self._async_res_bytes = self._flat_res_nbytes.tolist()
         # the Γ̃ ack: per edge (= the owner's slab position) the number of
         # messages the owner has sent along it and the sequence number of
         # the last message the owner received back; per slot the
@@ -424,35 +435,31 @@ class DistributedSouthwell(BlockMethodBase):
         plan = self._active_plan
         self._ack_gate = not (self._faults is not None and plan.lossy)
         E = self._slab_owner.size
-        self._seq_sent = np.zeros(E, dtype=np.int64)
-        self._seq_seen = np.zeros(E, dtype=np.int64)
-        self._wire_seq = np.zeros(2 * E, dtype=np.int64)
-        self._wire_ack = np.zeros(2 * E, dtype=np.int64)
+        self._seq_sent = [0] * E
+        self._seq_seen = [0] * E
+        self._wire_seq = [0] * (2 * E)
+        self._wire_ack = [0] * (2 * E)
 
-    def _async_stamp_seq(self, slab, kept: np.ndarray) -> None:
-        """Count one send on each slab position ``slab`` (drops
+    def _async_stamp_seq(self, slab, kept: list[int]) -> None:
+        """Count one send on each slab position in ``slab`` (drops
         included: the sender cannot know) and stamp the slots that
         entered the network with their sequence number and ack."""
-        self._seq_sent[slab] += 1
-        if kept.size:
-            eids = kept >> 1
-            self._wire_seq[kept] = self._seq_sent[eids]
-            self._wire_ack[kept] = self._seq_seen[eids]
+        sent, seen = self._seq_sent, self._seq_seen
+        wseq, wack = self._wire_seq, self._wire_ack
+        for e in slab:
+            sent[e] += 1
+        for s in kept:
+            e = s >> 1
+            wseq[s] = sent[e]
+            wack[s] = seen[e]
 
-    def _async_capture_z(self, aplane, kept: np.ndarray) -> None:
+    def _async_capture_z(self, kept: list[int]) -> None:
         """Snapshot the z payloads (the sender's residual at each
         receiver's ghost rows) of freshly stamped slots — solve or
         residual, by the slot kind — into their wire stores."""
-        if kept.size <= 8:
-            r_flat, z, zsrc = self._r_flat, self._async_z, self._async_zsrc
-            for sid in kept.tolist():
-                z[sid][1][...] = r_flat[zsrc[sid >> 1]]
-        else:
-            zoff = self.engine.flat.z_off
-            store = aplane.wire_zres if kept[0] & 1 else aplane.wire_zsolve
-            eids = kept >> 1
-            zidx = multi_arange(zoff[eids], zoff[eids + 1])
-            store[zidx] = self._r_flat[self._zsrc_grows[zidx]]
+        r_flat, z, zsrc = self._r_flat, self._async_z, self._async_zsrc
+        for sid in kept:
+            r_flat.take(zsrc[sid >> 1], out=z[sid][1])
 
     def _async_decide(self, p: int) -> bool:
         # criterion on the Γ *estimates* (Alg 3 line 12) — under async
@@ -463,7 +470,7 @@ class DistributedSouthwell(BlockMethodBase):
         if own_sq <= 0.0:
             return False
         seg = self.gamma_sq[p]
-        m = max(seg.tolist(), default=-np.inf)
+        m = max(seg.tolist(), default=-math.inf)
         if own_sq > m:
             return True
         if own_sq == m:
@@ -471,25 +478,30 @@ class DistributedSouthwell(BlockMethodBase):
         return False
 
     def _async_send(self, p: int, aplane, turn: int) -> None:
-        off = self._nbr_off
-        lo, hi = int(off[p]), int(off[p + 1])
-        if hi == lo:
+        sids = self._async_out[p]
+        if not sids:
             return
         new_sq = _sq(self.norms[p])
-        kept = aplane.send(p, self._async_solve_sids[lo:hi], new_sq,
-                           self._gamma_flat[lo:hi],
-                           int(self._solve_nbytes_arr[p]), CATEGORY_SOLVE)
+        kept = aplane.send(p, sids, new_sq, self.gamma_sq[p].tolist(),
+                           self._async_nbytes[p], CATEGORY_SOLVE)
         # line 16: p told every neighbor its new norm (drops included —
         # the sender cannot know, which is exactly what repair heals)
-        self._tilde_flat[lo:hi] = new_sq
-        self._async_stamp_seq(slice(lo, hi), kept)
-        if kept.size:
-            self._async_capture_vals(aplane, kept)
-            self._async_capture_z(aplane, kept)
+        self.tilde_sq[p].fill(new_sq)
+        edges = self._async_edges[p]
+        self._async_stamp_seq(edges, kept)
+        if kept:
+            self._async_capture_vals(p, kept)
+            if len(kept) == len(sids):
+                # the whole fan-out's z payloads: one gather into the
+                # rank's wire z slab (its out-edges are consecutive)
+                rows, wire = self._async_zslab[p]
+                self._r_flat.take(rows, out=wire)
+            else:
+                self._async_capture_z(kept)
         if self._hardened:
             # a solve send restarts the edges' heartbeats
-            self._hb_last_sent[lo:hi] = turn
-            self._hb_retry_used[lo:hi] = 0
+            self._hb_last_sent[edges.start:edges.stop] = turn
+            self._hb_retry_used[edges.start:edges.stop] = 0
 
     def _async_on_deliver(self, p: int, sids, fates, aplane) -> None:
         # ``sids`` is a plain list on the fault-free hot path and an
@@ -554,53 +566,58 @@ class DistributedSouthwell(BlockMethodBase):
         if not self.deadlock_avoidance:
             return 0
         tseg = self.tilde_sq[p]
-        if not tseg.size:
+        tl = tseg.tolist()
+        if not tl:
             return 0
         own_sq = _sq(self.norms[p])
-        if not self._hardened and max(tseg.tolist()) <= own_sq:
-            # every-turn hot path: a scalar max of the tiny neighbor
-            # segment decides "nothing to repair"
-            return 0
-        lo = int(self._nbr_off[p])
-        hi = lo + tseg.size
-        over = tseg > own_sq
-        fire = over
-        if self._hardened:
+        hardened = self._hardened
+        if hardened:
             # heartbeat re-sends for silent edges with budget left
+            edges = self._async_edges[p]
+            lo, hi = edges.start, edges.stop
+            over = tseg > own_sq
             fire = over | ((turn - self._hb_last_sent[lo:hi]
                             >= self._resend_after)
                            & (self._hb_retry_used[lo:hi]
                               < self._retry_budget))
-        idx = fire.nonzero()[0]
-        if idx.size == 0:
+            idx = fire.nonzero()[0].tolist()
+        elif max(tl) <= own_sq:
+            # every-turn hot path: a scalar max of the tiny neighbor
+            # segment decides "nothing to repair"
+            return 0
+        else:
+            idx = [i for i, t in enumerate(tl) if t > own_sq]
+        if not idx:
             return 0
         tseg[idx] = own_sq              # line 28
-        gidx = lo + idx                 # slab positions
+        lo = self._async_edges[p].start
+        gidx = [lo + i for i in idx]    # slab positions
         plane = self.engine.flat
         if self.tracer.enabled:
-            self.tracer.repairs(np.full(idx.size, p, dtype=np.int64),
+            self.tracer.repairs(np.full(len(idx), p, dtype=np.int64),
                                 plane.edge_dst[gidx])
-        kept = aplane.send(p, self._async_res_sids[gidx], own_sq,
-                           self._gamma_flat[gidx],
-                           int(self._flat_res_nbytes[gidx].sum()),
+        gl = self.gamma_sq[p].tolist()
+        nbytes = self._async_res_bytes
+        kept = aplane.send(p, [2 * e + 1 for e in gidx], own_sq,
+                           [gl[i] for i in idx],
+                           sum([nbytes[e] for e in gidx]),
                            CATEGORY_RESIDUAL)
         self._async_stamp_seq(gidx, kept)
-        if kept.size:
-            self._async_capture_z(aplane, kept)
-        self.repairs_sent += int(idx.size)
-        if self._hardened:
+        self._async_capture_z(kept)
+        self.repairs_sent += len(idx)
+        if hardened:
             ov = over[idx]
             used = self._hb_retry_used
             used[gidx] = np.where(ov, 0, used[gidx] + 1)
             self._hb_last_sent[gidx] = turn
-            ridx = idx[~ov]
+            ridx = np.asarray(idx)[~ov]
             if ridx.size:
                 self._faults.count_retries(ridx.size)
                 if self.tracer.enabled:
                     self.tracer.retries(
                         np.full(ridx.size, p, dtype=np.int64),
                         plane.edge_dst[lo + ridx])
-        return int(idx.size)
+        return len(idx)
 
     # ------------------------------------------------------------------
     def _deadlock_diagnosis(self) -> str:

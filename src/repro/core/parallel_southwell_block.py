@@ -157,13 +157,11 @@ class ParallelSouthwell(BlockMethodBase):
             p, _sq(self.norms[p]), self._gamma_flat[off[p]:off[p + 1]])
 
     def _async_send(self, p: int, aplane, turn: int) -> None:
-        off = self._nbr_off
         new_sq = _sq(self.norms[p])
         self._broadcast_sq[p] = new_sq
-        sids = self._async_solve_sids[off[p]:off[p + 1]]
-        kept = aplane.send(p, sids, new_sq, 0.0,
-                           int(self._solve_nbytes_arr[p]), CATEGORY_SOLVE)
-        self._async_capture_vals(aplane, kept)
+        kept = aplane.send(p, self._async_out[p], new_sq, 0.0,
+                           self._async_nbytes[p], CATEGORY_SOLVE)
+        self._async_capture_vals(p, kept)
 
     def _async_on_deliver(self, p: int, sids, fates, aplane) -> None:
         slabpos = self._sid_slabpos_list
@@ -179,13 +177,12 @@ class ParallelSouthwell(BlockMethodBase):
         if new_sq == self._broadcast_sq[p]:
             return 0
         self._broadcast_sq[p] = new_sq
-        off = self._nbr_off
-        sids = self._async_res_sids[off[p]:off[p + 1]]
-        if sids.size == 0:
+        sids = self._async_res_out[p]
+        if not sids:
             return 0
         aplane.send(p, sids, new_sq, 0.0,
                     int(self._res_nbytes_arr[p]), CATEGORY_RESIDUAL)
-        return int(sids.size)
+        return len(sids)
 
     # ------------------------------------------------------------------
     def _deadlock_diagnosis(self) -> str:

@@ -28,9 +28,21 @@ injected.
 
 State layout
 ------------
-``clocks`` / ``idle`` / ``deliver_at`` / ``_next_at`` / ``n_pending``
-are flat float64/int64 arrays (+inf = empty slot / no bound) that the
-event loop indexes a rank at a time.
+The per-rank state (``clocks``, ``idle``, ``speed``, ``n_pending``,
+``_next_at``) and the per-slot headers (``deliver_at``, ``wire_norm``,
+``wire_est``) are plain Python lists of floats and ints (``inf`` = empty
+slot / no bound); ``parked`` is a ``bytearray``.  The event loop reads
+and writes them one rank or one slot at a time, and a list index on a
+Python float costs a fraction of a numpy scalar index, so a list is
+their only representation — nothing mirrors them in numpy.  The bulk
+payloads (``wire_vals`` / ``wire_zsolve`` / ``wire_zres``) and the
+fault fates (``wire_fate``, read as a batch) stay float64/int64 arrays.
+Python floats are IEEE doubles, so every clock charge rounds exactly as
+it did on numpy scalars.
+
+The smallest-clock scheduler is ``_heap``, a heap of ``(clock, rank)``
+entries that the executor pops and pushes inline (an entry is live iff
+its clock equals the rank's current one; ties go to the lower rank).
 
 Each rank's mailbox is read through an index: a heap of
 ``(stamp, slot-id)`` entries that ``send`` pushes onto.  ``deliver_at``
@@ -72,7 +84,6 @@ from repro.trace import NULL_TRACER
 
 __all__ = ["AsyncFlatPlane"]
 
-_EMPTY_SIDS = np.zeros(0, dtype=np.int64)
 _EMPTY_LIST: list[int] = []
 
 
@@ -116,32 +127,33 @@ class AsyncFlatPlane:
         P = plane.n_procs
         self.n_procs = P
         if speed_factors is None:
-            self.speed = np.ones(P)
+            self.speed = [1.0] * P
         else:
-            self.speed = np.asarray(speed_factors, dtype=np.float64).copy()
-            if self.speed.shape != (P,):
+            speed = np.asarray(speed_factors, dtype=np.float64)
+            if speed.shape != (P,):
                 raise ValueError("speed_factors must have one entry "
                                  "per process")
-            if not np.all(np.isfinite(self.speed) & (self.speed > 0.0)):
+            if not np.all(np.isfinite(speed) & (speed > 0.0)):
                 raise ValueError("speed_factors must be finite and "
                                  "positive")
+            self.speed = speed.tolist()
         self._alpha = cost_model.alpha
         self._alpha_recv = cost_model.alpha_recv
         self._beta = cost_model.beta
         self._gamma = cost_model.gamma
         #: per-rank virtual clocks and cumulative idle time
-        self.clocks = np.zeros(P)
-        self.idle = np.zeros(P)
+        self.clocks = [0.0] * P
+        self.idle = [0.0] * P
         E = plane.n_edges
-        #: per-slot delivery stamp; +inf = slot empty
-        self.deliver_at = np.full(2 * E, np.inf)
+        #: per-slot delivery stamp; inf = slot empty
+        self.deliver_at = [math.inf] * (2 * E)
         # in-flight wire copies, laid out exactly like the lockstep
         # plane's stores (slot-id / edge offsets index both)
         self.wire_vals = np.zeros(int(plane.vals_off[-1]))
         self.wire_zsolve = np.zeros(int(plane.z_off[-1]))
         self.wire_zres = np.zeros(int(plane.z_off[-1]))
-        self.wire_norm = np.zeros(2 * E)
-        self.wire_est = np.zeros(2 * E)
+        self.wire_norm = [0.0] * (2 * E)
+        self.wire_est = [0.0] * (2 * E)
         self.wire_fate = np.zeros(2 * E, dtype=np.int64)
         #: per-rank incoming slot-ids (both kinds), ascending
         dsts = np.asarray(plane.edge_dst, dtype=np.int64)
@@ -151,17 +163,17 @@ class AsyncFlatPlane:
             sids = np.empty(2 * eids.size, dtype=np.int64)
             sids[0::2] = 2 * eids
             sids[1::2] = 2 * eids + 1
-            self.in_sids.append(np.sort(sids))
+            self.in_sids.append(sids)
         # receiver rank per slot-id (both kinds share one)
         self._sid_dst_list = np.repeat(dsts, 2).tolist()
         #: per-rank count of in-flight messages
-        self.n_pending = np.zeros(P, dtype=np.int64)
+        self.n_pending = [0] * P
         # per-rank LOWER BOUND on the earliest pending stamp: a restamp
         # (RMA overwrite) can raise a slot's stamp without raising this,
         # so a passed gate may still find nothing — in which case the
         # mailbox read re-tightens the bound.  ``bound > clock`` always
         # implies nothing is deliverable, so the gate is semantics-exact.
-        self._next_at = np.full(P, np.inf)
+        self._next_at = [math.inf] * P
         # per-rank mailbox index: a heap of (stamp, sid) holding every
         # in-flight slot's current entry plus stale ones (live iff
         # ``deliver_at[sid] == stamp``); rebuilt from ``deliver_at`` once
@@ -171,38 +183,22 @@ class AsyncFlatPlane:
         # ranks parked by the executor (idle, empty mailbox, provably
         # nothing to do): not in the heap; the next send addressed to
         # one wakes it at the message's stamp
-        self.parked = np.zeros(P, dtype=np.uint8)
+        self.parked = bytearray(P)
         # smallest-clock scheduler: lazy heap with staleness check — a
         # stale entry (clock != the rank's current clock) is skipped; a
         # (clock, rank) tuple orders ties to the lower rank
         self._heap: list[tuple[float, int]] = [(0.0, p) for p in range(P)]
         heapq.heapify(self._heap)
 
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def next_process(self) -> int:
-        """Pop the rank with the smallest clock (ties to lower rank)."""
-        clocks = self.clocks
-        heap = self._heap
-        while True:
-            clock, p = heapq.heappop(heap)
-            if clock == clocks[p]:
-                return p
-
-    def reschedule(self, p: int) -> None:
-        """Re-enter ``p`` into the scheduler at its current clock."""
-        heapq.heappush(self._heap, (float(self.clocks[p]), p))
-
     @property
     def elapsed(self) -> float:
         """Virtual time: the furthest-ahead rank's clock."""
-        return float(self.clocks.max())
+        return max(self.clocks)
 
     @property
     def in_flight(self) -> int:
         """Messages stamped but not yet delivered."""
-        return int(self.n_pending.sum())
+        return sum(self.n_pending)
 
     # ------------------------------------------------------------------
     # clock charges
@@ -225,57 +221,62 @@ class AsyncFlatPlane:
     # ------------------------------------------------------------------
     # origin side
     # ------------------------------------------------------------------
-    def send(self, src: int, sids: np.ndarray, norm_vals, est_vals,
-             nbytes_total: int, category: str) -> np.ndarray:
-        """Charge and stamp one rank's fan-out; returns the slot-ids that
-        actually enter the network (drop-fated ones are charged at the
-        origin but never stamped, so the slot keeps any older in-flight
-        payload).
+    def send(self, src: int, sids: list[int], norm: float, est,
+             nbytes_total: int, category: str) -> list[int]:
+        """Charge and stamp one rank's fan-out ``sids`` (ascending
+        slot-ids, at most one per destination); returns the slot-ids
+        that actually enter the network (drop-fated ones are charged at
+        the origin but never stamped, so the slot keeps any older
+        in-flight payload).
 
-        The caller copies the ``vals``/``z`` payload regions of the
-        *returned* sids into the wire stores — fates must land before
-        payload capture so a dropped send cannot clobber a live message.
+        Every slot's header carries the sender's squared norm ``norm``
+        and an estimate: ``est`` is one float for all of them or a list
+        parallel to ``sids``.  The caller copies the ``vals``/``z``
+        payload regions of the *returned* sids into the wire stores —
+        fates must land before payload capture so a dropped send cannot
+        clobber a live message.
         """
-        if sids.size == 0:
-            return _EMPTY_SIDS
-        self.stats.record_messages(src, category, sids.size,
-                                   int(nbytes_total))
+        n = len(sids)
+        if not n:
+            return sids
+        self.stats.record_messages(src, category, n, nbytes_total)
         if self.tracer.enabled:
-            self.tracer.sends_flat(self.plane, sids, category)
-        self.clocks[src] += (sids.size * self._alpha
-                             + nbytes_total * self._beta)
+            self.tracer.sends_flat(self.plane,
+                                   np.array(sids, dtype=np.int64), category)
+        clocks = self.clocks
+        clocks[src] += n * self._alpha + nbytes_total * self._beta
+        ests = est if isinstance(est, list) else [est] * n
         fr = self.faults
         if fr is not None and fr.message_faults:
             from repro.faults import FATE_DROP
 
-            fates = fr.fates_flat(sids)
+            fates = fr.fates_flat(np.array(sids, dtype=np.int64))
             alive = (fates & FATE_DROP) == 0
             if not alive.all():
-                sids = sids[alive]
+                keep = alive.tolist()
+                sids = [s for s, k in zip(sids, keep) if k]
+                ests = [e for e, k in zip(ests, keep) if k]
                 fates = fates[alive]
-                norm_vals = (norm_vals[alive]
-                             if isinstance(norm_vals, np.ndarray)
-                             and norm_vals.ndim else norm_vals)
-                est_vals = (est_vals[alive]
-                            if isinstance(est_vals, np.ndarray)
-                            and est_vals.ndim else est_vals)
-                if sids.size == 0:
-                    return _EMPTY_SIDS
+                if not sids:
+                    return sids
             self.wire_fate[sids] = fates
-        self.wire_norm[sids] = norm_vals
-        self.wire_est[sids] = est_vals
         # per slot: a fan-out is a handful of slots and addresses each
         # destination at most once (one slot per (edge, kind)).  A
         # restamped slot (RMA overwrite of a still-in-flight message) is
         # already counted; only empty slots grow the pending counts.
-        stamp = float(self.clocks[src] + self.latency)
+        stamp = clocks[src] + self.latency
         da = self.deliver_at
+        wn = self.wire_norm
+        we = self.wire_est
         sid_dst = self._sid_dst_list
         n_pending = self.n_pending
         next_at = self._next_at
         parked = self.parked
         mail = self._mail
-        for s in sids.tolist():
+        cap = self._mail_cap
+        for s, e in zip(sids, ests):
+            wn[s] = norm
+            we[s] = e
             d = sid_dst[s]
             if da[s] == math.inf:
                 n_pending[d] += 1
@@ -284,17 +285,17 @@ class AsyncFlatPlane:
                 next_at[d] = stamp
             box = mail[d]
             heapq.heappush(box, (stamp, s))
-            if len(box) > self._mail_cap[d]:
+            if len(box) > cap[d]:
                 self._rebuild_mail(d)
             if parked[d]:
                 # wake a parked receiver at the delivery stamp (it was
                 # idle with an empty mailbox, so the wait is idle time)
                 parked[d] = 0
-                clocks = self.clocks
-                if stamp > clocks[d]:
-                    self.idle[d] += stamp - clocks[d]
-                    clocks[d] = stamp
-                heapq.heappush(self._heap, (float(clocks[d]), d))
+                c = clocks[d]
+                if stamp > c:
+                    self.idle[d] += stamp - c
+                    clocks[d] = c = stamp
+                heapq.heappush(self._heap, (c, d))
         return sids
 
     def _rebuild_mail(self, p: int) -> None:
@@ -303,10 +304,9 @@ class AsyncFlatPlane:
         receiver's clock nears its stamp, so a sender that restamps a
         slot many times within one latency leaves one entry per
         restamp."""
-        sl = self.in_sids[p]
-        t = self.deliver_at[sl]
-        live = np.isfinite(t)
-        box = list(zip(t[live].tolist(), sl[live].tolist()))
+        da = self.deliver_at
+        box = [(t, s) for s in self.in_sids[p].tolist()
+               if (t := da[s]) != math.inf]
         heapq.heapify(box)
         self._mail[p] = box
 
@@ -316,10 +316,10 @@ class AsyncFlatPlane:
     def deliver(self, p: int) -> list[int]:
         """Slot-ids delivered to ``p`` at its current clock, in stamp
         order (ties by slot-id); clears their stamps and charges the
-        receives.  Returns a plain list — the downstream payload-apply
-        paths branch on fan-in size with list plumbing."""
+        receives."""
         clock = self.clocks[p]
-        if not self.n_pending[p] or self._next_at[p] > clock:
+        left = self.n_pending[p]
+        if not left or self._next_at[p] > clock:
             return _EMPTY_LIST
         # the heap pops in (stamp, sid) order — ties by slot-id; a live
         # pop clears the stamp, so a duplicate entry surfaces stale
@@ -332,15 +332,14 @@ class AsyncFlatPlane:
                 da[s] = math.inf
                 out.append(s)
         n = len(out)
-        if n:
-            self.n_pending[p] -= n
+        left -= n
+        self.n_pending[p] = left
         # the cleaned top re-tightens the bound (a stale one — an
         # overwrite raised a stamp — passes the gate with nothing ready)
-        self._next_at[p] = (self._mail_top(p) if self.n_pending[p]
-                            else math.inf)
+        self._next_at[p] = self._mail_top(p) if left else math.inf
         if not n:
             return _EMPTY_LIST
-        self.clocks[p] += n * self._alpha_recv
+        self.clocks[p] = clock + n * self._alpha_recv
         self.stats.record_receives(p, n)
         if self.tracer.enabled:
             self.tracer.recvs_flat(self.plane, p,

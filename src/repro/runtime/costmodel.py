@@ -24,6 +24,10 @@ import numpy as np
 
 __all__ = ["CostModel", "CORI_LIKE", "ZERO_COST"]
 
+# the ufuncs themselves (``ndarray.max`` adds a Python-level wrapper)
+_mul = np.multiply
+_max = np.maximum.reduce
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -72,16 +76,17 @@ class CostModel:
         """
         if len(flops) == 0:
             return 0.0
-        compute = np.asarray(flops, dtype=np.float64) * self.gamma
+        # one float64 buffer accumulated in place, in the order
+        # ((flops·γ [/ speed] + msgs·α) + bytes·β) + recvs·α_recv; each
+        # product casts an integer count to float64 exactly on the way in
+        t = _mul(flops, self.gamma)
         if speed_factors is not None:
-            compute = compute / np.asarray(speed_factors, dtype=np.float64)
-        per_proc = (compute
-                    + np.asarray(msgs, dtype=np.float64) * self.alpha
-                    + np.asarray(nbytes, dtype=np.float64) * self.beta)
+            t /= speed_factors
+        t += _mul(msgs, self.alpha)
+        t += _mul(nbytes, self.beta)
         if recvs is not None:
-            per_proc = per_proc + (np.asarray(recvs, dtype=np.float64)
-                                   * self.alpha_recv)
-        return float(per_proc.max())
+            t += _mul(recvs, self.alpha_recv)
+        return float(_max(t))
 
 
 #: Cori-Phase-I-flavoured default model.

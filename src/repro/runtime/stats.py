@@ -33,6 +33,10 @@ __all__ = ["CATEGORY_RESIDUAL", "CATEGORY_SOLVE", "MessageStats",
 CATEGORY_SOLVE = "solve"
 CATEGORY_RESIDUAL = "residual"
 
+# the ufunc reduction itself: ``ndarray.sum`` goes through a Python-level
+# wrapper first, a fixed cost paid on every closed step
+_add_reduce = np.add.reduce
+
 
 @dataclass
 class StepSnapshot:
@@ -62,10 +66,13 @@ class MessageStats:
     def __post_init__(self) -> None:
         if self.n_procs < 1:
             raise ValueError("n_procs must be positive")
-        self._step_msgs = np.zeros(self.n_procs, dtype=np.int64)
-        self._step_bytes = np.zeros(self.n_procs, dtype=np.int64)
+        # the open step's integer counters are the rows of one block, so
+        # closing a step is one copy, one reduction and one fill for all
+        # three
+        self._step_counts = np.zeros((3, self.n_procs), dtype=np.int64)
+        self._step_msgs, self._step_bytes, self._step_recvs = \
+            self._step_counts
         self._step_flops = np.zeros(self.n_procs, dtype=np.float64)
-        self._step_recvs = np.zeros(self.n_procs, dtype=np.int64)
         self._step_cat: dict[str, int] = {}
         # running totals over *closed* steps (kept in sync by close_step so
         # the cumulative metrics never re-walk the snapshot list)
@@ -131,21 +138,24 @@ class MessageStats:
                 self._step_recvs)
 
     def close_step(self, time: float = 0.0) -> StepSnapshot:
-        """End the current parallel step; returns (and stores) its snapshot."""
-        snap = StepSnapshot(msgs=self._step_msgs.copy(),
-                            nbytes=self._step_bytes.copy(),
-                            flops=self._step_flops.copy(),
-                            recvs=self._step_recvs.copy(),
-                            category_msgs=dict(self._step_cat), time=time)
+        """End the current parallel step; returns (and stores) its snapshot.
+
+        The snapshot's three counter arrays are the rows of one copy of
+        the open block, and it takes the open category dict itself (a
+        fresh one opens the next step)."""
+        counts = self._step_counts.copy()
+        msgs, nbytes, recvs = counts
+        snap = StepSnapshot(msgs=msgs, nbytes=nbytes,
+                            flops=self._step_flops.copy(), recvs=recvs,
+                            category_msgs=self._step_cat, time=time)
         self.steps.append(snap)
-        self._closed_msgs += int(self._step_msgs.sum())
-        self._closed_bytes += int(self._step_bytes.sum())
-        self._closed_recvs += int(self._step_recvs.sum())
+        m, b, r = _add_reduce(counts, axis=1).tolist()
+        self._closed_msgs += m
+        self._closed_bytes += b
+        self._closed_recvs += r
         self._closed_time += float(time)
-        self._step_msgs[:] = 0
-        self._step_bytes[:] = 0
-        self._step_flops[:] = 0
-        self._step_recvs[:] = 0
+        self._step_counts.fill(0)
+        self._step_flops.fill(0.0)
         self._step_cat = {}
         return snap
 
@@ -155,11 +165,11 @@ class MessageStats:
     @property
     def total_messages(self) -> int:
         """All messages in closed steps plus the open step (O(1))."""
-        return self._closed_msgs + int(self._step_msgs.sum())
+        return self._closed_msgs + int(_add_reduce(self._step_msgs))
 
     @property
     def total_bytes(self) -> int:
-        return self._closed_bytes + int(self._step_bytes.sum())
+        return self._closed_bytes + int(_add_reduce(self._step_bytes))
 
     @property
     def total_receives(self) -> int:
@@ -170,7 +180,7 @@ class MessageStats:
         twice — so trace reconciliation needs the receive total as its
         own equality check rather than inferring it from sends.
         """
-        return self._closed_recvs + int(self._step_recvs.sum())
+        return self._closed_recvs + int(_add_reduce(self._step_recvs))
 
     def communication_cost(self) -> float:
         """The paper's Table 2 metric: total messages / P."""

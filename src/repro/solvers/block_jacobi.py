@@ -60,10 +60,10 @@ class BlockJacobi(BlockMethodBase):
     def _async_decide(self, p: int) -> bool:
         return bool(self._async_fresh[p]) and float(self.norms[p]) > 0.0
 
-    def _async_send(self, p: int, aplane, turn: int) -> np.ndarray:
+    def _async_send(self, p: int, aplane, turn: int) -> list[int]:
         kept = super()._async_send(p, aplane, turn)
-        n = int(self._nbr_counts[p])
-        self._async_fresh[p] = n == 0 or kept.size < n
+        n = len(self._async_out[p])
+        self._async_fresh[p] = n == 0 or len(kept) < n
         return kept
 
     def _async_on_deliver(self, p: int, sids, fates, aplane) -> None:

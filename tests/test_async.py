@@ -65,20 +65,54 @@ def test_message_visibility_respects_latency():
     assert len(ap.deliver(1)) == 1
 
 
-def test_scheduler_picks_smallest_clock():
-    ap = make_plane(3, CostModel())
-    p0 = ap.next_process()
-    ap.advance_idle(p0, 1.0)
-    ap.reschedule(p0)
-    p1 = ap.next_process()
-    assert p1 != p0
-    ap.advance_idle(p1, 2.0)
-    ap.reschedule(p1)
-    p2 = ap.next_process()
-    assert p2 not in (p0, p1)
-    ap.advance_idle(p2, 3.0)
-    ap.reschedule(p2)
-    assert ap.next_process() == p0       # smallest clock again
+def scheduler_turns(system, speed_factors, turns):
+    """The executor's turn order on ``system``: ``(rank, clocks)`` at
+    every turn's start, every clock a copy.
+
+    Free receives (``alpha_recv=0``) keep the delivery from moving the
+    rank's clock before the observation point, and a slowdown window
+    that never opens makes the executor consult the fault runtime at
+    every turn (and never park a rank), which is where it is watched."""
+    plan = FaultPlan(seed=1, slowdowns=(SlowdownWindow(0, 10**9,
+                                                       10**9 + 1, 0.5),))
+    ds = DistributedSouthwell(system, faults=plan,
+                              cost_model=CostModel(alpha_recv=0.0))
+    ex = AsyncExecutor(ds, speed_factors=speed_factors)
+    ex.prepare(*_start(system.n))
+    fr, clocks = ds._faults, ex.aplane.clocks
+    seen = []
+    real_slowdown = fr.rank_slowdown
+
+    def rank_slowdown(p, t):        # the first hook of every turn
+        seen.append((p, list(clocks)))
+        return real_slowdown(p, t)
+
+    fr.rank_slowdown = rank_slowdown
+    ex.run(max_turns=turns)
+    assert len(seen) == ex.turns == turns
+    return seen
+
+
+def assert_smallest_clock_first(seen):
+    """Every turn runs the rank with the smallest clock, ties to the
+    lower rank; the turn clocks never go back."""
+    for p, clocks in seen:
+        assert min(zip(clocks, range(len(clocks)))) == (clocks[p], p)
+    starts = [clocks[p] for p, clocks in seen]
+    assert starts == sorted(starts)
+
+
+def _start(n):
+    rng = np.random.default_rng(3)
+    return rng.uniform(-1.0, 1.0, n), np.zeros(n)
+
+
+def test_scheduler_picks_smallest_clock(fem_300):
+    system = build_block_system(fem_300, partition(fem_300, 6, seed=0))
+    seen = scheduler_turns(system, ((1, 0.5), (4, 0.25)), 400)
+    assert_smallest_clock_first(seen)
+    # the opening round: every clock is 0, so ranks go in rank order
+    assert [p for p, _ in seen[:6]] == list(range(6))
 
 
 def test_speed_factors_scale_compute_only():
@@ -215,6 +249,24 @@ def test_async_ds_validation(async_setup):
     for bad in (2.5, -1, True, "0"):
         with pytest.raises(ValueError, match="^seed must be"):
             DistributedSouthwell(system, seed=bad)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("max_turns", 2.5), ("max_turns", -3), ("max_turns", 0),
+    ("max_turns", True), ("max_turns", "7"),
+    ("max_steps", 0.5), ("max_steps", -1), ("max_steps", True),
+])
+def test_async_run_rejects_bad_budgets(async_setup, field, bad):
+    """A turn budget is an integer >= 1 and a step budget an integer
+    >= 0, as at the front door: anything else raises a ValueError naming
+    the field before a single turn runs."""
+    system, x0, b = async_setup
+    ds = DistributedSouthwell(system)
+    ex = AsyncExecutor(ds)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ex.run(x0, b, **{field: bad})
+    assert ex.turns == 0 and ds.total_relaxations == 0
+    assert ex.run(x0, b, max_turns=5) is ds.history and ex.turns == 5
 
 
 def test_lockstep_straggler_support(async_setup):

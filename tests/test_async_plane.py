@@ -258,13 +258,13 @@ def _scan_deliverable(ap, p) -> list[int]:
     """The mailbox read the heap replaced: gather ``p``'s slot stamps,
     keep the ready ones, ``lexsort`` by (stamp, slot-id)."""
     sl = ap.in_sids[p]
-    t = ap.deliver_at[sl]
+    t = np.asarray(ap.deliver_at)[sl]
     ready = t <= ap.clocks[p]
     return sl[ready][np.lexsort((sl[ready], t[ready]))].tolist()
 
 
 def _scan_earliest(ap, p) -> float:
-    t = ap.deliver_at[ap.in_sids[p]]
+    t = np.asarray(ap.deliver_at)[ap.in_sids[p]]
     return float(t.min()) if t.size else np.inf
 
 
@@ -313,7 +313,7 @@ def test_mailbox_heap_matches_full_scan(ops, alpha, latency):
         for p in range(P):
             assert ap._next_at[p] <= _scan_earliest(ap, p)
             assert ap.n_pending[p] == np.isfinite(
-                ap.deliver_at[ap.in_sids[p]]).sum()
+                np.asarray(ap.deliver_at)[ap.in_sids[p]]).sum()
             assert len(ap._mail[p]) <= 2 * ap.in_sids[p].size
 
 
