@@ -135,11 +135,39 @@ class DirectLocal(LocalSolver):
 
 def _splu_ld(ld):
     """The SuperLU factor of an ``L+D`` operand: natural ordering, so
-    the factor is the triangle and a solve is one forward sweep."""
+    the factor is the triangle and a solve is one forward sweep.
+
+    When no column has an entry below the diagonal larger in magnitude
+    than its diagonal (:func:`_keeps_diagonal`), SuperLU's threshold-1.0
+    pivoting keeps every diagonal: the factorization makes no row
+    exchange and no column update, so the panel width cannot change a
+    bit of the factor or of a solve.  Those operands factor
+    with ``panel_size=1``, which skips the panel workspace (4–5 MB of
+    high-water for a P = 1 024 whole diagonal, and ≈ 40 % of its factor
+    time).  Any other operand keeps SuperLU's default panel: under
+    pivoting the panel width changes the rounding (DESIGN.md §5.8).
+    """
     import scipy.sparse.linalg as spla
 
     return spla.splu(ld, permc_spec="NATURAL",
+                     panel_size=1 if _keeps_diagonal(ld) else None,
                      options={"SymmetricMode": False})
+
+
+def _keeps_diagonal(ld) -> bool:
+    """Whether a CSC operand is lower triangular with every column's
+    diagonal at least as large in magnitude as each entry below it (a
+    NaN entry below a diagonal, or on a diagonal with entries below it,
+    fails the test)."""
+    rows, data = ld.indices, ld.data
+    cols = np.repeat(np.arange(ld.shape[1]), np.diff(ld.indptr))
+    if np.any(rows < cols):
+        return False
+    on = rows == cols
+    diag = np.zeros(ld.shape[1])
+    diag[cols[on]] = np.abs(data[on])
+    below = ~on
+    return bool(np.all(np.abs(data[below]) <= diag[cols[below]]))
 
 
 def _ld_whole(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray,

@@ -46,14 +46,13 @@ def neighbor_lists(A: CSRMatrix, parts: np.ndarray,
     pu = parts[rows]
     pv = parts[A.indices]
     mask = pu != pv
-    pairs = np.unique(np.stack([np.concatenate([pu[mask], pv[mask]]),
-                                np.concatenate([pv[mask], pu[mask]])],
-                               axis=1), axis=0)
-    out: list[np.ndarray] = [np.empty(0, dtype=np.int64)
-                             for _ in range(n_parts)]
-    if pairs.size == 0:
-        return out
-    split = np.searchsorted(pairs[:, 0], np.arange(n_parts + 1))
-    for p in range(n_parts):
-        out[p] = pairs[split[p]:split[p + 1], 1].copy()
-    return out
+    pu, pv = pu[mask], pv[mask]
+    # one int64 key per ordered pair (both directions), sorted by
+    # (p, q) and deduplicated by one 1-D unique
+    P = np.int64(n_parts)
+    keys = np.unique(np.concatenate([pu * P + pv, pv * P + pu]))
+    if keys.size == 0:
+        return [np.empty(0, dtype=np.int64) for _ in range(n_parts)]
+    nbr = (keys % P).astype(parts.dtype)
+    split = np.searchsorted(keys, np.arange(n_parts + 1) * P).tolist()
+    return [nbr[split[p]:split[p + 1]].copy() for p in range(n_parts)]

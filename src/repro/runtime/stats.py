@@ -16,6 +16,13 @@ are O(1): :meth:`MessageStats.close_step` folds each closed step into
 running totals instead of re-summing the snapshot list, so the per-step
 history recording in ``BlockMethodBase.run`` costs O(1) per step rather
 than O(steps) (the run loop used to be O(steps²) overall).
+
+A closed step is kept sparse: its :class:`StepSnapshot` holds only the
+ranks with any event in it, and rebuilds the dense per-process arrays
+when they are read.  Only tests and pins read them; the run itself
+reads the totals.  An async run closes a step per history sample, and
+most samples touch a few of its ranks (≈ 16 of 128 on the FEM straggler
+workload), so the dense copies were most of what the snapshot list held.
 """
 
 from __future__ import annotations
@@ -33,25 +40,54 @@ __all__ = ["CATEGORY_RESIDUAL", "CATEGORY_SOLVE", "MessageStats",
 CATEGORY_SOLVE = "solve"
 CATEGORY_RESIDUAL = "residual"
 
-# the ufunc reduction itself: ``ndarray.sum`` goes through a Python-level
-# wrapper first, a fixed cost paid on every closed step
+# the ufunc reductions themselves: ``ndarray.sum`` / ``.any`` go through
+# a Python-level wrapper first, a fixed cost paid on every closed step
 _add_reduce = np.add.reduce
+_or_reduce = np.logical_or.reduce
 
 
 @dataclass
 class StepSnapshot:
-    """Per-process event sums for one closed parallel step."""
+    """Per-process event sums for one closed parallel step, kept sparse.
 
-    msgs: np.ndarray
-    nbytes: np.ndarray
-    flops: np.ndarray
-    recvs: np.ndarray
+    ``ranks`` (int32, ascending) are the processes with any message,
+    byte, receive or flop in the step.  ``counts`` is their columns of
+    the open step's block: rows ``msgs``, ``nbytes``, ``recvs`` (int64)
+    and the flops' float64 bits.  :attr:`msgs`, :attr:`nbytes`,
+    :attr:`recvs` and :attr:`flops` rebuild the dense ``n_procs``-long
+    arrays at each read, bit for bit and in the open step's dtypes.
+    """
+
+    n_procs: int
+    ranks: np.ndarray
+    counts: np.ndarray
     category_msgs: dict[str, int] = field(default_factory=dict)
     time: float = 0.0
 
+    def _dense(self, row: int) -> np.ndarray:
+        out = np.zeros(self.n_procs, dtype=np.int64)
+        out[self.ranks] = self.counts[row]
+        return out
+
+    @property
+    def msgs(self) -> np.ndarray:
+        return self._dense(0)
+
+    @property
+    def nbytes(self) -> np.ndarray:
+        return self._dense(1)
+
+    @property
+    def recvs(self) -> np.ndarray:
+        return self._dense(2)
+
+    @property
+    def flops(self) -> np.ndarray:
+        return self._dense(3).view(np.float64)
+
     @property
     def total_messages(self) -> int:
-        return int(self.msgs.sum())
+        return int(_add_reduce(self.counts[0]))
 
 
 @dataclass
@@ -66,13 +102,15 @@ class MessageStats:
     def __post_init__(self) -> None:
         if self.n_procs < 1:
             raise ValueError("n_procs must be positive")
-        # the open step's integer counters are the rows of one block, so
-        # closing a step is one copy, one reduction and one fill for all
-        # three
-        self._step_counts = np.zeros((3, self.n_procs), dtype=np.int64)
+        # the open step is one int64 block: the three integer counters,
+        # then the flops as a float64 view of the last row.  Closing a
+        # step is then one test for ranks with any nonzero bit, one
+        # gather of their columns, one reduction and one fill
+        self._step_block = np.zeros((4, self.n_procs), dtype=np.int64)
+        self._step_counts = self._step_block[:3]
         self._step_msgs, self._step_bytes, self._step_recvs = \
             self._step_counts
-        self._step_flops = np.zeros(self.n_procs, dtype=np.float64)
+        self._step_flops = self._step_block[3].view(np.float64)
         self._step_cat: dict[str, int] = {}
         # running totals over *closed* steps (kept in sync by close_step so
         # the cumulative metrics never re-walk the snapshot list)
@@ -140,22 +178,21 @@ class MessageStats:
     def close_step(self, time: float = 0.0) -> StepSnapshot:
         """End the current parallel step; returns (and stores) its snapshot.
 
-        The snapshot's three counter arrays are the rows of one copy of
-        the open block, and it takes the open category dict itself (a
-        fresh one opens the next step)."""
-        counts = self._step_counts.copy()
-        msgs, nbytes, recvs = counts
-        snap = StepSnapshot(msgs=msgs, nbytes=nbytes,
-                            flops=self._step_flops.copy(), recvs=recvs,
+        The snapshot gathers the block's columns of the ranks with any
+        event, and takes the open category dict itself (a fresh one
+        opens the next step)."""
+        block = self._step_block
+        ranks = _or_reduce(block, axis=0).nonzero()[0]
+        snap = StepSnapshot(self.n_procs, ranks.astype(np.int32),
+                            block.take(ranks, axis=1),
                             category_msgs=self._step_cat, time=time)
         self.steps.append(snap)
-        m, b, r = _add_reduce(counts, axis=1).tolist()
+        m, b, r = _add_reduce(self._step_counts, axis=1).tolist()
         self._closed_msgs += m
         self._closed_bytes += b
         self._closed_recvs += r
         self._closed_time += float(time)
-        self._step_counts.fill(0)
-        self._step_flops.fill(0.0)
+        block.fill(0)
         self._step_cat = {}
         return snap
 

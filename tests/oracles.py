@@ -13,6 +13,9 @@ and the pinned digests were recorded on them.
 - :func:`hem_match` / :func:`fm_refine` — the partitioner's seed loops
   (per-vertex numpy slicing, ``heapq`` on tuples), call-compatible with
   ``hem_match_fast`` / ``fm_refine_fast``;
+- :func:`neighbor_lists` — the part topology from a 2-D ``np.unique``
+  over stacked ``(p, q)`` pairs, call-compatible with
+  ``repro.partition.neighbor_lists``;
 - :class:`ChunkMailbox` — the flat plane's per-destination chunk-list
   mailboxes, fed each epoch's delivered slot-ids;
 - :func:`payload_nbytes` — the per-message plane's wire size of a dict
@@ -195,6 +198,25 @@ def fm_refine(g, side: np.ndarray, target0: float, lo: float, hi: float,
         if best_cum <= 1e-12:
             break
     return side
+
+
+def neighbor_lists(A, parts: np.ndarray, n_parts: int) -> list:
+    """For each part, the sorted array of parts it couples to in ``A``
+    (symmetrised), from the unique rows of the stacked crossing pairs."""
+    rows = A._expanded_row_ids()
+    pu = parts[rows]
+    pv = parts[A.indices]
+    mask = pu != pv
+    pairs = np.unique(np.stack([np.concatenate([pu[mask], pv[mask]]),
+                                np.concatenate([pv[mask], pu[mask]])],
+                               axis=1), axis=0)
+    out = [np.empty(0, dtype=np.int64) for _ in range(n_parts)]
+    if pairs.size == 0:
+        return out
+    split = np.searchsorted(pairs[:, 0], np.arange(n_parts + 1))
+    for p in range(n_parts):
+        out[p] = pairs[split[p]:split[p + 1], 1].copy()
+    return out
 
 
 # ----------------------------------------------------------------------

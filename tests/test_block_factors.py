@@ -24,7 +24,8 @@ from repro.core import DistributedSouthwell, ParallelSouthwell
 from repro.core.async_exec import AsyncExecutor
 from repro.core.block_base import BlockMethodBase
 from repro.core.blockdata import _BATCH_ROWS, build_block_system
-from repro.core.local_solvers import GaussSeidelLocal
+from repro.core.local_solvers import (GaussSeidelLocal, _keeps_diagonal,
+                                      _splu_ld)
 from repro.matrices.poisson import poisson_2d
 from repro.matrices.random_spd import random_sparse_spd
 from repro.partition import partition, partition_from_parts
@@ -206,3 +207,81 @@ def test_whole_diagonal_solve_is_every_blocks_sweep(kind, size, n_loose,
             assert dx_other[sl].tobytes() == own.tobytes()
     if n_loose:
         assert any(system.fanout[q] is None for q in range(n_core, P))
+
+
+# ----------------------------------------------------------------------
+# the panel rule of every L+D factor: a triangle that keeps its diagonal
+# under threshold pivoting factors without the panel workspace
+# ----------------------------------------------------------------------
+def _lower_operand(rng, n, density, dominant, ties):
+    """A random CSC lower triangle.  ``dominant``: every diagonal is at
+    least the magnitude of each entry below it (exactly equal to the
+    column's largest when ``ties``); else one column has a larger entry
+    below its diagonal."""
+    L = np.tril(rng.standard_normal((n, n)), -1)
+    L[rng.random((n, n)) >= density] = 0.0
+    big = np.abs(L).max(axis=0)
+    diag = big + (0.0 if ties else rng.uniform(0.01, 2.0, n))
+    diag[diag == 0.0] = rng.uniform(0.5, 2.0)
+    if not dominant:
+        j = int(rng.integers(0, n - 1))
+        i = int(rng.integers(j + 1, n))
+        L[i, j] = diag[j] * rng.uniform(1.01, 8.0) * rng.choice([-1, 1])
+    L[np.arange(n), np.arange(n)] = diag * rng.choice([-1, 1], n)
+    return sp.csc_matrix(L)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 40), density=st.floats(0.0, 0.6),
+       dominant=st.booleans(), ties=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_the_panel_rule_changes_no_solve_bit(n, density, dominant, ties,
+                                             seed):
+    """An operand whose columns keep their diagonal factors with
+    ``panel_size=1``, any other with SuperLU's default panel, and both
+    solve byte for byte as a default-panel factor of the operand (the
+    factor every operand took before the rule)."""
+    rng = np.random.default_rng(seed)
+    ld = _lower_operand(rng, n, density, dominant, ties)
+    panels, real = [], spla.splu
+
+    def recording(A, *args, **kwargs):
+        panels.append(kwargs.get("panel_size"))
+        return real(A, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spla, "splu", recording)
+        lu = _splu_ld(ld)
+    assert panels == [1 if dominant else None]
+    ref = real(ld, permc_spec="NATURAL", options={"SymmetricMode": False})
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        assert lu.solve(b).tobytes() == ref.solve(b).tobytes()
+
+
+def test_the_panel_rule_rejects_an_upper_entry_and_nan():
+    ld = sp.csc_matrix(np.array([[2.0, 0.5], [0.0, 2.0]]))
+    assert not _keeps_diagonal(ld)
+    ld = sp.csc_matrix(np.array([[np.nan, 0.0], [0.5, 2.0]]))
+    assert not _keeps_diagonal(ld)
+    ld = sp.csc_matrix(np.array([[1.0, 0.0], [-1.0, 2.0]]))
+    assert _keeps_diagonal(ld)
+
+
+def test_suite_operands_factor_without_the_panel_workspace(monkeypatch,
+                                                          fem_300):
+    """The bench's problems keep every diagonal: the whole-diagonal
+    factor of a lockstep run and an async ``prepare()``'s per-rank
+    factors all take ``panel_size=1``."""
+    panels, real = [], spla.splu
+
+    def recording(A, *args, **kwargs):
+        panels.append(kwargs.get("panel_size"))
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    for A, P in ((poisson_2d(32), 64), (fem_300, 16)):
+        system = build_block_system(A, partition(A, P, seed=0))
+        DistributedSouthwell(system).run(*_start(system.n), max_steps=3)
+        ex = AsyncExecutor(DistributedSouthwell(system))
+        ex.prepare(*_start(system.n))
+    assert panels == [1] * (1 + 64 + 1 + 16)

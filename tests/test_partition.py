@@ -36,6 +36,7 @@ from repro.partition.coarsen import contract
 from repro.partition.graph import Graph
 from repro.runtime import pool
 from repro.sparsela import CSRMatrix
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,33 @@ def test_neighbor_lists_symmetric():
         for q in part.neighbors[p]:
             assert p in part.neighbors[int(q)]
             assert p != q
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), n_parts=st.integers(1, 12),
+       density=st.floats(0.0, 0.3), n_comps=st.integers(1, 4),
+       int32=st.booleans(), seed=st.integers(0, 2**16))
+def test_neighbor_lists_match_the_pair_unique_oracle(n, n_parts, density,
+                                                     n_comps, int32, seed):
+    """The keyed construction hands out the oracle's lists: same values,
+    dtype and order, also on disconnected graphs (couplings only inside
+    each of ``n_comps`` vertex groups) and for parts with no
+    neighbour or no vertex at all."""
+    rng = np.random.default_rng(seed)
+    comp = rng.integers(0, n_comps, n)
+    r, c = np.nonzero(rng.random((n, n)) < density)
+    keep = comp[r] == comp[c]
+    r, c = np.concatenate([r[keep], c[keep], np.arange(n)]), \
+        np.concatenate([c[keep], r[keep], np.arange(n)])
+    A = CSRMatrix.from_coo(r, c, np.ones(r.size), (n, n))
+    parts = rng.integers(0, n_parts, n).astype(
+        np.int32 if int32 else np.int64)
+    got = neighbor_lists(A, parts, n_parts)
+    want = oracles.neighbor_lists(A, parts, n_parts)
+    assert len(got) == len(want) == n_parts
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tolist() == w.tolist()
 
 
 def test_partition_grid_method():

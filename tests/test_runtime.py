@@ -143,6 +143,90 @@ def test_stats_step_snapshots():
     assert st.communication_cost() == 0.5
 
 
+@pytest.fixture
+def closed_steps(monkeypatch):
+    """``(open arrays, open category dict, snapshot)`` of every
+    ``close_step`` from here on, the first two copied just before it."""
+    seen, real = [], MessageStats.close_step
+
+    def recording(self, time=0.0):
+        before = [a.copy() for a in self.current_step_arrays()]
+        cat = dict(self._step_cat)
+        snap = real(self, time)
+        seen.append((before, cat, snap))
+        return snap
+
+    monkeypatch.setattr(MessageStats, "close_step", recording)
+    return seen
+
+
+def _assert_snapshots_are_the_open_arrays(seen, stats):
+    """Dense reads equal the open arrays in values and dtype, a snapshot
+    keeps only ranks with events, and the cumulative metrics are the
+    ones the dense arrays give."""
+    for (flops, msgs, nbytes, recvs), cat, snap in seen:
+        for got, want in ((snap.flops, flops), (snap.msgs, msgs),
+                          (snap.nbytes, nbytes), (snap.recvs, recvs)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        live = ((msgs != 0) | (nbytes != 0) | (recvs != 0)
+                | (flops.view(np.int64) != 0))      # -0.0 flops included
+        assert snap.ranks.dtype == np.int32
+        assert snap.ranks.tolist() == np.flatnonzero(live).tolist()
+        assert snap.total_messages == int(msgs.sum())
+        assert snap.category_msgs == cat
+    assert [id(s) for *_, s in seen] == [id(s) for s in stats.steps]
+    open_msgs = int(stats.current_step_arrays()[1].sum())
+    assert stats.total_messages == sum(
+        int(b[1].sum()) for b, *_ in seen) + open_msgs
+    for category in (CATEGORY_SOLVE, CATEGORY_RESIDUAL):
+        want = np.cumsum([c.get(category, 0) for _, c, _ in seen],
+                         dtype=np.float64) / stats.n_procs
+        assert stats.cumulative_category_costs(category).tobytes() == \
+            want.tobytes()
+
+
+def test_snapshot_of_an_empty_and_a_full_step(closed_steps):
+    st = MessageStats(4)
+    st.close_step(time=0.5)                         # no event at all
+    f, m, b, r = st.current_step_arrays()
+    st.record_message_groups(np.arange(3), np.array([1, 2, 3]),
+                             np.array([8, 16, 24]), CATEGORY_SOLVE)
+    r[3] += 2                                       # a receive only
+    f += np.array([1.5, 0.0, 2.5, 3.0])             # and flops
+    st.close_step(time=0.25)
+    f[1] += 4.0                                     # flops only
+    f[3] = -0.0                                     # kept bit for bit
+    st.close_step()
+    assert [s.ranks.tolist() for s in st.steps] == [[], [0, 1, 2, 3],
+                                                    [1, 3]]
+    _assert_snapshots_are_the_open_arrays(closed_steps, st)
+
+
+@pytest.mark.parametrize("runtime", ["flat", "async"])
+def test_snapshots_of_a_run_are_its_open_arrays(closed_steps, fem_300,
+                                                runtime):
+    """Every closed step of a lockstep run and every async history
+    sample reads back as the open arrays it closed."""
+    from repro.core.async_exec import AsyncExecutor
+    from repro.core.blockdata import build_block_system
+    from repro.partition import partition
+
+    system = build_block_system(fem_300, partition(fem_300, 16, seed=0))
+    ds = DistributedSouthwell(system)
+    rng = np.random.default_rng(5)
+    x0, b = rng.uniform(-1, 1, system.n), np.zeros(system.n)
+    if runtime == "async":
+        AsyncExecutor(ds, record_every=7).run(x0, b, max_steps=6)
+    else:
+        ds.run(x0, b, max_steps=15)
+    stats = ds.engine.stats
+    assert len(closed_steps) > 5
+    # some step leaves a rank without any event
+    assert any(s.ranks.size < 16 for *_, s in closed_steps)
+    _assert_snapshots_are_the_open_arrays(closed_steps, stats)
+
+
 # ------------------------------------------------------------- cost model
 def test_cost_model_pricing():
     cm = CostModel(alpha=1e-6, beta=1e-9, gamma=1e-10)
